@@ -43,24 +43,30 @@ func tableBits(m int) uint {
 	return b
 }
 
+// The context hash is 32-bit FNV-1a over whole values, folded to the table
+// size. fnvMix and fnvSlot are its two steps; the selection kernel
+// (Scratch.sizeFCMAll) rolls them across orders instead of calling fcmHash.
+const fnvOffset uint32 = 2166136261
+
+func fnvMix(h, x uint32) uint32 { return (h ^ x) * 16777619 }
+
+func fnvSlot(h uint32, tbBits uint) uint32 { return (h ^ h>>16) & (1<<tbBits - 1) }
+
 // fcmHash maps a context window (values, or strides of it) to a table
 // slot. Shared by the encoder, the cursor, and the dry-run sizer so they
 // cannot diverge.
 func fcmHash(win []uint32, stride bool, tbBits uint) uint32 {
-	h := uint32(2166136261)
-	mix := func(x uint32) {
-		h = (h ^ x) * 16777619
-	}
+	h := fnvOffset
 	if stride {
 		for i := 0; i+1 < len(win); i++ {
-			mix(win[i+1] - win[i])
+			h = fnvMix(h, win[i+1]-win[i])
 		}
 	} else {
 		for _, v := range win {
-			mix(v)
+			h = fnvMix(h, v)
 		}
 	}
-	return (h ^ h>>16) & (1<<tbBits - 1)
+	return fnvSlot(h, tbBits)
 }
 
 // fcmPredictIncoming reconstructs a value from the left-context table

@@ -122,11 +122,13 @@ func TestSizeBestMatchesCompressBest(t *testing.T) {
 	}
 }
 
-// TestCompressBestConcurrent hammers the pooled path from many goroutines:
-// every result must match a serially computed baseline, proving reused
-// tables come back zeroed.
+// TestCompressBestConcurrent hammers the scratch path from many goroutines,
+// each releasing and reusing its Scratch between rounds: every result must
+// match a serially computed baseline, and the selection tables inside the
+// Scratch must come back zeroed after every call, as the pooled ones do.
 func TestCompressBestConcurrent(t *testing.T) {
 	shapes := testShapes()
+	shapes["fcm-wins"] = fcmLastNTie() // the fused FCM pass runs and decides
 	type want struct {
 		bits uint64
 		name string
@@ -138,24 +140,30 @@ func TestCompressBestConcurrent(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
+	report := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sc := NewScratch()
-			defer sc.Release()
 			for round := 0; round < 5; round++ {
 				for name, vals := range shapes {
 					s := CompressBestScratch(vals, sc)
 					w := baseline[name]
 					if s.SizeBits() != w.bits || s.Name() != w.name {
-						select {
-						case errs <- fmt.Errorf("%s: got %s/%d bits, want %s/%d bits",
-							name, s.Name(), s.SizeBits(), w.name, w.bits):
-						default:
-						}
+						report(fmt.Errorf("%s: got %s/%d bits, want %s/%d bits",
+							name, s.Name(), s.SizeBits(), w.name, w.bits))
+					}
+					if sc.fcm != ([6][1 << selTableBits]uint32{}) {
+						report(fmt.Errorf("%s: selection tables not zeroed", name))
 					}
 				}
+				sc.Release()
 			}
 		}()
 	}

@@ -208,10 +208,10 @@ const SelectionPrefix = 4096
 // method with the smallest compressed size, and compresses the full stream
 // with it.
 //
-// The selection phase sizes candidates with pooled scratch state instead of
-// building and discarding thirteen streams; callers running many
-// compressions on one goroutine should hold their own Scratch and call
-// CompressBestScratch directly.
+// The selection phase sizes the fourteen candidates with pooled scratch
+// state instead of building and discarding fourteen streams; callers
+// running many compressions on one goroutine should hold their own Scratch
+// and call CompressBestScratch directly.
 func CompressBest(vals []uint32) Stream {
 	sc := scratchPool.Get().(*Scratch)
 	s := CompressBestScratch(vals, sc)
