@@ -6,10 +6,12 @@ package wet_test
 // prints the same data as paper-style tables.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
+	"wet"
 	"wet/internal/arch"
 	"wet/internal/core"
 	"wet/internal/exp"
@@ -159,6 +161,62 @@ func BenchmarkTable6CFTrace(b *testing.B) {
 	b.Run("bwd-tier1", func(b *testing.B) { benchCF(b, core.Tier1, false) })
 	b.Run("bwd-tier2", func(b *testing.B) { benchCF(b, core.Tier2, false) })
 }
+
+// reopened returns gcc recorded in epochs, saved and opened again: journey
+// 2, where every label sequence is a federation of per-epoch segments.
+func reopened(b *testing.B) *wet.Trace {
+	b.Helper()
+	data := saveBytes(b, runWorkload(b, "gcc", wet.WithEpochTS(1<<11)))
+	tr, _, err := wet.Open(bytes.NewReader(data))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tr.Epochs() < 2 {
+		b.Fatalf("want a multi-epoch container, got %d epoch(s)", tr.Epochs())
+	}
+	return tr
+}
+
+// BenchmarkExtractCF measures whole control-flow extraction on a reopened
+// container; the paper's claim is that the two directions cost the same.
+func BenchmarkExtractCF(b *testing.B) {
+	tr := reopened(b)
+	for _, dir := range []struct {
+		name    string
+		forward bool
+	}{{"fwd", true}, {"bwd", false}} {
+		b.Run(dir.name, func(b *testing.B) {
+			var n uint64
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				n = tr.ExtractControlFlow(dir.forward, func(id int) { sum += id })
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(b.N), "ns/stmt")
+			benchSum += sum
+		})
+	}
+}
+
+// BenchmarkAddressTraces measures every load/store address trace of a
+// reopened container.
+func BenchmarkAddressTraces(b *testing.B) {
+	tr := reopened(b)
+	b.ResetTimer()
+	var n uint64
+	sum := int64(0)
+	for i := 0; i < b.N; i++ {
+		var err error
+		n, err = query.AddressTraces(tr.WET(), tr.Tier(), func(_ int, s query.Sample) { sum += s.Value + int64(s.TS) })
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(b.N), "ns/sample")
+	benchSum += int(sum)
+}
+
+// benchSum keeps the emit callbacks' work observable.
+var benchSum int
 
 // BenchmarkTable7LoadValues measures per-instruction load value trace
 // extraction.

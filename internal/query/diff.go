@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wet/internal/core"
 )
@@ -87,8 +88,8 @@ func DiffWETs(a, b *core.WET) (*Diff, error) {
 			d.Stmts = append(d.Stmts, sd)
 		}
 	}
-	sort.Slice(d.Stmts, func(i, j int) bool {
-		return absDiff(d.Stmts[i].ExecsA, d.Stmts[i].ExecsB) > absDiff(d.Stmts[j].ExecsA, d.Stmts[j].ExecsB)
+	slices.SortFunc(d.Stmts, func(x, y StmtDelta) int {
+		return cmp.Compare(absDiff(y.ExecsA, y.ExecsB), absDiff(x.ExecsA, x.ExecsB))
 	})
 
 	pathsA := map[[2]int64]bool{}

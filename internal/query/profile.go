@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wet/internal/core"
 	"wet/internal/ir"
@@ -52,11 +53,8 @@ func ValueInvariance(w *core.WET, tier core.Tier, minExecs uint64) ([]Invariance
 		inv.TopFraction = float64(bestC) / float64(n)
 		out = append(out, inv)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].TopFraction != out[j].TopFraction {
-			return out[i].TopFraction > out[j].TopFraction
-		}
-		return out[i].Execs > out[j].Execs
+	slices.SortStableFunc(out, func(x, y Invariance) int {
+		return cmp.Or(cmp.Compare(y.TopFraction, x.TopFraction), cmp.Compare(y.Execs, x.Execs))
 	})
 	return out, nil
 }
@@ -140,7 +138,7 @@ func StrideProfiles(w *core.WET, tier core.Tier, minAccesses int) ([]StrideProfi
 		}
 		out = append(out, sp)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Accesses > out[j].Accesses })
+	slices.SortStableFunc(out, func(x, y StrideProfile) int { return cmp.Compare(y.Accesses, x.Accesses) })
 	return out, nil
 }
 

@@ -1,9 +1,10 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"wet/internal/core"
 )
@@ -38,8 +39,8 @@ func HotPaths(w *core.WET, n int) []HotPath {
 		}
 		out = append(out, hp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return uint64(out[i].Execs)*uint64(out[i].Stmts) > uint64(out[j].Execs)*uint64(out[j].Stmts)
+	slices.SortFunc(out, func(x, y HotPath) int {
+		return cmp.Compare(uint64(y.Execs)*uint64(y.Stmts), uint64(x.Execs)*uint64(x.Stmts))
 	})
 	if n > 0 && len(out) > n {
 		out = out[:n]
@@ -68,7 +69,7 @@ func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err
 
 	q := newCtx(w, tier)
 	insts := append([]Instance(nil), res.Instances...)
-	sort.Slice(insts, func(i, j int) bool { return pack(insts[i]) < pack(insts[j]) })
+	slices.SortFunc(insts, func(x, y Instance) int { return cmp.Compare(pack(x), pack(y)) })
 	for _, in := range insts {
 		n := w.Nodes[in.Node]
 		s := n.Stmts[in.Pos]

@@ -133,39 +133,13 @@ func ExtractCFCtx(ctx context.Context, w *core.WET, tier core.Tier, forward bool
 	if ctx.Err() != nil {
 		return 0, context.Cause(ctx)
 	}
-	wk := NewWalker(w, tier)
 	var steps uint64
-	check := func() bool {
+	n, stopped := walkCF(w, tier, forward, emit, func() bool {
 		steps++
 		return steps&ctxCheckMask == 0 && ctx.Err() != nil
-	}
-	if forward {
-		wk.SeekStart()
-		for wk.Forward() {
-			for _, s := range w.Nodes[wk.Node].Stmts {
-				if emit != nil {
-					emit(s.ID)
-				}
-				n++
-			}
-			if check() {
-				return n, context.Cause(ctx)
-			}
-		}
-	} else {
-		wk.SeekEnd()
-		for wk.Backward() {
-			stmts := w.Nodes[wk.Node].Stmts
-			for i := len(stmts) - 1; i >= 0; i-- {
-				if emit != nil {
-					emit(stmts[i].ID)
-				}
-				n++
-			}
-			if check() {
-				return n, context.Cause(ctx)
-			}
-		}
+	})
+	if stopped {
+		return n, context.Cause(ctx)
 	}
 	return n, nil
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 
 	"wet/internal/core"
 	"wet/internal/ir"
@@ -63,23 +62,32 @@ func (c *occCursor) next() (Sample, bool) {
 func ValueTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
 	defer recoverTyped(&err)
 	refs := w.StmtOcc[stmtID]
-	cursors := make([]*occCursor, 0, len(refs))
-	heads := make([]Sample, 0, len(refs))
-	for _, ref := range refs {
-		c, err := newOccCursor(w, tier, ref)
-		if err != nil {
+	cursors := make([]*occCursor, len(refs))
+	for i, ref := range refs {
+		if cursors[i], err = newOccCursor(w, tier, ref); err != nil {
 			return 0, err
 		}
-		if s, ok := c.next(); ok {
-			cursors = append(cursors, c)
-			heads = append(heads, s)
+	}
+	return mergeSamples(len(cursors), func(i int) (Sample, bool) { return cursors[i].next() }, emit), nil
+}
+
+// mergeSamples emits the samples of k sources, each in timestamp order, in
+// timestamp order overall, and returns how many there were; next(i) yields
+// source i's next sample.
+func mergeSamples(k int, next func(i int) (Sample, bool), emit func(Sample)) (count uint64) {
+	src := make([]int, 0, k)
+	heads := make([]Sample, 0, k)
+	for i := 0; i < k; i++ {
+		if h, ok := next(i); ok {
+			src = append(src, i)
+			heads = append(heads, h)
 		}
 	}
-	for len(cursors) > 0 {
-		// Pick the cursor with the smallest head timestamp (occurrence
-		// counts are small: one per path containing the block).
+	for len(src) > 0 {
+		// Pick the source with the smallest head timestamp (sources are
+		// few: one per path containing the block, times its producers).
 		best := 0
-		for i := 1; i < len(cursors); i++ {
+		for i := 1; i < len(src); i++ {
 			if heads[i].TS < heads[best].TS {
 				best = i
 			}
@@ -88,16 +96,15 @@ func ValueTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (cou
 			emit(heads[best])
 		}
 		count++
-		if s, ok := cursors[best].next(); ok {
-			heads[best] = s
+		if h, ok := next(src[best]); ok {
+			heads[best] = h
 		} else {
-			cursors[best] = cursors[len(cursors)-1]
-			cursors = cursors[:len(cursors)-1]
-			heads[best] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
+			last := len(src) - 1
+			src[best], heads[best] = src[last], heads[last]
+			src, heads = src[:last], heads[:last]
 		}
 	}
-	return count, nil
+	return count
 }
 
 // LoadValueTraces extracts the value trace of every load instruction
@@ -134,12 +141,57 @@ func addrOperandIndex(st *ir.Stmt) int {
 	return 0 // the address register is always the first use
 }
 
+// addrRun is one (occurrence, edge) run of an address trace: the executions
+// of one occurrence whose address operand one dependence edge supplied, in
+// execution — hence timestamp — order. It decodes a chunk of samples at a
+// time, reading the edge's labels as sequential batches.
+type addrRun struct {
+	ts       []uint32   // the occurrence's node timestamps, by ordinal
+	vr       *valReader // the operand's producer; nil for an immediate address
+	dst, src core.Seq   // the edge's labels; nil when both ordinals are the sample index
+	n, done  int        // samples in the run, samples decoded so far
+	buf      [walkChunk]Sample
+	head     int // next unread sample of buf[:fill]
+	fill     int
+}
+
+// next returns the run's next sample; add is the immediate address or the
+// static displacement. d and s are scratch for one chunk of labels.
+func (r *addrRun) next(add, mask int64, d, s *[walkChunk]uint32) (Sample, bool) {
+	if r.head == r.fill {
+		k := min(len(r.buf), r.n-r.done)
+		if k == 0 {
+			return Sample{}, false
+		}
+		if r.dst != nil {
+			core.SeqNextN(r.dst, d[:k])
+			core.SeqNextN(r.src, s[:k])
+		}
+		for i := 0; i < k; i++ {
+			dord, sord := r.done+i, r.done+i
+			if r.dst != nil {
+				dord, sord = int(d[i]), int(s[i])
+			}
+			v := add
+			if r.vr != nil {
+				v += r.vr.at(sord)
+			}
+			r.buf[i] = Sample{TS: r.ts[dord], Value: v & mask}
+		}
+		r.done += k
+		r.head, r.fill = 0, k
+	}
+	r.head++
+	return r.buf[r.head-1], true
+}
+
 // AddressTrace extracts the address trace of one load/store: for every
 // execution, the address operand's value (resolved through the DD edge to
 // its producer, per the paper: "addresses ... can be obtained by examining
 // the <t,v> sequences of statements that produce the operands") plus the
-// static displacement. Deferred-decode failures surface as a
-// *stream.DecodeError, not a panic.
+// static displacement. Each (occurrence, edge) pair contributes a run that is
+// already in timestamp order, so the runs are merged, not sorted. Deferred-
+// decode failures surface as a *stream.DecodeError, not a panic.
 func AddressTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
 	defer recoverTyped(&err)
 	st := w.Prog.Stmts[stmtID]
@@ -148,51 +200,42 @@ func AddressTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (c
 	}
 	mask := w.Prog.MemWords - 1
 	opIdx := addrOperandIndex(st)
+	add := st.Off
+	if opIdx < 0 {
+		add += st.A.Imm
+	}
 	q := newCtx(w, tier)
-	var samples []Sample
+	var runs []*addrRun
 	for _, ref := range w.StmtOcc[stmtID] {
 		n := w.Nodes[ref.Node]
-		ts := w.TSSeq(n, tier)
+		ts := make([]uint32, n.Execs)
+		core.SeqNextN(w.TSSeq(n, tier), ts)
 		if opIdx < 0 {
 			// Constant address: one sample per execution.
-			for ord := 0; ord < n.Execs; ord++ {
-				samples = append(samples, Sample{TS: core.SeqAt(ts, ord), Value: (st.A.Imm + st.Off) & mask})
-			}
+			runs = append(runs, &addrRun{ts: ts, n: n.Execs})
 			continue
 		}
 		// Resolve through each incoming DD edge on the address operand; the
-		// producer's value reader is hoisted out of the per-instance loop.
+		// producer's value reader is shared by the runs it feeds.
 		for _, ei := range n.InEdges[ref.Pos] {
 			e := w.Edges[ei]
 			if e.Kind != core.DD || e.OpIdx != opIdx {
 				continue
 			}
-			srcNode := w.Nodes[e.SrcNode]
-			vr, err := q.valueReader(srcNode, e.SrcPos)
+			vr, err := q.valueReader(w.Nodes[e.SrcNode], e.SrcPos)
 			if err != nil {
 				return 0, err
 			}
-			if e.Inferable {
-				for ord := 0; ord < n.Execs; ord++ {
-					samples = append(samples, Sample{TS: core.SeqAt(ts, ord), Value: (vr.at(ord) + st.Off) & mask})
-				}
-				continue
+			r := &addrRun{ts: ts, vr: vr, n: n.Execs}
+			if !e.Inferable {
+				r.dst, r.src = w.EdgeLabels(e, tier)
+				r.n = r.dst.Len()
 			}
-			dseq, sseq := q.edgeLabels(e)
-			for i := 0; i < dseq.Len(); i++ {
-				dord := core.SeqAt(dseq, i)
-				sord := core.SeqAt(sseq, i)
-				samples = append(samples, Sample{TS: core.SeqAt(ts, int(dord)), Value: (vr.at(int(sord)) + st.Off) & mask})
-			}
+			runs = append(runs, r)
 		}
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i].TS < samples[j].TS })
-	if emit != nil {
-		for _, s := range samples {
-			emit(s)
-		}
-	}
-	return uint64(len(samples)), nil
+	var d, s [walkChunk]uint32
+	return mergeSamples(len(runs), func(i int) (Sample, bool) { return runs[i].next(add, mask, &d, &s) }, emit), nil
 }
 
 // AddressTraces extracts the address trace of every load and store

@@ -20,7 +20,7 @@ type Walker struct {
 	w    *core.WET
 	tier core.Tier
 	seqs []core.Seq
-	buf  [walkChunk]uint32 // reusable batch buffer for findForward's scans
+	buf  [walkChunk]uint32 // reusable batch buffer for findOrdered's scans
 
 	// Node/Ord identify the current node execution; Node < 0 before the
 	// first step.
@@ -38,9 +38,17 @@ func NewWalker(w *core.WET, tier core.Tier) *Walker {
 	return &Walker{w: w, tier: tier, seqs: make([]core.Seq, len(w.Nodes)), Node: -1}
 }
 
-func (wk *Walker) seq(node int) core.Seq {
+// seq returns the walker's timestamp cursor for node. A cursor first touched
+// by a backward step is born at the end of its sequence — where the next
+// timestamp below the walker's lies, and a checkpoint every stream has for
+// free — instead of scanning there from 0.
+func (wk *Walker) seq(node int, back bool) core.Seq {
 	if wk.seqs[node] == nil {
-		wk.seqs[node] = wk.w.TSSeq(wk.w.Nodes[node], wk.tier)
+		s := wk.w.TSSeq(wk.w.Nodes[node], wk.tier)
+		if back {
+			seqSeek(s, s.Len())
+		}
+		wk.seqs[node] = s
 	}
 	return wk.seqs[node]
 }
@@ -48,13 +56,7 @@ func (wk *Walker) seq(node int) core.Seq {
 // TS returns the timestamp of the current node execution (0 before start).
 func (wk *Walker) TS() uint32 { return wk.ts }
 
-// findForward scans node's timestamp cursor for target; it returns the
-// ordinal or -1 (cursor is restored past-or-at larger values).
-func (wk *Walker) findForward(node int, target uint32) int {
-	return findOrdered(wk.seq(node), target, wk.buf[:])
-}
-
-// walkChunk is the batch width of findOrdered's long scans: one batched
+// walkChunk caps the batch width of findOrdered's long scans: one batched
 // decode replaces walkChunk interface-dispatched single steps (and, on a
 // segmented trace, walkChunk part lookups per federated cursor), while the
 // overshoot a chunk can run past its target stays within one seek of the
@@ -65,8 +67,11 @@ const walkChunk = 64
 // from wherever the cursor sits, and returns the element's index or -1. The
 // cursor ends exactly where a single-step scan would leave it: just past a
 // match, or before the first value above the target — sequential walks then
-// find the next target adjacent. Adjacent elements are probed singly (the
-// hot case); longer scans decode in batches through buf.
+// find the next target adjacent, in either direction. The two directions
+// are symmetric: the adjacent element is probed singly (the hot case), and
+// a longer scan decodes in batches through buf that double from 2 up to
+// walkChunk, so what a batch overshoots — and a seek then steps back over —
+// is bounded by the distance the scan had to travel anyway.
 func findOrdered(s core.Seq, target uint32, buf []uint32) int {
 	if s.Pos() > 0 {
 		// The cursor may sit beyond the target (e.g. after a backward walk).
@@ -91,9 +96,9 @@ func findOrdered(s core.Seq, target uint32, buf []uint32) int {
 		s.Prev()
 		return -1
 	}
-	for s.Pos() < s.Len() {
+	for chunk := 2; s.Pos() < s.Len(); chunk = min(2*chunk, len(buf)) {
 		start := s.Pos()
-		n := core.SeqNextN(s, buf)
+		n := core.SeqNextN(s, buf[:chunk])
 		for i := 0; i < n; i++ {
 			if v := buf[i]; v >= target {
 				if v == target {
@@ -108,23 +113,33 @@ func findOrdered(s core.Seq, target uint32, buf []uint32) int {
 	return -1
 }
 
-// rewindOrdered is findOrdered's backward half, entered with every value at
-// or behind the cursor known to exceed the target: scan back in chunks until
-// the target or the first smaller value. Strict monotonicity lets a smaller
-// value conclude -1 outright — the element just above it was already seen to
-// exceed the target.
+// rewindOrdered is findOrdered's backward half, entered with the cursor just
+// before a value known to exceed the target (as does every value behind
+// it): probe the element below, then scan back in chunks until the target or
+// the first smaller value. Strict monotonicity lets a smaller value conclude
+// -1 outright — the element just above it was already seen to exceed the
+// target.
 func rewindOrdered(s core.Seq, target uint32, buf []uint32) int {
-	for s.Pos() > 0 {
+	if s.Pos() == 0 {
+		return -1
+	}
+	if v := s.Prev(); v <= target {
+		s.Next()
+		if v == target {
+			return s.Pos() - 1
+		}
+		return -1
+	}
+	for chunk := 2; s.Pos() > 0; chunk = min(2*chunk, len(buf)) {
 		start := s.Pos()
-		n := core.SeqPrevN(s, buf)
+		n := core.SeqPrevN(s, buf[:chunk])
 		for i := 0; i < n; i++ {
 			if v := buf[i]; v <= target {
 				// buf[i] sits at start-1-i; leave the cursor just past it.
+				seqSeek(s, start-i)
 				if v == target {
-					seqSeek(s, start-i)
 					return start - 1 - i
 				}
-				seqSeek(s, start-i)
 				return -1
 			}
 		}
@@ -149,59 +164,56 @@ func seqSeek(s core.Seq, i int) {
 
 // Forward advances to the node executed at ts+1. It returns false at the
 // end of the trace.
-func (wk *Walker) Forward() bool {
+func (wk *Walker) Forward() bool { return wk.step(false) }
+
+// Backward retreats to the node executed at ts-1. It returns false at the
+// start of the trace.
+func (wk *Walker) Backward() bool { return wk.step(true) }
+
+// step moves one node execution in the given direction: the node holding
+// the adjacent timestamp is a CF neighbour of the current one, found by
+// probing each neighbour's timestamp cursor.
+func (wk *Walker) step(back bool) bool {
 	target := wk.ts + 1
-	if target > wk.w.Time {
+	if back {
+		target = wk.ts - 1
+	}
+	if target < 1 || target > wk.w.Time {
 		return false
 	}
 	var cands []int
-	if wk.Node < 0 {
-		cands = []int{wk.w.FirstNode}
-	} else {
+	switch {
+	case wk.Node >= 0 && back:
+		cands = wk.w.Nodes[wk.Node].CFPrev
+	case wk.Node >= 0:
 		cands = wk.w.Nodes[wk.Node].CFNext
+	case back:
+		cands = []int{wk.w.LastNode}
+	default:
+		cands = []int{wk.w.FirstNode}
 	}
 	for _, c := range cands {
-		if ord := wk.findForward(c, target); ord >= 0 {
-			wk.Node, wk.Ord, wk.ts = c, ord, target
+		if wk.landOn(c, target, back) {
 			return true
 		}
 	}
 	// Fall back to a global scan (starting mid-trace at an arbitrary point).
 	for c := range wk.w.Nodes {
-		if ord := wk.findForward(c, target); ord >= 0 {
-			wk.Node, wk.Ord, wk.ts = c, ord, target
+		if wk.landOn(c, target, back) {
 			return true
 		}
 	}
 	return false
 }
 
-// Backward retreats to the node executed at ts-1. It returns false at the
-// start of the trace.
-func (wk *Walker) Backward() bool {
-	if wk.ts <= 1 {
+// landOn makes node the current one if it executed at timestamp target.
+func (wk *Walker) landOn(node int, target uint32, back bool) bool {
+	ord := findOrdered(wk.seq(node, back), target, wk.buf[:])
+	if ord < 0 {
 		return false
 	}
-	target := wk.ts - 1
-	var cands []int
-	if wk.Node < 0 {
-		cands = []int{wk.w.LastNode}
-	} else {
-		cands = wk.w.Nodes[wk.Node].CFPrev
-	}
-	for _, c := range cands {
-		if ord := wk.findForward(c, target); ord >= 0 {
-			wk.Node, wk.Ord, wk.ts = c, ord, target
-			return true
-		}
-	}
-	for c := range wk.w.Nodes {
-		if ord := wk.findForward(c, target); ord >= 0 {
-			wk.Node, wk.Ord, wk.ts = c, ord, target
-			return true
-		}
-	}
-	return false
+	wk.Node, wk.Ord, wk.ts = node, ord, target
+	return true
 }
 
 // SeekEnd positions the walker after the last execution, ready for a
@@ -227,8 +239,7 @@ func (wk *Walker) StartAt(t uint32) (err error) {
 		return fmt.Errorf("query: timestamp %d outside [1,%d]", t, wk.w.Time)
 	}
 	for c := range wk.w.Nodes {
-		if ord := wk.findForward(c, t); ord >= 0 {
-			wk.Node, wk.Ord, wk.ts = c, ord, t
+		if wk.landOn(c, t, false) {
 			return nil
 		}
 	}
@@ -243,29 +254,33 @@ func (wk *Walker) StartAt(t uint32) (err error) {
 // *stream.DecodeError (this signature has no error slot); use ExtractCFCtx
 // to receive it as a typed error instead.
 func ExtractCF(w *core.WET, tier core.Tier, forward bool, emit func(stmtID int)) uint64 {
+	n, _ := walkCF(w, tier, forward, emit, nil)
+	return n
+}
+
+// walkCF is the whole-trace walk behind ExtractCF and ExtractCFCtx. stop,
+// when non-nil, is polled after every node execution; a true answer ends
+// the walk with the statements visited so far.
+func walkCF(w *core.WET, tier core.Tier, forward bool, emit func(stmtID int), stop func() bool) (n uint64, stopped bool) {
 	wk := NewWalker(w, tier)
-	var n uint64
-	if forward {
-		wk.SeekStart()
-		for wk.Forward() {
-			for _, s := range w.Nodes[wk.Node].Stmts {
-				if emit != nil {
-					emit(s.ID)
-				}
-				n++
+	if !forward {
+		wk.SeekEnd()
+	}
+	for wk.step(!forward) {
+		stmts := w.Nodes[wk.Node].Stmts
+		n += uint64(len(stmts))
+		if emit != nil && forward {
+			for _, s := range stmts {
+				emit(s.ID)
+			}
+		} else if emit != nil {
+			for i := len(stmts) - 1; i >= 0; i-- {
+				emit(stmts[i].ID)
 			}
 		}
-	} else {
-		wk.SeekEnd()
-		for wk.Backward() {
-			stmts := w.Nodes[wk.Node].Stmts
-			for i := len(stmts) - 1; i >= 0; i-- {
-				if emit != nil {
-					emit(stmts[i].ID)
-				}
-				n++
-			}
+		if stop != nil && stop() {
+			return n, true
 		}
 	}
-	return n
+	return n, false
 }

@@ -2,15 +2,15 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // The bidirectional FCM / differential-FCM method (paper §4, Figures 5–6)
 // is split into three pieces:
 //
 //   - fcmEnc: the mutable encoder. It owns live bitstacks and predictor
-//     tables and can step in both directions; construction and Load
-//     normalization run it over the whole stream.
+//     tables; construction runs it forward over the raw values and finish
+//     walks it back to position 0.
 //   - fcmStream: the immutable artifact. It holds both entry stores in
 //     full — FR as it stands at position m, BL as it stands at position 0 —
 //     plus the canonical boundary states and interior checkpoints. It has
@@ -138,34 +138,16 @@ func newFCMEnc(vals []uint32, order int, stride bool) *fcmEnc {
 	// Initial compression: a forward pass consuming raw values (the stream
 	// is conceptually padded with a window of zeros on the left).
 	for _, v := range vals {
-		e.stepForward(v, true)
+		e.push(v)
 	}
 	return e
 }
 
 func (e *fcmEnc) hash() uint32 { return fcmHash(e.win, e.stride, e.tbBits) }
 
-// stepForward advances the encoder by one. During initial construction
-// (construct == true) the incoming value is supplied raw in v and the BL
-// side is untouched; afterwards v is ignored and read from BL.
-func (e *fcmEnc) stepForward(v uint32, construct bool) uint32 {
-	if !construct {
-		if e.pos >= e.m {
-			panic("stream: Next past end")
-		}
-		// Consume the BL entry for the incoming value using the left
-		// context (current window).
-		idx := e.hash()
-		miss := !e.bl.popBit()
-		var payload uint32
-		if miss {
-			payload = e.bl.popBits(32)
-		}
-		v = fcmPredictIncoming(e.win, e.stride, e.bltb[idx])
-		if miss {
-			e.bltb[idx] = payload // restore the evicted content
-		}
-	}
+// push advances the encoder by one raw value during construction; the BL
+// side is untouched.
+func (e *fcmEnc) push(v uint32) {
 	// Shift the window: the head h leaves to the FR side.
 	h := e.win[0]
 	copy(e.win, e.win[1:])
@@ -180,10 +162,7 @@ func (e *fcmEnc) stepForward(v uint32, construct bool) uint32 {
 		e.frtb[idx] = fcmEncodeHead(e.win, e.stride, h)
 	}
 	e.pos++
-	return v
 }
-
-func (e *fcmEnc) next() uint32 { return e.stepForward(0, false) }
 
 func (e *fcmEnc) prev() uint32 {
 	if e.pos == 0 {
@@ -226,12 +205,12 @@ func (e *fcmEnc) finish(k int) *fcmStream {
 	s := &fcmStream{
 		m: e.m, order: e.order, stride: e.stride, tbBits: e.tbBits,
 	}
-	tables := uint64(2) * uint64(len(e.frtb)) * 32
-	s.size = e.fr.bits() + e.bl.bits() + uint64(len(e.win))*32 + tables + HeaderBits
-	s.fr = e.fr.freeze() // popBits clears bits, so copy before walking back
-	stateBits := tables + uint64(len(e.win))*32 + 3*64
-	sp := ckSpacing(k, e.m, stateBits)
-	cks := []fcmCk{e.snapshot()} // construction-end state at pos m
+	fr := e.fr.freeze() // popBits clears bits, so copy before walking back
+	sp := ckSpacing(k, e.m, s.stateBits())
+	var cks []fcmCk // built in strictly descending pos, reversed below
+	if e.m > 0 {
+		cks = append(cks, e.snapshot()) // construction-end state at pos m
+	}
 	for e.pos > 0 {
 		e.prev()
 		if sp > 0 && e.pos > 0 && e.pos%sp == 0 {
@@ -243,13 +222,52 @@ func (e *fcmEnc) finish(k int) *fcmStream {
 	// The canonical start state: all predictor state zero except the stored
 	// BL table (shared, so it costs nothing extra).
 	cks = append(cks, fcmCk{pos: 0, frLen: 0, blLen: s.bl.n, bltb: s.bltb0})
-	sort.Slice(cks, func(i, j int) bool { return cks[i].pos < cks[j].pos })
-	s.cks = cks
-	for i := 1; i < len(cks); i++ { // index 0 is the free start state
-		s.ckBits += 3 * 64
-		s.ckBits += uint64(len(cks[i].frtb)+len(cks[i].bltb)+len(cks[i].win)) * 32
-	}
+	slices.Reverse(cks)
+	s.seal(fr, cks)
 	return s
+}
+
+// load freezes an encoder read from a file — at position 0, holding the BL
+// store and BL table — in one forward pass: each value is decoded from BL as
+// Next does and pushed as construction would, capturing the checkpoints
+// finish captures. The pass also checks that the BL store is the one prev
+// writes: a miss whose payload — the table content prev found — predicts
+// the value would have been a hit. Prev sizes the BL entry it steps over by
+// that rule, so a store that broke it would yield cursors whose blLen
+// disagrees with the store. Selection rarely picks an FCM method (none of the
+// benchmark programs' streams), so unlike lastNStream.load this pass reuses
+// the encoder's own step instead of carrying a separate decode kernel.
+func (e *fcmEnc) load() (*fcmStream, error) {
+	s := &fcmStream{
+		m: e.m, order: e.order, stride: e.stride, tbBits: e.tbBits,
+		bl: e.bl.freeze(), bltb0: append([]uint32(nil), e.bltb...),
+	}
+	e.fr.words = slices.Grow(e.fr.words, len(s.bl.words))
+	sp := ckSpacing(0, e.m, s.stateBits())
+	cks := []fcmCk{{pos: 0, frLen: 0, blLen: s.bl.n, bltb: s.bltb0}}
+	for e.pos < e.m {
+		if sp > 0 && e.pos > 0 && e.pos%sp == 0 {
+			cks = append(cks, e.snapshot())
+		}
+		idx := e.hash()
+		v := fcmPredictIncoming(e.win, e.stride, e.bltb[idx])
+		if !e.bl.popBit() {
+			payload := e.bl.popBits(32)
+			if payload == e.bltb[idx] {
+				return nil, fmt.Errorf("stream: fcm BL miss at value %d carries a payload that predicts it", e.pos)
+			}
+			e.bltb[idx] = payload // restore the evicted content
+		}
+		e.push(v)
+	}
+	if !e.bl.empty() {
+		return nil, fmt.Errorf("stream: fcm BL store holds %d bits beyond the stream", e.bl.bits())
+	}
+	if e.m > 0 {
+		cks = append(cks, e.snapshot())
+	}
+	s.seal(e.fr.freeze(), cks)
+	return s, nil
 }
 
 // snapshot captures the encoder's current state as a checkpoint. All-zero
@@ -302,6 +320,24 @@ type fcmStream struct {
 	size   uint64
 	ckBits uint64
 	stats  *SeekCounters // per-trace seek accounting; nil = global only
+}
+
+// stateBits is what one checkpoint's cursor state costs, for ckSpacing.
+func (s *fcmStream) stateBits() uint64 {
+	return uint64(2<<s.tbBits+s.winLen())*32 + 3*64
+}
+
+// seal installs what a full pass over the stream produced: the FR store as
+// it stands at position m, whose length fixes SizeBits (BL is empty there),
+// and the checkpoints (ascending by pos; [0] is the free start state) with
+// their storage charge.
+func (s *fcmStream) seal(fr bitvec, cks []fcmCk) {
+	s.fr, s.cks = fr, cks
+	s.size = fr.n + uint64(2<<s.tbBits+s.winLen())*32 + HeaderBits
+	for i := 1; i < len(cks); i++ {
+		s.ckBits += 3 * 64
+		s.ckBits += uint64(len(cks[i].frtb)+len(cks[i].bltb)+len(cks[i].win)) * 32
+	}
 }
 
 func (s *fcmStream) Len() int               { return s.m }

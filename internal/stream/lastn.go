@@ -3,7 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // The bidirectional last-n predictor (paper §4, Figure 7) follows the same
@@ -41,7 +41,13 @@ func newLastNEnc(vals []uint32, n int, stride bool) *lastNEnc {
 		tb:      make([]uint32, n),
 	}
 	for _, v := range vals {
-		e.stepForward(v, true)
+		x := v
+		if stride {
+			x = v - e.lastVal
+			e.lastVal = v
+		}
+		e.encode(x)
+		e.pos++
 	}
 	return e
 }
@@ -93,42 +99,6 @@ func (e *lastNEnc) pushRef(x uint32) {
 	e.bl.pushBit(false)
 }
 
-// popRef pops a BL reference and resolves it against the current table.
-func (e *lastNEnc) popRef() uint32 {
-	if e.bl.popBit() {
-		return e.tb[e.bl.popBits(e.idxBits)]
-	}
-	return e.bl.popBits(32)
-}
-
-func (e *lastNEnc) stepForward(v uint32, construct bool) uint32 {
-	var x uint32 // the symbol actually coded (value, or stride)
-	if construct {
-		x = v
-		if e.stride {
-			x = v - e.lastVal
-		}
-	} else {
-		if e.pos >= e.m {
-			panic("stream: Next past end")
-		}
-		x = e.popRef()
-		if e.stride {
-			v = e.lastVal + x
-		} else {
-			v = x
-		}
-	}
-	e.encode(x)
-	if e.stride {
-		e.lastVal = v
-	}
-	e.pos++
-	return v
-}
-
-func (e *lastNEnc) next() uint32 { return e.stepForward(0, false) }
-
 func (e *lastNEnc) prev() uint32 {
 	if e.pos == 0 {
 		panic("stream: Prev past start")
@@ -149,14 +119,12 @@ func (e *lastNEnc) prev() uint32 {
 // fcmEnc.finish).
 func (e *lastNEnc) finish(k int) *lastNStream {
 	s := &lastNStream{m: e.m, n: e.n, idxBits: e.idxBits, stride: e.stride}
-	s.size = e.fr.bits() + e.bl.bits() + uint64(e.n)*32 + HeaderBits
-	if e.stride {
-		s.size += 32 // lastVal
+	fr := e.fr.freeze()
+	sp := ckSpacing(k, e.m, s.stateBits())
+	var cks []lastNCk // built in strictly descending pos, reversed below
+	if e.m > 0 {
+		cks = append(cks, e.snapshot())
 	}
-	s.fr = e.fr.freeze()
-	stateBits := uint64(e.n)*32 + 32 + 3*64
-	sp := ckSpacing(k, e.m, stateBits)
-	cks := []lastNCk{e.snapshot()}
 	for e.pos > 0 {
 		e.prev()
 		if sp > 0 && e.pos > 0 && e.pos%sp == 0 {
@@ -165,11 +133,8 @@ func (e *lastNEnc) finish(k int) *lastNStream {
 	}
 	s.bl = e.bl.freeze()
 	cks = append(cks, lastNCk{pos: 0, frLen: 0, blLen: s.bl.n}) // all-zero start
-	sort.Slice(cks, func(i, j int) bool { return cks[i].pos < cks[j].pos })
-	s.cks = cks
-	for i := 1; i < len(cks); i++ {
-		s.ckBits += 3*64 + 32 + uint64(len(cks[i].tb))*32
-	}
+	slices.Reverse(cks)
+	s.seal(fr, cks)
 	return s
 }
 
@@ -203,6 +168,24 @@ type lastNStream struct {
 	stats   *SeekCounters // per-trace seek accounting; nil = global only
 }
 
+// stateBits is what one checkpoint's cursor state costs, for ckSpacing.
+func (s *lastNStream) stateBits() uint64 { return uint64(s.n)*32 + 32 + 3*64 }
+
+// seal installs what a full pass over the stream produced: the FR store as
+// it stands at position m, whose length fixes SizeBits (BL is empty there),
+// and the checkpoints (ascending by pos; [0] is the free start state) with
+// their storage charge.
+func (s *lastNStream) seal(fr bitvec, cks []lastNCk) {
+	s.fr, s.cks = fr, cks
+	s.size = fr.n + uint64(s.n)*32 + HeaderBits
+	if s.stride {
+		s.size += 32 // lastVal
+	}
+	for i := 1; i < len(cks); i++ {
+		s.ckBits += 3*64 + 32 + uint64(len(cks[i].tb))*32
+	}
+}
+
 func (s *lastNStream) Len() int               { return s.m }
 func (s *lastNStream) SizeBits() uint64       { return s.size }
 func (s *lastNStream) CheckpointBits() uint64 { return s.ckBits }
@@ -216,6 +199,72 @@ func (s *lastNStream) Name() string {
 
 func (s *lastNStream) NewCursor() Cursor {
 	return &lastNCursor{s: s, blLen: s.bl.n, tb: make([]uint32, s.n)}
+}
+
+// load completes a stream that holds only its position-0 BL store, as read
+// from a file: one forward decode pass builds the FR store and captures the
+// checkpoints finish would. The pass also checks that every BL entry is the
+// one pushRef writes against the table at its position — a literal is not
+// in the table, a hit names the first match — because Prev sizes the entry
+// it steps over by that rule: a store that broke it would yield cursors
+// whose blLen disagrees with the store. FR entries are as wide as their BL
+// twins (a hit entry is the same bits), so the two stores end equally long.
+func (s *lastNStream) load() error {
+	idxBits, n := s.idxBits, s.n
+	tb := make([]uint32, n)
+	fr := bitstack{words: make([]uint64, 0, len(s.bl.words))}
+	blLen := s.bl.n
+	var lastVal uint32
+	sp := ckSpacing(0, s.m, s.stateBits())
+	cks := []lastNCk{{pos: 0, frLen: 0, blLen: blLen}}
+	for pos := 0; pos < s.m; pos++ {
+		if sp > 0 && pos > 0 && pos%sp == 0 {
+			cks = append(cks, lastNCk{pos: pos, frLen: fr.n, blLen: blLen, tb: snapTable(tb), lastVal: lastVal})
+		}
+		// A store that ends early fails one of these three length checks.
+		if blLen == 0 {
+			return fmt.Errorf("stream: last-n BL store ends at value %d of %d", pos, s.m)
+		}
+		var x uint32
+		if s.bl.top(blLen, 1) == 1 {
+			if blLen < uint64(idxBits)+1 {
+				return fmt.Errorf("stream: last-n BL store truncated at value %d", pos)
+			}
+			hit := s.bl.top(blLen, idxBits+1) // index below the flag bit
+			blLen -= uint64(idxBits) + 1
+			j := hit &^ (1 << idxBits)
+			x = tb[j]
+			if slices.Contains(tb[:j], x) {
+				return fmt.Errorf("stream: last-n BL hit %d at value %d is not the first match", j, pos)
+			}
+			copy(tb[1:j+1], tb[:j])
+			fr.pushBits(hit, idxBits+1)
+		} else {
+			if blLen < 33 {
+				return fmt.Errorf("stream: last-n BL store truncated at value %d", pos)
+			}
+			x = s.bl.top(blLen-1, 32)
+			blLen -= 33
+			if slices.Contains(tb, x) {
+				return fmt.Errorf("stream: last-n BL literal at value %d is in the table", pos)
+			}
+			fr.pushBits(tb[n-1], 32) // evicted
+			fr.pushBit(false)
+			copy(tb[1:], tb[:n-1])
+		}
+		tb[0] = x
+		if s.stride {
+			lastVal += x
+		}
+	}
+	if blLen != 0 {
+		return fmt.Errorf("stream: last-n BL store holds %d bits beyond the stream", blLen)
+	}
+	if s.m > 0 {
+		cks = append(cks, lastNCk{pos: s.m, frLen: fr.n, tb: snapTable(tb), lastVal: lastVal})
+	}
+	s.seal(bitvec(fr), cks)
+	return nil
 }
 
 func (s *lastNStream) bestCk(i int) (*lastNCk, int) {

@@ -42,11 +42,12 @@ func Save(w io.Writer, s Stream) error {
 // count, and structural field is validated (and allocations are bounded by
 // the bytes actually present), malformed input returns an error, and any
 // residual decoder panic is converted to an error rather than escaping.
-// After structural validation, Load normalizes the state by traversing the
-// whole stream (to the start, to the end, and back) — rebuilding the seek
-// checkpoints and certifying that both entry stores decode over the full
-// length. Entry stores forged to pass structural validation therefore fail
-// here, at Load, not in a later query. The panics that remain on Cursor
+// After structural validation, Load normalizes the state with one forward
+// decode of the whole stream — building the FR store and the seek
+// checkpoints, and certifying that the BL store drains exactly over the full
+// length and is the canonical one (see lastNStream.load, fcmEnc.load).
+// Entry stores forged to pass structural validation therefore fail here, at
+// Load, not in a later query. The panics that remain on Cursor
 // itself — Next past the end, Prev past the start, Seek out of range — are
 // programmer-error assertions on cursor discipline, not input validation.
 func Load(r io.Reader) (s Stream, err error) {
@@ -107,13 +108,7 @@ func Scan(r io.Reader) (s Stream, err error) {
 		}
 		name := Spec{kind, e.order}.String()
 		return newLazyStream(name, e.m, size, func() (Stream, error) {
-			return runNormalize(func() (Stream, error) {
-				st, err := normalizeFCM(e)
-				if err != nil {
-					return nil, err
-				}
-				return st, nil
-			})
+			return runNormalize(func() (Stream, error) { return normalizeFCM(e) })
 		}), nil
 	case KindLastN, KindLastNStride:
 		e, size, err := readLastNState(r, kind)
@@ -122,13 +117,7 @@ func Scan(r io.Reader) (s Stream, err error) {
 		}
 		name := Spec{kind, e.n}.String()
 		return newLazyStream(name, e.m, size, func() (Stream, error) {
-			return runNormalize(func() (Stream, error) {
-				st, err := normalizeLastN(e)
-				if err != nil {
-					return nil, err
-				}
-				return st, nil
-			})
+			return runNormalize(func() (Stream, error) { return normalizeLastN(e) })
 		}), nil
 	}
 	return nil, fmt.Errorf("stream: unknown stream tag %d", tag)
@@ -391,7 +380,7 @@ func (s *fcmStream) save(w io.Writer) error {
 	return writeBitvec(w, &s.bl)
 }
 
-func loadFCM(r io.Reader, kind Kind) (*fcmStream, error) {
+func loadFCM(r io.Reader, kind Kind) (Stream, error) {
 	e, _, err := readFCMState(r, kind)
 	if err != nil {
 		return nil, err
@@ -452,24 +441,27 @@ func readFCMState(r io.Reader, kind Kind) (*fcmEnc, uint64, error) {
 	return e, size, nil
 }
 
-// normalizeFCM walks the loaded encoder to the start (FR must drain
-// exactly), to the end (BL must drain exactly), then freezes — rebuilding
-// the seek checkpoints and certifying full traversal. Decoding panics on
-// forged stores are converted to errors by the Load/Scan recover boundary.
-func normalizeFCM(e *fcmEnc) (*fcmStream, error) {
+// normalizeFCM walks the loaded encoder to the start if an older writer
+// saved it elsewhere (FR must drain exactly and leave the all-zero start
+// state), keeps the position-0 BL store and table as the stream's, and
+// decodes forward once to build the rest (fcmEnc.load). Decoding panics
+// on forged stores are converted to errors by the Load/Scan recover
+// boundary.
+func normalizeFCM(e *fcmEnc) (Stream, error) {
 	for e.pos > 0 {
 		e.prev()
 	}
 	if !e.fr.empty() {
 		return nil, fmt.Errorf("stream: fcm FR store holds %d bits beyond the cursor", e.fr.bits())
 	}
-	for e.pos < e.m {
-		e.next()
+	if snapTable(e.frtb) != nil || snapTable(e.win) != nil {
+		return nil, fmt.Errorf("stream: fcm FR table or window not zero at position 0")
 	}
-	if !e.bl.empty() {
-		return nil, fmt.Errorf("stream: fcm BL store holds %d bits beyond the stream", e.bl.bits())
+	s, err := e.load()
+	if err != nil {
+		return nil, err
 	}
-	return e.finish(0), nil
+	return s, nil
 }
 
 func (s *lastNStream) save(w io.Writer) error {
@@ -492,7 +484,7 @@ func (s *lastNStream) save(w io.Writer) error {
 	return writeBitvec(w, &s.bl)
 }
 
-func loadLastN(r io.Reader, kind Kind) (*lastNStream, error) {
+func loadLastN(r io.Reader, kind Kind) (Stream, error) {
 	e, _, err := readLastNState(r, kind)
 	if err != nil {
 		return nil, err
@@ -543,21 +535,26 @@ func readLastNState(r io.Reader, kind Kind) (*lastNEnc, uint64, error) {
 	return e, size, nil
 }
 
-// normalizeLastN normalizes exactly as normalizeFCM does.
-func normalizeLastN(e *lastNEnc) (*lastNStream, error) {
+// normalizeLastN is normalizeFCM for the last-n kinds; the forward pass is
+// the decode kernel lastNStream.load.
+func normalizeLastN(e *lastNEnc) (Stream, error) {
 	for e.pos > 0 {
 		e.prev()
 	}
 	if !e.fr.empty() {
 		return nil, fmt.Errorf("stream: last-n FR store holds %d bits beyond the cursor", e.fr.bits())
 	}
-	for e.pos < e.m {
-		e.next()
+	if snapTable(e.tb) != nil || e.lastVal != 0 {
+		return nil, fmt.Errorf("stream: last-n table or last value not zero at position 0")
 	}
-	if !e.bl.empty() {
-		return nil, fmt.Errorf("stream: last-n BL store holds %d bits beyond the stream", e.bl.bits())
+	// The loaded words become the stream's BL store as they are, trimmed of
+	// any the bit length does not reach.
+	bl := bitvec{words: e.bl.words[:(e.bl.n+63)>>6], n: e.bl.n}
+	s := &lastNStream{m: e.m, n: e.n, idxBits: e.idxBits, stride: e.stride, bl: bl}
+	if err := s.load(); err != nil {
+		return nil, err
 	}
-	return e.finish(0), nil
+	return s, nil
 }
 
 func b2u8(b bool) uint8 {

@@ -96,7 +96,9 @@ func TestLoadBadTag(t *testing.T) {
 
 // FuzzLoad ensures arbitrary bytes never panic the stream deserializer, and
 // that Load's normalization is sound: a stream it accepts traverses its
-// whole length in both directions without panicking.
+// whole length in both directions without panicking, and is the stream the
+// two-pass reference builds — Load may refuse what the reference accepts
+// (the forged non-canonical seeds), never build something else.
 func FuzzLoad(f *testing.F) {
 	vals := []uint32{1, 5, 5, 9, 1, 5}
 	for _, spec := range Candidates {
@@ -105,11 +107,15 @@ func FuzzLoad(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	for _, data := range forgedSeeds() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
+		checkLoadAgainstReference(t, data, s)
 		if err := WalkCheck(s); err != nil {
 			t.Fatalf("Load accepted a stream WalkCheck rejects: %v", err)
 		}

@@ -1,0 +1,90 @@
+package wet_test
+
+// Count-based checks of the paper's §4 claim that the bidirectional
+// compressor makes backward traversal cost what forward traversal costs.
+// No timing: Trace.SeekStats counts the cursor steps walked on behalf of
+// seeks, and the counts repeat exactly. A change to how queries probe
+// (internal/query/walker.go) or to checkpoint placement moves them; update
+// the pinned numbers on purpose when it does.
+
+import (
+	"bytes"
+	"testing"
+
+	"wet"
+)
+
+// seekDelta runs f and returns the seek counters it moved on tr.
+func seekDelta(tr *wet.Trace, f func()) wet.SeekStats {
+	before := tr.SeekStats()
+	f()
+	return tr.SeekStats().Sub(before)
+}
+
+// TestBackwardCFWalksNoMoreThanForward: on a reopened multi-epoch container
+// — journey 2, where every cursor is a federation of segment cursors — a
+// whole backward control-flow extraction walks at most 1.5x the seek steps
+// of the forward one.
+func TestBackwardCFWalksNoMoreThanForward(t *testing.T) {
+	tr, _, err := wet.Open(bytes.NewReader(saveBytes(t, runWorkload(t, "li", wet.WithEpochTS(1<<10)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Epochs() < 2 {
+		t.Fatalf("want a multi-epoch container, got %d epoch(s)", tr.Epochs())
+	}
+	var nf, nb uint64
+	fwd := seekDelta(tr, func() { nf = tr.ExtractControlFlow(true, func(int) {}) })
+	bwd := seekDelta(tr, func() { nb = tr.ExtractControlFlow(false, func(int) {}) })
+	if nf != nb || nf == 0 {
+		t.Fatalf("forward visited %d statements, backward %d", nf, nb)
+	}
+	t.Logf("forward %+v, backward %+v over %d statements", fwd, bwd, nf)
+	if 2*bwd.Steps > 3*fwd.Steps {
+		t.Errorf("backward extraction walked %d seek steps, forward %d: more than 1.5x", bwd.Steps, fwd.Steps)
+	}
+	want := [2]wet.SeekStats{wantCFForward, wantCFBackward}
+	if got := [2]wet.SeekStats{fwd, bwd}; got != want {
+		t.Errorf("seek counts (forward, backward) = %+v, pinned %+v", got, want)
+	}
+}
+
+// TestBackwardSliceStepsPerSeek: a batch of backward slices on li, the
+// workload whose label probes jump furthest, walks at most 14 cursor steps
+// per seek.
+func TestBackwardSliceStepsPerSeek(t *testing.T) {
+	tr := runWorkload(t, "li")
+	// Criteria: the last statement of the node executing at four evenly
+	// spaced points of the run.
+	var crit []wet.Instance
+	for k := uint32(1); k < 8; k += 2 {
+		wk := tr.Walker()
+		if err := wk.StartAt(tr.Time() * k / 8); err != nil {
+			t.Fatal(err)
+		}
+		crit = append(crit, wet.Instance{Node: wk.Node, Pos: len(tr.WET().Nodes[wk.Node].Stmts) - 1, Ord: wk.Ord})
+	}
+	instances := 0
+	got := seekDelta(tr, func() {
+		for _, c := range crit {
+			res, err := tr.Backward(c, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instances += len(res.Instances)
+		}
+	})
+	t.Logf("%+v over %d slice instances", got, instances)
+	if got.Seeks == 0 || got.Steps > 14*got.Seeks {
+		t.Errorf("backward slice batch walked %d steps over %d seeks: more than 14 per seek", got.Steps, got.Seeks)
+	}
+	if got != wantSliceBatch {
+		t.Errorf("seek counts = %+v, pinned %+v", got, wantSliceBatch)
+	}
+}
+
+var (
+	wantCFForward  = wet.SeekStats{}
+	wantCFBackward = wet.SeekStats{Seeks: 39, Restores: 35} // cursors born at the end of their sequence
+	wantSliceBatch = wet.SeekStats{Seeks: 19280, Restores: 60, Steps: 25288}
+)
