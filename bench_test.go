@@ -7,6 +7,7 @@ package wet_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ var (
 func benchRuns(b *testing.B) []*exp.Run {
 	b.Helper()
 	runsOnce.Do(func() {
-		runsAll, runsErr = exp.RunAll(exp.Config{TargetStmts: benchTarget}, nil)
+		runsAll, runsErr = exp.RunAll(context.Background(), exp.Config{TargetStmts: benchTarget}, nil)
 	})
 	if runsErr != nil {
 		b.Fatal(runsErr)
@@ -52,7 +53,7 @@ func BenchmarkTable1WETSizes(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		wl := wls[i%len(wls)]
-		r, err := exp.BuildRun(wl, benchTarget, 0)
+		r, err := exp.BuildRun(context.Background(), wl, benchTarget, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +381,7 @@ func BenchmarkFigure9Scalability(b *testing.B) {
 		b.Run(sizeName(target), func(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
-				r, err := exp.BuildRun(wl, target, 0)
+				r, err := exp.BuildRun(context.Background(), wl, target, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,55 +9,21 @@
 //	wetbench -stmts 1000000   # longer runs
 //	wetbench -workloads go,li # a subset of benchmarks
 //	wetbench -timeout 10m     # bound the whole run (exit 5 on expiry)
-//	wetbench -epochjson BENCH_epoch.json   # epoch-segmentation memory bench
-//	wetbench -openjson BENCH_open.json     # open/decode-path bench (eager vs lazy vs parallel)
-//	wetbench -servejson BENCH_serve.json   # wetd serving bench (QPS, latency quantiles, cache hit rate)
-//	wetbench -racejson BENCH_race.json     # race-detection bench (compressed-bytes-scanned vs raw events)
-//	wetbench -budgetjson BENCH_budget.json # byte-budget sweep (budget vs achieved bytes vs answerable queries)
-//
-// JSON artifacts (-epochjson/-openjson/-servejson/-freezejson/-queryjson/-racejson) are written
-// atomically: a bench that fails or is interrupted mid-write leaves any
-// previous artifact intact instead of a torn JSON file.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
-	"wet/internal/atomicfile"
 	"wet/internal/cliutil"
 	"wet/internal/exp"
 )
 
-// ctx is the command's root context: cancelled by SIGINT, deadline-bounded
-// by -timeout. The exp benchmarks are checkpointed between stages, so the
-// cancellation granularity is one bench stage.
-var ctx context.Context
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "wetbench:", err)
 	os.Exit(cliutil.ExitCode(err))
-}
-
-// checkCtx aborts between stages once the context has died.
-func checkCtx() {
-	if ctx.Err() != nil {
-		fatal(context.Cause(ctx))
-	}
-}
-
-// writeArtifact writes one JSON bench record through the atomic temp+rename
-// path: the destination is replaced all-or-nothing.
-func writeArtifact(path, what string, write func(w io.Writer) error) {
-	if err := atomicfile.Write(path, write); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s record to %s\n", what, path)
 }
 
 func main() {
@@ -69,21 +35,13 @@ func main() {
 	census := flag.Bool("census", false, "also print the tier-2 method selection census")
 	ablations := flag.Bool("ablations", false, "also print the design-choice ablations")
 	workers := flag.Int("workers", 0, "tier-2 freeze worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	freezeJSON := flag.String("freezejson", "", "run only the freeze bench and write its JSON record to this file")
-	queryJSON := flag.String("queryjson", "", "run only the parallel query bench and write its JSON record to this file")
-	epochJSON := flag.String("epochjson", "", "run only the epoch-segmentation bench and write its JSON record to this file")
-	openJSON := flag.String("openjson", "", "run only the open-path bench (cold open eager/lazy/parallel, backward scans) and write its JSON record to this file")
-	openBaseline := flag.String("openbaseline", "", "with -openjson: committed baseline record to compare dimensionless speedups against")
-	openTol := flag.Float64("opentol", 0.20, "with -openbaseline: fail when a speedup falls more than this fraction below the baseline")
-	serveJSON := flag.String("servejson", "", "run only the serving bench (wetd load over a byte-budgeted corpus) and write its JSON record to this file")
-	budgetJSON := flag.String("budgetjson", "", "run only the byte-budget sweep (budget vs achieved bytes vs queries still answerable) and write its JSON record to this file")
-	raceJSON := flag.String("racejson", "", "run only the race-detection bench (concurrent workload variants, seeded-race ground truth) and write its JSON record to this file")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (exit code 5); 0 = no limit")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 
-	var stop context.CancelFunc
-	ctx, stop = cliutil.Context(*timeout)
+	// ^C or -timeout expiry stops the build in flight: the interpreter
+	// within 4096 steps, the freeze between jobs.
+	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
 
 	cfg := exp.Config{TargetStmts: *stmts, Slices: *slices, Workers: *workers}
@@ -95,138 +53,16 @@ func main() {
 		progress = nil
 	}
 
-	if *epochJSON != "" {
-		// The epoch bench sizes itself (exp.DefaultEpochBenchStmts) unless
-		// -stmts was given explicitly: its epoch-size ladder needs runs
-		// several epochs long, where the suite default fits in one.
-		stmtsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "stmts" {
-				stmtsSet = true
-			}
-		})
-		if !stmtsSet {
-			cfg.TargetStmts = 0
-		}
-		writeArtifact(*epochJSON, "epoch bench", func(w io.Writer) error {
-			return exp.WriteEpochBenchJSON(cfg, w, progress)
-		})
-		return
-	}
-
-	if *openJSON != "" {
-		// Like the epoch bench, the open bench sizes itself
-		// (exp.DefaultOpenBenchStmts) unless -stmts was given explicitly:
-		// the cold-open numbers need a multi-epoch file of real size.
-		stmtsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "stmts" {
-				stmtsSet = true
-			}
-		})
-		if !stmtsSet {
-			cfg.TargetStmts = 0
-		}
-		res, err := exp.OpenBench(cfg, progress)
-		if err != nil {
-			fatal(err)
-		}
-		checkCtx()
-		writeArtifact(*openJSON, "open bench", func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(res)
-		})
-		if *openBaseline != "" {
-			raw, err := os.ReadFile(*openBaseline)
-			if err != nil {
-				fatal(err)
-			}
-			var base exp.OpenBenchResult
-			if err := json.Unmarshal(raw, &base); err != nil {
-				fatal(err)
-			}
-			if bad := exp.CheckOpenBench(res, &base, *openTol); len(bad) > 0 {
-				for _, b := range bad {
-					fmt.Fprintln(os.Stderr, "wetbench: open bench regression:", b)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("open bench speedups within %.0f%% of %s\n", 100**openTol, *openBaseline)
-		}
-		return
-	}
-
-	if *serveJSON != "" {
-		// The serve bench sizes itself (exp.DefaultServeBenchStmts) unless
-		// -stmts was given explicitly: its corpus must dwarf the segment
-		// budget, where the suite default targets build throughput.
-		stmtsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "stmts" {
-				stmtsSet = true
-			}
-		})
-		if !stmtsSet {
-			cfg.TargetStmts = 0
-		}
-		writeArtifact(*serveJSON, "serve bench", func(w io.Writer) error {
-			return exp.WriteServeBenchJSON(cfg, w, progress)
-		})
-		return
-	}
-
-	if *raceJSON != "" {
-		// The race bench sizes itself (exp.DefaultRaceBenchStmts) unless
-		// -stmts was given explicitly: the checker's one-pass scan does not
-		// need paper-table run lengths.
-		stmtsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "stmts" {
-				stmtsSet = true
-			}
-		})
-		if !stmtsSet {
-			cfg.TargetStmts = 0
-		}
-		writeArtifact(*raceJSON, "race bench", func(w io.Writer) error {
-			return exp.WriteRaceBenchJSON(cfg, w, progress)
-		})
-		return
-	}
-
-	if *budgetJSON != "" {
-		writeArtifact(*budgetJSON, "budget bench", func(w io.Writer) error {
-			return exp.WriteBudgetBenchJSON(cfg, w, progress)
-		})
-		return
-	}
-
-	if *freezeJSON != "" {
-		writeArtifact(*freezeJSON, "freeze bench", func(w io.Writer) error {
-			return exp.WriteFreezeBenchJSON(cfg, w, progress)
-		})
-		return
-	}
-
-	if *queryJSON != "" {
-		writeArtifact(*queryJSON, "query bench", func(w io.Writer) error {
-			return exp.WriteQueryBenchJSON(cfg, w, progress)
-		})
-		return
-	}
-
 	out := os.Stdout
 	needRuns := *figure != 9 || *table != 0
 	var runs []*exp.Run
 	var err error
 	if needRuns {
-		runs, err = exp.RunAll(cfg, progress)
+		runs, err = exp.RunAll(ctx, cfg, progress)
 		if err != nil {
 			fatal(err)
 		}
 	}
-	checkCtx()
 
 	want := func(t int) bool { return (*table == 0 && *figure == 0) || *table == t }
 	wantFig := func(f int) bool { return (*table == 0 && *figure == 0) || *figure == f }
@@ -261,7 +97,6 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	}
-	checkCtx()
 	if want(8) {
 		if err := exp.Table8(runs, out); err != nil {
 			fatal(err)
@@ -274,13 +109,12 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	}
-	checkCtx()
 	if wantFig(8) {
 		exp.Figure8(runs, out)
 		fmt.Fprintln(out)
 	}
 	if wantFig(9) {
-		if err := exp.Figure9(cfg, out, progress); err != nil {
+		if err := exp.Figure9(ctx, cfg, out, progress); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -289,14 +123,13 @@ func main() {
 		exp.MethodCensus(runs, out)
 	}
 	if *ablations && runs != nil {
-		checkCtx()
-		if err := exp.AblationBLvsBB("go", *stmts, out); err != nil {
+		if err := exp.AblationBLvsBB(ctx, "go", *stmts, out); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(out)
 		exp.AblationStreamMethods(runs, out)
 		fmt.Fprintln(out)
-		if err := exp.AblationValueGrouping("bzip2", *stmts, out); err != nil {
+		if err := exp.AblationValueGrouping(ctx, "bzip2", *stmts, out); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(out)
@@ -304,7 +137,7 @@ func main() {
 		fmt.Fprintln(out)
 		exp.AblationSelection(runs, out)
 		fmt.Fprintln(out)
-		if err := exp.AblationAggressiveEdges("mcf", *stmts, out); err != nil {
+		if err := exp.AblationAggressiveEdges(ctx, "mcf", *stmts, out); err != nil {
 			fatal(err)
 		}
 	}

@@ -111,10 +111,10 @@ func main() {
 		os.Exit(cliutil.ExitError)
 	}
 	fmt.Fprintf(os.Stderr, "building WET for %s...\n", w.Name)
-	run, err := exp.BuildRun(w, *stmts, 0)
+	run, err := exp.BuildRun(ctx, w, *stmts, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wetquery:", err)
-		os.Exit(cliutil.ExitError)
+		os.Exit(cliutil.ExitCode(err))
 	}
 	os.Exit(runQuery(run, o))
 }

@@ -71,7 +71,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		run, err := exp.BuildConcRun(cw, *stmts, *workers, *seed)
+		run, err := exp.BuildConcRun(ctx, cw, *stmts, *workers, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -111,7 +111,7 @@ func main() {
 		}
 		run = &exp.Run{Name: w.Name, Stmts: res.Steps, Scale: sc, W: wet, Rep: rep}
 	} else {
-		run, err = exp.BuildRun(w, *stmts, *workers)
+		run, err = exp.BuildRun(ctx, w, *stmts, *workers)
 		if err != nil {
 			fatal(err)
 		}

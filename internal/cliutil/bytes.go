@@ -9,7 +9,7 @@ import (
 // ParseBytes reads a human-friendly byte size: "0", "4096", "64KiB",
 // "32MiB", "1GiB" (and KB/MB/GB as the same power-of-two units). Shared by
 // every command that takes a byte-budget flag (wetd -budget, wetrun
-// -budget, wetbench -budgetjson sweeps).
+// -budget).
 func ParseBytes(s string) (uint64, error) {
 	t := strings.TrimSpace(s)
 	mult := uint64(1)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -15,7 +16,7 @@ import (
 // Figure 2): WET nodes as Ball–Larus paths versus plain basic blocks. It
 // rebuilds the workload in both modes and reports timestamp counts and
 // sizes.
-func AblationBLvsBB(name string, targetStmts uint64, w io.Writer) error {
+func AblationBLvsBB(ctx context.Context, name string, targetStmts uint64, w io.Writer) error {
 	wl, err := workload.ByName(name)
 	if err != nil {
 		return err
@@ -32,11 +33,10 @@ func AblationBLvsBB(name string, targetStmts uint64, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wet, _, err := core.Build(st, interp.Options{Inputs: in})
+		wet, rep, _, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{Ctx: ctx})
 		if err != nil {
 			return err
 		}
-		rep := wet.Freeze(core.FreezeOptions{})
 		kind := "BL paths"
 		if perBlock {
 			kind = "basic blocks"
@@ -100,7 +100,7 @@ func AblationStreamMethods(runs []*Run, w io.Writer) {
 
 // AblationValueGrouping quantifies the tier-1 value grouping (paper §3.2):
 // grouped UVals+Pattern versus storing full value sequences.
-func AblationValueGrouping(name string, targetStmts uint64, w io.Writer) error {
+func AblationValueGrouping(ctx context.Context, name string, targetStmts uint64, w io.Writer) error {
 	wl, err := workload.ByName(name)
 	if err != nil {
 		return err
@@ -117,11 +117,10 @@ func AblationValueGrouping(name string, targetStmts uint64, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		wet, _, err := core.Build(st, interp.Options{Inputs: in})
+		_, rep, _, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{Ctx: ctx, NoGrouping: off})
 		if err != nil {
 			return err
 		}
-		rep := wet.Freeze(core.FreezeOptions{NoGrouping: off})
 		kind := "on"
 		if off {
 			kind = "off"
@@ -196,7 +195,7 @@ func AblationSelection(runs []*Run, w io.Writer) {
 // AblationAggressiveEdges quantifies the [25]-style diagonal-edge reduction
 // (FreezeOptions.AggressiveEdges) that the paper's §3.3 defers to: edges
 // whose label pairs always carry equal ordinals store one stream, not two.
-func AblationAggressiveEdges(name string, targetStmts uint64, w io.Writer) error {
+func AblationAggressiveEdges(ctx context.Context, name string, targetStmts uint64, w io.Writer) error {
 	wl, err := workload.ByName(name)
 	if err != nil {
 		return err
@@ -213,11 +212,10 @@ func AblationAggressiveEdges(name string, targetStmts uint64, w io.Writer) error
 		if err != nil {
 			return err
 		}
-		wet, _, err := core.Build(st, interp.Options{Inputs: in})
+		_, rep, _, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{Ctx: ctx, AggressiveEdges: aggr})
 		if err != nil {
 			return err
 		}
-		rep := wet.Freeze(core.FreezeOptions{AggressiveEdges: aggr})
 		kind := "paper tier-1"
 		if aggr {
 			kind = "aggressive"

@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"wet/internal/arch"
 	"wet/internal/core"
 	"wet/internal/interp"
+	"wet/internal/ir"
 	"wet/internal/stream"
 	"wet/internal/workload"
 )
@@ -77,37 +79,96 @@ func (c Config) workloads() ([]workload.Workload, error) {
 
 // BuildRun executes one workload at the target length and constructs its
 // frozen WET with the architecture recorder attached. workers bounds the
-// freeze pool (0 = GOMAXPROCS).
-func BuildRun(w workload.Workload, targetStmts uint64, workers int) (*Run, error) {
+// freeze pool (0 = GOMAXPROCS). A dead ctx stops the interpreter within 4096
+// steps and the freeze between jobs, returning context.Cause.
+func BuildRun(ctx context.Context, w workload.Workload, targetStmts uint64, workers int) (*Run, error) {
 	scale, err := workload.ScaleFor(w, targetStmts)
 	if err != nil {
 		return nil, err
 	}
 	prog, in := w.Build(scale)
+	rec := arch.NewRecorder()
+	r, err := buildRun(ctx, w.Name, scale, prog, interp.Options{Inputs: in, Arch: rec}, workers)
+	if err != nil {
+		return nil, err
+	}
+	r.Arch = rec
+	return r, nil
+}
+
+// buildRun is the build shared by BuildRun and BuildConcRun: single-epoch
+// BuildStreaming is exactly Build + FreezeErr and keeps tier-1 for the
+// tables.
+func buildRun(ctx context.Context, name string, scale int, prog *ir.Program, opts interp.Options, workers int) (*Run, error) {
 	st, err := interp.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}
-	rec := arch.NewRecorder()
+	opts.Ctx = ctx
 	start := time.Now()
-	wet, res, err := core.Build(st, interp.Options{Inputs: in, Arch: rec})
+	wet, rep, res, err := core.BuildStreaming(st, opts, core.FreezeOptions{Ctx: ctx, Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	rep := wet.Freeze(core.FreezeOptions{Workers: workers})
 	return &Run{
-		Name:      w.Name,
+		Name:      name,
 		Stmts:     res.Steps,
 		Scale:     scale,
 		W:         wet,
 		Rep:       rep,
-		Arch:      rec,
 		BuildTime: time.Since(start),
 	}, nil
 }
 
+// concScaleFor calibrates a concurrent variant's scale for a statement
+// target, separating fixed setup cost from the per-scale increment (the
+// ConcWorkload twin of workload.ScaleFor).
+func concScaleFor(wl workload.ConcWorkload, targetStmts uint64) (int, error) {
+	steps := func(scale int) (uint64, error) {
+		p, in := wl.Build(scale)
+		st, err := interp.Analyze(p)
+		if err != nil {
+			return 0, err
+		}
+		res, err := interp.Run(st, interp.Options{Inputs: in})
+		if err != nil {
+			return 0, err
+		}
+		return res.Steps, nil
+	}
+	s1, err := steps(1)
+	if err != nil {
+		return 0, err
+	}
+	s2, err := steps(2)
+	if err != nil {
+		return 0, err
+	}
+	if s2 <= s1 {
+		return 0, fmt.Errorf("conc workload %s does not scale (%d vs %d steps)", wl.Name, s1, s2)
+	}
+	if targetStmts <= s1 {
+		return 1, nil
+	}
+	perScale := s2 - s1
+	return 1 + int((targetStmts-s1+perScale-1)/perScale), nil
+}
+
+// BuildConcRun executes one concurrent workload variant at the target
+// length and constructs its frozen WET (the wetrun -conc path). The seed
+// drives the deterministic thread scheduler; the same seed replays the same
+// interleaving bit-for-bit.
+func BuildConcRun(ctx context.Context, wl workload.ConcWorkload, targetStmts uint64, workers int, seed uint64) (*Run, error) {
+	scale, err := concScaleFor(wl, targetStmts)
+	if err != nil {
+		return nil, err
+	}
+	prog, in := wl.Build(scale)
+	return buildRun(ctx, wl.Name, scale, prog, interp.Options{Inputs: in, Seed: seed}, workers)
+}
+
 // RunAll builds every configured workload.
-func RunAll(cfg Config, progress io.Writer) ([]*Run, error) {
+func RunAll(ctx context.Context, cfg Config, progress io.Writer) ([]*Run, error) {
 	ws, err := cfg.workloads()
 	if err != nil {
 		return nil, err
@@ -117,7 +178,7 @@ func RunAll(cfg Config, progress io.Writer) ([]*Run, error) {
 		if progress != nil {
 			fmt.Fprintf(progress, "building %s (target %d stmts)...\n", w.Name, cfg.targets())
 		}
-		r, err := BuildRun(w, cfg.targets(), cfg.Workers)
+		r, err := BuildRun(ctx, w, cfg.targets(), cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s: %w", w.Name, err)
 		}

@@ -2,7 +2,7 @@ package exp
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,7 +10,7 @@ import (
 // smallRuns builds a two-workload run set once for all harness tests.
 func smallRuns(t *testing.T) []*Run {
 	t.Helper()
-	runs, err := RunAll(Config{TargetStmts: 30_000, Workloads: []string{"li", "twolf"}}, nil)
+	runs, err := RunAll(context.Background(), Config{TargetStmts: 30_000, Workloads: []string{"li", "twolf"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestTablesProduceRows(t *testing.T) {
 
 func TestFigure9Rows(t *testing.T) {
 	var buf bytes.Buffer
-	err := Figure9(Config{TargetStmts: 40_000, Workloads: []string{"li"}}, &buf, nil)
+	err := Figure9(context.Background(), Config{TargetStmts: 40_000, Workloads: []string{"li"}}, &buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,49 +101,19 @@ func TestBuildRunMetadata(t *testing.T) {
 }
 
 func TestRunAllUnknownWorkload(t *testing.T) {
-	if _, err := RunAll(Config{Workloads: []string{"nope"}}, nil); err == nil {
+	if _, err := RunAll(context.Background(), Config{Workloads: []string{"nope"}}, nil); err == nil {
 		t.Fatal("RunAll accepted unknown workload")
-	}
-}
-
-func TestWriteQueryBenchJSON(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := Config{TargetStmts: 20_000, Workloads: []string{"li"}, Slices: 4}
-	if err := WriteQueryBenchJSON(cfg, &buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	var res QueryBenchResult
-	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(res.Workloads) != 1 {
-		t.Fatalf("got %d workload rows", len(res.Workloads))
-	}
-	row := res.Workloads[0]
-	if !row.Identical {
-		t.Fatal("parallel results flagged as diverging")
-	}
-	if row.Queries == 0 || len(row.Sweep) != 4 {
-		t.Fatalf("row = %+v", row)
-	}
-	for _, s := range row.Sweep {
-		if s.MS <= 0 || s.Speedup <= 0 {
-			t.Fatalf("degenerate timing %+v", s)
-		}
-	}
-	if row.Seeks == 0 {
-		t.Fatal("slice batch issued no cursor seeks")
 	}
 }
 
 func TestAblations(t *testing.T) {
 	runs := smallRuns(t)
 	var buf bytes.Buffer
-	if err := AblationBLvsBB("li", 20_000, &buf); err != nil {
+	if err := AblationBLvsBB(context.Background(), "li", 20_000, &buf); err != nil {
 		t.Fatal(err)
 	}
 	AblationStreamMethods(runs, &buf)
-	if err := AblationValueGrouping("li", 20_000, &buf); err != nil {
+	if err := AblationValueGrouping(context.Background(), "li", 20_000, &buf); err != nil {
 		t.Fatal(err)
 	}
 	AblationLocalTS(runs, &buf)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -190,7 +191,7 @@ func Figure8(runs []*Run, w io.Writer) {
 
 // Figure9 prints the compression ratio as a function of execution length
 // (paper Figure 9): each workload is rebuilt at growing scales.
-func Figure9(cfg Config, w io.Writer, progress io.Writer) error {
+func Figure9(ctx context.Context, cfg Config, w io.Writer, progress io.Writer) error {
 	ws, err := cfg.workloads()
 	if err != nil {
 		return err
@@ -209,7 +210,7 @@ func Figure9(cfg Config, w io.Writer, progress io.Writer) error {
 			if progress != nil {
 				fmt.Fprintf(progress, "figure9: %s x%d\n", wl.Name, m)
 			}
-			r, err := BuildRun(wl, base*m, cfg.Workers)
+			r, err := BuildRun(ctx, wl, base*m, cfg.Workers)
 			if err != nil {
 				return err
 			}

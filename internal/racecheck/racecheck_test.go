@@ -33,6 +33,18 @@ func buildConc(tb testing.TB, name string, seed uint64, fopts core.FreezeOptions
 	return w
 }
 
+// checkScanSmaller pins what the checker's one-pass walk buys: the tier-2
+// bytes it scans are strictly fewer than the raw concurrency records (u32s:
+// one per owned timestamp, four per sync event, five per shared access).
+func checkScanSmaller(t *testing.T, name string, w *core.WET, rep *Report) {
+	t.Helper()
+	scanned := (rep.CompressedBits + 7) / 8
+	raw := 4 * (uint64(w.Time) + 4*uint64(rep.SyncEvents) + 5*uint64(rep.SharedAccesses))
+	if scanned == 0 || scanned >= raw {
+		t.Fatalf("%s: compressed scan (%d B) not smaller than raw events (%d B)", name, scanned, raw)
+	}
+}
+
 // TestRacyVariantsReport pins the seeded races: every racy variant reports
 // definite races, the read-modify-write seeds show up as both RC001 and
 // RC002, and the mcf handshake seeds the RC003 lockset candidate.
@@ -52,6 +64,7 @@ func TestRacyVariantsReport(t *testing.T) {
 		if !rep.Racy() {
 			t.Fatalf("%s: seeded racy workload reported no definite race", name)
 		}
+		checkScanSmaller(t, name, w, rep)
 		if rep.Count(RuleWriteWrite) == 0 {
 			t.Fatalf("%s: unsynchronized read-modify-write seeded no %s finding; races: %v", name, RuleWriteWrite, rep.Races)
 		}
@@ -93,6 +106,7 @@ func TestCleanVariantsSilent(t *testing.T) {
 		if len(rep.Races) != 0 {
 			t.Fatalf("%s: race-free workload reported: %v", name, rep.Races)
 		}
+		checkScanSmaller(t, name, w, rep)
 	}
 }
 
