@@ -8,9 +8,9 @@ import (
 	"wet"
 )
 
-// ExampleBuildWET builds a tiny program, compresses its whole execution
+// ExampleTrace_WET builds a tiny program, compresses its whole execution
 // trace, and reads a value back through the compressed representation.
-func ExampleBuildWET() {
+func ExampleTrace_WET() {
 	prog, err := wet.ParseProgram(`
 func main() {
     x = const 6
@@ -22,11 +22,11 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	w, res, err := wet.BuildWET(prog, wet.RunOptions{})
+	tr, res, err := wet.Run(prog)
 	if err != nil {
 		panic(err)
 	}
-	w.Freeze(wet.FreezeOptions{})
+	w := tr.WET()
 
 	fmt.Println("statements:", res.Steps)
 	// Read the mul's value from the WET.
@@ -41,9 +41,9 @@ func main() {
 	// mul produced: 42
 }
 
-// ExampleExtractControlFlow reconstructs the exact statement-level control
-// flow trace from the compressed WET, in both directions.
-func ExampleExtractControlFlow() {
+// ExampleTrace_ExtractControlFlow reconstructs the exact statement-level
+// control flow trace from the compressed WET, in both directions.
+func ExampleTrace_ExtractControlFlow() {
 	prog, err := wet.ParseProgram(`
 func main() {
     i = const 2
@@ -60,21 +60,20 @@ done:
 	if err != nil {
 		panic(err)
 	}
-	w, _, err := wet.BuildWET(prog, wet.RunOptions{})
+	tr, _, err := wet.Run(prog)
 	if err != nil {
 		panic(err)
 	}
-	w.Freeze(wet.FreezeOptions{})
-	fwd := wet.ExtractControlFlow(w, wet.Tier2, true, nil)
-	bwd := wet.ExtractControlFlow(w, wet.Tier2, false, nil)
+	fwd := tr.ExtractControlFlow(true, nil)
+	bwd := tr.ExtractControlFlow(false, nil)
 	fmt.Println("forward:", fwd, "backward:", bwd)
 	// Output:
 	// forward: 13 backward: 13
 }
 
-// ExampleBackward slices backward from a program's output: the slice holds
-// every dynamic instance that contributed to it.
-func ExampleBackward() {
+// ExampleTrace_Backward slices backward from a program's output: the slice
+// holds every dynamic instance that contributed to it.
+func ExampleTrace_Backward() {
 	prog, err := wet.ParseProgram(`
 func main() {
     a = input
@@ -87,19 +86,18 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	w, _, err := wet.BuildWET(prog, wet.RunOptions{Inputs: []int64{5}})
+	tr, _, err := wet.Run(prog, wet.WithInputs(5))
 	if err != nil {
 		panic(err)
 	}
-	w.Freeze(wet.FreezeOptions{})
 	var outID int
 	for _, s := range prog.Stmts {
 		if s.Op == wet.OpOutput {
 			outID = s.ID
 		}
 	}
-	ref := w.StmtOcc[outID][0]
-	sl, err := wet.Backward(w, wet.Tier2, wet.Instance{Node: ref.Node, Pos: ref.Pos, Ord: 0}, 0)
+	ref := tr.WET().StmtOcc[outID][0]
+	sl, err := tr.Backward(wet.Instance{Node: ref.Node, Pos: ref.Pos, Ord: 0}, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -148,16 +148,14 @@ func StatsOf(s Stream) *SeekCounters {
 }
 
 // The process-wide aggregate counters behind ReadSeekStats. Per-stream
-// attachments update these too, so the deprecated global view stays a true
+// attachments update these too, so the global view stays a true
 // superset of every per-trace set.
 var globalSeekStats SeekCounters
 
-// ReadSeekStats returns the cumulative process-wide seek statistics.
-//
-// Deprecated: the process-wide aggregate is meaningless when several traces
-// are served from one process — attach a SeekCounters per trace
-// (AttachStats) and read that instead. Kept as a shim for single-trace CLI
-// consumers.
+// ReadSeekStats returns the cumulative process-wide seek statistics, for
+// single-trace CLIs and tests. The aggregate conflates every trace served
+// from one process: multi-trace code attaches a SeekCounters per trace
+// (AttachStats) and reads that instead.
 func ReadSeekStats() SeekStats {
 	return globalSeekStats.Read()
 }

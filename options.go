@@ -21,11 +21,13 @@ type Option interface {
 	OpenOption
 }
 
-// runConfig is the struct-form pair the functional options compile down
-// to; RunWithOptions takes it directly.
+// runConfig is what the functional options compile down to: the
+// interpreter and freeze options Run hands to the builder, plus the
+// determinism re-check switch.
 type runConfig struct {
-	run RunOptions
-	frz FreezeOptions
+	run   interp.Options
+	frz   FreezeOptions
+	check bool
 }
 
 type runOptionFunc func(*runConfig)
@@ -110,7 +112,7 @@ func WithArch(sink interp.ArchSink) RunOption {
 // WithCheckDeterminism re-verifies the tier-1 value-grouping invariant on
 // every node execution (slower; useful in tests).
 func WithCheckDeterminism() RunOption {
-	return runOptionFunc(func(c *runConfig) { c.run.CheckDeterminism = true })
+	return runOptionFunc(func(c *runConfig) { c.check = true })
 }
 
 // WithEpochTS selects the epoch-segmented streaming pipeline: the dynamic

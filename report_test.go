@@ -1,9 +1,8 @@
 package wet_test
 
-// Tests of the coherent report family behind wet.Report(): the compile-
-// pinned deprecated Run signature, the snake_case JSON casing audit that
-// round-trips every report type through encoding/json, and the bundle
-// accessor's wiring.
+// Tests of the coherent report family behind wet.Report(): the snake_case
+// JSON casing audit that round-trips every report type through
+// encoding/json, and the bundle accessor's wiring.
 
 import (
 	"bytes"
@@ -15,10 +14,6 @@ import (
 
 	"wet"
 )
-
-// The deprecated struct-form Run keeps the exact pre-facade three-argument
-// signature; a drift here breaks call sites predating the options facade.
-var _ func(*wet.Program, wet.RunOptions, wet.FreezeOptions) (*wet.Trace, *wet.RunResult, error) = wet.RunWithOptions
 
 // snakeKey is the one casing the report family speaks in JSON.
 var snakeKey = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)

@@ -50,34 +50,23 @@ func NewTrace(w *WET) *Trace {
 // With WithEpochTS(n) the dynamic profile is sealed and tier-2 compressed
 // in epochs of n timestamps while the interpreter runs (the streaming
 // pipeline), bounding peak memory by the epoch size; without it the profile
-// is built fully and then frozen, producing output byte-identical to
-// BuildWET followed by Freeze. With WithByteBudget(n) the freeze lands the
-// serialized container at or under n bytes, trading query capabilities in
-// a fixed order and reporting exactly what it shed (Trace.Fidelity).
+// is built fully and then frozen. With WithByteBudget(n) the freeze lands
+// the serialized container at or under n bytes, trading query capabilities
+// in a fixed order and reporting exactly what it shed (Trace.Fidelity).
 func Run(p *Program, opts ...RunOption) (*Trace, *RunResult, error) {
 	var cfg runConfig
 	for _, o := range opts {
 		o.applyRun(&cfg)
 	}
-	return RunWithOptions(p, cfg.run, cfg.frz)
-}
-
-// RunWithOptions is the struct-form Run.
-//
-// Deprecated: use Run with functional options (WithInputs, WithEpochTS,
-// WithByteBudget, ...); this wrapper exists for call sites predating the
-// options facade and pins the old three-argument signature.
-func RunWithOptions(p *Program, ropts RunOptions, fopts FreezeOptions) (*Trace, *RunResult, error) {
 	st, err := interp.Analyze(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	iopts := interp.Options{Ctx: ropts.Ctx, Inputs: ropts.Inputs, MaxSteps: ropts.MaxSteps, Arch: ropts.Arch, Seed: ropts.Seed}
 	build := core.BuildStreaming
-	if ropts.CheckDeterminism {
+	if cfg.check {
 		build = core.BuildStreamingChecked
 	}
-	w, _, res, err := build(st, iopts, fopts)
+	w, _, res, err := build(st, cfg.run, cfg.frz)
 	if err != nil {
 		return nil, res, err
 	}
@@ -85,7 +74,7 @@ func RunWithOptions(p *Program, ropts RunOptions, fopts FreezeOptions) (*Trace, 
 }
 
 // WET returns the underlying whole execution trace for use with the
-// lower-level free-function API.
+// lower-level internal API.
 func (t *Trace) WET() *WET { return t.w }
 
 // Tier returns the tier this handle's queries read.
@@ -148,9 +137,8 @@ func (t *Trace) Report() *Report {
 func (t *Trace) Fidelity() *FidelityReport { return t.w.Fidelity }
 
 // SeekStats returns this trace's cumulative cursor seek statistics (seeks
-// issued, checkpoint restores used, steps walked) — the per-trace
-// replacement for the deprecated process-wide ReadSeekStats. Zero when the
-// trace carries no counter set (an unfrozen WET wrapped by NewTrace).
+// issued, checkpoint restores used, steps walked). Zero when the trace
+// carries no counter set (an unfrozen WET wrapped by NewTrace).
 func (t *Trace) SeekStats() SeekStats {
 	if c := t.w.SeekCounters(); c != nil {
 		return c.Read()

@@ -47,7 +47,6 @@ import (
 	"wet/internal/ir"
 	"wet/internal/query"
 	"wet/internal/stream"
-	"wet/internal/trace"
 	"wet/internal/wetio"
 	"wet/internal/workload"
 )
@@ -81,27 +80,6 @@ func Imm(v int64) Operand { return ir.Imm(v) }
 
 // --- running programs and building WETs ---
 
-// RunOptions configures a profiled run.
-type RunOptions struct {
-	// Ctx cancels the run cooperatively: the interpreter polls it every
-	// 4096 steps, the streaming freeze pipeline between seal jobs. A
-	// cancelled run returns context.Cause(Ctx) with all partially built
-	// state released. Nil means context.Background().
-	Ctx context.Context
-	// Inputs is the tape consumed by input statements.
-	Inputs []int64
-	// MaxSteps bounds the run (0 = a large default).
-	MaxSteps uint64
-	// CheckDeterminism re-verifies the tier-1 value-grouping invariant on
-	// every node execution (slower; useful in tests).
-	CheckDeterminism bool
-	// Arch optionally receives branch/memory outcomes (see ArchRecorder).
-	Arch interp.ArchSink
-	// Seed drives the deterministic thread scheduler of concurrent
-	// programs (see interp.Options.Seed); single-threaded runs ignore it.
-	Seed uint64
-}
-
 // RunResult summarizes the program run that produced a WET.
 type RunResult = interp.Result
 
@@ -124,39 +102,6 @@ const (
 	Tier2 = core.Tier2
 )
 
-// BuildWET executes the (finalized) program and constructs its WET. Call
-// Freeze on the result to apply tier-2 compression and obtain sizes.
-//
-// Deprecated: use Run, which builds, freezes, and returns a query handle
-// in one call (and supports epoch-segmented streaming via
-// FreezeOptions.EpochTS).
-func BuildWET(p *Program, opts RunOptions) (*WET, *RunResult, error) {
-	st, err := interp.Analyze(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.CheckDeterminism {
-		b := core.NewBuilder(st)
-		b.CheckDeterminism = true
-		cnt := trace.NewCounting(b)
-		res, err := interp.Run(st, interp.Options{
-			Ctx: opts.Ctx, Inputs: opts.Inputs, MaxSteps: opts.MaxSteps, Sink: cnt, Arch: opts.Arch, Seed: opts.Seed,
-		})
-		if err != nil {
-			return nil, res, err
-		}
-		w, err := b.Finish()
-		if err != nil {
-			return nil, res, err
-		}
-		w.Raw = cnt.RawStats
-		return w, res, nil
-	}
-	return core.Build(st, interp.Options{
-		Ctx: opts.Ctx, Inputs: opts.Inputs, MaxSteps: opts.MaxSteps, Arch: opts.Arch, Seed: opts.Seed,
-	})
-}
-
 // RunProgram executes a finalized program without building a WET and
 // returns its outputs (a convenience for testing generated IR).
 func RunProgram(p *Program, inputs []int64) ([]int64, error) {
@@ -177,63 +122,14 @@ func RunProgram(p *Program, inputs []int64) ([]int64, error) {
 // direction.
 type Walker = query.Walker
 
-// NewWalker returns a walker over w at the given tier.
-//
-// Deprecated: use (*Trace).Walker.
-func NewWalker(w *WET, tier Tier) *Walker { return query.NewWalker(w, tier) }
-
-// ExtractControlFlow walks the entire control-flow trace (forward or
-// backward), calling emit per executed statement; it returns the statement
-// count.
-//
-// Deprecated: use (*Trace).ExtractControlFlow.
-func ExtractControlFlow(w *WET, tier Tier, forward bool, emit func(stmtID int)) uint64 {
-	return query.ExtractCF(w, tier, forward, emit)
-}
-
 // Sample is one (timestamp, value) element of an extracted trace.
 type Sample = query.Sample
-
-// ValueTrace extracts the per-instruction value trace of one statement.
-//
-// Deprecated: use (*Trace).ValueTrace.
-func ValueTrace(w *WET, tier Tier, stmtID int, emit func(Sample)) (uint64, error) {
-	return query.ValueTrace(w, tier, stmtID, emit)
-}
-
-// AddressTrace extracts the per-instruction address trace of a load/store.
-//
-// Deprecated: use (*Trace).AddressTrace.
-func AddressTrace(w *WET, tier Tier, stmtID int, emit func(Sample)) (uint64, error) {
-	return query.AddressTrace(w, tier, stmtID, emit)
-}
 
 // Instance names a dynamic statement instance in WET coordinates.
 type Instance = query.Instance
 
 // SliceResult is a WET slice.
 type SliceResult = query.SliceResult
-
-// Backward computes the backward WET slice of an instance.
-//
-// Deprecated: use (*Trace).Backward.
-func Backward(w *WET, tier Tier, from Instance, maxInstances int) (*SliceResult, error) {
-	return query.BackwardSlice(w, tier, from, maxInstances)
-}
-
-// Forward computes the forward WET slice of an instance.
-//
-// Deprecated: use (*Trace).Forward.
-func Forward(w *WET, tier Tier, from Instance, maxInstances int) (*SliceResult, error) {
-	return query.ForwardSlice(w, tier, from, maxInstances)
-}
-
-// InstanceOfTS locates a statement's instance at a given timestamp.
-//
-// Deprecated: use (*Trace).InstanceOfTS.
-func InstanceOfTS(w *WET, tier Tier, stmtID int, ts uint32) (Instance, error) {
-	return query.InstanceOfTS(w, tier, stmtID, ts)
-}
 
 // --- streams (tier-2 compression, reusable standalone) ---
 
@@ -248,20 +144,12 @@ type Stream = stream.Stream
 type Cursor = stream.Cursor
 
 // SeekStats is a snapshot of cursor seek counters (seeks issued, checkpoint
-// restores used, steps walked); see Trace.SeekStats and ReadSeekStats.
+// restores used, steps walked); see Trace.SeekStats.
 type SeekStats = stream.SeekStats
 
 // SeekCounters is a per-trace seek-cost counter set; every trace returned
 // by Open carries one (Trace.SeekStats reads it).
 type SeekCounters = stream.SeekCounters
-
-// ReadSeekStats returns cumulative cursor seek statistics across all
-// streams of the whole process.
-//
-// Deprecated: the process-wide aggregate conflates every open trace — in a
-// multi-trace process use Trace.SeekStats, which reads the per-trace
-// counter set. Kept as a shim for single-trace CLI consumers.
-func ReadSeekStats() SeekStats { return stream.ReadSeekStats() }
 
 // CompressBest compresses vals with the best of the predictor pool
 // (bidirectional FCM / dFCM / last-n / last-n stride / packed / verbatim).
@@ -397,16 +285,6 @@ type BudgetError = core.BudgetError
 // files.
 type DecodeError = stream.DecodeError
 
-// Load reads a WET written by Save. With restoreTier1, the tier-1 label
-// arrays are rehydrated so tier-1 queries work too. Structural or checksum
-// failures are reported as *FormatError.
-//
-// Deprecated: use Open (Load(r, false) ≡ Open(r); Load(r, true) ≡
-// Open(r, WithTier1())).
-func Load(r io.Reader, restoreTier1 bool) (*WET, error) {
-	return wetio.Load(r, wetio.LoadOptions{RestoreTier1: restoreTier1})
-}
-
 // FormatError locates a structural or integrity failure in a WET file: the
 // section containing it, the file offset, and the underlying cause.
 type FormatError = wetio.FormatError
@@ -420,23 +298,6 @@ type VerifyResult = wetio.VerifyResult
 // SectionStatus is one line of a VerifyResult.
 type SectionStatus = wetio.SectionStatus
 
-// LoadSalvage reads as much of a damaged WET file as remains loadable:
-// damaged node records truncate the node list, damaged edge records are
-// dropped individually, and cross references are repaired. The report
-// details every loss; its Clean method distinguishes intact from lossy
-// loads. Files missing their header or program section return an error.
-//
-// Deprecated: use Open with WithSalvage (and WithTier1 for restoreTier1).
-func LoadSalvage(r io.Reader, restoreTier1 bool) (*WET, *SalvageReport, error) {
-	return wetio.LoadWithReport(r, wetio.LoadOptions{RestoreTier1: restoreTier1, Salvage: true})
-}
-
-// Verify walks a v3/v4 WET file's sections, checking each checksum without
-// parsing any payload. v2 files carry no checksums and return an error.
-//
-// Deprecated: use Open with WithVerifyOnly.
-func Verify(r io.Reader) (*VerifyResult, error) { return wetio.Verify(r) }
-
 // ParseProgram compiles the textual IR format (see internal/asm) into a
 // finalized program:
 //
@@ -448,65 +309,14 @@ func Verify(r io.Reader) (*VerifyResult, error) { return wetio.Verify(r) }
 //	}
 func ParseProgram(src string) (*Program, error) { return asm.Parse(src) }
 
-// Chop computes the slice intersection: the instances through which `from`
-// influenced `to`.
-//
-// Deprecated: use (*Trace).Chop.
-func Chop(w *WET, tier Tier, from, to Instance, maxInstances int) (*SliceResult, error) {
-	return query.Chop(w, tier, from, to, maxInstances)
-}
-
-// DependenceChain follows one backward data-dependence chain from an
-// instance, up to maxLen links.
-//
-// Deprecated: use (*Trace).DependenceChain.
-func DependenceChain(w *WET, tier Tier, from Instance, opIdx, maxLen int) ([]Instance, error) {
-	return query.DependenceChain(w, tier, from, opIdx, maxLen)
-}
-
 // HotPath summarizes a Ball–Larus path's execution frequency.
 type HotPath = query.HotPath
-
-// HotPaths ranks path nodes by dynamic statement coverage.
-//
-// Deprecated: use (*Trace).HotPaths.
-func HotPaths(w *WET, n int) []HotPath { return query.HotPaths(w, n) }
-
-// WriteDOT renders a slice as a Graphviz digraph of dynamic instances and
-// their dependences.
-//
-// Deprecated: use (*Trace).WriteDOT.
-func WriteDOT(w *WET, tier Tier, res *SliceResult, out io.Writer) error {
-	return query.WriteDOT(w, tier, res, out)
-}
 
 // Invariance summarizes a statement's value predictability.
 type Invariance = query.Invariance
 
-// ValueInvariance profiles value predictability of every def statement.
-//
-// Deprecated: use (*Trace).ValueInvariance.
-func ValueInvariance(w *WET, tier Tier, minExecs uint64) ([]Invariance, error) {
-	return query.ValueInvariance(w, tier, minExecs)
-}
-
 // StrideProfile classifies one memory instruction's reference pattern.
 type StrideProfile = query.StrideProfile
-
-// StrideProfiles classifies every load/store's address stream.
-//
-// Deprecated: use (*Trace).StrideProfiles.
-func StrideProfiles(w *WET, tier Tier, minAccesses int) ([]StrideProfile, error) {
-	return query.StrideProfiles(w, tier, minAccesses)
-}
-
-// ExtractCFRange walks the control-flow trace between two timestamps
-// (inclusive). An inverted range (fromTS > toTS) returns a *RangeError.
-//
-// Deprecated: use (*Trace).ExtractCFRange.
-func ExtractCFRange(w *WET, tier Tier, fromTS, toTS uint32, emit func(stmtID int)) (uint64, error) {
-	return query.ExtractCFRange(w, tier, fromTS, toTS, emit)
-}
 
 // Reference pattern classes for StrideProfiles.
 const (

@@ -5,10 +5,10 @@ package wet_test
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"wet"
+	"wet/internal/wetio"
 )
 
 func buildSum(t *testing.T) (*wet.Program, *wet.Stmt) {
@@ -42,21 +42,21 @@ func TestPublicBuildAndRun(t *testing.T) {
 
 func TestPublicWETPipeline(t *testing.T) {
 	p, outS := buildSum(t)
-	w, res, err := wet.BuildWET(p, wet.RunOptions{CheckDeterminism: true})
+	tr, res, err := wet.Run(p, wet.WithCheckDeterminism())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := w.Freeze(wet.FreezeOptions{})
+	w, rep := tr.WET(), tr.Report().Size
 	if rep.T2Total() >= rep.OrigTotal() {
 		t.Fatalf("no compression: %d >= %d", rep.T2Total(), rep.OrigTotal())
 	}
-	if n := wet.ExtractControlFlow(w, wet.Tier2, true, nil); n != res.Steps {
+	if n := tr.ExtractControlFlow(true, nil); n != res.Steps {
 		t.Fatalf("CF trace %d stmts, ran %d", n, res.Steps)
 	}
 
 	// The output's backward slice must include every loop iteration's add.
 	ref := w.StmtOcc[outS.ID][0]
-	sl, err := wet.Backward(w, wet.Tier2, wet.Instance{Node: ref.Node, Pos: ref.Pos, Ord: 0}, 0)
+	sl, err := tr.Backward(wet.Instance{Node: ref.Node, Pos: ref.Pos, Ord: 0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +73,15 @@ func TestPublicWETPipeline(t *testing.T) {
 
 func TestPublicValueAndAddressTraces(t *testing.T) {
 	p, outS := buildSum(t)
-	w, _, err := wet.BuildWET(p, wet.RunOptions{})
+	tr, _, err := wet.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Freeze(wet.FreezeOptions{})
 	// Find the load feeding the output via its dependence structure: just
 	// query the load statement (the one before outS).
 	loadID := outS.ID - 1
 	var vals []int64
-	if _, err := wet.ValueTrace(w, wet.Tier2, loadID, func(s wet.Sample) {
+	if _, err := tr.ValueTrace(loadID, func(s wet.Sample) {
 		vals = append(vals, s.Value)
 	}); err != nil {
 		t.Fatal(err)
@@ -91,7 +90,7 @@ func TestPublicValueAndAddressTraces(t *testing.T) {
 		t.Fatalf("load value trace = %v", vals)
 	}
 	var addrs []int64
-	if _, err := wet.AddressTrace(w, wet.Tier2, loadID, func(s wet.Sample) {
+	if _, err := tr.AddressTrace(loadID, func(s wet.Sample) {
 		addrs = append(addrs, s.Value)
 	}); err != nil {
 		t.Fatal(err)
@@ -103,22 +102,21 @@ func TestPublicValueAndAddressTraces(t *testing.T) {
 
 func TestPublicSaveLoad(t *testing.T) {
 	p, _ := buildSum(t)
-	w, _, err := wet.BuildWET(p, wet.RunOptions{})
+	tr, _, err := wet.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Freeze(wet.FreezeOptions{})
 	var buf bytes.Buffer
-	if err := wet.Save(&buf, w); err != nil {
+	if err := wet.Save(&buf, tr.WET()); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := wet.Load(&buf, true)
+	tr2, _, err := wet.Open(&buf, wet.WithTier1())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b []int
-	wet.ExtractControlFlow(w, wet.Tier2, true, func(id int) { a = append(a, id) })
-	wet.ExtractControlFlow(w2, wet.Tier1, true, func(id int) { b = append(b, id) })
+	tr.ExtractControlFlow(true, func(id int) { a = append(a, id) })
+	tr2.AtTier(wet.Tier1).ExtractControlFlow(true, func(id int) { b = append(b, id) })
 	if len(a) != len(b) {
 		t.Fatalf("loaded CF trace %d stmts, want %d", len(b), len(a))
 	}
@@ -131,12 +129,11 @@ func TestPublicSaveLoad(t *testing.T) {
 
 func TestPublicWalkerBidirectional(t *testing.T) {
 	p, _ := buildSum(t)
-	w, _, err := wet.BuildWET(p, wet.RunOptions{})
+	tr, _, err := wet.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Freeze(wet.FreezeOptions{})
-	wk := wet.NewWalker(w, wet.Tier2)
+	wk := tr.Walker()
 	var fwd []int
 	for wk.Forward() {
 		fwd = append(fwd, wk.Node)
@@ -224,28 +221,28 @@ done:
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := wet.BuildWET(prog, wet.RunOptions{})
+	tr, _, err := wet.Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Freeze(wet.FreezeOptions{})
+	w := tr.WET()
 
-	hps := wet.HotPaths(w, 2)
+	hps := tr.HotPaths(2)
 	if len(hps) == 0 || hps[0].Execs == 0 {
 		t.Fatalf("HotPaths: %+v", hps)
 	}
-	invs, err := wet.ValueInvariance(w, wet.Tier2, 1)
+	invs, err := tr.ValueInvariance(1)
 	if err != nil || len(invs) == 0 {
 		t.Fatalf("ValueInvariance: %v (%d)", err, len(invs))
 	}
-	sps, err := wet.StrideProfiles(w, wet.Tier2, 5)
+	sps, err := tr.StrideProfiles(5)
 	if err != nil || len(sps) == 0 {
 		t.Fatalf("StrideProfiles: %v (%d)", err, len(sps))
 	}
 	if sps[0].Pattern != wet.RefStrided {
 		t.Fatalf("journal store not strided: %+v", sps[0])
 	}
-	n, err := wet.ExtractCFRange(w, wet.Tier2, 2, 5, nil)
+	n, err := tr.ExtractCFRange(2, 5, nil)
 	if err != nil || n == 0 {
 		t.Fatalf("ExtractCFRange: %v (%d)", err, n)
 	}
@@ -262,7 +259,7 @@ done:
 	}
 	mref := w.StmtOcc[mulS.ID][0]
 	oref := w.StmtOcc[outS.ID][0]
-	chop, err := wet.Chop(w, wet.Tier2,
+	chop, err := tr.Chop(
 		wet.Instance{Node: mref.Node, Pos: mref.Pos, Ord: 0},
 		wet.Instance{Node: oref.Node, Pos: oref.Pos, Ord: 0}, 0)
 	if err != nil {
@@ -271,17 +268,17 @@ done:
 	if len(chop.Instances) == 0 {
 		t.Fatal("empty chop: the first square must influence the output")
 	}
-	chain, err := wet.DependenceChain(w, wet.Tier2,
+	chain, err := tr.DependenceChain(
 		wet.Instance{Node: oref.Node, Pos: oref.Pos, Ord: 0}, 0, 8)
 	if err != nil || len(chain) < 2 {
 		t.Fatalf("DependenceChain: %v (%d)", err, len(chain))
 	}
 	var dot bytes.Buffer
-	sl, err := wet.Backward(w, wet.Tier2, wet.Instance{Node: oref.Node, Pos: oref.Pos, Ord: 0}, 50)
+	sl, err := tr.Backward(wet.Instance{Node: oref.Node, Pos: oref.Pos, Ord: 0}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wet.WriteDOT(w, wet.Tier2, sl, &dot); err != nil {
+	if err := tr.WriteDOT(sl, &dot); err != nil {
 		t.Fatal(err)
 	}
 	if dot.Len() == 0 {
@@ -289,63 +286,8 @@ done:
 	}
 }
 
-// TestDeprecatedSurface pins the deprecated free-function wrappers: each
-// must keep its signature (compile-time via the assignments below) and
-// return the same results as the Trace method that replaced it.
-func TestDeprecatedSurface(t *testing.T) {
-	// Signature pins — a changed wrapper breaks this compile.
-	var (
-		_ func(*wet.Program, wet.RunOptions) (*wet.WET, *wet.RunResult, error)                       = wet.BuildWET
-		_ func(*wet.WET, wet.Tier) *wet.Walker                                                       = wet.NewWalker
-		_ func(*wet.WET, wet.Tier, bool, func(int)) uint64                                           = wet.ExtractControlFlow
-		_ func(*wet.WET, wet.Tier, uint32, uint32, func(int)) (uint64, error)                        = wet.ExtractCFRange
-		_ func(*wet.WET, wet.Tier, int, func(wet.Sample)) (uint64, error)                            = wet.ValueTrace
-		_ func(*wet.WET, wet.Tier, int, func(wet.Sample)) (uint64, error)                            = wet.AddressTrace
-		_ func(*wet.WET, wet.Tier, wet.Instance, int) (*wet.SliceResult, error)                      = wet.Backward
-		_ func(*wet.WET, wet.Tier, wet.Instance, int) (*wet.SliceResult, error)                      = wet.Forward
-		_ func(*wet.WET, wet.Tier, int, uint32) (wet.Instance, error)                                = wet.InstanceOfTS
-		_ func(*wet.WET, wet.Tier, wet.Instance, wet.Instance, int) (*wet.SliceResult, error)        = wet.Chop
-		_ func(*wet.WET, wet.Tier, wet.Instance, int, int) ([]wet.Instance, error)                   = wet.DependenceChain
-		_ func(*wet.WET, int) []wet.HotPath                                                          = wet.HotPaths
-		_ func(*wet.WET, wet.Tier, uint64) ([]wet.Invariance, error)                                 = wet.ValueInvariance
-		_ func(*wet.WET, wet.Tier, int) ([]wet.StrideProfile, error)                                 = wet.StrideProfiles
-		_ func(io.Reader, bool) (*wet.WET, error)                                                    = wet.Load
-		_ func(io.Reader, bool) (*wet.WET, *wet.SalvageReport, error)                                = wet.LoadSalvage
-		_ func(io.Reader) (*wet.VerifyResult, error)                                                 = wet.Verify
-	)
-
-	// Behaviour: wrapper and method answer identically, on both a
-	// single-epoch and a streamed build of the same program.
-	prog, outS := buildSum(t)
-	for _, epochTS := range []uint32{0, 4} {
-		tr, _, err := wet.Run(prog, wet.WithEpochTS(epochTS))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := tr.WET()
-		if got, want := tr.ExtractControlFlow(true, nil), wet.ExtractControlFlow(w, wet.Tier2, true, nil); got != want {
-			t.Fatalf("epochTS=%d: method %d vs wrapper %d", epochTS, got, want)
-		}
-		inst, err := tr.InstanceOfTS(outS.ID, tr.Time())
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := tr.Backward(inst, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := wet.Backward(w, wet.Tier2, inst, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Instances) != len(b.Instances) {
-			t.Fatalf("epochTS=%d: slice %d vs %d instances", epochTS, len(a.Instances), len(b.Instances))
-		}
-	}
-}
-
-// TestOpenMatchesLoad pins the documented Open ↔ Load/LoadSalvage/Verify
-// mapping on a saved streamed trace.
+// TestOpenMatchesLoad pins Open's option ↔ wetio.LoadOptions mapping on a
+// saved streamed trace.
 func TestOpenMatchesLoad(t *testing.T) {
 	prog, _ := buildSum(t)
 	tr, _, err := wet.Run(prog, wet.WithEpochTS(4))
@@ -364,11 +306,11 @@ func TestOpenMatchesLoad(t *testing.T) {
 	if rep.Version != 4 || rep.Salvage != nil || rep.Verify != nil {
 		t.Fatalf("open report: %+v", rep)
 	}
-	old, err := wet.Load(bytes.NewReader(buf.Bytes()), true)
+	old, err := wetio.Load(bytes.NewReader(buf.Bytes()), wetio.LoadOptions{RestoreTier1: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := got.ExtractControlFlow(true, nil), wet.ExtractControlFlow(old, wet.Tier1, true, nil); a != b {
+	if a, b := got.ExtractControlFlow(true, nil), wet.NewTrace(old).AtTier(wet.Tier1).ExtractControlFlow(true, nil); a != b {
 		t.Fatalf("open vs load: %d vs %d statements", a, b)
 	}
 	if got.AtTier(wet.Tier1).ExtractControlFlow(true, nil) != got.ExtractControlFlow(true, nil) {
