@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"wet/internal/faultpoint"
+	"wet/internal/pool"
 	"wet/internal/stream"
 	"wet/internal/trace"
 )
@@ -390,7 +388,7 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 		concFreezeJobs(w.Conc, ck, &jobs)
 	}
 
-	if err := runJobsCtx(ctx, jobs, opts.Workers); err != nil {
+	if err := runJobs(ctx, "freeze", jobs, opts.Workers); err != nil {
 		w.releasePartialTier2()
 		return nil, err
 	}
@@ -509,7 +507,7 @@ func (w *WET) checkpointBytes() uint64 {
 // crashing the process. Value is the original panic value; when it is
 // itself an error, Unwrap exposes it to errors.Is/As.
 type PanicError struct {
-	Op    string // which pool: "freeze", "seal", "materialize", "batch"
+	Op    string // whose job: "freeze", "seal", "materialize", "query job"
 	Value any
 }
 
@@ -536,87 +534,26 @@ func recoverJob(op string, slot *error) {
 	}
 }
 
-// runJobsCtx drains the tier-2 job list over a bounded worker pool. Each
-// worker owns one stream.Scratch, so the selection phase's predictor
-// tables are borrowed from the size-keyed pools once per worker rather
-// than once per candidate. workers <= 0 means GOMAXPROCS.
-//
-// Cancellation is checked between jobs: a cancelled context stops claims
-// promptly, the pool joins every worker, and context.Cause is returned.
+// runJobs drains a tier-2 job list through pool.Run. Each worker owns one
+// stream.Scratch, so the selection phase's predictor tables are borrowed
+// from the size-keyed pools once per worker rather than once per candidate.
 // A job panic (including an armed core.freeze.job failpoint) is recovered
-// to a typed error — first failing job in claim order wins — never a
-// crashed process or a leaked goroutine.
-func runJobsCtx(ctx context.Context, jobs []func(sc *stream.Scratch), workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// to a typed error naming op — never a crashed process or a leaked
+// goroutine; cancellation and error order are the pool's contract.
+func runJobs(ctx context.Context, op string, jobs []func(sc *stream.Scratch), workers int) error {
+	scs := make([]*stream.Scratch, pool.Workers(workers, len(jobs)))
+	for i := range scs {
+		scs[i] = stream.NewScratch()
+		defer scs[i].Release()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	errs := make([]error, len(jobs))
-	run := func(j int, sc *stream.Scratch) {
-		defer recoverJob("freeze", &errs[j])
+	return pool.Run(ctx, workers, len(jobs), func(worker, j int) (err error) {
+		defer recoverJob(op, &err)
 		if err := fpFreezeJob.Hit(); err != nil {
-			errs[j] = err
-			return
-		}
-		jobs[j](sc)
-	}
-	done := ctx.Done()
-	if workers <= 1 {
-		sc := stream.NewScratch()
-		defer sc.Release()
-		for j := range jobs {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			run(j, sc)
-			if errs[j] != nil {
-				return errs[j]
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		// wetlint:bounded — one worker per pool slot, capped by the workers arg.
-		go func() {
-			defer wg.Done()
-			sc := stream.NewScratch()
-			defer sc.Release()
-			for {
-				if failed.Load() {
-					return
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
-					return
-				}
-				run(j, sc)
-				if errs[j] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return context.Cause(ctx)
-	}
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
-	}
-	return nil
+		jobs[j](scs[worker])
+		return nil
+	})
 }
 
 // bitsFor returns the number of bits needed to represent v.

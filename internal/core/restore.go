@@ -125,7 +125,7 @@ func (w *WET) MaterializeTier1Ctx(ctx context.Context, workers int) error {
 	if w.Conc != nil {
 		jobs = append(jobs, func(*stream.Scratch) { w.Conc.materializeTier1() })
 	}
-	return runJobsCtx(ctx, jobs, workers)
+	return runJobs(ctx, "materialize", jobs, workers)
 }
 
 // SanitizeSalvaged repairs the invariants RestoreIndexes and the query

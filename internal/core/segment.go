@@ -371,7 +371,7 @@ func (b *Builder) finishStreaming() error {
 		}
 		var jobs []func(sc *stream.Scratch)
 		concFreezeJobs(w.Conc, b.fopts.CheckpointK, &jobs)
-		if err := runJobsCtx(ctx, jobs, b.fopts.Workers); err != nil {
+		if err := runJobs(ctx, "freeze", jobs, b.fopts.Workers); err != nil {
 			return err
 		}
 		w.Conc.dropTier1()

@@ -1,9 +1,9 @@
 package query
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"context"
+
+	"wet/internal/pool"
 )
 
 // Batch runs n independent query jobs against one shared frozen WET from a
@@ -20,35 +20,8 @@ import (
 // workers <= 0 means runtime.GOMAXPROCS(0); workers == 1 runs the jobs
 // serially on the calling goroutine (useful as a baseline).
 func Batch(workers, n int, job func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			job(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				job(i)
-			}
-		}()
-	}
-	wg.Wait()
+	_ = pool.Run(context.Background(), workers, n, func(_, i int) error {
+		job(i)
+		return nil
+	})
 }

@@ -2,12 +2,10 @@ package query
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"wet/internal/core"
 	"wet/internal/faultpoint"
+	"wet/internal/pool"
 	"wet/internal/stream"
 )
 
@@ -32,69 +30,16 @@ const ctxCheckMask = 1<<12 - 1
 // not interrupted (they hold no cancellation hook), so cancellation latency
 // is one job.
 func BatchCtx(ctx context.Context, workers, n int, job func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	run := func(i int) (err error) {
+	return pool.Run(ctx, workers, n, func(_, i int) (err error) {
 		defer recoverQueryPanic(&err)
 		if err := fpBatchJob.Hit(); err != nil {
 			return err
 		}
 		return job(i)
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return context.Cause(ctx)
-			}
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := run(i); err != nil {
-					errs[i] = err
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if ctx.Err() != nil {
-		return context.Cause(ctx)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // recoverQueryPanic converts the panics a query can legitimately hit into

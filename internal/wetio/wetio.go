@@ -34,14 +34,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"wet/internal/core"
 	"wet/internal/interp"
 	"wet/internal/ir"
+	"wet/internal/pool"
 	"wet/internal/stream"
 	"wet/internal/trace"
 )
@@ -481,26 +479,20 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 		edgeSecs[i] = s
 	}
 
+	// Cancellation granularity on the decode fan is one section: a dead
+	// context stops further claims, and its cause surfaces through ctxCause
+	// in loadFramed rather than as a FormatError.
 	nodes := make([]*core.Node, hdr.nNodes)
-	nodeErrs := make([]error, hdr.nNodes)
-	fan(hdr.nNodes, opts.Workers, func(i int) {
-		// Cancellation granularity on the decode fan is one section: a dead
-		// context skips the remaining sections, and the cause surfaces
-		// through ctxCause in loadFramed rather than as a FormatError.
-		if ctx.Err() != nil {
-			nodeErrs[i] = context.Cause(ctx)
-			return
-		}
+	err = pool.Run(ctx, opts.Workers, hdr.nNodes, func(_, i int) (err error) {
 		if v4 {
-			nodes[i], nodeErrs[i] = parseNodeSecV4(nodeSecs[i], st, i, hdr.nNodes, wet, opts)
+			nodes[i], err = parseNodeSecV4(nodeSecs[i], st, i, hdr.nNodes, wet, opts)
 		} else {
-			nodes[i], nodeErrs[i] = parseNodeSec(nodeSecs[i], st, i, hdr.nNodes, opts)
+			nodes[i], err = parseNodeSec(nodeSecs[i], st, i, hdr.nNodes, opts)
 		}
+		return err
 	})
-	for _, err := range nodeErrs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	wet.Nodes = nodes
 
@@ -508,22 +500,16 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 	// references point at earlier edges, so they are validated serially in
 	// file order once every slot is filled.
 	edges := make([]*core.Edge, hdr.nEdges)
-	edgeErrs := make([]error, hdr.nEdges)
-	fan(hdr.nEdges, opts.Workers, func(i int) {
-		if ctx.Err() != nil {
-			edgeErrs[i] = context.Cause(ctx)
-			return
-		}
+	err = pool.Run(ctx, opts.Workers, hdr.nEdges, func(_, i int) (err error) {
 		if v4 {
-			edges[i], edgeErrs[i] = parseEdgeSecV4(edgeSecs[i], wet, i, hdr.nEdges, opts)
+			edges[i], err = parseEdgeSecV4(edgeSecs[i], wet, i, hdr.nEdges, opts)
 		} else {
-			edges[i], edgeErrs[i] = parseEdgeSec(edgeSecs[i], wet, i, hdr.nEdges, opts)
+			edges[i], err = parseEdgeSec(edgeSecs[i], wet, i, hdr.nEdges, opts)
 		}
+		return err
 	})
-	for _, err := range edgeErrs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	wet.Edges = edges
 	if v4 {
@@ -1137,40 +1123,6 @@ func parseEdgeSec(s *section, wet *core.WET, id, nEdges int, opts LoadOptions) (
 		return nil, err
 	}
 	return edge, nil
-}
-
-// fan runs fn(0..n-1) over a pool of workers goroutines (<= 0: GOMAXPROCS);
-// with one worker it degenerates to a plain loop. Callers give fn a private
-// result slot per index, so output is position-stable at any width.
-func fan(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // loadStream deserializes one stream, optionally certifying full
