@@ -296,7 +296,9 @@ func BenchmarkFigure8Components(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		w.Freeze(core.FreezeOptions{})
+		if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -329,7 +331,10 @@ func BenchmarkFreezeParallel(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				rep := w.Freeze(core.FreezeOptions{Workers: workers})
+				rep, err := w.FreezeErr(core.FreezeOptions{Workers: workers})
+				if err != nil {
+					b.Fatal(err)
+				}
 				t2 = rep.T2Total()
 			}
 			b.ReportMetric(float64(t2), "t2bytes")
@@ -337,7 +342,7 @@ func BenchmarkFreezeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryParallel sweeps query.Batch over worker counts, replaying a
+// BenchmarkQueryParallel sweeps query.BatchCtx over worker counts, replaying a
 // fixed mixed query batch (backward slices at both tiers plus whole-trace
 // extractions) against ONE shared frozen WET. Detached cursors make the
 // queries embarrassingly parallel; this tracks the wall-clock scaling.
@@ -362,7 +367,10 @@ func BenchmarkQueryParallel(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				query.Batch(workers, len(jobs), func(j int) { jobs[j]() })
+				err := query.BatchCtx(context.Background(), workers, len(jobs), func(j int) error { jobs[j](); return nil })
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(len(jobs)), "queries/op")
 		})
@@ -482,7 +490,10 @@ func BenchmarkAblationValueGrouping(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				rep := w.Freeze(core.FreezeOptions{NoGrouping: off})
+				rep, err := w.FreezeErr(core.FreezeOptions{NoGrouping: off})
+				if err != nil {
+					b.Fatal(err)
+				}
 				bytes = rep.T2Vals
 			}
 			b.ReportMetric(float64(bytes), "valbytes")

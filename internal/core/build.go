@@ -511,7 +511,7 @@ func addUniq(s *[]int, v int) {
 }
 
 // Build runs the program and constructs its WET in one call. The returned
-// WET is unfrozen (tier-1 labels only); call Freeze for tier-2 streams and
+// WET is unfrozen (tier-1 labels only); call FreezeErr for tier-2 streams and
 // the size report. opts.Sink is overridden.
 func Build(st *interp.Static, opts interp.Options) (*WET, *interp.Result, error) {
 	b := NewBuilder(st)

@@ -183,21 +183,20 @@ func TestMaterializePanicNamesItsOp(t *testing.T) {
 	}
 }
 
-// TestFreezePanicsWithoutErrPath pins Freeze's documented contract: the
-// error-free wrapper panics on an injected fault so silent corruption is
-// impossible, and FreezeErr is the escape hatch.
-func TestFreezePanicsWithoutErrPath(t *testing.T) {
+// TestFreezeCertifiedCancelledReturnsError: FreezeCertified returns the
+// freeze's failure — here a context dead on entry — as its error instead of
+// panicking, and leaves the WET unfrozen.
+func TestFreezeCertifiedCancelledReturnsError(t *testing.T) {
 	w := unfrozen(t, "li")
-	if err := faultpoint.Arm("core.freeze.job", faultpoint.Spec{Action: faultpoint.ActErr}); err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := w.FreezeCertified(core.FreezeOptions{Ctx: ctx, Workers: 2})
+	if !errors.Is(err, context.Canceled) || rep != nil {
+		t.Fatalf("FreezeCertified under a cancelled context = (%v, %v), want (nil, context.Canceled)", rep, err)
 	}
-	defer faultpoint.DisarmAll()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Freeze did not panic on an injected worker fault")
-		}
-	}()
-	w.Freeze(core.FreezeOptions{Workers: 2})
+	if w.Frozen() {
+		t.Fatal("cancelled FreezeCertified left the WET frozen")
+	}
 }
 
 // TestSealEpochInjectedFault: a fault at epoch-seal time aborts the

@@ -30,7 +30,10 @@ func (w *WET) Certify() error {
 // WETs for later consumption: a certified file needs no semantic re-check
 // after a clean byte-level verify.
 func (w *WET) FreezeCertified(opts FreezeOptions) (*SizeReport, error) {
-	rep := w.Freeze(opts)
+	rep, err := w.FreezeErr(opts)
+	if err != nil {
+		return nil, err
+	}
 	if err := w.Certify(); err != nil {
 		return rep, fmt.Errorf("core: post-freeze certification failed: %w", err)
 	}

@@ -292,8 +292,8 @@ func (c *Conc) attach(f func(stream.Stream)) {
 	}
 }
 
-// SizeBits sums the tier-2 compressed size of every concurrency stream (the
-// denominator of the race bench's bytes-scanned ratio); 0 before Freeze.
+// SizeBits sums the tier-2 compressed size of every concurrency stream (what
+// the race checker's one-pass walk scans); 0 before the freeze.
 func (c *Conc) SizeBits() uint64 {
 	var bits uint64
 	for _, cs := range c.Streams() {

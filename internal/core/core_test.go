@@ -104,7 +104,7 @@ func TestTimestampsPartitionTime(t *testing.T) {
 
 func TestValueReconstructionAgainstRecording(t *testing.T) {
 	w, rec := buildWET(t, sumLoop(t, 15), nil)
-	w.Freeze(FreezeOptions{})
+	freeze(t, w, FreezeOptions{})
 	// Replay the recording path by path and check every def value via the
 	// group/pattern machinery at both tiers.
 	ordOf := map[int]int{} // node -> next ordinal
@@ -138,7 +138,7 @@ func TestValueReconstructionAgainstRecording(t *testing.T) {
 
 func TestEdgeLabelsConsistent(t *testing.T) {
 	w, _ := buildWET(t, sumLoop(t, 10), nil)
-	rep := w.Freeze(FreezeOptions{})
+	rep := freeze(t, w, FreezeOptions{})
 	if rep.InferableEdges == 0 {
 		t.Fatal("no local edges were inferable in a tight loop")
 	}
@@ -185,7 +185,7 @@ func TestEdgeLabelsConsistent(t *testing.T) {
 
 func TestTier2StreamsMatchTier1(t *testing.T) {
 	w, _ := buildWET(t, sumLoop(t, 12), nil)
-	w.Freeze(FreezeOptions{})
+	freeze(t, w, FreezeOptions{})
 	for _, n := range w.Nodes {
 		got := stream.Drain(n.TSS)
 		for i, ts := range n.TS {
@@ -226,7 +226,7 @@ func TestTier2StreamsMatchTier1(t *testing.T) {
 
 func TestSizeReportShape(t *testing.T) {
 	w, _ := buildWET(t, sumLoop(t, 200), nil)
-	rep := w.Freeze(FreezeOptions{})
+	rep := freeze(t, w, FreezeOptions{})
 	if rep.OrigTotal() == 0 {
 		t.Fatal("empty orig size")
 	}
@@ -349,14 +349,14 @@ func TestInputStatementsFormOwnInputs(t *testing.T) {
 
 func TestFreezeIdempotentAndDropTier1(t *testing.T) {
 	w, _ := buildWET(t, sumLoop(t, 10), nil)
-	r1 := w.Freeze(FreezeOptions{})
-	r2 := w.Freeze(FreezeOptions{})
+	r1 := freeze(t, w, FreezeOptions{})
+	r2 := freeze(t, w, FreezeOptions{})
 	if r1 != r2 {
 		t.Fatal("Freeze not idempotent")
 	}
 
 	w2, _ := buildWET(t, sumLoop(t, 10), nil)
-	w2.Freeze(FreezeOptions{DropTier1: true})
+	freeze(t, w2, FreezeOptions{DropTier1: true})
 	for _, n := range w2.Nodes {
 		if n.TS != nil {
 			t.Fatal("DropTier1 kept node TS")
@@ -536,7 +536,7 @@ func TestValidateFrozenWET(t *testing.T) {
 	if err := w.Validate(); err == nil {
 		t.Fatal("Validate accepted an unfrozen WET")
 	}
-	w.Freeze(FreezeOptions{})
+	freeze(t, w, FreezeOptions{})
 	if err := w.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -544,7 +544,7 @@ func TestValidateFrozenWET(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	w, _ := buildWET(t, sumLoop(t, 40), nil)
-	w.Freeze(FreezeOptions{})
+	freeze(t, w, FreezeOptions{})
 	// Corrupt an owned edge's count.
 	for _, e := range w.Edges {
 		if !e.Inferable && e.SharedWith < 0 {

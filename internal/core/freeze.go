@@ -76,7 +76,7 @@ func Ratio(a, b uint64) float64 {
 	return float64(a) / float64(b)
 }
 
-// FreezeOptions tunes Freeze.
+// FreezeOptions tunes FreezeErr.
 type FreezeOptions struct {
 	// DropTier1 releases the tier-1 slices after building the tier-2
 	// streams, halving memory; tier-1 queries become unavailable.
@@ -120,9 +120,9 @@ type FreezeOptions struct {
 	// the dynamic profile is sealed and tier-2 compressed in epochs of
 	// EpochTS timestamps while the interpreter runs, bounding peak memory
 	// by the epoch size instead of the trace length. 0 (the default) keeps
-	// the single-epoch behavior — build fully, then Freeze — whose output
+	// the single-epoch behavior — build fully, then FreezeErr — whose output
 	// is byte-identical to the pre-streaming pipeline. Only consulted by
-	// BuildStreaming/NewStreamingBuilder; Freeze itself ignores it.
+	// BuildStreaming/NewStreamingBuilder; FreezeErr itself ignores it.
 	EpochTS uint32
 	// Ctx cancels the freeze (and, through BuildStreaming, the whole
 	// build) cooperatively: worker pools stop claiming jobs, the
@@ -147,25 +147,14 @@ type FreezeOptions struct {
 	ByteBudget uint64
 }
 
-// Freeze applies the tier-1 edge label reductions (paper §3.3), compresses
-// every remaining stream with the tier-2 selector (paper §4), and computes
-// the size report. Tier-2 compression fans out over a worker pool (see
-// FreezeOptions.Workers); the result does not depend on the worker count.
-// Freeze is idempotent. It panics on a worker fault or cancellation —
-// callers holding a context or armed failpoints should use FreezeErr.
-func (w *WET) Freeze(opts FreezeOptions) *SizeReport {
-	r, err := w.FreezeErr(opts)
-	if err != nil {
-		panic(fmt.Sprintf("core: Freeze: %v (use FreezeErr for a returned error)", err))
-	}
-	return r
-}
-
-// FreezeErr is Freeze with cancellation (FreezeOptions.Ctx), budget
-// degradation (FreezeOptions.MemBudget), and worker faults surfaced as
-// returned errors. On error the WET is left unfrozen and every partially
-// built tier-2 stream is released — no half-frozen hybrid survives the
-// failure.
+// FreezeErr applies the tier-1 edge label reductions (paper §3.3),
+// compresses every remaining stream with the tier-2 selector (paper §4), and
+// computes the size report. Tier-2 compression fans out over a worker pool
+// (see FreezeOptions.Workers); the result does not depend on the worker
+// count. FreezeErr is idempotent. Cancellation (FreezeOptions.Ctx), an
+// unreachable byte budget, and worker faults are returned as errors; on
+// error the WET is left unfrozen and every partially built tier-2 stream is
+// released — no half-frozen hybrid survives the failure.
 func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 	if w.frozen {
 		return w.report, nil
@@ -456,7 +445,7 @@ func (w *WET) releasePartialTier2() {
 	}
 }
 
-// Report returns the size report (nil before Freeze).
+// Report returns the size report (nil before FreezeErr).
 func (w *WET) Report() *SizeReport { return w.report }
 
 // checkpointBytes sums the cursor checkpoint index sizes over every tier-2

@@ -56,6 +56,16 @@ func workloadWET(t testing.TB, name string) *core.WET {
 	return w
 }
 
+// freeze is FreezeErr for tests that expect it to succeed.
+func freeze(t testing.TB, w *core.WET, opts core.FreezeOptions) *core.SizeReport {
+	t.Helper()
+	rep, err := w.FreezeErr(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func saveBytes(t *testing.T, w *core.WET) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -81,9 +91,9 @@ func TestFreezeParallelDeterminism(t *testing.T) {
 	for _, tc := range builds {
 		t.Run(tc.name, func(t *testing.T) {
 			serial := tc.build(t)
-			repSerial := serial.Freeze(core.FreezeOptions{Workers: 1})
+			repSerial := freeze(t, serial, core.FreezeOptions{Workers: 1})
 			parallel := tc.build(t)
-			repParallel := parallel.Freeze(core.FreezeOptions{Workers: 8})
+			repParallel := freeze(t, parallel, core.FreezeOptions{Workers: 8})
 			if !reflect.DeepEqual(repSerial, repParallel) {
 				t.Fatalf("reports differ:\nserial:   %+v\nparallel: %+v", repSerial, repParallel)
 			}
@@ -108,8 +118,8 @@ func TestFreezeParallelDeterminismAblations(t *testing.T) {
 	} {
 		optsSerial, optsParallel := opts, opts
 		optsSerial.Workers, optsParallel.Workers = 1, 8
-		repSerial := genWET(t, 3).Freeze(optsSerial)
-		repParallel := genWET(t, 3).Freeze(optsParallel)
+		repSerial := freeze(t, genWET(t, 3), optsSerial)
+		repParallel := freeze(t, genWET(t, 3), optsParallel)
 		if !reflect.DeepEqual(repSerial, repParallel) {
 			t.Fatalf("%+v: reports differ:\nserial:   %+v\nparallel: %+v", opts, repSerial, repParallel)
 		}
@@ -120,11 +130,11 @@ func TestFreezeParallelDeterminismAblations(t *testing.T) {
 // sizing-only pass (no T2Vals charge) but still yields a queryable WET.
 func TestFreezeSkipFullSizing(t *testing.T) {
 	w := genWET(t, 4)
-	rep := w.Freeze(core.FreezeOptions{NoGrouping: true, SkipFullSizing: true, Workers: 4})
+	rep := freeze(t, w, core.FreezeOptions{NoGrouping: true, SkipFullSizing: true, Workers: 4})
 	if rep.T2Vals != 0 {
 		t.Fatalf("SkipFullSizing left T2Vals=%d", rep.T2Vals)
 	}
-	full := genWET(t, 4).Freeze(core.FreezeOptions{NoGrouping: true, Workers: 4})
+	full := freeze(t, genWET(t, 4), core.FreezeOptions{NoGrouping: true, Workers: 4})
 	if full.T2Vals == 0 {
 		t.Fatal("sizing pass charged nothing; test program has no values")
 	}
@@ -150,7 +160,7 @@ func TestFreezeWorkerPoolStress(t *testing.T) {
 	// Consecutive freezes reuse pooled tables across Freeze calls.
 	for seed := int64(10); seed < 14; seed++ {
 		w := genWET(t, seed)
-		rep := w.Freeze(core.FreezeOptions{Workers: 4})
+		rep := freeze(t, w, core.FreezeOptions{Workers: 4})
 		if rep.T2Total() == 0 {
 			t.Fatalf("seed %d: empty tier-2 report", seed)
 		}
@@ -169,12 +179,14 @@ func TestFreezeWorkerPoolStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.Freeze(core.FreezeOptions{Workers: 2})
+			if _, err := w.FreezeErr(core.FreezeOptions{Workers: 2}); err != nil {
+				t.Error(err)
+			}
 		}()
 	}
 	wg.Wait()
 	for i, w := range wets {
-		want := genWET(t, int64(20+i)).Freeze(core.FreezeOptions{Workers: 1})
+		want := freeze(t, genWET(t, int64(20+i)), core.FreezeOptions{Workers: 1})
 		if !reflect.DeepEqual(w.Report(), want) {
 			t.Fatalf("wet %d: concurrent freeze report differs from serial", i)
 		}

@@ -7,12 +7,22 @@ import (
 	"wet/internal/ir"
 )
 
+// freeze is FreezeErr for tests that expect it to succeed.
+func freeze(t testing.TB, w *WET, opts FreezeOptions) *SizeReport {
+	t.Helper()
+	rep, err := w.FreezeErr(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // buildProgramWET builds the WET of an ad-hoc program with given freeze
 // options.
 func freezeWith(t *testing.T, opts FreezeOptions) (*WET, *SizeReport) {
 	t.Helper()
 	w, _ := buildWET(t, sumLoop(t, 50), nil)
-	rep := w.Freeze(opts)
+	rep := freeze(t, w, opts)
 	return w, rep
 }
 
@@ -74,10 +84,10 @@ func repetitiveProgram(t *testing.T) (*ir.Program, []int64) {
 func TestNoGroupingSizes(t *testing.T) {
 	pDef, inDef := repetitiveProgram(t)
 	wDef, _ := buildWET(t, pDef, inDef)
-	repDef := wDef.Freeze(FreezeOptions{})
+	repDef := freeze(t, wDef, FreezeOptions{})
 	pOff, inOff := repetitiveProgram(t)
 	wOff, _ := buildWET(t, pOff, inOff)
-	repOff := wOff.Freeze(FreezeOptions{NoGrouping: true})
+	repOff := freeze(t, wOff, FreezeOptions{NoGrouping: true})
 	if repOff.T1Vals != wOff.Raw.OrigNodeValBytes() {
 		t.Fatalf("NoGrouping tier-1 vals %d, want raw %d", repOff.T1Vals, wOff.Raw.OrigNodeValBytes())
 	}
@@ -98,7 +108,7 @@ func TestNoGroupingSizes(t *testing.T) {
 
 func TestValueErrors(t *testing.T) {
 	w, _ := buildWET(t, sumLoop(t, 5), nil)
-	w.Freeze(FreezeOptions{})
+	freeze(t, w, FreezeOptions{})
 	n := w.Nodes[0]
 	// Out-of-range ordinal.
 	pos := -1
@@ -135,7 +145,7 @@ func TestPerBlockModeBuildsWET(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := w.Freeze(FreezeOptions{})
+	rep := freeze(t, w, FreezeOptions{})
 	// Per-block mode: every node is a single basic block.
 	for _, n := range w.Nodes {
 		if len(n.Blocks) != 1 {
@@ -154,7 +164,7 @@ func TestPerBlockModeBuildsWET(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2 := w2.Freeze(FreezeOptions{})
+	rep2 := freeze(t, w2, FreezeOptions{})
 	if w2.Raw.PathExecs >= w.Raw.PathExecs {
 		t.Fatalf("BL paths %d >= blocks %d", w2.Raw.PathExecs, w.Raw.PathExecs)
 	}
@@ -176,7 +186,7 @@ func TestPerBlockCFTraceStillReconstructs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Freeze(FreezeOptions{})
+	freeze(t, w, FreezeOptions{})
 	// Every timestamp appears exactly once.
 	seen := map[uint32]bool{}
 	for _, n := range w.Nodes {
@@ -217,9 +227,9 @@ func buildVia(st *interp.Static, b *Builder, extra *countingRecorder) (*WET, *in
 // agree, and the aggressive variant must be smaller.
 func TestAggressiveEdgesPreservesQueries(t *testing.T) {
 	wA, _ := buildWET(t, sumLoop(t, 60), nil)
-	repA := wA.Freeze(FreezeOptions{})
+	repA := freeze(t, wA, FreezeOptions{})
 	wB, _ := buildWET(t, sumLoop(t, 60), nil)
-	repB := wB.Freeze(FreezeOptions{AggressiveEdges: true})
+	repB := freeze(t, wB, FreezeOptions{AggressiveEdges: true})
 	if repB.DiagonalEdges == 0 {
 		t.Skip("no diagonal edges in this program")
 	}

@@ -257,7 +257,7 @@ func TestStreamingEpochZeroFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2 := w2.Freeze(core.FreezeOptions{})
+	rep2 := freeze(t, w2, core.FreezeOptions{})
 	if rep.T2Total() != rep2.T2Total() || rep.T1Total() != rep2.T1Total() || rep.OrigTotal() != rep2.OrigTotal() {
 		t.Fatalf("EpochTS=0 report differs from Build+Freeze:\n%v\nvs\n%v", rep, rep2)
 	}

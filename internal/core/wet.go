@@ -280,7 +280,7 @@ func (w *WET) NodeOf(fn int, pathID int64) *Node {
 	return nil
 }
 
-// Frozen reports whether Freeze has run (tier-2 streams are available).
+// Frozen reports whether FreezeErr has run (tier-2 streams are available).
 func (w *WET) Frozen() bool { return w.frozen }
 
 // Seq is a detached bidirectional cursor over one label sequence; both

@@ -58,7 +58,9 @@ func TestPipelineDifferential(t *testing.T) {
 			t.Fatalf("seed %d: Finish: %v", seed, err)
 		}
 		w.Raw = cnt.RawStats
-		w.Freeze(core.FreezeOptions{})
+		if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+			t.Fatal(err)
+		}
 
 		checkCF(t, seed, w, rec)
 		checkValues(t, seed, w, rec)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -17,14 +18,18 @@ func TestBatchCoversAllJobs(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		const n = 57
 		var done [n]atomic.Int32
-		Batch(workers, n, func(i int) { done[i].Add(1) })
+		if err := BatchCtx(context.Background(), workers, n, func(i int) error { done[i].Add(1); return nil }); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		for i := range done {
 			if got := done[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: job %d ran %d times", workers, i, got)
 			}
 		}
 	}
-	Batch(4, 0, func(i int) { t.Fatal("job invoked for n=0") })
+	if err := BatchCtx(context.Background(), 4, 0, func(i int) error { t.Error("job invoked for n=0"); return nil }); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // sliceSummary runs a deterministic mixed query workload serially and
@@ -100,9 +105,13 @@ func TestParallelMixedQueries(t *testing.T) {
 		want[i] = querySummary(w, j.tier, j.kind, j.crit)
 	}
 	got := make([]string, len(jobs))
-	Batch(8, len(jobs), func(i int) {
+	err := BatchCtx(context.Background(), 8, len(jobs), func(i int) error {
 		got[i] = querySummary(w, jobs[i].tier, jobs[i].kind, jobs[i].crit)
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range jobs {
 		if got[i] != want[i] {
 			t.Fatalf("job %d (%+v): parallel result %q, serial %q", i, jobs[i], got[i], want[i])
@@ -114,13 +123,17 @@ func TestParallelMixedQueries(t *testing.T) {
 	wantCF[0] = ExtractCF(w, core.Tier1, true, nil)
 	wantCF[1] = ExtractCF(w, core.Tier2, false, nil)
 	gotCF := make([]uint64, 16)
-	Batch(8, len(gotCF), func(i int) {
+	err = BatchCtx(context.Background(), 8, len(gotCF), func(i int) error {
 		if i%2 == 0 {
 			gotCF[i] = ExtractCF(w, core.Tier1, true, nil)
 		} else {
 			gotCF[i] = ExtractCF(w, core.Tier2, false, nil)
 		}
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, g := range gotCF {
 		if g != wantCF[i%2] {
 			t.Fatalf("concurrent ExtractCF %d = %d, want %d", i, g, wantCF[i%2])
@@ -148,7 +161,9 @@ func TestCrossTierEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Build: %v", trial, err)
 		}
-		w.Freeze(core.FreezeOptions{CheckpointK: 64})
+		if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+			t.Fatal(err)
+		}
 
 		var cf1, cf2 []int
 		ExtractCF(w, core.Tier1, true, func(id int) { cf1 = append(cf1, id) })

@@ -43,7 +43,9 @@ func buildWET(t *testing.T, p *ir.Program, inputs []int64) (*core.WET, *trace.Re
 		t.Fatalf("Finish: %v", err)
 	}
 	w.Raw = cnt.RawStats
-	w.Freeze(core.FreezeOptions{})
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	return w, rec
 }
 

@@ -20,10 +20,20 @@ var fpBatchJob = faultpoint.New("query.batch.job")
 // the same cadence the interpreter uses.
 const ctxCheckMask = 1<<12 - 1
 
-// BatchCtx is Batch with cooperative cancellation and error collection:
-// workers stop claiming jobs once the context dies or any job fails, and the
-// first error (in claiming order for ties, context.Cause on cancellation)
-// is returned after all in-flight jobs finish. A job that panics with a
+// BatchCtx runs n independent query jobs against one shared frozen WET from
+// a bounded pool of goroutines (workers <= 0 means GOMAXPROCS, 1 runs them
+// serially on the calling goroutine) and blocks until every started job has
+// returned. job(i) is claimed in index order, at most once per i.
+//
+// This is safe with no caller synchronization because the access layer
+// hands every query fresh detached cursors (core.Seq factories and the
+// walker's private cursor table) and a frozen WET is never mutated by
+// reads. Each job must still keep the cursors it creates to itself — that
+// is, don't share a Walker or a Seq across jobs.
+//
+// Workers stop claiming jobs once the context dies or any job fails, and the
+// first error (lowest index for ties, context.Cause on cancellation) is
+// returned after all in-flight jobs finish. A job that panics with a
 // *stream.DecodeError — a lazily loaded stream whose deferred decode failed
 // on first touch — fails the batch with that typed error; any other panic
 // surfaces as a *core.PanicError. Jobs already running when one fails are

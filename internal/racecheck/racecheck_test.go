@@ -224,7 +224,9 @@ func TestSingleThreadedNoConc(t *testing.T) {
 	if w.Conc != nil {
 		t.Fatal("single-threaded build grew concurrency streams")
 	}
-	w.Freeze(core.FreezeOptions{})
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Check(w, core.Tier2)
 	if err != nil {
 		t.Fatal(err)

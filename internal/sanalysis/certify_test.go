@@ -23,7 +23,9 @@ func TestFreezeCertified(t *testing.T) {
 // renders the rule id into its error.
 func TestCertifyReportsFindings(t *testing.T) {
 	w := buildRaw(t, "li", 3)
-	w.Freeze(core.FreezeOptions{CheckpointK: 64})
+	if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+		t.Fatal(err)
+	}
 	// Repoint a labeled CD edge's source ordinal stream is invasive; the
 	// cheap corruption with the same effect at tier-1 is retargeting an
 	// unfrozen copy — so corrupt the static side instead: verify against an

@@ -38,7 +38,9 @@ func buildRaw(t *testing.T, name string, scale int) *core.WET {
 // bit rot — and loads it back for tier-2 verification.
 func roundtrip(t *testing.T, w *core.WET) *core.WET {
 	t.Helper()
-	w.Freeze(core.FreezeOptions{CheckpointK: 64})
+	if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := wetio.Save(&buf, w); err != nil {
 		t.Fatalf("Save: %v", err)

@@ -25,7 +25,9 @@ func buildWET(t *testing.T, name string, scale int) *core.WET {
 	if err != nil {
 		t.Fatalf("%s: Build: %v", name, err)
 	}
-	w.Freeze(core.FreezeOptions{CheckpointK: 64})
+	if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+		t.Fatal(err)
+	}
 	return w
 }
 
@@ -70,7 +72,9 @@ func TestVerifySkipsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Freeze(core.FreezeOptions{})
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := VerifyWET(w, VerifyOptions{Tier: core.Tier2})
 	if err != nil {
 		t.Fatal(err)

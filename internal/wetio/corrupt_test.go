@@ -35,7 +35,9 @@ func buildFrozenTB(tb testing.TB, name string) *core.WET {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w.Freeze(core.FreezeOptions{})
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+		tb.Fatal(err)
+	}
 	return w
 }
 

@@ -25,7 +25,9 @@ func buildFrozen(t *testing.T, name string) *core.WET {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Freeze(core.FreezeOptions{})
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	return w
 }
 

@@ -121,7 +121,10 @@ func TestWETBuildsOnAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			rep := wet.Freeze(core.FreezeOptions{})
+			rep, err := wet.FreezeErr(core.FreezeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if rep.T2Total() >= rep.OrigTotal() {
 				t.Fatalf("no compression: tier2 %d >= orig %d", rep.T2Total(), rep.OrigTotal())
 			}
@@ -176,7 +179,10 @@ func TestSoakLargeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := wet.Freeze(core.FreezeOptions{})
+	rep, err := wet.FreezeErr(core.FreezeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Steps < 2_000_000 {
 		t.Fatalf("soak ran only %d statements", res.Steps)
 	}

@@ -89,7 +89,7 @@ type WET = core.WET
 // SizeReport holds per-component sizes at each compression level.
 type SizeReport = core.SizeReport
 
-// FreezeOptions tunes WET.Freeze.
+// FreezeOptions tunes WET.FreezeErr.
 type FreezeOptions = core.FreezeOptions
 
 // Tier selects the representation a query reads.
@@ -157,18 +157,14 @@ func CompressBest(vals []uint32) Stream { return stream.CompressBest(vals) }
 
 // --- parallel queries ---
 
-// Batch runs n independent query jobs over one shared frozen WET from
-// `workers` goroutines (0 = GOMAXPROCS) and blocks until all complete.
-// Queries need no caller synchronization: the access layer gives every
-// query its own detached cursors.
-func Batch(workers, n int, job func(i int)) { query.Batch(workers, n, job) }
-
-// BatchCtx is Batch with cooperative cancellation and error collection:
-// workers stop claiming jobs once ctx dies or any job fails, and the first
-// error — context.Cause on cancellation — is returned after in-flight jobs
-// finish. A job panicking with a *DecodeError (a lazily opened stream
-// failing its deferred decode) fails the batch with that typed error
-// instead of crashing the process.
+// BatchCtx runs n independent query jobs over one shared frozen trace from
+// `workers` goroutines (0 = GOMAXPROCS) and blocks until all started jobs
+// complete. Queries need no caller synchronization: the access layer gives
+// every query its own detached cursors. Workers stop claiming jobs once ctx
+// dies or any job fails, and the first error — context.Cause on
+// cancellation — is returned after in-flight jobs finish. A job panicking
+// with a *DecodeError (a lazily opened stream failing its deferred decode)
+// fails the batch with that typed error instead of crashing the process.
 func BatchCtx(ctx context.Context, workers, n int, job func(i int) error) error {
 	return query.BatchCtx(ctx, workers, n, job)
 }
