@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -141,6 +142,21 @@ func BenchmarkTable5Construction(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkRecordOp is the bench harness's record op in tier-1: gcc and mcf
+// at scale 1, built in epochs of 2048 timestamps and saved to memory.
+func BenchmarkRecordOp(b *testing.B) {
+	var stmts uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, name := range []string{"gcc", "mcf"} {
+			tr := runWorkload(b, name, wet.WithEpochTS(1<<11))
+			stmts += tr.WET().Raw.StmtExecs
+			benchSum += len(saveBytes(b, tr))
+		}
+	}
+	b.ReportMetric(float64(stmts)/b.Elapsed().Seconds(), "stmts/s")
 }
 
 func benchCF(b *testing.B, tier core.Tier, forward bool) {
@@ -579,3 +595,32 @@ func sizeName(n uint64) string {
 
 // newArchRecorder builds the Table 4 recorder.
 func newArchRecorder() interp.ArchSink { return arch.NewRecorder() }
+
+// TestBuildAllocBudget pins the tier-1 builder's allocation volume: one
+// core.Build of mcf (interpreter and builder, no freeze) must stay under 64
+// bytes per statement. It measures 58, of which 8 are the location table
+// and 15 the single-epoch Finish storing the ramps it counted; a builder
+// that stores every label as it arrives spends twice the budget.
+func TestBuildAllocBudget(t *testing.T) {
+	wl, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, in := wl.Build(1)
+	st, err := interp.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, res, err := core.Build(st, interp.Options{Inputs: in})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perStmt := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Steps)
+	t.Logf("core.Build(mcf): %.1f B/statement over %d statements", perStmt, res.Steps)
+	if perStmt > 64 {
+		t.Errorf("core.Build(mcf) allocates %.1f B/statement, budget 64", perStmt)
+	}
+}

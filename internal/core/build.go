@@ -24,14 +24,24 @@ type Builder struct {
 	// Per-instance location records (dropped after Finish): where each
 	// dynamic statement instance landed, packed one word per instance as
 	// node(16) | pos(12) | ord(32) — see packInstLoc. Indexed by instance
-	// id; this table is the only builder structure that must grow with the
-	// full trace even when streaming.
-	instLoc []uint64
+	// id in chunks of instChunk words, so growth never copies; this table is
+	// the only builder structure that must grow with the full trace even
+	// when streaming. nInst is the next instance id (ids are dense from 1).
+	instLoc [][]uint64
+	nInst   trace.Inst
 
-	// Pending events of the currently executing path.
+	// Pending events of the currently executing path; dd/dv hold their
+	// operand sources and values back to back (pendingEvent.off/n).
 	pending []pendingEvent
+	dd      []trace.Inst
+	dv      []int64
+	keyBuf  []byte // labelValues' input-tuple key, reused across paths
 
+	// Edge lookup: slots[node] caches the edge each operand of the node's
+	// statements used last, edgeIdx answers misses; ramps parallels w.Edges.
 	edgeIdx map[edgeKey]int
+	slots   [][]edgeSlot
+	ramps   []edgeRamp
 
 	time     uint32
 	prevNode int
@@ -78,12 +88,15 @@ type nodeKey struct {
 
 // edgeKey packs an edge identity into one word for fast map hashing:
 // kind(1) | srcNode(16) | srcPos(12) | dstNode(16) | dstPos(12) | opIdx(4).
-// The field widths comfortably exceed anything the workloads produce;
-// packEdgeKey panics if a program outgrows them.
+// Builder.node rejects programs that outgrow the widths, so the panic below
+// is unreachable from a sink fed by the interpreter.
 type edgeKey = uint64
 
+// maxOperands is the number of DD operands (opIdx values) an edge key holds.
+const maxOperands = 14
+
 func packEdgeKey(kind EdgeKind, srcNode, srcPos, dstNode, dstPos, opIdx int) edgeKey {
-	if srcNode >= 1<<16 || dstNode >= 1<<16 || srcPos >= 1<<12 || dstPos >= 1<<12 || opIdx >= 14 {
+	if srcNode >= 1<<16 || dstNode >= 1<<16 || srcPos >= 1<<12 || dstPos >= 1<<12 || opIdx >= maxOperands {
 		panic("core: edge key field overflow")
 	}
 	return uint64(kind)<<61 |
@@ -92,13 +105,32 @@ func packEdgeKey(kind EdgeKind, srcNode, srcPos, dstNode, dstPos, opIdx int) edg
 		uint64(opIdx+1) // -1 (CD) maps to 0
 }
 
+// pendingEvent is pointer-free (static statement id, operands as the window
+// dd/dv[off:off+n]), so buffering one crosses no GC write barrier.
 type pendingEvent struct {
-	st    *ir.Stmt
-	value int64
-	dd    []trace.Inst
-	dv    []int64
-	cd    trace.Inst
+	value        int64
+	cd           trace.Inst
+	stmt, off, n int32
 }
+
+// edgeRamp is the open epoch's label state of w.Edges[i]. While !stored the
+// labels so far are exactly <start+k, start+k> for k < n (start = the node's
+// first ordinal of the epoch) and only n is kept; stored edges, which
+// include every cross-node edge, append to Edge.DstOrd/SrcOrd.
+type edgeRamp struct {
+	n      uint32
+	stored bool
+}
+
+// edgeSlot is a one-entry cache of edgeIdx: the last key looked up from one
+// operand of one statement occurrence (no real key is 0) and its edge.
+type edgeSlot struct {
+	key  edgeKey
+	edge int
+}
+
+// instChunk is the instLoc chunk size in words (64 KiB).
+const instChunk = 1 << 13
 
 // NewBuilder returns a builder for one run of the analyzed program.
 func NewBuilder(st *interp.Static) *Builder {
@@ -108,29 +140,22 @@ func NewBuilder(st *interp.Static) *Builder {
 		w:        &WET{Prog: st.Prog, Static: st, StmtOcc: make([][]StmtRef, len(st.Prog.Stmts))},
 		nodeIdx:  map[nodeKey]int{},
 		edgeIdx:  map[edgeKey]int{},
-		instLoc:  make([]uint64, 1, 1024), // instance ids start at 1
+		nInst:    1, // instance ids start at 1
 		prevNode: -1,
 	}
 }
 
-// Stmt implements trace.Sink. Pending slots (and their operand slices) are
-// recycled across paths to keep construction allocation-free in steady
-// state.
-func (b *Builder) Stmt(inst trace.Inst, st *ir.Stmt, value int64, ddSrcs []trace.Inst, ddVals []int64, cdSrc trace.Inst) {
+// Stmt implements trace.Sink. The pending and operand buffers are truncated,
+// not released, at each PathDone, so buffering allocates only while the
+// longest path seen so far is still growing. Instance ids are dense, so the
+// id itself is implied: location records are written in order.
+func (b *Builder) Stmt(_ trace.Inst, st *ir.Stmt, value int64, ddSrcs []trace.Inst, ddVals []int64, cdSrc trace.Inst) {
 	if b.err != nil {
 		return
 	}
-	n := len(b.pending)
-	if cap(b.pending) > n {
-		b.pending = b.pending[:n+1]
-	} else {
-		b.pending = append(b.pending, pendingEvent{})
-	}
-	ev := &b.pending[n]
-	ev.st, ev.value, ev.cd = st, value, cdSrc
-	ev.dd = append(ev.dd[:0], ddSrcs...)
-	ev.dv = append(ev.dv[:0], ddVals...)
-	_ = inst // instance ids are dense; location records are appended in order
+	b.pending = append(b.pending, pendingEvent{value: value, cd: cdSrc, stmt: int32(st.ID), off: int32(len(b.dd)), n: int32(len(ddSrcs))})
+	b.dd = append(b.dd, ddSrcs...)
+	b.dv = append(b.dv, ddVals...)
 }
 
 // PathDone implements trace.Sink.
@@ -174,28 +199,50 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 		return err
 	}
 
-	// Record instance locations and dependence edge labels.
+	// Record instance locations and dependence edge labels. A source inside
+	// this path execution is (node, src-pathStart, ord) by construction; only
+	// cross-path sources read the location table.
+	if len(b.dv) != len(b.dd) {
+		return fmt.Errorf("core: path (fn %d, id %d) delivered %d operand sources, %d values", fn, pathID, len(b.dd), len(b.dv))
+	}
+	slots := b.slots[node.ID]
+	if need := len(b.dd) + len(b.pending); len(slots) < need {
+		slots = make([]edgeSlot, need)
+		b.slots[node.ID] = slots
+	}
+	pathStart, here, start := b.nInst, uint32(node.ID)<<12, uint32(node.sealedExecs)
 	for i := range b.pending {
 		ev := &b.pending[i]
-		if ev.st != node.Stmts[i] {
+		if int(ev.stmt) != node.Stmts[i].ID {
+			st := b.prog.Stmts[ev.stmt]
 			return fmt.Errorf("core: path (fn %d, id %d) statement %d is [%d]%s, node expects [%d]%s",
-				fn, pathID, i, ev.st.ID, ev.st, node.Stmts[i].ID, node.Stmts[i])
+				fn, pathID, i, st.ID, st, node.Stmts[i].ID, node.Stmts[i])
 		}
-		b.instLoc = append(b.instLoc, packInstLoc(node.ID, i, ord))
+		cur := b.nInst
+		if int(cur/instChunk) == len(b.instLoc) {
+			b.instLoc = append(b.instLoc, make([]uint64, instChunk))
+		}
+		b.instLoc[cur/instChunk][cur%instChunk] = packInstLoc(node.ID, i, ord)
+		b.nInst++
 
-		for opIdx, src := range ev.dd {
+		// DD operands in order, then the CD source as operand -1: the order
+		// edges are created in is the order they are saved in.
+		for k := 0; k <= int(ev.n); k++ {
+			src, kind, opIdx := ev.cd, CD, -1
+			if k < int(ev.n) {
+				src, kind, opIdx = b.dd[int(ev.off)+k], DD, k
+			}
 			if src == 0 {
 				continue
 			}
-			if src >= trace.Inst(len(b.instLoc)) {
+			srcLoc, srcOrd := here|uint32(src-pathStart), ord
+			if src < pathStart {
+				l := b.instLoc[src/instChunk][src%instChunk]
+				srcLoc, srcOrd = uint32(l>>32), uint32(l)
+			} else if src > cur {
 				return fmt.Errorf("core: dependence source instance %d not yet recorded", src)
 			}
-			sn, sp, so := unpackInstLoc(b.instLoc[src])
-			b.label(DD, sn, sp, node.ID, i, opIdx, ord, so)
-		}
-		if ev.cd != 0 {
-			sn, sp, so := unpackInstLoc(b.instLoc[ev.cd])
-			b.label(CD, sn, sp, node.ID, i, -1, ord, so)
+			b.label(&slots[int(ev.off)+i+k], kind, int(srcLoc>>12), int(srcLoc&0xfff), node.ID, i, opIdx, ord, srcOrd, start)
 		}
 	}
 
@@ -203,7 +250,7 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 	if err := b.labelValues(node); err != nil {
 		return err
 	}
-	b.pending = b.pending[:0]
+	b.pending, b.dd, b.dv = b.pending[:0], b.dd[:0], b.dv[:0]
 
 	// Streaming: the timestamp just issued closed its epoch — seal it and
 	// hand the epoch's label slices to the compression pool. A path carries
@@ -221,47 +268,66 @@ func packInstLoc(node, pos int, ord uint32) uint64 {
 	return uint64(node)<<44 | uint64(pos)<<32 | uint64(ord)
 }
 
-func unpackInstLoc(l uint64) (node, pos int, ord uint32) {
-	return int(l >> 44), int(l >> 32 & 0xfff), uint32(l)
-}
-
-// label appends a <dstOrd, srcOrd> pair to the dependence edge, creating the
-// edge on first use.
-func (b *Builder) label(kind EdgeKind, srcNode, srcPos, dstNode, dstPos, opIdx int, dstOrd, srcOrd uint32) {
-	k := packEdgeKey(kind, srcNode, srcPos, dstNode, dstPos, opIdx)
-	idx, ok := b.edgeIdx[k]
-	if !ok {
-		idx = len(b.w.Edges)
-		e := &Edge{Kind: kind, SrcNode: srcNode, SrcPos: srcPos, DstNode: dstNode, DstPos: dstPos, OpIdx: opIdx, SharedWith: -1}
-		b.w.Edges = append(b.w.Edges, e)
-		b.edgeIdx[k] = idx
+// label records one <dstOrd, srcOrd> instance of a dependence edge, creating
+// the edge on first use. sl is the destination operand's slot; start is the
+// destination node's first ordinal of the open epoch. The common case — a
+// local edge extending its ramp — hashes, appends and allocates nothing.
+func (b *Builder) label(sl *edgeSlot, kind EdgeKind, srcNode, srcPos, dstNode, dstPos, opIdx int, dstOrd, srcOrd, start uint32) {
+	if k := packEdgeKey(kind, srcNode, srcPos, dstNode, dstPos, opIdx); sl.key != k {
+		idx, ok := b.edgeIdx[k]
+		if !ok {
+			idx = len(b.w.Edges)
+			e := &Edge{Kind: kind, SrcNode: srcNode, SrcPos: srcPos, DstNode: dstNode, DstPos: dstPos, OpIdx: opIdx, SharedWith: -1}
+			b.w.Edges = append(b.w.Edges, e)
+			b.ramps = append(b.ramps, edgeRamp{stored: srcNode != dstNode})
+			b.edgeIdx[k] = idx
+		}
+		sl.key, sl.edge = k, idx
 	}
-	e := b.w.Edges[idx]
+	e, r := b.w.Edges[sl.edge], &b.ramps[sl.edge]
+	e.Count++
+	if !r.stored {
+		if srcOrd == dstOrd && dstOrd == start+r.n {
+			r.n++
+			return
+		}
+		b.materialise(sl.edge, start, int(r.n)+4)
+	}
 	e.DstOrd = append(e.DstOrd, dstOrd)
 	e.SrcOrd = append(e.SrcOrd, srcOrd)
-	e.Count++
+}
+
+// materialise turns edge idx's counted ramp into stored labels: one
+// allocation holding both ordinal slices, each with room for extra more.
+func (b *Builder) materialise(idx int, start uint32, extra int) {
+	e, r := b.w.Edges[idx], &b.ramps[idx]
+	n, c := int(r.n), int(r.n)+extra
+	*r = edgeRamp{stored: true}
+	buf := make([]uint32, 2*c)
+	e.DstOrd, e.SrcOrd = buf[:n:c], buf[c:c+n]
+	for k := range e.DstOrd {
+		e.DstOrd[k], e.SrcOrd[k] = start+uint32(k), start+uint32(k)
+	}
 }
 
 // labelValues extends the node's groups with this execution's input tuple
 // and produced values.
 func (b *Builder) labelValues(node *Node) error {
-	var keyBuf []byte
 	for _, g := range node.Groups {
-		keyBuf = keyBuf[:0]
+		keyBuf := b.keyBuf[:0]
 		for _, ks := range g.keyPlan {
-			var v int64
-			if ks.ddIdx < 0 {
-				v = b.pending[ks.pos].value
-			} else {
-				dv := b.pending[ks.pos].dv
-				if ks.ddIdx >= len(dv) {
-					return fmt.Errorf("core: key plan reads operand %d of %s, only %d recorded", ks.ddIdx, b.pending[ks.pos].st, len(dv))
+			ev := &b.pending[ks.pos]
+			v := ev.value
+			if ks.ddIdx >= 0 {
+				if ks.ddIdx >= int(ev.n) {
+					return fmt.Errorf("core: key plan reads operand %d of %s, only %d recorded", ks.ddIdx, node.Stmts[ks.pos], ev.n)
 				}
-				v = dv[ks.ddIdx]
+				v = b.dv[int(ev.off)+ks.ddIdx]
 			}
 			u := uint64(v)
 			keyBuf = append(keyBuf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 		}
+		b.keyBuf = keyBuf
 		idx, seen := g.keys[string(keyBuf)]
 		if !seen {
 			idx = uint32(len(g.keys))
@@ -284,7 +350,7 @@ func (b *Builder) labelValues(node *Node) error {
 			for mi, pos := range g.ValMembers {
 				if got, want := uint32(b.pending[pos].value), g.checkVals[mi][idx]; got != want {
 					return fmt.Errorf("core: determinism violation at %s: value %d, stored %d (inputs %v)",
-						b.pending[pos].st, got, want, g.Inputs)
+						node.Stmts[pos], got, want, g.Inputs)
 				}
 			}
 		}
@@ -305,8 +371,19 @@ func (b *Builder) node(fn int, pathID int64) (*Node, error) {
 	}
 	f := b.prog.Funcs[fn]
 	n := &Node{ID: len(b.w.Nodes), Fn: fn, PathID: pathID, Blocks: blocks, stmtPos: map[int]int{}}
+	var uses []ir.Reg
 	for _, bid := range blocks {
 		for _, s := range f.Blocks[bid].Stmts {
+			// Operands: the register uses, plus the memory-carried producer
+			// of a load. opIdx must fit packEdgeKey's 4-bit field.
+			uses = s.Uses(uses[:0])
+			ops := len(uses)
+			if s.Op == ir.OpLoad || s.Op == ir.OpLoadSh {
+				ops++
+			}
+			if ops > maxOperands {
+				return nil, fmt.Errorf("core: [%d]%s has %d register operands, the edge key holds %d", s.ID, s, ops, maxOperands)
+			}
 			n.stmtPos[s.ID] = len(n.Stmts)
 			b.w.StmtOcc[s.ID] = append(b.w.StmtOcc[s.ID], StmtRef{Node: n.ID, Pos: len(n.Stmts)})
 			n.Stmts = append(n.Stmts, s)
@@ -315,6 +392,7 @@ func (b *Builder) node(fn int, pathID int64) (*Node, error) {
 	if n.ID >= 1<<16 || len(n.Stmts) > 1<<12 {
 		return nil, fmt.Errorf("core: node %d (%d statements) exceeds packed location widths", n.ID, len(n.Stmts))
 	}
+	b.slots = append(b.slots, nil)
 	n.InEdges = make([][]int, len(n.Stmts))
 	n.OutEdges = make([][]int, len(n.Stmts))
 	formGroups(n)
@@ -489,8 +567,12 @@ func (b *Builder) Finish() (*WET, error) {
 	}
 	w := b.w
 	w.Time = b.time
-	// Fill edge adjacency.
+	// Tier-1 queries and FreezeErr read plain label slices: store what the
+	// builder only counted. Then fill edge adjacency.
 	for i, e := range w.Edges {
+		if !b.ramps[i].stored {
+			b.materialise(i, 0, 0)
+		}
 		dst := w.Nodes[e.DstNode]
 		dst.InEdges[e.DstPos] = append(dst.InEdges[e.DstPos], i)
 		src := w.Nodes[e.SrcNode]

@@ -249,35 +249,29 @@ func (b *Builder) sealEpochEdges(epoch int) {
 	}
 
 	for ei, e := range b.w.Edges {
-		if len(e.DstOrd) == 0 {
+		r := &b.ramps[ei]
+		if r.n == 0 && len(e.DstOrd) == 0 {
 			continue
 		}
-		dst, src := e.DstOrd, e.SrcOrd
-		e.DstOrd, e.SrcOrd = nil, nil
-		seg := &EdgeSeg{Epoch: epoch, N: len(dst), SharedWith: -1, SharedSeg: -1}
+		seg := &EdgeSeg{Epoch: epoch, N: int(r.n) + len(e.DstOrd), SharedWith: -1, SharedSeg: -1}
 		e.Segs = append(e.Segs, seg)
 
 		// Per-segment inference: the edge fired on every execution of its
 		// node this epoch and every pair is <k,k> along the epoch's ordinal
-		// ramp.
-		if !b.fopts.NoInfer && e.SrcNode == e.DstNode {
+		// ramp — which is exactly what an unbroken ramp count records.
+		if !r.stored {
 			node := b.w.Nodes[e.DstNode]
-			start := uint32(node.sealedExecs)
-			if len(dst) == node.Execs-node.sealedExecs {
-				ramp := true
-				for k := range dst {
-					if dst[k] != start+uint32(k) || src[k] != dst[k] {
-						ramp = false
-						break
-					}
-				}
-				if ramp {
-					seg.Inferable = true
-					seg.RampBase = start
-					continue
-				}
+			if !b.fopts.NoInfer && int(r.n) == node.Execs-node.sealedExecs {
+				seg.Inferable = true
+				seg.RampBase = uint32(node.sealedExecs)
+				r.n = 0
+				continue
 			}
+			b.materialise(ei, uint32(node.sealedExecs), 0)
 		}
+		dst, src := e.DstOrd, e.SrcOrd
+		e.DstOrd, e.SrcOrd = nil, nil
+		r.stored = e.SrcNode != e.DstNode
 		if b.fopts.AggressiveEdges {
 			diag := true
 			for k := range dst {

@@ -5,6 +5,7 @@ package wet_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"wet"
@@ -68,6 +69,41 @@ func TestPublicWETPipeline(t *testing.T) {
 	}
 	if adds < 10 {
 		t.Fatalf("slice reached %d sum updates, want >= 10", adds)
+	}
+}
+
+// TestRunRejectsWideCall pins the typed refusal of a statement with more
+// register operands than a dependence edge key can name. A 15-argument call
+// used to panic on the interpreter goroutine ("edge key field overflow"); 14
+// arguments is the widest call the representation holds.
+func TestRunRejectsWideCall(t *testing.T) {
+	build := func(args int) *wet.Program {
+		p := wet.NewProgram(1 << 10)
+		cb := p.NewFunc("wide", args)
+		sum := cb.ConstReg(0)
+		for i := 0; i < args; i++ {
+			cb.Add(sum, wet.R(sum), wet.R(cb.Param(i)))
+		}
+		cb.Ret(wet.R(sum))
+		fb := p.NewFunc("main", 0)
+		var ops []wet.Operand
+		for i := 0; i < args; i++ {
+			ops = append(ops, wet.R(fb.ConstReg(int64(i))))
+		}
+		fb.Output(wet.R(fb.Call(fb.NewReg(), "wide", ops...)))
+		fb.Halt()
+		p.Entry = 1
+		p.MustFinalize()
+		return p
+	}
+	for _, epochTS := range []uint32{0, 64} {
+		if _, _, err := wet.Run(build(14), wet.WithEpochTS(epochTS)); err != nil {
+			t.Fatalf("epoch %d: 14-argument call refused: %v", epochTS, err)
+		}
+		_, _, err := wet.Run(build(15), wet.WithEpochTS(epochTS))
+		if err == nil || !strings.Contains(err.Error(), "register operands") {
+			t.Fatalf("epoch %d: 15-argument call: err = %v, want the builder's operand-width refusal", epochTS, err)
+		}
 	}
 }
 
