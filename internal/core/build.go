@@ -47,9 +47,12 @@ type Builder struct {
 	prevNode int
 
 	// Streaming (epoch-segmented) state; zero/nil on single-epoch builds.
+	// jobs collects one seal's compression closures; scratch is the
+	// per-worker selection state kept across seals.
 	epochTS uint32
 	fopts   FreezeOptions
-	pipe    *freezePool
+	jobs    []func(*stream.Scratch)
+	scratch []*stream.Scratch
 
 	// Concurrency capture (conc.go): the owning thread of the path being
 	// built and the sync / shared-access events buffered since the last
@@ -165,13 +168,6 @@ func (b *Builder) PathDone(fn int, pathID int64) {
 	}
 	if err := b.flushPath(fn, pathID); err != nil {
 		b.fail(err)
-		return
-	}
-	// A failed compression worker flips the pool's bad flag; surface it
-	// here (the interpreter goroutine) so the run aborts promptly rather
-	// than discovering the failure at drain time.
-	if b.pipe != nil && b.pipe.bad.Load() {
-		b.fail(b.pipe.firstErr())
 	}
 }
 
@@ -252,8 +248,8 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 	}
 	b.pending, b.dd, b.dv = b.pending[:0], b.dd[:0], b.dv[:0]
 
-	// Streaming: the timestamp just issued closed its epoch — seal it and
-	// hand the epoch's label slices to the compression pool. A path carries
+	// Streaming: the timestamp just issued closed its epoch — seal it, which
+	// compresses the epoch's label slices before the run resumes. A path carries
 	// exactly one timestamp, so a path never spans epochs.
 	if b.epochTS > 0 && b.time%b.epochTS == 0 {
 		b.sealEpoch(int(b.time/b.epochTS) - 1)
@@ -556,7 +552,7 @@ func formGroups(n *Node) {
 
 // Finish validates and returns the built WET (tier-1 labeled, not frozen).
 func (b *Builder) Finish() (*WET, error) {
-	if b.pipe != nil {
+	if b.epochTS > 0 {
 		return nil, fmt.Errorf("core: streaming builder must finish via FinishStreaming")
 	}
 	if b.err != nil {

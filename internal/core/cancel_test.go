@@ -175,7 +175,7 @@ func TestMaterializePanicNamesItsOp(t *testing.T) {
 	if err := faultpoint.Arm("core.freeze.job", faultpoint.Spec{Action: faultpoint.ActPanic}); err != nil {
 		t.Fatal(err)
 	}
-	err = w.MaterializeTier1N(2)
+	err = w.MaterializeTier1Ctx(context.Background(), 2)
 	faultpoint.DisarmAll()
 	var pe *core.PanicError
 	if !errors.As(err, &pe) || pe.Op != "materialize" {
@@ -199,23 +199,47 @@ func TestFreezeCertifiedCancelledReturnsError(t *testing.T) {
 	}
 }
 
-// TestSealEpochInjectedFault: a fault at epoch-seal time aborts the
-// streaming build with the typed injected error — no hang, no partial WET.
+// TestSealEpochInjectedFault: a fault at epoch-seal time, or in one of the
+// seal's compression jobs, aborts the streaming build with the typed
+// injected error — no hang, no partial WET, no goroutine left behind.
 func TestSealEpochInjectedFault(t *testing.T) {
+	st, in := analyzed(t, "li", 200_000)
+	for _, point := range []string{"core.seal.epoch", "core.freeze.job"} {
+		for _, workers := range []int{1, 4} {
+			func() {
+				defer leakcheck.Check(t)()
+				if err := faultpoint.Arm(point, faultpoint.Spec{Action: faultpoint.ActErr, After: 2}); err != nil {
+					t.Fatal(err)
+				}
+				defer faultpoint.DisarmAll()
+				w, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: in},
+					core.FreezeOptions{EpochTS: 1 << 12, Workers: workers})
+				var fe *faultpoint.Error
+				if !errors.As(err, &fe) || fe.Point != point {
+					t.Fatalf("%s, %d workers: injected fault surfaced as %v, want *faultpoint.Error", point, workers, err)
+				}
+				if w != nil {
+					t.Fatalf("%s, %d workers: failed streaming build returned a partial WET", point, workers)
+				}
+			}()
+		}
+	}
+}
+
+// TestSealWorkerPanicNamesItsOp: a panicking seal job fails the streaming
+// build with a *core.PanicError naming the seal, not the process.
+func TestSealWorkerPanicNamesItsOp(t *testing.T) {
 	defer leakcheck.Check(t)()
 	st, in := analyzed(t, "li", 200_000)
-	if err := faultpoint.Arm("core.seal.epoch", faultpoint.Spec{Action: faultpoint.ActErr, After: 2}); err != nil {
+	if err := faultpoint.Arm("core.freeze.job", faultpoint.Spec{Action: faultpoint.ActPanic, After: 2}); err != nil {
 		t.Fatal(err)
 	}
 	defer faultpoint.DisarmAll()
-	w, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: in},
-		core.FreezeOptions{EpochTS: 1 << 12})
-	var fe *faultpoint.Error
-	if !errors.As(err, &fe) || fe.Point != "core.seal.epoch" {
-		t.Fatalf("injected seal fault surfaced as %v, want *faultpoint.Error", err)
-	}
-	if w != nil {
-		t.Fatal("failed streaming build returned a partial WET")
+	_, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: in},
+		core.FreezeOptions{EpochTS: 1 << 12, Workers: 4})
+	var pe *core.PanicError
+	if !errors.As(err, &pe) || pe.Op != "seal" {
+		t.Fatalf("seal panic surfaced as %v, want *core.PanicError with Op \"seal\"", err)
 	}
 }
 

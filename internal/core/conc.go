@@ -265,33 +265,6 @@ func (c *Conc) dropTier1() {
 	}
 }
 
-// releaseTier2 drops partially built tier-2 concurrency streams after a
-// failed freeze.
-func (c *Conc) releaseTier2() {
-	for _, cs := range c.Streams() {
-		cs.S = nil
-	}
-}
-
-// checkpointBits sums the seek-checkpoint storage of the tier-2 concurrency
-// streams.
-func (c *Conc) checkpointBits() uint64 {
-	var bits uint64
-	for _, cs := range c.Streams() {
-		if cs.S != nil {
-			bits += cs.S.CheckpointBits()
-		}
-	}
-	return bits
-}
-
-// attach points the tier-2 concurrency streams at a seek-counter set.
-func (c *Conc) attach(f func(stream.Stream)) {
-	for _, cs := range c.Streams() {
-		f(cs.S)
-	}
-}
-
 // SizeBits sums the tier-2 compressed size of every concurrency stream (what
 // the race checker's one-pass walk scans); 0 before the freeze.
 func (c *Conc) SizeBits() uint64 {
@@ -305,7 +278,7 @@ func (c *Conc) SizeBits() uint64 {
 }
 
 // materializeTier1 rehydrates the raw concurrency slices from the tier-2
-// streams (LoadOptions.RestoreTier1 and MaterializeTier1).
+// streams (MaterializeTier1Ctx).
 func (c *Conc) materializeTier1() {
 	for _, cs := range c.Streams() {
 		if cs.Raw != nil || cs.S == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"wet/internal/faultpoint"
 	"wet/internal/pool"
@@ -171,12 +172,7 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 	r.OrigEdges = w.Raw.OrigEdgeBytes()
 
 	// --- Edges: tier-1 label elimination and sharing.
-	type shareKey struct {
-		srcNode, dstNode int
-		kind             EdgeKind
-		h                uint64
-	}
-	reps := map[shareKey][]int{}
+	reps := shareTable{}
 	for i, e := range w.Edges {
 		if !opts.NoInfer && e.SrcNode == e.DstNode && e.Count == w.Nodes[e.DstNode].Execs {
 			same := true
@@ -211,19 +207,11 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 			r.OwnedEdges++
 			continue
 		}
-		k := shareKey{e.SrcNode, e.DstNode, e.Kind, labelHash(e)}
-		found := false
-		for _, ri := range reps[k] {
-			if labelsEqual(w.Edges[ri], e) {
-				e.SharedWith = ri
-				e.DstOrd, e.SrcOrd = nil, nil
-				r.SharedEdges++
-				found = true
-				break
-			}
-		}
-		if !found {
-			reps[k] = append(reps[k], i)
+		if rep, ok := reps.intern(e, e.DstOrd, e.SrcOrd, e.Diagonal, i, -1); ok {
+			e.SharedWith = rep.edge
+			e.DstOrd, e.SrcOrd = nil, nil
+			r.SharedEdges++
+		} else {
 			r.OwnedEdges++
 		}
 	}
@@ -377,7 +365,7 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 		concFreezeJobs(w.Conc, ck, &jobs)
 	}
 
-	if err := runJobs(ctx, "freeze", jobs, opts.Workers); err != nil {
+	if err := runJobs(ctx, "freeze", jobs, opts.Workers, nil); err != nil {
 		w.releasePartialTier2()
 		return nil, err
 	}
@@ -430,18 +418,46 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 // so the failure neither leaks the partial streams nor leaves a
 // half-frozen hybrid behind.
 func (w *WET) releasePartialTier2() {
+	w.eachStream(func(s *stream.Stream) { *s = nil })
+}
+
+// eachStream visits every tier-2 stream slot of the WET: the whole-run
+// stream and the per-epoch segments of each node's timestamps, each group's
+// pattern and unique values, and each edge's labels, then the concurrency
+// streams. A slot may hold nil (unfrozen, inferable, shared or dropped
+// labels); the visitor may overwrite it.
+func (w *WET) eachStream(visit func(*stream.Stream)) {
+	segs := func(ss []*LabelSeg) {
+		for _, sg := range ss {
+			visit(&sg.S)
+		}
+	}
 	for _, n := range w.Nodes {
-		n.TSS = nil
+		visit(&n.TSS)
+		segs(n.TSSegs)
 		for _, g := range n.Groups {
-			g.PatternS = nil
-			g.UValS = nil
+			visit(&g.PatternS)
+			segs(g.PatSegs)
+			for i := range g.UValS {
+				visit(&g.UValS[i])
+			}
+			for _, ss := range g.UValSegs {
+				segs(ss)
+			}
 		}
 	}
 	for _, e := range w.Edges {
-		e.DstS, e.SrcS = nil, nil
+		visit(&e.DstS)
+		visit(&e.SrcS)
+		for _, sg := range e.Segs {
+			visit(&sg.DstS)
+			visit(&sg.SrcS)
+		}
 	}
 	if w.Conc != nil {
-		w.Conc.releaseTier2()
+		for _, cs := range w.Conc.Streams() {
+			visit(&cs.S)
+		}
 	}
 }
 
@@ -453,41 +469,11 @@ func (w *WET) Report() *SizeReport { return w.report }
 // this is recomputed rather than persisted.
 func (w *WET) checkpointBytes() uint64 {
 	var bits uint64
-	add := func(s stream.Stream) {
-		if s != nil {
-			bits += s.CheckpointBits()
+	w.eachStream(func(s *stream.Stream) {
+		if *s != nil {
+			bits += (*s).CheckpointBits()
 		}
-	}
-	addSegs := func(segs []*LabelSeg) {
-		for _, sg := range segs {
-			add(sg.S)
-		}
-	}
-	for _, n := range w.Nodes {
-		add(n.TSS)
-		addSegs(n.TSSegs)
-		for _, g := range n.Groups {
-			add(g.PatternS)
-			addSegs(g.PatSegs)
-			for _, s := range g.UValS {
-				add(s)
-			}
-			for _, segs := range g.UValSegs {
-				addSegs(segs)
-			}
-		}
-	}
-	for _, e := range w.Edges {
-		add(e.DstS)
-		add(e.SrcS)
-		for _, sg := range e.Segs {
-			add(sg.DstS)
-			add(sg.SrcS)
-		}
-	}
-	if w.Conc != nil {
-		bits += w.Conc.checkpointBits()
-	}
+	})
 	return (bits + 7) / 8
 }
 
@@ -525,15 +511,15 @@ func recoverJob(op string, slot *error) {
 
 // runJobs drains a tier-2 job list through pool.Run. Each worker owns one
 // stream.Scratch, so the selection phase's predictor tables are borrowed
-// from the size-keyed pools once per worker rather than once per candidate.
-// A job panic (including an armed core.freeze.job failpoint) is recovered
-// to a typed error naming op — never a crashed process or a leaked
-// goroutine; cancellation and error order are the pool's contract.
-func runJobs(ctx context.Context, op string, jobs []func(sc *stream.Scratch), workers int) error {
-	scs := make([]*stream.Scratch, pool.Workers(workers, len(jobs)))
-	for i := range scs {
-		scs[i] = stream.NewScratch()
-		defer scs[i].Release()
+// from the size-keyed pools once per worker rather than once per candidate;
+// scs is the caller's set (at least one per worker), or nil to borrow one
+// for this call. A job panic (including an armed core.freeze.job failpoint)
+// is recovered to a typed error naming op — never a crashed process or a
+// leaked goroutine; cancellation and error order are the pool's contract.
+func runJobs(ctx context.Context, op string, jobs []func(sc *stream.Scratch), workers int, scs []*stream.Scratch) error {
+	if scs == nil {
+		scs = newScratches(pool.Workers(workers, len(jobs)))
+		defer releaseScratches(scs)
 	}
 	return pool.Run(ctx, workers, len(jobs), func(worker, j int) (err error) {
 		defer recoverJob(op, &err)
@@ -543,6 +529,20 @@ func runJobs(ctx context.Context, op string, jobs []func(sc *stream.Scratch), wo
 		jobs[j](scs[worker])
 		return nil
 	})
+}
+
+func newScratches(n int) []*stream.Scratch {
+	scs := make([]*stream.Scratch, n)
+	for i := range scs {
+		scs[i] = stream.NewScratch()
+	}
+	return scs
+}
+
+func releaseScratches(scs []*stream.Scratch) {
+	for _, sc := range scs {
+		sc.Release()
+	}
 }
 
 // bitsFor returns the number of bits needed to represent v.
@@ -558,16 +558,32 @@ func bitsFor(v uint64) int {
 	return n
 }
 
-func labelHash(e *Edge) uint64 {
-	if e.Diagonal {
-		return labelHashRaw(e.DstOrd, e.DstOrd)
-	}
-	return labelHashRaw(e.DstOrd, e.SrcOrd)
+// shareTable finds label sequences that repeat between edges with the same
+// endpoints and kind (paper §3.3, label sharing): the whole-run freeze asks
+// it once per edge, the epoch sealer once per edge segment. The first
+// sequence interned is the representative of every identical later one, so
+// asking in edge order gives a representative the smaller edge index.
+type shareTable map[shareKey][]shareRep
+
+type shareKey struct {
+	srcNode, dstNode int
+	kind             EdgeKind
+	h                uint64
 }
 
-// labelHashRaw hashes a (dst, src) label pair sequence given as raw slices
-// (the per-epoch sealer shares it with the whole-run path).
-func labelHashRaw(dst, src []uint32) uint64 {
+type shareRep struct {
+	dst, src  []uint32
+	diag      bool
+	edge, seg int
+}
+
+// intern returns the representative holding exactly the labels (dst, src) of
+// e — diagonal sequences carry dst only and match only diagonal ones — or
+// records them as the representative (edge, seg) and reports false.
+func (t shareTable) intern(e *Edge, dst, src []uint32, diag bool, edge, seg int) (shareRep, bool) {
+	if diag {
+		src = dst
+	}
 	h := fnv.New64a()
 	var buf [8]byte
 	for i := range dst {
@@ -575,26 +591,18 @@ func labelHashRaw(dst, src []uint32) uint64 {
 		put32(buf[4:], src[i])
 		h.Write(buf[:])
 	}
-	return h.Sum64()
+	k := shareKey{e.SrcNode, e.DstNode, e.Kind, h.Sum64()}
+	for _, r := range t[k] {
+		if r.diag == diag && slices.Equal(r.dst, dst) && (diag || slices.Equal(r.src, src)) {
+			return r, true
+		}
+	}
+	t[k] = append(t[k], shareRep{dst, src, diag, edge, seg})
+	return shareRep{}, false
 }
 
 func put32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func labelsEqual(a, b *Edge) bool {
-	if len(a.DstOrd) != len(b.DstOrd) || a.Diagonal != b.Diagonal {
-		return false
-	}
-	for i := range a.DstOrd {
-		if a.DstOrd[i] != b.DstOrd[i] {
-			return false
-		}
-		if !a.Diagonal && a.SrcOrd[i] != b.SrcOrd[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the report as a small table.

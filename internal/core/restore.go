@@ -61,27 +61,22 @@ func (w *WET) RestoreIndexes(rep *SizeReport) {
 	}
 }
 
-// MaterializeTier1 rehydrates the tier-1 slices of a segmented WET by
-// draining the federated tier-2 cursors once: global node timestamps,
-// run-global patterns and unique values, and full edge label pairs (ramp
-// and shared segments are materialized into plain labels). It is the
-// segmented counterpart of LoadOptions.RestoreTier1's per-stream draining;
-// wetio calls it after a v4 parse when tier-1 access was requested. A
+// MaterializeTier1Ctx rehydrates the tier-1 slices of a frozen WET by
+// draining its tier-2 cursors once — node timestamps (global, on a segmented
+// WET), group patterns and unique values, edge label pairs (on a segmented
+// WET ramp and shared segments become plain labels), and the concurrency
+// streams. It is LoadOptions.RestoreTier1 for every container version. As
+// after a freeze, inferable edges, sharers and the source side of diagonal
+// edges keep no tier-1 labels, and budget-dropped groups and edges have
+// nothing to drain.
+//
+// Each node's and each edge's drain is an independent job writing only that
+// object's tier-1 fields, fanned over workers goroutines (<= 0: GOMAXPROCS),
+// so the result is identical at any width; drains read batched (one
+// segment-cursor reposition per segment instead of per element).
+// Cancellation is honoured between jobs and returns context.Cause. A
 // deferred-decode failure on a lazily opened stream surfaces as a
 // *stream.DecodeError, not a panic.
-func (w *WET) MaterializeTier1() error { return w.MaterializeTier1N(1) }
-
-// MaterializeTier1N is MaterializeTier1 fanned over workers goroutines
-// (<= 0: GOMAXPROCS). Each node's and each edge's drain is an independent
-// job writing only that object's tier-1 fields, so the result is identical
-// at any width; drains read batched (one segment-cursor reposition per
-// segment instead of per element).
-func (w *WET) MaterializeTier1N(workers int) error {
-	return w.MaterializeTier1Ctx(context.Background(), workers)
-}
-
-// MaterializeTier1Ctx is MaterializeTier1N with cooperative cancellation
-// between per-node/per-edge drain jobs; context.Cause is returned.
 func (w *WET) MaterializeTier1Ctx(ctx context.Context, workers int) error {
 	drain := func(s Seq) []uint32 {
 		out := make([]uint32, s.Len())
@@ -93,9 +88,6 @@ func (w *WET) MaterializeTier1Ctx(ctx context.Context, workers int) error {
 	}
 	var jobs []func(sc *stream.Scratch)
 	for _, n := range w.Nodes {
-		if n.TSSegs == nil {
-			continue
-		}
 		n := n
 		jobs = append(jobs, func(*stream.Scratch) {
 			n.TS = drain(w.ApproxTSSeq(n, Tier2))
@@ -112,20 +104,22 @@ func (w *WET) MaterializeTier1Ctx(ctx context.Context, workers int) error {
 		})
 	}
 	for _, e := range w.Edges {
-		if e.Inferable || e.Dropped || e.Segs == nil {
+		if e.Inferable || e.Dropped || e.SharedWith >= 0 {
 			continue
 		}
 		e := e
 		jobs = append(jobs, func(*stream.Scratch) {
 			d, s := w.EdgeLabels(e, Tier2)
 			e.DstOrd = drain(d)
-			e.SrcOrd = drain(s)
+			if !e.Diagonal {
+				e.SrcOrd = drain(s)
+			}
 		})
 	}
 	if w.Conc != nil {
 		jobs = append(jobs, func(*stream.Scratch) { w.Conc.materializeTier1() })
 	}
-	return runJobs(ctx, "materialize", jobs, workers)
+	return runJobs(ctx, "materialize", jobs, workers, nil)
 }
 
 // SanitizeSalvaged repairs the invariants RestoreIndexes and the query

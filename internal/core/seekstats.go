@@ -13,42 +13,11 @@ import "wet/internal/stream"
 // across goroutines; attaching twice re-points the accounting.
 func (w *WET) AttachSeekCounters(c *stream.SeekCounters) {
 	w.seek = c
-	attach := func(s stream.Stream) {
-		if s != nil {
-			stream.AttachStats(s, c)
+	w.eachStream(func(s *stream.Stream) {
+		if *s != nil {
+			stream.AttachStats(*s, c)
 		}
-	}
-	for _, n := range w.Nodes {
-		attach(n.TSS)
-		for _, sg := range n.TSSegs {
-			attach(sg.S)
-		}
-		for _, g := range n.Groups {
-			attach(g.PatternS)
-			for _, uv := range g.UValS {
-				attach(uv)
-			}
-			for _, sg := range g.PatSegs {
-				attach(sg.S)
-			}
-			for _, segs := range g.UValSegs {
-				for _, sg := range segs {
-					attach(sg.S)
-				}
-			}
-		}
-	}
-	for _, e := range w.Edges {
-		attach(e.DstS)
-		attach(e.SrcS)
-		for _, sg := range e.Segs {
-			attach(sg.DstS)
-			attach(sg.SrcS)
-		}
-	}
-	if w.Conc != nil {
-		w.Conc.attach(attach)
-	}
+	})
 }
 
 // SeekCounters returns the counter set attached to this WET, or nil when

@@ -3,12 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"wet/internal/faultpoint"
 	"wet/internal/interp"
+	"wet/internal/pool"
 	"wet/internal/stream"
 	"wet/internal/trace"
 )
@@ -21,10 +20,10 @@ var fpSealEpoch = faultpoint.New("core.seal.epoch")
 // uncompressed tier-1 trace until the run ends, the builder seals the
 // dynamic profile into fixed-size timestamp epochs (FreezeOptions.EpochTS
 // timestamps each). Epoch e covers global timestamps (e*E, (e+1)*E]; as the
-// interpreter crosses an epoch boundary the epoch's label slices are handed
-// to a bounded worker pool and tier-2 compressed while execution continues,
-// so peak memory is bounded by one epoch of tier-1 labels plus the in-flight
-// compression jobs — not by trace length.
+// interpreter crosses an epoch boundary the epoch's label slices are tier-2
+// compressed (fanned over the worker pool) before execution resumes, so peak
+// memory is bounded by exactly one epoch of tier-1 labels — not by trace
+// length.
 //
 // Segment storage keeps every cross-segment invariant the single-epoch
 // representation has:
@@ -72,108 +71,13 @@ type EdgeSeg struct {
 	DstS, SrcS stream.Stream
 }
 
-// freezePool is the bounded asynchronous compression pool the sealer hands
-// epoch slices to. The jobs channel is small on purpose: a submit blocks
-// once workers fall behind, so un-compressed sealed epochs cannot pile up
-// and the streaming memory bound holds under any workload.
-//
-// Failure discipline: a cancelled context or a failed job flips the pool
-// into drain-only mode — workers keep consuming the queue (so submits
-// never deadlock) but stop running jobs, and drain reports the first
-// failure (or the cancellation cause) after every goroutine has joined.
-type freezePool struct {
-	ctx  context.Context
-	jobs chan func(*stream.Scratch)
-	wg   sync.WaitGroup
-	bad  atomic.Bool
-	mu   sync.Mutex
-	err  error
-}
-
-func newFreezePool(ctx context.Context, workers int) *freezePool {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &freezePool{ctx: ctx, jobs: make(chan func(*stream.Scratch), workers*2)}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		// wetlint:bounded — one worker per pool slot, capped at GOMAXPROCS.
-		go func() {
-			defer p.wg.Done()
-			sc := stream.NewScratch()
-			defer sc.Release()
-			for job := range p.jobs {
-				if p.bad.Load() || p.ctx.Err() != nil {
-					continue // drain-only: the build is aborting
-				}
-				p.run(job, sc)
-			}
-		}()
-	}
-	return p
-}
-
-func (p *freezePool) run(job func(*stream.Scratch), sc *stream.Scratch) {
-	var err error
-	func() {
-		defer recoverJob("seal", &err)
-		if err = fpFreezeJob.Hit(); err != nil {
-			return
-		}
-		job(sc)
-	}()
-	if err != nil {
-		p.setErr(err)
-	}
-}
-
-func (p *freezePool) setErr(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
-	}
-	p.mu.Unlock()
-	p.bad.Store(true)
-}
-
-func (p *freezePool) firstErr() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err
-}
-
-// submit blocks while workers are behind (that is the memory bound), but
-// gives up on cancellation: the dropped job is moot because the aborted
-// build discards the WET.
-func (p *freezePool) submit(job func(*stream.Scratch)) {
-	select {
-	case p.jobs <- job:
-	case <-p.ctx.Done():
-	}
-}
-
-func (p *freezePool) drain() error {
-	close(p.jobs)
-	p.wg.Wait()
-	if err := p.firstErr(); err != nil {
-		return err
-	}
-	if p.ctx.Err() != nil {
-		return context.Cause(p.ctx)
-	}
-	return nil
-}
-
 // sealEpoch freezes every label appended during the epoch that just closed:
 // it moves the tier-1 slices out of the live builder state (appends restart
 // empty for the next epoch), decides the per-segment edge reductions while
-// the uncompressed labels are still at hand, and submits one compression job
-// per surviving stream. Runs on the interpreter goroutine; only the
-// compression itself is concurrent. Segment lists hold pointers so later
-// appends never move a segment a worker is still writing.
+// the uncompressed labels are still at hand, and runs one compression job per
+// surviving stream through runJobs before returning: the interpreter waits
+// for the seal, so no sealed-but-uncompressed epoch ever piles up behind it.
+// A failed or cancelled job fails the build right here.
 func (b *Builder) sealEpoch(epoch int) {
 	if err := fpSealEpoch.Hit(); err != nil {
 		b.fail(err)
@@ -191,7 +95,7 @@ func (b *Builder) sealEpoch(epoch int) {
 			}
 			seg := &LabelSeg{Epoch: epoch, N: len(ts)}
 			n.TSSegs = append(n.TSSegs, seg)
-			b.pipe.submit(func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(ts, sc, ck) })
+			b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(ts, sc, ck) })
 		}
 		for _, g := range n.Groups {
 			if len(g.Pattern) > 0 {
@@ -199,7 +103,7 @@ func (b *Builder) sealEpoch(epoch int) {
 				g.Pattern = nil
 				seg := &LabelSeg{Epoch: epoch, N: len(pat)}
 				g.PatSegs = append(g.PatSegs, seg)
-				b.pipe.submit(func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(pat, sc, ck) })
+				b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(pat, sc, ck) })
 			}
 			if g.UValSegs == nil && len(g.ValMembers) > 0 {
 				g.UValSegs = make([][]*LabelSeg, len(g.ValMembers))
@@ -212,12 +116,20 @@ func (b *Builder) sealEpoch(epoch int) {
 				g.UVals[mi] = nil
 				seg := &LabelSeg{Epoch: epoch, N: len(uv)}
 				g.UValSegs[mi] = append(g.UValSegs[mi], seg)
-				b.pipe.submit(func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(uv, sc, ck) })
+				b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(uv, sc, ck) })
 			}
 		}
 	}
 
 	b.sealEpochEdges(epoch)
+
+	err := runJobs(b.fopts.Ctx, "seal", b.jobs, b.fopts.Workers, b.scratch)
+	clear(b.jobs) // the closures pin the epoch's label slices
+	b.jobs = b.jobs[:0]
+	if err != nil {
+		b.fail(err)
+		return
+	}
 
 	// Advance the per-node sealed-execution watermark only after the edge
 	// pass: segment inference needs the epoch's starting ordinal.
@@ -227,25 +139,15 @@ func (b *Builder) sealEpoch(epoch int) {
 }
 
 // sealEpochEdges applies the per-segment §3.3 reductions to every edge that
-// fired during the epoch and submits the surviving label streams for
+// fired during the epoch and queues the surviving label streams for
 // compression. Sharing is per-epoch and per (src node, dst node, kind):
 // identical uncompressed label slices are detected in edge-index order, so a
 // representative always has a smaller index than its sharers.
 func (b *Builder) sealEpochEdges(epoch int) {
 	ck := b.fopts.CheckpointK
-	type shareKey struct {
-		srcNode, dstNode int
-		kind             EdgeKind
-		h                uint64
-	}
-	type owner struct {
-		edgeIdx, segIdx int
-		seg             *EdgeSeg
-		dst, src        []uint32
-	}
-	var reps map[shareKey][]owner
+	var reps shareTable
 	if !b.fopts.NoShare {
-		reps = map[shareKey][]owner{}
+		reps = shareTable{}
 	}
 
 	for ei, e := range b.w.Edges {
@@ -286,24 +188,14 @@ func (b *Builder) sealEpochEdges(epoch int) {
 			}
 		}
 		if reps != nil {
-			k := shareKey{e.SrcNode, e.DstNode, e.Kind, segLabelHash(dst, src, seg.Diagonal)}
-			found := false
-			for _, o := range reps[k] {
-				if segLabelsEqual(o.dst, o.src, o.seg.Diagonal, dst, src, seg.Diagonal) {
-					seg.SharedWith = o.edgeIdx
-					seg.SharedSeg = o.segIdx
-					seg.Diagonal = false
-					found = true
-					break
-				}
-			}
-			if found {
+			if rep, ok := reps.intern(e, dst, src, seg.Diagonal, ei, len(e.Segs)-1); ok {
+				seg.SharedWith, seg.SharedSeg = rep.edge, rep.seg
+				seg.Diagonal = false
 				continue
 			}
-			reps[k] = append(reps[k], owner{edgeIdx: ei, segIdx: len(e.Segs) - 1, seg: seg, dst: dst, src: src})
 		}
 		dstBuf, srcBuf, diag := dst, src, seg.Diagonal
-		b.pipe.submit(func(sc *stream.Scratch) {
+		b.jobs = append(b.jobs, func(sc *stream.Scratch) {
 			seg.DstS = stream.CompressBestScratchK(dstBuf, sc, ck)
 			if !diag {
 				seg.SrcS = stream.CompressBestScratchK(srcBuf, sc, ck)
@@ -312,41 +204,12 @@ func (b *Builder) sealEpochEdges(epoch int) {
 	}
 }
 
-// segLabelHash mirrors labelHash over raw slices (diagonal segments hash the
-// destination ordinals on both sides, like diagonal edges do).
-func segLabelHash(dst, src []uint32, diag bool) uint64 {
-	if diag {
-		return labelHashRaw(dst, dst)
-	}
-	return labelHashRaw(dst, src)
-}
-
-// segLabelsEqual mirrors labelsEqual over raw slices.
-func segLabelsEqual(aDst, aSrc []uint32, aDiag bool, bDst, bSrc []uint32, bDiag bool) bool {
-	if len(aDst) != len(bDst) || aDiag != bDiag {
-		return false
-	}
-	for i := range aDst {
-		if aDst[i] != bDst[i] {
-			return false
-		}
-		if !aDiag && aSrc[i] != bSrc[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // finishStreaming completes a streaming build after the interpreter stops:
-// seals the trailing partial epoch, waits for the compression pool, promotes
-// whole-run inferable edges, and assembles the size report.
+// seals the trailing partial epoch and promotes whole-run inferable edges.
 func (b *Builder) finishStreaming() error {
 	e := b.epochTS
 	if b.time > 0 && b.time%e != 0 {
 		b.sealEpoch(int(b.time / e))
-	}
-	if err := b.pipe.drain(); err != nil {
-		return err
 	}
 	if b.err != nil {
 		return b.err
@@ -356,16 +219,12 @@ func (b *Builder) finishStreaming() error {
 	w.Epochs = int((uint64(b.time) + uint64(e) - 1) / uint64(e))
 
 	// Concurrency streams are whole-run (not epoch-segmented; see conc.go),
-	// so they compress here, after the per-epoch pool has drained. Streaming
-	// implies DropTier1, and that applies to them too.
+	// so they compress here, after the last seal. Streaming implies
+	// DropTier1, and that applies to them too.
 	if w.Conc != nil {
-		ctx := b.fopts.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
 		var jobs []func(sc *stream.Scratch)
 		concFreezeJobs(w.Conc, b.fopts.CheckpointK, &jobs)
-		if err := runJobs(ctx, "freeze", jobs, b.fopts.Workers); err != nil {
+		if err := runJobs(b.fopts.Ctx, "freeze", jobs, b.fopts.Workers, b.scratch); err != nil {
 			return err
 		}
 		w.Conc.dropTier1()
@@ -399,7 +258,7 @@ func (b *Builder) finishStreaming() error {
 // own epoch's labels), so tier-1 edge bytes can differ from a single-epoch
 // freeze of the same run; tier-2 sizes are the measured stream bits either
 // way. Deterministic: nodes, groups, and edges are walked in index order
-// after the pool has drained.
+// after the last seal.
 func (w *WET) streamingReport(opts FreezeOptions) *SizeReport {
 	r := &SizeReport{Methods: map[string]int{}}
 	r.OrigTS = w.Raw.OrigNodeTSBytes()
@@ -508,10 +367,13 @@ func NewStreamingBuilder(st *interp.Static, opts FreezeOptions) (*Builder, error
 	if opts.NoGrouping || opts.SkipFullSizing {
 		return nil, fmt.Errorf("core: NoGrouping/SkipFullSizing are single-epoch ablations; not available when streaming")
 	}
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
 	b := NewBuilder(st)
 	b.epochTS = opts.EpochTS
 	b.fopts = opts
-	b.pipe = newFreezePool(opts.Ctx, opts.Workers)
+	b.scratch = newScratches(pool.Workers(opts.Workers, math.MaxInt))
 	return b, nil
 }
 
@@ -520,15 +382,13 @@ func NewStreamingBuilder(st *interp.Static, opts FreezeOptions) (*Builder, error
 // caller before the report is meaningful only for Orig* lines; Raw is
 // assigned here from the counting sink when built via BuildStreaming.
 func (b *Builder) FinishStreaming() (*WET, error) {
-	if b.pipe == nil {
+	if b.epochTS == 0 {
 		return nil, fmt.Errorf("core: FinishStreaming on a non-streaming builder")
 	}
 	if b.err != nil {
-		b.pipe.drain()
 		return nil, b.err
 	}
 	if len(b.pending) != 0 {
-		b.pipe.drain()
 		return nil, fmt.Errorf("core: %d statement events not covered by a path", len(b.pending))
 	}
 	w := b.w
@@ -565,7 +425,7 @@ func BuildStreamingChecked(st *interp.Static, ropts interp.Options, opts FreezeO
 func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions, check bool) (*WET, *SizeReport, *interp.Result, error) {
 	// One cancellable context spans the whole pipeline: the caller's
 	// deadline (ropts.Ctx / opts.Ctx) cancels it from outside, and a
-	// builder or pool failure cancels it from inside so the interpreter
+	// builder or seal failure cancels it from inside so the interpreter
 	// aborts within one ctx-check window instead of running to completion
 	// against a dead build.
 	parent := ropts.Ctx
@@ -594,6 +454,7 @@ func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions,
 		}
 		opts = sopts
 	}
+	defer releaseScratches(b.scratch)
 	b.CheckDeterminism = check
 	b.abort = cancel
 	cnt := trace.NewCounting(b)
@@ -605,11 +466,6 @@ func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions,
 		err = b.err
 	}
 	if err != nil {
-		if b.pipe != nil {
-			// Drain the pool so worker goroutines never outlive a failed
-			// build.
-			b.pipe.drain()
-		}
 		return nil, nil, res, err
 	}
 	if opts.EpochTS == 0 {

@@ -436,7 +436,7 @@ func newSeq(sl []uint32, st stream.Stream, tier Tier) Seq {
 // TSSeq returns a fresh cursor over the timestamp sequence of node n at the
 // given tier. On a segmented WET the tier-2 cursor federates the per-epoch
 // segments (re-based to global time); tier-1 reads the materialized slices
-// when present (MaterializeTier1 / LoadOptions.RestoreTier1).
+// when present (MaterializeTier1Ctx, LoadOptions.RestoreTier1).
 //
 // On a budget-degraded WET whose timestamps were widened (TSStride > 0)
 // TSSeq panics with *CapabilityError: the exact values are gone and
@@ -514,10 +514,15 @@ func (w *WET) UValSeq(g *Group, i int, tier Tier) Seq {
 		panic(&CapabilityError{Capability: CapValues,
 			Detail: "value group streams dropped by a byte-budgeted freeze"})
 	}
-	if tier == Tier2 && g.UValSegs != nil {
+	if tier == Tier1 {
+		// Index only the tier asked for: a rehydrated segmented WET has
+		// UVals but no whole-run UValS.
+		return newSeq(g.UVals[i], nil, tier)
+	}
+	if g.UValSegs != nil {
 		return w.uvalFed(g, i)
 	}
-	return newSeq(g.UVals[i], g.UValS[i], tier)
+	return newSeq(nil, g.UValS[i], tier)
 }
 
 // ValMemberIndex returns the index of node position pos within g.ValMembers,

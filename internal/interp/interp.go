@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"wet/internal/ballarus"
-	"wet/internal/cfg"
 	"wet/internal/ir"
 	"wet/internal/trace"
 )
@@ -59,7 +58,7 @@ type Result struct {
 type Static struct {
 	Prog     *ir.Program
 	Paths    []*ballarus.Profile
-	CD       []*cfg.ControlDeps
+	CD       []*ir.ControlDeps
 	CDParent [][][]int // [fn][block] = static CD parent blocks
 }
 
@@ -77,7 +76,7 @@ func AnalyzeOpt(p *ir.Program, perBlock bool) (*Static, error) {
 			return nil, err
 		}
 		s.Paths = append(s.Paths, pp)
-		cd, err := cfg.ControlDependence(f)
+		cd, err := ir.ControlDependence(f)
 		if err != nil {
 			return nil, err
 		}

@@ -1,5 +1,7 @@
 package ir
 
+import "fmt"
+
 // Dominator analysis over a function's CFG, self-contained so that both
 // program validation (this package) and the static semantic layer
 // (internal/sanalysis) share one implementation. The algorithm is the
@@ -149,4 +151,55 @@ func Dominators(f *Func) []int {
 // which no path reaches a Ret/Halt terminator (infinite loops) get -1.
 func PostDominators(f *Func) []int {
 	return solveDominators(reverseGraph(f))
+}
+
+// ControlDeps records static block-level control dependence for a function:
+// Parents[b] lists the branch blocks that block b is control dependent on.
+// The lists are deduplicated and in discovery order. Control dependence
+// drives the CD edges of the Whole Execution Trace (the labeled edges from
+// predicates to the statements whose execution they decide).
+type ControlDeps struct {
+	Parents [][]int
+}
+
+// ControlDependence computes control dependence for f via the standard
+// post-dominance criterion (Ferrante–Ottenstein–Warren): for each CFG edge
+// u->v where v does not post-dominate u, every node on the post-dominator
+// tree path from v up to (but excluding) ipdom(u) is control dependent on u.
+func ControlDependence(f *Func) (*ControlDeps, error) {
+	ipdom := PostDominators(f)
+	n := len(f.Blocks)
+	cd := &ControlDeps{Parents: make([][]int, n)}
+	have := make([]map[int]bool, n)
+	add := func(node, parent int) {
+		if have[node] == nil {
+			have[node] = map[int]bool{}
+		}
+		if !have[node][parent] {
+			have[node][parent] = true
+			cd.Parents[node] = append(cd.Parents[node], parent)
+		}
+	}
+	for _, b := range f.Blocks {
+		if len(b.Succs) < 2 {
+			continue // only branches create control dependence
+		}
+		u := b.ID
+		if ipdom[u] < 0 {
+			return nil, fmt.Errorf("ir: %s block %d cannot reach exit", f.Name, u)
+		}
+		stop := ipdom[u]
+		for _, v := range b.Succs {
+			for w := v; w != stop; w = ipdom[w] {
+				if w < 0 || w == ExitBlock(f) {
+					return nil, fmt.Errorf("ir: %s: post-dominator walk from edge %d->%d escaped", f.Name, u, v)
+				}
+				add(w, u)
+				if ipdom[w] == w {
+					break // reached the root of the post-dominator tree
+				}
+			}
+		}
+	}
+	return cd, nil
 }

@@ -192,7 +192,7 @@ type raceKey struct {
 // Check walks the concurrency streams of w at the given tier and returns
 // the race report. A WET without concurrency streams yields a report with
 // Concurrent == false and no findings. Tier 1 requires the raw slices
-// (before DropTier1, or after MaterializeTier1); tier 2 walks the
+// (before DropTier1, or after MaterializeTier1Ctx); tier 2 walks the
 // compressed streams through fresh detached cursors and is safe for
 // concurrent use with other queries.
 func Check(w *core.WET, tier core.Tier) (*Report, error) {

@@ -6,7 +6,6 @@ import (
 
 	"wet/internal/core"
 	"wet/internal/interp"
-	"wet/internal/stream"
 )
 
 // loadV2 reads the unframed v2 format (no section lengths, no checksums).
@@ -15,172 +14,69 @@ import (
 // hardening: allocations bounded by bytes present, structural cross checks,
 // and a recover boundary converting decoder panics into *FormatError. The
 // preamble (magic, version) has been consumed by the caller.
-func loadV2(br io.Reader, opts LoadOptions) (wet *core.WET, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			wet, err = nil, &FormatError{Section: "v2 body", Offset: 8,
-				Cause: fmt.Errorf("decoder panic: %v", p)}
-		}
-	}()
-	w, lerr := loadV2Body(br, opts)
-	if lerr != nil {
-		if fe, ok := lerr.(*FormatError); ok {
-			return nil, fe
-		}
-		return nil, &FormatError{Section: "v2 body", Offset: 8, Cause: lerr}
-	}
-	return w, nil
-}
-
-func loadV2Body(br io.Reader, opts LoadOptions) (*core.WET, error) {
-	prog, err := loadProgram(br)
+func loadV2(br io.Reader, opts LoadOptions) (*core.WET, error) {
+	var wet *core.WET
+	var rep *core.SizeReport
+	err := guard("v2 body", 8, func() (err error) {
+		wet, rep, err = loadV2Body(br, opts)
+		return err
+	})
 	if err != nil {
 		return nil, err
+	}
+	return wet, finishLoad(wet, rep, opts)
+}
+
+func loadV2Body(br io.Reader, opts LoadOptions) (*core.WET, *core.SizeReport, error) {
+	prog, err := loadProgram(br)
+	if err != nil {
+		return nil, nil, err
 	}
 	st, err := interp.Analyze(prog)
 	if err != nil {
-		return nil, fmt.Errorf("reanalyze: %w", err)
+		return nil, nil, fmt.Errorf("reanalyze: %w", err)
 	}
 	wet := &core.WET{Prog: prog, Static: st}
 	if err := readVals(br, rawHeaderFields(&wet.Raw)...); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep, err := loadReport(br)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var first, last int32
 	if err := readVals(br, &wet.Time, &first, &last); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wet.FirstNode, wet.LastNode = int(first), int(last)
 
-	var nNodes uint32
-	if err := readVals(br, &nNodes); err != nil {
-		return nil, err
+	// The node and edge records are v3's, back to back behind a count, with
+	// no frame around them.
+	r := plainReader{br}
+	var nNodes, nEdges uint32
+	if err := readVals(r, &nNodes); err != nil {
+		return nil, nil, err
 	}
 	for i := 0; i < int(nNodes); i++ {
-		var fn int32
-		var pathID int64
-		var execs uint32
-		if err := readVals(br, &fn, &pathID, &execs); err != nil {
-			return nil, err
-		}
-		if fn < 0 || int(fn) >= len(st.Prog.Funcs) {
-			return nil, fmt.Errorf("node %d: function index %d outside [0,%d)", i, fn, len(st.Prog.Funcs))
-		}
-		n, err := core.RestoreNode(st, i, int(fn), pathID)
+		n, err := readNode(r, wet, i, int(nNodes), opts)
 		if err != nil {
-			return nil, err
-		}
-		n.Execs = int(execs)
-		if n.TSS, err = loadStream(br, opts); err != nil {
-			return nil, err
-		}
-		if n.TSS.Len() != n.Execs {
-			return nil, fmt.Errorf("node %d: timestamp stream has %d entries, node executed %d times", i, n.TSS.Len(), n.Execs)
-		}
-		if n.CFNext, err = readCFList(br, int(nNodes)); err != nil {
-			return nil, err
-		}
-		if n.CFPrev, err = readCFList(br, int(nNodes)); err != nil {
-			return nil, err
-		}
-		var nGroups uint32
-		if err := readVals(br, &nGroups); err != nil {
-			return nil, err
-		}
-		if int(nGroups) != len(n.Groups) {
-			return nil, fmt.Errorf("node %d has %d groups, file says %d", i, len(n.Groups), nGroups)
-		}
-		for _, g := range n.Groups {
-			var uniq, nuv uint32
-			if err := readVals(br, &uniq, &nuv); err != nil {
-				return nil, err
-			}
-			g.RestoreUniqueKeys(int(uniq))
-			if int(nuv) != len(g.ValMembers) {
-				return nil, fmt.Errorf("group has %d value members, file says %d", len(g.ValMembers), nuv)
-			}
-			if g.PatternS, err = loadStream(br, opts); err != nil {
-				return nil, err
-			}
-			if g.PatternS.Len() != n.Execs {
-				return nil, fmt.Errorf("group pattern has %d entries, node executed %d times", g.PatternS.Len(), n.Execs)
-			}
-			g.UValS = make([]stream.Stream, nuv)
-			for k := range g.UValS {
-				if g.UValS[k], err = loadStream(br, opts); err != nil {
-					return nil, err
-				}
-				if g.UValS[k].Len() != int(uniq) {
-					return nil, fmt.Errorf("unique-value stream has %d entries, group has %d keys", g.UValS[k].Len(), uniq)
-				}
-			}
-			if opts.RestoreTier1 {
-				g.Pattern = stream.Drain(g.PatternS)
-				g.UVals = make([][]uint32, nuv)
-				for k := range g.UValS {
-					g.UVals[k] = stream.Drain(g.UValS[k])
-				}
-			}
-		}
-		if opts.RestoreTier1 {
-			n.TS = stream.Drain(n.TSS)
+			return nil, nil, fmt.Errorf("node %d: %w", i, err)
 		}
 		wet.Nodes = append(wet.Nodes, n)
 	}
-
-	var nEdges uint32
-	if err := readVals(br, &nEdges); err != nil {
-		return nil, err
+	if err := readVals(r, &nEdges); err != nil {
+		return nil, nil, err
 	}
 	for i := 0; i < int(nEdges); i++ {
-		var kind, inferable, diagonal uint8
-		var srcN, srcP, dstN, dstP, opIdx, shared int32
-		var count uint32
-		if err := readVals(br, &kind, &srcN, &srcP, &dstN, &dstP, &opIdx,
-			&count, &inferable, &diagonal, &shared); err != nil {
-			return nil, err
-		}
-		e := &core.Edge{
-			Kind: core.EdgeKind(kind), SrcNode: int(srcN), SrcPos: int(srcP),
-			DstNode: int(dstN), DstPos: int(dstP), OpIdx: int(opIdx),
-			Count: int(count), Inferable: inferable == 1, Diagonal: diagonal == 1,
-			SharedWith: int(shared),
-		}
-		if err := checkEdge(wet, e, int(nEdges)); err != nil {
-			return nil, err
-		}
-		if !e.Inferable && e.SharedWith < 0 {
-			var err error
-			if e.DstS, err = loadStream(br, opts); err != nil {
-				return nil, err
-			}
-			if e.DstS.Len() != e.Count {
-				return nil, fmt.Errorf("edge %d: destination labels have %d entries, edge count is %d", i, e.DstS.Len(), e.Count)
-			}
-			if !e.Diagonal {
-				if e.SrcS, err = loadStream(br, opts); err != nil {
-					return nil, err
-				}
-				if e.SrcS.Len() != e.Count {
-					return nil, fmt.Errorf("edge %d: source labels have %d entries, edge count is %d", i, e.SrcS.Len(), e.Count)
-				}
-			}
-			if opts.RestoreTier1 {
-				e.DstOrd = stream.Drain(e.DstS)
-				if !e.Diagonal {
-					e.SrcOrd = stream.Drain(e.SrcS)
-				}
-			}
+		e, err := readEdge(r, wet, i, int(nEdges), opts)
+		if err != nil {
+			return nil, nil, fmt.Errorf("edge %d: %w", i, err)
 		}
 		wet.Edges = append(wet.Edges, e)
 	}
 	if wet.FirstNode < 0 || wet.FirstNode >= len(wet.Nodes) ||
 		wet.LastNode < 0 || wet.LastNode >= len(wet.Nodes) {
-		return nil, fmt.Errorf("first/last node out of range")
+		return nil, nil, fmt.Errorf("first/last node out of range")
 	}
-	wet.RestoreIndexes(rep)
-	return wet, nil
+	return wet, rep, nil
 }

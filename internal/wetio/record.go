@@ -1,0 +1,499 @@
+package wetio
+
+// The node and edge record codec: one writer and one reader per record kind
+// for every container version. DESIGN.md ("Record layout") is the single
+// description of the two payloads; a v2 record is byte for byte a v3 one,
+// and v4 differs only in what a label list is — a list of per-epoch segments
+// instead of one whole-run stream — which writeLabels/readLabels (node side)
+// and writeEdgeLabels/readEdgeLabels (edge side) confine. Readers take the
+// framing they are handed as a recReader: a section's bounded payload, or
+// the plain stream of an unframed v2 body.
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+
+	"wet/internal/core"
+	"wet/internal/stream"
+)
+
+// v4 edge segment forms (flags byte).
+const (
+	segInferable = 1 << 0
+	segDiagonal  = 1 << 1
+	segShared    = 1 << 2
+)
+
+// at returns xs[i], or the zero value past the end (budget-dropped groups
+// keep shorter — or no — per-member lists).
+func at[T any](xs []T, i int) (zero T) {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return zero
+}
+
+// writeLabels writes one node-side label list: the whole-run stream s, or on
+// a segmented (v4) container the segment list segs.
+func writeLabels(w io.Writer, segmented bool, s stream.Stream, segs []*core.LabelSeg) error {
+	if !segmented {
+		return stream.Save(w, s)
+	}
+	if err := writeVals(w, uint32(len(segs))); err != nil {
+		return err
+	}
+	for _, sg := range segs {
+		if err := writeVals(w, uint32(sg.Epoch), uint32(sg.N)); err != nil {
+			return err
+		}
+		if err := stream.Save(w, sg.S); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeNode(w io.Writer, n *core.Node, segmented bool) error {
+	if err := writeVals(w, int32(n.Fn), n.PathID, uint32(n.Execs)); err != nil {
+		return err
+	}
+	if err := writeLabels(w, segmented, n.TSS, n.TSSegs); err != nil {
+		return err
+	}
+	if err := writeInts(w, n.CFNext); err != nil {
+		return err
+	}
+	if err := writeInts(w, n.CFPrev); err != nil {
+		return err
+	}
+	if err := writeVals(w, uint32(len(n.Groups))); err != nil {
+		return err
+	}
+	for _, g := range n.Groups {
+		if err := writeVals(w, uint32(g.UniqueKeys()), uint32(len(g.ValMembers))); err != nil {
+			return err
+		}
+		if err := writeLabels(w, segmented, g.PatternS, g.PatSegs); err != nil {
+			return err
+		}
+		for mi := range g.ValMembers {
+			if err := writeLabels(w, segmented, at(g.UValS, mi), at(g.UValSegs, mi)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// writeLabelPair writes the stored streams of one owned label-pair sequence:
+// destination ordinals, then source ordinals unless diagonal.
+func writeLabelPair(w io.Writer, dst, src stream.Stream, diagonal bool) error {
+	if err := stream.Save(w, dst); err != nil || diagonal {
+		return err
+	}
+	return stream.Save(w, src)
+}
+
+// writeEdgeLabels writes an edge's label list: on v3 the owned pair (nothing
+// for inferable edges and sharers), on v4 the per-epoch segment list.
+func writeEdgeLabels(w io.Writer, e *core.Edge, segmented bool) error {
+	if !segmented {
+		if e.Inferable || e.SharedWith >= 0 {
+			return nil
+		}
+		return writeLabelPair(w, e.DstS, e.SrcS, e.Diagonal)
+	}
+	if err := writeVals(w, uint32(len(e.Segs))); err != nil {
+		return err
+	}
+	for _, sg := range e.Segs {
+		var err error
+		switch epoch, n := uint32(sg.Epoch), uint32(sg.N); {
+		case sg.Inferable:
+			err = writeVals(w, epoch, n, uint8(segInferable), sg.RampBase)
+		case sg.SharedWith >= 0:
+			err = writeVals(w, epoch, n, uint8(segShared), int32(sg.SharedWith), int32(sg.SharedSeg))
+		default:
+			var flags uint8
+			if sg.Diagonal {
+				flags = segDiagonal
+			}
+			if err = writeVals(w, epoch, n, flags); err == nil {
+				err = writeLabelPair(w, sg.DstS, sg.SrcS, sg.Diagonal)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeEdge(w io.Writer, e *core.Edge, segmented bool) error {
+	if err := writeVals(w, uint8(e.Kind), int32(e.SrcNode), int32(e.SrcPos),
+		int32(e.DstNode), int32(e.DstPos), int32(e.OpIdx), uint32(e.Count),
+		boolByte(e.Inferable), boolByte(e.Diagonal), int32(e.SharedWith)); err != nil {
+		return err
+	}
+	return writeEdgeLabels(w, e, segmented)
+}
+
+// recReader is the framing a record reader is handed.
+type recReader interface {
+	io.Reader
+	// count reads a u32 element count; a framed reader bounds it by the
+	// payload bytes left, at elemMin bytes per element.
+	count(elemMin int) (int, error)
+}
+
+// plainReader is the unframed v2 body: nothing bounds a count but the reads
+// that follow it.
+type plainReader struct{ io.Reader }
+
+func (r plainReader) count(int) (int, error) {
+	var n uint32
+	err := binary.Read(r, order, &n)
+	return int(n), err
+}
+
+// parseRecord runs read over one framed node or edge record under the
+// section's recover boundary and requires it to consume the payload exactly;
+// kind is "node" or "edge".
+func parseRecord(kind string, s *section, id int, opts LoadOptions, read func(recReader, LoadOptions) error) error {
+	name := fmt.Sprintf("%s %d", kind, id)
+	if opts.Segments != nil {
+		opts.segOwner, opts.segEpoch = name, -1
+	}
+	return guard(name, s.offset, func() error {
+		sr := newSecReader(s)
+		if err := read(sr, opts); err != nil {
+			return err
+		}
+		return sr.done()
+	})
+}
+
+// readLabels reads one node-side label list of want entries (want < 0: a
+// budget-dropped list, whose length is not checked). v2/v3 hold one bare
+// stream; v4 holds a segment list whose epochs must be strictly increasing
+// inside [0, Epochs), each segment non-empty and as long as it declares.
+func readLabels(r recReader, wet *core.WET, want int, opts LoadOptions) (stream.Stream, []*core.LabelSeg, error) {
+	if !wet.Segmented() {
+		s, err := loadStream(r, opts)
+		if err == nil && want >= 0 && s.Len() != want {
+			err = fmt.Errorf("stream has %d entries, want %d", s.Len(), want)
+		}
+		return s, nil, err
+	}
+	count, err := r.count(9)
+	if err != nil {
+		return nil, nil, err
+	}
+	segs := make([]*core.LabelSeg, 0, count)
+	total, lastEpoch := 0, -1
+	for i := 0; i < count; i++ {
+		var epoch, n uint32
+		if err := readVals(r, &epoch, &n); err != nil {
+			return nil, nil, err
+		}
+		if int(epoch) <= lastEpoch || int(epoch) >= wet.Epochs {
+			return nil, nil, fmt.Errorf("segment epoch %d out of order or range", epoch)
+		}
+		lastEpoch = int(epoch)
+		if n == 0 {
+			return nil, nil, fmt.Errorf("segment (epoch %d) empty", epoch)
+		}
+		opts.segEpoch = int(epoch)
+		s, err := loadStream(r, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		if s.Len() != int(n) {
+			return nil, nil, fmt.Errorf("segment (epoch %d) stream has %d entries, record says %d", epoch, s.Len(), n)
+		}
+		total += int(n)
+		segs = append(segs, &core.LabelSeg{Epoch: int(epoch), N: int(n), S: s})
+	}
+	if want >= 0 && total != want {
+		return nil, nil, fmt.Errorf("segments hold %d entries, want %d", total, want)
+	}
+	return nil, segs, nil
+}
+
+// readNode decodes node record id of nNodes. The static side (statements,
+// groups) is rebuilt from the program; the record supplies the labels.
+func readNode(r recReader, wet *core.WET, id, nNodes int, opts LoadOptions) (*core.Node, error) {
+	var fn int32
+	var pathID int64
+	var execs uint32
+	if err := readVals(r, &fn, &pathID, &execs); err != nil {
+		return nil, err
+	}
+	st := wet.Static
+	if fn < 0 || int(fn) >= len(st.Prog.Funcs) {
+		return nil, fmt.Errorf("function index %d outside [0,%d)", fn, len(st.Prog.Funcs))
+	}
+	n, err := core.RestoreNode(st, id, int(fn), pathID)
+	if err != nil {
+		return nil, err
+	}
+	n.Execs = int(execs)
+	if n.TSS, n.TSSegs, err = readLabels(r, wet, n.Execs, opts); err != nil {
+		return nil, fmt.Errorf("timestamps: %w", err)
+	}
+	for _, sg := range n.TSSegs {
+		if uint64(sg.N) > uint64(wet.EpochTS) {
+			return nil, fmt.Errorf("timestamp segment (epoch %d) holds %d executions, epoch has %d timestamps", sg.Epoch, sg.N, wet.EpochTS)
+		}
+	}
+	if n.CFNext, err = readCFList(r, nNodes); err != nil {
+		return nil, err
+	}
+	if n.CFPrev, err = readCFList(r, nNodes); err != nil {
+		return nil, err
+	}
+	nGroups, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	if nGroups != len(n.Groups) {
+		return nil, fmt.Errorf("node has %d groups, file says %d", len(n.Groups), nGroups)
+	}
+	for gi, g := range n.Groups {
+		var uniq, nuv uint32
+		if err := readVals(r, &uniq, &nuv); err != nil {
+			return nil, err
+		}
+		g.RestoreUniqueKeys(int(uniq))
+		if int(nuv) != len(g.ValMembers) {
+			return nil, fmt.Errorf("group has %d value members, file says %d", len(g.ValMembers), nuv)
+		}
+		// A budget-dropped group keeps the payload shape with empty
+		// placeholders (v3: empty streams, v4: zero-count segment lists), so
+		// the entry-count checks do not apply.
+		wantPat, wantUV := n.Execs, int(uniq)
+		if g.Dropped = opts.fid.GroupDropped(id, gi); g.Dropped {
+			wantPat, wantUV = -1, -1
+		}
+		if g.PatternS, g.PatSegs, err = readLabels(r, wet, wantPat, opts); err != nil {
+			return nil, fmt.Errorf("group %d pattern: %w", gi, err)
+		}
+		if !wet.Segmented() {
+			g.UValS = make([]stream.Stream, nuv)
+		} else if nuv > 0 {
+			g.UValSegs = make([][]*core.LabelSeg, nuv)
+		}
+		for mi := 0; mi < int(nuv); mi++ {
+			s, segs, err := readLabels(r, wet, wantUV, opts)
+			if err != nil {
+				return nil, fmt.Errorf("group %d uvals[%d]: %w", gi, mi, err)
+			}
+			if wet.Segmented() {
+				g.UValSegs[mi] = segs
+			} else {
+				g.UValS[mi] = s
+			}
+		}
+	}
+	return n, nil
+}
+
+// readLabelPair reads what writeLabelPair wrote, each stream holding want
+// labels (want < 0: a budget-dropped owner's placeholders, unchecked).
+func readLabelPair(r recReader, want int, diagonal bool, opts LoadOptions) (dst, src stream.Stream, err error) {
+	if dst, err = loadStream(r, opts); err != nil {
+		return nil, nil, err
+	}
+	if want >= 0 && dst.Len() != want {
+		return nil, nil, fmt.Errorf("destination labels have %d entries, want %d", dst.Len(), want)
+	}
+	if diagonal {
+		return dst, nil, nil
+	}
+	if src, err = loadStream(r, opts); err != nil {
+		return nil, nil, err
+	}
+	if want >= 0 && src.Len() != want {
+		return nil, nil, fmt.Errorf("source labels have %d entries, want %d", src.Len(), want)
+	}
+	return dst, src, nil
+}
+
+// readEdge decodes edge record id of nEdges against the complete node table.
+func readEdge(r recReader, wet *core.WET, id, nEdges int, opts LoadOptions) (*core.Edge, error) {
+	var kind, inferable, diagonal uint8
+	var srcN, srcP, dstN, dstP, opIdx, shared int32
+	var count uint32
+	if err := readVals(r, &kind, &srcN, &srcP, &dstN, &dstP, &opIdx,
+		&count, &inferable, &diagonal, &shared); err != nil {
+		return nil, err
+	}
+	e := &core.Edge{
+		Kind: core.EdgeKind(kind), SrcNode: int(srcN), SrcPos: int(srcP),
+		DstNode: int(dstN), DstPos: int(dstP), OpIdx: int(opIdx),
+		Count: int(count), Inferable: inferable == 1, Diagonal: diagonal == 1,
+		SharedWith: int(shared),
+	}
+	if err := checkEdge(wet, e, nEdges); err != nil {
+		return nil, err
+	}
+	return e, readEdgeLabels(r, wet, e, id, opts)
+}
+
+// readEdgeLabels reads what writeEdgeLabels wrote into e.
+func readEdgeLabels(r recReader, wet *core.WET, e *core.Edge, id int, opts LoadOptions) (err error) {
+	if !wet.Segmented() {
+		// A budget-dropped owner keeps placeholder streams (sharers of a
+		// dropped owner store nothing, as always), so only the length checks
+		// are relaxed.
+		e.Dropped = opts.fid.EdgeDropped(id)
+		if e.Inferable || e.SharedWith >= 0 {
+			return nil
+		}
+		want := e.Count
+		if e.Dropped {
+			want = -1
+		}
+		e.DstS, e.SrcS, err = readLabelPair(r, want, e.Diagonal, opts)
+		return err
+	}
+	// The streaming pipeline reduces per segment, not per whole edge: the
+	// edge-level diagonal/shared forms never appear in a v4 file.
+	if e.Diagonal || e.SharedWith >= 0 {
+		return fmt.Errorf("edge-level diagonal/shared forms are not valid in v4")
+	}
+	nSegs, err := r.count(9)
+	if err != nil {
+		return err
+	}
+	// Whole-run inferable edges store nothing; a budget-dropped edge keeps
+	// its record (endpoints and adjacency survive) but no label segments.
+	if e.Inferable {
+		if nSegs != 0 {
+			return fmt.Errorf("whole-run inferable edge carries %d segments", nSegs)
+		}
+		return nil
+	}
+	if e.Dropped = opts.fid.EdgeDropped(id); e.Dropped {
+		if nSegs != 0 {
+			return fmt.Errorf("budget-dropped edge carries %d segments", nSegs)
+		}
+		return nil
+	}
+	total, lastEpoch := 0, -1
+	for si := 0; si < nSegs; si++ {
+		var epoch, n uint32
+		var flags uint8
+		if err := readVals(r, &epoch, &n, &flags); err != nil {
+			return err
+		}
+		if int(epoch) <= lastEpoch || int(epoch) >= wet.Epochs {
+			return fmt.Errorf("segment %d epoch %d out of order or range", si, epoch)
+		}
+		lastEpoch = int(epoch)
+		if n == 0 || int(n) > e.Count {
+			return fmt.Errorf("segment %d holds %d labels, edge count is %d", si, n, e.Count)
+		}
+		sg := &core.EdgeSeg{Epoch: int(epoch), N: int(n), SharedWith: -1, SharedSeg: -1}
+		switch flags {
+		case segInferable:
+			if err := readVals(r, &sg.RampBase); err != nil {
+				return err
+			}
+			sg.Inferable = true
+		case segShared:
+			var ow, os int32
+			if err := readVals(r, &ow, &os); err != nil {
+				return err
+			}
+			if ow < 0 || int(ow) >= id || os < 0 {
+				return fmt.Errorf("segment %d shares with edge %d segment %d (this is edge %d)", si, ow, os, id)
+			}
+			sg.SharedWith, sg.SharedSeg = int(ow), int(os)
+		case segDiagonal, 0:
+			opts.segEpoch = int(epoch)
+			sg.Diagonal = flags == segDiagonal
+			if sg.DstS, sg.SrcS, err = readLabelPair(r, sg.N, sg.Diagonal, opts); err != nil {
+				return fmt.Errorf("segment %d: %w", si, err)
+			}
+		default:
+			return fmt.Errorf("segment %d has invalid flags %#x", si, flags)
+		}
+		total += sg.N
+		e.Segs = append(e.Segs, sg)
+	}
+	if total != e.Count {
+		return fmt.Errorf("segments hold %d labels, edge count is %d", total, e.Count)
+	}
+	return nil
+}
+
+// checkEdge validates a deserialized edge's coordinates against the node
+// structure (corrupt files must error, not index out of range).
+func checkEdge(wet *core.WET, e *core.Edge, nEdges int) error {
+	if e.SrcNode < 0 || e.SrcNode >= len(wet.Nodes) || e.DstNode < 0 || e.DstNode >= len(wet.Nodes) {
+		return fmt.Errorf("wetio: edge node out of range")
+	}
+	if e.SrcPos < 0 || e.SrcPos >= len(wet.Nodes[e.SrcNode].Stmts) ||
+		e.DstPos < 0 || e.DstPos >= len(wet.Nodes[e.DstNode].Stmts) {
+		return fmt.Errorf("wetio: edge position out of range")
+	}
+	if e.SharedWith >= nEdges || e.SharedWith < -1 {
+		return fmt.Errorf("wetio: edge share reference out of range")
+	}
+	if e.Kind != core.DD && e.Kind != core.CD {
+		return fmt.Errorf("wetio: bad edge kind %d", e.Kind)
+	}
+	return nil
+}
+
+// checkSegShares validates the segment share references of one edge of a
+// strictly loaded table (every legal representative is an earlier record).
+func checkSegShares(wet *core.WET, e *core.Edge) error {
+	for si, sg := range e.Segs {
+		if sg.SharedWith < 0 {
+			continue
+		}
+		rep := wet.Edges[sg.SharedWith]
+		if sg.SharedSeg >= len(rep.Segs) {
+			return fmt.Errorf("segment %d share reference %d/%d out of range", si, sg.SharedWith, sg.SharedSeg)
+		}
+		rs := rep.Segs[sg.SharedSeg]
+		if rs.Inferable || rs.SharedWith >= 0 || rs.DstS == nil {
+			return fmt.Errorf("segment %d representative %d/%d holds no labels", si, sg.SharedWith, sg.SharedSeg)
+		}
+		if rs.Epoch != sg.Epoch || rs.N != sg.N {
+			return fmt.Errorf("segment %d disagrees with representative %d/%d on epoch or length", si, sg.SharedWith, sg.SharedSeg)
+		}
+	}
+	return nil
+}
+
+// shareDamage reports why a salvaged edge must be dropped ("" when it is
+// intact): its representative, or that of one of its segments, was lost, is
+// not earlier in the file, or does not actually own matching labels.
+func shareDamage(owners map[int]*core.Edge, alive map[int]bool, e *core.Edge, orig int) string {
+	if e.SharedWith >= 0 {
+		if own := owners[e.SharedWith]; !alive[e.SharedWith] || own.SharedWith >= 0 || own.Inferable {
+			return fmt.Sprintf("shared label representative %d not recovered", e.SharedWith)
+		}
+	}
+	for si, sg := range e.Segs {
+		if sg.SharedWith < 0 {
+			continue
+		}
+		if sg.SharedWith >= orig || !alive[sg.SharedWith] {
+			return fmt.Sprintf("segment %d shared label representative %d not recovered", si, sg.SharedWith)
+		}
+		rep := owners[sg.SharedWith]
+		if sg.SharedSeg >= len(rep.Segs) {
+			return fmt.Sprintf("segment %d share reference %d/%d out of range", si, sg.SharedWith, sg.SharedSeg)
+		}
+		rs := rep.Segs[sg.SharedSeg]
+		if rs.Inferable || rs.SharedWith >= 0 || rs.DstS == nil || rs.Epoch != sg.Epoch || rs.N != sg.N {
+			return fmt.Sprintf("segment %d representative %d/%d does not hold matching labels", si, sg.SharedWith, sg.SharedSeg)
+		}
+	}
+	return ""
+}

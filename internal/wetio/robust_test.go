@@ -322,8 +322,10 @@ func TestLoadMemBudgetPinsSalvage(t *testing.T) {
 // TestForgedDecodeTypedAcrossFormats arms the stream.decode point after a
 // lazy open — standing in for a store forged to pass structural validation
 // — and requires every query racing on the first touch to get a typed
-// *stream.DecodeError, never a panic. All three formats defer decode under
-// Lazy: v2/v3 on whole-trace streams, v4 on per-epoch segments.
+// *stream.DecodeError, never a panic — and a RestoreTier1 load, whose
+// rehydration pass is such a first touch, to fail with it. All three formats
+// defer decode under Lazy: v2/v3 on whole-trace streams, v4 on per-epoch
+// segments.
 func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
 	fixtures := map[string][]byte{
 		"v3": savedWET(t, "li"),
@@ -378,6 +380,15 @@ func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
 				}
 				if de.Stream == "" {
 					t.Fatalf("goroutine %d: DecodeError does not name the stream", g)
+				}
+			}
+			// Tier-1 rehydration of a lazy open is itself a first touch of
+			// every stream: the load fails with the same typed error, not
+			// re-wrapped as a *FormatError, at any width.
+			for _, workers := range []int{1, 4} {
+				_, err := Load(bytes.NewReader(data), LoadOptions{Lazy: true, RestoreTier1: true, Workers: workers})
+				if !errors.As(err, new(*stream.DecodeError)) || errors.As(err, new(*FormatError)) {
+					t.Fatalf("lazy RestoreTier1 load (%d workers) returned %v, want a bare *stream.DecodeError", workers, err)
 				}
 			}
 			// Direct stream API: Force and TryNewCursor return the same

@@ -66,9 +66,9 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 	if !wet.Frozen() {
 		return fmt.Errorf("wetio: WET must be frozen before saving")
 	}
-	v4 := wet.Segmented()
+	segmented := wet.Segmented()
 	ver := version
-	if v4 {
+	if segmented {
 		ver = versionV4
 	}
 	bw := bufio.NewWriterSize(failWriter{w}, 1<<16)
@@ -82,7 +82,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 		uint32(len(wet.Nodes)), uint32(len(wet.Edges)))...); err != nil {
 		return err
 	}
-	if v4 {
+	if segmented {
 		if err := writeVals(sw, wet.EpochTS, uint32(wet.Epochs)); err != nil {
 			return err
 		}
@@ -125,13 +125,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		var err error
-		if v4 {
-			err = saveNodePayloadV4(sw, n)
-		} else {
-			err = saveNodePayload(sw, n)
-		}
-		if err != nil {
+		if err := writeNode(sw, n, segmented); err != nil {
 			return err
 		}
 		if err := sw.emit(secNode); err != nil {
@@ -142,13 +136,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		var err error
-		if v4 {
-			err = saveEdgePayloadV4(sw, e)
-		} else {
-			err = saveEdgePayload(sw, e)
-		}
-		if err != nil {
+		if err := writeEdge(sw, e, segmented); err != nil {
 			return err
 		}
 		if err := sw.emit(secEdge); err != nil {
@@ -195,57 +183,6 @@ func saveConcPayload(w io.Writer, wet *core.WET) error {
 	return nil
 }
 
-func saveNodePayload(w io.Writer, n *core.Node) error {
-	if err := writeVals(w, int32(n.Fn), n.PathID, uint32(n.Execs)); err != nil {
-		return err
-	}
-	if err := stream.Save(w, n.TSS); err != nil {
-		return err
-	}
-	if err := writeInts(w, n.CFNext); err != nil {
-		return err
-	}
-	if err := writeInts(w, n.CFPrev); err != nil {
-		return err
-	}
-	if err := writeVals(w, uint32(len(n.Groups))); err != nil {
-		return err
-	}
-	for _, g := range n.Groups {
-		if err := writeVals(w, uint32(g.UniqueKeys()), uint32(len(g.UValS))); err != nil {
-			return err
-		}
-		if err := stream.Save(w, g.PatternS); err != nil {
-			return err
-		}
-		for _, uv := range g.UValS {
-			if err := stream.Save(w, uv); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func saveEdgePayload(w io.Writer, e *core.Edge) error {
-	if err := writeVals(w, uint8(e.Kind), int32(e.SrcNode), int32(e.SrcPos),
-		int32(e.DstNode), int32(e.DstPos), int32(e.OpIdx), uint32(e.Count),
-		boolByte(e.Inferable), boolByte(e.Diagonal), int32(e.SharedWith)); err != nil {
-		return err
-	}
-	if !e.Inferable && e.SharedWith < 0 {
-		if err := stream.Save(w, e.DstS); err != nil {
-			return err
-		}
-		if !e.Diagonal {
-			if err := stream.Save(w, e.SrcS); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // LoadOptions tunes Load.
 type LoadOptions struct {
 	// Ctx cancels the load cooperatively: the streaming read aborts within
@@ -261,8 +198,12 @@ type LoadOptions struct {
 	// lazy — and reports what it shed in SalvageReport.Degradation. Zero
 	// means unlimited. See planLoadBudget for the ladder.
 	MemBudget uint64
-	// RestoreTier1 rehydrates the tier-1 slices (by draining each stream
-	// once) so tier-1 queries work on the loaded WET.
+	// RestoreTier1 rehydrates the tier-1 slices so tier-1 queries work on the
+	// loaded WET: one core.(*WET).MaterializeTier1Ctx pass after the node and
+	// edge tables exist, the same on every container version and on the
+	// salvage path — parallel over Workers, cancellable through Ctx, and a
+	// forged lazily decoded stream surfaces as the typed *stream.DecodeError
+	// (it names the stream better than a section offset could).
 	RestoreTier1 bool
 	// Salvage makes Load of a damaged v3 file return the maximal loadable
 	// prefix instead of failing: node records after the first damaged one
@@ -278,7 +219,7 @@ type LoadOptions struct {
 	// Lazy: certification requires the decode.
 	VerifyStreams bool
 	// Workers bounds the goroutines decoding node and edge sections (and
-	// rehydrating segmented tier-1) in parallel: 0 means GOMAXPROCS, 1
+	// rehydrating tier-1) in parallel: 0 means GOMAXPROCS, 1
 	// decodes serially. Assembly is deterministic — the loaded WET and any
 	// error reported are identical at every width. The salvage path always
 	// decodes serially (its share-repair cascade is order-dependent).
@@ -381,28 +322,44 @@ func loadFramed(br io.Reader, opts LoadOptions, v4 bool) (*core.WET, *SalvageRep
 	var deg *core.DegradationReport
 	opts, deg = planLoadBudget(opts, secs)
 	rep.Degradation = deg
+	var w *core.WET
+	var sizeRep *core.SizeReport
 	if strict {
-		w, err := parseStrict(secs, opts, v4)
-		if err != nil {
-			return nil, nil, ctxCause(opts.Ctx, err)
-		}
+		w, sizeRep, err = parseStrict(secs, opts, v4)
 		rep.SectionsRead = len(secs)
-		rep.NodesLoaded, rep.EdgesLoaded = len(w.Nodes), len(w.Edges)
-		return w, rep, nil
+	} else {
+		opts.Lazy = false   // salvage must decode eagerly to find damage
+		opts.Segments = nil // ditto: evictable streams would defer the decode
+		w, sizeRep, err = parseSalvage(secs, opts, rep, v4)
 	}
-	opts.Lazy = false   // salvage must decode eagerly to find damage
-	opts.Segments = nil // ditto: evictable streams would defer the decode
-	w, err := parseSalvage(secs, opts, rep, v4)
+	if err == nil {
+		err = finishLoad(w, sizeRep, opts)
+	}
 	if err != nil {
 		return nil, nil, ctxCause(opts.Ctx, err)
 	}
+	rep.NodesLoaded, rep.EdgesLoaded = len(w.Nodes), len(w.Edges)
 	return w, rep, nil
+}
+
+// finishLoad completes an assembled WET of any version: tier-1 is rehydrated
+// in one pass over the tier-2 cursors when asked for (a deferred-decode
+// failure or cancellation surfaces as the typed error, not re-wrapped as a
+// *FormatError), then the derived indexes are rebuilt and the WET is frozen.
+func finishLoad(wet *core.WET, sizeRep *core.SizeReport, opts LoadOptions) error {
+	if opts.RestoreTier1 {
+		if err := wet.MaterializeTier1Ctx(orBackground(opts.Ctx), opts.Workers); err != nil {
+			return err
+		}
+	}
+	wet.RestoreIndexes(sizeRep)
+	return nil
 }
 
 // parseStrict requires the exact section sequence header, program, report,
 // nNodes nodes, nEdges edges, end — anything else is a FormatError naming
 // the offending section.
-func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
+func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, *core.SizeReport, error) {
 	ctx := orBackground(opts.Ctx)
 	idx := 0
 	take := func(tag uint8) (*section, error) {
@@ -421,27 +378,26 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 
 	hs, err := take(secHeader)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wet, hdr, err := parseHeaderSec(hs, v4)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ps, err := take(secProgram)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	st, err := parseProgramSec(ps, wet)
-	if err != nil {
-		return nil, err
+	if err := parseProgramSec(ps, wet); err != nil {
+		return nil, nil, err
 	}
 	rs, err := take(secReport)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sizeRep, err := parseReportSec(rs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// The fidelity section is optional: only byte-budgeted containers that
@@ -451,7 +407,7 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 		fs := &secs[idx]
 		idx++
 		if opts.fid, err = parseFidelitySec(fs, hdr); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
@@ -466,7 +422,7 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 	for i := range nodeSecs {
 		s, err := take(secNode)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		nodeSecs[i] = s
 	}
@@ -474,7 +430,7 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 	for i := range edgeSecs {
 		s, err := take(secEdge)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		edgeSecs[i] = s
 	}
@@ -483,16 +439,14 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 	// context stops further claims, and its cause surfaces through ctxCause
 	// in loadFramed rather than as a FormatError.
 	nodes := make([]*core.Node, hdr.nNodes)
-	err = pool.Run(ctx, opts.Workers, hdr.nNodes, func(_, i int) (err error) {
-		if v4 {
-			nodes[i], err = parseNodeSecV4(nodeSecs[i], st, i, hdr.nNodes, wet, opts)
-		} else {
-			nodes[i], err = parseNodeSec(nodeSecs[i], st, i, hdr.nNodes, opts)
-		}
-		return err
+	err = pool.Run(ctx, opts.Workers, hdr.nNodes, func(_, i int) error {
+		return parseRecord("node", nodeSecs[i], i, opts, func(r recReader, o LoadOptions) (err error) {
+			nodes[i], err = readNode(r, wet, i, hdr.nNodes, o)
+			return err
+		})
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wet.Nodes = nodes
 
@@ -500,23 +454,19 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 	// references point at earlier edges, so they are validated serially in
 	// file order once every slot is filled.
 	edges := make([]*core.Edge, hdr.nEdges)
-	err = pool.Run(ctx, opts.Workers, hdr.nEdges, func(_, i int) (err error) {
-		if v4 {
-			edges[i], err = parseEdgeSecV4(edgeSecs[i], wet, i, hdr.nEdges, opts)
-		} else {
-			edges[i], err = parseEdgeSec(edgeSecs[i], wet, i, hdr.nEdges, opts)
-		}
-		return err
+	err = pool.Run(ctx, opts.Workers, hdr.nEdges, func(_, i int) error {
+		return parseRecord("edge", edgeSecs[i], i, opts, func(r recReader, o LoadOptions) (err error) {
+			edges[i], err = readEdge(r, wet, i, hdr.nEdges, o)
+			return err
+		})
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wet.Edges = edges
-	if v4 {
-		for i, e := range wet.Edges {
-			if err := checkSegShares(wet, e, i); err != nil {
-				return nil, &FormatError{Section: fmt.Sprintf("edge %d", i), Offset: edgeSecs[i].offset, Cause: err}
-			}
+	for i, e := range wet.Edges {
+		if err := checkSegShares(wet, e); err != nil {
+			return nil, nil, &FormatError{Section: fmt.Sprintf("edge %d", i), Offset: edgeSecs[i].offset, Cause: err}
 		}
 	}
 	// The concurrency section is optional: single-threaded files (and every
@@ -526,49 +476,38 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, error) {
 		idx++
 		conc, err := parseConcSec(cs, opts, &wet.Raw)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		wet.Conc = conc
 	}
 	es, err := take(secEnd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if idx != len(secs) {
 		extra := &secs[idx]
-		return nil, &FormatError{Section: extra.name(), Offset: extra.offset,
+		return nil, nil, &FormatError{Section: extra.name(), Offset: extra.offset,
 			Cause: fmt.Errorf("unexpected section after end marker")}
 	}
 	if len(es.payload) != 0 {
-		return nil, &FormatError{Section: "end", Offset: es.offset,
+		return nil, nil, &FormatError{Section: "end", Offset: es.offset,
 			Cause: fmt.Errorf("end marker carries %d payload bytes", len(es.payload))}
 	}
 	if wet.FirstNode < 0 || wet.FirstNode >= len(wet.Nodes) ||
 		wet.LastNode < 0 || wet.LastNode >= len(wet.Nodes) {
-		return nil, &FormatError{Section: "header", Offset: hs.offset,
+		return nil, nil, &FormatError{Section: "header", Offset: hs.offset,
 			Cause: fmt.Errorf("first/last node out of range")}
 	}
 	if opts.fid != nil {
 		installFidelity(wet, opts.fid)
 	}
-	if v4 && opts.RestoreTier1 {
-		// Segmented tier-1 is rehydrated in one pass over the federated
-		// cursors once the whole edge table (share targets included) exists.
-		// A deferred-decode failure or cancellation surfaces as the typed
-		// error (a *stream.DecodeError names the stream better than any
-		// section offset could, so it is not re-wrapped as a FormatError).
-		if err := wet.MaterializeTier1Ctx(ctx, opts.Workers); err != nil {
-			return nil, err
-		}
-	}
-	wet.RestoreIndexes(sizeRep)
-	return wet, nil
+	return wet, sizeRep, nil
 }
 
 // parseSalvage keeps whatever validates: bad or out-of-place sections are
 // dropped, node records form the maximal intact prefix, edge records are
 // kept individually, and cross references are repaired afterwards.
-func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool) (*core.WET, error) {
+func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool) (*core.WET, *core.SizeReport, error) {
 	var hdrSec, progSec, repSec, fidSec, concSec *section
 	// Node and edge identities are positional (a node's ID is its index), so
 	// original indices are assigned by file order counting damaged sections
@@ -636,21 +575,20 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 	// Header and program are the skeleton everything else hangs off; a file
 	// that lost either is beyond salvage.
 	if hdrSec == nil {
-		return nil, &FormatError{Section: "header", Offset: 8,
+		return nil, nil, &FormatError{Section: "header", Offset: 8,
 			Cause: fmt.Errorf("header section damaged or missing; nothing salvageable")}
 	}
 	wet, hdr, err := parseHeaderSec(hdrSec, v4)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep.SectionsRead++
 	if progSec == nil {
-		return nil, &FormatError{Section: "program", Offset: 8,
+		return nil, nil, &FormatError{Section: "program", Offset: 8,
 			Cause: fmt.Errorf("program section damaged or missing; nothing salvageable")}
 	}
-	st, err := parseProgramSec(progSec, wet)
-	if err != nil {
-		return nil, err
+	if err := parseProgramSec(progSec, wet); err != nil {
+		return nil, nil, err
 	}
 	rep.SectionsRead++
 
@@ -688,12 +626,10 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 			continue
 		}
 		var n *core.Node
-		var nerr error
-		if v4 {
-			n, nerr = parseNodeSecV4(ts.s, st, ts.orig, hdr.nNodes, wet, opts)
-		} else {
-			n, nerr = parseNodeSec(ts.s, st, ts.orig, hdr.nNodes, opts)
-		}
+		nerr := parseRecord("node", ts.s, ts.orig, opts, func(r recReader, o LoadOptions) (err error) {
+			n, err = readNode(r, wet, ts.orig, hdr.nNodes, o)
+			return err
+		})
 		if nerr != nil {
 			drop(ts.s)
 			continue
@@ -701,10 +637,9 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 		wet.Nodes = append(wet.Nodes, n)
 		rep.SectionsRead++
 	}
-	rep.NodesLoaded = len(wet.Nodes)
 	rep.NodesDropped = hdr.nNodes - len(wet.Nodes)
 	if len(wet.Nodes) == 0 {
-		return nil, &FormatError{Section: "node 0", Offset: 8,
+		return nil, nil, &FormatError{Section: "node 0", Offset: 8,
 			Cause: fmt.Errorf("no loadable node records; nothing salvageable")}
 	}
 
@@ -721,12 +656,10 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 			continue
 		}
 		var e *core.Edge
-		var eerr error
-		if v4 {
-			e, eerr = parseEdgeSecV4(ts.s, wet, ts.orig, hdr.nEdges, opts)
-		} else {
-			e, eerr = parseEdgeSec(ts.s, wet, ts.orig, hdr.nEdges, opts)
-		}
+		eerr := parseRecord("edge", ts.s, ts.orig, opts, func(r recReader, o LoadOptions) (err error) {
+			e, err = readEdge(r, wet, ts.orig, hdr.nEdges, o)
+			return err
+		})
 		if eerr != nil {
 			drop(ts.s)
 			continue
@@ -738,46 +671,29 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 	// Shared-label edges need their representative: drop sharers whose
 	// owner was lost or is not a valid owner, then remap indexes. v4 shares
 	// per segment, and a dropped edge can itself own segments other edges
-	// share, so the drop cascades to a fixpoint there.
+	// share, so the drop cascades to a fixpoint.
 	owners := make(map[int]*core.Edge, len(kept))
+	alive := make(map[int]bool, len(kept))
 	for _, k := range kept {
-		owners[k.orig] = k.e
+		owners[k.orig], alive[k.orig] = k.e, true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, k := range kept {
+			if !alive[k.orig] {
+				continue
+			}
+			if why := shareDamage(owners, alive, k.e, k.orig); why != "" {
+				alive[k.orig] = false
+				changed = true
+				rep.Adjustments = append(rep.Adjustments,
+					fmt.Sprintf("edge record %d dropped: %s", k.orig, why))
+			}
+		}
 	}
 	var surviving []keptEdge
-	if v4 {
-		alive := make(map[int]bool, len(kept))
-		for _, k := range kept {
-			alive[k.orig] = true
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, k := range kept {
-				if !alive[k.orig] {
-					continue
-				}
-				if why := segShareDamage(owners, alive, k.e, k.orig); why != "" {
-					alive[k.orig] = false
-					changed = true
-					rep.Adjustments = append(rep.Adjustments,
-						fmt.Sprintf("edge record %d dropped: %s", k.orig, why))
-				}
-			}
-		}
-		for _, k := range kept {
-			if alive[k.orig] {
-				surviving = append(surviving, k)
-			}
-		}
-	} else {
-		for _, k := range kept {
-			if k.e.SharedWith >= 0 {
-				own, ok := owners[k.e.SharedWith]
-				if !ok || own.SharedWith >= 0 || own.Inferable {
-					rep.Adjustments = append(rep.Adjustments,
-						fmt.Sprintf("edge record %d dropped: shared label representative %d not recovered", k.orig, k.e.SharedWith))
-					continue
-				}
-			}
+	for _, k := range kept {
+		if alive[k.orig] {
 			surviving = append(surviving, k)
 		}
 	}
@@ -796,7 +712,6 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 		}
 		wet.Edges = append(wet.Edges, k.e)
 	}
-	rep.EdgesLoaded = len(wet.Edges)
 	rep.EdgesDropped = hdr.nEdges - len(wet.Edges)
 
 	// The fidelity report names records by their file indices; salvage may
@@ -838,16 +753,7 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 	}
 
 	rep.Adjustments = append(rep.Adjustments, wet.SanitizeSalvaged()...)
-	if v4 && opts.RestoreTier1 {
-		// Salvage decoded every stream eagerly, so a drain here cannot hit a
-		// deferred decode; an error would mean an internal inconsistency and
-		// still must not panic out of a salvage load.
-		if err := wet.MaterializeTier1(); err != nil {
-			return nil, err
-		}
-	}
-	wet.RestoreIndexes(sizeRep)
-	return wet, nil
+	return wet, sizeRep, nil
 }
 
 // header carries the counts the section sequence is checked against.
@@ -889,9 +795,8 @@ func parseHeaderSec(s *section, v4 bool) (*core.WET, header, error) {
 	return wet, hdr, nil
 }
 
-func parseProgramSec(s *section, wet *core.WET) (*interp.Static, error) {
-	var st *interp.Static
-	err := guard("program", s.offset, func() error {
+func parseProgramSec(s *section, wet *core.WET) error {
+	return guard("program", s.offset, func() error {
 		sr := newSecReader(s)
 		prog, err := loadProgram(sr)
 		if err != nil {
@@ -900,16 +805,13 @@ func parseProgramSec(s *section, wet *core.WET) (*interp.Static, error) {
 		if err := sr.done(); err != nil {
 			return err
 		}
-		if st, err = interp.Analyze(prog); err != nil {
+		st, err := interp.Analyze(prog)
+		if err != nil {
 			return fmt.Errorf("reanalyze: %w", err)
 		}
 		wet.Prog, wet.Static = prog, st
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
 }
 
 func parseReportSec(s *section) (*core.SizeReport, error) {
@@ -927,94 +829,6 @@ func parseReportSec(s *section) (*core.SizeReport, error) {
 		return nil, err
 	}
 	return rep, nil
-}
-
-func parseNodeSec(s *section, st *interp.Static, id, nNodes int, opts LoadOptions) (*core.Node, error) {
-	var node *core.Node
-	if opts.Segments != nil {
-		opts.segOwner, opts.segEpoch = fmt.Sprintf("node %d", id), -1
-	}
-	err := guard(fmt.Sprintf("node %d", id), s.offset, func() error {
-		sr := newSecReader(s)
-		var fn int32
-		var pathID int64
-		var execs uint32
-		if err := readVals(sr, &fn, &pathID, &execs); err != nil {
-			return err
-		}
-		if fn < 0 || int(fn) >= len(st.Prog.Funcs) {
-			return fmt.Errorf("function index %d outside [0,%d)", fn, len(st.Prog.Funcs))
-		}
-		n, err := core.RestoreNode(st, id, int(fn), pathID)
-		if err != nil {
-			return err
-		}
-		n.Execs = int(execs)
-		if n.TSS, err = loadStream(sr, opts); err != nil {
-			return err
-		}
-		if n.TSS.Len() != n.Execs {
-			return fmt.Errorf("timestamp stream has %d entries, node executed %d times", n.TSS.Len(), n.Execs)
-		}
-		if n.CFNext, err = readCFList(sr, nNodes); err != nil {
-			return err
-		}
-		if n.CFPrev, err = readCFList(sr, nNodes); err != nil {
-			return err
-		}
-		nGroups, err := sr.count(1)
-		if err != nil {
-			return err
-		}
-		if nGroups != len(n.Groups) {
-			return fmt.Errorf("node has %d groups, file says %d", len(n.Groups), nGroups)
-		}
-		for gi, g := range n.Groups {
-			var uniq, nuv uint32
-			if err := readVals(sr, &uniq, &nuv); err != nil {
-				return err
-			}
-			g.RestoreUniqueKeys(int(uniq))
-			if int(nuv) != len(g.ValMembers) {
-				return fmt.Errorf("group has %d value members, file says %d", len(g.ValMembers), nuv)
-			}
-			// A budget-dropped group keeps the payload shape but its streams
-			// are empty placeholders, so the length-vs-executions checks (and
-			// the tier-1 drain) do not apply.
-			g.Dropped = opts.fid.GroupDropped(id, gi)
-			if g.PatternS, err = loadStream(sr, opts); err != nil {
-				return err
-			}
-			if !g.Dropped && g.PatternS.Len() != n.Execs {
-				return fmt.Errorf("group pattern has %d entries, node executed %d times", g.PatternS.Len(), n.Execs)
-			}
-			g.UValS = make([]stream.Stream, nuv)
-			for k := range g.UValS {
-				if g.UValS[k], err = loadStream(sr, opts); err != nil {
-					return err
-				}
-				if !g.Dropped && g.UValS[k].Len() != int(uniq) {
-					return fmt.Errorf("unique-value stream has %d entries, group has %d keys", g.UValS[k].Len(), uniq)
-				}
-			}
-			if opts.RestoreTier1 && !g.Dropped {
-				g.Pattern = stream.Drain(g.PatternS)
-				g.UVals = make([][]uint32, nuv)
-				for k := range g.UValS {
-					g.UVals[k] = stream.Drain(g.UValS[k])
-				}
-			}
-		}
-		if opts.RestoreTier1 {
-			n.TS = stream.Drain(n.TSS)
-		}
-		node = n
-		return sr.done()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return node, nil
 }
 
 // parseConcSec deserializes the optional concurrency section. Structural
@@ -1046,9 +860,6 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 			if cs.S, err = loadStream(sr, opts); err != nil {
 				return err
 			}
-			if opts.RestoreTier1 {
-				cs.Raw = stream.Drain(cs.S)
-			}
 		}
 		if n := c.SyncTS.Len(); c.SyncKind.Len() != n || c.SyncThread.Len() != n || c.SyncObj.Len() != n {
 			return fmt.Errorf("sync record streams are misaligned")
@@ -1064,65 +875,6 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 		return nil, err
 	}
 	return conc, nil
-}
-
-func parseEdgeSec(s *section, wet *core.WET, id, nEdges int, opts LoadOptions) (*core.Edge, error) {
-	var edge *core.Edge
-	if opts.Segments != nil {
-		opts.segOwner, opts.segEpoch = fmt.Sprintf("edge %d", id), -1
-	}
-	err := guard(fmt.Sprintf("edge %d", id), s.offset, func() error {
-		sr := newSecReader(s)
-		var kind, inferable, diagonal uint8
-		var srcN, srcP, dstN, dstP, opIdx, shared int32
-		var count uint32
-		if err := readVals(sr, &kind, &srcN, &srcP, &dstN, &dstP, &opIdx,
-			&count, &inferable, &diagonal, &shared); err != nil {
-			return err
-		}
-		e := &core.Edge{
-			Kind: core.EdgeKind(kind), SrcNode: int(srcN), SrcPos: int(srcP),
-			DstNode: int(dstN), DstPos: int(dstP), OpIdx: int(opIdx),
-			Count: int(count), Inferable: inferable == 1, Diagonal: diagonal == 1,
-			SharedWith: int(shared),
-		}
-		if err := checkEdge(wet, e, nEdges); err != nil {
-			return err
-		}
-		// A budget-dropped owner keeps placeholder streams (sharers of a
-		// dropped owner store nothing, as always), so only the length checks
-		// and the tier-1 drain are relaxed.
-		e.Dropped = opts.fid.EdgeDropped(id)
-		if !e.Inferable && e.SharedWith < 0 {
-			var err error
-			if e.DstS, err = loadStream(sr, opts); err != nil {
-				return err
-			}
-			if !e.Dropped && e.DstS.Len() != e.Count {
-				return fmt.Errorf("destination labels have %d entries, edge count is %d", e.DstS.Len(), e.Count)
-			}
-			if !e.Diagonal {
-				if e.SrcS, err = loadStream(sr, opts); err != nil {
-					return err
-				}
-				if !e.Dropped && e.SrcS.Len() != e.Count {
-					return fmt.Errorf("source labels have %d entries, edge count is %d", e.SrcS.Len(), e.Count)
-				}
-			}
-			if opts.RestoreTier1 && !e.Dropped {
-				e.DstOrd = stream.Drain(e.DstS)
-				if !e.Diagonal {
-					e.SrcOrd = stream.Drain(e.SrcS)
-				}
-			}
-		}
-		edge = e
-		return sr.done()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return edge, nil
 }
 
 // loadStream deserializes one stream, optionally certifying full
@@ -1190,25 +942,6 @@ func guard(name string, offset int64, fn func() error) (err error) {
 			return fe
 		}
 		return &FormatError{Section: name, Offset: offset, Cause: e}
-	}
-	return nil
-}
-
-// checkEdge validates a deserialized edge's coordinates against the node
-// structure (corrupt files must error, not index out of range).
-func checkEdge(wet *core.WET, e *core.Edge, nEdges int) error {
-	if e.SrcNode < 0 || e.SrcNode >= len(wet.Nodes) || e.DstNode < 0 || e.DstNode >= len(wet.Nodes) {
-		return fmt.Errorf("wetio: edge node out of range")
-	}
-	if e.SrcPos < 0 || e.SrcPos >= len(wet.Nodes[e.SrcNode].Stmts) ||
-		e.DstPos < 0 || e.DstPos >= len(wet.Nodes[e.DstNode].Stmts) {
-		return fmt.Errorf("wetio: edge position out of range")
-	}
-	if e.SharedWith >= nEdges || e.SharedWith < -1 {
-		return fmt.Errorf("wetio: edge share reference out of range")
-	}
-	if e.Kind != core.DD && e.Kind != core.CD {
-		return fmt.Errorf("wetio: bad edge kind %d", e.Kind)
 	}
 	return nil
 }
