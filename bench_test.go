@@ -214,16 +214,17 @@ func BenchmarkExtractCF(b *testing.B) {
 	}
 }
 
-// BenchmarkAddressTraces measures every load/store address trace of a
-// reopened container.
-func BenchmarkAddressTraces(b *testing.B) {
+// benchSamples measures one whole-program sample extraction on a reopened
+// container.
+func benchSamples(b *testing.B, extract func(*core.WET, core.Tier, func(int, query.Sample)) (uint64, error)) {
 	tr := reopened(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var n uint64
 	sum := int64(0)
 	for i := 0; i < b.N; i++ {
 		var err error
-		n, err = query.AddressTraces(tr.WET(), tr.Tier(), func(_ int, s query.Sample) { sum += s.Value + int64(s.TS) })
+		n, err = extract(tr.WET(), tr.Tier(), func(_ int, s query.Sample) { sum += s.Value + int64(s.TS) })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,6 +232,11 @@ func BenchmarkAddressTraces(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n)/float64(b.N), "ns/sample")
 	benchSum += int(sum)
 }
+
+// BenchmarkLoadValueTraces measures every load value trace of a reopened
+// container, BenchmarkAddressTraces every load/store address trace.
+func BenchmarkLoadValueTraces(b *testing.B) { benchSamples(b, query.LoadValueTraces) }
+func BenchmarkAddressTraces(b *testing.B)   { benchSamples(b, query.AddressTraces) }
 
 // benchSum keeps the emit callbacks' work observable.
 var benchSum int

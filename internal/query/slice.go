@@ -229,16 +229,18 @@ func checkInstance(w *core.WET, in Instance) error {
 
 // InstanceOfTS locates the instance of a static statement executed at the
 // node execution holding timestamp ts (a convenience for picking slicing
-// criteria from a point in time).
+// criteria from a point in time). Node timestamps only grow, so each
+// occurrence is searched in batches up to the first timestamp above ts. A
+// statement id outside the program returns a *StmtError.
 func InstanceOfTS(w *core.WET, tier core.Tier, stmtID int, ts uint32) (in Instance, err error) {
 	defer recoverTyped(&err)
+	if err := checkStmt(w, stmtID); err != nil {
+		return Instance{}, err
+	}
+	var buf [walkChunk]uint32
 	for _, ref := range w.StmtOcc[stmtID] {
-		n := w.Nodes[ref.Node]
-		seq := w.TSSeq(n, tier)
-		for ord := 0; ord < n.Execs; ord++ {
-			if core.SeqAt(seq, ord) == ts {
-				return Instance{Node: ref.Node, Pos: ref.Pos, Ord: ord}, nil
-			}
+		if ord := findOrdered(w.TSSeq(w.Nodes[ref.Node], tier), ts, buf[:]); ord >= 0 {
+			return Instance{Node: ref.Node, Pos: ref.Pos, Ord: ord}, nil
 		}
 	}
 	return Instance{}, fmt.Errorf("query: statement %d did not execute at ts %d", stmtID, ts)

@@ -14,113 +14,197 @@ type Sample struct {
 	Value int64
 }
 
-// occCursor iterates one occurrence of an instruction: the node's timestamp
-// sequence plus the group pattern resolve (ts, value) pairs in order.
-type occCursor struct {
-	w    *core.WET
-	tier core.Tier
-	node *core.Node
-	pos  int
-	ts   core.Seq
-	pat  core.Seq
-	uv   core.Seq
-	ord  int
+// StmtError reports a statement id that names no statement of the traced
+// program, handed to a per-statement query.
+type StmtError struct {
+	StmtID, Stmts int
 }
 
-func newOccCursor(w *core.WET, tier core.Tier, ref core.StmtRef) (*occCursor, error) {
-	n := w.Nodes[ref.Node]
-	g := n.Groups[n.GroupOf[ref.Pos]]
-	mi := g.ValMemberIndex(ref.Pos)
-	if mi < 0 {
-		return nil, fmt.Errorf("query: %s has no def port", n.Stmts[ref.Pos])
-	}
-	return &occCursor{
-		w: w, tier: tier, node: n, pos: ref.Pos,
-		ts:  w.TSSeq(n, tier),
-		pat: w.PatternSeq(g, tier),
-		uv:  w.UValSeq(g, mi, tier),
-	}, nil
+func (e *StmtError) Error() string {
+	return fmt.Sprintf("query: statement %d outside [0,%d)", e.StmtID, e.Stmts)
 }
 
-// next returns the next (ts, value) sample of this occurrence, or false.
-func (c *occCursor) next() (Sample, bool) {
-	if c.ord >= c.node.Execs {
-		return Sample{}, false
+func checkStmt(w *core.WET, stmtID int) error {
+	if stmtID < 0 || stmtID >= len(w.StmtOcc) {
+		return &StmtError{StmtID: stmtID, Stmts: len(w.StmtOcc)}
 	}
-	ts := core.SeqAt(c.ts, c.ord)
-	idx := core.SeqAt(c.pat, c.ord)
-	v := int64(int32(core.SeqAt(c.uv, int(idx))))
-	c.ord++
-	return Sample{TS: ts, Value: v}, true
+	return nil
+}
+
+// valRun is one producer of an occurrence's samples: the occurrence itself
+// for a value trace, one incoming dependence edge of the address operand for
+// an address trace.
+type valRun struct {
+	vr  *valReader // the producer's values; nil for a constant
+	lab *edgeWin   // the edge's labels; nil when sample k takes the producer's k-th value
+}
+
+// edgeWin reads one edge's (dst, src) labels forward, a chunk at a time.
+type edgeWin struct {
+	dst, src   core.Seq
+	d, s       [walkChunk]uint32
+	head, fill int // unread labels are d[head:fill], s[head:fill]
+}
+
+// occSrc is one occurrence of the traced statement, read forward in windows
+// of up to walkChunk node executions: the node's timestamps are drained with
+// one batched read per window, and each run then supplies the values of the
+// executions it covers — the runs of one occurrence partition its ordinals,
+// so they fill one window between them and only occurrences need merging.
+type occSrc struct {
+	ts         core.Seq // the node's timestamps; its position is the next window's first ordinal
+	runs       []valRun
+	buf        [walkChunk]Sample
+	head, fill int // undelivered samples are buf[head:fill]
+}
+
+// refill decodes the next window that holds a sample into o.buf; false means
+// the occurrence is exhausted. A sample's value is (add + produced) & mask.
+func (o *occSrc) refill(q *qctx, add, mask int64) bool {
+	for base := o.ts.Pos(); base < o.ts.Len(); base = o.ts.Pos() {
+		ts := q.ts[:core.SeqNextN(o.ts, q.ts[:])]
+		end := base + len(ts)
+		var have uint64 // bit k: execution base+k has a sample (walkChunk <= 64)
+		for _, r := range o.runs {
+			if r.lab == nil {
+				have = ^uint64(0)
+				if r.vr == nil {
+					clear(o.buf[:len(ts)])
+					continue
+				}
+				vals := q.buf[:len(ts)]
+				r.vr.run(base, vals)
+				for k, v := range vals {
+					o.buf[k].Value = int64(int32(v))
+				}
+				continue
+			}
+			for l := r.lab; ; l.head++ {
+				if l.head == l.fill {
+					l.head, l.fill = 0, min(walkChunk, l.dst.Len()-l.dst.Pos())
+					if l.fill == 0 {
+						break
+					}
+					core.SeqNextN(l.dst, l.d[:l.fill])
+					core.SeqNextN(l.src, l.s[:l.fill])
+				}
+				d := int(l.d[l.head])
+				if d >= end {
+					break
+				}
+				if d >= base { // destination ordinals only grow
+					o.buf[d-base].Value = r.vr.at(int(l.s[l.head]))
+					have |= 1 << (d - base)
+				}
+			}
+		}
+		o.head, o.fill = 0, 0
+		for k, t := range ts {
+			if have&(1<<k) != 0 {
+				o.buf[o.fill] = Sample{TS: t, Value: (add + o.buf[k].Value) & mask}
+				o.fill++
+			}
+		}
+		if o.fill > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// mergeSamples emits the samples of srcs, each in timestamp order, in
+// timestamp order overall, and returns how many there were. It drains the
+// source with the smallest head up to the runner-up's head before looking
+// again, so a pick costs O(len(srcs)) per switch of occurrence, not per
+// sample.
+func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, emit func(Sample)) (count uint64) {
+	live := make([]*occSrc, 0, len(srcs))
+	heads := make([]uint32, 0, len(srcs)) // heads[i] is live[i]'s next timestamp
+	for i := range srcs {
+		if o := &srcs[i]; o.refill(q, add, mask) {
+			live, heads = append(live, o), append(heads, o.buf[0].TS)
+		}
+	}
+	for len(live) > 0 {
+		best, limit := 0, ^uint32(0)
+		for i, t := range heads {
+			switch {
+			case t < heads[best]:
+				best, limit = i, heads[best]
+			case t < limit && i != best:
+				limit = t
+			}
+		}
+		o := live[best]
+		for o.buf[o.head].TS <= limit {
+			if emit != nil {
+				emit(o.buf[o.head])
+			}
+			count++
+			if o.head++; o.head == o.fill && !o.refill(q, add, mask) {
+				break
+			}
+		}
+		if o.head < o.fill {
+			heads[best] = o.buf[o.head].TS
+			continue
+		}
+		last := len(live) - 1
+		live[best], heads[best] = live[last], heads[last]
+		live, heads = live[:last], heads[:last]
+	}
+	return count
 }
 
 // ValueTrace extracts the complete value trace of one static statement in
 // execution order, merging its occurrences across WET nodes by timestamp.
 // This is the paper's "per instruction load value trace" when the statement
-// is a load (Table 7). On a lazily loaded WET, a stream failing its deferred
-// decode surfaces as a *stream.DecodeError, not a panic.
+// is a load (Table 7). A statement id outside the program returns a
+// *StmtError. On a lazily loaded WET, a stream failing its deferred decode
+// surfaces as a *stream.DecodeError, not a panic.
 func ValueTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
 	defer recoverTyped(&err)
-	refs := w.StmtOcc[stmtID]
-	cursors := make([]*occCursor, len(refs))
-	for i, ref := range refs {
-		if cursors[i], err = newOccCursor(w, tier, ref); err != nil {
-			return 0, err
-		}
-	}
-	return mergeSamples(len(cursors), func(i int) (Sample, bool) { return cursors[i].next() }, emit), nil
+	return newCtx(w, tier).valueTrace(stmtID, emit)
 }
 
-// mergeSamples emits the samples of k sources, each in timestamp order, in
-// timestamp order overall, and returns how many there were; next(i) yields
-// source i's next sample.
-func mergeSamples(k int, next func(i int) (Sample, bool), emit func(Sample)) (count uint64) {
-	src := make([]int, 0, k)
-	heads := make([]Sample, 0, k)
-	for i := 0; i < k; i++ {
-		if h, ok := next(i); ok {
-			src = append(src, i)
-			heads = append(heads, h)
-		}
+func (q *qctx) valueTrace(stmtID int, emit func(Sample)) (uint64, error) {
+	if err := checkStmt(q.w, stmtID); err != nil {
+		return 0, err
 	}
-	for len(src) > 0 {
-		// Pick the source with the smallest head timestamp (sources are
-		// few: one per path containing the block, times its producers).
-		best := 0
-		for i := 1; i < len(src); i++ {
-			if heads[i].TS < heads[best].TS {
-				best = i
-			}
+	refs := q.w.StmtOcc[stmtID]
+	srcs := q.occs(len(refs))
+	for _, ref := range refs {
+		n := q.w.Nodes[ref.Node]
+		vr, err := q.valueReader(n, ref.Pos)
+		if err != nil {
+			return 0, err
 		}
-		if emit != nil {
-			emit(heads[best])
-		}
-		count++
-		if h, ok := next(src[best]); ok {
-			heads[best] = h
-		} else {
-			last := len(src) - 1
-			src[best], heads[best] = src[last], heads[last]
-			src, heads = src[:last], heads[:last]
-		}
+		srcs = append(srcs, occSrc{ts: q.w.TSSeq(n, q.tier), runs: []valRun{{vr: vr}}})
 	}
-	return count
+	return q.mergeSamples(srcs, 0, -1, emit), nil
 }
 
 // LoadValueTraces extracts the value trace of every load instruction
 // (Table 7). It returns the total number of samples (×4 bytes = the
 // paper's load value trace size).
 func LoadValueTraces(w *core.WET, tier core.Tier, emit func(stmtID int, s Sample)) (uint64, error) {
-	var total uint64
+	return tracePass(w, func(st *ir.Stmt) bool { return st.Op == ir.OpLoad }, newCtx(w, tier).valueTrace, emit)
+}
+
+// tracePass runs one per-statement trace over every statement want selects,
+// in statement order, and returns the total number of samples.
+func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, func(Sample)) (uint64, error),
+	emit func(stmtID int, s Sample)) (total uint64, err error) {
+	defer recoverTyped(&err)
 	for _, st := range w.Prog.Stmts {
-		if st.Op != ir.OpLoad {
+		if !want(st) {
 			continue
 		}
-		n, err := ValueTrace(w, tier, st.ID, func(s Sample) {
-			if emit != nil {
-				emit(st.ID, s)
-			}
-		})
+		var one func(Sample)
+		if emit != nil {
+			one = func(s Sample) { emit(st.ID, s) }
+		}
+		n, err := trace(st.ID, one)
 		if err != nil {
 			return total, err
 		}
@@ -129,91 +213,41 @@ func LoadValueTraces(w *core.WET, tier core.Tier, emit func(stmtID int, s Sample
 	return total, nil
 }
 
-// addrOperandIndex returns the dependence-operand index of the address
-// operand of a load/store, or -1 when the address is an immediate.
-func addrOperandIndex(st *ir.Stmt) int {
-	if st.Op != ir.OpLoad && st.Op != ir.OpStore {
-		return -1
-	}
-	if !st.A.IsReg {
-		return -1
-	}
-	return 0 // the address register is always the first use
-}
-
-// addrRun is one (occurrence, edge) run of an address trace: the executions
-// of one occurrence whose address operand one dependence edge supplied, in
-// execution — hence timestamp — order. It decodes a chunk of samples at a
-// time, reading the edge's labels as sequential batches.
-type addrRun struct {
-	ts       []uint32   // the occurrence's node timestamps, by ordinal
-	vr       *valReader // the operand's producer; nil for an immediate address
-	dst, src core.Seq   // the edge's labels; nil when both ordinals are the sample index
-	n, done  int        // samples in the run, samples decoded so far
-	buf      [walkChunk]Sample
-	head     int // next unread sample of buf[:fill]
-	fill     int
-}
-
-// next returns the run's next sample; add is the immediate address or the
-// static displacement. d and s are scratch for one chunk of labels.
-func (r *addrRun) next(add, mask int64, d, s *[walkChunk]uint32) (Sample, bool) {
-	if r.head == r.fill {
-		k := min(len(r.buf), r.n-r.done)
-		if k == 0 {
-			return Sample{}, false
-		}
-		if r.dst != nil {
-			core.SeqNextN(r.dst, d[:k])
-			core.SeqNextN(r.src, s[:k])
-		}
-		for i := 0; i < k; i++ {
-			dord, sord := r.done+i, r.done+i
-			if r.dst != nil {
-				dord, sord = int(d[i]), int(s[i])
-			}
-			v := add
-			if r.vr != nil {
-				v += r.vr.at(sord)
-			}
-			r.buf[i] = Sample{TS: r.ts[dord], Value: v & mask}
-		}
-		r.done += k
-		r.head, r.fill = 0, k
-	}
-	r.head++
-	return r.buf[r.head-1], true
-}
-
 // AddressTrace extracts the address trace of one load/store: for every
 // execution, the address operand's value (resolved through the DD edge to
 // its producer, per the paper: "addresses ... can be obtained by examining
 // the <t,v> sequences of statements that produce the operands") plus the
-// static displacement. Each (occurrence, edge) pair contributes a run that is
-// already in timestamp order, so the runs are merged, not sorted. Deferred-
-// decode failures surface as a *stream.DecodeError, not a panic.
+// static displacement. A statement id outside the program returns a
+// *StmtError. Deferred-decode failures surface as a *stream.DecodeError, not
+// a panic.
 func AddressTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
 	defer recoverTyped(&err)
+	return newCtx(w, tier).addressTrace(stmtID, emit)
+}
+
+func (q *qctx) addressTrace(stmtID int, emit func(Sample)) (uint64, error) {
+	w := q.w
+	if err := checkStmt(w, stmtID); err != nil {
+		return 0, err
+	}
 	st := w.Prog.Stmts[stmtID]
 	if st.Op != ir.OpLoad && st.Op != ir.OpStore {
 		return 0, fmt.Errorf("query: statement %s is not a memory access", st)
 	}
-	mask := w.Prog.MemWords - 1
-	opIdx := addrOperandIndex(st)
-	add := st.Off
-	if opIdx < 0 {
-		add += st.A.Imm
+	// The address register is always the first use; an immediate address
+	// has no producer.
+	opIdx, add := 0, st.Off
+	if !st.A.IsReg {
+		opIdx, add = -1, add+st.A.Imm
 	}
-	q := newCtx(w, tier)
-	var runs []*addrRun
-	for _, ref := range w.StmtOcc[stmtID] {
+	refs := w.StmtOcc[stmtID]
+	srcs := q.occs(len(refs))
+	for _, ref := range refs {
 		n := w.Nodes[ref.Node]
-		ts := make([]uint32, n.Execs)
-		core.SeqNextN(w.TSSeq(n, tier), ts)
+		var runs []valRun
 		if opIdx < 0 {
 			// Constant address: one sample per execution.
-			runs = append(runs, &addrRun{ts: ts, n: n.Execs})
-			continue
+			runs = []valRun{{}}
 		}
 		// Resolve through each incoming DD edge on the address operand; the
 		// producer's value reader is shared by the runs it feeds.
@@ -222,39 +256,27 @@ func AddressTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (c
 			if e.Kind != core.DD || e.OpIdx != opIdx {
 				continue
 			}
-			vr, err := q.valueReader(w.Nodes[e.SrcNode], e.SrcPos)
-			if err != nil {
+			r := valRun{}
+			var err error
+			if r.vr, err = q.valueReader(w.Nodes[e.SrcNode], e.SrcPos); err != nil {
 				return 0, err
 			}
-			r := &addrRun{ts: ts, vr: vr, n: n.Execs}
 			if !e.Inferable {
-				r.dst, r.src = w.EdgeLabels(e, tier)
-				r.n = r.dst.Len()
+				r.lab = &edgeWin{}
+				r.lab.dst, r.lab.src = w.EdgeLabels(e, q.tier)
 			}
 			runs = append(runs, r)
 		}
+		if len(runs) > 0 {
+			srcs = append(srcs, occSrc{ts: w.TSSeq(n, q.tier), runs: runs})
+		}
 	}
-	var d, s [walkChunk]uint32
-	return mergeSamples(len(runs), func(i int) (Sample, bool) { return runs[i].next(add, mask, &d, &s) }, emit), nil
+	return q.mergeSamples(srcs, add, w.Prog.MemWords-1, emit), nil
 }
 
 // AddressTraces extracts the address trace of every load and store
 // (Table 8). It returns the total number of samples.
 func AddressTraces(w *core.WET, tier core.Tier, emit func(stmtID int, s Sample)) (uint64, error) {
-	var total uint64
-	for _, st := range w.Prog.Stmts {
-		if st.Op != ir.OpLoad && st.Op != ir.OpStore {
-			continue
-		}
-		n, err := AddressTrace(w, tier, st.ID, func(s Sample) {
-			if emit != nil {
-				emit(st.ID, s)
-			}
-		})
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
+	return tracePass(w, func(st *ir.Stmt) bool { return st.Op == ir.OpLoad || st.Op == ir.OpStore },
+		newCtx(w, tier).addressTrace, emit)
 }

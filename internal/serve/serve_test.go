@@ -122,6 +122,16 @@ func TestServerEndpoints(t *testing.T) {
 	if code, _ := getJSON(t, ts.URL+"/v1/traces/li/cfrange"); code != 400 {
 		t.Fatalf("missing params: %d", code)
 	}
+	// A statement id the program does not have is the client's mistake: it
+	// used to index a table with it and drop the connection.
+	for _, q := range []string{"valuetrace", "addrtrace", "instance", "backward"} {
+		for _, stmt := range []string{"999999", "-1"} {
+			code, body := getJSON(t, ts.URL+"/v1/traces/li/"+q+"?ts=1&stmt="+stmt)
+			if code != 400 || body["kind"] != "bad_request" {
+				t.Fatalf("%s?stmt=%s: %d %v", q, stmt, code, body)
+			}
+		}
+	}
 }
 
 func readAll(resp *http.Response) (string, error) {

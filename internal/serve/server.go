@@ -473,10 +473,11 @@ func statusFor(err error) int {
 	var pe *ParamError
 	var she *ShedError
 	var de *stream.DecodeError
+	var se *query.StmtError
 	switch {
 	case err == nil:
 		return http.StatusOK
-	case errors.As(err, &pe):
+	case errors.As(err, &pe), errors.As(err, &se):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownTrace):
 		return http.StatusNotFound

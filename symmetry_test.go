@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"wet"
+	"wet/internal/query"
 )
 
 // seekDelta runs f and returns the seek counters it moved on tr.
@@ -21,11 +22,10 @@ func seekDelta(tr *wet.Trace, f func()) wet.SeekStats {
 	return tr.SeekStats().Sub(before)
 }
 
-// TestBackwardCFWalksNoMoreThanForward: on a reopened multi-epoch container
-// — journey 2, where every cursor is a federation of segment cursors — a
-// whole backward control-flow extraction walks at most 1.5x the seek steps
-// of the forward one.
-func TestBackwardCFWalksNoMoreThanForward(t *testing.T) {
+// reopenedLi returns li recorded in epochs, saved and opened again: journey
+// 2, where every cursor is a federation of segment cursors.
+func reopenedLi(t *testing.T) *wet.Trace {
+	t.Helper()
 	tr, _, err := wet.Open(bytes.NewReader(saveBytes(t, runWorkload(t, "li", wet.WithEpochTS(1<<10)))))
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +33,14 @@ func TestBackwardCFWalksNoMoreThanForward(t *testing.T) {
 	if tr.Epochs() < 2 {
 		t.Fatalf("want a multi-epoch container, got %d epoch(s)", tr.Epochs())
 	}
+	return tr
+}
+
+// TestBackwardCFWalksNoMoreThanForward: on a reopened multi-epoch container
+// a whole backward control-flow extraction walks at most 1.5x the seek steps
+// of the forward one.
+func TestBackwardCFWalksNoMoreThanForward(t *testing.T) {
+	tr := reopenedLi(t)
 	var nf, nb uint64
 	fwd := seekDelta(tr, func() { nf = tr.ExtractControlFlow(true, func(int) {}) })
 	bwd := seekDelta(tr, func() { nb = tr.ExtractControlFlow(false, func(int) {}) })
@@ -83,8 +91,33 @@ func TestBackwardSliceStepsPerSeek(t *testing.T) {
 	}
 }
 
+// TestSampleTracesReadInRuns: the whole-program sample extractions step their
+// streams forward in batches. Every load value trace together costs no seek
+// at all; the address traces seek only where a producer's ordinals jump
+// outside the window its reader holds, or a later statement rewinds a reader
+// an earlier one drained — a hundredth of the 15,521 seeks (5,535 steps) the
+// per-sample readers issued on this container.
+func TestSampleTracesReadInRuns(t *testing.T) {
+	tr := reopenedLi(t)
+	var nv, na uint64
+	vals := seekDelta(tr, func() { nv, _ = query.LoadValueTraces(tr.WET(), tr.Tier(), func(int, wet.Sample) {}) })
+	addrs := seekDelta(tr, func() { na, _ = query.AddressTraces(tr.WET(), tr.Tier(), func(int, wet.Sample) {}) })
+	if nv == 0 || na == 0 {
+		t.Fatalf("extracted %d value and %d address samples", nv, na)
+	}
+	t.Logf("values %+v over %d samples, addresses %+v over %d samples", vals, nv, addrs, na)
+	if vals != (wet.SeekStats{}) {
+		t.Errorf("LoadValueTraces moved the seek counters by %+v, want no seek", vals)
+	}
+	if addrs != wantAddressTraces {
+		t.Errorf("AddressTraces seek counts = %+v, pinned %+v", addrs, wantAddressTraces)
+	}
+}
+
 var (
 	wantCFForward  = wet.SeekStats{}
 	wantCFBackward = wet.SeekStats{Seeks: 39, Restores: 35} // cursors born at the end of their sequence
 	wantSliceBatch = wet.SeekStats{Seeks: 19280, Restores: 60, Steps: 25288}
+
+	wantAddressTraces = wet.SeekStats{Seeks: 156, Restores: 40}
 )

@@ -263,3 +263,7 @@ type DataRace = racecheck.Race
 
 // RangeError reports an inverted timestamp range handed to ExtractCFRange.
 type RangeError = query.RangeError
+
+// StmtError reports a statement id outside the traced program handed to
+// ValueTrace, AddressTrace or InstanceOfTS.
+type StmtError = query.StmtError
