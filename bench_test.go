@@ -238,6 +238,47 @@ func benchSamples(b *testing.B, extract func(*core.WET, core.Tier, func(int, que
 func BenchmarkLoadValueTraces(b *testing.B) { benchSamples(b, query.LoadValueTraces) }
 func BenchmarkAddressTraces(b *testing.B)   { benchSamples(b, query.AddressTraces) }
 
+// BenchmarkOpen measures journey 2's first stage on the container the bench
+// harness's replay op opens (gcc at scale 4 in epochs of 8192 timestamps):
+// wet.Open from bytes in memory, eager and lazy, at one worker.
+func BenchmarkOpen(b *testing.B) {
+	wl, err := wet.WorkloadByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, in := wl.Build(4)
+	tr, _, err := wet.Run(prog, wet.WithInputs(in...), wet.WithEpochTS(1<<13))
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := saveBytes(b, tr)
+	for _, mode := range openModes {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr, _, err := wet.Open(bytes.NewReader(data), mode.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSum += tr.Epochs()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(data))/float64(b.N), "ns/byte")
+		})
+	}
+}
+
+// openModes are the two opens BenchmarkOpen times and TestOpenAllocBudget
+// budgets (allocations per KiB of container, bytes allocated per container
+// byte; the comments give the measured values the ceilings add 5% to).
+var openModes = []struct {
+	name                       string
+	opts                       []wet.OpenOption
+	allocsPerKiB, bytesPerByte float64
+}{
+	{"eager", []wet.OpenOption{wet.WithWorkers(1)}, 68.8, 6.43},                // 65.5, 6.12
+	{"lazy", []wet.OpenOption{wet.WithWorkers(1), wet.WithLazy()}, 51.7, 5.60}, // 49.2, 5.33
+}
+
 // benchSum keeps the emit callbacks' work observable.
 var benchSum int
 
@@ -628,5 +669,42 @@ func TestBuildAllocBudget(t *testing.T) {
 	t.Logf("core.Build(mcf): %.1f B/statement over %d statements", perStmt, res.Steps)
 	if perStmt > 64 {
 		t.Errorf("core.Build(mcf) allocates %.1f B/statement, budget 64", perStmt)
+	}
+}
+
+// TestOpenAllocBudget pins what wet.Open allocates, as counts: allocations per
+// KiB of container and bytes allocated per container byte, eager and lazy, at
+// one worker, on a multi-epoch li container. The ceilings are the measured
+// numbers plus 5%. Decoding sections through io.Reader and encoding/binary
+// (one boxed pointer per field, chunked array reads, every deferred stream
+// decoded and then copied) measured 319 and 307 allocations/KiB and 8.7 and
+// 7.8 B/byte on this container.
+func TestOpenAllocBudget(t *testing.T) {
+	data := saveBytes(t, runWorkload(t, "li", wet.WithEpochTS(1<<8)))
+	for _, mode := range openModes {
+		open := func() {
+			tr, _, err := wet.Open(bytes.NewReader(data), mode.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Epochs() < 2 {
+				t.Fatalf("want a multi-epoch container, got %d epoch(s)", tr.Epochs())
+			}
+		}
+		const runs = 10
+		allocs := testing.AllocsPerRun(runs, open) / (float64(len(data)) / 1024)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			open()
+		}
+		runtime.ReadMemStats(&after)
+		perByte := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(data))
+		t.Logf("wet.Open(li, %s): %.1f allocations/KiB, %.2f B allocated/container byte (%d B container)",
+			mode.name, allocs, perByte, len(data))
+		if allocs > mode.allocsPerKiB || perByte > mode.bytesPerByte {
+			t.Errorf("wet.Open(li, %s) allocates %.1f/KiB and %.2f B/byte, budget %.1f and %.2f",
+				mode.name, allocs, perByte, mode.allocsPerKiB, mode.bytesPerByte)
+		}
 	}
 }

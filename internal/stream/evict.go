@@ -41,7 +41,7 @@ type ResidencyHooks interface {
 // they drop it, and later touches decode a fresh copy.
 type Evictable struct {
 	raw  []byte
-	name string
+	spec Spec
 	m    int
 	size uint64
 
@@ -61,20 +61,19 @@ type residentState struct {
 	weight uint64
 }
 
-// NewEvictableFromScan wraps a stream just returned by Scan together with
-// the serialized bytes Scan consumed. Only streams with a deferred decode
-// (the predictor families) benefit from eviction; for materialized streams
-// (verbatim, packed — their decoded form is their payload) it returns nil
-// and the caller keeps the stream as is. The raw bytes are copied, so the
-// caller's buffer is not retained.
-func NewEvictableFromScan(s Stream, raw []byte) *Evictable {
+// NewEvictable turns a stream just returned by Scan, and not yet touched,
+// into an evictable one. Only streams with a deferred decode (the predictor
+// families) benefit from eviction; for materialized streams (verbatim, packed
+// — their decoded form is their payload) it returns nil and the caller keeps
+// the stream as is. The serialized bytes are copied: they are this stream's
+// residency floor for as long as it lives, and a view would pin whatever
+// buffer Scan was handed — for a container, the whole file.
+func NewEvictable(s Stream) *Evictable {
 	l, ok := s.(*lazyStream)
 	if !ok {
 		return nil
 	}
-	cp := make([]byte, len(raw))
-	copy(cp, raw)
-	return &Evictable{raw: cp, name: l.name, m: l.m, size: l.size}
+	return &Evictable{raw: bytes.Clone(l.raw), spec: l.spec, m: l.m, size: l.size}
 }
 
 // SetHooks installs the residency observer. Call before the stream is
@@ -127,12 +126,12 @@ func (e *Evictable) acquire() Stream {
 	}
 	if e.hooks != nil {
 		if err := e.hooks.BeforeLoad(e); err != nil {
-			panic(&DecodeError{Stream: e.name, Cause: err})
+			panic(&DecodeError{Stream: e.Name(), Cause: err})
 		}
 	}
-	s, err := Load(bytes.NewReader(e.raw))
+	s, _, err := Load(e.raw)
 	if err != nil {
-		panic(&DecodeError{Stream: e.name, Cause: err})
+		panic(&DecodeError{Stream: e.Name(), Cause: err})
 	}
 	AttachStats(s, e.stats)
 	st := &residentState{s: s, weight: s.SizeBits()/8 + s.CheckpointBits()/8}
@@ -157,7 +156,7 @@ func (e *Evictable) Evict() uint64 {
 
 func (e *Evictable) Len() int         { return e.m }
 func (e *Evictable) SizeBits() uint64 { return e.size }
-func (e *Evictable) Name() string     { return e.name }
+func (e *Evictable) Name() string     { return e.spec.String() }
 
 // CheckpointBits reports the decoded state's checkpoint overhead, 0 while
 // evicted (checkpoints do not exist then — mirrors lazyStream).

@@ -17,11 +17,11 @@ func buildEvictable(t *testing.T, vals []uint32) (*Evictable, []uint32) {
 	if err := Save(&buf, s); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	scanned, err := Scan(bytes.NewReader(buf.Bytes()))
+	scanned, _, err := Scan(buf.Bytes())
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
-	ev := NewEvictableFromScan(scanned, buf.Bytes())
+	ev := NewEvictable(scanned)
 	if ev == nil {
 		t.Skipf("selection chose %s (no deferred decode) for this sequence", scanned.Name())
 	}
@@ -84,10 +84,10 @@ func TestEvictableLiveCursor(t *testing.T) {
 
 // hookRecorder counts hook invocations and can veto loads.
 type hookRecorder struct {
-	mu                   sync.Mutex
-	loads, hits          int
-	weight               uint64
-	veto                 error
+	mu          sync.Mutex
+	loads, hits int
+	weight      uint64
+	veto        error
 }
 
 func (h *hookRecorder) BeforeLoad(e *Evictable) error {
@@ -173,11 +173,11 @@ func TestEvictableSave(t *testing.T) {
 	if err := Save(&orig, s); err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := Scan(bytes.NewReader(orig.Bytes()))
+	scanned, _, err := Scan(orig.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := NewEvictableFromScan(scanned, orig.Bytes())
+	ev := NewEvictable(scanned)
 	if ev == nil {
 		t.Skipf("selection chose %s for this sequence", scanned.Name())
 	}
@@ -234,7 +234,7 @@ func TestSeekCountersLazy(t *testing.T) {
 	if err := Save(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	scanned, err := Scan(bytes.NewReader(buf.Bytes()))
+	scanned, _, err := Scan(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

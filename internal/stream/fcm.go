@@ -281,12 +281,19 @@ func (e *fcmEnc) snapshot() fcmCk {
 
 // snapTable copies t, or returns nil when t is all zeros.
 func snapTable(t []uint32) []uint32 {
+	if allZero(t) {
+		return nil
+	}
+	return append([]uint32(nil), t...)
+}
+
+func allZero(t []uint32) bool {
 	for _, v := range t {
 		if v != 0 {
-			return append([]uint32(nil), t...)
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // copyOrZero restores a snapshot into dst (nil snapshot = all zeros).

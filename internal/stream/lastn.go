@@ -203,67 +203,113 @@ func (s *lastNStream) NewCursor() Cursor {
 
 // load completes a stream that holds only its position-0 BL store, as read
 // from a file: one forward decode pass builds the FR store and captures the
-// checkpoints finish would. The pass also checks that every BL entry is the
-// one pushRef writes against the table at its position — a literal is not
-// in the table, a hit names the first match — because Prev sizes the entry
-// it steps over by that rule: a store that broke it would yield cursors
-// whose blLen disagrees with the store. FR entries are as wide as their BL
-// twins (a hit entry is the same bits), so the two stores end equally long.
-func (s *lastNStream) load() error {
-	idxBits, n := s.idxBits, s.n
-	tb := make([]uint32, n)
-	fr := bitstack{words: make([]uint64, 0, len(s.bl.words))}
+// checkpoints finish would. tb is the all-zero position-0 table, which the
+// pass steps forward and the end checkpoint keeps. The pass also checks that
+// every BL entry is the one pushRef writes against the table at its position
+// — a literal is not in the table, a hit names the first match — because Prev
+// sizes the entry it steps over by that rule: a store that broke it would
+// yield cursors whose blLen disagrees with the store. Both checks ride on the
+// move-to-front shift, which visits exactly the slots they concern.
+//
+// An FR entry is as wide as its BL twin (a hit entry is the same bits; a miss
+// swaps the literal for the evicted value), so the two stores are equally
+// long: FR is allocated once at BL's size, and the FR length at any position
+// is the BL length consumed so far. FR bits collect in a 64-bit accumulator
+// and are stored a word at a time.
+func (s *lastNStream) load(tb []uint32) error {
+	m, bl := s.m, s.bl.words
+	hitBits := uint64(s.idxBits) + 1
+	idxMask := uint64(1)<<s.idxBits - 1
+	last := len(tb) - 1
 	blLen := s.bl.n
-	var lastVal uint32
-	sp := ckSpacing(0, s.m, s.stateBits())
-	cks := []lastNCk{{pos: 0, frLen: 0, blLen: blLen}}
-	for pos := 0; pos < s.m; pos++ {
-		if sp > 0 && pos > 0 && pos%sp == 0 {
-			cks = append(cks, lastNCk{pos: pos, frLen: fr.n, blLen: blLen, tb: snapTable(tb), lastVal: lastVal})
+	fr := make([]uint64, len(bl))
+	var acc, accBits uint64 // FR bits not yet stored, in the low accBits of acc
+	fw := 0
+	var lastVal, strideMask uint32
+	if s.stride {
+		strideMask = ^uint32(0)
+	}
+	sp := ckSpacing(0, m, s.stateBits())
+	nextCk, nCks := m, 2
+	if sp > 0 {
+		nextCk, nCks = sp, 2+(m-1)/sp
+	}
+	cks := make([]lastNCk, 1, nCks)
+	cks[0] = lastNCk{blLen: blLen}
+	for pos := 0; pos < m; pos++ {
+		if pos == nextCk {
+			cks = append(cks, lastNCk{pos: pos, frLen: s.bl.n - blLen, blLen: blLen, tb: snapTable(tb), lastVal: lastVal})
+			nextCk += sp
 		}
 		// A store that ends early fails one of these three length checks.
 		if blLen == 0 {
-			return fmt.Errorf("stream: last-n BL store ends at value %d of %d", pos, s.m)
+			return fmt.Errorf("stream: last-n BL store ends at value %d of %d", pos, m)
 		}
+		// The top entry is at most 33 bits: its flag is the highest of them.
+		k := min(blLen, 33)
+		start := blLen - k
+		top := bl[start>>6] >> (start & 63)
+		if start&63+k > 64 {
+			top |= bl[start>>6+1] << (64 - start&63)
+		}
+		top &= 1<<k - 1
 		var x uint32
-		if s.bl.top(blLen, 1) == 1 {
-			if blLen < uint64(idxBits)+1 {
+		var entry, width uint64 // the FR entry and the width it shares with its BL twin
+		if top>>(k-1) == 1 {
+			if k < hitBits {
 				return fmt.Errorf("stream: last-n BL store truncated at value %d", pos)
 			}
-			hit := s.bl.top(blLen, idxBits+1) // index below the flag bit
-			blLen -= uint64(idxBits) + 1
-			j := hit &^ (1 << idxBits)
+			entry, width = top>>(k-hitBits), hitBits // index below the flag bit
+			j := int(entry & idxMask)
 			x = tb[j]
-			if slices.Contains(tb[:j], x) {
-				return fmt.Errorf("stream: last-n BL hit %d at value %d is not the first match", j, pos)
+			for i := j; i > 0; i-- {
+				v := tb[i-1]
+				if v == x {
+					return fmt.Errorf("stream: last-n BL hit %d at value %d is not the first match", j, pos)
+				}
+				tb[i] = v
 			}
-			copy(tb[1:j+1], tb[:j])
-			fr.pushBits(hit, idxBits+1)
 		} else {
-			if blLen < 33 {
+			if k < 33 {
 				return fmt.Errorf("stream: last-n BL store truncated at value %d", pos)
 			}
-			x = s.bl.top(blLen-1, 32)
-			blLen -= 33
-			if slices.Contains(tb, x) {
+			x = uint32(top)
+			entry, width = uint64(tb[last]), 33 // evicted value below a zero flag
+			inTable := tb[last] == x
+			for i := last; i > 0; i-- {
+				v := tb[i-1]
+				inTable = inTable || v == x
+				tb[i] = v
+			}
+			if inTable {
 				return fmt.Errorf("stream: last-n BL literal at value %d is in the table", pos)
 			}
-			fr.pushBits(tb[n-1], 32) // evicted
-			fr.pushBit(false)
-			copy(tb[1:], tb[:n-1])
 		}
 		tb[0] = x
-		if s.stride {
-			lastVal += x
+		blLen -= width
+		lastVal += x & strideMask
+		acc |= entry << accBits
+		if accBits += width; accBits >= 64 {
+			fr[fw] = acc
+			fw++
+			accBits -= 64
+			acc = entry >> (width - accBits)
 		}
 	}
 	if blLen != 0 {
 		return fmt.Errorf("stream: last-n BL store holds %d bits beyond the stream", blLen)
 	}
-	if s.m > 0 {
-		cks = append(cks, lastNCk{pos: s.m, frLen: fr.n, tb: snapTable(tb), lastVal: lastVal})
+	if accBits > 0 {
+		fr[fw] = acc
 	}
-	s.seal(bitvec(fr), cks)
+	if m > 0 {
+		end := lastNCk{pos: m, frLen: s.bl.n, lastVal: lastVal}
+		if !allZero(tb) {
+			end.tb = tb // the pass is done with the table: no copy
+		}
+		cks = append(cks, end)
+	}
+	s.seal(bitvec{words: fr, n: s.bl.n}, cks)
 	return nil
 }
 

@@ -28,33 +28,30 @@ func (e *DecodeError) Error() string {
 
 func (e *DecodeError) Unwrap() error { return e.Cause }
 
-// lazyStream defers a predictor-backed stream's normalization traversal —
-// the dominant cost of Load — until a cursor first touches it. The header
-// facts a container parser needs up front (length, method name, serialized
-// size) were read structurally by Scan and answer without decoding;
-// NewCursor forces the decode exactly once (sync.Once single-flight), so
-// any number of goroutines can race on the first touch and all observe the
-// one materialized stream. CheckpointBits reports 0 until the decode has
-// run: checkpoints do not exist yet, and size accounting over a lazily
-// opened container must not itself force every segment.
+// lazyStream defers a predictor-backed stream's decode — array conversion and
+// the normalization traversal, the dominant cost of Load — until a cursor
+// first touches it. The header facts a container parser needs up front
+// (length, method, serialized size) were read structurally by Scan and
+// answer without decoding; NewCursor Loads the retained bytes exactly once
+// (sync.Once single-flight), so any number of goroutines can race on the
+// first touch and all observe the one materialized stream. CheckpointBits
+// reports 0 until the decode has run: checkpoints do not exist yet, and size
+// accounting over a lazily opened container must not itself force every
+// segment.
 type lazyStream struct {
-	name string
+	spec Spec
 	m    int
 	size uint64
 
 	once  sync.Once
 	done  atomic.Bool
-	force func() (Stream, error) // nil once materialized
+	raw   []byte // the bytes Scan validated; nil once materialized
 	inner Stream
 	err   *DecodeError
 
 	// stats is forwarded to the inner stream when the decode runs; attach
 	// (AttachStats) before the stream is shared across goroutines.
 	stats *SeekCounters
-}
-
-func newLazyStream(name string, m int, size uint64, force func() (Stream, error)) *lazyStream {
-	return &lazyStream{name: name, m: m, size: size, force: force}
 }
 
 // materialize runs the deferred decode (once) and returns the inner stream.
@@ -64,14 +61,14 @@ func newLazyStream(name string, m int, size uint64, force func() (Stream, error)
 func (l *lazyStream) materialize() Stream {
 	l.once.Do(func() {
 		if err := fpDecode.Hit(); err != nil {
-			l.err = &DecodeError{Stream: l.name, Cause: err}
-		} else if inner, err := l.force(); err != nil {
-			l.err = &DecodeError{Stream: l.name, Cause: err}
+			l.err = &DecodeError{Stream: l.Name(), Cause: err}
+		} else if inner, _, err := Load(l.raw); err != nil {
+			l.err = &DecodeError{Stream: l.Name(), Cause: err}
 		} else {
 			AttachStats(inner, l.stats)
 			l.inner = inner
 		}
-		l.force = nil
+		l.raw = nil
 		l.done.Store(true)
 	})
 	if l.err != nil {
@@ -92,7 +89,7 @@ func (l *lazyStream) peek() Stream {
 
 func (l *lazyStream) Len() int         { return l.m }
 func (l *lazyStream) SizeBits() uint64 { return l.size }
-func (l *lazyStream) Name() string     { return l.name }
+func (l *lazyStream) Name() string     { return l.spec.String() }
 
 func (l *lazyStream) CheckpointBits() uint64 {
 	if s := l.peek(); s != nil {

@@ -25,11 +25,11 @@ func TestScanMatchesLoad(t *testing.T) {
 	for name, vals := range datasets() {
 		for _, spec := range allSpecs() {
 			data := saveBytes(t, vals, spec)
-			eager, err := Load(bytes.NewReader(data))
+			eager, _, err := Load(data)
 			if err != nil {
 				t.Fatalf("%s/%s: Load: %v", name, spec, err)
 			}
-			lazy, err := Scan(bytes.NewReader(data))
+			lazy, _, err := Scan(data)
 			if err != nil {
 				t.Fatalf("%s/%s: Scan: %v", name, spec, err)
 			}
@@ -94,7 +94,7 @@ func TestScanConcurrentFirstTouch(t *testing.T) {
 		vals[i] = uint32(i % 17 * 3)
 	}
 	for _, spec := range []Spec{{KindFCM, 2}, {KindDFCM, 1}, {KindLastN, 4}, {KindLastNStride, 2}} {
-		s, err := Scan(bytes.NewReader(saveBytes(t, vals, spec)))
+		s, _, err := Scan(saveBytes(t, vals, spec))
 		if err != nil {
 			t.Fatalf("%s: Scan: %v", spec, err)
 		}
@@ -119,11 +119,11 @@ func TestScanConcurrentFirstTouch(t *testing.T) {
 // TestScanRejectsStructuralGarbage: structural validation still happens at
 // scan time, only the normalization walk is deferred.
 func TestScanRejectsStructuralGarbage(t *testing.T) {
-	if _, err := Scan(bytes.NewReader([]byte{250, 0, 0, 0, 0})); err == nil {
+	if _, _, err := Scan([]byte{250, 0, 0, 0, 0}); err == nil {
 		t.Fatal("Scan accepted an unknown kind tag")
 	}
 	data := saveBytes(t, []uint32{1, 2, 3}, Spec{KindFCM, 1})
-	if _, err := Scan(bytes.NewReader(data[:len(data)-2])); err == nil {
+	if _, _, err := Scan(data[:len(data)-2]); err == nil {
 		t.Fatal("Scan accepted a truncated stream")
 	}
 }
@@ -145,7 +145,7 @@ func TestScanDeferredDecodeFailurePanics(t *testing.T) {
 	writeU32s(&buf, []uint32{0})         // win
 	writeAll(&buf, uint64(0), uint32(0)) // fr bitstack: empty
 	writeAll(&buf, uint64(0), uint32(0)) // bl bitstack: empty
-	s, err := Scan(bytes.NewReader(buf.Bytes()))
+	s, _, err := Scan(buf.Bytes())
 	if err != nil {
 		t.Fatalf("Scan rejected structurally plausible bytes eagerly: %v", err)
 	}

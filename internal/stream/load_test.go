@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+
+	"wet/internal/wire"
 )
 
 // The two-pass normalisers Load used before it decoded once: walk the loaded
@@ -95,20 +98,20 @@ func refLoad(data []byte) (s Stream, err error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("stream: empty input")
 	}
-	r := bytes.NewReader(data[1:])
+	d := wire.NewDec(data[1:])
 	switch kind := Kind(data[0]); kind {
 	case KindFCM, KindDFCM:
-		e, _, err := readFCMState(r, kind)
+		e, _, err := readFCMState(d, kind)
 		if err != nil {
 			return nil, err
 		}
-		return refNormalizeFCM(e)
+		return refNormalizeFCM(&e)
 	case KindLastN, KindLastNStride:
-		e, _, err := readLastNState(r, kind)
+		e, _, err := readLastNState(d, kind)
 		if err != nil {
 			return nil, err
 		}
-		return refNormalizeLastN(e)
+		return refNormalizeLastN(&e)
 	}
 	return nil, nil
 }
@@ -239,7 +242,7 @@ func TestLoadMatchesTwoPass(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: reference load: %v", spec, m, err)
 			}
-			got, err := Load(bytes.NewReader(buf.Bytes()))
+			got, _, err := Load(buf.Bytes())
 			if err != nil {
 				t.Fatalf("%s/%d: Load: %v", spec, m, err)
 			}
@@ -429,12 +432,137 @@ func BenchmarkLoadStream(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(vals)) * 4)
 			for i := 0; i < b.N; i++ {
-				s, err := Load(bytes.NewReader(data))
+				s, _, err := Load(data)
 				if err != nil {
 					b.Fatal(err)
 				}
 				benchSink += s.Len()
 			}
 		})
+	}
+}
+
+// --- forged stores against every certification branch of the load kernel ---
+
+// canonRefs is the BL store pushRef would write for the table-level values xs
+// (strides, for a stride stream) from the all-zero table of size n.
+func canonRefs(n int, xs []uint32) []blRef {
+	tb := make([]uint32, n)
+	refs := make([]blRef, len(xs))
+	for p, x := range xs {
+		j := slices.Index(tb, x)
+		if j >= 0 {
+			refs[p] = blRef{true, uint32(j)}
+		} else {
+			refs[p] = blRef{false, x}
+			j = n - 1
+		}
+		copy(tb[1:j+1], tb[:j])
+		tb[0] = x
+	}
+	return refs
+}
+
+// TestLoadKernelCertifications drives each refusal of lastNStream.load — a
+// hit that is not the first match, a literal already in the table, a store
+// that ends early, a hit or a literal cut below its width, bits left beyond
+// the stream — with a hand-built store whose offending entry straddles a
+// 64-bit word of the store and one where it does not, for table sizes 2, 4
+// and 8, plain and stride. Each forged store must be refused with an error;
+// its canonical twin (same layout, the offending entry replaced by the one
+// pushRef writes) must load, and load to what the two-pass reference builds.
+func TestLoadKernelCertifications(t *testing.T) {
+	for _, n := range []int{2, 4, 8} {
+		idxBits := uint(0)
+		for 1<<idxBits < n {
+			idxBits++
+		}
+		hitW := int(idxBits) + 1
+		for _, stride := range []bool{false, true} {
+			for _, straddle := range []bool{false, true} {
+				// The entry under test is value 0 of the stream: the zero the
+				// all-zero table holds in every slot. Below it in the store
+				// sit a literal (33 bits) and hits on it, as many as put the
+				// entry across bit 64 — or, not straddling, nothing at all.
+				xs := []uint32{0}
+				below := func(w int) {
+					if !straddle {
+						return
+					}
+					xs = append(xs, 77)
+					for s := 33; !(s < 64 && s+w > 64); s += hitW {
+						xs = append(xs, 77)
+					}
+				}
+				name := func(what string) string {
+					return fmt.Sprintf("%s n=%d stride=%v straddle=%v", what, n, stride, straddle)
+				}
+				// refuse requires Load to fail in the named branch, and — for an
+				// entry under test, w bits wide at the top of the store bl —
+				// the entry to lie across a word boundary exactly when asked.
+				refuse := func(what, phrase string, m int, bl *bitstack, w int) {
+					t.Helper()
+					if w > 0 && ((bl.n-uint64(w))>>6 != (bl.n-1)>>6) != straddle {
+						t.Fatalf("%s: entry at bits [%d,%d) of the store", name(what), bl.n-uint64(w), bl.n)
+					}
+					_, _, err := Load(lastNWire(stride, m, n, bl))
+					if err == nil || !strings.Contains(err.Error(), phrase) {
+						t.Fatalf("%s: Load returned %v, want an error saying %q", name(what), err, phrase)
+					}
+				}
+				accept := func(what string, data []byte) {
+					t.Helper()
+					got, _, err := Load(data)
+					if err != nil {
+						t.Fatalf("%s: the canonical store is refused: %v", name(what), err)
+					}
+					checkLoadAgainstReference(t, data, got)
+				}
+
+				// A hit on slot 1 for a value slot 0 already holds.
+				xs = xs[:1]
+				below(hitW)
+				refs := canonRefs(n, xs)
+				accept("first-match twin", lastNWire(stride, len(xs), n, lastNBL(idxBits, refs...)))
+				refs[0] = blRef{true, 1}
+				refuse("hit past the first match", "not the first match", len(xs), lastNBL(idxBits, refs...), hitW)
+
+				// A literal for a value the table holds.
+				xs = xs[:1]
+				below(33)
+				refs = canonRefs(n, xs)
+				accept("literal twin", lastNWire(stride, len(xs), n, lastNBL(idxBits, refs...)))
+				refs[0] = blRef{false, 0}
+				refuse("literal in the table", "is in the table", len(xs), lastNBL(idxBits, refs...), 33)
+
+				// The structural refusals: a canonical store of fresh values
+				// (two words' worth when straddling) under a header that
+				// counts one value more or one fewer, or over a stub of an
+				// entry too short for its flag.
+				xs = []uint32{5}
+				if straddle {
+					xs = []uint32{5, 6, 7}
+				}
+				refs = canonRefs(n, xs)
+				refuse("store ends early", "ends at value", len(xs)+1, lastNBL(idxBits, refs...), 0)
+				refuse("bits beyond the stream", "beyond the stream", len(xs)-1, lastNBL(idxBits, refs...), 0)
+				for _, stub := range []struct {
+					what string
+					bits int
+					flag bool
+				}{{"hit cut below its width", hitW - 1, true}, {"literal cut below its width", 32, false}, {"literal cut to its flag", 1, false}} {
+					var bl bitstack
+					for i := 1; i < stub.bits; i++ {
+						bl.pushBit(false)
+					}
+					bl.pushBit(stub.flag)
+					above := lastNBL(idxBits, refs...)
+					for i := uint64(0); i < above.n; i++ {
+						bl.pushBit(above.words[i>>6]>>(i&63)&1 == 1)
+					}
+					refuse(stub.what, "truncated at value", len(xs)+1, &bl, 0)
+				}
+			}
+		}
 	}
 }

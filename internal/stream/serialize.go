@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+
+	"wet/internal/wire"
 )
 
 // Save writes the stream's complete compressed state to w, so a later Load
@@ -35,12 +37,12 @@ func Save(w io.Writer, s Stream) error {
 	return fmt.Errorf("stream: cannot serialize %T", s)
 }
 
-// Load reads a stream previously written by Save. It consumes exactly the
-// bytes Save wrote, so streams can be concatenated in one container.
+// Load decodes the stream Save wrote at the front of b and reports how many
+// bytes it occupied, so streams can be concatenated in one container.
 //
 // Load is the package's error boundary for untrusted input: every length,
-// count, and structural field is validated (and allocations are bounded by
-// the bytes actually present), malformed input returns an error, and any
+// count, and structural field is validated (and every allocation is bounded
+// by the bytes actually present), malformed input returns an error, and any
 // residual decoder panic is converted to an error rather than escaping.
 // After structural validation, Load normalizes the state with one forward
 // decode of the whole stream — building the FR store and the seek
@@ -50,89 +52,71 @@ func Save(w io.Writer, s Stream) error {
 // Load, not in a later query. The panics that remain on Cursor
 // itself — Next past the end, Prev past the start, Seek out of range — are
 // programmer-error assertions on cursor discipline, not input validation.
-func Load(r io.Reader) (s Stream, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s, err = nil, fmt.Errorf("stream: corrupt stream state: %v", p)
-		}
-	}()
-	var tag uint8
-	if err := binary.Read(r, binary.LittleEndian, &tag); err != nil {
-		return nil, err
-	}
-	switch Kind(tag) {
-	case KindVerbatim:
-		return loadVerbatim(r)
-	case KindPacked:
-		return loadPacked(r)
-	case KindFCM, KindDFCM:
-		return loadFCM(r, Kind(tag))
-	case KindLastN, KindLastNStride:
-		return loadLastN(r, Kind(tag))
-	}
-	return nil, fmt.Errorf("stream: unknown stream tag %d", tag)
-}
+func Load(b []byte) (Stream, int, error) { return decode(b, false) }
 
-// Scan reads a stream previously written by Save, consuming exactly the
-// bytes Load would, but defers the normalization traversal: predictor-backed
-// streams (FCM, dFCM, last-n families) come back as lazy streams that run
-// the decode and checkpoint rebuild on first NewCursor — single-flight, so
-// concurrent first touches materialize once — while verbatim and packed
-// streams, which have no normalization cost, are returned materialized.
+// Scan consumes exactly the bytes Load would, but defers the normalization
+// traversal: predictor-backed streams (FCM, dFCM, last-n families) come back
+// as lazy streams that keep their serialized bytes — a view of b, which must
+// not change afterwards — and Load them on first NewCursor, single-flight, so
+// concurrent first touches materialize once. Verbatim and packed streams,
+// which have no normalization cost, are returned materialized.
 //
 // Scan performs the same structural validation as Load (every length,
 // count, and table size is checked here), but the traversal certification
 // Load performs eagerly is deferred with the decode: an entry store forged
-// to pass structural checks surfaces as a panic at first touch rather than
-// an error at load time. Callers wanting up-front certification of
-// untrusted input should use Load.
-func Scan(r io.Reader) (s Stream, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s, err = nil, fmt.Errorf("stream: corrupt stream state: %v", p)
-		}
-	}()
-	var tag uint8
-	if err := binary.Read(r, binary.LittleEndian, &tag); err != nil {
-		return nil, err
-	}
-	switch kind := Kind(tag); kind {
-	case KindVerbatim:
-		return loadVerbatim(r)
-	case KindPacked:
-		return loadPacked(r)
-	case KindFCM, KindDFCM:
-		e, size, err := readFCMState(r, kind)
-		if err != nil {
-			return nil, err
-		}
-		name := Spec{kind, e.order}.String()
-		return newLazyStream(name, e.m, size, func() (Stream, error) {
-			return runNormalize(func() (Stream, error) { return normalizeFCM(e) })
-		}), nil
-	case KindLastN, KindLastNStride:
-		e, size, err := readLastNState(r, kind)
-		if err != nil {
-			return nil, err
-		}
-		name := Spec{kind, e.n}.String()
-		return newLazyStream(name, e.m, size, func() (Stream, error) {
-			return runNormalize(func() (Stream, error) { return normalizeLastN(e) })
-		}), nil
-	}
-	return nil, fmt.Errorf("stream: unknown stream tag %d", tag)
-}
+// to pass structural checks surfaces at first touch, as a *DecodeError (the
+// panic value of NewCursor, the error of Force and TryNewCursor), rather
+// than as an error here. Callers wanting up-front certification of untrusted
+// input should use Load.
+func Scan(b []byte) (Stream, int, error) { return decode(b, true) }
 
-// runNormalize runs a deferred normalization under the same recover boundary
-// Load gives the eager one, so a decoding panic on a forged store comes back
-// as an error no matter when the decode happens.
-func runNormalize(fn func() (Stream, error)) (s Stream, err error) {
+func decode(b []byte, lazy bool) (s Stream, n int, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			s, err = nil, fmt.Errorf("stream: corrupt stream state: %v", p)
+			s, n, err = nil, 0, fmt.Errorf("stream: corrupt stream state: %v", p)
 		}
 	}()
-	return fn()
+	d := wire.NewDec(b)
+	kind := Kind(d.U8())
+	if err := d.Err(); err != nil {
+		return nil, 0, err
+	}
+	switch kind {
+	case KindVerbatim:
+		s, err = loadVerbatim(d)
+	case KindPacked:
+		s, err = loadPacked(d)
+	case KindFCM, KindDFCM:
+		// A lazy scan checks the structure and steps over the arrays; the
+		// first touch decodes them from the retained bytes.
+		d.Skim = lazy
+		e, size, rerr := readFCMState(d, kind)
+		switch {
+		case rerr != nil:
+			err = rerr
+		case lazy:
+			s = &lazyStream{spec: Spec{kind, e.order}, m: e.m, size: size, raw: b[:d.Offset()]}
+		default:
+			s, err = normalizeFCM(&e)
+		}
+	case KindLastN, KindLastNStride:
+		d.Skim = lazy
+		e, size, rerr := readLastNState(d, kind)
+		switch {
+		case rerr != nil:
+			err = rerr
+		case lazy:
+			s = &lazyStream{spec: Spec{kind, e.n}, m: e.m, size: size, raw: b[:d.Offset()]}
+		default:
+			s, err = normalizeLastN(&e)
+		}
+	default:
+		err = fmt.Errorf("stream: unknown stream tag %d", kind)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, d.Offset(), nil
 }
 
 // WalkCheck certifies that a stream can be traversed over its whole length
@@ -167,15 +151,6 @@ func writeAll(w io.Writer, vs ...interface{}) error {
 	return nil
 }
 
-func readAll(r io.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func writeU32s(w io.Writer, s []uint32) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
 		return err
@@ -189,9 +164,9 @@ func writeZeroU32s(w io.Writer, n int) error {
 	if err := binary.Write(w, binary.LittleEndian, uint32(n)); err != nil {
 		return err
 	}
-	zeros := make([]uint32, minInt(n, allocChunk))
+	zeros := make([]uint32, min(n, 1<<16))
 	for n > 0 {
-		c := minInt(n, allocChunk)
+		c := min(n, len(zeros))
 		if err := binary.Write(w, binary.LittleEndian, zeros[:c]); err != nil {
 			return err
 		}
@@ -200,32 +175,21 @@ func writeZeroU32s(w io.Writer, n int) error {
 	return nil
 }
 
-// allocChunk bounds how many elements a single deserialization step
-// allocates: a forged count costs at most one chunk before the short read
-// surfaces, instead of a count-sized up-front allocation.
-const allocChunk = 1 << 16
-
-func readU32s(r io.Reader) ([]uint32, error) {
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+// readU32s reads a length-prefixed sequence of exactly want values (want < 0:
+// any plausible length). The count is checked before the values are decoded.
+func readU32s(d *wire.Dec, want int, what string) ([]uint32, error) {
+	n := d.U32()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if n > 1<<28 {
 		return nil, fmt.Errorf("stream: implausible sequence length %d", n)
 	}
-	if n == 0 {
-		return nil, nil
+	if want >= 0 && int(n) != want {
+		return nil, fmt.Errorf("stream: %s has %d values, want %d", what, n, want)
 	}
-	s := make([]uint32, 0, minInt(int(n), allocChunk))
-	for len(s) < int(n) {
-		c := minInt(int(n)-len(s), allocChunk)
-		old := len(s)
-		s = append(s, make([]uint32, c)...)
-		if err := binary.Read(r, binary.LittleEndian, s[old:]); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	s := d.U32s(int(n))
+	return s, d.Err()
 }
 
 func writeBits(w io.Writer, b *bitstack) error {
@@ -256,35 +220,17 @@ func writeEmptyBits(w io.Writer) error {
 	return writeAll(w, uint64(0), uint32(0))
 }
 
-func readBits(r io.Reader) (bitstack, error) {
-	var b bitstack
-	var nw uint32
-	if err := readAll(r, &b.n, &nw); err != nil {
+func readBits(d *wire.Dec) (bitstack, error) {
+	b := bitstack{n: d.U64()}
+	nw := d.U32()
+	if err := d.Err(); err != nil {
 		return b, err
 	}
 	if nw > 1<<26 || b.n > uint64(nw)*64 {
 		return b, fmt.Errorf("stream: inconsistent bit vector (%d bits, %d words)", b.n, nw)
 	}
-	if nw == 0 {
-		return b, nil
-	}
-	b.words = make([]uint64, 0, minInt(int(nw), allocChunk))
-	for len(b.words) < int(nw) {
-		c := minInt(int(nw)-len(b.words), allocChunk)
-		old := len(b.words)
-		b.words = append(b.words, make([]uint64, c)...)
-		if err := binary.Read(r, binary.LittleEndian, b.words[old:]); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	b.words = d.U64s(int(nw))
+	return b, d.Err()
 }
 
 // --- per-type state ---
@@ -299,13 +245,13 @@ func (v *verbatim) save(w io.Writer) error {
 	return writeAll(w, uint32(0)) // canonical cursor-free position
 }
 
-func loadVerbatim(r io.Reader) (*verbatim, error) {
-	vals, err := readU32s(r)
+func loadVerbatim(d *wire.Dec) (*verbatim, error) {
+	vals, err := readU32s(d, -1, "")
 	if err != nil {
 		return nil, err
 	}
-	var pos uint32
-	if err := readAll(r, &pos); err != nil {
+	pos := d.U32()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if int(pos) > len(vals) {
@@ -324,9 +270,9 @@ func (p *packed) save(w io.Writer) error {
 	return binary.Write(w, binary.LittleEndian, p.data.words)
 }
 
-func loadPacked(r io.Reader) (*packed, error) {
-	var width, m, pos, nw uint32
-	if err := readAll(r, &width, &m, &pos, &nw); err != nil {
+func loadPacked(d *wire.Dec) (*packed, error) {
+	width, m, pos, nw := d.U32(), d.U32(), d.U32(), d.U32()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if width > 32 {
@@ -341,18 +287,11 @@ func loadPacked(r io.Reader) (*packed, error) {
 	if need := (uint64(m)*uint64(width) + 63) / 64; uint64(nw) < need {
 		return nil, fmt.Errorf("stream: packed payload has %d words, %d values of width %d need %d", nw, m, width, need)
 	}
-	p := &packed{width: uint(width), m: int(m)}
-	words := make([]uint64, 0, minInt(int(nw), allocChunk))
-	for len(words) < int(nw) {
-		c := minInt(int(nw)-len(words), allocChunk)
-		old := len(words)
-		words = append(words, make([]uint64, c)...)
-		if err := binary.Read(r, binary.LittleEndian, words[old:]); err != nil {
-			return nil, err
-		}
+	words := d.U64s(int(nw))
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	p.data = bitvec{words: words, n: uint64(m) * uint64(width)}
-	return p, nil
+	return &packed{width: uint(width), m: int(m), data: bitvec{words: words, n: uint64(m) * uint64(width)}}, nil
 }
 
 func (s *fcmStream) save(w io.Writer) error {
@@ -380,63 +319,47 @@ func (s *fcmStream) save(w io.Writer) error {
 	return writeBitvec(w, &s.bl)
 }
 
-func loadFCM(r io.Reader, kind Kind) (Stream, error) {
-	e, _, err := readFCMState(r, kind)
-	if err != nil {
-		return nil, err
-	}
-	return normalizeFCM(e)
-}
-
-// readFCMState performs the structural half of loadFCM: it consumes exactly
+// readFCMState is the structural half of an FCM load: it consumes exactly
 // the serialized bytes, validates every length, count, and table size, and
 // returns the still-unnormalized encoder plus the size the writer recorded.
-func readFCMState(r io.Reader, kind Kind) (*fcmEnc, uint64, error) {
-	var m, order, tbBits, pos uint32
-	var size uint64
-	if err := readAll(r, &m, &order, &tbBits, &pos, &size); err != nil {
-		return nil, 0, err
+// (Under a skimming decoder the encoder's arrays stay nil.)
+func readFCMState(d *wire.Dec, kind Kind) (e fcmEnc, size uint64, err error) {
+	m, order, tbBits, pos := d.U32(), d.U32(), d.U32(), d.U32()
+	size = d.U64()
+	if err := d.Err(); err != nil {
+		return e, 0, err
 	}
 	if order < 1 || order > 64 {
-		return nil, 0, fmt.Errorf("stream: fcm order %d outside [1,64]", order)
+		return e, 0, fmt.Errorf("stream: fcm order %d outside [1,64]", order)
 	}
 	if tbBits > 26 {
-		return nil, 0, fmt.Errorf("stream: fcm table bits %d exceed 26", tbBits)
+		return e, 0, fmt.Errorf("stream: fcm table bits %d exceed 26", tbBits)
 	}
 	if pos > m {
-		return nil, 0, fmt.Errorf("stream: fcm cursor %d outside [0,%d]", pos, m)
+		return e, 0, fmt.Errorf("stream: fcm cursor %d outside [0,%d]", pos, m)
 	}
-	e := &fcmEnc{m: int(m), order: int(order), tbBits: uint(tbBits), pos: int(pos)}
-	var err error
-	if e.frtb, err = readU32s(r); err != nil {
-		return nil, 0, err
-	}
-	if e.bltb, err = readU32s(r); err != nil {
-		return nil, 0, err
-	}
-	if e.win, err = readU32s(r); err != nil {
-		return nil, 0, err
-	}
+	e = fcmEnc{m: int(m), order: int(order), tbBits: uint(tbBits), pos: int(pos), stride: kind == KindDFCM}
 	// The predictor tables are indexed by tbBits-masked hashes and the
 	// window length encodes the stride flag; any mismatch would index out
 	// of bounds when the stream is stepped.
-	if len(e.frtb) != 1<<e.tbBits || len(e.bltb) != 1<<e.tbBits {
-		return nil, 0, fmt.Errorf("stream: fcm tables sized %d/%d, want %d", len(e.frtb), len(e.bltb), 1<<e.tbBits)
-	}
 	wantWin := e.order
-	if kind == KindDFCM {
-		wantWin = e.order + 1
+	if e.stride {
+		wantWin++
 	}
-	if len(e.win) != wantWin {
-		return nil, 0, fmt.Errorf("stream: fcm window has %d values, %v of order %d needs %d",
-			len(e.win), Spec{kind, e.order}, e.order, wantWin)
+	if e.frtb, err = readU32s(d, 1<<e.tbBits, "fcm FR table"); err != nil {
+		return e, 0, err
 	}
-	e.stride = kind == KindDFCM
-	if e.fr, err = readBits(r); err != nil {
-		return nil, 0, err
+	if e.bltb, err = readU32s(d, 1<<e.tbBits, "fcm BL table"); err != nil {
+		return e, 0, err
 	}
-	if e.bl, err = readBits(r); err != nil {
-		return nil, 0, err
+	if e.win, err = readU32s(d, wantWin, "fcm window"); err != nil {
+		return e, 0, err
+	}
+	if e.fr, err = readBits(d); err != nil {
+		return e, 0, err
+	}
+	if e.bl, err = readBits(d); err != nil {
+		return e, 0, err
 	}
 	return e, size, nil
 }
@@ -454,7 +377,7 @@ func normalizeFCM(e *fcmEnc) (Stream, error) {
 	if !e.fr.empty() {
 		return nil, fmt.Errorf("stream: fcm FR store holds %d bits beyond the cursor", e.fr.bits())
 	}
-	if snapTable(e.frtb) != nil || snapTable(e.win) != nil {
+	if !allZero(e.frtb) || !allZero(e.win) {
 		return nil, fmt.Errorf("stream: fcm FR table or window not zero at position 0")
 	}
 	s, err := e.load()
@@ -484,53 +407,40 @@ func (s *lastNStream) save(w io.Writer) error {
 	return writeBitvec(w, &s.bl)
 }
 
-func loadLastN(r io.Reader, kind Kind) (Stream, error) {
-	e, _, err := readLastNState(r, kind)
-	if err != nil {
-		return nil, err
-	}
-	return normalizeLastN(e)
-}
-
-// readLastNState is the structural half of loadLastN (see readFCMState).
-func readLastNState(r io.Reader, kind Kind) (*lastNEnc, uint64, error) {
-	var strideB uint8
-	var m, n, idxBits, pos uint32
-	var lastVal uint32
-	var size uint64
-	if err := readAll(r, &strideB, &m, &n, &idxBits, &pos, &lastVal, &size); err != nil {
-		return nil, 0, err
+// readLastNState is the structural half of a last-n load (see readFCMState).
+func readLastNState(d *wire.Dec, kind Kind) (e lastNEnc, size uint64, err error) {
+	strideB := d.U8()
+	m, n, idxBits, pos, lastVal := d.U32(), d.U32(), d.U32(), d.U32(), d.U32()
+	size = d.U64()
+	if err := d.Err(); err != nil {
+		return e, 0, err
 	}
 	if (strideB == 1) != (kind == KindLastNStride) {
-		return nil, 0, fmt.Errorf("stream: last-n stride flag %d contradicts tag %v", strideB, kind)
+		return e, 0, fmt.Errorf("stream: last-n stride flag %d contradicts tag %v", strideB, kind)
 	}
 	if n < 2 || n > 1<<20 || n&(n-1) != 0 {
-		return nil, 0, fmt.Errorf("stream: last-n table size %d not a power of two in [2,2^20]", n)
+		return e, 0, fmt.Errorf("stream: last-n table size %d not a power of two in [2,2^20]", n)
 	}
 	if idxBits != uint32(bits.TrailingZeros32(n)) {
-		return nil, 0, fmt.Errorf("stream: last-n index width %d inconsistent with table size %d", idxBits, n)
+		return e, 0, fmt.Errorf("stream: last-n index width %d inconsistent with table size %d", idxBits, n)
 	}
 	if pos > m {
-		return nil, 0, fmt.Errorf("stream: last-n cursor %d outside [0,%d]", pos, m)
+		return e, 0, fmt.Errorf("stream: last-n cursor %d outside [0,%d]", pos, m)
 	}
-	e := &lastNEnc{
+	e = lastNEnc{
 		m: int(m), n: int(n), idxBits: uint(idxBits), pos: int(pos),
 		lastVal: lastVal, stride: strideB == 1,
 	}
-	var err error
-	if e.tb, err = readU32s(r); err != nil {
-		return nil, 0, err
-	}
 	// Hit entries index tb through idxBits-wide values; a short table would
 	// index out of bounds when the stream is stepped.
-	if len(e.tb) != int(n) {
-		return nil, 0, fmt.Errorf("stream: last-n table has %d entries, want %d", len(e.tb), n)
+	if e.tb, err = readU32s(d, e.n, "last-n table"); err != nil {
+		return e, 0, err
 	}
-	if e.fr, err = readBits(r); err != nil {
-		return nil, 0, err
+	if e.fr, err = readBits(d); err != nil {
+		return e, 0, err
 	}
-	if e.bl, err = readBits(r); err != nil {
-		return nil, 0, err
+	if e.bl, err = readBits(d); err != nil {
+		return e, 0, err
 	}
 	return e, size, nil
 }
@@ -544,14 +454,14 @@ func normalizeLastN(e *lastNEnc) (Stream, error) {
 	if !e.fr.empty() {
 		return nil, fmt.Errorf("stream: last-n FR store holds %d bits beyond the cursor", e.fr.bits())
 	}
-	if snapTable(e.tb) != nil || e.lastVal != 0 {
+	if !allZero(e.tb) || e.lastVal != 0 {
 		return nil, fmt.Errorf("stream: last-n table or last value not zero at position 0")
 	}
 	// The loaded words become the stream's BL store as they are, trimmed of
 	// any the bit length does not reach.
 	bl := bitvec{words: e.bl.words[:(e.bl.n+63)>>6], n: e.bl.n}
 	s := &lastNStream{m: e.m, n: e.n, idxBits: e.idxBits, stride: e.stride, bl: bl}
-	if err := s.load(); err != nil {
+	if err := s.load(e.tb); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -19,9 +19,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("%s: Save: %v", spec, err)
 		}
 		saved := append([]byte(nil), buf.Bytes()...)
-		s2, err := Load(&buf)
+		// Load reports exactly the bytes Save wrote, whatever follows them.
+		s2, n, err := Load(append(buf.Bytes(), 0xEE, 0xEE))
 		if err != nil {
 			t.Fatalf("%s: Load: %v", spec, err)
+		}
+		if n != len(saved) {
+			t.Fatalf("%s: Load consumed %d bytes of the %d Save wrote", spec, n, len(saved))
 		}
 		if s2.Len() != len(vals) {
 			t.Fatalf("%s: len = %d", spec, s2.Len())
@@ -71,11 +75,13 @@ func TestSaveLoadConcatenated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	rest := buf.Bytes()
 	for _, want := range [][]uint32{{1, 2, 3}, {9, 9, 9, 9}, {7}} {
-		s, err := Load(&buf)
+		s, n, err := Load(rest)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rest = rest[n:]
 		got := Drain(s)
 		for i := range want {
 			if got[i] != want[i] {
@@ -83,13 +89,13 @@ func TestSaveLoadConcatenated(t *testing.T) {
 			}
 		}
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("%d trailing bytes", buf.Len())
+	if len(rest) != 0 {
+		t.Fatalf("%d trailing bytes", len(rest))
 	}
 }
 
 func TestLoadBadTag(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte{0xFF})); err == nil {
+	if _, _, err := Load([]byte{0xFF}); err == nil {
 		t.Fatal("Load accepted bad tag")
 	}
 }
@@ -111,7 +117,7 @@ func FuzzLoad(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Load(bytes.NewReader(data))
+		s, _, err := Load(data)
 		if err != nil {
 			return
 		}
@@ -161,7 +167,7 @@ func wantLoadErr(t *testing.T, data []byte, what string) {
 			t.Fatalf("%s: Load panicked instead of erroring: %v", what, r)
 		}
 	}()
-	if _, err := Load(bytes.NewReader(data)); err == nil {
+	if _, _, err := Load(data); err == nil {
 		t.Fatalf("%s: Load accepted malformed input", what)
 	}
 }
@@ -238,7 +244,7 @@ func TestLoadRejectsForgedEntries(t *testing.T) {
 	writeU32s(&buf, []uint32{0})         // win (order entries)
 	writeAll(&buf, uint64(0), uint32(0)) // fr bitstack: 0 bits, 0 words
 	writeAll(&buf, uint64(0), uint32(0)) // bl bitstack: empty too
-	if _, err := Load(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, _, err := Load(buf.Bytes()); err == nil {
 		t.Fatal("Load accepted a stream with empty entry stores")
 	}
 }
@@ -285,7 +291,7 @@ func TestLoadNormalizesMidStreamCursor(t *testing.T) {
 			writeBits(&buf, &enc.fr)
 			writeBits(&buf, &enc.bl)
 		}
-		s, err := Load(bytes.NewReader(buf.Bytes()))
+		s, _, err := Load(buf.Bytes())
 		if err != nil {
 			t.Fatalf("%s: Load of mid-stream state: %v", spec, err)
 		}

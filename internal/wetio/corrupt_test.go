@@ -56,7 +56,7 @@ func savedWET(t testing.TB, name string) []byte {
 // every section frame plus the end-of-file offset.
 func sectionBoundaries(t testing.TB, data []byte) []int64 {
 	t.Helper()
-	secs, tail, sawEnd, err := scanSections(bytes.NewReader(data[8:]), true)
+	secs, tail, sawEnd, err := scanSections(data, true)
 	if err != nil || tail != 0 || !sawEnd {
 		t.Fatalf("scan of valid file: err=%v tail=%d sawEnd=%v", err, tail, sawEnd)
 	}
@@ -258,7 +258,7 @@ func TestCorruptByteStomps(t *testing.T) {
 // referenced lost nodes, and reports the losses.
 func TestCorruptSalvageNodePrefix(t *testing.T) {
 	data := savedWET(t, "vortex")
-	secs, _, _, err := scanSections(bytes.NewReader(data[8:]), true)
+	secs, _, _, err := scanSections(data, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestCorruptSalvageNodePrefix(t *testing.T) {
 // lost one.
 func TestCorruptSalvageEdgeDrop(t *testing.T) {
 	data := savedWET(t, "vortex")
-	secs, _, _, err := scanSections(bytes.NewReader(data[8:]), true)
+	secs, _, _, err := scanSections(data, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestCorruptVerifyLocatesDamage(t *testing.T) {
 	if !res.OK() || res.BadSections != 0 {
 		t.Fatalf("intact file fails Verify: %+v", res)
 	}
-	secs, _, _, err := scanSections(bytes.NewReader(data[8:]), true)
+	secs, _, _, err := scanSections(data, true)
 	if err != nil {
 		t.Fatal(err)
 	}

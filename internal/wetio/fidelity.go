@@ -22,6 +22,7 @@ import (
 	"io"
 
 	"wet/internal/core"
+	"wet/internal/wire"
 )
 
 // init installs the container-size oracle FreezeOptions.ByteBudget plans
@@ -79,48 +80,27 @@ func saveFidelityPayload(w io.Writer, f *core.FidelityReport) error {
 // relax happens in the node/edge parsers consulting the returned report.
 func parseFidelitySec(s *section, hdr header) (*core.FidelityReport, error) {
 	var fid *core.FidelityReport
-	err := guard("fidelity", s.offset, func() error {
-		sr := newSecReader(s)
-		f := &core.FidelityReport{}
-		var kg, ke uint32
-		if err := readVals(sr, &f.BudgetBytes, &f.FloorBytes, &f.AchievedBytes,
-			&f.TSStride, &kg, &ke); err != nil {
-			return err
+	err := guard("fidelity", -1, s.offset, func() error {
+		d := wire.NewDec(s.payload)
+		f := &core.FidelityReport{
+			BudgetBytes: d.U64(), FloorBytes: d.U64(), AchievedBytes: d.U64(),
+			TSStride: d.U32(), GroupsKept: int(d.U32()), EdgesKept: int(d.U32()),
 		}
-		f.GroupsKept, f.EdgesKept = int(kg), int(ke)
-		ng, err := sr.count(16)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < ng; i++ {
-			var node, group uint32
-			var saved uint64
-			if err := readVals(sr, &node, &group, &saved); err != nil {
-				return err
+		for n := d.Count(16); n > 0; n-- {
+			g := core.DroppedGroup{Node: int(d.U32()), Group: int(d.U32()), SavedBytes: d.U64()}
+			if g.Node >= hdr.nNodes {
+				return fmt.Errorf("dropped-group entry names node %d of %d", g.Node, hdr.nNodes)
 			}
-			if int(node) >= hdr.nNodes {
-				return fmt.Errorf("dropped-group entry names node %d of %d", node, hdr.nNodes)
-			}
-			f.DroppedGroups = append(f.DroppedGroups,
-				core.DroppedGroup{Node: int(node), Group: int(group), SavedBytes: saved})
+			f.DroppedGroups = append(f.DroppedGroups, g)
 		}
-		ne, err := sr.count(12)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < ne; i++ {
-			var edge uint32
-			var saved uint64
-			if err := readVals(sr, &edge, &saved); err != nil {
-				return err
+		for n := d.Count(12); n > 0; n-- {
+			e := core.DroppedEdge{Edge: int(d.U32()), SavedBytes: d.U64()}
+			if e.Edge >= hdr.nEdges {
+				return fmt.Errorf("dropped-edge entry names edge %d of %d", e.Edge, hdr.nEdges)
 			}
-			if int(edge) >= hdr.nEdges {
-				return fmt.Errorf("dropped-edge entry names edge %d of %d", edge, hdr.nEdges)
-			}
-			f.DroppedEdges = append(f.DroppedEdges,
-				core.DroppedEdge{Edge: int(edge), SavedBytes: saved})
+			f.DroppedEdges = append(f.DroppedEdges, e)
 		}
-		if err := sr.done(); err != nil {
+		if err := done(d); err != nil {
 			return err
 		}
 		fid = f

@@ -41,9 +41,8 @@ const (
 const lastSecTag = secFidelity
 
 // maxSectionLen bounds a single section's declared payload size. It is a
-// framing-sanity limit, not an allocation bound: payloads are read in
-// bounded chunks, so a lying length field costs at most one chunk before
-// hitting EOF.
+// framing-sanity limit, not an allocation bound: a payload is a view of the
+// bytes already read, so a lying length field allocates nothing.
 const maxSectionLen = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -147,52 +146,58 @@ func (r *SalvageReport) String() string {
 type section struct {
 	tag     uint8
 	offset  int64  // file offset of the frame's tag byte
-	payload []byte // nil when crcOK is false and the payload was unreadable
+	payload []byte // a view of the file bytes
 	crcOK   bool
 }
 
 func (s *section) name() string { return sectionName(s.tag) }
 
-// scanSections reads frames from r until the end marker, EOF, or a loss of
-// framing. CRCs are verified here — before any payload is parsed — so a
-// corrupt file is rejected at CRC cost rather than parse cost. strict makes
-// the scan stop at the first bad section (its caller returns a FormatError
-// immediately); otherwise the scan keeps framing past damaged sections as
-// long as tags remain recognizable, so salvage can use the intact remainder.
-// tailSkipped reports unframeable bytes at the point the scan gave up;
-// sawEnd reports whether the end marker was reached.
-func scanSections(r io.Reader, strict bool) (secs []section, tailSkipped int64, sawEnd bool, err error) {
-	off := int64(8) // preamble consumed by the caller
-	var hdr [5]byte
-	for {
-		n, herr := io.ReadFull(r, hdr[:])
-		if herr == io.EOF && n == 0 {
-			return secs, 0, false, nil // truncated between sections
+// tornChunk is the grain at which a payload cut short by the end of the file
+// counts towards the skipped tail: whole chunks of it that are present, not
+// the odd bytes after them (SalvageReport.BytesSkipped has always been
+// reported at this grain).
+const tornChunk = 1 << 20
+
+// scanSections frames file (the whole container, preamble included) until
+// the end marker, the end of the bytes, or a loss of framing. CRCs are
+// verified here — before any payload is parsed — so a corrupt file is
+// rejected at CRC cost rather than parse cost. strict makes the scan stop at
+// the first bad section (its caller returns a FormatError immediately);
+// otherwise the scan keeps framing past damaged sections as long as tags
+// remain recognizable, so salvage can use the intact remainder. tailSkipped
+// reports unframeable bytes at the point the scan gave up; sawEnd reports
+// whether the end marker was reached.
+func scanSections(file []byte, strict bool) (secs []section, tailSkipped int64, sawEnd bool, err error) {
+	const hdr = 5
+	// Hop the length fields once to size secs: at most one entry per nine
+	// bytes of file.
+	n := 0
+	for off := 8; len(file)-off >= hdr; n++ {
+		off += hdr + int(binary.LittleEndian.Uint32(file[off+1:])) + 4
+	}
+	secs = make([]section, 0, n)
+	for off := 8; ; {
+		rest := file[off:]
+		if len(rest) < hdr {
+			return secs, int64(len(rest)), false, nil // truncated between sections or inside a frame header
 		}
-		if herr != nil {
-			return secs, int64(n), false, nil // truncated inside a frame header
-		}
-		tag := hdr[0]
-		plen := binary.LittleEndian.Uint32(hdr[1:])
-		known := tag >= secHeader && tag <= lastSecTag
-		if !known || plen > maxSectionLen {
+		tag := rest[0]
+		plen := int(binary.LittleEndian.Uint32(rest[1:]))
+		if tag < secHeader || tag > lastSecTag || plen > maxSectionLen {
 			// Framing lost: an unrecognizable tag or absurd length means the
 			// previous length field cannot be trusted to find the next frame.
-			tail := int64(len(hdr)) + drainCount(r)
-			return secs, tail, false, nil
+			return secs, int64(len(rest)), false, nil
 		}
-		payload, rerr := readCapped(r, int(plen))
-		if rerr != nil {
-			return secs, int64(len(hdr) + len(payload)), false, nil
+		switch have := len(rest) - hdr; {
+		case have < plen:
+			return secs, hdr + int64(have&^(tornChunk-1)), false, nil
+		case have < plen+4:
+			return secs, int64(hdr + plen), false, nil
 		}
-		var crcBuf [4]byte
-		if _, cerr := io.ReadFull(r, crcBuf[:]); cerr != nil {
-			return secs, int64(len(hdr) + len(payload)), false, nil
-		}
-		sum := crc32.Checksum(hdr[:], crcTable)
-		sum = crc32.Update(sum, crcTable, payload)
-		sec := section{tag: tag, offset: off, payload: payload, crcOK: sum == binary.LittleEndian.Uint32(crcBuf[:])}
-		off += int64(len(hdr)) + int64(plen) + 4
+		sum := crc32.Checksum(rest[:hdr+plen], crcTable)
+		sec := section{tag: tag, offset: int64(off), payload: rest[hdr : hdr+plen : hdr+plen],
+			crcOK: sum == binary.LittleEndian.Uint32(rest[hdr+plen:])}
+		off += hdr + plen + 4
 		secs = append(secs, sec)
 		if strict && !sec.crcOK {
 			return secs, 0, false, &FormatError{Section: sec.name(), Offset: sec.offset,
@@ -204,83 +209,51 @@ func scanSections(r io.Reader, strict bool) (secs []section, tailSkipped int64, 
 	}
 }
 
-// walkSections frames r exactly as a non-strict scanSections does but never
-// retains a payload: each section's bytes stream through one reusable chunk
-// buffer into the CRC, so the walk allocates a constant amount regardless of
-// file size. Verify uses it — an integrity walk needs section identities and
-// checksums, not payloads. Return values mirror scanSections' tailSkipped
-// and sawEnd.
-func walkSections(r io.Reader, visit func(tag uint8, offset int64, plen int, crcOK bool)) (tailSkipped int64, sawEnd bool) {
+// walkSections frames the bytes after the preamble as a non-strict
+// scanSections does, but from a reader and without retaining a payload: each
+// section's bytes stream through one reusable chunk buffer into the CRC, so
+// the walk allocates a constant amount regardless of file size. Verify uses
+// it — an integrity walk needs section identities and checksums, not
+// payloads. tailSkipped and sawEnd mirror scanSections'; err is a read error
+// other than the file ending (see readFault).
+func walkSections(r io.Reader, visit func(tag uint8, offset int64, plen int, crcOK bool)) (tailSkipped int64, sawEnd bool, err error) {
 	off := int64(8) // preamble consumed by the caller
 	var hdr [5]byte
 	buf := make([]byte, 1<<16)
 	for {
 		n, herr := io.ReadFull(r, hdr[:])
-		if herr == io.EOF && n == 0 {
-			return 0, false // truncated between sections
-		}
 		if herr != nil {
-			return int64(n), false // truncated inside a frame header
+			return int64(n), false, readFault(herr) // truncated between sections or inside a frame header
 		}
 		tag := hdr[0]
 		plen := binary.LittleEndian.Uint32(hdr[1:])
 		known := tag >= secHeader && tag <= lastSecTag
 		if !known || plen > maxSectionLen {
-			return int64(len(hdr)) + drainCount(r), false
+			n, cerr := io.Copy(io.Discard, r)
+			return int64(len(hdr)) + n, false, readFault(cerr)
 		}
 		sum := crc32.Checksum(hdr[:], crcTable)
 		read := 0
 		for read < int(plen) {
-			c := minInt(int(plen)-read, len(buf))
+			c := min(int(plen)-read, len(buf))
 			m, rerr := io.ReadFull(r, buf[:c])
 			sum = crc32.Update(sum, crcTable, buf[:m])
 			read += m
 			if rerr != nil {
-				return int64(len(hdr) + read), false
+				return int64(len(hdr) + read), false, readFault(rerr)
 			}
 		}
 		var crcBuf [4]byte
 		if _, cerr := io.ReadFull(r, crcBuf[:]); cerr != nil {
-			return int64(len(hdr) + read), false
+			return int64(len(hdr) + read), false, readFault(cerr)
 		}
 		crcOK := sum == binary.LittleEndian.Uint32(crcBuf[:])
 		visit(tag, off, int(plen), crcOK)
 		off += int64(len(hdr)) + int64(plen) + 4
 		if tag == secEnd && crcOK {
-			return 0, true
+			return 0, true, nil
 		}
 	}
-}
-
-// readCapped reads exactly n bytes in bounded chunks, so a forged length
-// field never allocates more than the input actually provides (plus one
-// chunk).
-func readCapped(r io.Reader, n int) ([]byte, error) {
-	const chunk = 1 << 20
-	buf := make([]byte, 0, minInt(n, chunk))
-	for len(buf) < n {
-		c := minInt(n-len(buf), chunk)
-		old := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(r, buf[old:]); err != nil {
-			return buf[:old], err
-		}
-	}
-	return buf, nil
-}
-
-// drainCount consumes the remainder of r, returning the byte count (used to
-// size the skipped tail when framing is lost).
-func drainCount(r io.Reader) int64 {
-	n, _ := io.Copy(io.Discard, r)
-	return n
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sectionWriter accumulates one section payload and emits framed sections.
@@ -313,48 +286,4 @@ func (sw *sectionWriter) emit(tag uint8) error {
 	_, err := sw.w.Write(crcBuf[:])
 	sw.buf = sw.buf[:0]
 	return err
-}
-
-// secReader parses one section's payload with every read bounded by the
-// payload's actual length: untrusted counts can never drive an allocation
-// past the bytes that are really there.
-type secReader struct {
-	sec *section
-	off int
-}
-
-func newSecReader(sec *section) *secReader { return &secReader{sec: sec} }
-
-// Read implements io.Reader over the remaining payload.
-func (r *secReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.sec.payload) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.sec.payload[r.off:])
-	r.off += n
-	return n, nil
-}
-
-func (r *secReader) remaining() int { return len(r.sec.payload) - r.off }
-
-// count reads a uint32 element count and bounds it by the payload bytes
-// remaining, given a minimum encoding size per element.
-func (r *secReader) count(elemMin int) (int, error) {
-	var n uint32
-	if err := binary.Read(r, order, &n); err != nil {
-		return 0, err
-	}
-	if int64(n)*int64(elemMin) > int64(r.remaining()) {
-		return 0, fmt.Errorf("count %d exceeds %d remaining payload bytes", n, r.remaining())
-	}
-	return int(n), nil
-}
-
-// done verifies the payload was consumed exactly (trailing garbage in a
-// CRC-valid section means a forged or mis-framed file).
-func (r *secReader) done() error {
-	if r.remaining() != 0 {
-		return fmt.Errorf("%d trailing bytes in section payload", r.remaining())
-	}
-	return nil
 }

@@ -112,7 +112,7 @@ func TestV2StrictOnly(t *testing.T) {
 // offset of the damage and unwraps to its cause.
 func TestFormatErrorStructure(t *testing.T) {
 	data := savedWET(t, "li")
-	secs, _, _, err := scanSections(bytes.NewReader(data[8:]), true)
+	secs, _, _, err := scanSections(data, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,17 +5,16 @@ package wetio
 // description of the two payloads; a v2 record is byte for byte a v3 one,
 // and v4 differs only in what a label list is — a list of per-epoch segments
 // instead of one whole-run stream — which writeLabels/readLabels (node side)
-// and writeEdgeLabels/readEdgeLabels (edge side) confine. Readers take the
-// framing they are handed as a recReader: a section's bounded payload, or
-// the plain stream of an unframed v2 body.
+// and writeEdgeLabels/readEdgeLabels (edge side) confine. Readers walk a
+// wire.Dec: over a section's payload, or over the unframed v2 body.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"wet/internal/core"
 	"wet/internal/stream"
+	"wet/internal/wire"
 )
 
 // v4 edge segment forms (flags byte).
@@ -139,38 +138,19 @@ func writeEdge(w io.Writer, e *core.Edge, segmented bool) error {
 	return writeEdgeLabels(w, e, segmented)
 }
 
-// recReader is the framing a record reader is handed.
-type recReader interface {
-	io.Reader
-	// count reads a u32 element count; a framed reader bounds it by the
-	// payload bytes left, at elemMin bytes per element.
-	count(elemMin int) (int, error)
-}
-
-// plainReader is the unframed v2 body: nothing bounds a count but the reads
-// that follow it.
-type plainReader struct{ io.Reader }
-
-func (r plainReader) count(int) (int, error) {
-	var n uint32
-	err := binary.Read(r, order, &n)
-	return int(n), err
-}
-
 // parseRecord runs read over one framed node or edge record under the
 // section's recover boundary and requires it to consume the payload exactly;
 // kind is "node" or "edge".
-func parseRecord(kind string, s *section, id int, opts LoadOptions, read func(recReader, LoadOptions) error) error {
-	name := fmt.Sprintf("%s %d", kind, id)
+func parseRecord(kind string, s *section, id int, opts LoadOptions, read func(*wire.Dec, LoadOptions) error) error {
 	if opts.Segments != nil {
-		opts.segOwner, opts.segEpoch = name, -1
+		opts.segOwner, opts.segEpoch = secName(kind, id), -1
 	}
-	return guard(name, s.offset, func() error {
-		sr := newSecReader(s)
-		if err := read(sr, opts); err != nil {
+	return guard(kind, id, s.offset, func() error {
+		d := wire.NewDec(s.payload)
+		if err := read(d, opts); err != nil {
 			return err
 		}
-		return sr.done()
+		return done(d)
 	})
 }
 
@@ -178,23 +158,21 @@ func parseRecord(kind string, s *section, id int, opts LoadOptions, read func(re
 // budget-dropped list, whose length is not checked). v2/v3 hold one bare
 // stream; v4 holds a segment list whose epochs must be strictly increasing
 // inside [0, Epochs), each segment non-empty and as long as it declares.
-func readLabels(r recReader, wet *core.WET, want int, opts LoadOptions) (stream.Stream, []*core.LabelSeg, error) {
+func readLabels(d *wire.Dec, wet *core.WET, want int, opts LoadOptions) (stream.Stream, []*core.LabelSeg, error) {
 	if !wet.Segmented() {
-		s, err := loadStream(r, opts)
+		s, err := loadStream(d, opts)
 		if err == nil && want >= 0 && s.Len() != want {
 			err = fmt.Errorf("stream has %d entries, want %d", s.Len(), want)
 		}
 		return s, nil, err
 	}
-	count, err := r.count(9)
-	if err != nil {
-		return nil, nil, err
-	}
-	segs := make([]*core.LabelSeg, 0, count)
+	count := d.Count(9)
+	slab := make([]core.LabelSeg, count) // one allocation for the list's segments
+	segs := make([]*core.LabelSeg, count)
 	total, lastEpoch := 0, -1
-	for i := 0; i < count; i++ {
-		var epoch, n uint32
-		if err := readVals(r, &epoch, &n); err != nil {
+	for i := range slab {
+		epoch, n := d.U32(), d.U32()
+		if err := d.Err(); err != nil {
 			return nil, nil, err
 		}
 		if int(epoch) <= lastEpoch || int(epoch) >= wet.Epochs {
@@ -205,7 +183,7 @@ func readLabels(r recReader, wet *core.WET, want int, opts LoadOptions) (stream.
 			return nil, nil, fmt.Errorf("segment (epoch %d) empty", epoch)
 		}
 		opts.segEpoch = int(epoch)
-		s, err := loadStream(r, opts)
+		s, err := loadStream(d, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -213,7 +191,11 @@ func readLabels(r recReader, wet *core.WET, want int, opts LoadOptions) (stream.
 			return nil, nil, fmt.Errorf("segment (epoch %d) stream has %d entries, record says %d", epoch, s.Len(), n)
 		}
 		total += int(n)
-		segs = append(segs, &core.LabelSeg{Epoch: int(epoch), N: int(n), S: s})
+		slab[i] = core.LabelSeg{Epoch: int(epoch), N: int(n), S: s}
+		segs[i] = &slab[i]
+	}
+	if err := d.Err(); err != nil {
+		return nil, nil, err
 	}
 	if want >= 0 && total != want {
 		return nil, nil, fmt.Errorf("segments hold %d entries, want %d", total, want)
@@ -223,11 +205,9 @@ func readLabels(r recReader, wet *core.WET, want int, opts LoadOptions) (stream.
 
 // readNode decodes node record id of nNodes. The static side (statements,
 // groups) is rebuilt from the program; the record supplies the labels.
-func readNode(r recReader, wet *core.WET, id, nNodes int, opts LoadOptions) (*core.Node, error) {
-	var fn int32
-	var pathID int64
-	var execs uint32
-	if err := readVals(r, &fn, &pathID, &execs); err != nil {
+func readNode(d *wire.Dec, wet *core.WET, id, nNodes int, opts LoadOptions) (*core.Node, error) {
+	fn, pathID, execs := d.I32(), d.I64(), d.U32()
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	st := wet.Static
@@ -239,7 +219,7 @@ func readNode(r recReader, wet *core.WET, id, nNodes int, opts LoadOptions) (*co
 		return nil, err
 	}
 	n.Execs = int(execs)
-	if n.TSS, n.TSSegs, err = readLabels(r, wet, n.Execs, opts); err != nil {
+	if n.TSS, n.TSSegs, err = readLabels(d, wet, n.Execs, opts); err != nil {
 		return nil, fmt.Errorf("timestamps: %w", err)
 	}
 	for _, sg := range n.TSSegs {
@@ -247,22 +227,22 @@ func readNode(r recReader, wet *core.WET, id, nNodes int, opts LoadOptions) (*co
 			return nil, fmt.Errorf("timestamp segment (epoch %d) holds %d executions, epoch has %d timestamps", sg.Epoch, sg.N, wet.EpochTS)
 		}
 	}
-	if n.CFNext, err = readCFList(r, nNodes); err != nil {
+	if n.CFNext, err = readCFList(d, nNodes); err != nil {
 		return nil, err
 	}
-	if n.CFPrev, err = readCFList(r, nNodes); err != nil {
+	if n.CFPrev, err = readCFList(d, nNodes); err != nil {
 		return nil, err
 	}
-	nGroups, err := r.count(1)
-	if err != nil {
+	nGroups := d.Count(1)
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if nGroups != len(n.Groups) {
 		return nil, fmt.Errorf("node has %d groups, file says %d", len(n.Groups), nGroups)
 	}
 	for gi, g := range n.Groups {
-		var uniq, nuv uint32
-		if err := readVals(r, &uniq, &nuv); err != nil {
+		uniq, nuv := d.U32(), d.U32()
+		if err := d.Err(); err != nil {
 			return nil, err
 		}
 		g.RestoreUniqueKeys(int(uniq))
@@ -276,7 +256,7 @@ func readNode(r recReader, wet *core.WET, id, nNodes int, opts LoadOptions) (*co
 		if g.Dropped = opts.fid.GroupDropped(id, gi); g.Dropped {
 			wantPat, wantUV = -1, -1
 		}
-		if g.PatternS, g.PatSegs, err = readLabels(r, wet, wantPat, opts); err != nil {
+		if g.PatternS, g.PatSegs, err = readLabels(d, wet, wantPat, opts); err != nil {
 			return nil, fmt.Errorf("group %d pattern: %w", gi, err)
 		}
 		if !wet.Segmented() {
@@ -285,7 +265,7 @@ func readNode(r recReader, wet *core.WET, id, nNodes int, opts LoadOptions) (*co
 			g.UValSegs = make([][]*core.LabelSeg, nuv)
 		}
 		for mi := 0; mi < int(nuv); mi++ {
-			s, segs, err := readLabels(r, wet, wantUV, opts)
+			s, segs, err := readLabels(d, wet, wantUV, opts)
 			if err != nil {
 				return nil, fmt.Errorf("group %d uvals[%d]: %w", gi, mi, err)
 			}
@@ -301,8 +281,8 @@ func readNode(r recReader, wet *core.WET, id, nNodes int, opts LoadOptions) (*co
 
 // readLabelPair reads what writeLabelPair wrote, each stream holding want
 // labels (want < 0: a budget-dropped owner's placeholders, unchecked).
-func readLabelPair(r recReader, want int, diagonal bool, opts LoadOptions) (dst, src stream.Stream, err error) {
-	if dst, err = loadStream(r, opts); err != nil {
+func readLabelPair(d *wire.Dec, want int, diagonal bool, opts LoadOptions) (dst, src stream.Stream, err error) {
+	if dst, err = loadStream(d, opts); err != nil {
 		return nil, nil, err
 	}
 	if want >= 0 && dst.Len() != want {
@@ -311,7 +291,7 @@ func readLabelPair(r recReader, want int, diagonal bool, opts LoadOptions) (dst,
 	if diagonal {
 		return dst, nil, nil
 	}
-	if src, err = loadStream(r, opts); err != nil {
+	if src, err = loadStream(d, opts); err != nil {
 		return nil, nil, err
 	}
 	if want >= 0 && src.Len() != want {
@@ -321,28 +301,24 @@ func readLabelPair(r recReader, want int, diagonal bool, opts LoadOptions) (dst,
 }
 
 // readEdge decodes edge record id of nEdges against the complete node table.
-func readEdge(r recReader, wet *core.WET, id, nEdges int, opts LoadOptions) (*core.Edge, error) {
-	var kind, inferable, diagonal uint8
-	var srcN, srcP, dstN, dstP, opIdx, shared int32
-	var count uint32
-	if err := readVals(r, &kind, &srcN, &srcP, &dstN, &dstP, &opIdx,
-		&count, &inferable, &diagonal, &shared); err != nil {
-		return nil, err
-	}
+func readEdge(d *wire.Dec, wet *core.WET, id, nEdges int, opts LoadOptions) (*core.Edge, error) {
 	e := &core.Edge{
-		Kind: core.EdgeKind(kind), SrcNode: int(srcN), SrcPos: int(srcP),
-		DstNode: int(dstN), DstPos: int(dstP), OpIdx: int(opIdx),
-		Count: int(count), Inferable: inferable == 1, Diagonal: diagonal == 1,
-		SharedWith: int(shared),
+		Kind: core.EdgeKind(d.U8()), SrcNode: int(d.I32()), SrcPos: int(d.I32()),
+		DstNode: int(d.I32()), DstPos: int(d.I32()), OpIdx: int(d.I32()),
+		Count: int(d.U32()), Inferable: d.U8() == 1, Diagonal: d.U8() == 1,
+		SharedWith: int(d.I32()),
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if err := checkEdge(wet, e, nEdges); err != nil {
 		return nil, err
 	}
-	return e, readEdgeLabels(r, wet, e, id, opts)
+	return e, readEdgeLabels(d, wet, e, id, opts)
 }
 
 // readEdgeLabels reads what writeEdgeLabels wrote into e.
-func readEdgeLabels(r recReader, wet *core.WET, e *core.Edge, id int, opts LoadOptions) (err error) {
+func readEdgeLabels(d *wire.Dec, wet *core.WET, e *core.Edge, id int, opts LoadOptions) (err error) {
 	if !wet.Segmented() {
 		// A budget-dropped owner keeps placeholder streams (sharers of a
 		// dropped owner store nothing, as always), so only the length checks
@@ -355,7 +331,7 @@ func readEdgeLabels(r recReader, wet *core.WET, e *core.Edge, id int, opts LoadO
 		if e.Dropped {
 			want = -1
 		}
-		e.DstS, e.SrcS, err = readLabelPair(r, want, e.Diagonal, opts)
+		e.DstS, e.SrcS, err = readLabelPair(d, want, e.Diagonal, opts)
 		return err
 	}
 	// The streaming pipeline reduces per segment, not per whole edge: the
@@ -363,8 +339,8 @@ func readEdgeLabels(r recReader, wet *core.WET, e *core.Edge, id int, opts LoadO
 	if e.Diagonal || e.SharedWith >= 0 {
 		return fmt.Errorf("edge-level diagonal/shared forms are not valid in v4")
 	}
-	nSegs, err := r.count(9)
-	if err != nil {
+	nSegs := d.Count(9)
+	if err := d.Err(); err != nil {
 		return err
 	}
 	// Whole-run inferable edges store nothing; a budget-dropped edge keeps
@@ -381,11 +357,12 @@ func readEdgeLabels(r recReader, wet *core.WET, e *core.Edge, id int, opts LoadO
 		}
 		return nil
 	}
+	slab := make([]core.EdgeSeg, nSegs) // one allocation for the edge's segments
+	e.Segs = make([]*core.EdgeSeg, nSegs)
 	total, lastEpoch := 0, -1
-	for si := 0; si < nSegs; si++ {
-		var epoch, n uint32
-		var flags uint8
-		if err := readVals(r, &epoch, &n, &flags); err != nil {
+	for si := range slab {
+		epoch, n, flags := d.U32(), d.U32(), d.U8()
+		if err := d.Err(); err != nil {
 			return err
 		}
 		if int(epoch) <= lastEpoch || int(epoch) >= wet.Epochs {
@@ -395,16 +372,16 @@ func readEdgeLabels(r recReader, wet *core.WET, e *core.Edge, id int, opts LoadO
 		if n == 0 || int(n) > e.Count {
 			return fmt.Errorf("segment %d holds %d labels, edge count is %d", si, n, e.Count)
 		}
-		sg := &core.EdgeSeg{Epoch: int(epoch), N: int(n), SharedWith: -1, SharedSeg: -1}
+		sg := &slab[si]
+		*sg = core.EdgeSeg{Epoch: int(epoch), N: int(n), SharedWith: -1, SharedSeg: -1}
+		e.Segs[si] = sg
 		switch flags {
 		case segInferable:
-			if err := readVals(r, &sg.RampBase); err != nil {
-				return err
-			}
+			sg.RampBase = d.U32()
 			sg.Inferable = true
 		case segShared:
-			var ow, os int32
-			if err := readVals(r, &ow, &os); err != nil {
+			ow, os := d.I32(), d.I32()
+			if err := d.Err(); err != nil {
 				return err
 			}
 			if ow < 0 || int(ow) >= id || os < 0 {
@@ -414,14 +391,16 @@ func readEdgeLabels(r recReader, wet *core.WET, e *core.Edge, id int, opts LoadO
 		case segDiagonal, 0:
 			opts.segEpoch = int(epoch)
 			sg.Diagonal = flags == segDiagonal
-			if sg.DstS, sg.SrcS, err = readLabelPair(r, sg.N, sg.Diagonal, opts); err != nil {
+			if sg.DstS, sg.SrcS, err = readLabelPair(d, sg.N, sg.Diagonal, opts); err != nil {
 				return fmt.Errorf("segment %d: %w", si, err)
 			}
 		default:
 			return fmt.Errorf("segment %d has invalid flags %#x", si, flags)
 		}
 		total += sg.N
-		e.Segs = append(e.Segs, sg)
+	}
+	if err := d.Err(); err != nil {
+		return err
 	}
 	if total != e.Count {
 		return fmt.Errorf("segments hold %d labels, edge count is %d", total, e.Count)

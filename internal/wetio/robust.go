@@ -54,8 +54,8 @@ func (fr failReader) Read(p []byte) (int, error) {
 	return fr.r.Read(p)
 }
 
-// ctxReader aborts a streaming read when its context dies, bounding
-// cancellation latency on the load path to one buffered-read refill.
+// ctxReader aborts a read when its context dies, bounding cancellation
+// latency on the load path to one Read of the source.
 type ctxReader struct {
 	ctx context.Context
 	r   io.Reader
@@ -68,7 +68,7 @@ func (cr ctxReader) Read(p []byte) (int, error) {
 	return cr.r.Read(p)
 }
 
-// loadReader stacks the robustness wrappers under the load path's bufio:
+// loadReader stacks the robustness wrappers over a source about to be read:
 // failpoint innermost (it stands in for the device), context on top.
 func loadReader(ctx context.Context, r io.Reader) io.Reader {
 	r = failReader{r}
@@ -76,6 +76,18 @@ func loadReader(ctx context.Context, r io.Reader) io.Reader {
 		r = ctxReader{ctx, r}
 	}
 	return r
+}
+
+// readFault sorts a read error: io.EOF and io.ErrUnexpectedEOF merely end the
+// file — how much of a container a short file still holds is the parsers' to
+// say, as truncation — and come back nil. Anything else (a device fault, a
+// dead context) is not file damage and is returned, wrapped, to fail the
+// load or the walk as itself.
+func readFault(err error) error {
+	if err == nil || err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return fmt.Errorf("wetio: reading the container: %w", err)
 }
 
 // ctxCause returns the context's cancellation cause when it died, else

@@ -230,7 +230,7 @@ func TestV4CorruptStrict(t *testing.T) {
 // references so no surviving segment points at a lost owner.
 func TestV4SalvageEdgeDrop(t *testing.T) {
 	data := savedStreamedWET(t, "vortex")
-	secs, _, _, err := scanSections(bytes.NewReader(data[8:]), true)
+	secs, _, _, err := scanSections(data, true)
 	if err != nil {
 		t.Fatal(err)
 	}

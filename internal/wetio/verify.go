@@ -56,10 +56,14 @@ func Verify(r io.Reader) (*VerifyResult, error) {
 func VerifyCtx(ctx context.Context, r io.Reader) (*VerifyResult, error) {
 	ctx = orBackground(ctx)
 	br := bufio.NewReaderSize(loadReader(ctx, r), 1<<16)
-	var m, v uint32
-	if err := readVals(br, &m, &v); err != nil {
-		return nil, ctxCause(ctx, &FormatError{Section: "preamble", Cause: err})
+	var pre [8]byte
+	if _, err := io.ReadFull(br, pre[:]); err != nil {
+		if ferr := readFault(err); ferr != nil {
+			return nil, ctxCause(ctx, ferr)
+		}
+		return nil, &FormatError{Section: "preamble", Cause: err}
 	}
+	m, v := order.Uint32(pre[:]), order.Uint32(pre[4:])
 	if m != magic {
 		return nil, &FormatError{Section: "preamble", Cause: fmt.Errorf("bad magic %#x", m)}
 	}
@@ -72,7 +76,7 @@ func VerifyCtx(ctx context.Context, r io.Reader) (*VerifyResult, error) {
 	}
 	res := &VerifyResult{Version: int(v)}
 	nodeIdx, edgeIdx := 0, 0
-	tail, sawEnd := walkSections(br, func(tag uint8, offset int64, plen int, crcOK bool) {
+	tail, sawEnd, err := walkSections(br, func(tag uint8, offset int64, plen int, crcOK bool) {
 		name := sectionName(tag)
 		switch tag {
 		case secNode:
@@ -89,10 +93,8 @@ func VerifyCtx(ctx context.Context, r io.Reader) (*VerifyResult, error) {
 			res.BadSections++
 		}
 	})
-	// walkSections treats any read error as truncation; a cancelled walk
-	// must report the cancellation, not a phantom torn file.
-	if ctx.Err() != nil {
-		return nil, context.Cause(ctx)
+	if err != nil {
+		return nil, ctxCause(ctx, err)
 	}
 	res.TailSkipped, res.Truncated = tail, !sawEnd
 	return res, nil

@@ -13,12 +13,14 @@
 // program, so the file stays close to the information-theoretic content of
 // the WET.
 //
-// Load verifies every section checksum before parsing anything, bounds all
-// allocations by the bytes actually present, converts decoder panics into
-// *FormatError, and in salvage mode degrades gracefully: damaged node/edge
-// records are skipped and the maximal loadable prefix is returned together
-// with a SalvageReport. Version 2 files (unframed, no checksums) still load
-// through the legacy reader in strict mode.
+// Load drains its reader once, then works on the bytes: it verifies every
+// section checksum before parsing anything, decodes every payload in place
+// (internal/wire) so no allocation outruns the bytes actually present,
+// converts decoder panics into *FormatError, and in salvage mode degrades
+// gracefully: damaged node/edge records are skipped and the maximal loadable
+// prefix is returned together with a SalvageReport. Version 2 files
+// (unframed, no checksums) still load, in strict mode, through the same
+// record decoder.
 //
 // Format v4 (see v4.go) reuses the v3 preamble and section framing
 // unchanged but stores epoch-segmented WETs: the header additionally
@@ -42,6 +44,7 @@ import (
 	"wet/internal/pool"
 	"wet/internal/stream"
 	"wet/internal/trace"
+	"wet/internal/wire"
 )
 
 const (
@@ -77,9 +80,13 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 	}
 	sw := &sectionWriter{w: bw}
 
-	if err := writeVals(sw, append(rawHeaderFields(&wet.Raw), wet.Time,
-		int32(wet.FirstNode), int32(wet.LastNode),
-		uint32(len(wet.Nodes)), uint32(len(wet.Edges)))...); err != nil {
+	for _, f := range rawHeaderFields(&wet.Raw) {
+		if err := writeVals(sw, *f); err != nil {
+			return err
+		}
+	}
+	if err := writeVals(sw, wet.Time, int32(wet.FirstNode), int32(wet.LastNode),
+		uint32(len(wet.Nodes)), uint32(len(wet.Edges))); err != nil {
 		return err
 	}
 	if segmented {
@@ -165,8 +172,8 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 // (SyncOps, SharedAcc) are deliberately absent: they ride in the optional
 // concurrency section instead, so single-threaded files keep the exact
 // header bytes of pre-concurrency releases and v2 fixtures stay loadable.
-func rawHeaderFields(r *trace.RawStats) []interface{} {
-	return []interface{}{&r.StmtExecs, &r.DefExecs, &r.DynDD, &r.DynCD,
+func rawHeaderFields(r *trace.RawStats) []*uint64 {
+	return []*uint64{&r.StmtExecs, &r.DefExecs, &r.DynDD, &r.DynCD,
 		&r.BlockExecs, &r.PathExecs, &r.Loads, &r.Stores, &r.Branches}
 }
 
@@ -185,8 +192,8 @@ func saveConcPayload(w io.Writer, wet *core.WET) error {
 
 // LoadOptions tunes Load.
 type LoadOptions struct {
-	// Ctx cancels the load cooperatively: the streaming read aborts within
-	// one buffer refill, section decode between sections, tier-1
+	// Ctx cancels the load cooperatively: the read of the file aborts at the
+	// next Read of the source, section decode between sections, tier-1
 	// rehydration between drain jobs. A cancelled Load returns
 	// context.Cause(Ctx) — never a *FormatError, a cancelled file is not a
 	// corrupt one. Nil means context.Background().
@@ -229,19 +236,22 @@ type LoadOptions struct {
 	// decompression proportional to the segments they cross rather than the
 	// trace length. Framing, checksums, and every structural field are
 	// still validated up front; single-flight materialization keeps
-	// concurrent first touches safe. The trade: a stream whose entry stores
-	// were forged to pass structural checks panics at first touch instead
-	// of failing the load (use VerifyStreams or an eager load for untrusted
-	// files). Ignored on the salvage path, which must find damage eagerly.
+	// concurrent first touches safe. An untouched stream holds a view of the
+	// file's bytes, so the buffer the file was read into lives until every
+	// stream has been touched or dropped. The trade: a stream whose entry
+	// stores were forged to pass structural checks fails at first touch (a
+	// typed *stream.DecodeError) instead of failing the load (use
+	// VerifyStreams or an eager load for untrusted files). Ignored on the
+	// salvage path, which must find damage eagerly.
 	Lazy bool
 	// Segments indexes the container for segment-granular residency: every
 	// predictor-backed stream loads as a *stream.Evictable (serialized bytes
 	// retained, decode deferred like Lazy, decoded state droppable and
 	// rebuildable) and is registered in the given source with its owning
 	// section and epoch. Framed strict loads only: ignored on the salvage
-	// path (damage must be found eagerly), on v2 files (no framing to
-	// capture byte ranges from), and under VerifyStreams (certification
-	// requires the decode).
+	// path (damage must be found eagerly), on v2 files (no sections to name
+	// as owners), and under VerifyStreams (certification requires the
+	// decode).
 	Segments *SegmentSource
 
 	// segOwner/segEpoch carry the registering section's identity down to
@@ -268,40 +278,57 @@ func Load(r io.Reader, opts LoadOptions) (*core.WET, error) {
 // were read, dropped, or skipped. The report is non-nil whenever the WET
 // is (for clean strict loads it reports zero losses).
 func LoadWithReport(r io.Reader, opts LoadOptions) (*core.WET, *SalvageReport, error) {
-	br := bufio.NewReaderSize(loadReader(opts.Ctx, r), 1<<16)
-	var m, v uint32
-	if err := readVals(br, &m, &v); err != nil {
-		return nil, nil, ctxCause(opts.Ctx, &FormatError{Section: "preamble", Cause: err})
+	file, err := drain(opts.Ctx, r)
+	if err != nil {
+		return nil, nil, err
+	}
+	d := wire.NewDec(file)
+	m, v := d.U32(), d.U32()
+	if err := d.Err(); err != nil {
+		return nil, nil, &FormatError{Section: "preamble", Cause: err}
 	}
 	if m != magic {
 		return nil, nil, &FormatError{Section: "preamble", Cause: fmt.Errorf("bad magic %#x", m)}
 	}
 	switch v {
 	case versionV2:
-		w, err := loadV2(br, opts)
+		w, err := loadV2(d, opts)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, ctxCause(opts.Ctx, err)
 		}
 		rep := &SalvageReport{Version: 2, NodesLoaded: len(w.Nodes), EdgesLoaded: len(w.Edges)}
 		return w, rep, nil
-	case version:
-		return loadFramed(br, opts, false)
-	case versionV4:
-		return loadFramed(br, opts, true)
+	case version, versionV4:
+		return loadFramed(file, opts, v == versionV4)
 	}
 	return nil, nil, &FormatError{Section: "preamble", Cause: fmt.Errorf("unsupported version %d", v)}
 }
 
-func loadFramed(br io.Reader, opts LoadOptions, v4 bool) (*core.WET, *SalvageReport, error) {
-	strict := !opts.Salvage
-	secs, tail, sawEnd, err := scanSections(br, strict)
-	if err != nil {
-		return nil, nil, ctxCause(opts.Ctx, err)
+// drain reads r to its end — the one place a load touches its reader. A
+// source that knows its length (bytes.Reader, bytes.Buffer, strings.Reader)
+// is read into a buffer of exactly that size. A read error that is more than
+// the file ending fails the load as itself, never as file damage (readFault).
+func drain(ctx context.Context, r io.Reader) (file []byte, err error) {
+	lr := loadReader(ctx, r)
+	if sized, ok := r.(interface{ Len() int }); ok {
+		file = make([]byte, sized.Len())
+		var n int
+		n, err = io.ReadFull(lr, file)
+		file = file[:n]
+	} else {
+		file, err = io.ReadAll(lr)
 	}
-	// scanSections treats read errors as truncation; a load cancelled
-	// mid-scan must report the cancellation, not salvage a phantom prefix.
-	if opts.Ctx != nil && opts.Ctx.Err() != nil {
-		return nil, nil, context.Cause(opts.Ctx)
+	if err := readFault(err); err != nil {
+		return nil, ctxCause(ctx, err)
+	}
+	return file, nil
+}
+
+func loadFramed(file []byte, opts LoadOptions, v4 bool) (*core.WET, *SalvageReport, error) {
+	strict := !opts.Salvage
+	secs, tail, sawEnd, err := scanSections(file, strict)
+	if err != nil {
+		return nil, nil, err
 	}
 	fileVer := 3
 	if v4 {
@@ -418,21 +445,22 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, *core.Si
 	// the slices below are identical at every worker count, and a corrupt
 	// file reports the lowest-indexed failing section just as a serial parse
 	// would.
-	nodeSecs := make([]*section, hdr.nNodes)
-	for i := range nodeSecs {
-		s, err := take(secNode)
-		if err != nil {
-			return nil, nil, err
+	takeRun := func(tag uint8, n int) ([]section, error) {
+		start := idx
+		for idx-start < n {
+			if _, err := take(tag); err != nil {
+				return nil, err
+			}
 		}
-		nodeSecs[i] = s
+		return secs[start:idx], nil
 	}
-	edgeSecs := make([]*section, hdr.nEdges)
-	for i := range edgeSecs {
-		s, err := take(secEdge)
-		if err != nil {
-			return nil, nil, err
-		}
-		edgeSecs[i] = s
+	nodeSecs, err := takeRun(secNode, hdr.nNodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	edgeSecs, err := takeRun(secEdge, hdr.nEdges)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Cancellation granularity on the decode fan is one section: a dead
@@ -440,8 +468,8 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, *core.Si
 	// in loadFramed rather than as a FormatError.
 	nodes := make([]*core.Node, hdr.nNodes)
 	err = pool.Run(ctx, opts.Workers, hdr.nNodes, func(_, i int) error {
-		return parseRecord("node", nodeSecs[i], i, opts, func(r recReader, o LoadOptions) (err error) {
-			nodes[i], err = readNode(r, wet, i, hdr.nNodes, o)
+		return parseRecord("node", &nodeSecs[i], i, opts, func(d *wire.Dec, o LoadOptions) (err error) {
+			nodes[i], err = readNode(d, wet, i, hdr.nNodes, o)
 			return err
 		})
 	})
@@ -455,8 +483,8 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, *core.Si
 	// file order once every slot is filled.
 	edges := make([]*core.Edge, hdr.nEdges)
 	err = pool.Run(ctx, opts.Workers, hdr.nEdges, func(_, i int) error {
-		return parseRecord("edge", edgeSecs[i], i, opts, func(r recReader, o LoadOptions) (err error) {
-			edges[i], err = readEdge(r, wet, i, hdr.nEdges, o)
+		return parseRecord("edge", &edgeSecs[i], i, opts, func(d *wire.Dec, o LoadOptions) (err error) {
+			edges[i], err = readEdge(d, wet, i, hdr.nEdges, o)
 			return err
 		})
 	})
@@ -626,8 +654,8 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 			continue
 		}
 		var n *core.Node
-		nerr := parseRecord("node", ts.s, ts.orig, opts, func(r recReader, o LoadOptions) (err error) {
-			n, err = readNode(r, wet, ts.orig, hdr.nNodes, o)
+		nerr := parseRecord("node", ts.s, ts.orig, opts, func(d *wire.Dec, o LoadOptions) (err error) {
+			n, err = readNode(d, wet, ts.orig, hdr.nNodes, o)
 			return err
 		})
 		if nerr != nil {
@@ -656,8 +684,8 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 			continue
 		}
 		var e *core.Edge
-		eerr := parseRecord("edge", ts.s, ts.orig, opts, func(r recReader, o LoadOptions) (err error) {
-			e, err = readEdge(r, wet, ts.orig, hdr.nEdges, o)
+		eerr := parseRecord("edge", ts.s, ts.orig, opts, func(d *wire.Dec, o LoadOptions) (err error) {
+			e, err = readEdge(d, wet, ts.orig, hdr.nEdges, o)
 			return err
 		})
 		if eerr != nil {
@@ -764,22 +792,19 @@ type header struct {
 func parseHeaderSec(s *section, v4 bool) (*core.WET, header, error) {
 	wet := &core.WET{}
 	var hdr header
-	err := guard("header", s.offset, func() error {
-		sr := newSecReader(s)
-		var first, last int32
-		var nNodes, nEdges uint32
-		if err := readVals(sr, append(rawHeaderFields(&wet.Raw), &wet.Time,
-			&first, &last, &nNodes, &nEdges)...); err != nil {
-			return err
+	err := guard("header", -1, s.offset, func() error {
+		d := wire.NewDec(s.payload)
+		for _, f := range rawHeaderFields(&wet.Raw) {
+			*f = d.U64()
 		}
-		wet.FirstNode, wet.LastNode = int(first), int(last)
-		hdr.nNodes, hdr.nEdges = int(nNodes), int(nEdges)
+		wet.Time = d.U32()
+		wet.FirstNode, wet.LastNode = int(d.I32()), int(d.I32())
+		hdr.nNodes, hdr.nEdges = int(d.U32()), int(d.U32())
 		if v4 {
-			var epochs uint32
-			if err := readVals(sr, &wet.EpochTS, &epochs); err != nil {
+			wet.EpochTS, wet.Epochs = d.U32(), int(d.U32())
+			if err := d.Err(); err != nil {
 				return err
 			}
-			wet.Epochs = int(epochs)
 			if wet.EpochTS == 0 {
 				return fmt.Errorf("v4 file with epoch size 0")
 			}
@@ -787,7 +812,7 @@ func parseHeaderSec(s *section, v4 bool) (*core.WET, header, error) {
 				return fmt.Errorf("%d epochs inconsistent with time %d at epoch size %d", wet.Epochs, wet.Time, wet.EpochTS)
 			}
 		}
-		return sr.done()
+		return done(d)
 	})
 	if err != nil {
 		return nil, header{}, err
@@ -796,13 +821,13 @@ func parseHeaderSec(s *section, v4 bool) (*core.WET, header, error) {
 }
 
 func parseProgramSec(s *section, wet *core.WET) error {
-	return guard("program", s.offset, func() error {
-		sr := newSecReader(s)
-		prog, err := loadProgram(sr)
+	return guard("program", -1, s.offset, func() error {
+		d := wire.NewDec(s.payload)
+		prog, err := loadProgram(d)
 		if err != nil {
 			return err
 		}
-		if err := sr.done(); err != nil {
+		if err := done(d); err != nil {
 			return err
 		}
 		st, err := interp.Analyze(prog)
@@ -816,14 +841,12 @@ func parseProgramSec(s *section, wet *core.WET) error {
 
 func parseReportSec(s *section) (*core.SizeReport, error) {
 	var rep *core.SizeReport
-	err := guard("report", s.offset, func() error {
-		sr := newSecReader(s)
-		r, err := loadReport(sr)
-		if err != nil {
+	err := guard("report", -1, s.offset, func() (err error) {
+		d := wire.NewDec(s.payload)
+		if rep, err = loadReport(d); err != nil {
 			return err
 		}
-		rep = r
-		return sr.done()
+		return done(d)
 	})
 	if err != nil {
 		return nil, err
@@ -840,13 +863,11 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 	if opts.Segments != nil {
 		opts.segOwner, opts.segEpoch = "conc", -1
 	}
-	err := guard("conc", s.offset, func() error {
-		sr := newSecReader(s)
-		if err := readVals(sr, &raw.SyncOps, &raw.SharedAcc); err != nil {
-			return err
-		}
-		nThreads, err := sr.count(1)
-		if err != nil {
+	err := guard("conc", -1, s.offset, func() error {
+		d := wire.NewDec(s.payload)
+		raw.SyncOps, raw.SharedAcc = d.U64(), d.U64()
+		nThreads := d.Count(1)
+		if err := d.Err(); err != nil {
 			return err
 		}
 		if nThreads == 0 {
@@ -857,7 +878,8 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 			c.ThreadTS[i] = &core.ConcStream{}
 		}
 		for _, cs := range c.Streams() {
-			if cs.S, err = loadStream(sr, opts); err != nil {
+			var err error
+			if cs.S, err = loadStream(d, opts); err != nil {
 				return err
 			}
 		}
@@ -869,7 +891,7 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 			return fmt.Errorf("access record streams are misaligned")
 		}
 		conc = c
-		return sr.done()
+		return done(d)
 	})
 	if err != nil {
 		return nil, err
@@ -877,33 +899,28 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 	return conc, nil
 }
 
-// loadStream deserializes one stream, optionally certifying full
-// traversability (LoadOptions.VerifyStreams) or deferring the decode until
-// first touch (LoadOptions.Lazy; structural validation still happens here).
-// With LoadOptions.Segments the stream additionally keeps its serialized
-// bytes and registers in the segment index, so its decoded state can be
-// evicted and rebuilt later.
-func loadStream(r io.Reader, opts LoadOptions) (stream.Stream, error) {
-	if opts.Segments != nil && !opts.VerifyStreams {
-		if sr, ok := r.(*secReader); ok {
-			start := sr.off
-			s, err := stream.Scan(sr)
-			if err != nil {
-				return nil, err
-			}
-			if ev := stream.NewEvictableFromScan(s, sr.sec.payload[start:sr.off]); ev != nil {
-				opts.Segments.add(opts.segOwner, opts.segEpoch, ev)
-				return ev, nil
-			}
-			return s, nil
-		}
+// loadStream deserializes the stream at the decoder's position, optionally
+// certifying full traversability (LoadOptions.VerifyStreams) or deferring the
+// decode until first touch (LoadOptions.Lazy; structural validation still
+// happens here). With LoadOptions.Segments the deferred stream becomes an
+// evictable one over its own copy of the bytes and is registered in the
+// segment index, so its decoded state can be dropped and rebuilt later. A
+// merely lazy stream keeps a view of the file's bytes until its first touch.
+func loadStream(d *wire.Dec, opts LoadOptions) (stream.Stream, error) {
+	decode := stream.Load
+	if (opts.Lazy || opts.Segments != nil) && !opts.VerifyStreams {
+		decode = stream.Scan
 	}
-	if opts.Lazy && !opts.VerifyStreams {
-		return stream.Scan(r)
-	}
-	s, err := stream.Load(r)
+	s, n, err := decode(d.Rest())
 	if err != nil {
 		return nil, err
+	}
+	d.Bytes(n)
+	if opts.Segments != nil && !opts.VerifyStreams {
+		if ev := stream.NewEvictable(s); ev != nil {
+			opts.Segments.add(opts.segOwner, opts.segEpoch, ev)
+			return ev, nil
+		}
 	}
 	if opts.VerifyStreams {
 		if err := stream.WalkCheck(s); err != nil {
@@ -915,8 +932,8 @@ func loadStream(r io.Reader, opts LoadOptions) (stream.Stream, error) {
 
 // readCFList reads a control-flow successor/predecessor list and validates
 // every entry names a node of this file.
-func readCFList(r io.Reader, nNodes int) ([]int, error) {
-	s, err := readInts(r)
+func readCFList(d *wire.Dec, nNodes int) ([]int, error) {
+	s, err := readInts(d)
 	if err != nil {
 		return nil, err
 	}
@@ -928,20 +945,42 @@ func readCFList(r io.Reader, nNodes int) ([]int, error) {
 	return s, nil
 }
 
+// secName names a section for an error or a segment owner: the kind alone,
+// or "kind id" for a numbered record (id >= 0).
+func secName(kind string, id int) string {
+	if id < 0 {
+		return kind
+	}
+	return fmt.Sprintf("%s %d", kind, id)
+}
+
 // guard runs one section's parse under a recover boundary: structural
 // errors and decoder panics both surface as *FormatError locating the
-// section.
-func guard(name string, offset int64, fn func() error) (err error) {
+// section (see secName; the name is only built on failure).
+func guard(kind string, id int, offset int64, fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = &FormatError{Section: name, Offset: offset, Cause: fmt.Errorf("decoder panic: %v", p)}
+			err = &FormatError{Section: secName(kind, id), Offset: offset, Cause: fmt.Errorf("decoder panic: %v", p)}
 		}
 	}()
 	if e := fn(); e != nil {
 		if fe, ok := e.(*FormatError); ok {
 			return fe
 		}
-		return &FormatError{Section: name, Offset: offset, Cause: e}
+		return &FormatError{Section: secName(kind, id), Offset: offset, Cause: e}
+	}
+	return nil
+}
+
+// done verifies a section payload was consumed exactly: nothing read past
+// its end, and no trailing garbage (which in a CRC-valid section means a
+// forged or mis-framed file).
+func done(d *wire.Dec) error {
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("%d trailing bytes in section payload", n)
 	}
 	return nil
 }
@@ -1009,54 +1048,47 @@ func saveOperand(w io.Writer, o ir.Operand) error {
 	return writeVals(w, boolByte(o.IsReg), int32(o.Reg), o.Imm)
 }
 
-func loadOperand(r io.Reader) (ir.Operand, error) {
-	var isReg uint8
-	var reg int32
-	var imm int64
-	if err := readVals(r, &isReg, &reg, &imm); err != nil {
-		return ir.Operand{}, err
-	}
-	return ir.Operand{IsReg: isReg == 1, Reg: ir.Reg(reg), Imm: imm}, nil
+func loadOperand(d *wire.Dec) ir.Operand {
+	isReg, reg, imm := d.U8(), d.I32(), d.I64()
+	return ir.Operand{IsReg: isReg == 1, Reg: ir.Reg(reg), Imm: imm}
 }
 
-func loadProgram(r io.Reader) (*ir.Program, error) {
-	var memWords int64
-	var entry int32
-	var nFuncs uint32
-	if err := readVals(r, &memWords, &entry, &nFuncs); err != nil {
+// Smallest encodings of the program's repeated units, for bounding their
+// counts by the bytes present.
+const (
+	minOperandBytes = 1 + 4 + 8
+	minStmtBytes    = 1 + 4 + 2*minOperandBytes + 8
+	minBlockBytes   = 4 + 4
+	minFuncBytes    = 4 + 4 + 4 + 4
+)
+
+func loadProgram(d *wire.Dec) (*ir.Program, error) {
+	memWords, entry := d.I64(), d.I32()
+	nFuncs := d.Count(minFuncBytes)
+	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	p := ir.NewProgram(memWords)
 	p.Entry = int(entry)
-	for fi := 0; fi < int(nFuncs); fi++ {
-		name, err := readString(r)
-		if err != nil {
-			return nil, err
-		}
-		var params, numRegs int32
-		var nBlocks uint32
-		if err := readVals(r, &params, &numRegs, &nBlocks); err != nil {
-			return nil, err
-		}
+	for fi := 0; fi < nFuncs; fi++ {
+		name := readString(d)
+		params, numRegs := d.I32(), d.I32()
+		nBlocks := d.Count(minBlockBytes)
 		f := &ir.Func{Name: name, Params: int(params), NumRegs: int(numRegs)}
-		for bi := 0; bi < int(nBlocks); bi++ {
-			succs, err := readInts(r)
+		for bi := 0; bi < nBlocks; bi++ {
+			succs, err := readInts(d)
 			if err != nil {
 				return nil, err
 			}
-			var nStmts uint32
-			if err := readVals(r, &nStmts); err != nil {
-				return nil, err
-			}
 			b := &ir.Block{ID: bi, Succs: succs}
-			for si := 0; si < int(nStmts); si++ {
-				s, err := loadStmt(r)
-				if err != nil {
-					return nil, err
-				}
-				b.Stmts = append(b.Stmts, s)
+			nStmts := d.Count(minStmtBytes)
+			for si := 0; si < nStmts; si++ {
+				b.Stmts = append(b.Stmts, loadStmt(d))
 			}
 			f.Blocks = append(f.Blocks, b)
+		}
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		p.AddRawFunc(f)
 	}
@@ -1066,40 +1098,17 @@ func loadProgram(r io.Reader) (*ir.Program, error) {
 	return p, nil
 }
 
-func loadStmt(r io.Reader) (*ir.Stmt, error) {
-	var op uint8
-	var dest int32
-	if err := readVals(r, &op, &dest); err != nil {
-		return nil, err
-	}
-	s := &ir.Stmt{Op: ir.Op(op), Dest: ir.Reg(dest)}
-	var err error
-	if s.A, err = loadOperand(r); err != nil {
-		return nil, err
-	}
-	if s.B, err = loadOperand(r); err != nil {
-		return nil, err
-	}
-	if err := readVals(r, &s.Off); err != nil {
-		return nil, err
-	}
+func loadStmt(d *wire.Dec) *ir.Stmt {
+	s := &ir.Stmt{Op: ir.Op(d.U8()), Dest: ir.Reg(d.I32())}
+	s.A, s.B = loadOperand(d), loadOperand(d)
+	s.Off = d.I64()
 	if s.Op == ir.OpCall || s.Op == ir.OpSpawn {
-		if s.CalleeName, err = readString(r); err != nil {
-			return nil, err
-		}
-		var nArgs uint32
-		if err := readVals(r, &nArgs); err != nil {
-			return nil, err
-		}
-		for i := 0; i < int(nArgs); i++ {
-			a, err := loadOperand(r)
-			if err != nil {
-				return nil, err
-			}
-			s.Args = append(s.Args, a)
+		s.CalleeName = readString(d)
+		for n := d.Count(minOperandBytes); n > 0; n-- {
+			s.Args = append(s.Args, loadOperand(d))
 		}
 	}
-	return s, nil
+	return s
 }
 
 // --- report ---
@@ -1133,33 +1142,18 @@ func saveReport(w io.Writer, r *core.SizeReport) error {
 	return nil
 }
 
-func loadReport(rd io.Reader) (*core.SizeReport, error) {
+func loadReport(d *wire.Dec) (*core.SizeReport, error) {
 	r := &core.SizeReport{Methods: map[string]int{}}
-	var inf, sh, own int64
-	if err := readVals(rd,
-		&r.OrigTS, &r.OrigVals, &r.OrigEdges,
-		&r.T1TS, &r.T1Vals, &r.T1Edges,
-		&r.T2TS, &r.T2Vals, &r.T2Edges,
-		&inf, &sh, &own); err != nil {
-		return nil, err
+	for _, f := range []*uint64{&r.OrigTS, &r.OrigVals, &r.OrigEdges,
+		&r.T1TS, &r.T1Vals, &r.T1Edges, &r.T2TS, &r.T2Vals, &r.T2Edges} {
+		*f = d.U64()
 	}
-	r.InferableEdges, r.SharedEdges, r.OwnedEdges = int(inf), int(sh), int(own)
-	var n uint32
-	if err := readVals(rd, &n); err != nil {
-		return nil, err
+	r.InferableEdges, r.SharedEdges, r.OwnedEdges = int(d.I64()), int(d.I64()), int(d.I64())
+	for n := d.Count(4 + 8); n > 0; n-- {
+		name := readString(d)
+		r.Methods[name] = int(d.I64())
 	}
-	for i := 0; i < int(n); i++ {
-		name, err := readString(rd)
-		if err != nil {
-			return nil, err
-		}
-		var c int64
-		if err := readVals(rd, &c); err != nil {
-			return nil, err
-		}
-		r.Methods[name] = int(c)
-	}
-	return r, nil
+	return r, d.Err()
 }
 
 // --- primitives ---
@@ -1167,15 +1161,6 @@ func loadReport(rd io.Reader) (*core.SizeReport, error) {
 func writeVals(w io.Writer, vs ...interface{}) error {
 	for _, v := range vs {
 		if err := binary.Write(w, order, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readVals(r io.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, order, v); err != nil {
 			return err
 		}
 	}
@@ -1190,21 +1175,9 @@ func writeString(w io.Writer, s string) error {
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := readVals(r, &n); err != nil {
-		return "", err
-	}
-	if n > 1<<20 {
-		return "", fmt.Errorf("wetio: implausible string length %d", n)
-	}
-	// readCapped bounds the allocation by the bytes actually present, so a
-	// forged length on a short input cannot drive a large allocation.
-	b, err := readCapped(r, int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+// readString reads a length-prefixed string ("" once the input is short).
+func readString(d *wire.Dec) string {
+	return string(d.Bytes(d.Count(1)))
 }
 
 func writeInts(w io.Writer, s []int) error {
@@ -1219,28 +1192,15 @@ func writeInts(w io.Writer, s []int) error {
 	return nil
 }
 
-// readInts reads a length-prefixed int32 slice in bounded chunks: an
-// untrusted count allocates at most one chunk before the short read
-// surfaces.
-func readInts(r io.Reader) ([]int, error) {
-	var n uint32
-	if err := readVals(r, &n); err != nil {
-		return nil, err
-	}
+// readInts reads a length-prefixed int32 slice (nil when empty).
+func readInts(d *wire.Dec) ([]int, error) {
+	n := d.Count(4)
 	if n == 0 {
-		return nil, nil
+		return nil, d.Err()
 	}
-	const chunk = 1 << 16
-	out := make([]int, 0, minInt(int(n), chunk))
-	tmp := make([]int32, minInt(int(n), chunk))
-	for len(out) < int(n) {
-		c := minInt(int(n)-len(out), chunk)
-		if err := readVals(r, tmp[:c]); err != nil {
-			return nil, err
-		}
-		for _, v := range tmp[:c] {
-			out = append(out, int(v))
-		}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(d.I32())
 	}
 	return out, nil
 }
