@@ -339,6 +339,48 @@ func BenchmarkTable9Slices(b *testing.B) {
 	}
 }
 
+// BenchmarkSliceBatch is the bench's slice op in-process: backward slices of
+// 4 criteria on li and 6 on gzip at tier 2, and under /forward the forward
+// slices of the same criteria capped at 300 instances (its alternate op).
+func BenchmarkSliceBatch(b *testing.B) {
+	type job struct {
+		tr   *wet.Trace
+		crit []wet.Instance
+	}
+	var jobs []job
+	for _, wl := range []struct {
+		name string
+		k    int
+	}{{"li", 4}, {"gzip", 6}} {
+		tr := runWorkload(b, wl.name)
+		jobs = append(jobs, job{tr, exp.SliceCriteria(tr.WET(), wl.k)})
+	}
+	for _, dir := range []struct {
+		name  string
+		slice func(*wet.Trace, wet.Instance) (*wet.SliceResult, error)
+	}{
+		{"backward", func(tr *wet.Trace, c wet.Instance) (*wet.SliceResult, error) { return tr.Backward(c, 0) }},
+		{"forward", func(tr *wet.Trace, c wet.Instance) (*wet.SliceResult, error) { return tr.Forward(c, 300) }},
+	} {
+		b.Run(dir.name, func(b *testing.B) {
+			b.ReportAllocs()
+			instances := 0
+			for i := 0; i < b.N; i++ {
+				for _, j := range jobs {
+					for _, c := range j.crit {
+						res, err := dir.slice(j.tr, c)
+						if err != nil {
+							b.Fatal(err)
+						}
+						instances += len(res.Instances)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instances), "ns/instance")
+		})
+	}
+}
+
 // BenchmarkFigure8Components measures the full Freeze (tier-1 reductions +
 // tier-2 compression of every component), whose output Figure 8 plots.
 func BenchmarkFigure8Components(b *testing.B) {
@@ -669,6 +711,34 @@ func TestBuildAllocBudget(t *testing.T) {
 	t.Logf("core.Build(mcf): %.1f B/statement over %d statements", perStmt, res.Steps)
 	if perStmt > 64 {
 		t.Errorf("core.Build(mcf) allocates %.1f B/statement, budget 64", perStmt)
+	}
+}
+
+// TestSliceAllocBudget pins what a backward slice allocates: bytes per slice
+// instance over the four li slices of TestBackwardSliceStepsPerSeek, at tier
+// 2. It measures 54, of which 24 are the result's Instances, allocated once at
+// their exact size; the rest is the visited set's pages and a cursor pair and
+// label window per edge read, which a batch this small (2,400 instances a
+// slice) does not spread thin. The worklist slicer spent 147 on it: a map
+// entry per instance, and the stack and the result regrown by doubling.
+func TestSliceAllocBudget(t *testing.T) {
+	tr := runWorkload(t, "li")
+	crit := spacedCriteria(t, tr)
+	instances := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, c := range crit {
+		res, err := tr.Backward(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances += len(res.Instances)
+	}
+	runtime.ReadMemStats(&after)
+	perInst := float64(after.TotalAlloc-before.TotalAlloc) / float64(instances)
+	t.Logf("Backward(li x4): %.1f B/instance over %d instances", perInst, instances)
+	if perInst > 65 {
+		t.Errorf("backward slices allocate %.1f B/instance, budget 65", perInst)
 	}
 }
 

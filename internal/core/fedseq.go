@@ -2,48 +2,69 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"wet/internal/stream"
 )
 
-// fedPart is one segment's contribution to a federated label sequence:
-// either a tier-2 stream (with a lazily spawned private cursor) or a
-// synthesized ramp for an inferable edge segment, whose k-th element is
-// ramp+k and needs no storage at all. add is added to every value read from
-// the part — it re-bases a segment's local timestamps to global time (zero
-// for sequences whose stored values are already global: patterns, unique
-// values, edge ordinals).
+// fedPart describes one segment's contribution to a federated label
+// sequence: either a tier-2 stream or a synthesized ramp for an inferable
+// edge segment, whose k-th element is ramp+k and needs no storage at all. add
+// is added to every value read from the part — it re-bases a segment's local
+// timestamps to global time (zero for sequences whose stored values are
+// already global: patterns, unique values, edge ordinals).
 type fedPart struct {
 	n    int
 	add  uint32
 	s    stream.Stream // nil for a synthesized ramp part
 	ramp uint32        // first value of the ramp when s == nil
-	cur  stream.Cursor // lazily spawned from s
 }
 
 // fedSeq federates per-epoch segment streams behind the Seq contract: one
-// logical bidirectional cursor over the concatenation of all parts. Each
-// fedSeq owns private per-part cursors, so the detached-cursor concurrency
-// contract of the factory API carries over unchanged: any number of fedSeqs
-// may traverse one frozen segmented WET concurrently. Sequential Next/Prev
-// runs touch the underlying cursors without seeks; repositioning costs one
-// checkpointed seek inside the target segment.
+// logical bidirectional cursor over the concatenation of all parts. A part is
+// described on demand, from the WET's own (immutable) segment tables, and its
+// cursor spawned when a read first needs it, so a fedSeq costs its part
+// offsets up front and otherwise what it touches: a query that reads a
+// window of a sequence pays for the segment the window is in, not for a part
+// table over every epoch of the run. Each fedSeq owns its cursors, so the
+// detached-cursor concurrency contract of the factory API carries over
+// unchanged: any number of fedSeqs may traverse one frozen segmented WET
+// concurrently. Sequential Next/Prev runs touch the underlying cursors
+// without seeks; repositioning costs one checkpointed seek inside the target
+// segment.
 type fedSeq struct {
-	parts  []fedPart
-	starts []int // starts[i] = global index of parts[i]'s first element
+	part   func(i int) fedPart
+	starts []int // starts[i] = global index of part i's first element
 	pos    int
+
+	// The part the last read was in, and its cursor (nil until a read needs
+	// it; always nil for a ramp). Cursors of parts left behind wait in kept,
+	// sorted by part, so coming back resumes where the part was left.
+	pi   int
+	p    fedPart
+	cur  stream.Cursor
+	kept []keptCursor
 }
 
-// newFedSeq builds a federated sequence over parts (in segment order).
-func newFedSeq(parts []fedPart) *fedSeq {
-	starts := make([]int, len(parts)+1)
-	for i := range parts {
-		starts[i+1] = starts[i] + parts[i].n
+type keptCursor struct {
+	pi  int
+	cur stream.Cursor
+}
+
+// newFedSeq builds a federated sequence over n parts (in segment order).
+// starts, when non-nil, is the offset table of another fedSeq over parts of
+// the same lengths; it is never written again.
+func newFedSeq(n int, part func(i int) fedPart, starts []int) *fedSeq {
+	if starts == nil {
+		starts = make([]int, n+1)
+		for i := 0; i < n; i++ {
+			starts[i+1] = starts[i] + part(i).n
+		}
 	}
-	return &fedSeq{parts: parts, starts: starts}
+	return &fedSeq{part: part, starts: starts, pi: -1}
 }
 
-func (f *fedSeq) Len() int { return f.starts[len(f.parts)] }
+func (f *fedSeq) Len() int { return f.starts[len(f.starts)-1] }
 func (f *fedSeq) Pos() int { return f.pos }
 
 // Seek implements Seeker: it only moves the logical position; the segment
@@ -55,38 +76,57 @@ func (f *fedSeq) Seek(i int) {
 	f.pos = i
 }
 
-// partAt returns the index of the part containing global element i (i < Len).
-func (f *fedSeq) partAt(i int) int {
-	lo, hi := 0, len(f.parts)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.starts[mid+1] <= i {
-			lo = mid + 1
-		} else {
-			hi = mid
+// at makes the part holding global element i (i < Len) the current one, with
+// its cursor placed so the next read in the given direction yields a run
+// ending (back) or starting at i, and returns i's index within the part.
+func (f *fedSeq) at(i int, back bool) (local int) {
+	if f.pi < 0 || i < f.starts[f.pi] || i >= f.starts[f.pi+1] {
+		byPart := func(k keptCursor, pi int) int { return k.pi - pi }
+		if k, ok := slices.BinarySearchFunc(f.kept, f.pi, byPart); f.cur != nil && !ok {
+			f.kept = slices.Insert(f.kept, k, keptCursor{f.pi, f.cur})
+		}
+		lo, hi := 0, len(f.starts)-2
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if f.starts[mid+1] <= i {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		f.pi, f.p, f.cur = lo, f.part(lo), nil
+		if k, ok := slices.BinarySearchFunc(f.kept, lo, byPart); ok {
+			f.cur = f.kept[k].cur
 		}
 	}
-	return lo
+	local = i - f.starts[f.pi]
+	if f.p.s != nil {
+		if f.cur == nil {
+			f.cur = f.p.s.NewCursor()
+		}
+		// A backward read wants the cursor just past the element, so its
+		// Prev yields it; a sequential run then needs no further seeks.
+		want := local
+		if back {
+			want++
+		}
+		if f.cur.Pos() != want {
+			f.cur.Seek(want)
+		}
+	}
+	return local
 }
 
 func (f *fedSeq) Next() uint32 {
 	if f.pos >= f.Len() {
 		panic("core: Seq Next past end")
 	}
-	pi := f.partAt(f.pos)
-	local := f.pos - f.starts[pi]
+	local := f.at(f.pos, false)
 	f.pos++
-	p := &f.parts[pi]
-	if p.s == nil {
-		return p.ramp + uint32(local)
+	if f.p.s == nil {
+		return f.p.ramp + uint32(local)
 	}
-	if p.cur == nil {
-		p.cur = p.s.NewCursor()
-	}
-	if p.cur.Pos() != local {
-		p.cur.Seek(local)
-	}
-	return p.cur.Next() + p.add
+	return f.cur.Next() + f.p.add
 }
 
 func (f *fedSeq) Prev() uint32 {
@@ -94,64 +134,35 @@ func (f *fedSeq) Prev() uint32 {
 		panic("core: Seq Prev past start")
 	}
 	f.pos--
-	pi := f.partAt(f.pos)
-	local := f.pos - f.starts[pi]
-	p := &f.parts[pi]
-	if p.s == nil {
-		return p.ramp + uint32(local)
+	local := f.at(f.pos, true)
+	if f.p.s == nil {
+		return f.p.ramp + uint32(local)
 	}
-	if p.cur == nil {
-		p.cur = p.s.NewCursor()
-	}
-	// Position the segment cursor just past the element so its Prev yields
-	// it; a sequential backward run then needs no further seeks.
-	if p.cur.Pos() != local+1 {
-		p.cur.Seek(local + 1)
-	}
-	return p.cur.Prev() + p.add
+	return f.cur.Prev() + f.p.add
 }
 
 // NextN batches a forward run across segment boundaries: one part lookup
 // and at most one (checkpointed) cursor reposition per segment crossed, with
 // the inner decode delegated to the segment cursor's batched stepping.
 func (f *fedSeq) NextN(dst []uint32) int {
-	total := f.Len() - f.pos
-	if total > len(dst) {
-		total = len(dst)
-	}
-	if total <= 0 {
-		return 0
-	}
+	total := max(min(f.Len()-f.pos, len(dst)), 0)
 	for done := 0; done < total; {
-		pi := f.partAt(f.pos)
-		local := f.pos - f.starts[pi]
-		p := &f.parts[pi]
-		take := p.n - local
-		if rem := total - done; take > rem {
-			take = rem
-		}
-		out := dst[done : done+take]
-		if p.s == nil {
-			base := p.ramp + uint32(local)
+		local := f.at(f.pos, false)
+		out := dst[done:min(total, done+f.p.n-local)]
+		if f.p.s == nil {
 			for i := range out {
-				out[i] = base + uint32(i)
+				out[i] = f.p.ramp + uint32(local+i)
 			}
 		} else {
-			if p.cur == nil {
-				p.cur = p.s.NewCursor()
-			}
-			if p.cur.Pos() != local {
-				p.cur.Seek(local)
-			}
-			p.cur.NextN(out)
-			if p.add != 0 {
+			f.cur.NextN(out)
+			if f.p.add != 0 {
 				for i := range out {
-					out[i] += p.add
+					out[i] += f.p.add
 				}
 			}
 		}
-		done += take
-		f.pos += take
+		done += len(out)
+		f.pos += len(out)
 	}
 	return total
 }
@@ -161,43 +172,24 @@ func (f *fedSeq) NextN(dst []uint32) int {
 // instead of one per element, so Prev-heavy scans stop replaying from the
 // segment start at every step.
 func (f *fedSeq) PrevN(dst []uint32) int {
-	total := f.pos
-	if total > len(dst) {
-		total = len(dst)
-	}
-	if total <= 0 {
-		return 0
-	}
+	total := max(min(f.pos, len(dst)), 0)
 	for done := 0; done < total; {
-		pi := f.partAt(f.pos - 1)
-		local := f.pos - f.starts[pi] // elements of this part below f.pos
-		p := &f.parts[pi]
-		take := local
-		if rem := total - done; take > rem {
-			take = rem
-		}
-		out := dst[done : done+take]
-		if p.s == nil {
-			base := p.ramp + uint32(local)
+		local := f.at(f.pos-1, true) // the part's elements below f.pos number local+1
+		out := dst[done:min(total, done+local+1)]
+		if f.p.s == nil {
 			for i := range out {
-				out[i] = base - uint32(i+1)
+				out[i] = f.p.ramp + uint32(local-i)
 			}
 		} else {
-			if p.cur == nil {
-				p.cur = p.s.NewCursor()
-			}
-			if p.cur.Pos() != local {
-				p.cur.Seek(local)
-			}
-			p.cur.PrevN(out)
-			if p.add != 0 {
+			f.cur.PrevN(out)
+			if f.p.add != 0 {
 				for i := range out {
-					out[i] += p.add
+					out[i] += f.p.add
 				}
 			}
 		}
-		done += take
-		f.pos -= take
+		done += len(out)
+		f.pos -= len(out)
 	}
 	return total
 }
@@ -211,59 +203,47 @@ var (
 // tsFed returns a federated cursor over n's timestamp segments, re-basing
 // each segment's local timestamps by its epoch base.
 func (w *WET) tsFed(n *Node) Seq {
-	parts := make([]fedPart, len(n.TSSegs))
-	for i, sg := range n.TSSegs {
-		parts[i] = fedPart{n: sg.N, add: uint32(sg.Epoch) * w.EpochTS, s: sg.S}
-	}
-	return newFedSeq(parts)
+	return newFedSeq(len(n.TSSegs), func(i int) fedPart {
+		sg := n.TSSegs[i]
+		return fedPart{n: sg.N, add: uint32(sg.Epoch) * w.EpochTS, s: sg.S}
+	}, nil)
+}
+
+// labelFed returns a federated cursor over plain label segments whose values
+// need no re-basing.
+func labelFed(segs []*LabelSeg) Seq {
+	return newFedSeq(len(segs), func(i int) fedPart { return fedPart{n: segs[i].N, s: segs[i].S} }, nil)
 }
 
 // patFed returns a federated cursor over g's pattern segments. Pattern
 // entries index the run-global unique-value table, so no re-basing applies.
-func (w *WET) patFed(g *Group) Seq {
-	parts := make([]fedPart, len(g.PatSegs))
-	for i, sg := range g.PatSegs {
-		parts[i] = fedPart{n: sg.N, s: sg.S}
-	}
-	return newFedSeq(parts)
-}
+func (w *WET) patFed(g *Group) Seq { return labelFed(g.PatSegs) }
 
 // uvalFed returns a federated cursor over the unique values of
 // g.ValMembers[mi]. Each segment holds the values first observed in its
 // epoch, so the concatenation is the run-global discovery order.
-func (w *WET) uvalFed(g *Group, mi int) Seq {
-	segs := g.UValSegs[mi]
-	parts := make([]fedPart, len(segs))
-	for i, sg := range segs {
-		parts[i] = fedPart{n: sg.N, s: sg.S}
-	}
-	return newFedSeq(parts)
-}
+func (w *WET) uvalFed(g *Group, mi int) Seq { return labelFed(g.UValSegs[mi]) }
 
 // edgeFed returns federated (dst, src) cursors over e's label segments:
 // inferable segments synthesize their ordinal ramp, shared segments read the
 // representative edge's streams, and diagonal segments read the destination
 // stream on both sides (through independent cursors).
 func (w *WET) edgeFed(e *Edge) (dst, src Seq) {
-	dp := make([]fedPart, len(e.Segs))
-	sp := make([]fedPart, len(e.Segs))
-	for i, sg := range e.Segs {
-		if sg.Inferable {
-			dp[i] = fedPart{n: sg.N, ramp: sg.RampBase}
-			sp[i] = fedPart{n: sg.N, ramp: sg.RampBase}
-			continue
-		}
-		ds, ss, diag := sg.DstS, sg.SrcS, sg.Diagonal
-		if sg.SharedWith >= 0 {
-			rs := w.Edges[sg.SharedWith].Segs[sg.SharedSeg]
-			ds, ss, diag = rs.DstS, rs.SrcS, rs.Diagonal
-		}
-		dp[i] = fedPart{n: sg.N, s: ds}
-		if diag {
-			sp[i] = fedPart{n: sg.N, s: ds}
-		} else {
-			sp[i] = fedPart{n: sg.N, s: ss}
+	side := func(source bool) func(i int) fedPart {
+		return func(i int) fedPart {
+			sg := e.Segs[i]
+			if sg.Inferable {
+				return fedPart{n: sg.N, ramp: sg.RampBase}
+			}
+			if sg.SharedWith >= 0 {
+				sg = w.Edges[sg.SharedWith].Segs[sg.SharedSeg]
+			}
+			if source && !sg.Diagonal {
+				return fedPart{n: e.Segs[i].N, s: sg.SrcS}
+			}
+			return fedPart{n: e.Segs[i].N, s: sg.DstS}
 		}
 	}
-	return newFedSeq(dp), newFedSeq(sp)
+	d := newFedSeq(len(e.Segs), side(false), nil)
+	return d, newFedSeq(len(e.Segs), side(true), d.starts)
 }

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"wet/internal/core"
 	"wet/internal/interp"
+	"wet/internal/ir"
 	"wet/internal/query"
 	"wet/internal/workload"
 )
@@ -190,6 +192,128 @@ func TestStreamingEquivalence(t *testing.T) {
 				t.Fatalf("slices: backward %d vs %d, forward %d vs %d", b1, b2, f1, f2)
 			}
 		})
+	}
+}
+
+// rampProgram's loop stores to one word and loads it back in the same
+// iteration for the first 300 of 600, then loads a word nothing wrote: the
+// load's memory dependence is an unbroken <k,k> ramp in the early epochs (a
+// synthesized segment), a stored segment in the epoch where it stops, and
+// absent after.
+func rampProgram() *ir.Program {
+	p := ir.NewProgram(64)
+	fb := p.NewFunc("main", 0)
+	early, addr, v, sum := fb.NewReg(), fb.NewReg(), fb.NewReg(), fb.ConstReg(0)
+	fb.For(ir.Imm(0), ir.Imm(600), ir.Imm(1), func(i ir.Reg) {
+		fb.Lt(early, ir.R(i), ir.Imm(300))
+		fb.Sub(addr, ir.Imm(6), ir.R(early))
+		fb.Store(ir.Imm(5), 0, ir.R(i))
+		fb.Load(v, ir.R(addr), 0)
+		fb.Add(sum, ir.R(sum), ir.R(v))
+	})
+	fb.Output(ir.R(sum))
+	fb.Halt()
+	p.MustFinalize()
+	return p
+}
+
+// TestFederatedCursorRandomWalk drives federated cursors — node timestamps
+// and both label sides of edges with stored, shared, diagonal and ramp
+// segments — through random Next, Prev, Seek, NextN and PrevN steps against
+// the sequence's own forward drain. A cursor resolves a segment when a read
+// enters it and keeps the cursors of segments it has left, so the walk
+// crosses, leaves and re-enters segments in every direction.
+func TestFederatedCursorRandomWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	walk := func(what string, fresh func() core.Seq) {
+		want := drainSeq(fresh())
+		s := fresh()
+		bulk, seeker := s.(core.BulkSeq), s.(core.Seeker)
+		buf := make([]uint32, 40)
+		for step := 0; step < 400; step++ {
+			pos := s.Pos()
+			switch op := rng.Intn(6); {
+			case op == 0 && pos < len(want):
+				if v := s.Next(); v != want[pos] {
+					t.Fatalf("%s: Next at %d = %d, want %d", what, pos, v, want[pos])
+				}
+			case op == 1 && pos > 0:
+				if v := s.Prev(); v != want[pos-1] {
+					t.Fatalf("%s: Prev at %d = %d, want %d", what, pos, v, want[pos-1])
+				}
+			case op == 2:
+				seeker.Seek(rng.Intn(len(want) + 1))
+			case op == 3:
+				n := bulk.NextN(buf[:rng.Intn(len(buf))])
+				for i, v := range buf[:n] {
+					if v != want[pos+i] {
+						t.Fatalf("%s: NextN at %d+%d = %d, want %d", what, pos, i, v, want[pos+i])
+					}
+				}
+				if s.Pos() != pos+n {
+					t.Fatalf("%s: NextN read %d from %d and stands at %d", what, n, pos, s.Pos())
+				}
+			case op == 4:
+				n := bulk.PrevN(buf[:rng.Intn(len(buf))])
+				for i, v := range buf[:n] {
+					if v != want[pos-1-i] {
+						t.Fatalf("%s: PrevN at %d-%d = %d, want %d", what, pos, i, v, want[pos-1-i])
+					}
+				}
+				if s.Pos() != pos-n {
+					t.Fatalf("%s: PrevN read %d from %d and stands at %d", what, n, pos, s.Pos())
+				}
+			}
+		}
+	}
+	wl, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gzip, gzipIn := wl.Build(1)
+	kinds := map[string]int{}
+	for _, pg := range []struct {
+		p  *ir.Program
+		in []int64
+	}{{gzip, gzipIn}, {rampProgram(), nil}} {
+		st, err := interp.Analyze(pg.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: pg.in}, core.FreezeOptions{EpochTS: 1 << 6, AggressiveEdges: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range w.Nodes {
+			if len(n.TSSegs) > 1 {
+				walk("node timestamps", func() core.Seq { return w.TSSeq(n, core.Tier2) })
+				kinds["timestamps"]++
+			}
+		}
+		for _, e := range w.Edges {
+			if len(e.Segs) < 2 {
+				continue
+			}
+			walk("edge destinations", func() core.Seq { d, _ := w.EdgeLabels(e, core.Tier2); return d })
+			walk("edge sources", func() core.Seq { _, s := w.EdgeLabels(e, core.Tier2); return s })
+			for _, sg := range e.Segs {
+				switch {
+				case sg.Inferable:
+					kinds["ramp"]++
+				case sg.SharedWith >= 0:
+					kinds["shared"]++
+				case sg.Diagonal:
+					kinds["diagonal"]++
+				default:
+					kinds["stored"]++
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"timestamps", "ramp", "shared", "diagonal", "stored"} {
+		if kinds[kind] == 0 {
+			t.Errorf("walked no %s segments (%v)", kind, kinds)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // qctx caches the detached cursors one logical query needs, so every label
 // sequence it touches is materialized once per query rather than once per
 // access. Spawning a tier-2 cursor copies the stream's predictor tables;
-// queries that revisit the same edge or group (slicing worklists, DOT
+// queries that revisit the same edge or group (slice sweeps, DOT
 // re-walks, address resolution) would otherwise pay that copy in their
 // inner loop. A whole-program pass (LoadValueTraces, AddressTraces) is one
 // logical query: its statements share the qctx, so a producer feeding
@@ -21,9 +21,9 @@ import (
 type qctx struct {
 	w     *core.WET
 	tier  core.Tier
-	edges map[*core.Edge][2]core.Seq
+	edges []*edgeCur // by edge index, spawned on first touch (srcOrd)
 	vals  map[uint64]*valReader
-	buf   [walkChunk]uint32 // reusable batch buffer for ordered-label scans and value runs
+	buf   [walkChunk]uint32 // reusable batch buffer for value runs
 	ts    [walkChunk]uint32 // one window of node timestamps (occSrc.refill)
 	srcs  []occSrc          // occurrence windows, reused by every statement of a pass
 }
@@ -38,24 +38,6 @@ func (q *qctx) occs(n int) []occSrc {
 		q.srcs = make([]occSrc, 0, n)
 	}
 	return q.srcs[:0]
-}
-
-// edgeLabels is WET.EdgeLabels with per-query cursor reuse: the first call
-// for an edge spawns the (dst, src) cursor pair, later calls return the
-// same pair. Inferable edges return (nil, nil).
-func (q *qctx) edgeLabels(e *core.Edge) (dst, src core.Seq) {
-	if e.Inferable {
-		return nil, nil
-	}
-	if p, ok := q.edges[e]; ok {
-		return p[0], p[1]
-	}
-	d, s := q.w.EdgeLabels(e, q.tier)
-	if q.edges == nil {
-		q.edges = map[*core.Edge][2]core.Seq{}
-	}
-	q.edges[e] = [2]core.Seq{d, s}
-	return d, s
 }
 
 // valReader resolves one statement occurrence's values by execution ordinal.

@@ -51,13 +51,13 @@ func HotPaths(w *core.WET, n int) []HotPath {
 // WriteDOT renders a slice result as a Graphviz digraph: one node per
 // dynamic instance (labeled with its statement and, when available, its
 // value) and one edge per dependence instance traversed during a re-walk of
-// the slice. Output is deterministic. Deferred-decode failures surface as a
-// *stream.DecodeError, not a panic.
+// the slice, both in (Node, Ord, Pos) order. Deferred-decode failures
+// surface as a *stream.DecodeError, not a panic.
 func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err error) {
 	defer recoverTyped(&err)
-	inSlice := map[uint64]bool{}
+	inSlice := newInstSet(w)
 	for _, in := range res.Instances {
-		inSlice[pack(in)] = true
+		inSlice.add(in.Node, in.Pos, in.Ord, false)
 	}
 	name := func(in Instance) string {
 		return fmt.Sprintf("i%d_%d_%d", in.Node, in.Pos, in.Ord)
@@ -68,9 +68,7 @@ func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err
 	fmt.Fprintln(out, `  rankdir=BT; node [shape=box, fontname="monospace"];`)
 
 	q := newCtx(w, tier)
-	insts := append([]Instance(nil), res.Instances...)
-	slices.SortFunc(insts, func(x, y Instance) int { return cmp.Compare(pack(x), pack(y)) })
-	for _, in := range insts {
+	inSlice.each(func(in Instance) {
 		n := w.Nodes[in.Node]
 		s := n.Stmts[in.Pos]
 		label := fmt.Sprintf("%s\\nord=%d", s, in.Ord)
@@ -84,18 +82,13 @@ func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err
 			style = ", style=filled, fillcolor=lightgrey"
 		}
 		fmt.Fprintf(out, "  %s [label=\"%s\"%s];\n", name(in), label, style)
-	}
+	})
 	// Re-resolve the dependence edges among slice members.
-	for _, in := range insts {
-		n := w.Nodes[in.Node]
-		for _, ei := range n.InEdges[in.Pos] {
+	inSlice.each(func(in Instance) {
+		for _, ei := range w.Nodes[in.Node].InEdges[in.Pos] {
 			e := w.Edges[ei]
-			sord := resolveSrc(q, e, in.Ord)
-			if sord < 0 {
-				continue
-			}
-			src := Instance{Node: e.SrcNode, Pos: e.SrcPos, Ord: sord}
-			if !inSlice[pack(src)] {
+			src := Instance{Node: e.SrcNode, Pos: e.SrcPos, Ord: q.srcOrd(ei, in.Ord, 0)}
+			if src.Ord < 0 || !inSlice.has(src) {
 				continue
 			}
 			attr := ""
@@ -104,7 +97,7 @@ func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err
 			}
 			fmt.Fprintf(out, "  %s -> %s%s;\n", name(src), name(in), attr)
 		}
-	}
+	})
 	_, err = fmt.Fprintln(out, "}")
 	return err
 }

@@ -2,6 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"wet/internal/core"
 )
@@ -58,45 +60,6 @@ func (o SliceOptions) cdPruned(w *core.WET, e *core.Edge) bool {
 	return src.Fn != dst.Fn || !o.CDOracle.IsControlDep(src.Fn, src.Blk, dst.Blk)
 }
 
-// resolveSrc finds the source ordinal of edge e for destination ordinal
-// dord, or -1 when the edge did not fire at that execution. It reads the
-// edge's labels through q's cached cursor pair, so repeated resolutions of
-// the same edge (slicing worklists) reuse one cursor.
-func resolveSrc(q *qctx, e *core.Edge, dord int) int {
-	w := q.w
-	if e.Inferable {
-		if dord < w.Nodes[e.DstNode].Execs {
-			return dord
-		}
-		return -1
-	}
-	dseq, sseq := q.edgeLabels(e)
-	target := uint32(dord)
-	// Destination ordinals are strictly increasing. Tier-1 storage allows a
-	// binary search; compressed streams are scanned from the cursor's
-	// current position in the right direction.
-	if dra, ok := dseq.(core.RandomAccess); ok {
-		sra := sseq.(core.RandomAccess)
-		lo, hi := 0, dseq.Len()
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if dra.At(mid) < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < dseq.Len() && dra.At(lo) == target {
-			return int(sra.At(lo))
-		}
-		return -1
-	}
-	if i := findOrdered(dseq, target, q.buf[:]); i >= 0 {
-		return int(core.SeqAt(sseq, i))
-	}
-	return -1
-}
-
 // BackwardSlice computes the backward WET slice of the given instance:
 // every instance whose value or control outcome contributed (transitively)
 // to it, via DD and CD edges. maxInstances bounds the work (0 = unbounded).
@@ -107,110 +70,276 @@ func BackwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int)
 // BackwardSliceOpts is BackwardSlice with full options, including the
 // static-CD pruning oracle. Deferred-decode failures on a lazily loaded WET
 // surface as a *stream.DecodeError, not a panic.
-func BackwardSliceOpts(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (res *SliceResult, err error) {
-	defer recoverTyped(&err)
-	if err := checkInstance(w, from); err != nil {
-		return nil, err
-	}
-	q := newCtx(w, tier)
-	res = &SliceResult{Criterion: from}
-	seen := map[uint64]bool{pack(from): true}
-	work := []Instance{from}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		res.Instances = append(res.Instances, cur)
-		if opts.MaxInstances > 0 && len(res.Instances) >= opts.MaxInstances {
-			break
-		}
-		n := w.Nodes[cur.Node]
-		for _, ei := range n.InEdges[cur.Pos] {
-			e := w.Edges[ei]
-			if opts.cdPruned(w, e) {
-				res.PrunedCD++
-				continue
-			}
-			sord := resolveSrc(q, e, cur.Ord)
-			if sord < 0 {
-				continue
-			}
-			res.Edges++
-			src := Instance{Node: e.SrcNode, Pos: e.SrcPos, Ord: sord}
-			if k := pack(src); !seen[k] {
-				seen[k] = true
-				work = append(work, src)
-			}
-		}
-	}
-	return res, nil
-}
-
-// pack encodes an instance as a map key (nodes < 2^16, positions < 2^16,
-// ordinals < 2^32 — comfortably above anything a WET of this scale holds).
-func pack(in Instance) uint64 {
-	return uint64(in.Node)<<48 | uint64(in.Pos)<<32 | uint64(uint32(in.Ord))
+//
+// Instances holds the criterion first and every other member in (Node, Ord,
+// Pos) order. A capped slice is the criterion and the first MaxInstances-1
+// instances the sweep reaches (see sweep): a function of the trace, the
+// criterion and the cap alone, the same at either tier and however the trace
+// was opened.
+func BackwardSliceOpts(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (*SliceResult, error) {
+	res, _, err := runSweep(w, tier, from, opts, true)
+	return res, err
 }
 
 // ForwardSlice computes the forward WET slice: every instance whose
-// computation was influenced by the given instance. Deferred-decode
-// failures surface as a *stream.DecodeError, not a panic.
-func ForwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int) (res *SliceResult, err error) {
+// computation was influenced by the given instance, ordered and capped as
+// BackwardSliceOpts documents. Deferred-decode failures surface as a
+// *stream.DecodeError, not a panic.
+func ForwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int) (*SliceResult, error) {
+	res, _, err := runSweep(w, tier, from, SliceOptions{MaxInstances: maxInstances}, false)
+	return res, err
+}
+
+// sweep is one slice traversal. Reached instances wait as pending bits of an
+// instSet until they are expanded along their dependence edges, one node
+// execution at a time.
+//
+// A backward sweep takes executions in descending timestamp order: always the
+// latest one pending in any node (a k-way pick over the nodes holding some,
+// as mergeSamples picks over occurrences). A dependence reaches back in time,
+// so whatever an expansion finds lies below the sweep line: each node's
+// executions, and with them the destination ordinals each edge is asked for,
+// only descend, and an edgeCur answers them in one backward pass over its
+// labels. A forward sweep reads inverted edges (fanout), which do not care
+// about order, and takes the latest pending execution of any one node.
+//
+// Nothing here depends on the tier or on how streams are stored, so neither
+// does the order instances are reached in, which is what a cap cuts short.
+type sweep struct {
+	q    *qctx
+	back bool
+	opts SliceOptions
+	set  *instSet
+	live []*nodeSet // nodes holding pending instances
+	fan  [][]uint64 // forward: inverted edges by edge index, built on first touch
+	res  *SliceResult
+}
+
+// runSweep slices from one criterion and returns the slice, materialised
+// once at its exact size, and the set holding its instances.
+func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions, back bool) (res *SliceResult, set *instSet, err error) {
 	defer recoverTyped(&err)
 	if err := checkInstance(w, from); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	q := newCtx(w, tier)
-	res = &SliceResult{Criterion: from}
-	seen := map[uint64]bool{pack(from): true}
-	work := []Instance{from}
-	for len(work) > 0 {
-		cur := work[len(work)-1]
-		work = work[:len(work)-1]
-		res.Instances = append(res.Instances, cur)
-		if maxInstances > 0 && len(res.Instances) >= maxInstances {
-			break
-		}
-		n := w.Nodes[cur.Node]
-		for _, ei := range n.OutEdges[cur.Pos] {
-			e := w.Edges[ei]
-			// Find every destination execution fed by source ordinal
-			// cur.Ord (a value can be used many times).
-			if e.Inferable {
-				if cur.Ord < w.Nodes[e.DstNode].Execs {
-					res.Edges++
-					dst := Instance{Node: e.DstNode, Pos: e.DstPos, Ord: cur.Ord}
-					if k := pack(dst); !seen[k] {
-						seen[k] = true
-						work = append(work, dst)
-					}
-				}
-				continue
-			}
-			// Source ordinals are unordered (a value can be used many times,
-			// in any interleaving), so the whole label sequence is scanned —
-			// batched, draining the cached cursor in chunks instead of one
-			// checkpointed SeqAt per element.
-			dseq, sseq := q.edgeLabels(e)
-			seqSeek(sseq, 0)
-			buf := q.buf[:]
-			for base := 0; base < sseq.Len(); {
-				got := core.SeqNextN(sseq, buf)
-				for i := 0; i < got; i++ {
-					if int(buf[i]) != cur.Ord {
-						continue
-					}
-					res.Edges++
-					dst := Instance{Node: e.DstNode, Pos: e.DstPos, Ord: int(core.SeqAt(dseq, base+i))}
-					if k := pack(dst); !seen[k] {
-						seen[k] = true
-						work = append(work, dst)
-					}
-				}
-				base += got
-			}
+	s := &sweep{q: newCtx(w, tier), back: back, opts: opts, set: newInstSet(w), res: &SliceResult{Criterion: from}}
+	if !back {
+		s.fan = make([][]uint64, len(w.Edges))
+	}
+	s.reach(from.Node, from.Pos, from.Ord)
+	s.res.Edges = 0 // the criterion is reached along no edge
+	for f := s.pick(); f != nil; f = s.pick() {
+		// Expanding a position can make lower ones of the same execution pending.
+		for f.top() == f.topOrd && !s.full() {
+			s.expand(w.Nodes[f.id], f.popAt(f.topOrd), f.topOrd, f.topTS)
 		}
 	}
-	return res, nil
+	s.res.Instances = append(make([]Instance, 0, s.set.n), from)
+	s.set.each(func(in Instance) {
+		if in != from {
+			s.res.Instances = append(s.res.Instances, in)
+		}
+	})
+	return s.res, s.set, nil
+}
+
+func (s *sweep) full() bool { return s.opts.MaxInstances > 0 && s.set.n >= s.opts.MaxInstances }
+
+// pick returns the live node whose latest pending execution, f.topOrd, is to
+// be expanded next: backward the one with the latest timestamp, forward any.
+// It returns nil when nothing is pending or the slice is full. Timestamps
+// are read through a window per node that follows the sweep down; only their
+// order matters here, and a budgeted freeze's widened ones keep it.
+func (s *sweep) pick() (best *nodeSet) {
+	for i := len(s.live) - 1; i >= 0 && !s.full(); i-- {
+		f := s.live[i]
+		ord := f.top()
+		if ord < 0 {
+			f.live, f.topOrd = false, -1
+			s.live[i] = s.live[len(s.live)-1]
+			s.live = s.live[:len(s.live)-1]
+			continue
+		}
+		if ord != f.topOrd && s.back {
+			if f.ts.seq == nil {
+				f.ts.seq = s.q.w.ApproxTSSeq(s.q.w.Nodes[f.id], s.q.tier)
+			}
+			f.topTS = f.ts.at(ord, walkChunk)
+		}
+		if f.topOrd = ord; best == nil || f.topTS > best.topTS {
+			best = f
+		}
+	}
+	return best
+}
+
+// expand follows the dependence edges of one instance, executed at ts.
+func (s *sweep) expand(n *core.Node, pos, ord int, ts uint32) {
+	w := s.q.w
+	edges := n.OutEdges[pos]
+	if s.back {
+		edges = n.InEdges[pos]
+	}
+	for _, ei := range edges {
+		e := w.Edges[ei]
+		switch {
+		case !s.back && e.Inferable:
+			s.reach(e.DstNode, e.DstPos, ord)
+		case !s.back:
+			f := s.fanout(ei)
+			for i, _ := slices.BinarySearch(f, uint64(ord)<<32); i < len(f) && int(f[i]>>32) == ord; i++ {
+				s.reach(e.DstNode, e.DstPos, int(uint32(f[i])))
+			}
+		case s.opts.cdPruned(w, e):
+			s.res.PrunedCD++
+		default:
+			if sord := s.q.srcOrd(ei, ord, ts); sord >= 0 {
+				s.reach(e.SrcNode, e.SrcPos, sord)
+			}
+		}
+	}
+}
+
+// reach counts one traversed dependence instance and, if its far end is new,
+// makes it pending. A full slice takes nothing more.
+func (s *sweep) reach(node, pos, ord int) {
+	if s.full() {
+		return
+	}
+	s.res.Edges++
+	if s.set.add(node, pos, ord, true) {
+		if f := s.set.nodes[node]; !f.live {
+			f.live = true
+			s.live = append(s.live, f)
+		}
+	}
+}
+
+// fanout returns edge ei inverted for forward slicing: its (source,
+// destination) ordinal pairs, packed and sorted by source, built from one
+// pass over its labels on first touch.
+func (s *sweep) fanout(ei int) []uint64 {
+	if s.fan[ei] == nil {
+		dseq, sseq := s.q.w.EdgeLabels(s.q.w.Edges[ei], s.q.tier)
+		n := dseq.Len()
+		lab, f := make([]uint32, 2*n), make([]uint64, n)
+		core.SeqNextN(dseq, lab[:n])
+		core.SeqNextN(sseq, lab[n:])
+		for i := range f {
+			f[i] = uint64(lab[n+i])<<32 | uint64(lab[i])
+		}
+		slices.Sort(f)
+		s.fan[ei] = f
+	}
+	return s.fan[ei]
+}
+
+// backWin is a window of a sequence read backward with SeqPrevN: v[k] holds
+// element top-1-k, for k < fill. A read that starts where the last one ended
+// costs no seek.
+type backWin struct {
+	seq       core.Seq
+	v         []uint32
+	top, fill int
+}
+
+// load reads up to n elements ending just below index hi.
+func (b *backWin) load(hi, n int) {
+	if b.seq.Pos() != hi {
+		seqSeek(b.seq, hi)
+	}
+	if n > len(b.v) {
+		b.v = make([]uint32, n)
+	}
+	b.top, b.fill = hi, core.SeqPrevN(b.seq, b.v[:max(n, 0)])
+}
+
+// at returns element i, loading the n elements ending with it if the window
+// does not hold it.
+func (b *backWin) at(i, n int) uint32 {
+	if ra, ok := b.seq.(core.RandomAccess); ok {
+		return ra.At(i)
+	}
+	if uint(b.top-1-i) >= uint(b.fill) {
+		b.load(i+1, n)
+	}
+	return b.v[b.top-1-i]
+}
+
+// edgeCur answers "which source ordinal does this edge pair with destination
+// ordinal d" for asks that mostly descend, from a window of destination
+// labels: a lower ask scans on through it and reads the next one where it
+// ended, so a descending run of asks costs one sequential backward pass over
+// the labels, and only an ask above the previous one, or far below the
+// window, seeks. Source labels are read for the windows that hold a hit.
+type edgeCur struct {
+	dst, src    backWin
+	head        int    // dst.v[head:dst.fill] is not yet passed by an ask
+	last        uint32 // the previous ask
+	seg, segEnd int    // on a segmented trace: labels below segEnd lie in segments 0 … seg
+}
+
+// srcOrd returns the source ordinal edge ei pairs with destination ordinal
+// ord, or -1 when the edge did not fire at that execution. The edge's
+// cursor lives in a table indexed by edge, spawned on first touch. ts is the
+// execution's timestamp, or 0 if the caller has none. On a segmented trace
+// it names the epoch, and so the one segment of the edge, the label can be
+// in (unless a budgeted freeze widened it): an edge with none for that epoch
+// did not fire and is answered without a cursor, and any other is read
+// inside that segment.
+func (q *qctx) srcOrd(ei, ord int, ts uint32) int {
+	e := q.w.Edges[ei]
+	if e.Inferable {
+		return ord
+	}
+	seg := -1
+	if ts > 0 && e.Segs != nil && q.w.TSStride == 0 {
+		var fired bool
+		if seg, fired = q.w.EdgeSegAt(e, ts); !fired {
+			return -1
+		}
+	}
+	if q.edges == nil {
+		q.edges = make([]*edgeCur, len(q.w.Edges))
+	}
+	c := q.edges[ei]
+	if c == nil {
+		c = &edgeCur{seg: -1}
+		c.dst.seq, c.src.seq = q.w.EdgeLabels(e, q.tier)
+		c.dst.top = -1
+		q.edges[ei] = c
+	}
+	// The label equal to ord, if any, has an index in [lo, hi): destination
+	// ordinals strictly increase, so label i is at least i.
+	target, lo, hi := uint32(ord), 0, min(ord+1, c.dst.seq.Len())
+	if seg >= 0 {
+		for ; c.seg < seg; c.seg++ {
+			c.segEnd += e.Segs[c.seg+1].N
+		}
+		for ; c.seg > seg; c.seg-- {
+			c.segEnd -= e.Segs[c.seg].N
+		}
+		lo, hi = c.segEnd-e.Segs[seg].N, min(hi, c.segEnd)
+	}
+	if c.dst.top < 0 || target > c.last {
+		c.dst.load(hi, min(hi-lo, walkChunk))
+		c.head = 0
+	}
+	for c.last = target; ; c.head = 0 {
+		d := c.dst.v[:c.dst.fill]
+		for c.head < len(d) && d[c.head] > target {
+			c.head++
+		}
+		switch below := c.dst.top - c.dst.fill; {
+		case c.head < len(d) && d[c.head] == target:
+			i := c.dst.top - 1 - c.head
+			return int(c.src.at(i, min(i+1-lo, walkChunk)))
+		case c.head < len(d) || below <= lo:
+			return -1 // a lower label, or nowhere further down to look
+		default:
+			c.dst.load(min(below, hi), min(min(below, hi)-lo, walkChunk))
+		}
+	}
 }
 
 func checkInstance(w *core.WET, in Instance) error {
@@ -251,33 +380,30 @@ func InstanceOfTS(w *core.WET, tier core.Tier, stmtID int, ts uint32) (in Instan
 // influenced `to`. It answers the classic debugging question "how did THIS
 // value reach THAT one?" using only the WET's dependence labels.
 func Chop(w *core.WET, tier core.Tier, from, to Instance, maxInstances int) (*SliceResult, error) {
-	fwd, err := ForwardSlice(w, tier, from, maxInstances)
+	opts := SliceOptions{MaxInstances: maxInstances}
+	fwd, inFwd, err := runSweep(w, tier, from, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	inFwd := make(map[uint64]bool, len(fwd.Instances))
-	for _, in := range fwd.Instances {
-		inFwd[pack(in)] = true
-	}
-	bwd, err := BackwardSlice(w, tier, to, maxInstances)
+	bwd, _, err := runSweep(w, tier, to, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	res := &SliceResult{Criterion: to}
+	res := &SliceResult{Criterion: to, Edges: fwd.Edges + bwd.Edges}
 	for _, in := range bwd.Instances {
-		if inFwd[pack(in)] {
+		if inFwd.has(in) {
 			res.Instances = append(res.Instances, in)
 		}
 	}
-	res.Edges = fwd.Edges + bwd.Edges
 	return res, nil
 }
 
 // DependenceChain walks a single dependence chain backwards from an
-// instance, at each step following the data dependence of the given operand
-// index (or the control dependence when opIdx < 0 yields no DD edge),
-// recording up to maxLen instances. It is the paper's "chains of data
-// dependences ... can all be easily found by traversing the WET" query.
+// instance: the first step follows the data dependence of operand opIdx, or
+// the control dependence when opIdx < 0, and every later step operand 0. It
+// records up to maxLen instances and ends early where the dependence did not
+// fire. It is the paper's "chains of data dependences ... can all be easily
+// found by traversing the WET" query.
 func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen int) (chain []Instance, err error) {
 	defer recoverTyped(&err)
 	if err := checkInstance(w, from); err != nil {
@@ -287,14 +413,13 @@ func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen i
 	chain = []Instance{from}
 	cur := from
 	for len(chain) < maxLen {
-		n := w.Nodes[cur.Node]
 		next := Instance{Node: -1}
-		for _, ei := range n.InEdges[cur.Pos] {
+		for _, ei := range w.Nodes[cur.Node].InEdges[cur.Pos] {
 			e := w.Edges[ei]
-			if e.Kind != core.DD || e.OpIdx != opIdx {
+			if (e.Kind == core.CD) != (opIdx < 0) || (e.Kind == core.DD && e.OpIdx != opIdx) {
 				continue
 			}
-			if sord := resolveSrc(q, e, cur.Ord); sord >= 0 {
+			if sord := q.srcOrd(ei, cur.Ord, 0); sord >= 0 {
 				next = Instance{Node: e.SrcNode, Pos: e.SrcPos, Ord: sord}
 				break
 			}
@@ -307,4 +432,133 @@ func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen i
 		opIdx = 0 // follow the first operand onward
 	}
 	return chain, nil
+}
+
+// instSet is a set of instances: per node a table of pages, each holding
+// the position masks of pageOrds consecutive executions. Node entries and
+// pages are allocated on first touch, so a slice capped at a few hundred
+// instances — close together in time, as a sweep reaches them — costs a few
+// pages however long the trace.
+type instSet struct {
+	w     *core.WET
+	nodes []*nodeSet
+	n     int // members
+}
+
+const pageOrds = 64
+
+// instPage covers executions k*pageOrds … of a node. Execution r's masks are
+// rows[2*words*r:]: words of member positions, then words of the members a
+// sweep has reached and not yet expanded.
+type instPage struct {
+	rows []uint64
+	any  uint64 // bit r: execution r has a pending position
+}
+
+// nodeSet is an instSet's share for one node, and a sweep's state for it.
+type nodeSet struct {
+	id, words, execs int
+	pages            []*instPage
+	hi               int // no page above hi holds a pending position
+
+	live   bool    // listed in sweep.live
+	topOrd int     // the latest pending execution when sweep.pick last looked (-1: none) …
+	topTS  uint32  // … and its timestamp
+	ts     backWin // the node's timestamps
+}
+
+func newInstSet(w *core.WET) *instSet {
+	return &instSet{w: w, nodes: make([]*nodeSet, len(w.Nodes))}
+}
+
+// row returns the masks of (node, ord), allocating up to them when grow is
+// set, or nil: the node or page is untouched, or the node never ran an
+// ord-th time (a label from a damaged file names nothing).
+func (s *instSet) row(node, ord int, grow bool) (f *nodeSet, pg *instPage, row []uint64) {
+	if f = s.nodes[node]; f == nil && grow {
+		n := s.w.Nodes[node]
+		f = &nodeSet{id: node, words: (len(n.Stmts) + 63) / 64, execs: n.Execs, topOrd: -1,
+			pages: make([]*instPage, (n.Execs+pageOrds-1)/pageOrds)}
+		s.nodes[node] = f
+	}
+	if f == nil || uint(ord) >= uint(f.execs) {
+		return nil, nil, nil
+	}
+	if pg = f.pages[ord/pageOrds]; pg == nil && grow {
+		pg = &instPage{rows: make([]uint64, 2*f.words*pageOrds)}
+		f.pages[ord/pageOrds] = pg
+	}
+	if pg == nil {
+		return nil, nil, nil
+	}
+	return f, pg, pg.rows[2*f.words*(ord%pageOrds):][:2*f.words]
+}
+
+// add inserts (node, pos, ord), pending if pend is set, and reports whether
+// it was new.
+func (s *instSet) add(node, pos, ord int, pend bool) bool {
+	f, pg, row := s.row(node, ord, true)
+	if row == nil || row[pos/64]&(1<<(pos%64)) != 0 {
+		return false
+	}
+	row[pos/64] |= 1 << (pos % 64)
+	s.n++
+	if pend {
+		row[f.words+pos/64] |= 1 << (pos % 64)
+		pg.any |= 1 << (ord % pageOrds)
+		f.hi = max(f.hi, ord/pageOrds)
+	}
+	return true
+}
+
+func (s *instSet) has(in Instance) bool {
+	_, _, row := s.row(in.Node, in.Ord, false)
+	return row != nil && row[in.Pos/64]&(1<<(in.Pos%64)) != 0
+}
+
+// each calls f on every member in (Node, Ord, Pos) order.
+func (s *instSet) each(f func(Instance)) {
+	for node, ns := range s.nodes {
+		for pi := 0; ns != nil && pi < len(ns.pages); pi++ {
+			if ns.pages[pi] == nil {
+				continue
+			}
+			for i, m := range ns.pages[pi].rows {
+				if r := i / ns.words; r%2 == 0 { // a word of members
+					for ; m != 0; m &= m - 1 {
+						f(Instance{Node: node, Pos: i%ns.words*64 + bits.TrailingZeros64(m), Ord: pi*pageOrds + r/2})
+					}
+				}
+			}
+		}
+	}
+}
+
+// top returns the node's latest pending execution, or -1.
+func (f *nodeSet) top() int {
+	for ; f.hi >= 0; f.hi-- {
+		if pg := f.pages[f.hi]; pg != nil && pg.any != 0 {
+			return f.hi*pageOrds + 63 - bits.LeadingZeros64(pg.any)
+		}
+	}
+	f.hi = 0
+	return -1
+}
+
+// popAt removes and returns the last pending position of execution ord,
+// which has one.
+func (f *nodeSet) popAt(ord int) int {
+	pg := f.pages[ord/pageOrds]
+	pend := pg.rows[2*f.words*(ord%pageOrds)+f.words:][:f.words]
+	wi := f.words - 1
+	for pend[wi] == 0 {
+		wi--
+	}
+	pos := wi*64 + 63 - bits.LeadingZeros64(pend[wi])
+	for pend[wi] &^= 1 << (pos % 64); wi >= 0 && pend[wi] == 0; wi-- {
+	}
+	if wi < 0 {
+		pg.any &^= 1 << (ord % pageOrds)
+	}
+	return pos
 }

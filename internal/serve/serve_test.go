@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"wet"
+	"wet/internal/core"
 	"wet/internal/corpus"
 	"wet/internal/faultpoint"
 	"wet/internal/stream"
@@ -166,6 +169,33 @@ func TestQueryResults(t *testing.T) {
 	}
 	if hp := res.([]wet.HotPath); len(hp) == 0 || hp[0].Execs == 0 {
 		t.Fatalf("hotpaths empty: %v", res)
+	}
+
+	// depchain?op=-1 starts along the control dependence: from a statement a
+	// branch guards, the second link is that branch. It used to return the
+	// start alone.
+	w, found := e.Trace.WET(), false
+	for _, ed := range w.Edges {
+		dst := w.Nodes[ed.DstNode]
+		for ord := 0; ed.Kind == core.CD && !found && ord < min(dst.Execs, 16); ord++ {
+			want, err := e.Trace.DependenceChain(wet.Instance{Node: ed.DstNode, Pos: ed.DstPos, Ord: ord}, -1, 3)
+			if err != nil || len(want) < 2 || want[1].Node != ed.SrcNode || want[1].Pos != ed.SrcPos {
+				continue // this edge did not fire at that execution
+			}
+			ts := core.SeqAt(w.TSSeq(dst, e.Trace.Tier()), ord)
+			res, err := s.Query(context.Background(), "li", "depchain", url.Values{"op": {"-1"}, "maxlen": {"3"},
+				"stmt": {strconv.Itoa(dst.Stmts[ed.DstPos].ID)}, "ts": {strconv.FormatUint(uint64(ts), 10)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.(map[string]any)["chain"].([]wet.Instance); !slices.Equal(got, want) {
+				t.Fatalf("depchain?op=-1 = %v, want %v", got, want)
+			}
+			found = true
+		}
+	}
+	if !found {
+		t.Fatal("no control dependence fired in the first executions of any li node")
 	}
 }
 

@@ -57,14 +57,10 @@ func TestBackwardCFWalksNoMoreThanForward(t *testing.T) {
 	}
 }
 
-// TestBackwardSliceStepsPerSeek: a batch of backward slices on li, the
-// workload whose label probes jump furthest, walks at most 14 cursor steps
-// per seek.
-func TestBackwardSliceStepsPerSeek(t *testing.T) {
-	tr := runWorkload(t, "li")
-	// Criteria: the last statement of the node executing at four evenly
-	// spaced points of the run.
-	var crit []wet.Instance
+// spacedCriteria returns the last statement of the node executing at four
+// evenly spaced points of the run.
+func spacedCriteria(t *testing.T, tr *wet.Trace) (crit []wet.Instance) {
+	t.Helper()
 	for k := uint32(1); k < 8; k += 2 {
 		wk := tr.Walker()
 		if err := wk.StartAt(tr.Time() * k / 8); err != nil {
@@ -72,9 +68,19 @@ func TestBackwardSliceStepsPerSeek(t *testing.T) {
 		}
 		crit = append(crit, wet.Instance{Node: wk.Node, Pos: len(tr.WET().Nodes[wk.Node].Stmts) - 1, Ord: wk.Ord})
 	}
+	return crit
+}
+
+// TestBackwardSliceStepsPerSeek: a batch of backward slices on li, the
+// workload whose label probes jump furthest, is a sweep, not a search: it
+// seeks less than once per 32 instances (the worklist it replaced sought
+// twice per instance, 19,280 times here) and the steps those seeks walk stay
+// under 2 per instance.
+func TestBackwardSliceStepsPerSeek(t *testing.T) {
+	tr := runWorkload(t, "li")
 	instances := 0
 	got := seekDelta(tr, func() {
-		for _, c := range crit {
+		for _, c := range spacedCriteria(t, tr) {
 			res, err := tr.Backward(c, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -83,11 +89,45 @@ func TestBackwardSliceStepsPerSeek(t *testing.T) {
 		}
 	})
 	t.Logf("%+v over %d slice instances", got, instances)
-	if got.Seeks == 0 || got.Steps > 14*got.Seeks {
-		t.Errorf("backward slice batch walked %d steps over %d seeks: more than 14 per seek", got.Steps, got.Seeks)
+	if got.Seeks == 0 || 32*got.Seeks > uint64(instances) || got.Steps > 2*uint64(instances) {
+		t.Errorf("backward slice batch of %d instances took %d seeks walking %d steps: more than 1 seek per 32 or 2 steps per instance",
+			instances, got.Seeks, got.Steps)
 	}
 	if got != wantSliceBatch {
 		t.Errorf("seek counts = %+v, pinned %+v", got, wantSliceBatch)
+	}
+}
+
+// TestForwardSliceReadsEachEdgeOnce: a forward slice inverts each edge it
+// touches with one pass over fresh cursors, so however many instances it goes
+// on to pop per edge — 300 or all of them — it never seeks. The rescanning
+// slicer it replaced rewound every out-edge's source labels for every popped
+// instance and sought once per hit.
+func TestForwardSliceReadsEachEdgeOnce(t *testing.T) {
+	for _, tr := range []*wet.Trace{runWorkload(t, "li"), reopenedLi(t)} {
+		crit := spacedCriteria(t, tr)
+		for _, c := range crit[:2] {
+			crit = append(crit, wet.Instance{Node: c.Node, Pos: 0, Ord: c.Ord})
+		}
+		popped := map[int]int{}
+		for _, limit := range []int{300, 0} {
+			got := seekDelta(tr, func() {
+				for _, c := range crit {
+					res, err := tr.Forward(c, limit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					popped[limit] += len(res.Instances)
+				}
+			})
+			t.Logf("cap %d: %+v over %d slice instances", limit, got, popped[limit])
+			if got != wantForwardSlices {
+				t.Errorf("cap %d: six forward slices moved the seek counters by %+v, pinned %+v", limit, got, wantForwardSlices)
+			}
+		}
+		if popped[300] == 0 || popped[0] < 100*popped[300] {
+			t.Errorf("capped slices popped %d instances, uncapped %d: want a hundredfold difference", popped[300], popped[0])
+		}
 	}
 }
 
@@ -115,9 +155,10 @@ func TestSampleTracesReadInRuns(t *testing.T) {
 }
 
 var (
-	wantCFForward  = wet.SeekStats{}
-	wantCFBackward = wet.SeekStats{Seeks: 39, Restores: 35} // cursors born at the end of their sequence
-	wantSliceBatch = wet.SeekStats{Seeks: 19280, Restores: 60, Steps: 25288}
+	wantCFForward     = wet.SeekStats{}
+	wantCFBackward    = wet.SeekStats{Seeks: 39, Restores: 35} // cursors born at the end of their sequence
+	wantSliceBatch    = wet.SeekStats{Seeks: 201, Restores: 75, Steps: 16601}
+	wantForwardSlices = wet.SeekStats{}
 
 	wantAddressTraces = wet.SeekStats{Seeks: 156, Restores: 40}
 )

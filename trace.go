@@ -205,7 +205,10 @@ func (t *Trace) InstanceOfTS(stmtID int, ts uint32) (Instance, error) {
 	return query.InstanceOfTS(t.w, t.tier, stmtID, ts)
 }
 
-// Backward computes the backward WET slice of an instance.
+// Backward computes the backward WET slice of an instance: the criterion
+// first, then every other member in (Node, Ord, Pos) order. With
+// maxInstances > 0 it is the criterion and the first maxInstances-1
+// instances reached in descending time order (query.BackwardSliceOpts).
 func (t *Trace) Backward(from Instance, maxInstances int) (*SliceResult, error) {
 	return query.BackwardSlice(t.w, t.tier, from, maxInstances)
 }
@@ -221,8 +224,9 @@ func (t *Trace) Chop(from, to Instance, maxInstances int) (*SliceResult, error) 
 	return query.Chop(t.w, t.tier, from, to, maxInstances)
 }
 
-// DependenceChain follows one backward data-dependence chain from an
-// instance, up to maxLen links.
+// DependenceChain follows one backward dependence chain from an instance,
+// up to maxLen links: operand opIdx first (the control dependence when
+// opIdx < 0), operand 0 from there on.
 func (t *Trace) DependenceChain(from Instance, opIdx, maxLen int) ([]Instance, error) {
 	return query.DependenceChain(t.w, t.tier, from, opIdx, maxLen)
 }

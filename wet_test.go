@@ -5,10 +5,12 @@ package wet_test
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"wet"
+	"wet/internal/corpus"
 	"wet/internal/wetio"
 )
 
@@ -433,6 +435,59 @@ func TestOpenLazyAndParallel(t *testing.T) {
 		if len(sl.Instances) != len(baseSlice.Instances) || sl.Edges != baseSlice.Edges {
 			t.Fatalf("%s: slice %d/%d, want %d/%d", tc.name,
 				len(sl.Instances), sl.Edges, len(baseSlice.Instances), baseSlice.Edges)
+		}
+	}
+}
+
+// TestCappedSliceSameOnEveryOpen: a slice, capped or not, is a function of the
+// trace, the criterion and the cap — the same instances in the same order,
+// the same Edges — at either tier of an eager open, from a lazy open, and
+// from evictable segments under a cache too small to keep them.
+func TestCappedSliceSameOnEveryOpen(t *testing.T) {
+	for _, name := range []string{"li", "gzip"} {
+		data := saveBytes(t, runWorkload(t, name, wet.WithEpochTS(1<<8)))
+		open := func(opts ...wet.OpenOption) *wet.Trace {
+			tr, _, err := wet.Open(bytes.NewReader(data), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		}
+		eager := open(wet.WithTier1())
+		entry, err := corpus.New(4<<10).Add(name, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := []*wet.Trace{eager.AtTier(wet.Tier1), eager.AtTier(wet.Tier2), open(wet.WithLazy()), entry.Trace}
+		compared := 0
+		for _, c := range spacedCriteria(t, eager) {
+			for _, limit := range []int{0, 1, 50, 500} {
+				for _, slice := range []func(*wet.Trace) (*wet.SliceResult, error){
+					func(tr *wet.Trace) (*wet.SliceResult, error) { return tr.Backward(c, limit) },
+					func(tr *wet.Trace) (*wet.SliceResult, error) {
+						return tr.Forward(wet.Instance{Node: c.Node, Ord: c.Ord}, limit)
+					},
+				} {
+					var want *wet.SliceResult
+					for i, v := range views {
+						got, err := slice(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want == nil {
+							want = got
+						}
+						if got.Edges != want.Edges || !slices.Equal(got.Instances, want.Instances) {
+							t.Fatalf("%s %+v cap %d: view %d answers %d instances over %d edges, view 0 %d over %d",
+								name, c, limit, i, len(got.Instances), got.Edges, len(want.Instances), want.Edges)
+						}
+						compared += len(got.Instances)
+					}
+				}
+			}
+		}
+		if compared < 10000 {
+			t.Fatalf("%s: compared only %d instances", name, compared)
 		}
 	}
 }
