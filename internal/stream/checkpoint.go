@@ -100,9 +100,9 @@ func (c *SeekCounters) note(restored bool, steps int) {
 	}
 }
 
-// AttachStats points s's seek accounting at c (nil detaches). Lazy and
-// evictable streams forward the attachment to their decoded inner stream,
-// including decodes that happen later. Attach before the stream is shared
+// AttachStats points s's seek accounting at c (nil detaches). A deferred
+// stream forwards the attachment to its decoded inner stream, including
+// decodes that happen later. Attach before the stream is shared
 // across goroutines: the attachment itself is not synchronized with
 // concurrent cursor traffic.
 func AttachStats(s Stream, c *SeekCounters) {
@@ -115,11 +115,6 @@ func AttachStats(s Stream, c *SeekCounters) {
 		t.stats = c
 	case *lastNStream:
 		t.stats = c
-	case *lazyStream:
-		t.stats = c
-		if inner := t.peek(); inner != nil {
-			AttachStats(inner, c)
-		}
 	case *Evictable:
 		t.stats = c
 		if inner := t.resident(); inner != nil {
@@ -138,8 +133,6 @@ func StatsOf(s Stream) *SeekCounters {
 	case *fcmStream:
 		return t.stats
 	case *lastNStream:
-		return t.stats
-	case *lazyStream:
 		return t.stats
 	case *Evictable:
 		return t.stats

@@ -27,8 +27,6 @@ func Save(w io.Writer, s Stream) error {
 		return t.save(w)
 	case *lastNStream:
 		return t.save(w)
-	case *lazyStream:
-		return Save(w, t.materialize())
 	case *Evictable:
 		// The retained bytes ARE the serialized form; no decode needed.
 		_, err := w.Write(t.raw)
@@ -56,18 +54,19 @@ func Load(b []byte) (Stream, int, error) { return decode(b, false) }
 
 // Scan consumes exactly the bytes Load would, but defers the normalization
 // traversal: predictor-backed streams (FCM, dFCM, last-n families) come back
-// as lazy streams that keep their serialized bytes — a view of b, which must
-// not change afterwards — and Load them on first NewCursor, single-flight, so
-// concurrent first touches materialize once. Verbatim and packed streams,
-// which have no normalization cost, are returned materialized.
+// as *Evictable streams that keep their serialized bytes — a view of b, which
+// must not change afterwards, until Own copies it — and Load them on first
+// NewCursor, single-flight, so concurrent first touches materialize once.
+// Verbatim and packed streams, which have no normalization cost (their
+// decoded form is their payload), are returned materialized.
 //
 // Scan performs the same structural validation as Load (every length,
 // count, and table size is checked here), but the traversal certification
 // Load performs eagerly is deferred with the decode: an entry store forged
 // to pass structural checks surfaces at first touch, as a *DecodeError (the
-// panic value of NewCursor, the error of Force and TryNewCursor), rather
-// than as an error here. Callers wanting up-front certification of untrusted
-// input should use Load.
+// panic value of NewCursor, the error of Force), rather than as an error
+// here. Callers wanting up-front certification of untrusted input should use
+// Load.
 func Scan(b []byte) (Stream, int, error) { return decode(b, true) }
 
 func decode(b []byte, lazy bool) (s Stream, n int, err error) {
@@ -95,7 +94,7 @@ func decode(b []byte, lazy bool) (s Stream, n int, err error) {
 		case rerr != nil:
 			err = rerr
 		case lazy:
-			s = &lazyStream{spec: Spec{kind, e.order}, m: e.m, size: size, raw: b[:d.Offset()]}
+			s = &Evictable{spec: Spec{kind, e.order}, m: e.m, size: size, raw: b[:d.Offset()]}
 		default:
 			s, err = normalizeFCM(&e)
 		}
@@ -106,7 +105,7 @@ func decode(b []byte, lazy bool) (s Stream, n int, err error) {
 		case rerr != nil:
 			err = rerr
 		case lazy:
-			s = &lazyStream{spec: Spec{kind, e.n}, m: e.m, size: size, raw: b[:d.Offset()]}
+			s = &Evictable{spec: Spec{kind, e.n}, m: e.m, size: size, raw: b[:d.Offset()]}
 		default:
 			s, err = normalizeLastN(&e)
 		}

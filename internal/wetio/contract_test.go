@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"wet/internal/faultpoint"
 	"wet/internal/stream"
 )
 
@@ -123,7 +124,7 @@ func TestForgedStoreTypedEagerAndLazy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the forged store is meant to pass structural validation: %v", err)
 	}
-	w.Nodes[0].TSS = stream.NewEvictable(scanned) // saves as the forged bytes
+	w.Nodes[0].TSS = scanned // saves as the forged bytes
 	var buf bytes.Buffer
 	if err := Save(&buf, w); err != nil {
 		t.Fatal(err)
@@ -154,8 +155,7 @@ func TestForgedStoreTypedEagerAndLazy(t *testing.T) {
 			t.Fatalf("%s load of a forged store: %v", what, err)
 		}
 		bare(what+" first touch", stream.Force(w2.Nodes[0].TSS))
-		_, err = stream.TryNewCursor(w2.Nodes[0].TSS)
-		bare(what+" second touch", err)
+		bare(what+" second touch", stream.Force(w2.Nodes[0].TSS))
 	}
 	_, err = Load(bytes.NewReader(data), LoadOptions{Lazy: true, RestoreTier1: true, Workers: 1})
 	bare("lazy load with tier-1 rehydration", err)
@@ -172,10 +172,11 @@ func mustScan(t *testing.T, data []byte) []section {
 
 // TestResaveFixedPointAcrossOpenModes: Save → Load → Save reproduces the
 // bytes for the committed fixtures and fresh v3/v4 containers, whether the
-// load decoded every stream, deferred them (a lazy stream saves what its
-// decode rebuilds) or kept them evictable (which saves the retained bytes).
-// A v2 file has no v2 writer: its first save is the v3 form, the fixed point
-// from then on.
+// load decoded every stream or deferred them, over a view of the file or as
+// registered segments: a deferred stream saves the bytes it holds, so the
+// stream.decode point, armed across the Save, must never be reached. A v2
+// file has no v2 writer: its first save is the v3 form, the fixed point from
+// then on.
 func TestResaveFixedPointAcrossOpenModes(t *testing.T) {
 	fixtures := map[string][]byte{"fresh_v3": savedWET(t, "li"), "fresh_v4": savedStreamedWET(t, "li")}
 	for _, name := range []string{"li_v2.wet", "li_v3.wet"} {
@@ -191,9 +192,16 @@ func TestResaveFixedPointAcrossOpenModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
+		if err := faultpoint.Arm("stream.decode", faultpoint.Spec{Action: faultpoint.ActErr}); err != nil {
+			t.Fatal(err)
+		}
+		defer faultpoint.DisarmAll()
 		var out bytes.Buffer
 		if err := Save(&out, w); err != nil {
 			t.Fatalf("%s: %v", what, err)
+		}
+		if n := faultpoint.Lookup("stream.decode").Fired(); n != 0 {
+			t.Fatalf("%s: Save decoded %d streams, want 0", what, n)
 		}
 		return out.Bytes()
 	}

@@ -15,7 +15,6 @@ import (
 // bytes present, structural cross checks, and a recover boundary converting
 // decoder panics into *FormatError.
 func loadV2(d *wire.Dec, opts LoadOptions) (*core.WET, error) {
-	opts.Segments = nil // no sections to name as segment owners
 	var wet *core.WET
 	var rep *core.SizeReport
 	err := guard("v2 body", -1, 8, func() (err error) {
@@ -49,10 +48,10 @@ func loadV2Body(d *wire.Dec, opts LoadOptions) (*core.WET, *core.SizeReport, err
 	wet.FirstNode, wet.LastNode = int(d.I32()), int(d.I32())
 
 	// The node and edge records are v3's, back to back behind a count, with
-	// no frame around them.
+	// no frame around them; the loop index names them as segment owners.
 	nNodes := d.Count(1)
 	for i := 0; i < nNodes; i++ {
-		n, err := readNode(d, wet, i, nNodes, opts)
+		n, err := readNode(d, wet, i, nNodes, opts.ownedBy("node", i))
 		if err != nil {
 			return nil, nil, fmt.Errorf("node %d: %w", i, err)
 		}
@@ -60,7 +59,7 @@ func loadV2Body(d *wire.Dec, opts LoadOptions) (*core.WET, *core.SizeReport, err
 	}
 	nEdges := d.Count(1)
 	for i := 0; i < nEdges; i++ {
-		e, err := readEdge(d, wet, i, nEdges, opts)
+		e, err := readEdge(d, wet, i, nEdges, opts.ownedBy("edge", i))
 		if err != nil {
 			return nil, nil, fmt.Errorf("edge %d: %w", i, err)
 		}

@@ -142,9 +142,7 @@ func writeEdge(w io.Writer, e *core.Edge, segmented bool) error {
 // section's recover boundary and requires it to consume the payload exactly;
 // kind is "node" or "edge".
 func parseRecord(kind string, s *section, id int, opts LoadOptions, read func(*wire.Dec, LoadOptions) error) error {
-	if opts.Segments != nil {
-		opts.segOwner, opts.segEpoch = secName(kind, id), -1
-	}
+	opts = opts.ownedBy(kind, id)
 	return guard(kind, id, s.offset, func() error {
 		d := wire.NewDec(s.payload)
 		if err := read(d, opts); err != nil {

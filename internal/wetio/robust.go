@@ -179,7 +179,7 @@ func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.Degrad
 	}
 	est := func() uint64 {
 		e := payload * decodeExpansion
-		if opts.Lazy && !opts.VerifyStreams {
+		if opts.deferred() {
 			e = payload * lazyExpansion
 		}
 		if opts.RestoreTier1 {
@@ -219,7 +219,7 @@ func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.Degrad
 		add(core.DegradeDropTier1Restore, "tier-1 rehydrated", "tier-2 only",
 			"rehydrated tier-1 label slices exceed the budget", before)
 	}
-	if est() > opts.MemBudget && !opts.Lazy && !opts.VerifyStreams && !opts.Salvage {
+	if est() > opts.MemBudget && !opts.deferred() && !opts.VerifyStreams && !opts.Salvage {
 		before := est()
 		opts.Lazy = true
 		add(core.DegradeLazyStreams, "eager", "lazy first-touch",

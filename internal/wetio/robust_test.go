@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -319,6 +320,37 @@ func TestLoadMemBudgetPinsSalvage(t *testing.T) {
 	}
 }
 
+// TestLoadMemBudgetPricesDeferredAlike: a Segments load defers every decode
+// exactly as a Lazy one does, so a budget an eager load can only meet by
+// going lazy is met by both without a rung — in particular without an
+// "eager -> lazy" rung on a load that was never going to decode anything.
+func TestLoadMemBudgetPricesDeferredAlike(t *testing.T) {
+	data := savedStreamedWET(t, "li")
+	for what, c := range map[string]struct {
+		opts  LoadOptions
+		rungs []string
+	}{
+		"eager":    {LoadOptions{}, []string{core.DegradeLazyStreams}},
+		"lazy":     {LoadOptions{Lazy: true}, nil},
+		"segments": {LoadOptions{Segments: NewSegmentSource()}, nil},
+	} {
+		c.opts.MemBudget, c.opts.Workers = 3*uint64(len(data)), 1
+		_, rep, err := LoadWithReport(bytes.NewReader(data), c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var got []string
+		if rep.Degradation != nil {
+			for _, a := range rep.Degradation.Actions {
+				got = append(got, a.Point)
+			}
+		}
+		if !slices.Equal(got, c.rungs) {
+			t.Fatalf("%s load under a 3x-file budget took rungs %v, want %v", what, got, c.rungs)
+		}
+	}
+}
+
 // TestForgedDecodeTypedAcrossFormats arms the stream.decode point after a
 // lazy open — standing in for a store forged to pass structural validation
 // — and requires every query racing on the first touch to get a typed
@@ -345,10 +377,10 @@ func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
 			}
 			defer faultpoint.DisarmAll()
 
-			var lazyStreams []stream.Stream
+			var deferred []stream.Stream
 			addLazy := func(s stream.Stream) {
 				if s != nil && !stream.Materialized(s) {
-					lazyStreams = append(lazyStreams, s)
+					deferred = append(deferred, s)
 				}
 			}
 			for _, n := range w.Nodes {
@@ -357,7 +389,7 @@ func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
 					addLazy(sg.S)
 				}
 			}
-			if len(lazyStreams) == 0 {
+			if len(deferred) == 0 {
 				t.Fatalf("%s lazy open produced no deferred streams to forge", name)
 			}
 
@@ -391,14 +423,10 @@ func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
 					t.Fatalf("lazy RestoreTier1 load (%d workers) returned %v, want a bare *stream.DecodeError", workers, err)
 				}
 			}
-			// Direct stream API: Force and TryNewCursor return the same
-			// typed error instead of panicking.
-			s := lazyStreams[0]
-			if err := stream.Force(s); !errors.As(err, new(*stream.DecodeError)) {
+			// Direct stream API: Force returns the same typed error
+			// instead of panicking.
+			if err := stream.Force(deferred[0]); !errors.As(err, new(*stream.DecodeError)) {
 				t.Fatalf("Force returned %v, want *stream.DecodeError", err)
-			}
-			if _, err := stream.TryNewCursor(s); !errors.As(err, new(*stream.DecodeError)) {
-				t.Fatalf("TryNewCursor returned %v, want *stream.DecodeError", err)
 			}
 		})
 	}

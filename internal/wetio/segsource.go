@@ -7,18 +7,18 @@ import (
 )
 
 // SegmentSource indexes the individually-decodable label streams of a
-// loaded container. When LoadOptions.Segments is set, a strict framed load
-// (v3 or v4) validates every stream structurally but materializes none:
-// each predictor-backed stream comes back as a *stream.Evictable retaining
-// its exact serialized bytes, decoded on first cursor touch and re-decodable
-// after eviction. The source is the handle a cache uses to enumerate the
+// loaded container. When LoadOptions.Segments is set, a strict load of any
+// version validates every stream structurally but decodes none: each
+// predictor-backed stream comes back as a *stream.Evictable owning its exact
+// serialized bytes, decoded on first cursor touch and re-decodable after
+// eviction. The source is the handle a cache uses to enumerate the
 // container's segments, install residency hooks, and account residency.
 //
 // For a v4 container each entry is one epoch segment (the residency grain
-// the epoch-segmented format was built for); for a v3 container each entry
-// is one whole-run stream. Verbatim and packed streams — whose decoded form
-// is their payload, with no normalization cost to reclaim — load eagerly as
-// before and are not indexed.
+// the epoch-segmented format was built for); for a v2 or v3 container each
+// entry is one whole-run stream. Verbatim and packed streams — whose decoded
+// form is their payload, with no normalization cost to reclaim — load
+// eagerly as before and are not indexed.
 //
 // Registration happens concurrently from the section-decode worker pool, so
 // entry order is unspecified.
@@ -29,9 +29,9 @@ type SegmentSource struct {
 
 // Segment is one evictable stream of the container.
 type Segment struct {
-	// Owner names the section the stream belongs to ("node 12", "edge 480").
+	// Owner names the record the stream belongs to ("node 12", "edge 480").
 	Owner string
-	// Epoch is the segment's epoch, or -1 for a whole-run (v3) stream.
+	// Epoch is the segment's epoch, or -1 for a whole-run (v2/v3) stream.
 	Epoch int
 	// Ev is the stream itself, registered in the owning WET's node/edge
 	// tables and shared with every cursor over it.
@@ -71,60 +71,33 @@ func (ss *SegmentSource) SetHooks(h stream.ResidencyHooks) {
 	}
 }
 
-// ResidentCount returns how many segments currently hold decoded state.
-func (ss *SegmentSource) ResidentCount() int {
+// sum adds f over every indexed segment, under the index lock.
+func (ss *SegmentSource) sum(f func(*stream.Evictable) uint64) uint64 {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	n := 0
+	var b uint64
 	for _, sg := range ss.segs {
-		if sg.Ev.Resident() {
-			n++
-		}
+		b += f(sg.Ev)
 	}
-	return n
+	return b
+}
+
+// ResidentCount returns how many segments currently hold decoded state.
+func (ss *SegmentSource) ResidentCount() int {
+	return int(ss.sum(func(ev *stream.Evictable) uint64 {
+		if ev.Resident() {
+			return 1
+		}
+		return 0
+	}))
 }
 
 // ResidentBytes sums the decoded weight of the resident segments.
-func (ss *SegmentSource) ResidentBytes() uint64 {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	var b uint64
-	for _, sg := range ss.segs {
-		b += sg.Ev.ResidentBytes()
-	}
-	return b
-}
+func (ss *SegmentSource) ResidentBytes() uint64 { return ss.sum((*stream.Evictable).ResidentBytes) }
 
 // RawBytes sums the retained serialized bytes — the source's permanent
 // residency floor.
-func (ss *SegmentSource) RawBytes() uint64 {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	var b uint64
-	for _, sg := range ss.segs {
-		b += uint64(sg.Ev.RawBytes())
-	}
-	return b
-}
+func (ss *SegmentSource) RawBytes() uint64 { return ss.sum((*stream.Evictable).RawBytes) }
 
 // EvictAll drops every decoded segment, returning the bytes released.
-func (ss *SegmentSource) EvictAll() uint64 {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	var b uint64
-	for _, sg := range ss.segs {
-		b += sg.Ev.Evict()
-	}
-	return b
-}
-
-// ForceAll decodes every segment now (the uncached baseline), returning the
-// first failure.
-func (ss *SegmentSource) ForceAll() error {
-	for _, sg := range ss.Segments() {
-		if err := stream.Force(sg.Ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (ss *SegmentSource) EvictAll() uint64 { return ss.sum((*stream.Evictable).Evict) }

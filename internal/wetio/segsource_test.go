@@ -2,6 +2,8 @@ package wetio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"wet/internal/core"
@@ -63,35 +65,47 @@ func TestSegmentSourceV4(t *testing.T) {
 	}
 }
 
-// TestSegmentSourceV3 checks the whole-run (v3) path: streams index with
-// epoch -1 and survive evict/reload.
+// TestSegmentSourceV3 checks the whole-run path, v3 and the unframed
+// v2 fixture alike: streams index with an owner and epoch -1, nothing decodes
+// at load, and queries survive evict/reload.
 func TestSegmentSourceV3(t *testing.T) {
-	w0 := buildFrozen(t, "li")
-	var buf bytes.Buffer
-	if err := Save(&buf, w0); err != nil {
+	var v3 bytes.Buffer
+	if err := Save(&v3, buildFrozen(t, "li")); err != nil {
 		t.Fatal(err)
 	}
-	want := segCFDigest(t, w0)
-
-	ss := NewSegmentSource()
-	w, err := Load(bytes.NewReader(buf.Bytes()), LoadOptions{Segments: ss})
+	v2, err := os.ReadFile(filepath.Join("testdata", "li_v2.wet"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Len() == 0 {
-		t.Fatal("no segments indexed")
-	}
-	for _, sg := range ss.Segments() {
-		if sg.Epoch != -1 {
-			t.Fatalf("v3 whole-run stream registered with epoch %d", sg.Epoch)
+	for name, data := range map[string][]byte{"v3": v3.Bytes(), "v2": v2} {
+		eager, err := Load(bytes.NewReader(data), LoadOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	if got := segCFDigest(t, w); got != want {
-		t.Fatalf("digest %#x != baseline %#x", got, want)
-	}
-	ss.EvictAll()
-	if got := segCFDigest(t, w); got != want {
-		t.Fatalf("post-evict digest %#x != baseline %#x", got, want)
+		want := segCFDigest(t, eager)
+
+		ss := NewSegmentSource()
+		w, err := Load(bytes.NewReader(data), LoadOptions{Segments: ss})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ss.Len() == 0 || ss.ResidentCount() != 0 {
+			t.Fatalf("%s: %d segments indexed, %d resident after load", name, ss.Len(), ss.ResidentCount())
+		}
+		for _, sg := range ss.Segments() {
+			if sg.Owner == "" || sg.Epoch != -1 {
+				t.Fatalf("%s whole-run stream registered as %+v", name, sg)
+			}
+		}
+		if got := segCFDigest(t, w); got != want {
+			t.Fatalf("%s: digest %#x != eager %#x", name, got, want)
+		}
+		if ss.EvictAll() == 0 || ss.ResidentCount() != 0 {
+			t.Fatalf("%s: EvictAll left %d segments resident", name, ss.ResidentCount())
+		}
+		if got := segCFDigest(t, w); got != want {
+			t.Fatalf("%s: post-evict digest %#x != eager %#x", name, got, want)
+		}
 	}
 }
 

@@ -231,32 +231,31 @@ type LoadOptions struct {
 	// error reported are identical at every width. The salvage path always
 	// decodes serially (its share-repair cascade is order-dependent).
 	Workers int
-	// Lazy defers each stream's decode — the normalization traversal that
-	// dominates load time — until a cursor first touches it, so queries pay
-	// decompression proportional to the segments they cross rather than the
-	// trace length. Framing, checksums, and every structural field are
-	// still validated up front; single-flight materialization keeps
-	// concurrent first touches safe. An untouched stream holds a view of the
-	// file's bytes, so the buffer the file was read into lives until every
-	// stream has been touched or dropped. The trade: a stream whose entry
-	// stores were forged to pass structural checks fails at first touch (a
-	// typed *stream.DecodeError) instead of failing the load (use
-	// VerifyStreams or an eager load for untrusted files). Ignored on the
-	// salvage path, which must find damage eagerly.
+	// Lazy defers each predictor-backed stream's decode — the normalization
+	// traversal that dominates load time — until a cursor first touches it,
+	// so queries pay decompression proportional to the segments they cross
+	// rather than the trace length: the stream loads as a *stream.Evictable
+	// that nothing registers, hooks or evicts. Framing, checksums, and every
+	// structural field are still validated up front; single-flight decode
+	// keeps concurrent first touches safe. Each deferred stream holds a view
+	// of the file's bytes for as long as it lives (Save writes them back
+	// without decoding), so the buffer the file was read into lives as long
+	// as the trace. The trade: a stream whose entry stores were forged to
+	// pass structural checks fails at first touch (a typed
+	// *stream.DecodeError, retried on the next touch) instead of failing the
+	// load (use VerifyStreams or an eager load for untrusted files). Ignored
+	// on the salvage path, which must find damage eagerly, and under
+	// VerifyStreams (certification requires the decode).
 	Lazy bool
-	// Segments indexes the container for segment-granular residency: every
-	// predictor-backed stream loads as a *stream.Evictable (serialized bytes
-	// retained, decode deferred like Lazy, decoded state droppable and
-	// rebuildable) and is registered in the given source with its owning
-	// section and epoch. Framed strict loads only: ignored on the salvage
-	// path (damage must be found eagerly), on v2 files (no sections to name
-	// as owners), and under VerifyStreams (certification requires the
-	// decode).
+	// Segments is Lazy plus segment-granular residency: every deferred stream
+	// owns a copy of its serialized bytes (the file buffer is released) and
+	// is registered in the given source with its owning record and epoch, so
+	// a cache can hook its decodes and drop and rebuild its decoded state.
+	// Every container version registers; ignored where Lazy is.
 	Segments *SegmentSource
 
-	// segOwner/segEpoch carry the registering section's identity down to
-	// loadStream; the parse functions set them on their local copy of the
-	// options.
+	// segOwner/segEpoch carry the registering record's identity down to
+	// loadStream (see ownedBy).
 	segOwner string
 	segEpoch int
 
@@ -344,6 +343,10 @@ func loadFramed(file []byte, opts LoadOptions, v4 bool) (*core.WET, *SalvageRepo
 		return nil, nil, &FormatError{Section: "file", Offset: off,
 			Cause: fmt.Errorf("truncated or unframeable past this point: %w", io.ErrUnexpectedEOF)}
 	}
+	if !strict {
+		// Salvage must decode eagerly to find damage.
+		opts.Lazy, opts.Segments = false, nil
+	}
 	// The budget ladder adjusts the options before any decode starts; the
 	// rungs taken (if any) ride along on the report.
 	var deg *core.DegradationReport
@@ -355,8 +358,6 @@ func loadFramed(file []byte, opts LoadOptions, v4 bool) (*core.WET, *SalvageRepo
 		w, sizeRep, err = parseStrict(secs, opts, v4)
 		rep.SectionsRead = len(secs)
 	} else {
-		opts.Lazy = false   // salvage must decode eagerly to find damage
-		opts.Segments = nil // ditto: evictable streams would defer the decode
 		w, sizeRep, err = parseSalvage(secs, opts, rep, v4)
 	}
 	if err == nil {
@@ -860,9 +861,7 @@ func parseReportSec(s *section) (*core.SizeReport, error) {
 // core.WET.Validate.
 func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc, error) {
 	var conc *core.Conc
-	if opts.Segments != nil {
-		opts.segOwner, opts.segEpoch = "conc", -1
-	}
+	opts = opts.ownedBy("conc", -1)
 	err := guard("conc", -1, s.offset, func() error {
 		d := wire.NewDec(s.payload)
 		raw.SyncOps, raw.SharedAcc = d.U64(), d.U64()
@@ -899,16 +898,31 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 	return conc, nil
 }
 
+// deferred reports whether the load scans its predictor-backed streams and
+// leaves their decode to the first touch: the one predicate behind both Lazy
+// and Segments, which loadStream and the budget estimate share.
+func (o LoadOptions) deferred() bool {
+	return (o.Lazy || o.Segments != nil) && !o.VerifyStreams
+}
+
+// ownedBy names the record whose streams are about to be read, for the
+// segment index: section kind and id (see secName), whole-run epoch.
+func (o LoadOptions) ownedBy(kind string, id int) LoadOptions {
+	if o.Segments != nil {
+		o.segOwner, o.segEpoch = secName(kind, id), -1
+	}
+	return o
+}
+
 // loadStream deserializes the stream at the decoder's position, optionally
 // certifying full traversability (LoadOptions.VerifyStreams) or deferring the
-// decode until first touch (LoadOptions.Lazy; structural validation still
-// happens here). With LoadOptions.Segments the deferred stream becomes an
-// evictable one over its own copy of the bytes and is registered in the
-// segment index, so its decoded state can be dropped and rebuilt later. A
-// merely lazy stream keeps a view of the file's bytes until its first touch.
+// decode until first touch (LoadOptions.deferred; structural validation still
+// happens here). A deferred stream keeps a view of the file's bytes; with
+// LoadOptions.Segments it takes its own copy instead and is registered in the
+// segment index, so its decoded state can be dropped and rebuilt later.
 func loadStream(d *wire.Dec, opts LoadOptions) (stream.Stream, error) {
 	decode := stream.Load
-	if (opts.Lazy || opts.Segments != nil) && !opts.VerifyStreams {
+	if opts.deferred() {
 		decode = stream.Scan
 	}
 	s, n, err := decode(d.Rest())
@@ -916,11 +930,9 @@ func loadStream(d *wire.Dec, opts LoadOptions) (stream.Stream, error) {
 		return nil, err
 	}
 	d.Bytes(n)
-	if opts.Segments != nil && !opts.VerifyStreams {
-		if ev := stream.NewEvictable(s); ev != nil {
-			opts.Segments.add(opts.segOwner, opts.segEpoch, ev)
-			return ev, nil
-		}
+	if ev, ok := s.(*stream.Evictable); ok && opts.Segments != nil {
+		ev.Own()
+		opts.Segments.add(opts.segOwner, opts.segEpoch, ev)
 	}
 	if opts.VerifyStreams {
 		if err := stream.WalkCheck(s); err != nil {

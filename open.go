@@ -44,10 +44,12 @@ func WithVerifyOnly() OpenOption {
 // stream whose deferred decode fails (possible only on a forged store that
 // passed its CRC) surfaces a *DecodeError at first touch — as the error
 // return of the query that touched it, or as a typed panic from raw cursor
-// stepping. Materialization is single-flight and safe under concurrent
-// first touch from parallel queries. Ignored with WithSalvage (damage must
-// be found eagerly) and moot with WithTier1 (tier-1 rehydration drains
-// every stream at open).
+// stepping — and the next touch tries again. The decode is single-flight and
+// safe under concurrent first touch from parallel queries. Every deferred
+// stream keeps a view of the file's bytes (saving the trace writes them back
+// undecoded), so the file's buffer lives as long as the trace. Ignored with
+// WithSalvage (damage must be found eagerly) and moot with WithTier1 (tier-1
+// rehydration drains every stream at open).
 func WithLazy() OpenOption {
 	return openOptionFunc(func(c *openConfig) { c.lazy = true })
 }
@@ -59,13 +61,12 @@ type SegmentSource = wetio.SegmentSource
 // NewSegmentSource returns an empty segment index to pass to WithSegments.
 func NewSegmentSource() *SegmentSource { return wetio.NewSegmentSource() }
 
-// WithSegments indexes the container into ss as it opens: every
-// predictor-backed stream (for a v4 container, every epoch segment) loads
-// with its serialized bytes retained and its decode deferred, and its
-// decoded state can later be evicted and rebuilt on demand — the mechanism
-// behind byte-budgeted multi-trace serving. Implies the structural-scan
-// load path of WithLazy; ignored with WithSalvage and WithVerifyOnly, and
-// on v2 files.
+// WithSegments is WithLazy plus an index: every deferred stream (for a v4
+// container, every epoch segment) takes its own copy of its serialized bytes
+// and is registered in ss, so a cache can hook its decodes and evict and
+// rebuild its decoded state on demand — the mechanism behind byte-budgeted
+// multi-trace serving. Works on every container version; ignored where
+// WithLazy is, and with WithVerifyOnly.
 func WithSegments(ss *SegmentSource) OpenOption {
 	return openOptionFunc(func(c *openConfig) { c.segments = ss })
 }

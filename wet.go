@@ -275,10 +275,10 @@ const (
 type BudgetError = core.BudgetError
 
 // DecodeError reports a lazily opened stream whose deferred decode failed
-// at first touch (possible only on a forged store that passed its CRC).
-// Queries return it as an error; raw cursor stepping panics with it — use
-// Force/TryNewCursor from the stream layer, or eager loads, for untrusted
-// files.
+// at first touch (possible only on a forged store that passed its CRC) or
+// was vetoed by its cache. Queries return it as an error; raw cursor
+// stepping panics with it — use Force from the stream layer, or eager loads,
+// for untrusted files.
 type DecodeError = stream.DecodeError
 
 // FormatError locates a structural or integrity failure in a WET file: the
