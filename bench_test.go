@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -238,10 +239,9 @@ func benchSamples(b *testing.B, extract func(*core.WET, core.Tier, func(int, que
 func BenchmarkLoadValueTraces(b *testing.B) { benchSamples(b, query.LoadValueTraces) }
 func BenchmarkAddressTraces(b *testing.B)   { benchSamples(b, query.AddressTraces) }
 
-// BenchmarkOpen measures journey 2's first stage on the container the bench
-// harness's replay op opens (gcc at scale 4 in epochs of 8192 timestamps):
-// wet.Open from bytes in memory, eager and lazy, at one worker.
-func BenchmarkOpen(b *testing.B) {
+// replayContainer returns the container the bench harness's replay op
+// opens: gcc at scale 4 in epochs of 8192 timestamps.
+func replayContainer(b *testing.B) []byte {
 	wl, err := wet.WorkloadByName("gcc")
 	if err != nil {
 		b.Fatal(err)
@@ -251,7 +251,13 @@ func BenchmarkOpen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	data := saveBytes(b, tr)
+	return saveBytes(b, tr)
+}
+
+// BenchmarkOpen measures journey 2's first stage on the replay container:
+// wet.Open from bytes in memory, eager and lazy, at one worker.
+func BenchmarkOpen(b *testing.B) {
+	data := replayContainer(b)
 	for _, mode := range openModes {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -265,6 +271,31 @@ func BenchmarkOpen(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(data))/float64(b.N), "ns/byte")
 		})
 	}
+}
+
+// BenchmarkExtractCFRange is the bench harness's replay alternate op on one
+// container: a lazy open of the replay container, then eight control-flow
+// windows of 512 timestamps, one at a seeded point in each eighth of the run.
+func BenchmarkExtractCFRange(b *testing.B) {
+	const windows, length = 8, 512
+	data := replayContainer(b)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, _, err := wet.Open(bytes.NewReader(data), wet.WithLazy())
+		if err != nil {
+			b.Fatal(err)
+		}
+		span := (tr.Time() - length) / windows
+		for k := uint32(0); k < windows; k++ {
+			from := span*k + 1 + uint32(rng.Int63n(int64(span)))
+			if _, err := tr.ExtractCFRange(from, from+length-1, func(id int) { benchSum += id }); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows*b.N), "ns/window")
 }
 
 // openModes are the two opens BenchmarkOpen times and TestOpenAllocBudget

@@ -2,6 +2,7 @@ package query
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
@@ -159,34 +160,6 @@ func (e *RangeError) Error() string {
 // any execution point". It returns the number of statements emitted. An
 // inverted range (fromTS > toTS) returns a *RangeError; a range merely
 // clipped by the ends of the trace is extracted as far as it exists.
-func ExtractCFRange(w *core.WET, tier core.Tier, fromTS, toTS uint32, emit func(stmtID int)) (n uint64, err error) {
-	defer recoverTyped(&err)
-	if fromTS > toTS {
-		return 0, &RangeError{From: fromTS, To: toTS}
-	}
-	if fromTS < 1 {
-		fromTS = 1
-	}
-	if toTS > w.Time {
-		toTS = w.Time
-	}
-	if fromTS > toTS {
-		// The whole window lies past the end of the trace.
-		return 0, nil
-	}
-	wk := NewWalker(w, tier)
-	if err := wk.StartAt(fromTS); err != nil {
-		return 0, err
-	}
-	for {
-		for _, s := range w.Nodes[wk.Node].Stmts {
-			if emit != nil {
-				emit(s.ID)
-			}
-			n++
-		}
-		if wk.TS() >= toTS || !wk.Forward() {
-			return n, nil
-		}
-	}
+func ExtractCFRange(w *core.WET, tier core.Tier, fromTS, toTS uint32, emit func(stmtID int)) (uint64, error) {
+	return ExtractCFRangeCtx(context.Background(), w, tier, fromTS, toTS, emit)
 }

@@ -2,6 +2,8 @@ package query
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"wet/internal/interp"
 	"wet/internal/ir"
 	"wet/internal/trace"
+	"wet/internal/workload"
 )
 
 type tee struct{ sinks []trace.Sink }
@@ -121,26 +124,103 @@ func TestExtractCFBackwardIsReverse(t *testing.T) {
 	}
 }
 
+// cfCase is one program with its recording and every view of it
+// (sliceViews), streamed in epochs of epochTS timestamps.
+type cfCase struct {
+	name    string
+	rec     *trace.Recording
+	epochTS uint32
+	views   []sliceView
+}
+
+// cfCases returns mixedProgram in epochs of 4 timestamps and gcc in epochs
+// of 256, the sparsest of which only one of its 22 nodes ran in.
+func cfCases(t *testing.T) []cfCase {
+	t.Helper()
+	wl, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcc, gccIn := wl.Build(1)
+	var out []cfCase
+	for _, c := range []struct {
+		name    string
+		p       *ir.Program
+		in      []int64
+		epochTS uint32
+	}{{"mixed", mixedProgram(t), nil, 4}, {"gcc", gcc, gccIn, 1 << 8}} {
+		st, err := interp.Analyze(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &trace.Recording{}
+		if _, err := interp.Run(st, interp.Options{Inputs: c.in, Sink: rec, MaxSteps: 1 << 22}); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, cfCase{c.name, rec, c.epochTS, sliceViews(t, c.p, c.in, c.epochTS)})
+	}
+	return out
+}
+
+// recStmts returns the statements the recording executed at timestamps
+// from … to.
+func recStmts(rec *trace.Recording, from, to uint32) []int {
+	start := 0
+	if from > 1 {
+		start = rec.Paths[from-2].Upto
+	}
+	var ids []int
+	for _, e := range rec.Events[start:rec.Paths[to-1].Upto] {
+		ids = append(ids, e.Stmt.ID)
+	}
+	return ids
+}
+
+// TestWalkerStartAtMidTrace: a walker started at seeded random points by
+// StartAt, then stepped Forward and Backward in a random mix, is at every
+// step on the node execution the recording ran at that timestamp, and stops
+// at the ends of the trace — in every view, with one walker (and its
+// windows) reused across every start.
 func TestWalkerStartAtMidTrace(t *testing.T) {
-	w, _ := buildWET(t, mixedProgram(t), nil)
-	wk := NewWalker(w, core.Tier2)
-	mid := w.Time / 2
-	if err := wk.StartAt(mid); err != nil {
-		t.Fatalf("StartAt: %v", err)
-	}
-	if wk.TS() != mid {
-		t.Fatalf("TS = %d, want %d", wk.TS(), mid)
-	}
-	// Walk forward two steps and backward two steps; must return.
-	n0 := wk.Node
-	if !wk.Forward() || !wk.Forward() {
-		t.Fatal("forward from mid failed")
-	}
-	if !wk.Backward() || !wk.Backward() {
-		t.Fatal("backward to mid failed")
-	}
-	if wk.Node != n0 || wk.TS() != mid {
-		t.Fatalf("did not return to mid: node %d ts %d", wk.Node, wk.TS())
+	rng := rand.New(rand.NewSource(25))
+	for _, c := range cfCases(t) {
+		w0 := c.views[0].w
+		// node and ordinal of every timestamp (index ts-1)
+		nodeAt, ordAt, execs := make([]int, w0.Time), make([]int, w0.Time), make([]int, len(w0.Nodes))
+		for i, pe := range c.rec.Paths {
+			n := w0.NodeOf(pe.Fn, pe.PathID).ID
+			nodeAt[i], ordAt[i] = n, execs[n]
+			execs[n]++
+		}
+		for _, v := range c.views {
+			wk := NewWalker(v.w, v.tier)
+			for start := 0; start < 8; start++ {
+				ts := 1 + uint32(rng.Intn(int(v.w.Time)))
+				if err := wk.StartAt(ts); err != nil {
+					t.Fatalf("%s/%s: StartAt(%d): %v", c.name, v.name, ts, err)
+				}
+				back := rng.Intn(2) == 0
+				for step := 0; step < 400; step++ {
+					if wk.TS() != ts || wk.Node != nodeAt[ts-1] || wk.Ord != ordAt[ts-1] {
+						t.Fatalf("%s/%s: at ts %d the walker is on node %d ord %d (ts %d), want node %d ord %d",
+							c.name, v.name, ts, wk.Node, wk.Ord, wk.TS(), nodeAt[ts-1], ordAt[ts-1])
+					}
+					if rng.Intn(8) == 0 {
+						back = !back
+					}
+					moved := wk.Forward
+					next := ts + 1
+					if back {
+						moved, next = wk.Backward, ts-1
+					}
+					if ok := moved(); ok != (next >= 1 && next <= v.w.Time) {
+						t.Fatalf("%s/%s: step back=%v from ts %d returned %v", c.name, v.name, back, ts, ok)
+					} else if ok {
+						ts = next
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -576,60 +656,51 @@ func TestStrideProfiles(t *testing.T) {
 	}
 }
 
+// TestExtractCFRange: every window of the control-flow trace is exactly the
+// statements the recording executed at those timestamps, in every view —
+// windows at either end, one timestamp long, straddling an epoch boundary,
+// inside an epoch most nodes have no segment in, clipped by the ends of the
+// trace, and past its end.
 func TestExtractCFRange(t *testing.T) {
-	w, rec := buildWET(t, mixedProgram(t), nil)
-	// Full range equals the full trace.
-	var full []int
-	query := func(from, to uint32) []int {
-		var got []int
-		if _, err := ExtractCFRange(w, core.Tier2, from, to, func(id int) { got = append(got, id) }); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	full = query(1, w.Time)
-	if len(full) != len(rec.Events) {
-		t.Fatalf("full range %d stmts, want %d", len(full), len(rec.Events))
-	}
-	// A middle window is a contiguous subsequence of the full trace.
-	mid := query(w.Time/3, 2*w.Time/3)
-	if len(mid) == 0 || len(mid) >= len(full) {
-		t.Fatalf("mid window has %d stmts of %d", len(mid), len(full))
-	}
-	// Find mid inside full.
-	found := false
-	for off := 0; off+len(mid) <= len(full); off++ {
-		match := true
-		for i := range mid {
-			if full[off+i] != mid[i] {
-				match = false
-				break
+	for _, c := range cfCases(t) {
+		tm, e := c.views[0].w.Time, c.epochTS
+		// The epoch fewest nodes ran in, from the segmented view.
+		seg := c.views[3].w
+		ran := make([]int, seg.Epochs)
+		for _, n := range seg.Nodes {
+			for _, sg := range n.TSSegs {
+				ran[sg.Epoch]++
 			}
 		}
-		if match {
-			found = true
-			break
+		sparse := uint32(slices.Index(ran, slices.Min(ran[:len(ran)-1])))
+		if seg.Epochs < 3 || 2*ran[sparse] >= len(seg.Nodes) {
+			t.Fatalf("%s: %d epochs, the sparsest run by %d of %d nodes", c.name, seg.Epochs, ran[sparse], len(seg.Nodes))
 		}
-	}
-	if !found {
-		t.Fatal("window trace is not a contiguous slice of the full trace")
-	}
-	// An inverted range is a caller bug and must surface as *RangeError,
-	// not a silent empty extraction.
-	n, err := ExtractCFRange(w, core.Tier2, 10, 5, nil)
-	if n != 0 || err == nil {
-		t.Fatalf("inverted range: n=%d err=%v, want typed error", n, err)
-	}
-	var re *RangeError
-	if !errors.As(err, &re) || re.From != 10 || re.To != 5 {
-		t.Fatalf("inverted range error is %#v, want *RangeError{10, 5}", err)
-	}
-	// A well-ordered window merely clipped by the trace ends is not an
-	// error: clamping still applies.
-	if n, err := ExtractCFRange(w, core.Tier2, 0, w.Time+100, nil); err != nil || n == 0 {
-		t.Fatalf("clipped full range: n=%d err=%v", n, err)
-	}
-	if n, err := ExtractCFRange(w, core.Tier2, w.Time+1, w.Time+10, nil); err != nil || n != 0 {
-		t.Fatalf("window past end of trace: n=%d err=%v", n, err)
+		windows := [][2]uint32{
+			{1, 1}, {1, 40}, {tm, tm}, {tm - min(tm-1, 30), tm}, {tm / 2, tm / 2}, {1, tm},
+			{e - 2, e + 3}, {2*e - 1, 2*e + 1}, {e*sparse + 2, e*sparse + e - 1},
+			{0, 5}, {tm - 3, tm + 100}, {tm + 1, tm + 10},
+		}
+		for _, v := range c.views {
+			for _, win := range windows {
+				var got []int
+				n, err := ExtractCFRange(v.w, v.tier, win[0], win[1], func(id int) { got = append(got, id) })
+				var want []int
+				if from, to := max(win[0], 1), min(win[1], tm); from <= to {
+					want = recStmts(c.rec, from, to)
+				}
+				if err != nil || n != uint64(len(want)) || !slices.Equal(got, want) {
+					t.Fatalf("%s/%s: window %v emitted %d statements (n=%d, err=%v), want the recording's %d",
+						c.name, v.name, win, len(got), n, err, len(want))
+				}
+			}
+			// An inverted range is a caller bug and must surface as
+			// *RangeError, not a silent empty extraction.
+			n, err := ExtractCFRange(v.w, v.tier, 10, 5, nil)
+			var re *RangeError
+			if n != 0 || !errors.As(err, &re) || re.From != 10 || re.To != 5 {
+				t.Fatalf("%s/%s: inverted range: n=%d err=%#v, want *RangeError{10, 5}", c.name, v.name, n, err)
+			}
+		}
 	}
 }

@@ -358,17 +358,19 @@ func checkInstance(w *core.WET, in Instance) error {
 
 // InstanceOfTS locates the instance of a static statement executed at the
 // node execution holding timestamp ts (a convenience for picking slicing
-// criteria from a point in time). Node timestamps only grow, so each
-// occurrence is searched in batches up to the first timestamp above ts. A
-// statement id outside the program returns a *StmtError.
+// criteria from a point in time). Each occurrence is looked up as a walker
+// looks up a node it holds no window for: on a segmented trace only the
+// segment of ts's epoch is read, and an occurrence with none there is
+// skipped undecoded. A statement id outside the program returns a
+// *StmtError.
 func InstanceOfTS(w *core.WET, tier core.Tier, stmtID int, ts uint32) (in Instance, err error) {
 	defer recoverTyped(&err)
 	if err := checkStmt(w, stmtID); err != nil {
 		return Instance{}, err
 	}
-	var buf [walkChunk]uint32
+	wk := Walker{w: w, tier: tier}
 	for _, ref := range w.StmtOcc[stmtID] {
-		if ord := findOrdered(w.TSSeq(w.Nodes[ref.Node], tier), ts, buf[:]); ord >= 0 {
+		if ord := wk.lookup(ref.Node, ts, false); ord >= 0 {
 			return Instance{Node: ref.Node, Pos: ref.Pos, Ord: ord}, nil
 		}
 	}

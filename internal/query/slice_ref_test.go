@@ -3,7 +3,7 @@ package query
 // The worklist slicers the sweep in slice.go replaced, kept as the reference
 // the differential test compares it against: a LIFO stack of instances, a
 // map keyed by packed instance for the visited set, one cached cursor pair
-// per edge in a map, one findOrdered + one SeqAt per resolved label, and a
+// per edge in a map, a single-step label scan + one SeqAt per resolved label, and a
 // forward slicer that rescans an out-edge's whole source-label stream for
 // every popped instance.
 
@@ -39,23 +39,21 @@ func refResolveSrc(q *refCtx, e *core.Edge, dord int) int {
 	}
 	dseq, sseq := q.edgeLabels(e)
 	target := uint32(dord)
-	if dra, ok := dseq.(core.RandomAccess); ok {
-		sra := sseq.(core.RandomAccess)
-		lo, hi := 0, dseq.Len()
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if dra.At(mid) < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	// Single steps from wherever the last ask left the cursor, to the first
+	// label not below the target.
+	for dseq.Pos() > 0 {
+		if dseq.Prev() < target {
+			dseq.Next()
+			break
 		}
-		if lo < dseq.Len() && dra.At(lo) == target {
-			return int(sra.At(lo))
-		}
-		return -1
 	}
-	if i := findOrdered(dseq, target, q.buf[:]); i >= 0 {
+	for dseq.Pos() < dseq.Len() {
+		if dseq.Next() >= target {
+			dseq.Prev()
+			break
+		}
+	}
+	if i := dseq.Pos(); i < dseq.Len() && core.SeqAt(dseq, i) == target {
 		return int(core.SeqAt(sseq, i))
 	}
 	return -1

@@ -34,11 +34,11 @@ type sliceView struct {
 	tier core.Tier
 }
 
-// sliceViews builds p twice — in one epoch, and streamed in epochs of 256
-// timestamps, saved and reopened — and returns every tier and open mode of
-// the two. The two builds number nodes, positions and edges alike, so an
-// instance means the same thing in every view.
-func sliceViews(t *testing.T, p *ir.Program, in []int64) []sliceView {
+// sliceViews builds p twice — in one epoch, and streamed in epochs of
+// epochTS timestamps, saved and reopened — and returns every tier and open
+// mode of the two. The two builds number nodes, positions and edges alike,
+// so an instance means the same thing in every view.
+func sliceViews(t *testing.T, p *ir.Program, in []int64, epochTS uint32) []sliceView {
 	t.Helper()
 	st, err := interp.Analyze(p)
 	if err != nil {
@@ -53,7 +53,7 @@ func sliceViews(t *testing.T, p *ir.Program, in []int64) []sliceView {
 	}
 	single := build(0)
 	var buf bytes.Buffer
-	if err := wetio.Save(&buf, build(1<<8)); err != nil {
+	if err := wetio.Save(&buf, build(epochTS)); err != nil {
 		t.Fatal(err)
 	}
 	open := func(opts wetio.LoadOptions) *core.WET {
@@ -114,7 +114,7 @@ func TestSlicesMatchWorklistReference(t *testing.T) {
 	}
 	compared := 0
 	for _, pg := range progs {
-		views := sliceViews(t, pg.p, pg.in)
+		views := sliceViews(t, pg.p, pg.in, 1<<8)
 		oracle, err := sanalysis.Analyze(pg.p)
 		if err != nil {
 			t.Fatal(err)

@@ -9,10 +9,12 @@ package wet_test
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
 	"wet"
 	"wet/internal/query"
+	"wet/internal/stream"
 )
 
 // seekDelta runs f and returns the seek counters it moved on tr.
@@ -154,11 +156,73 @@ func TestSampleTracesReadInRuns(t *testing.T) {
 	}
 }
 
+// TestTimestampLookupsDecodeOneEpoch: on a lazily opened li in epochs of 256
+// timestamps, a control-flow window inside one epoch, and InstanceOfTS at a
+// timestamp in it, decode timestamp segments of that epoch and nothing else:
+// the nodes a search reads before the one that executed there, and the CF
+// neighbours a walk probes. The scans they replaced read every node they
+// searched from its first timestamp, through every earlier epoch.
+func TestTimestampLookupsDecodeOneEpoch(t *testing.T) {
+	data := saveBytes(t, runWorkload(t, "li", wet.WithEpochTS(1<<8)))
+	open := func() *wet.Trace {
+		tr, _, err := wet.Open(bytes.NewReader(data), wet.WithLazy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	// decoded counts the deferred timestamp segments decoded so far, by
+	// epoch (packed and verbatim streams are never deferred).
+	decoded := func(tr *wet.Trace) map[int]int {
+		got := map[int]int{}
+		for _, n := range tr.WET().Nodes {
+			for _, sg := range n.TSSegs {
+				if _, deferred := sg.S.(*stream.Evictable); deferred && stream.Materialized(sg.S) {
+					got[sg.Epoch]++
+				}
+			}
+		}
+		return got
+	}
+	tr := open()
+	epoch := tr.Epochs() / 2
+	from := uint32(epoch)<<8 + 40
+	if _, err := tr.ExtractCFRange(from, from+100, nil); err != nil {
+		t.Fatal(err)
+	}
+	wk := tr.Walker()
+	if err := wk.StartAt(from + 50); err != nil {
+		t.Fatal(err)
+	}
+	stmt := tr.WET().Nodes[wk.Node].Stmts[0].ID
+	cf := decoded(tr)
+
+	tr = open()
+	if _, err := tr.InstanceOfTS(stmt, from+50); err != nil {
+		t.Fatal(err)
+	}
+	inst := decoded(tr)
+	t.Logf("epoch %d of %d: window decoded %v, InstanceOfTS %v", epoch, tr.Epochs(), cf, inst)
+	if want := map[int]int{epoch: wantWindowSegs}; !maps.Equal(cf, want) {
+		t.Errorf("a window in epoch %d decoded timestamp segments %v, pinned %v", epoch, cf, want)
+	}
+	if want := map[int]int{epoch: wantInstanceSegs}; !maps.Equal(inst, want) {
+		t.Errorf("InstanceOfTS in epoch %d decoded timestamp segments %v, pinned %v", epoch, inst, want)
+	}
+}
+
+// wantSliceBatch includes spacedCriteria's StartAt, which runs inside the
+// delta: its lookups read windows on and never seek back over what a batch
+// decoded past the target, as findOrdered did (201 seeks walking 16,601
+// steps before PR 25).
 var (
 	wantCFForward     = wet.SeekStats{}
-	wantCFBackward    = wet.SeekStats{Seeks: 39, Restores: 35} // cursors born at the end of their sequence
-	wantSliceBatch    = wet.SeekStats{Seeks: 201, Restores: 75, Steps: 16601}
+	wantCFBackward    = wet.SeekStats{Seeks: 39, Restores: 35} // a window enters each segment backward at its end
+	wantSliceBatch    = wet.SeekStats{Seeks: 192, Restores: 75, Steps: 16481}
 	wantForwardSlices = wet.SeekStats{}
 
 	wantAddressTraces = wet.SeekStats{Seeks: 156, Restores: 40}
+
+	wantWindowSegs   = 3
+	wantInstanceSegs = 3
 )
