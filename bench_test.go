@@ -722,6 +722,30 @@ func newArchRecorder() interp.ArchSink { return arch.NewRecorder() }
 // and 15 the single-epoch Finish storing the ramps it counted; a builder
 // that stores every label as it arrives spends twice the budget.
 func TestBuildAllocBudget(t *testing.T) {
+	checkMcfAllocs(t, "core.Build", 64, func(st *interp.Static, ropts interp.Options) (*interp.Result, error) {
+		_, res, err := core.Build(st, ropts)
+		return res, err
+	})
+}
+
+// TestStreamingBuildAllocBudget pins the streamed build's allocation volume:
+// core.BuildStreaming of mcf in epochs of 2048 timestamps at one worker
+// (interpreter, builder, seals and tier-2 encode) must stay under 37 bytes
+// per statement. It measures about 34, of which 8 are the location table. A
+// build whose seals drop their label buffers and regrow them every epoch,
+// keys its value groups by strings and encodes through bit stacks measured
+// 45.8.
+func TestStreamingBuildAllocBudget(t *testing.T) {
+	checkMcfAllocs(t, "core.BuildStreaming(EpochTS=2048)", 37, func(st *interp.Static, ropts interp.Options) (*interp.Result, error) {
+		_, _, res, err := core.BuildStreaming(st, ropts, core.FreezeOptions{EpochTS: 1 << 11, Workers: 1})
+		return res, err
+	})
+}
+
+// checkMcfAllocs requires build of mcf at scale 1 to allocate at most budget
+// bytes per statement.
+func checkMcfAllocs(t *testing.T, what string, budget float64, build func(*interp.Static, interp.Options) (*interp.Result, error)) {
+	t.Helper()
 	wl, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
@@ -733,15 +757,15 @@ func TestBuildAllocBudget(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, res, err := core.Build(st, interp.Options{Inputs: in})
+	res, err := build(st, interp.Options{Inputs: in})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perStmt := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Steps)
-	t.Logf("core.Build(mcf): %.1f B/statement over %d statements", perStmt, res.Steps)
-	if perStmt > 64 {
-		t.Errorf("core.Build(mcf) allocates %.1f B/statement, budget 64", perStmt)
+	t.Logf("%s of mcf: %.1f B/statement over %d statements", what, perStmt, res.Steps)
+	if perStmt > budget {
+		t.Errorf("%s of mcf allocates %.1f B/statement, budget %.0f", what, perStmt, budget)
 	}
 }
 

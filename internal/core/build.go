@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,11 +32,14 @@ type Builder struct {
 	nInst   trace.Inst
 
 	// Pending events of the currently executing path; dd/dv hold their
-	// operand sources and values back to back (pendingEvent.off/n).
-	pending []pendingEvent
-	dd      []trace.Inst
-	dv      []int64
-	keyBuf  []byte // labelValues' input-tuple key, reused across paths
+	// operand sources and values back to back (pendingEvent.off/n). The
+	// arrays keep their length and only the counters move, so Stmt stores
+	// no slice header; they grow only when a path outgrows them.
+	pending         []pendingEvent
+	dd              []trace.Inst
+	dv              []int64
+	nPend, nDD, nDV int
+	keyBuf          []uint64 // labelValues' input tuple, reused across paths
 
 	// Edge lookup: slots[node] caches the edge each operand of the node's
 	// statements used last, edgeIdx answers misses; ramps parallels w.Edges.
@@ -148,17 +152,32 @@ func NewBuilder(st *interp.Static) *Builder {
 	}
 }
 
-// Stmt implements trace.Sink. The pending and operand buffers are truncated,
-// not released, at each PathDone, so buffering allocates only while the
+// Stmt implements trace.Sink. The pending and operand counters are reset,
+// not the buffers, at each PathDone, so buffering allocates only while the
 // longest path seen so far is still growing. Instance ids are dense, so the
 // id itself is implied: location records are written in order.
 func (b *Builder) Stmt(_ trace.Inst, st *ir.Stmt, value int64, ddSrcs []trace.Inst, ddVals []int64, cdSrc trace.Inst) {
 	if b.err != nil {
 		return
 	}
-	b.pending = append(b.pending, pendingEvent{value: value, cd: cdSrc, stmt: int32(st.ID), off: int32(len(b.dd)), n: int32(len(ddSrcs))})
-	b.dd = append(b.dd, ddSrcs...)
-	b.dv = append(b.dv, ddVals...)
+	p, nd, nv := b.nPend, b.nDD+len(ddSrcs), b.nDV+len(ddVals)
+	if p == len(b.pending) || nd > len(b.dd) || nv > len(b.dv) {
+		b.pending, b.dd, b.dv = room(b.pending, p+1), room(b.dd, nd), room(b.dv, nv)
+	}
+	b.pending[p] = pendingEvent{value: value, cd: cdSrc, stmt: int32(st.ID), off: int32(b.nDD), n: int32(len(ddSrcs))}
+	copy(b.dd[b.nDD:], ddSrcs)
+	copy(b.dv[b.nDV:], ddVals)
+	b.nPend, b.nDD, b.nDV = p+1, nd, nv
+}
+
+// room returns s with at least n elements, regrowing it only when it has
+// fewer; the whole capacity is usable.
+func room[T any](s []T, n int) []T {
+	if n > len(s) {
+		s = slices.Grow(s, n-len(s))
+		s = s[:cap(s)]
+	}
+	return s
 }
 
 // PathDone implements trace.Sink.
@@ -176,8 +195,8 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 	if err != nil {
 		return err
 	}
-	if len(b.pending) != len(node.Stmts) {
-		return fmt.Errorf("core: path (fn %d, id %d) delivered %d events, node has %d statements", fn, pathID, len(b.pending), len(node.Stmts))
+	if b.nPend != len(node.Stmts) {
+		return fmt.Errorf("core: path (fn %d, id %d) delivered %d events, node has %d statements", fn, pathID, b.nPend, len(node.Stmts))
 	}
 	b.time++
 	ord := uint32(node.Execs)
@@ -198,17 +217,18 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 	// Record instance locations and dependence edge labels. A source inside
 	// this path execution is (node, src-pathStart, ord) by construction; only
 	// cross-path sources read the location table.
-	if len(b.dv) != len(b.dd) {
-		return fmt.Errorf("core: path (fn %d, id %d) delivered %d operand sources, %d values", fn, pathID, len(b.dd), len(b.dv))
+	if b.nDV != b.nDD {
+		return fmt.Errorf("core: path (fn %d, id %d) delivered %d operand sources, %d values", fn, pathID, b.nDD, b.nDV)
 	}
+	pending, dd := b.pending[:b.nPend], b.dd[:b.nDD]
 	slots := b.slots[node.ID]
-	if need := len(b.dd) + len(b.pending); len(slots) < need {
+	if need := len(dd) + len(pending); len(slots) < need {
 		slots = make([]edgeSlot, need)
 		b.slots[node.ID] = slots
 	}
 	pathStart, here, start := b.nInst, uint32(node.ID)<<12, uint32(node.sealedExecs)
-	for i := range b.pending {
-		ev := &b.pending[i]
+	for i := range pending {
+		ev := &pending[i]
 		if int(ev.stmt) != node.Stmts[i].ID {
 			st := b.prog.Stmts[ev.stmt]
 			return fmt.Errorf("core: path (fn %d, id %d) statement %d is [%d]%s, node expects [%d]%s",
@@ -226,7 +246,7 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 		for k := 0; k <= int(ev.n); k++ {
 			src, kind, opIdx := ev.cd, CD, -1
 			if k < int(ev.n) {
-				src, kind, opIdx = b.dd[int(ev.off)+k], DD, k
+				src, kind, opIdx = dd[int(ev.off)+k], DD, k
 			}
 			if src == 0 {
 				continue
@@ -243,10 +263,10 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 	}
 
 	// Value grouping: extend each group's pattern and unique values.
-	if err := b.labelValues(node); err != nil {
+	if err := b.labelValues(node, pending); err != nil {
 		return err
 	}
-	b.pending, b.dd, b.dv = b.pending[:0], b.dd[:0], b.dv[:0]
+	b.nPend, b.nDD, b.nDV = 0, 0, 0
 
 	// Streaming: the timestamp just issued closed its epoch — seal it, which
 	// compresses the epoch's label slices before the run resumes. A path carries
@@ -293,14 +313,19 @@ func (b *Builder) label(sl *edgeSlot, kind EdgeKind, srcNode, srcPos, dstNode, d
 	e.SrcOrd = append(e.SrcOrd, srcOrd)
 }
 
-// materialise turns edge idx's counted ramp into stored labels: one
-// allocation holding both ordinal slices, each with room for extra more.
+// materialise turns edge idx's counted ramp into stored labels, each ordinal
+// slice with room for extra more: in the buffers an earlier epoch left when
+// they are large enough, else in one allocation holding both.
 func (b *Builder) materialise(idx int, start uint32, extra int) {
 	e, r := b.w.Edges[idx], &b.ramps[idx]
 	n, c := int(r.n), int(r.n)+extra
 	*r = edgeRamp{stored: true}
-	buf := make([]uint32, 2*c)
-	e.DstOrd, e.SrcOrd = buf[:n:c], buf[c:c+n]
+	if cap(e.DstOrd) >= c && cap(e.SrcOrd) >= c {
+		e.DstOrd, e.SrcOrd = e.DstOrd[:n], e.SrcOrd[:n]
+	} else {
+		buf := make([]uint32, 2*c)
+		e.DstOrd, e.SrcOrd = buf[:n:c], buf[c:c+n]
+	}
 	for k := range e.DstOrd {
 		e.DstOrd[k], e.SrcOrd[k] = start+uint32(k), start+uint32(k)
 	}
@@ -308,11 +333,11 @@ func (b *Builder) materialise(idx int, start uint32, extra int) {
 
 // labelValues extends the node's groups with this execution's input tuple
 // and produced values.
-func (b *Builder) labelValues(node *Node) error {
+func (b *Builder) labelValues(node *Node, pending []pendingEvent) error {
 	for _, g := range node.Groups {
-		keyBuf := b.keyBuf[:0]
+		key := b.keyBuf[:0]
 		for _, ks := range g.keyPlan {
-			ev := &b.pending[ks.pos]
+			ev := &pending[ks.pos]
 			v := ev.value
 			if ks.ddIdx >= 0 {
 				if ks.ddIdx >= int(ev.n) {
@@ -320,31 +345,33 @@ func (b *Builder) labelValues(node *Node) error {
 				}
 				v = b.dv[int(ev.off)+ks.ddIdx]
 			}
-			u := uint64(v)
-			keyBuf = append(keyBuf, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+			key = append(key, uint64(v))
 		}
-		b.keyBuf = keyBuf
-		idx, seen := g.keys[string(keyBuf)]
+		if cap(key) != cap(b.keyBuf) {
+			b.keyBuf = key
+		}
+		if g.keys == nil {
+			g.keys = &tupleTable{w: len(g.keyPlan), index: make([]uint32, 4)}
+		}
+		idx, seen := g.keys.intern(key)
 		if !seen {
-			idx = uint32(len(g.keys))
-			g.keys[string(keyBuf)] = idx
 			for mi, pos := range g.ValMembers {
-				g.UVals[mi] = append(g.UVals[mi], uint32(b.pending[pos].value))
+				g.UVals[mi] = append(g.UVals[mi], uint32(pending[pos].value))
 			}
 			if b.CheckDeterminism && len(g.ValMembers) > 0 {
 				if g.checkVals == nil {
 					g.checkVals = make([][]uint32, len(g.ValMembers))
 				}
 				for mi, pos := range g.ValMembers {
-					g.checkVals[mi] = append(g.checkVals[mi], uint32(b.pending[pos].value))
+					g.checkVals[mi] = append(g.checkVals[mi], uint32(pending[pos].value))
 				}
 			}
 		} else if b.CheckDeterminism {
 			// Compare against the retained copy, not UVals: the streaming
-			// pipeline seals UVals away per epoch, leaving only the keys map
-			// behind, while idx stays a run-global index.
+			// pipeline seals UVals away per epoch, leaving only the tuple
+			// table behind, while idx stays a run-global index.
 			for mi, pos := range g.ValMembers {
-				if got, want := uint32(b.pending[pos].value), g.checkVals[mi][idx]; got != want {
+				if got, want := uint32(pending[pos].value), g.checkVals[mi][idx]; got != want {
 					return fmt.Errorf("core: determinism violation at %s: value %d, stored %d (inputs %v)",
 						node.Stmts[pos], got, want, g.Inputs)
 				}
@@ -353,6 +380,59 @@ func (b *Builder) labelValues(node *Node) error {
 		g.Pattern = append(g.Pattern, idx)
 	}
 	return nil
+}
+
+// tupleTable numbers a group's distinct input tuples in first-seen order.
+// Tuple i is words[i*w:(i+1)*w]; index is open-addressed at load <= 1/2 and
+// holds a tuple's number plus one (0 marks an empty slot). The hash is a
+// fixed mix of the words, so lookups cost the same on every run.
+type tupleTable struct {
+	w     int
+	n     uint32
+	words []uint64
+	index []uint32
+}
+
+// intern returns key's number and whether the table already held it,
+// adding it under the next number when not.
+func (t *tupleTable) intern(key []uint64) (uint32, bool) {
+	i := t.slot(key)
+	if s := t.index[i]; s != 0 {
+		return s - 1, true
+	}
+	t.words = append(t.words, key...)
+	t.n++
+	t.index[i] = t.n
+	if 2*int(t.n) > len(t.index) {
+		t.index = make([]uint32, 2*len(t.index))
+		for j := uint32(0); j < t.n; j++ {
+			t.index[t.slot(t.tuple(j))] = j + 1
+		}
+	}
+	return t.n - 1, false
+}
+
+// slot is where key's probe sequence meets key or an empty slot.
+func (t *tupleTable) slot(key []uint64) int {
+	h := uint64(len(key))
+	for _, x := range key {
+		h = mix(h, x)
+	}
+	mask := len(t.index) - 1
+	i := int(h) & mask
+	for t.index[i] != 0 && !slices.Equal(t.tuple(t.index[i]-1), key) {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (t *tupleTable) tuple(j uint32) []uint64 { return t.words[int(j)*t.w : int(j+1)*t.w] }
+
+// mix folds the word x into the hash h: a fixed multiply and xor-shift, so a
+// hash is the same on every run.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // node returns (creating on first execution) the WET node for a path.
@@ -462,7 +542,7 @@ func formGroups(n *Node) {
 		key := canon(sets[p])
 		g, ok := groupAt[key]
 		if !ok {
-			g = &Group{keys: map[string]uint32{}}
+			g = &Group{}
 			for _, el := range sets[p] {
 				g.Inputs = append(g.Inputs, el)
 			}
@@ -558,8 +638,8 @@ func (b *Builder) Finish() (*WET, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.pending) != 0 {
-		return nil, fmt.Errorf("core: %d statement events not covered by a path", len(b.pending))
+	if b.nPend != 0 {
+		return nil, fmt.Errorf("core: %d statement events not covered by a path", b.nPend)
 	}
 	w := b.w
 	w.Time = b.time

@@ -1,0 +1,266 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"wet/internal/interp"
+	"wet/internal/ir"
+	"wet/internal/trace"
+)
+
+// replayOp is one event of a hand-fed stream: a statement or a path end.
+type replayOp struct {
+	ev   *trace.Event // nil for a PathDone
+	path trace.PathEvent
+}
+
+// recordOps records p's run as the event list a sink receives.
+func recordOps(t *testing.T, st *interp.Static) []replayOp {
+	t.Helper()
+	rec := &trace.Recording{}
+	if _, err := interp.Run(st, interp.Options{Sink: rec, MaxSteps: 1 << 22}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var ops []replayOp
+	next := 0
+	for _, pe := range rec.Paths {
+		for ; next < pe.Upto; next++ {
+			ops = append(ops, replayOp{ev: &rec.Events[next]})
+		}
+		ops = append(ops, replayOp{path: pe})
+	}
+	return ops
+}
+
+// feed replays ops into b and finishes it, turning a panic into a test
+// failure.
+func feed(t *testing.T, what string, b *Builder, ops []replayOp) (err error) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("%s: the builder panicked: %v", what, p)
+		}
+	}()
+	for _, op := range ops {
+		if ev := op.ev; ev != nil {
+			b.Stmt(ev.Inst, ev.Stmt, ev.Value, ev.DDSrcs, ev.DDVals, ev.CDSrc)
+		} else {
+			b.PathDone(op.path.Fn, op.path.PathID)
+		}
+	}
+	if b.epochTS > 0 {
+		_, err = b.FinishStreaming()
+	} else {
+		_, err = b.Finish()
+	}
+	return err
+}
+
+// TestBuilderRejectsMalformedEvents breaks the sink contract one way at a
+// time in an interpreter-recorded event stream and requires both builders
+// to refuse it with the error that names the breach, never a panic.
+func TestBuilderRejectsMalformedEvents(t *testing.T) {
+	st, err := interp.Analyze(sumLoop(t, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := recordOps(t, st)
+	// at is the k-th statement event that reads at least one operand.
+	at := func(ops []replayOp, k int) int {
+		for i, op := range ops {
+			if op.ev != nil && len(op.ev.DDSrcs) > 0 {
+				if k == 0 {
+					return i
+				}
+				k--
+			}
+		}
+		t.Fatalf("no statement event %d with operands", k)
+		return -1
+	}
+	// edit returns a copy of good with the event at index i replaced by
+	// what change makes of a copy of it.
+	edit := func(i int, change func(ev *trace.Event)) []replayOp {
+		ops := append([]replayOp(nil), good...)
+		ev := *ops[i].ev
+		ev.DDSrcs = append([]trace.Inst(nil), ev.DDSrcs...)
+		ev.DDVals = append([]int64(nil), ev.DDVals...)
+		change(&ev)
+		ops[i].ev = &ev
+		return ops
+	}
+	i := at(good, 5)
+	if good[i+1].ev == nil || good[i+1].ev.Stmt.ID == good[i].ev.Stmt.ID {
+		t.Fatal("the event after the edited one must be another statement of the same path")
+	}
+	cases := []struct {
+		name, want string
+		ops        []replayOp
+	}{
+		{"event count differs from the node's statements", "events, node has",
+			append(append([]replayOp(nil), good[:i]...), good[i+1:]...)},
+		{"wrong statement at a position", "node expects",
+			edit(i, func(ev *trace.Event) { ev.Stmt = good[i+1].ev.Stmt })},
+		{"operand sources and values of different lengths", "operand sources",
+			edit(i, func(ev *trace.Event) { ev.DDVals = ev.DDVals[1:] })},
+		{"source instance not yet recorded", "not yet recorded",
+			edit(i, func(ev *trace.Event) { ev.DDSrcs[0] = ev.Inst + 1000 })},
+		{"events after the last PathDone", "not covered by a path",
+			append(append([]replayOp(nil), good...), good[0])},
+	}
+	if err := feed(t, "unaltered", NewBuilder(st), good); err != nil {
+		t.Fatalf("the recorded stream is refused: %v", err)
+	}
+	for _, tc := range cases {
+		for _, streaming := range []bool{false, true} {
+			b := NewBuilder(st)
+			if streaming {
+				if b, err = NewStreamingBuilder(st, FreezeOptions{EpochTS: 4, Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			what := fmt.Sprintf("%s (streaming %v)", tc.name, streaming)
+			err := feed(t, what, b, tc.ops)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: got %v, want an error saying %q", what, err, tc.want)
+			}
+		}
+	}
+}
+
+// twoPhases calls two functions in turn, each running its own loop, so the
+// nodes, groups and edges of the first stop firing once the second starts.
+func twoPhases(t *testing.T) *ir.Program {
+	t.Helper()
+	p := ir.NewProgram(1024)
+	main := p.NewFunc("main", 0)
+	main.Call(ir.NoReg, "one")
+	main.Call(ir.NoReg, "two")
+	main.Halt()
+	for _, name := range []string{"one", "two"} {
+		fb := p.NewFunc(name, 0)
+		s := fb.ConstReg(1)
+		fb.For(ir.Imm(0), ir.Imm(300), ir.Imm(1), func(i ir.Reg) {
+			x := fb.NewReg()
+			fb.Load(x, ir.R(i), 0)
+			fb.Mul(x, ir.R(x), ir.R(i))
+			fb.Add(s, ir.R(s), ir.R(x))
+			fb.Store(ir.R(i), 1, ir.R(s))
+		})
+		fb.Ret(ir.R(s))
+	}
+	p.MustFinalize()
+	return p
+}
+
+// TestSealReleasesQuietBuffers: a seal empties every tier-1 label slice and
+// keeps the buffer only of an item that fired in the sealed epoch, so after
+// a seal in the second phase every first-phase node, group and edge holds a
+// nil slice; FinishStreaming leaves every slice nil.
+func TestSealReleasesQuietBuffers(t *testing.T) {
+	prog := twoPhases(t)
+	st, err := interp.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochTS = 16
+	b, err := NewStreamingBuilder(st, FreezeOptions{EpochTS: epochTS, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := prog.FuncByName("one").Index
+	s := &sealWatch{t: t, b: b, one: one, execs: map[int]int{}, counts: map[int]int{}}
+	if _, err := interp.Run(st, interp.Options{Sink: s, MaxSteps: 1 << 22}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s.quiet == 0 {
+		t.Fatal("no seal fell in the second phase after the first had gone quiet")
+	}
+	w, err := b.FinishStreaming()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range w.Nodes {
+		if n.TS != nil {
+			t.Fatalf("node %d keeps timestamps after FinishStreaming", n.ID)
+		}
+		for gi, g := range n.Groups {
+			if g.Pattern != nil || len(g.UVals) != len(g.ValMembers) {
+				t.Fatalf("node %d group %d: pattern %v, %d value slices for %d members", n.ID, gi, g.Pattern, len(g.UVals), len(g.ValMembers))
+			}
+			for _, uv := range g.UVals {
+				if uv != nil {
+					t.Fatalf("node %d group %d keeps unique values after FinishStreaming", n.ID, gi)
+				}
+			}
+		}
+	}
+	for ei, e := range w.Edges {
+		if e.DstOrd != nil || e.SrcOrd != nil {
+			t.Fatalf("edge %d keeps labels after FinishStreaming", ei)
+		}
+	}
+}
+
+// sealWatch forwards a run to a streaming builder and inspects its tier-1
+// slices after every seal.
+type sealWatch struct {
+	t             *testing.T
+	b             *Builder
+	one           int         // the first phase's function
+	lastOne       uint32      // the last timestamp a first-phase path took
+	execs, counts map[int]int // node executions and edge counts at the last seal
+	quiet         int         // seals after the first phase's last path
+}
+
+func (s *sealWatch) Stmt(inst trace.Inst, st *ir.Stmt, value int64, ddSrcs []trace.Inst, ddVals []int64, cdSrc trace.Inst) {
+	s.b.Stmt(inst, st, value, ddSrcs, ddVals, cdSrc)
+}
+
+func (s *sealWatch) PathDone(fn int, pathID int64) {
+	t, b := s.t, s.b
+	b.PathDone(fn, pathID)
+	if fn == s.one {
+		s.lastOne = b.time
+	}
+	if b.time%b.epochTS != 0 {
+		return
+	}
+	quiet := b.time-s.lastOne >= b.epochTS && s.lastOne > 0
+	if quiet {
+		s.quiet++
+	}
+	for _, n := range b.w.Nodes {
+		fired := n.Execs > s.execs[n.ID]
+		s.execs[n.ID] = n.Execs
+		kept := func(what string, sl []uint32) {
+			if len(sl) != 0 || !fired && sl != nil {
+				t.Fatalf("after the seal at %d, node %d (fired %v) keeps %s of length %d, capacity %d", b.time, n.ID, fired, what, len(sl), cap(sl))
+			}
+			if quiet && n.Fn == s.one && sl != nil {
+				t.Fatalf("after the seal at %d, first-phase node %d keeps %s", b.time, n.ID, what)
+			}
+		}
+		kept("timestamps", n.TS)
+		for _, g := range n.Groups {
+			kept("a pattern", g.Pattern)
+			for _, uv := range g.UVals {
+				kept("unique values", uv)
+			}
+		}
+	}
+	for ei, e := range b.w.Edges {
+		fired := e.Count > s.counts[ei]
+		s.counts[ei] = e.Count
+		for _, sl := range [][]uint32{e.DstOrd, e.SrcOrd} {
+			if len(sl) != 0 || !fired && sl != nil {
+				t.Fatalf("after the seal at %d, edge %d (fired %v) keeps labels of length %d, capacity %d", b.time, ei, fired, len(sl), cap(sl))
+			}
+			if quiet && b.w.Nodes[e.DstNode].Fn == s.one && sl != nil {
+				t.Fatalf("after the seal at %d, first-phase edge %d keeps labels", b.time, ei)
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"wet/internal/faultpoint"
@@ -396,21 +395,27 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 	r.CheckpointBytes = w.checkpointBytes()
 
 	if opts.DropTier1 {
-		for _, n := range w.Nodes {
-			n.TS = nil
-			for _, g := range n.Groups {
-				g.Pattern = nil
-				g.UVals = nil
-			}
-		}
-		for _, e := range w.Edges {
-			e.DstOrd, e.SrcOrd = nil, nil
-		}
-		if w.Conc != nil {
-			w.Conc.dropTier1()
-		}
+		w.dropTier1()
 	}
 	return r, nil
+}
+
+// dropTier1 releases every tier-1 label slice. A group keeps one (nil)
+// unique-value slice per value member.
+func (w *WET) dropTier1() {
+	for _, n := range w.Nodes {
+		n.TS = nil
+		for _, g := range n.Groups {
+			g.Pattern = nil
+			clear(g.UVals)
+		}
+	}
+	for _, e := range w.Edges {
+		e.DstOrd, e.SrcOrd = nil, nil
+	}
+	if w.Conc != nil {
+		w.Conc.dropTier1()
+	}
 }
 
 // releasePartialTier2 drops whatever tier-2 streams a failed freeze had
@@ -584,14 +589,11 @@ func (t shareTable) intern(e *Edge, dst, src []uint32, diag bool, edge, seg int)
 	if diag {
 		src = dst
 	}
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(len(dst))
 	for i := range dst {
-		put32(buf[:4], dst[i])
-		put32(buf[4:], src[i])
-		h.Write(buf[:])
+		h = mix(h, uint64(dst[i])|uint64(src[i])<<32)
 	}
-	k := shareKey{e.SrcNode, e.DstNode, e.Kind, h.Sum64()}
+	k := shareKey{e.SrcNode, e.DstNode, e.Kind, h}
 	for _, r := range t[k] {
 		if r.diag == diag && slices.Equal(r.dst, dst) && (diag || slices.Equal(r.src, src)) {
 			return r, true
@@ -599,10 +601,6 @@ func (t shareTable) intern(e *Edge, dst, src []uint32, diag bool, edge, seg int)
 	}
 	t[k] = append(t[k], shareRep{dst, src, diag, edge, seg})
 	return shareRep{}, false
-}
-
-func put32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 }
 
 // String renders the report as a small table.

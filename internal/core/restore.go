@@ -31,11 +31,8 @@ func RestoreNode(st *interp.Static, id, fn int, pathID int64) (*Node, error) {
 }
 
 // RestoreUniqueKeys records the unique-input-tuple count of a deserialized
-// group. The keys map itself is not persisted, and the empty map formGroups
-// installed must not shadow the restored count (UniqueKeys prefers the map
-// when present), so it is dropped here.
+// group, whose tuples are not persisted.
 func (g *Group) RestoreUniqueKeys(n int) {
-	g.keys = nil
 	g.restoredKeys = n
 }
 

@@ -82,12 +82,13 @@ func (w *WET) EdgeSegAt(e *Edge, ts uint32) (int, bool) {
 }
 
 // sealEpoch freezes every label appended during the epoch that just closed:
-// it moves the tier-1 slices out of the live builder state (appends restart
-// empty for the next epoch), decides the per-segment edge reductions while
-// the uncompressed labels are still at hand, and runs one compression job per
-// surviving stream through runJobs before returning: the interpreter waits
-// for the seal, so no sealed-but-uncompressed epoch ever piles up behind it.
-// A failed or cancelled job fails the build right here.
+// it queues the epoch's tier-1 slices for compression, decides the
+// per-segment edge reductions while the uncompressed labels are still at
+// hand, and runs one compression job per surviving stream through runJobs
+// before returning: the interpreter waits for the seal, so no
+// sealed-but-uncompressed epoch ever piles up behind it. A failed or
+// cancelled job fails the build right here. The sealed slices then take the
+// next epoch's appends (reuse): no encoder keeps its input.
 func (b *Builder) sealEpoch(epoch int) {
 	if err := fpSealEpoch.Hit(); err != nil {
 		b.fail(err)
@@ -95,38 +96,33 @@ func (b *Builder) sealEpoch(epoch int) {
 	}
 	base := uint32(epoch) * b.epochTS
 	ck := b.fopts.CheckpointK
+	queue := func(segs *[]*LabelSeg, vals []uint32) {
+		seg := &LabelSeg{Epoch: epoch, N: len(vals)}
+		*segs = append(*segs, seg)
+		b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(vals, sc, ck) })
+	}
 
 	for _, n := range b.w.Nodes {
-		if len(n.TS) > 0 {
-			ts := n.TS
-			n.TS = nil
+		if ts := n.TS; len(ts) > 0 {
 			for i := range ts {
 				ts[i] -= base
 			}
-			seg := &LabelSeg{Epoch: epoch, N: len(ts)}
-			n.TSSegs = append(n.TSSegs, seg)
-			b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(ts, sc, ck) })
+			queue(&n.TSSegs, ts)
 		}
+		n.TS = reuse(n.TS)
 		for _, g := range n.Groups {
 			if len(g.Pattern) > 0 {
-				pat := g.Pattern
-				g.Pattern = nil
-				seg := &LabelSeg{Epoch: epoch, N: len(pat)}
-				g.PatSegs = append(g.PatSegs, seg)
-				b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(pat, sc, ck) })
+				queue(&g.PatSegs, g.Pattern)
 			}
+			g.Pattern = reuse(g.Pattern)
 			if g.UValSegs == nil && len(g.ValMembers) > 0 {
 				g.UValSegs = make([][]*LabelSeg, len(g.ValMembers))
 			}
-			for mi := range g.UVals {
-				if len(g.UVals[mi]) == 0 {
-					continue
+			for mi, uv := range g.UVals {
+				if len(uv) > 0 {
+					queue(&g.UValSegs[mi], uv)
 				}
-				uv := g.UVals[mi]
-				g.UVals[mi] = nil
-				seg := &LabelSeg{Epoch: epoch, N: len(uv)}
-				g.UValSegs[mi] = append(g.UValSegs[mi], seg)
-				b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratchK(uv, sc, ck) })
+				g.UVals[mi] = reuse(uv)
 			}
 		}
 	}
@@ -148,6 +144,17 @@ func (b *Builder) sealEpoch(epoch int) {
 	}
 }
 
+// reuse returns the buffer a label slice takes the next epoch's appends in:
+// the sealed slice emptied when it held labels, nil when it held none. A
+// buffer is kept only while its item fires in every epoch, so the builder
+// holds buffers only for the items that fired in the last sealed epoch.
+func reuse(s []uint32) []uint32 {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:0]
+}
+
 // sealEpochEdges applies the per-segment §3.3 reductions to every edge that
 // fired during the epoch and queues the surviving label streams for
 // compression. Sharing is per-epoch and per (src node, dst node, kind):
@@ -163,6 +170,7 @@ func (b *Builder) sealEpochEdges(epoch int) {
 	for ei, e := range b.w.Edges {
 		r := &b.ramps[ei]
 		if r.n == 0 && len(e.DstOrd) == 0 {
+			e.DstOrd, e.SrcOrd = nil, nil
 			continue
 		}
 		seg := &EdgeSeg{Epoch: epoch, N: int(r.n) + len(e.DstOrd), SharedWith: -1, SharedSeg: -1}
@@ -177,12 +185,13 @@ func (b *Builder) sealEpochEdges(epoch int) {
 				seg.Inferable = true
 				seg.RampBase = uint32(node.sealedExecs)
 				r.n = 0
+				e.DstOrd, e.SrcOrd = nil, nil
 				continue
 			}
 			b.materialise(ei, uint32(node.sealedExecs), 0)
 		}
 		dst, src := e.DstOrd, e.SrcOrd
-		e.DstOrd, e.SrcOrd = nil, nil
+		e.DstOrd, e.SrcOrd = dst[:0], src[:0]
 		r.stored = e.SrcNode != e.DstNode
 		if b.fopts.AggressiveEdges {
 			diag := true
@@ -230,15 +239,16 @@ func (b *Builder) finishStreaming() error {
 
 	// Concurrency streams are whole-run (not epoch-segmented; see conc.go),
 	// so they compress here, after the last seal. Streaming implies
-	// DropTier1, and that applies to them too.
+	// DropTier1: that releases them and the buffers the seals kept for a
+	// next epoch.
 	if w.Conc != nil {
 		var jobs []func(sc *stream.Scratch)
 		concFreezeJobs(w.Conc, b.fopts.CheckpointK, &jobs)
 		if err := runJobs(b.fopts.Ctx, "freeze", jobs, b.fopts.Workers, b.scratch); err != nil {
 			return err
 		}
-		w.Conc.dropTier1()
 	}
+	w.dropTier1()
 
 	// Whole-run inference: an edge whose every segment is inferable and
 	// that fired on every node execution carries exactly the labels the
@@ -398,8 +408,8 @@ func (b *Builder) FinishStreaming() (*WET, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.pending) != 0 {
-		return nil, fmt.Errorf("core: %d statement events not covered by a path", len(b.pending))
+	if b.nPend != 0 {
+		return nil, fmt.Errorf("core: %d statement events not covered by a path", b.nPend)
 	}
 	w := b.w
 	w.Time = b.time

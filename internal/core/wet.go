@@ -137,13 +137,15 @@ type Group struct {
 
 	// Pattern[k] indexes UVals[*] for the node's k-th execution.
 	Pattern []uint32
-	keys    map[string]uint32
+	// keys numbers the distinct input tuples; the builder makes it on the
+	// group's first execution, so restored groups have none.
+	keys *tupleTable
 	// checkVals retains every unique value under Builder.CheckDeterminism:
 	// the streaming pipeline seals UVals away per epoch, so the invariant
 	// re-verification needs its own globally indexed copy. Nil otherwise.
 	checkVals [][]uint32
-	// restoredKeys carries the unique-key count for deserialized groups
-	// whose keys map was not persisted.
+	// restoredKeys carries the unique-key count for deserialized groups,
+	// whose tuples are not persisted.
 	restoredKeys int
 
 	// Tier-2 streams.
@@ -173,7 +175,7 @@ func (g *Group) UniqueKeys() int {
 	if g.keys == nil {
 		return g.restoredKeys
 	}
-	return len(g.keys)
+	return int(g.keys.n)
 }
 
 // Node is a WET node: one Ball–Larus path of one function, labeled with its

@@ -286,10 +286,13 @@ func (r *runner) run() (*Result, error) {
 }
 
 // runPath executes thread t until one Ball–Larus path completes (or the
-// program halts, or t's root frame returns).
+// program halts, or t's root frame returns). The operand buffers live in
+// locals for the whole path and are written back once, at its end, so a
+// statement stores no slice header into the heap (no GC write barrier).
 func (r *runner) runPath(t *thread) error {
 	st, opts, res := r.st, &r.opts, r.res
 	mem, memTag, mask := r.mem, r.memTag, r.mask
+	useBuf, ddBuf, dvBuf := r.useBuf, r.ddBuf, r.dvBuf
 	r.pathDone = false
 	for !r.pathDone {
 		fr := t.stack[len(t.stack)-1]
@@ -323,10 +326,9 @@ func (r *runner) runPath(t *thread) error {
 				}
 				return o.Imm
 			}
-			r.useBuf = s.Uses(r.useBuf[:0])
-			ddBuf := r.ddBuf[:0]
-			dvBuf := r.dvBuf[:0]
-			for _, u := range r.useBuf {
+			useBuf = s.Uses(useBuf[:0])
+			ddBuf, dvBuf = ddBuf[:0], dvBuf[:0]
+			for _, u := range useBuf {
 				ddBuf = append(ddBuf, fr.regTag[u])
 				dvBuf = append(dvBuf, fr.regs[u])
 			}
@@ -447,7 +449,6 @@ func (r *runner) runPath(t *thread) error {
 			if opts.Sink != nil {
 				opts.Sink.Stmt(inst, s, result, ddBuf, dvBuf, cdSrc)
 			}
-			r.ddBuf, r.dvBuf = ddBuf, dvBuf
 			if s.Op.HasDef() && s.Dest != ir.NoReg {
 				fr.regs[s.Dest] = result
 				fr.regTag[s.Dest] = defTag
@@ -504,7 +505,7 @@ func (r *runner) runPath(t *thread) error {
 					} else {
 						t.retTag = 0
 					}
-					return nil
+					break
 				}
 				caller := t.stack[len(t.stack)-1]
 				if caller.retDest != ir.NoReg {
@@ -519,7 +520,6 @@ func (r *runner) runPath(t *thread) error {
 			case ir.OpHalt:
 				r.emitPath(t, fr, fr.tracker.Finish(fr.cur))
 				r.halted = true
-				return nil
 			case ir.OpSpawn:
 				// The spawn's happens-before edge is stamped at the end of
 				// this path: emit the sync event before closing it.
@@ -568,6 +568,7 @@ func (r *runner) runPath(t *thread) error {
 			}
 		}
 	}
+	r.useBuf, r.ddBuf, r.dvBuf = useBuf, ddBuf, dvBuf
 	return nil
 }
 

@@ -69,11 +69,6 @@ func (b *bitstack) bits() uint64 { return b.n }
 // empty reports whether the stack holds no bits.
 func (b *bitstack) empty() bool { return b.n == 0 }
 
-// clone deep-copies the stack.
-func (b *bitstack) clone() bitstack {
-	return bitstack{words: append([]uint64(nil), b.words...), n: b.n}
-}
-
 // bitvec is an immutable bit vector with random access, used as the shared
 // read-only entry store behind detached cursors. A cursor addresses the
 // store by its current bit length: because entries carry their flag bit
@@ -82,6 +77,32 @@ func (b *bitstack) clone() bitstack {
 type bitvec struct {
 	words []uint64
 	n     uint64 // bit length
+}
+
+// bitWriter lays entries into words back to back, low bits first, through
+// a 64-bit accumulator stored a word at a time.
+type bitWriter struct {
+	words     []uint64
+	acc, bits uint64 // bits is how many low bits of acc are pending
+	w         int
+}
+
+// put appends the low width bits of entry (width <= 64; entry < 1<<width).
+func (b *bitWriter) put(entry, width uint64) {
+	b.acc |= entry << b.bits
+	if b.bits += width; b.bits >= 64 {
+		b.words[b.w] = b.acc
+		b.w++
+		b.bits -= 64
+		b.acc = entry >> (width - b.bits)
+	}
+}
+
+// flush stores the pending bits.
+func (b *bitWriter) flush() {
+	if b.bits > 0 {
+		b.words[b.w] = b.acc
+	}
 }
 
 // freeze snapshots a bitstack into an immutable bitvec (the words are
@@ -108,6 +129,3 @@ func (b *bitvec) get(start uint64, k uint) uint32 {
 // top reads the k bits ending at absolute position end (the entry payload
 // convention: last-pushed bit highest).
 func (b *bitvec) top(end uint64, k uint) uint32 { return b.get(end-uint64(k), k) }
-
-// sizeBits reports the storage the vector occupies.
-func (b *bitvec) sizeBits() uint64 { return uint64(len(b.words)) * 64 }

@@ -3,7 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/bits"
-	"slices"
+	"sync"
 )
 
 // The bidirectional last-n predictor (paper §4, Figure 7) follows the same
@@ -18,6 +18,127 @@ import (
 
 // --- encoder ---
 
+// encodeLastN builds the last-n stream of vals in two passes, without the
+// bit stacks of the reference encoder (encode_test.go). The first runs the
+// move-to-front table forward, writes the FR entries and captures the
+// checkpoints. A BL entry (pushRef's reference against the same table) is
+// as wide as its FR twin and equal to it on a hit; on a miss it carries the
+// literal where FR carries the evicted value. So the second pass pops FR
+// entries from the top by their flag bit and stacks their twins into BL,
+// position 0 on top.
+func encodeLastN(vals []uint32, n int, stride bool, k int) *lastNStream {
+	if n < 2 || n&(n-1) != 0 {
+		panic("stream: last-n table size must be a power of two >= 2")
+	}
+	m := len(vals)
+	s := &lastNStream{m: m, n: n, idxBits: uint(bits.TrailingZeros(uint(n))), stride: stride}
+	hitW, flag := uint64(s.idxBits)+1, uint64(1)<<s.idxBits
+	sp := ckSpacing(k, m, s.stateBits())
+	nextCk, nCks := m, 2
+	if sp > 0 {
+		nextCk, nCks = sp, 2+(m-1)/sp
+	}
+	cks := make([]lastNCk, 1, nCks)
+
+	// FR is written into a pooled buffer sized for all misses, then copied
+	// out at its length.
+	bp, _ := frScratch.Get().(*[]uint64)
+	if bp == nil {
+		bp = new([]uint64)
+	}
+	if need := (m*33 + 63) / 64; cap(*bp) < need {
+		*bp = make([]uint64, need)
+	}
+	fw := bitWriter{words: (*bp)[:cap(*bp)]}
+	tb := make([]uint32, n)
+	var frLen uint64
+	var lastVal uint32
+	for pos, v := range vals {
+		if pos == nextCk {
+			cks = append(cks, lastNCk{pos: pos, frLen: frLen, tb: snapTable(tb), lastVal: lastVal})
+			nextCk += sp
+		}
+		x := v
+		if stride {
+			x, lastVal = v-lastVal, v
+		}
+		entry, width := flag, hitW // a hit on slot 0
+		if tb[0] != x {
+			// Search and shift together (see sizeLastNAll); carry ends as
+			// the evicted value on a miss.
+			carry := tb[0]
+			tb[0] = x
+			i := 1
+			for ; i < n; i++ {
+				carry, tb[i] = tb[i], carry
+				if carry == x {
+					break
+				}
+			}
+			if i < n {
+				entry = flag | uint64(i)
+			} else {
+				entry, width = uint64(carry), 33
+			}
+		}
+		frLen += width
+		fw.put(entry, width)
+	}
+	fw.flush()
+
+	nw := int((frLen + 63) / 64)
+	var bw bitWriter
+	if nw > 0 {
+		bw.words = make([]uint64, nw)
+	}
+	fr, end := fw.words, frLen
+	for p := m - 1; p >= 0; p-- {
+		var entry, width uint64
+		if f := end - 1; fr[f>>6]>>(f&63)&1 == 1 {
+			start := end - hitW
+			entry = fr[start>>6] >> (start & 63)
+			if start&63+hitW > 64 {
+				entry |= fr[start>>6+1] << (64 - start&63)
+			}
+			entry, width = entry&(1<<hitW-1), hitW
+		} else {
+			x := vals[p]
+			if stride && p > 0 {
+				x -= vals[p-1]
+			}
+			entry, width = uint64(x), 33
+		}
+		end -= width
+		bw.put(entry, width)
+	}
+	bw.flush()
+
+	var frWords []uint64
+	if nw > 0 {
+		frWords = append([]uint64(nil), fr[:nw]...)
+	}
+	frScratch.Put(bp)
+	for i := range cks {
+		cks[i].blLen = frLen - cks[i].frLen
+	}
+	if m > 0 {
+		ck := lastNCk{pos: m, frLen: frLen, lastVal: lastVal}
+		if !allZero(tb) {
+			ck.tb = tb // the pass is done with the table: no copy
+		}
+		cks = append(cks, ck)
+	}
+	s.bl = bitvec{words: bw.words, n: frLen}
+	s.seal(bitvec{words: frWords, n: frLen}, cks)
+	return s
+}
+
+// frScratch holds the buffers encodeLastN writes FR stores in before their
+// length is known, as *[]uint64 like tablePools.
+var frScratch sync.Pool
+
+// lastNEnc is a mutable last-n encoder state as read from a file, which may
+// sit at any position: normalizeLastN walks it back to position 0.
 type lastNEnc struct {
 	m       int
 	n       int // table size (power of two)
@@ -27,48 +148,6 @@ type lastNEnc struct {
 	lastVal uint32   // previous value; stride mode only
 	fr, bl  bitstack
 	pos     int
-}
-
-func newLastNEnc(vals []uint32, n int, stride bool) *lastNEnc {
-	if n < 2 || n&(n-1) != 0 {
-		panic("stream: last-n table size must be a power of two >= 2")
-	}
-	e := &lastNEnc{
-		m:       len(vals),
-		n:       n,
-		idxBits: uint(bits.TrailingZeros(uint(n))),
-		stride:  stride,
-		tb:      make([]uint32, n),
-	}
-	for _, v := range vals {
-		x := v
-		if stride {
-			x = v - e.lastVal
-			e.lastVal = v
-		}
-		e.encode(x)
-		e.pos++
-	}
-	return e
-}
-
-// encode move-to-fronts x into the table and pushes the FR entry.
-func (e *lastNEnc) encode(x uint32) {
-	for i, v := range e.tb {
-		if v == x {
-			// Hit: move to front; entry records the index for the undo.
-			copy(e.tb[1:i+1], e.tb[:i])
-			e.tb[0] = x
-			e.fr.pushBits(uint32(i), e.idxBits)
-			e.fr.pushBit(true)
-			return
-		}
-	}
-	evicted := e.tb[e.n-1]
-	copy(e.tb[1:], e.tb[:e.n-1])
-	e.tb[0] = x
-	e.fr.pushBits(evicted, 32)
-	e.fr.pushBit(false)
 }
 
 // decode pops an FR entry, undoes its table mutation, and returns the value.
@@ -112,37 +191,6 @@ func (e *lastNEnc) prev() uint32 {
 		return v
 	}
 	return x
-}
-
-// finish freezes the encoder (at position m, BL empty) into an immutable
-// stream, rebuilding BL backward while capturing checkpoints (see
-// fcmEnc.finish).
-func (e *lastNEnc) finish(k int) *lastNStream {
-	s := &lastNStream{m: e.m, n: e.n, idxBits: e.idxBits, stride: e.stride}
-	fr := e.fr.freeze()
-	sp := ckSpacing(k, e.m, s.stateBits())
-	var cks []lastNCk // built in strictly descending pos, reversed below
-	if e.m > 0 {
-		cks = append(cks, e.snapshot())
-	}
-	for e.pos > 0 {
-		e.prev()
-		if sp > 0 && e.pos > 0 && e.pos%sp == 0 {
-			cks = append(cks, e.snapshot())
-		}
-	}
-	s.bl = e.bl.freeze()
-	cks = append(cks, lastNCk{pos: 0, frLen: 0, blLen: s.bl.n}) // all-zero start
-	slices.Reverse(cks)
-	s.seal(fr, cks)
-	return s
-}
-
-func (e *lastNEnc) snapshot() lastNCk {
-	return lastNCk{
-		pos: e.pos, frLen: e.fr.bits(), blLen: e.bl.bits(),
-		tb: snapTable(e.tb), lastVal: e.lastVal,
-	}
 }
 
 // --- immutable stream ---
@@ -203,8 +251,8 @@ func (s *lastNStream) NewCursor() Cursor {
 
 // load completes a stream that holds only its position-0 BL store, as read
 // from a file: one forward decode pass builds the FR store and captures the
-// checkpoints finish would. tb is the all-zero position-0 table, which the
-// pass steps forward and the end checkpoint keeps. The pass also checks that
+// checkpoints encodeLastN would. tb is the all-zero position-0 table, which
+// the pass steps forward and the end checkpoint keeps. The pass also checks that
 // every BL entry is the one pushRef writes against the table at its position
 // — a literal is not in the table, a hit names the first match — because Prev
 // sizes the entry it steps over by that rule: a store that broke it would
@@ -214,17 +262,14 @@ func (s *lastNStream) NewCursor() Cursor {
 // An FR entry is as wide as its BL twin (a hit entry is the same bits; a miss
 // swaps the literal for the evicted value), so the two stores are equally
 // long: FR is allocated once at BL's size, and the FR length at any position
-// is the BL length consumed so far. FR bits collect in a 64-bit accumulator
-// and are stored a word at a time.
+// is the BL length consumed so far.
 func (s *lastNStream) load(tb []uint32) error {
 	m, bl := s.m, s.bl.words
 	hitBits := uint64(s.idxBits) + 1
 	idxMask := uint64(1)<<s.idxBits - 1
 	last := len(tb) - 1
 	blLen := s.bl.n
-	fr := make([]uint64, len(bl))
-	var acc, accBits uint64 // FR bits not yet stored, in the low accBits of acc
-	fw := 0
+	fw := bitWriter{words: make([]uint64, len(bl))}
 	var lastVal, strideMask uint32
 	if s.stride {
 		strideMask = ^uint32(0)
@@ -288,20 +333,12 @@ func (s *lastNStream) load(tb []uint32) error {
 		tb[0] = x
 		blLen -= width
 		lastVal += x & strideMask
-		acc |= entry << accBits
-		if accBits += width; accBits >= 64 {
-			fr[fw] = acc
-			fw++
-			accBits -= 64
-			acc = entry >> (width - accBits)
-		}
+		fw.put(entry, width)
 	}
 	if blLen != 0 {
 		return fmt.Errorf("stream: last-n BL store holds %d bits beyond the stream", blLen)
 	}
-	if accBits > 0 {
-		fr[fw] = acc
-	}
+	fw.flush()
 	if m > 0 {
 		end := lastNCk{pos: m, frLen: s.bl.n, lastVal: lastVal}
 		if !allZero(tb) {
@@ -309,7 +346,7 @@ func (s *lastNStream) load(tb []uint32) error {
 		}
 		cks = append(cks, end)
 	}
-	s.seal(bitvec{words: fr, n: s.bl.n}, cks)
+	s.seal(bitvec{words: fw.words, n: s.bl.n}, cks)
 	return nil
 }
 

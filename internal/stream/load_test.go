@@ -123,10 +123,19 @@ func diffBitvec(name string, a, b bitvec) error {
 	return nil
 }
 
-// diffStreams compares two predictor-backed streams field by field; nil and
-// empty slices are the same table.
+// diffStreams compares two predictor-backed or packed streams field by
+// field; nil and empty slices are the same table.
 func diffStreams(got, want Stream) error {
 	switch w := want.(type) {
+	case *packed:
+		g, ok := got.(*packed)
+		if !ok {
+			return fmt.Errorf("got %T, want %T", got, want)
+		}
+		if g.m != w.m || g.width != w.width {
+			return fmt.Errorf("shape (%d,%d), want (%d,%d)", g.m, g.width, w.m, w.width)
+		}
+		return diffBitvec("data", g.data, w.data)
 	case *lastNStream:
 		g, ok := got.(*lastNStream)
 		if !ok {
@@ -410,7 +419,9 @@ func checkLoadAgainstReference(t *testing.T, data []byte, got Stream) {
 	}
 }
 
-func BenchmarkLoadStream(b *testing.B) {
+// benchVals is 64 Ki values of short strides broken by jumps: the shape of
+// timestamps and ordinals, where last-n and packed win selection.
+func benchVals() []uint32 {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]uint32, 1<<16)
 	var v uint32
@@ -422,6 +433,26 @@ func BenchmarkLoadStream(b *testing.B) {
 		}
 		vals[i] = v
 	}
+	return vals
+}
+
+// BenchmarkEncode is the encode kernels' cost per value (CompressK at the
+// automatic checkpoint spacing).
+func BenchmarkEncode(b *testing.B) {
+	vals := benchVals()
+	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 8}, {KindPacked, 0}} {
+		b.Run(spec.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += CompressK(vals, spec, 0).Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
+		})
+	}
+}
+
+func BenchmarkLoadStream(b *testing.B) {
+	vals := benchVals()
 	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 8}, {KindFCM, 2}, {KindDFCM, 2}} {
 		var buf bytes.Buffer
 		if err := Save(&buf, Compress(vals, spec)); err != nil {

@@ -17,6 +17,8 @@ type packed struct {
 	stats *SeekCounters
 }
 
+// newPacked lays vals out width bits apiece, value 0 lowest, into words
+// sized exactly.
 func newPacked(vals []uint32) *packed {
 	var max uint32
 	for _, v := range vals {
@@ -24,14 +26,17 @@ func newPacked(vals []uint32) *packed {
 			max = v
 		}
 	}
-	width := uint(bits.Len32(max))
-	p := &packed{width: width, m: len(vals)}
-	var bs bitstack
-	for _, v := range vals {
-		bs.pushBits(v, width)
+	width := uint64(bits.Len32(max))
+	n := uint64(len(vals)) * width
+	var bw bitWriter
+	if n > 0 {
+		bw.words = make([]uint64, (n+63)/64)
 	}
-	p.data = bs.freeze()
-	return p
+	for _, v := range vals {
+		bw.put(uint64(v), width)
+	}
+	bw.flush()
+	return &packed{width: uint(width), m: len(vals), data: bitvec{words: bw.words, n: n}}
 }
 
 func (p *packed) Len() int               { return p.m }

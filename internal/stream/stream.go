@@ -178,9 +178,9 @@ func CompressK(vals []uint32, spec Spec, k int) Stream {
 	case KindDFCM:
 		return newFCMEnc(vals, spec.Order, true).finish(k)
 	case KindLastN:
-		return newLastNEnc(vals, spec.Order, false).finish(k)
+		return encodeLastN(vals, spec.Order, false, k)
 	case KindLastNStride:
-		return newLastNEnc(vals, spec.Order, true).finish(k)
+		return encodeLastN(vals, spec.Order, true, k)
 	case KindPacked:
 		return newPacked(vals)
 	default:
