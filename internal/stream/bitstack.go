@@ -129,3 +129,22 @@ func (b *bitvec) get(start uint64, k uint) uint32 {
 // top reads the k bits ending at absolute position end (the entry payload
 // convention: last-pushed bit highest).
 func (b *bitvec) top(end uint64, k uint) uint32 { return b.get(end-uint64(k), k) }
+
+// topWindow returns the 64 bits ending at absolute position end,
+// left-aligned (bit end-1 highest, so the flag of the entry on top leads),
+// and how many of them are the store's: min(end, 64). Bits below those are
+// zero.
+func (b *bitvec) topWindow(end uint64) (win, valid uint64) {
+	if end < 64 {
+		if end == 0 {
+			return 0, 0
+		}
+		return b.words[0] << (64 - end), end
+	}
+	start := end - 64
+	win = b.words[start>>6]
+	if off := start & 63; off != 0 {
+		win = win>>off | b.words[start>>6+1]<<(64-off)
+	}
+	return win, 64
+}

@@ -1,6 +1,9 @@
 package stream
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Checkpoints trade space for seek time: a checkpoint snapshots the full
 // cursor state (entry-store lengths plus predictor tables/window) at one
@@ -47,6 +50,32 @@ func ckSpacing(k, m int, stateBits uint64) int {
 // checkpoint and walk" against "walk from where the cursor is". Copying is
 // roughly 8 words per step-equivalent.
 func restoreCost(stateWords int) int { return stateWords/8 + 1 }
+
+// ckCursor is a cursor over a stream with checkpoints (last-n and FCM).
+type ckCursor interface {
+	Cursor
+	// restoreNear restores the checkpoint i is cheapest to reach from, if
+	// restoring and walking from it costs fewer step-equivalents than walk.
+	restoreNear(i, walk int) bool
+}
+
+// seekBatch is how many values a Seek walk decodes per NextN/PrevN call.
+const seekBatch = 64
+
+// startSeek is the shared half of a checkpointed cursor's Seek: it checks i,
+// restores a checkpoint when that beats walking from Pos, and counts the seek
+// with the steps left to walk. Each Seek then walks them itself: last-n in
+// seekBatch batches through NextN/PrevN into a stack buffer (handed through
+// an interface, the buffer would escape to the heap), FCM by single steps.
+func startSeek(c ckCursor, i int, stats *SeekCounters) {
+	if i < 0 || i > c.Len() {
+		panic(fmt.Sprintf("stream: seek to %d outside [0,%d]", i, c.Len()))
+	}
+	restored := i != c.Pos() && c.restoreNear(i, dist(i, c.Pos()))
+	noteSeek(stats, restored, dist(i, c.Pos()))
+}
+
+func dist(a, b int) int { return max(a-b, b-a) }
 
 // SeekStats is a snapshot of cumulative seek-cost counters.
 // Counters are cumulative; CLI consumers print deltas around a query.

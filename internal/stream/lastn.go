@@ -249,6 +249,24 @@ func (s *lastNStream) NewCursor() Cursor {
 	return &lastNCursor{s: s, blLen: s.bl.n, tb: make([]uint32, s.n)}
 }
 
+// runPatterns[w] is a run of back-to-back w-bit hits on slot 0 (a flag over
+// w-1 zero index bits) as topWindow shows it: left-aligned, flag first.
+var runPatterns = func() (p [22]uint64) { // w = idxBits+1 <= 21
+	for w := 2; w < len(p); w++ {
+		for b := 63; b >= 0; b -= w {
+			p[w] |= 1 << b
+		}
+	}
+	return p
+}()
+
+// slot0Run is how many whole w-bit slot-0 hits lead win, of which the top
+// valid bits are the store's. Such a hit leaves the move-to-front table as
+// it is, so a run decodes as one value repeated (or one stride added).
+func slot0Run(win, valid, w uint64) int {
+	return int(min(uint64(bits.LeadingZeros64(win^runPatterns[w])), valid) / w)
+}
+
 // load completes a stream that holds only its position-0 BL store, as read
 // from a file: one forward decode pass builds the FR store and captures the
 // checkpoints encodeLastN would. tb is the all-zero position-0 table, which
@@ -257,19 +275,21 @@ func (s *lastNStream) NewCursor() Cursor {
 // — a literal is not in the table, a hit names the first match — because Prev
 // sizes the entry it steps over by that rule: a store that broke it would
 // yield cursors whose blLen disagrees with the store. Both checks ride on the
-// move-to-front shift, which visits exactly the slots they concern.
+// move-to-front shift, which visits exactly the slots they concern; a hit on
+// slot 0 passes both, so a run of them is copied to FR in one put, capped at
+// the next checkpoint so every checkpoint is captured where it always was.
 //
 // An FR entry is as wide as its BL twin (a hit entry is the same bits; a miss
 // swaps the literal for the evicted value), so the two stores are equally
 // long: FR is allocated once at BL's size, and the FR length at any position
 // is the BL length consumed so far.
 func (s *lastNStream) load(tb []uint32) error {
-	m, bl := s.m, s.bl.words
+	m, bl := s.m, s.bl
 	hitBits := uint64(s.idxBits) + 1
 	idxMask := uint64(1)<<s.idxBits - 1
 	last := len(tb) - 1
 	blLen := s.bl.n
-	fw := bitWriter{words: make([]uint64, len(bl))}
+	fw := bitWriter{words: make([]uint64, len(bl.words))}
 	var lastVal, strideMask uint32
 	if s.stride {
 		strideMask = ^uint32(0)
@@ -281,32 +301,35 @@ func (s *lastNStream) load(tb []uint32) error {
 	}
 	cks := make([]lastNCk, 1, nCks)
 	cks[0] = lastNCk{blLen: blLen}
-	for pos := 0; pos < m; pos++ {
+	var win, valid uint64 // the store's top bits, refilled below one literal's width
+	for pos := 0; pos < m; {
 		if pos == nextCk {
 			cks = append(cks, lastNCk{pos: pos, frLen: s.bl.n - blLen, blLen: blLen, tb: snapTable(tb), lastVal: lastVal})
 			nextCk += sp
 		}
 		// A store that ends early fails one of these three length checks.
+		// Below 33 window bits the window holds all that is left.
 		if blLen == 0 {
 			return fmt.Errorf("stream: last-n BL store ends at value %d of %d", pos, m)
 		}
-		// The top entry is at most 33 bits: its flag is the highest of them.
-		k := min(blLen, 33)
-		start := blLen - k
-		top := bl[start>>6] >> (start & 63)
-		if start&63+k > 64 {
-			top |= bl[start>>6+1] << (64 - start&63)
+		if valid < 33 {
+			win, valid = bl.topWindow(blLen)
 		}
-		top &= 1<<k - 1
 		var x uint32
 		var entry, width uint64 // the FR entry and the width it shares with its BL twin
-		if top>>(k-1) == 1 {
-			if k < hitBits {
+		r := 1                  // values the entry stands for
+		if win>>63 == 1 {
+			if valid < hitBits {
 				return fmt.Errorf("stream: last-n BL store truncated at value %d", pos)
 			}
-			entry, width = top>>(k-hitBits), hitBits // index below the flag bit
+			entry, width = win>>(64-hitBits), hitBits // index below the flag bit
 			j := int(entry & idxMask)
 			x = tb[j]
+			if j == 0 { // at least this one hit: valid >= hitBits
+				r = min(slot0Run(win, valid, hitBits), min(nextCk, m)-pos)
+				width = uint64(r) * hitBits
+				entry = win >> (64 - width)
+			}
 			for i := j; i > 0; i-- {
 				v := tb[i-1]
 				if v == x {
@@ -315,10 +338,10 @@ func (s *lastNStream) load(tb []uint32) error {
 				tb[i] = v
 			}
 		} else {
-			if k < 33 {
+			if valid < 33 {
 				return fmt.Errorf("stream: last-n BL store truncated at value %d", pos)
 			}
-			x = uint32(top)
+			x = uint32(win >> 31)
 			entry, width = uint64(tb[last]), 33 // evicted value below a zero flag
 			inTable := tb[last] == x
 			for i := last; i > 0; i-- {
@@ -332,7 +355,10 @@ func (s *lastNStream) load(tb []uint32) error {
 		}
 		tb[0] = x
 		blLen -= width
-		lastVal += x & strideMask
+		win <<= width
+		valid -= width
+		lastVal += uint32(r) * (x & strideMask)
+		pos += r
 		fw.put(entry, width)
 	}
 	if blLen != 0 {
@@ -468,138 +494,150 @@ func (c *lastNCursor) Prev() uint32 {
 	return x
 }
 
-// NextN is Next unrolled over a batch with the table and store offsets held
-// in locals; the step body must mirror Next exactly (pinned by the stream
-// equivalence property tests).
-func (c *lastNCursor) NextN(dst []uint32) int {
-	n := c.s.m - c.pos
-	if n > len(dst) {
-		n = len(dst)
+// kernelShape is what NextN and PrevN take from a stream whose table fits
+// their local array: its last slot (masked to the array, so the compiler
+// drops the bounds checks), a hit's width, the shift that brings a window's
+// index down, and all ones for a stride stream.
+func (s *lastNStream) kernelShape() (last int, hitW, idxShift uint64, strideMask uint32) {
+	if s.stride {
+		strideMask = ^uint32(0)
 	}
+	return (s.n - 1) & 7, uint64(s.idxBits) + 1, 63 - uint64(s.idxBits), strideMask
+}
+
+// NextN is Next over a batch, read a word at a time: BL comes through a
+// 64-bit window refilled below 33 bits (one literal), the table is a local
+// array shifted by loops, and a run of slot-0 hits decodes in one step. A run
+// ends at the first other entry, at dst's end or at the window's valid bits.
+// Next stays a separate single step: through a one-value NextN it took twice
+// as long. TestCursorKernelsMatchSteps and FuzzCursor pin both kernels to
+// the single steps, state included.
+func (c *lastNCursor) NextN(dst []uint32) int {
+	n := min(len(dst), c.s.m-c.pos)
 	if n <= 0 {
 		return 0
 	}
 	s := c.s
-	idxBits := s.idxBits
-	tb := c.tb
-	frLen, blLen := c.frLen, c.blLen
-	lastVal := c.lastVal
-	for i := 0; i < n; i++ {
-		var x uint32
-		if s.bl.top(blLen, 1) == 1 {
-			blLen--
-			j := int(s.bl.top(blLen, idxBits))
-			blLen -= uint64(idxBits)
-			x = tb[j]
-			copy(tb[1:j+1], tb[:j])
-			tb[0] = x
-			frLen += uint64(idxBits) + 1
-		} else {
-			blLen--
-			x = s.bl.top(blLen, 32)
-			blLen -= 32
-			copy(tb[1:], tb[:s.n-1])
-			tb[0] = x
-			frLen += 33
+	var tb [8]uint32
+	if s.n > len(tb) { // only a hand-written file has a wider table
+		for i := range dst[:n] {
+			dst[i] = c.Next()
 		}
-		v := x
-		if s.stride {
-			v = lastVal + x
-			lastVal = v
-		}
-		dst[i] = v
+		return n
 	}
-	c.frLen, c.blLen, c.lastVal = frLen, blLen, lastVal
+	copy(tb[:], c.tb)
+	last, hitW, idxShift, strideMask := s.kernelShape()
+	bl, blLen, lastVal := s.bl, c.blLen, c.lastVal
+	var win, valid uint64
+	for i := 0; i < n; {
+		if valid < 33 {
+			win, valid = bl.topWindow(blLen)
+		}
+		x, w, r := uint32(win>>31), uint64(33), 1
+		if win>>63 == 0 { // a literal enters at the front
+			for k := last; k > 0; k-- {
+				tb[k] = tb[k-1]
+			}
+		} else if j := int(win>>idxShift) & last; j > 0 {
+			x, w = tb[j], hitW
+			for k := j; k > 0; k-- {
+				tb[k] = tb[k-1]
+			}
+		} else {
+			x = tb[0]
+			r = min(slot0Run(win, valid, hitW), n-i)
+			w = uint64(r) * hitW
+		}
+		tb[0] = x
+		for end := i + r; i < end; i++ {
+			lastVal = lastVal&strideMask + x
+			dst[i] = lastVal
+		}
+		win <<= w
+		valid -= w
+		blLen -= w
+	}
+	copy(c.tb, tb[:])
+	c.frLen += c.blLen - blLen // each FR entry is as wide as its BL twin
+	c.blLen, c.lastVal = blLen, lastVal&strideMask
 	c.pos += n
 	return n
 }
 
-// PrevN is Prev unrolled over a batch (see NextN); dst is filled in
-// traversal order, dst[i] holding the value at the original Pos()-1-i.
+// PrevN is NextN backward over FR (see NextN); dst is filled in traversal
+// order, dst[i] holding the value at the original Pos()-1-i. Each FR entry
+// popped gives BL back its twin, as wide: a slot-0 run is slot-0 hits in BL
+// too.
 func (c *lastNCursor) PrevN(dst []uint32) int {
-	n := c.pos
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n := min(len(dst), c.pos)
 	if n <= 0 {
 		return 0
 	}
 	s := c.s
-	idxBits := s.idxBits
-	tb := c.tb
-	frLen, blLen := c.frLen, c.blLen
-	lastVal := c.lastVal
-	for i := 0; i < n; i++ {
-		x := tb[0]
-		if s.fr.top(frLen, 1) == 1 {
-			frLen--
-			j := int(s.fr.top(frLen, idxBits))
-			frLen -= uint64(idxBits)
-			copy(tb[:j], tb[1:j+1])
+	var tb [8]uint32
+	if s.n > len(tb) {
+		for i := range dst[:n] {
+			dst[i] = c.Prev()
+		}
+		return n
+	}
+	copy(tb[:], c.tb)
+	last, hitW, idxShift, strideMask := s.kernelShape()
+	fr, frLen, lastVal := s.fr, c.frLen, c.lastVal
+	var win, valid uint64
+	for i := 0; i < n; {
+		if valid < 33 {
+			win, valid = fr.topWindow(frLen)
+		}
+		x, w, r := tb[0], hitW, 1
+		if win>>63 == 0 { // the evicted value returns to the back
+			for k := 0; k < last; k++ {
+				tb[k] = tb[k+1]
+			}
+			tb[last], w = uint32(win>>31), 33
+		} else if j := int(win>>idxShift) & last; j > 0 {
+			for k := 0; k < j; k++ {
+				tb[k] = tb[k+1]
+			}
 			tb[j] = x
 		} else {
-			frLen--
-			evicted := s.fr.top(frLen, 32)
-			frLen -= 32
-			copy(tb[:s.n-1], tb[1:])
-			tb[s.n-1] = evicted
+			r = min(slot0Run(win, valid, hitW), n-i)
+			w = uint64(r) * hitW
 		}
-		ref := uint64(33)
-		for _, v := range tb {
-			if v == x {
-				ref = uint64(idxBits) + 1
-				break
-			}
+		for end := i + r; i < end; i++ {
+			dst[i] = lastVal&strideMask | x&^strideMask
+			lastVal -= x & strideMask
 		}
-		blLen += ref
-		if s.stride {
-			v := lastVal
-			lastVal = v - x
-			dst[i] = v
-		} else {
-			dst[i] = x
-		}
+		win <<= w
+		valid -= w
+		frLen -= w
 	}
-	c.frLen, c.blLen, c.lastVal = frLen, blLen, lastVal
+	copy(c.tb, tb[:])
+	c.blLen += c.frLen - frLen
+	c.frLen, c.lastVal = frLen, lastVal
 	c.pos -= n
 	return n
 }
 
-func (c *lastNCursor) restore(ck *lastNCk) {
-	c.pos = ck.pos
-	c.frLen = ck.frLen
-	c.blLen = ck.blLen
+func (c *lastNCursor) restoreNear(i, walk int) bool {
+	ck, cost := c.s.bestCk(i)
+	if ck == nil || cost >= walk {
+		return false
+	}
+	c.pos, c.frLen, c.blLen, c.lastVal = ck.pos, ck.frLen, ck.blLen, ck.lastVal
 	copyOrZero(c.tb, ck.tb)
-	c.lastVal = ck.lastVal
+	return true
 }
 
 func (c *lastNCursor) Seek(i int) {
-	if i < 0 || i > c.s.m {
-		panic(fmt.Sprintf("stream: seek to %d outside [0,%d]", i, c.s.m))
-	}
-	if i == c.pos {
-		noteSeek(c.s.stats, false, 0)
-		return
-	}
-	walk := i - c.pos
-	if walk < 0 {
-		walk = -walk
-	}
-	restored := false
-	if ck, cost := c.s.bestCk(i); ck != nil && cost < walk {
-		c.restore(ck)
-		restored = true
-	}
-	steps := 0
+	startSeek(c, i, c.s.stats)
+	var buf [seekBatch]uint32
 	for c.pos < i {
-		c.Next()
-		steps++
+		c.NextN(buf[:min(i-c.pos, seekBatch)])
 	}
 	for c.pos > i {
-		c.Prev()
-		steps++
+		c.PrevN(buf[:min(c.pos-i, seekBatch)])
 	}
-	noteSeek(c.s.stats, restored, steps)
 }
 
 // --- verbatim ---

@@ -419,11 +419,11 @@ func checkLoadAgainstReference(t *testing.T, data []byte, got Stream) {
 	}
 }
 
-// benchVals is 64 Ki values of short strides broken by jumps: the shape of
+// benchVals is m values of short strides broken by jumps: the shape of
 // timestamps and ordinals, where last-n and packed win selection.
-func benchVals() []uint32 {
+func benchVals(m int) []uint32 {
 	rng := rand.New(rand.NewSource(1))
-	vals := make([]uint32, 1<<16)
+	vals := make([]uint32, m)
 	var v uint32
 	for i := range vals {
 		if rng.Intn(8) == 0 {
@@ -439,7 +439,7 @@ func benchVals() []uint32 {
 // BenchmarkEncode is the encode kernels' cost per value (CompressK at the
 // automatic checkpoint spacing).
 func BenchmarkEncode(b *testing.B) {
-	vals := benchVals()
+	vals := benchVals(1 << 16)
 	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 8}, {KindPacked, 0}} {
 		b.Run(spec.String(), func(b *testing.B) {
 			b.ReportAllocs()
@@ -451,25 +451,30 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadStream is the load kernels on benchVals (short slot-0 runs)
+// and on a ramp broken every 1000 values (long ones).
 func BenchmarkLoadStream(b *testing.B) {
-	vals := benchVals()
+	const m = 1 << 16
+	inputs := []namedVals{{"bench", benchVals(m)}, {"ramp", rampVals(rand.New(rand.NewSource(1)), m, 1000)}}
 	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 8}, {KindFCM, 2}, {KindDFCM, 2}} {
-		var buf bytes.Buffer
-		if err := Save(&buf, Compress(vals, spec)); err != nil {
-			b.Fatal(err)
-		}
-		data := buf.Bytes()
-		b.Run(spec.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(vals)) * 4)
-			for i := 0; i < b.N; i++ {
-				s, _, err := Load(data)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += s.Len()
+		for _, in := range inputs {
+			var buf bytes.Buffer
+			if err := Save(&buf, Compress(in.vals, spec)); err != nil {
+				b.Fatal(err)
 			}
-		})
+			data := buf.Bytes()
+			b.Run(spec.String()+"/"+in.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(m * 4)
+				for i := 0; i < b.N; i++ {
+					s, _, err := Load(data)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink += s.Len()
+				}
+			})
+		}
 	}
 }
 
