@@ -109,9 +109,9 @@ type FidelityReport struct {
 	// LostCapabilities lists the Cap* identifiers no longer answerable.
 	LostCapabilities []string `json:"lost_capabilities,omitempty"`
 
-	idxOnce   sync.Once
-	groupIdx  map[[2]int]bool
-	edgeIdx   map[int]bool
+	idxOnce  sync.Once
+	groupIdx map[[2]int]bool
+	edgeIdx  map[int]bool
 }
 
 // Degraded reports whether the freeze had to shed anything: false means

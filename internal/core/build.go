@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
-	"strings"
 
 	"wet/internal/interp"
 	"wet/internal/ir"
@@ -435,45 +435,54 @@ func mix(h, x uint64) uint64 {
 	return h ^ h>>32
 }
 
-// node returns (creating on first execution) the WET node for a path.
+// node returns (creating on first execution) the WET node for a path: the
+// static side from newNode, then the builder's width checks and indexes.
 func (b *Builder) node(fn int, pathID int64) (*Node, error) {
 	k := nodeKey{fn, pathID}
 	if idx, ok := b.nodeIdx[k]; ok {
 		return b.w.Nodes[idx], nil
 	}
-	blocks, err := b.static.Paths[fn].Blocks(pathID)
+	n, err := newNode(b.static, len(b.w.Nodes), fn, pathID)
 	if err != nil {
 		return nil, err
 	}
-	f := b.prog.Funcs[fn]
-	n := &Node{ID: len(b.w.Nodes), Fn: fn, PathID: pathID, Blocks: blocks, stmtPos: map[int]int{}}
 	var uses []ir.Reg
-	for _, bid := range blocks {
-		for _, s := range f.Blocks[bid].Stmts {
-			// Operands: the register uses, plus the memory-carried producer
-			// of a load. opIdx must fit packEdgeKey's 4-bit field.
-			uses = s.Uses(uses[:0])
-			ops := len(uses)
-			if s.Op == ir.OpLoad || s.Op == ir.OpLoadSh {
-				ops++
-			}
-			if ops > maxOperands {
-				return nil, fmt.Errorf("core: [%d]%s has %d register operands, the edge key holds %d", s.ID, s, ops, maxOperands)
-			}
-			n.stmtPos[s.ID] = len(n.Stmts)
-			b.w.StmtOcc[s.ID] = append(b.w.StmtOcc[s.ID], StmtRef{Node: n.ID, Pos: len(n.Stmts)})
-			n.Stmts = append(n.Stmts, s)
+	for pos, s := range n.Stmts {
+		// Operands: the register uses, plus the memory-carried producer of a
+		// load. opIdx must fit packEdgeKey's 4-bit field.
+		uses = s.Uses(uses[:0])
+		ops := len(uses)
+		if s.Op == ir.OpLoad || s.Op == ir.OpLoadSh {
+			ops++
 		}
+		if ops > maxOperands {
+			return nil, fmt.Errorf("core: [%d]%s has %d register operands, the edge key holds %d", s.ID, s, ops, maxOperands)
+		}
+		b.w.StmtOcc[s.ID] = append(b.w.StmtOcc[s.ID], StmtRef{Node: n.ID, Pos: pos})
 	}
 	if n.ID >= 1<<16 || len(n.Stmts) > 1<<12 {
 		return nil, fmt.Errorf("core: node %d (%d statements) exceeds packed location widths", n.ID, len(n.Stmts))
 	}
 	b.slots = append(b.slots, nil)
-	n.InEdges = make([][]int, len(n.Stmts))
-	n.OutEdges = make([][]int, len(n.Stmts))
-	formGroups(n)
 	b.w.Nodes = append(b.w.Nodes, n)
 	b.nodeIdx[k] = n.ID
+	return n, nil
+}
+
+// newNode builds the static side of the WET node for path pathID of
+// function fn, its statements and value groups, for the builder and for
+// RestoreNode alike. Edge adjacency waits for every edge (indexEdges).
+func newNode(st *interp.Static, id, fn int, pathID int64) (*Node, error) {
+	blocks, err := st.Paths[fn].Blocks(pathID)
+	if err != nil {
+		return nil, err
+	}
+	f := st.Prog.Funcs[fn]
+	n := &Node{ID: id, Fn: fn, PathID: pathID, Blocks: blocks}
+	for _, bid := range blocks {
+		n.Stmts = append(n.Stmts, f.Blocks[bid].Stmts...)
+	}
+	formGroups(n, f.NumRegs)
 	return n, nil
 }
 
@@ -490,144 +499,172 @@ func isInputClass(op ir.Op) bool {
 // compute each statement's transitive input set, group statements with
 // identical sets, merge proper-subset groups into their (smallest)
 // superset, and derive the runtime key-extraction plan.
-func formGroups(n *Node) {
-	type set = map[string]InputElem
-	sets := make([]set, len(n.Stmts))
-	lastDef := map[ir.Reg]int{}
-	// extUser[r] remembers the first direct external use of register r:
-	// (position, ddVals index), for the key plan.
-	type use struct{ pos, ddIdx int }
-	extUser := map[ir.Reg]use{}
-
+//
+// The node's input elements are numbered once, in InputElem.String order
+// (ext:r… before src@…, numbers compared as decimal strings), so an input
+// set is a bitset listing its elements sorted: a union is an OR, identical
+// sets meet in a table hashed on their words, and a is a proper subset of b
+// when it has fewer bits and none outside b.
+func formGroups(n *Node, numRegs int) {
+	stmts := n.Stmts
+	// walk calls use on each register operand of each non-input statement,
+	// with the register's latest definition before it (-1: external input).
+	lastDef := make([]int32, numRegs) // position plus one, 0 for none
 	var uses []ir.Reg
-	for p, s := range n.Stmts {
-		sp := set{}
-		if isInputClass(s.Op) {
-			el := InputElem{Src: p}
-			sp[el.String()] = el
-		} else {
-			uses = s.Uses(uses[:0])
-			for ui, r := range uses {
-				if q, ok := lastDef[r]; ok {
-					for k, v := range sets[q] {
-						sp[k] = v
-					}
-				} else {
-					el := InputElem{Ext: r, Src: -1}
-					sp[el.String()] = el
-					if _, seen := extUser[r]; !seen {
-						extUser[r] = use{pos: p, ddIdx: ui}
-					}
+	walk := func(use func(p, ui int, r ir.Reg, def int32)) {
+		clear(lastDef)
+		for p, s := range stmts {
+			if !isInputClass(s.Op) {
+				uses = s.Uses(uses[:0])
+				for ui, r := range uses {
+					use(p, ui, r, lastDef[r]-1)
 				}
 			}
-		}
-		sets[p] = sp
-		if s.Op.HasDef() && s.Dest != ir.NoReg {
-			lastDef[s.Dest] = p
-		}
-	}
-
-	// Group by canonical set key.
-	canon := func(sp set) string {
-		ks := make([]string, 0, len(sp))
-		for k := range sp {
-			ks = append(ks, k)
-		}
-		sort.Strings(ks)
-		return strings.Join(ks, ",")
-	}
-	groupAt := map[string]*Group{}
-	var order []string
-	for p := range n.Stmts {
-		key := canon(sets[p])
-		g, ok := groupAt[key]
-		if !ok {
-			g = &Group{}
-			for _, el := range sets[p] {
-				g.Inputs = append(g.Inputs, el)
+			if s.Op.HasDef() && s.Dest != ir.NoReg {
+				lastDef[s.Dest] = int32(p + 1)
 			}
-			sort.Slice(g.Inputs, func(i, j int) bool { return g.Inputs[i].String() < g.Inputs[j].String() })
-			groupAt[key] = g
-			order = append(order, key)
 		}
-		g.Members = append(g.Members, p)
 	}
 
-	// Merge proper-subset groups into their smallest superset.
-	subsetOf := func(a, b *Group) bool {
-		if len(a.Inputs) >= len(b.Inputs) {
+	// The elements: each external register with its first read (the key plan
+	// picks the element's value up there), and each input-class statement.
+	type element struct {
+		in   InputElem
+		plan keySource
+	}
+	var elems []element
+	extOf := make([]int, numRegs) // r's element plus one, 0 for none
+	walk(func(p, ui int, r ir.Reg, def int32) {
+		if def < 0 && extOf[r] == 0 {
+			extOf[r] = 1
+			elems = append(elems, element{InputElem{Ext: r, Src: -1}, keySource{p, ui}})
+		}
+	})
+	for p, s := range stmts {
+		if isInputClass(s.Op) {
+			elems = append(elems, element{InputElem{Src: p}, keySource{p, -1}})
+		}
+	}
+	// InputElem.String order: ext:r… (Src -1) before src@…, then the number
+	// (Ext is 0 on a src@) as a decimal string.
+	num := func(e InputElem) int { return max(e.Src, int(e.Ext)) }
+	slices.SortFunc(elems, func(a, b element) int {
+		return cmp.Or(cmp.Compare(min(a.in.Src, 0), min(b.in.Src, 0)), decCmp(num(a.in), num(b.in)))
+	})
+
+	// Each position's transitive input set: an input-class statement's own
+	// bit, else the union of its operands' definitions and external inputs.
+	words := (len(elems) + 63) / 64
+	sets := make([]uint64, len(stmts)*words)
+	set := func(p int32) []uint64 { return sets[int(p)*words : int(p+1)*words] }
+	setBit := func(p, bit int) { sets[p*words+bit/64] |= 1 << (bit % 64) }
+	for i, e := range elems {
+		if e.in.Src >= 0 {
+			setBit(e.in.Src, i)
+		} else {
+			extOf[e.in.Ext] = i + 1
+		}
+	}
+	walk(func(p, _ int, r ir.Reg, def int32) {
+		if def < 0 {
+			setBit(p, extOf[r]-1)
+			return
+		}
+		for i, x := range set(def) {
+			sets[p*words+i] |= x
+		}
+	})
+
+	// Identical sets form one group, numbered in first-seen order by a tuple
+	// table over their words: gid[p] is position p's group, ids.tuple(g) its set.
+	ids := &tupleTable{w: words, index: make([]uint32, 4)}
+	gid := make([]uint32, len(stmts))
+	for p := range int32(len(stmts)) {
+		gid[p], _ = ids.intern(set(p))
+	}
+
+	// Merge proper-subset groups into their smallest superset: in a stable
+	// sort by set size, so chains collapse upward, the first larger set that
+	// holds every bit. root[g] is the kept group g ends in, found walking the
+	// order backward: a merge target comes later in it.
+	ng := int(ids.n)
+	size, order, root := make([]int, ng), make([]uint32, ng), make([]uint32, ng)
+	for g := range order {
+		for _, x := range ids.tuple(uint32(g)) {
+			size[g] += bits.OnesCount64(x)
+		}
+		order[g] = uint32(g)
+	}
+	slices.SortStableFunc(order, func(a, b uint32) int { return cmp.Compare(size[a], size[b]) })
+	for i := ng - 1; i >= 0; i-- {
+		g := order[i]
+		root[g] = g
+		for _, h := range order[i+1:] {
+			if size[g] < size[h] && subset(ids.tuple(g), ids.tuple(h)) {
+				root[g] = root[h]
+				break
+			}
+		}
+	}
+
+	// The kept groups, in the sorted order, with their inputs and key plan in
+	// bit order; kept[g] is kept group g's index.
+	kept := make([]int, ng)
+	for _, g := range order {
+		if root[g] != g {
+			continue
+		}
+		kept[g] = len(n.Groups)
+		gr := &Group{valIdx: make([]int32, len(stmts))}
+		for i := range gr.valIdx {
+			gr.valIdx[i] = -1
+		}
+		for w, x := range ids.tuple(g) {
+			for ; x != 0; x &= x - 1 {
+				e := elems[64*w+bits.TrailingZeros64(x)]
+				gr.Inputs, gr.keyPlan = append(gr.Inputs, e.in), append(gr.keyPlan, e.plan)
+			}
+		}
+		n.Groups = append(n.Groups, gr)
+	}
+
+	// Members ascending; the value members among them, with their index.
+	n.GroupOf = make([]int, len(stmts))
+	for p, s := range stmts {
+		n.GroupOf[p] = kept[root[gid[p]]]
+		g := n.Groups[n.GroupOf[p]]
+		g.Members = append(g.Members, p)
+		if s.Op.HasDef() && s.Dest != ir.NoReg {
+			g.valIdx[p] = int32(len(g.ValMembers))
+			g.ValMembers = append(g.ValMembers, p)
+			g.UVals = append(g.UVals, nil)
+		}
+	}
+}
+
+// subset reports whether every bit of a is set in b.
+func subset(a, b []uint64) bool {
+	for i, x := range a {
+		if x&^b[i] != 0 {
 			return false
 		}
-		have := map[string]bool{}
-		for _, el := range b.Inputs {
-			have[el.String()] = true
-		}
-		for _, el := range a.Inputs {
-			if !have[el.String()] {
-				return false
-			}
-		}
-		return true
 	}
-	merged := map[string]bool{}
-	// Process in increasing input-set size so chains collapse upward.
-	sort.SliceStable(order, func(i, j int) bool {
-		return len(groupAt[order[i]].Inputs) < len(groupAt[order[j]].Inputs)
-	})
-	for _, key := range order {
-		g := groupAt[key]
-		if merged[key] {
-			continue
-		}
-		var best *Group
-		for _, key2 := range order {
-			if key2 == key || merged[key2] {
-				continue
-			}
-			h := groupAt[key2]
-			if subsetOf(g, h) && (best == nil || len(h.Inputs) < len(best.Inputs)) {
-				best = h
-			}
-		}
-		if best != nil {
-			best.Members = append(best.Members, g.Members...)
-			merged[key] = true
-		}
-	}
+	return true
+}
 
-	// Finalize groups: sort members, find def members, build key plans.
-	n.GroupOf = make([]int, len(n.Stmts))
-	for _, key := range order {
-		if merged[key] {
-			continue
+// decCmp orders non-negative integers as their decimal strings sort: scaled
+// to one digit count, a tie means the shorter is a prefix, which sorts first.
+func decCmp(a, b int) int {
+	x, y := a, b
+	for p := 10; p <= max(a, b); p *= 10 {
+		if a < p {
+			x *= 10
 		}
-		g := groupAt[key]
-		sort.Ints(g.Members)
-		g.valIdx = make([]int32, len(n.Stmts))
-		for i := range g.valIdx {
-			g.valIdx[i] = -1
+		if b < p {
+			y *= 10
 		}
-		for _, pos := range g.Members {
-			n.GroupOf[pos] = len(n.Groups)
-			if n.Stmts[pos].Op.HasDef() && n.Stmts[pos].Dest != ir.NoReg {
-				g.valIdx[pos] = int32(len(g.ValMembers))
-				g.ValMembers = append(g.ValMembers, pos)
-				g.UVals = append(g.UVals, nil)
-			}
-		}
-		for _, el := range g.Inputs {
-			if el.Src >= 0 {
-				g.keyPlan = append(g.keyPlan, keySource{pos: el.Src, ddIdx: -1})
-			} else {
-				u, ok := extUser[el.Ext]
-				if !ok {
-					panic(fmt.Sprintf("core: no direct user for input %s in node", el))
-				}
-				g.keyPlan = append(g.keyPlan, keySource{pos: u.pos, ddIdx: u.ddIdx})
-			}
-		}
-		n.Groups = append(n.Groups, g)
 	}
+	return cmp.Or(cmp.Compare(x, y), cmp.Compare(a, b))
 }
 
 // Finish validates and returns the built WET (tier-1 labeled, not frozen).
@@ -645,15 +682,12 @@ func (b *Builder) Finish() (*WET, error) {
 	w.Time = b.time
 	// Tier-1 queries and FreezeErr read plain label slices: store what the
 	// builder only counted. Then fill edge adjacency.
-	for i, e := range w.Edges {
+	for i := range w.Edges {
 		if !b.ramps[i].stored {
 			b.materialise(i, 0, 0)
 		}
-		dst := w.Nodes[e.DstNode]
-		dst.InEdges[e.DstPos] = append(dst.InEdges[e.DstPos], i)
-		src := w.Nodes[e.SrcNode]
-		src.OutEdges[e.SrcPos] = append(src.OutEdges[e.SrcPos], i)
 	}
+	w.indexEdges()
 	// Release instance records.
 	b.instLoc = nil
 	return w, nil

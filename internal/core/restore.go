@@ -10,24 +10,9 @@ import (
 
 // RestoreNode rebuilds the static side of a WET node (statement list,
 // positions, value groups) for a path, as deserializers need: the dynamic
-// labels are attached afterwards. It mirrors Builder.node.
+// labels are attached afterwards. It is the builder's constructor, newNode.
 func RestoreNode(st *interp.Static, id, fn int, pathID int64) (*Node, error) {
-	blocks, err := st.Paths[fn].Blocks(pathID)
-	if err != nil {
-		return nil, err
-	}
-	f := st.Prog.Funcs[fn]
-	n := &Node{ID: id, Fn: fn, PathID: pathID, Blocks: blocks, stmtPos: map[int]int{}}
-	for _, bid := range blocks {
-		for _, s := range f.Blocks[bid].Stmts {
-			n.stmtPos[s.ID] = len(n.Stmts)
-			n.Stmts = append(n.Stmts, s)
-		}
-	}
-	n.InEdges = make([][]int, len(n.Stmts))
-	n.OutEdges = make([][]int, len(n.Stmts))
-	formGroups(n)
-	return n, nil
+	return newNode(st, id, fn, pathID)
 }
 
 // RestoreUniqueKeys records the unique-input-tuple count of a deserialized
@@ -40,15 +25,14 @@ func (g *Group) RestoreUniqueKeys(n int) {
 // edge adjacency) of a deserialized WET and marks it frozen.
 func (w *WET) RestoreIndexes(rep *SizeReport) {
 	w.StmtOcc = make([][]StmtRef, len(w.Prog.Stmts))
-	for _, n := range w.Nodes {
-		for pos, s := range n.Stmts {
-			w.StmtOcc[s.ID] = append(w.StmtOcc[s.ID], StmtRef{Node: n.ID, Pos: pos})
+	fill(w.StmtOcc, func(emit func(int, StmtRef)) {
+		for _, n := range w.Nodes {
+			for pos, s := range n.Stmts {
+				emit(s.ID, StmtRef{Node: n.ID, Pos: pos})
+			}
 		}
-	}
-	for i, e := range w.Edges {
-		w.Nodes[e.DstNode].InEdges[e.DstPos] = append(w.Nodes[e.DstNode].InEdges[e.DstPos], i)
-		w.Nodes[e.SrcNode].OutEdges[e.SrcPos] = append(w.Nodes[e.SrcNode].OutEdges[e.SrcPos], i)
-	}
+	})
+	w.indexEdges()
 	w.frozen = true
 	w.report = rep
 	if rep != nil {
@@ -56,6 +40,42 @@ func (w *WET) RestoreIndexes(rep *SizeReport) {
 		// refresh the report's view of their cost.
 		rep.CheckpointBytes = w.checkpointBytes()
 	}
+}
+
+// indexEdges gives every node its InEdges/OutEdges lists, in edge order.
+func (w *WET) indexEdges() {
+	base := make([]int, len(w.Nodes)+1) // each node's first position, flat
+	for i, n := range w.Nodes {
+		base[i+1] = base[i] + len(n.Stmts)
+	}
+	npos := base[len(w.Nodes)]
+	adj := make([][]int, 2*npos) // in-lists, then out-lists
+	fill(adj, func(emit func(int, int)) {
+		for i, e := range w.Edges {
+			emit(base[e.DstNode]+e.DstPos, i)
+			emit(npos+base[e.SrcNode]+e.SrcPos, i)
+		}
+	})
+	in, out := adj[:npos:npos], adj[npos:]
+	for i, n := range w.Nodes {
+		n.InEdges, n.OutEdges = in[base[i]:base[i+1]:base[i+1]], out[base[i]:base[i+1]:base[i+1]]
+	}
+}
+
+// fill appends every item each emits to lists[key], in emission order. It
+// runs each twice, to count and then to fill capacity-exact windows of one
+// array, so no list regrows; a list with no items stays nil.
+func fill[T any](lists [][]T, each func(emit func(key int, item T))) {
+	counts := make([]int32, len(lists))
+	n := 0
+	each(func(k int, _ T) { counts[k]++; n++ })
+	backing := make([]T, n)
+	for k, c := range counts {
+		if c > 0 {
+			lists[k], backing = backing[:0:c], backing[c:]
+		}
+	}
+	each(func(k int, v T) { lists[k] = append(lists[k], v) })
 }
 
 // MaterializeTier1Ctx rehydrates the tier-1 slices of a frozen WET by

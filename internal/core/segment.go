@@ -416,12 +416,7 @@ func (b *Builder) FinishStreaming() (*WET, error) {
 	if err := b.finishStreaming(); err != nil {
 		return nil, err
 	}
-	for i, e := range w.Edges {
-		dst := w.Nodes[e.DstNode]
-		dst.InEdges[e.DstPos] = append(dst.InEdges[e.DstPos], i)
-		src := w.Nodes[e.SrcNode]
-		src.OutEdges[e.SrcPos] = append(src.OutEdges[e.SrcPos], i)
-	}
+	w.indexEdges()
 	b.instLoc = nil
 	return w, nil
 }

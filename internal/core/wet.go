@@ -188,8 +188,6 @@ type Node struct {
 	Blocks []int
 	Stmts  []*ir.Stmt
 
-	stmtPos map[int]int // static stmt ID -> position
-
 	Execs int
 	// TS holds the global timestamp of each execution (tier-1).
 	TS []uint32
@@ -215,8 +213,10 @@ type Node struct {
 
 // PosOf returns the node position of static statement id, or -1.
 func (n *Node) PosOf(stmtID int) int {
-	if p, ok := n.stmtPos[stmtID]; ok {
-		return p
+	for p, s := range n.Stmts {
+		if s.ID == stmtID {
+			return p
+		}
 	}
 	return -1
 }

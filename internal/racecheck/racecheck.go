@@ -176,10 +176,10 @@ type checker struct {
 	clocks []vc // full happens-before clocks, per thread
 	fj     []vc // fork-join-only clocks, per thread
 
-	lockClock map[uint32]vc       // per-lock release clock
-	held      map[int32][]uint32  // per-thread sorted lockset
-	cells     map[uint32]*cell    // per-address access frontier
-	seen      map[raceKey]bool    // dedup
+	lockClock map[uint32]vc      // per-lock release clock
+	held      map[int32][]uint32 // per-thread sorted lockset
+	cells     map[uint32]*cell   // per-address access frontier
+	seen      map[raceKey]bool   // dedup
 	races     []Race
 }
 

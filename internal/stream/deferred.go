@@ -103,6 +103,17 @@ type residentState struct {
 // handed — for a container, the whole file. Call before the stream is shared.
 func (e *Evictable) Own() { e.raw = bytes.Clone(e.raw) }
 
+// Own gives a stream Scan returned a private copy of the bytes it views (an
+// Evictable's or a packed stream's); call it before the stream is shared.
+func Own(s Stream) {
+	switch t := s.(type) {
+	case *Evictable:
+		t.Own()
+	case *packed:
+		t.data = bytes.Clone(t.data)
+	}
+}
+
 // SetHooks installs the residency observer. Call before the stream is
 // shared across goroutines.
 func (e *Evictable) SetHooks(h ResidencyHooks) { e.hooks = h }

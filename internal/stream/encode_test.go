@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -97,7 +98,16 @@ func refPacked(vals []uint32) *packed {
 	for _, v := range vals {
 		bs.pushBits(v, width)
 	}
-	return &packed{width: width, m: len(vals), data: bs.freeze()}
+	return &packed{width: width, m: len(vals), data: wordBytes(bs.freeze().words)}
+}
+
+// wordBytes is words as little-endian bytes (nil for none).
+func wordBytes(words []uint64) []byte {
+	var b []byte
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
 }
 
 // refEncode is CompressK through the reference encoders.

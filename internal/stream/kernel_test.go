@@ -199,7 +199,8 @@ func lastNSpecs() []Spec {
 
 // TestCursorKernelsMatchSteps drives the six last-n specs over every kernel
 // input at lengths around a 64-bit word and one long stream, through random
-// scripts of NextN/PrevN, Seek, Next and Prev.
+// scripts of NextN/PrevN, Seek, Next and Prev; then packed streams (see
+// packedKernelCases).
 func TestCursorKernelsMatchSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for _, m := range []int{0, 1, 63, 64, 65, 200_000} {
@@ -210,6 +211,64 @@ func TestCursorKernelsMatchSteps(t *testing.T) {
 			}
 		}
 	}
+	for _, c := range packedKernelCases(t, rng) {
+		runScript(t, c.name, c.s, c.vals, randomScript(rng, len(c.vals), 40))
+	}
+}
+
+type packedCase struct {
+	name string
+	s    Stream
+	vals []uint32
+}
+
+// packedKernelCases is every length up to 300 and one long stream at widths
+// 0, 1, 7, 8, 31 and 32, so the last value starts both inside the payload's
+// final 8 bytes (read from the last word) and just before them (one
+// unaligned load); each stream as Compress builds it, reloaded by Load (a
+// copy) and by Scan (a view of the saved bytes).
+func packedKernelCases(t *testing.T, rng *rand.Rand) []packedCase {
+	lengths := []int{100_000}
+	for m := range 301 {
+		lengths = append(lengths, m)
+	}
+	var out []packedCase
+	for _, width := range []uint{0, 1, 7, 8, 31, 32} {
+		inTail, beforeTail := 0, 0
+		for _, m := range lengths {
+			vals := packedVals(rng, m, width)
+			built := Compress(vals, Spec{KindPacked, 0})
+			if size := len(built.(*packed).data); m > 0 && width > 0 {
+				if start := (m - 1) * int(width) / 8; start > size-8 {
+					inTail++
+				} else if start == size-8 {
+					beforeTail++
+				}
+			}
+			var buf bytes.Buffer
+			if err := Save(&buf, built); err != nil {
+				t.Fatal(err)
+			}
+			loaded, _, err := Load(buf.Bytes())
+			if err != nil {
+				t.Fatalf("packed%d/%d: Load: %v", width, m, err)
+			}
+			scanned, _, err := Scan(buf.Bytes())
+			if err != nil {
+				t.Fatalf("packed%d/%d: Scan: %v", width, m, err)
+			}
+			for _, s := range []struct {
+				how string
+				s   Stream
+			}{{"built", built}, {"load", loaded}, {"scan", scanned}} {
+				out = append(out, packedCase{fmt.Sprintf("packed%d/%d/%s", width, m, s.how), s.s, vals})
+			}
+		}
+		if width > 0 && (inTail == 0 || beforeTail == 0) {
+			t.Fatalf("packed%d: %d lengths end inside the last 8 bytes, %d just before them; want both", width, inTail, beforeTail)
+		}
+	}
+	return out
 }
 
 // TestLoadRunsStraddleCheckpoints: streams whose slot-0 runs cross every
@@ -301,11 +360,12 @@ func FuzzCursor(f *testing.F) {
 }
 
 // BenchmarkCursor is the batched kernels' cost per value over a whole
-// stream, in 64-value batches: benchVals has short runs, rampVals long ones.
+// stream, in 64-value batches: benchVals has short runs, rampVals long ones
+// (packed reads them at 13 and 32 bits a value).
 func BenchmarkCursor(b *testing.B) {
 	const m = 1 << 16
 	inputs := []namedVals{{"bench", benchVals(m)}, {"ramp", rampVals(rand.New(rand.NewSource(1)), m, 1000)}}
-	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 2}, {KindLastNStride, 8}} {
+	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 2}, {KindLastNStride, 8}, {KindPacked, 0}} {
 		for _, in := range inputs {
 			c := Compress(in.vals, spec).NewCursor()
 			var buf [64]uint32

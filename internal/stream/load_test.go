@@ -135,7 +135,10 @@ func diffStreams(got, want Stream) error {
 		if g.m != w.m || g.width != w.width {
 			return fmt.Errorf("shape (%d,%d), want (%d,%d)", g.m, g.width, w.m, w.width)
 		}
-		return diffBitvec("data", g.data, w.data)
+		if !bytes.Equal(g.data, w.data) {
+			return fmt.Errorf("data %x, want %x", g.data, w.data)
+		}
+		return nil
 	case *lastNStream:
 		g, ok := got.(*lastNStream)
 		if !ok {

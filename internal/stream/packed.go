@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -10,8 +11,10 @@ import (
 // random access and is the natural encoding for tier-1 pattern index
 // sequences, so it participates in method selection alongside the
 // predictors. The payload is immutable; cursors carry only a position.
+// data is the payload as Save writes it, value i at bits [i*width,
+// (i+1)*width) of little-endian words: a view of Scan's buffer, else a copy.
 type packed struct {
-	data  bitvec
+	data  []byte
 	width uint
 	m     int
 	stats *SeekCounters
@@ -27,16 +30,22 @@ func newPacked(vals []uint32) *packed {
 		}
 	}
 	width := uint64(bits.Len32(max))
-	n := uint64(len(vals)) * width
-	var bw bitWriter
-	if n > 0 {
-		bw.words = make([]uint64, (n+63)/64)
-	}
+	p := &packed{width: uint(width), m: len(vals), data: make([]byte, (uint64(len(vals))*width+63)/64*8)}
+	var acc, pend uint64 // pend low bits of acc are laid out but not stored
+	at := 0
 	for _, v := range vals {
-		bw.put(uint64(v), width)
+		acc |= uint64(v) << pend
+		if pend += width; pend >= 64 {
+			binary.LittleEndian.PutUint64(p.data[at:], acc)
+			at += 8
+			pend -= 64
+			acc = uint64(v) >> (width - pend)
+		}
 	}
-	bw.flush()
-	return &packed{width: uint(width), m: len(vals), data: bitvec{words: bw.words, n: n}}
+	if pend > 0 {
+		binary.LittleEndian.PutUint64(p.data[at:], acc)
+	}
+	return p
 }
 
 func (p *packed) Len() int               { return p.m }
@@ -48,6 +57,21 @@ func (p *packed) SizeBits() uint64 {
 }
 
 func (p *packed) NewCursor() Cursor { return &packedCursor{p: p} }
+
+// at reads the value at bit b. It has at most 32 bits and starts inside a
+// byte, so the 8 bytes from its first hold it: one unaligned load. Only one
+// starting in the payload's last 8 bytes has fewer, and lies in the last word.
+func (p *packed) at(b uint64) uint32 {
+	mask := uint64(1)<<p.width - 1
+	k, last := int(b>>3), len(p.data)-8
+	if k <= last {
+		return uint32(binary.LittleEndian.Uint64(p.data[k:k+8]) >> (b & 7) & mask)
+	}
+	if last < 0 {
+		return 0 // width 0: there is no payload
+	}
+	return uint32(binary.LittleEndian.Uint64(p.data[last:]) >> (b - uint64(last)*8) & mask)
+}
 
 type packedCursor struct {
 	p   *packed
@@ -66,7 +90,7 @@ func (c *packedCursor) Next() uint32 {
 	if c.pos >= c.p.m {
 		panic("stream: Next past end")
 	}
-	v := c.p.data.get(uint64(c.pos)*uint64(c.p.width), c.p.width)
+	v := c.p.at(uint64(c.pos) * uint64(c.p.width))
 	c.pos++
 	return v
 }
@@ -76,39 +100,42 @@ func (c *packedCursor) Prev() uint32 {
 		panic("stream: Prev past start")
 	}
 	c.pos--
-	return c.p.data.get(uint64(c.pos)*uint64(c.p.width), c.p.width)
+	return c.p.at(uint64(c.pos) * uint64(c.p.width))
 }
 
 func (c *packedCursor) NextN(dst []uint32) int {
-	n := c.p.m - c.pos
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n := min(len(dst), c.p.m-c.pos)
 	if n <= 0 {
 		return 0
 	}
-	width := c.p.width
-	for i := 0; i < n; i++ {
-		dst[i] = c.p.data.get(uint64(c.pos+i)*uint64(width), width)
-	}
+	c.p.read(dst[:n], uint64(c.pos)*uint64(c.p.width), uint64(c.p.width))
 	c.pos += n
 	return n
 }
 
 func (c *packedCursor) PrevN(dst []uint32) int {
-	n := c.pos
-	if n > len(dst) {
-		n = len(dst)
-	}
+	n := min(len(dst), c.pos)
 	if n <= 0 {
 		return 0
 	}
-	width := c.p.width
-	for i := 0; i < n; i++ {
-		dst[i] = c.p.data.get(uint64(c.pos-1-i)*uint64(width), width)
-	}
+	c.p.read(dst[:n], uint64(c.pos-1)*uint64(c.p.width), -uint64(c.p.width))
 	c.pos -= n
 	return n
+}
+
+// read is NextN's and PrevN's kernel: dst[i] gets the value at bit b+i*step
+// (mod 2^64: a negative step walks back). It inlines at's one-load path; an
+// int offset and an 8-byte slice leave it one bounds check (20% a value).
+func (p *packed) read(dst []uint32, b, step uint64) {
+	data, mask, lim := p.data, uint64(1)<<p.width-1, len(p.data)-8
+	for i := range dst {
+		if k := int(b >> 3); k <= lim {
+			dst[i] = uint32(binary.LittleEndian.Uint64(data[k:k+8]) >> (b & 7) & mask)
+		} else {
+			dst[i] = p.at(b)
+		}
+		b += step
+	}
 }
 
 func (c *packedCursor) Seek(i int) {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -57,8 +58,9 @@ func Load(b []byte) (Stream, int, error) { return decode(b, false) }
 // as *Evictable streams that keep their serialized bytes — a view of b, which
 // must not change afterwards, until Own copies it — and Load them on first
 // NewCursor, single-flight, so concurrent first touches materialize once.
-// Verbatim and packed streams, which have no normalization cost (their
-// decoded form is their payload), are returned materialized.
+// Packed streams, which have no normalization cost (their payload is read in
+// place), are returned ready but as views of b too, until Own copies them.
+// Verbatim streams are returned materialized.
 //
 // Scan performs the same structural validation as Load (every length,
 // count, and table size is checked here), but the traversal certification
@@ -84,7 +86,7 @@ func decode(b []byte, lazy bool) (s Stream, n int, err error) {
 	case KindVerbatim:
 		s, err = loadVerbatim(d)
 	case KindPacked:
-		s, err = loadPacked(d)
+		s, err = loadPacked(d, lazy)
 	case KindFCM, KindDFCM:
 		// A lazy scan checks the structure and steps over the arrays; the
 		// first touch decodes them from the retained bytes.
@@ -260,16 +262,16 @@ func loadVerbatim(d *wire.Dec) (*verbatim, error) {
 }
 
 func (p *packed) save(w io.Writer) error {
-	if err := writeAll(w, uint8(KindPacked), uint32(p.width), uint32(p.m), uint32(0)); err != nil {
+	if err := writeAll(w, uint8(KindPacked), uint32(p.width), uint32(p.m), uint32(0), uint32(len(p.data)/8)); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(p.data.words))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, p.data.words)
+	_, err := w.Write(p.data)
+	return err
 }
 
-func loadPacked(d *wire.Dec) (*packed, error) {
+// loadPacked reads a packed stream whose payload is a view of d's bytes
+// (view) or a copy of them.
+func loadPacked(d *wire.Dec, view bool) (*packed, error) {
 	width, m, pos, nw := d.U32(), d.U32(), d.U32(), d.U32()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -286,11 +288,14 @@ func loadPacked(d *wire.Dec) (*packed, error) {
 	if need := (uint64(m)*uint64(width) + 63) / 64; uint64(nw) < need {
 		return nil, fmt.Errorf("stream: packed payload has %d words, %d values of width %d need %d", nw, m, width, need)
 	}
-	words := d.U64s(int(nw))
+	data := d.Bytes(8 * int(nw))
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	return &packed{width: uint(width), m: int(m), data: bitvec{words: words, n: uint64(m) * uint64(width)}}, nil
+	if !view {
+		data = bytes.Clone(data)
+	}
+	return &packed{width: uint(width), m: int(m), data: data}, nil
 }
 
 func (s *fcmStream) save(w io.Writer) error {

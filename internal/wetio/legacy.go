@@ -59,8 +59,8 @@ func loadV2Body(d *wire.Dec, opts LoadOptions) (*core.WET, *core.SizeReport, err
 	}
 	nEdges := d.Count(1)
 	for i := 0; i < nEdges; i++ {
-		e, err := readEdge(d, wet, i, nEdges, opts.ownedBy("edge", i))
-		if err != nil {
+		e := new(core.Edge)
+		if err := readEdge(d, wet, e, i, nEdges, opts.ownedBy("edge", i)); err != nil {
 			return nil, nil, fmt.Errorf("edge %d: %w", i, err)
 		}
 		wet.Edges = append(wet.Edges, e)

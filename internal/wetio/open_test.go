@@ -7,11 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"wet/internal/core"
 	"wet/internal/query"
+	"wet/internal/stream"
 )
 
 // cfDigest fingerprints a trace as queries observe it: trace length plus
@@ -131,6 +134,101 @@ func TestLazyOpenConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPackedPayloadsViewOnlyLazily pins the view/copy rule packed streams
+// share with Evictable: a lazy open reads packed payloads in place from the
+// drained file buffer, an eager or Segments open reads its own copy. After
+// each open the buffer is inverted; only the lazy open's packed streams may
+// then read differently, and every one of them must.
+func TestPackedPayloadsViewOnlyLazily(t *testing.T) {
+	var v3 bytes.Buffer
+	if err := Save(&v3, buildFrozen(t, "li")); err != nil {
+		t.Fatal(err)
+	}
+	for _, fx := range []struct {
+		name string
+		data []byte
+	}{{"v3", v3.Bytes()}, {"v4", savedStreamedWET(t, "li")}} {
+		for _, c := range []struct {
+			name string
+			opts LoadOptions
+			view bool
+		}{
+			{"eager", LoadOptions{Workers: 1}, false},
+			{"lazy", LoadOptions{Lazy: true}, true},
+			{"segments", LoadOptions{Segments: NewSegmentSource()}, false},
+		} {
+			file := bytes.Clone(fx.data)
+			w, _, err := loadFramed(file, c.opts, fx.name == "v4")
+			if err != nil {
+				t.Fatalf("%s/%s: %v", fx.name, c.name, err)
+			}
+			var packed []stream.Stream
+			for _, s := range wetStreams(w) {
+				if strings.HasPrefix(s.Name(), "packed") && s.Name() != "packed0" && s.Len() > 0 {
+					packed = append(packed, s)
+				}
+			}
+			before := make([][]uint32, len(packed))
+			for i, s := range packed {
+				before[i] = stream.Drain(s)
+			}
+			for i := range file {
+				file[i] ^= 0xff
+			}
+			moved := 0
+			for i, s := range packed {
+				if !slices.Equal(stream.Drain(s), before[i]) {
+					moved++
+				}
+			}
+			want := 0
+			if c.view {
+				want = len(packed)
+			}
+			if len(packed) == 0 || moved != want {
+				t.Errorf("%s/%s: %d of %d packed streams read the inverted buffer, want %d", fx.name, c.name, moved, len(packed), want)
+			}
+		}
+	}
+}
+
+// wetStreams lists every tier-2 stream a loaded WET holds, whole-run and
+// per-epoch.
+func wetStreams(w *core.WET) []stream.Stream {
+	var out []stream.Stream
+	add := func(ss ...stream.Stream) {
+		for _, s := range ss {
+			if s != nil {
+				out = append(out, s)
+			}
+		}
+	}
+	addSegs := func(segs []*core.LabelSeg) {
+		for _, sg := range segs {
+			add(sg.S)
+		}
+	}
+	for _, n := range w.Nodes {
+		add(n.TSS)
+		addSegs(n.TSSegs)
+		for _, g := range n.Groups {
+			add(g.PatternS)
+			add(g.UValS...)
+			addSegs(g.PatSegs)
+			for _, segs := range g.UValSegs {
+				addSegs(segs)
+			}
+		}
+	}
+	for _, e := range w.Edges {
+		add(e.DstS, e.SrcS)
+		for _, sg := range e.Segs {
+			add(sg.DstS, sg.SrcS)
+		}
+	}
+	return out
 }
 
 func mustLoad(t *testing.T, data []byte) *core.WET {

@@ -140,11 +140,11 @@ func writeEdge(w io.Writer, e *core.Edge, segmented bool) error {
 
 // parseRecord runs read over one framed node or edge record under the
 // section's recover boundary and requires it to consume the payload exactly;
-// kind is "node" or "edge".
-func parseRecord(kind string, s *section, id int, opts LoadOptions, read func(*wire.Dec, LoadOptions) error) error {
+// kind is "node" or "edge". d is reset onto the payload: one serves many.
+func parseRecord(kind string, s *section, id int, opts LoadOptions, d *wire.Dec, read func(*wire.Dec, LoadOptions) error) error {
 	opts = opts.ownedBy(kind, id)
 	return guard(kind, id, s.offset, func() error {
-		d := wire.NewDec(s.payload)
+		d.Reset(s.payload)
 		if err := read(d, opts); err != nil {
 			return err
 		}
@@ -298,21 +298,21 @@ func readLabelPair(d *wire.Dec, want int, diagonal bool, opts LoadOptions) (dst,
 	return dst, src, nil
 }
 
-// readEdge decodes edge record id of nEdges against the complete node table.
-func readEdge(d *wire.Dec, wet *core.WET, id, nEdges int, opts LoadOptions) (*core.Edge, error) {
-	e := &core.Edge{
+// readEdge decodes edge record id of nEdges into e against the node table.
+func readEdge(d *wire.Dec, wet *core.WET, e *core.Edge, id, nEdges int, opts LoadOptions) error {
+	*e = core.Edge{
 		Kind: core.EdgeKind(d.U8()), SrcNode: int(d.I32()), SrcPos: int(d.I32()),
 		DstNode: int(d.I32()), DstPos: int(d.I32()), OpIdx: int(d.I32()),
 		Count: int(d.U32()), Inferable: d.U8() == 1, Diagonal: d.U8() == 1,
 		SharedWith: int(d.I32()),
 	}
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := checkEdge(wet, e, nEdges); err != nil {
-		return nil, err
+		return err
 	}
-	return e, readEdgeLabels(d, wet, e, id, opts)
+	return readEdgeLabels(d, wet, e, id, opts)
 }
 
 // readEdgeLabels reads what writeEdgeLabels wrote into e.

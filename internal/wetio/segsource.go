@@ -17,8 +17,8 @@ import (
 // For a v4 container each entry is one epoch segment (the residency grain
 // the epoch-segmented format was built for); for a v2 or v3 container each
 // entry is one whole-run stream. Verbatim and packed streams — whose decoded
-// form is their payload, with no normalization cost to reclaim — load
-// eagerly as before and are not indexed.
+// form is their payload, with no normalization cost to reclaim — are not
+// indexed (packed ones read their own copy of the payload in place).
 //
 // Registration happens concurrently from the section-decode worker pool, so
 // entry order is unspecified.

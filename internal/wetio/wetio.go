@@ -467,9 +467,10 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, *core.Si
 	// Cancellation granularity on the decode fan is one section: a dead
 	// context stops further claims, and its cause surfaces through ctxCause
 	// in loadFramed rather than as a FormatError.
+	decs := make([]wire.Dec, pool.Workers(opts.Workers, max(hdr.nNodes, hdr.nEdges)))
 	nodes := make([]*core.Node, hdr.nNodes)
-	err = pool.Run(ctx, opts.Workers, hdr.nNodes, func(_, i int) error {
-		return parseRecord("node", &nodeSecs[i], i, opts, func(d *wire.Dec, o LoadOptions) (err error) {
+	err = pool.Run(ctx, opts.Workers, hdr.nNodes, func(w, i int) error {
+		return parseRecord("node", &nodeSecs[i], i, opts, &decs[w], func(d *wire.Dec, o LoadOptions) (err error) {
 			nodes[i], err = readNode(d, wet, i, hdr.nNodes, o)
 			return err
 		})
@@ -482,11 +483,12 @@ func parseStrict(secs []section, opts LoadOptions, v4 bool) (*core.WET, *core.Si
 	// Edge decode reads only the (now complete) node table; the v4 share
 	// references point at earlier edges, so they are validated serially in
 	// file order once every slot is filled.
+	slab := make([]core.Edge, hdr.nEdges)
 	edges := make([]*core.Edge, hdr.nEdges)
-	err = pool.Run(ctx, opts.Workers, hdr.nEdges, func(_, i int) error {
-		return parseRecord("edge", &edgeSecs[i], i, opts, func(d *wire.Dec, o LoadOptions) (err error) {
-			edges[i], err = readEdge(d, wet, i, hdr.nEdges, o)
-			return err
+	err = pool.Run(ctx, opts.Workers, hdr.nEdges, func(w, i int) error {
+		edges[i] = &slab[i]
+		return parseRecord("edge", &edgeSecs[i], i, opts, &decs[w], func(d *wire.Dec, o LoadOptions) error {
+			return readEdge(d, wet, edges[i], i, hdr.nEdges, o)
 		})
 	})
 	if err != nil {
@@ -649,13 +651,14 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 	// Node records: a WET's node IDs are their slice indexes, so a damaged
 	// record ends the usable prefix — later records would shift into the
 	// wrong identity.
+	var dec wire.Dec
 	for _, ts := range nodeSecs {
 		if !ts.s.crcOK || ts.orig >= hdr.nNodes || len(wet.Nodes) != ts.orig {
 			drop(ts.s)
 			continue
 		}
 		var n *core.Node
-		nerr := parseRecord("node", ts.s, ts.orig, opts, func(d *wire.Dec, o LoadOptions) (err error) {
+		nerr := parseRecord("node", ts.s, ts.orig, opts, &dec, func(d *wire.Dec, o LoadOptions) (err error) {
 			n, err = readNode(d, wet, ts.orig, hdr.nNodes, o)
 			return err
 		})
@@ -684,10 +687,9 @@ func parseSalvage(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool)
 			drop(ts.s)
 			continue
 		}
-		var e *core.Edge
-		eerr := parseRecord("edge", ts.s, ts.orig, opts, func(d *wire.Dec, o LoadOptions) (err error) {
-			e, err = readEdge(d, wet, ts.orig, hdr.nEdges, o)
-			return err
+		e := new(core.Edge)
+		eerr := parseRecord("edge", ts.s, ts.orig, opts, &dec, func(d *wire.Dec, o LoadOptions) error {
+			return readEdge(d, wet, e, ts.orig, hdr.nEdges, o)
 		})
 		if eerr != nil {
 			drop(ts.s)
@@ -917,9 +919,9 @@ func (o LoadOptions) ownedBy(kind string, id int) LoadOptions {
 // loadStream deserializes the stream at the decoder's position, optionally
 // certifying full traversability (LoadOptions.VerifyStreams) or deferring the
 // decode until first touch (LoadOptions.deferred; structural validation still
-// happens here). A deferred stream keeps a view of the file's bytes; with
-// LoadOptions.Segments it takes its own copy instead and is registered in the
-// segment index, so its decoded state can be dropped and rebuilt later.
+// happens here). A deferred or packed stream keeps a view of the file's bytes;
+// with LoadOptions.Segments it takes its own copy instead, and a deferred one
+// is registered in the segment index, to drop and rebuild its decoded state.
 func loadStream(d *wire.Dec, opts LoadOptions) (stream.Stream, error) {
 	decode := stream.Load
 	if opts.deferred() {
@@ -930,9 +932,11 @@ func loadStream(d *wire.Dec, opts LoadOptions) (stream.Stream, error) {
 		return nil, err
 	}
 	d.Bytes(n)
-	if ev, ok := s.(*stream.Evictable); ok && opts.Segments != nil {
-		ev.Own()
-		opts.Segments.add(opts.segOwner, opts.segEpoch, ev)
+	if opts.Segments != nil && opts.deferred() {
+		stream.Own(s)
+		if ev, ok := s.(*stream.Evictable); ok {
+			opts.Segments.add(opts.segOwner, opts.segEpoch, ev)
+		}
 	}
 	if opts.VerifyStreams {
 		if err := stream.WalkCheck(s); err != nil {

@@ -30,6 +30,10 @@ type Dec struct {
 // NewDec returns a decoder positioned at the start of b.
 func NewDec(b []byte) *Dec { return &Dec{b: b} }
 
+// Reset makes d a fresh decoder over b (no error, Skim off), so one Dec can
+// walk buffer after buffer without an allocation each.
+func (d *Dec) Reset(b []byte) { *d = Dec{b: b} }
+
 // Err is the first short read, or nil.
 func (d *Dec) Err() error { return d.err }
 
