@@ -724,11 +724,3 @@ func Build(st *interp.Static, opts interp.Options) (*WET, *interp.Result, error)
 // Ensure Builder satisfies trace.Sink and its concurrency extension.
 var _ trace.Sink = (*Builder)(nil)
 var _ trace.ConcSink = (*Builder)(nil)
-
-// Ensure the slice cursor satisfies both fast paths like stream cursors
-// satisfy Seq + Seeker.
-var _ Seq = (*sliceSeq)(nil)
-var _ RandomAccess = (*sliceSeq)(nil)
-var _ Seeker = (*sliceSeq)(nil)
-var _ Seq = (stream.Cursor)(nil)
-var _ Seeker = (stream.Cursor)(nil)

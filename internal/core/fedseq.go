@@ -7,68 +7,132 @@ import (
 	"wet/internal/stream"
 )
 
-// fedPart describes one segment's contribution to a federated label
-// sequence: either a tier-2 stream or a synthesized ramp for an inferable
-// edge segment, whose k-th element is ramp+k and needs no storage at all. add
-// is added to every value read from the part — it re-bases a segment's local
-// timestamps to global time (zero for sequences whose stored values are
-// already global: patterns, unique values, edge ordinals).
+// fedPart describes one segment of a federated label sequence: a tier-2
+// stream, or the ramp of an inferable edge segment (element k is ramp+k,
+// stored nowhere). add re-bases every value read from it: a segment's local
+// timestamps to global time, zero elsewhere.
 type fedPart struct {
-	n    int
-	add  uint32
-	s    stream.Stream // nil for a synthesized ramp part
-	ramp uint32        // first value of the ramp when s == nil
+	n, epoch int
+	add      uint32
+	s        stream.Stream // nil for a synthesized ramp part
+	ramp     uint32        // first value of the ramp when s == nil
 }
 
-// fedSeq federates per-epoch segment streams behind the Seq contract: one
-// logical bidirectional cursor over the concatenation of all parts. A part is
-// described on demand, from the WET's own (immutable) segment tables, and its
-// cursor spawned when a read first needs it, so a fedSeq costs its part
-// offsets up front and otherwise what it touches: a query that reads a
-// window of a sequence pays for the segment the window is in, not for a part
-// table over every epoch of the run. Each fedSeq owns its cursors, so the
-// detached-cursor concurrency contract of the factory API carries over
-// unchanged: any number of fedSeqs may traverse one frozen segmented WET
-// concurrently. Sequential Next/Prev runs touch the underlying cursors
-// without seeks; repositioning costs one checkpointed seek inside the target
-// segment.
-type fedSeq struct {
-	part   func(i int) fedPart
-	starts []int // starts[i] = global index of part i's first element
-	pos    int
+// parts names the segments of one federated sequence (timestamps, plain
+// labels, or one side of an edge's labels) and builds nothing: at describes
+// segment i on demand, the one place edge segments are resolved.
+type parts struct {
+	wet    *WET
+	segs   *[]*LabelSeg // a pointer keeps a Window small
+	edge   *Edge        // or the labels of edge, its source side when src is set
+	stride uint32       // segment i's values are re-based by its epoch × stride
+	src    bool
+}
 
-	// The part the last read was in, and its cursor (nil until a read needs
-	// it; always nil for a ramp). Cursors of parts left behind wait in kept,
-	// sorted by part, so coming back resumes where the part was left.
-	pi   int
+func (ps *parts) count() int {
+	if ps.edge != nil {
+		return len(ps.edge.Segs)
+	}
+	return len(*ps.segs)
+}
+
+func (ps *parts) at(i int) fedPart {
+	if ps.edge == nil {
+		sg := (*ps.segs)[i]
+		return fedPart{n: sg.N, epoch: sg.Epoch, s: sg.S, add: uint32(sg.Epoch) * ps.stride}
+	}
+	sg := ps.edge.Segs[i]
+	p := fedPart{n: sg.N, epoch: sg.Epoch, ramp: sg.RampBase}
+	if sg.Inferable {
+		return p
+	}
+	if sg.SharedWith >= 0 {
+		sg = ps.wet.Edges[sg.SharedWith].Segs[sg.SharedSeg]
+	}
+	if p.s = sg.DstS; ps.src && !sg.Diagonal {
+		p.s = sg.SrcS
+	}
+	return p
+}
+
+// span follows one part of a federated sequence and, as a running sum kept
+// for part sumPi and moved to pi only when asked, the global index of its
+// first element: a reader that stays in one segment pays for no other, and
+// none builds a table over every epoch of the run.
+type span struct {
+	parts
+	pi, sumPi, sum int
+}
+
+// start returns the global index of part pi's first element.
+func (s *span) start() int {
+	if s.sumPi != s.pi {
+		s.move()
+	}
+	return s.sum
+}
+
+func (s *span) move() {
+	for ; s.sumPi < s.pi; s.sumPi++ {
+		s.sum += s.at(s.sumPi).n
+	}
+	for ; s.sumPi > s.pi; s.sumPi-- {
+		s.sum -= s.at(s.sumPi - 1).n
+	}
+}
+
+// locate makes the part holding global element i current; i's index in it.
+func (s *span) locate(i int) int {
+	for i < s.start() {
+		s.pi--
+	}
+	for i >= s.start()+s.at(s.pi).n {
+		s.pi++
+	}
+	return i - s.sum
+}
+
+// fedSeq federates per-epoch segments behind the Seq contract: one
+// bidirectional cursor over the concatenation of all parts. A part's cursor
+// is spawned when a read first needs it, so a fedSeq costs the segments it
+// touches; each fedSeq owns its cursors, so any number may traverse one
+// frozen WET concurrently. Sequential runs step the segment cursors without
+// seeks; repositioning costs one checkpointed seek inside the target segment.
+type fedSeq struct {
+	span
+	size int // Len, summed on first use (-1 before)
+	pos  int
+
+	// The part the last read was in (span.pi) and its cursor: nil until a read
+	// needs it, ramp for a ramp part. Stream cursors of parts left behind wait
+	// in kept, sorted by part, so coming back resumes where it was left.
 	p    fedPart
-	cur  stream.Cursor
+	cur  Seq
+	ramp rampSeq
 	kept []keptCursor
 }
 
 type keptCursor struct {
 	pi  int
-	cur stream.Cursor
+	cur Seq
 }
 
-// newFedSeq builds a federated sequence over n parts (in segment order).
-// starts, when non-nil, is the offset table of another fedSeq over parts of
-// the same lengths; it is never written again.
-func newFedSeq(n int, part func(i int) fedPart, starts []int) *fedSeq {
-	if starts == nil {
-		starts = make([]int, n+1)
-		for i := 0; i < n; i++ {
-			starts[i+1] = starts[i] + part(i).n
+func newFedSeq(ps parts) *fedSeq { return &fedSeq{span: span{parts: ps}, size: -1} }
+
+func (f *fedSeq) Len() int {
+	if f.size < 0 {
+		f.size = 0
+		for i := range f.count() {
+			f.size += f.parts.at(i).n
 		}
 	}
-	return &fedSeq{part: part, starts: starts, pi: -1}
+	return f.size
 }
 
-func (f *fedSeq) Len() int { return f.starts[len(f.starts)-1] }
 func (f *fedSeq) Pos() int { return f.pos }
 
-// Seek implements Seeker: it only moves the logical position; the segment
-// cursor repositions (checkpointed) on the next read.
+// Seek only moves the logical position; the segment cursor repositions
+// (checkpointed) on the next read.
 func (f *fedSeq) Seek(i int) {
 	if i < 0 || i > f.Len() {
 		panic(fmt.Sprintf("core: seek to %d outside [0,%d]", i, f.Len()))
@@ -80,39 +144,30 @@ func (f *fedSeq) Seek(i int) {
 // its cursor placed so the next read in the given direction yields a run
 // ending (back) or starting at i, and returns i's index within the part.
 func (f *fedSeq) at(i int, back bool) (local int) {
-	if f.pi < 0 || i < f.starts[f.pi] || i >= f.starts[f.pi+1] {
+	pi := f.pi
+	if local = f.locate(i); f.cur == nil || f.pi != pi {
 		byPart := func(k keptCursor, pi int) int { return k.pi - pi }
-		if k, ok := slices.BinarySearchFunc(f.kept, f.pi, byPart); f.cur != nil && !ok {
-			f.kept = slices.Insert(f.kept, k, keptCursor{f.pi, f.cur})
+		if k, ok := slices.BinarySearchFunc(f.kept, pi, byPart); f.cur != nil && f.p.s != nil && !ok {
+			f.kept = slices.Insert(f.kept, k, keptCursor{pi, f.cur})
 		}
-		lo, hi := 0, len(f.starts)-2
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if f.starts[mid+1] <= i {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		f.pi, f.p, f.cur = lo, f.part(lo), nil
-		if k, ok := slices.BinarySearchFunc(f.kept, lo, byPart); ok {
+		f.p = f.parts.at(f.pi)
+		if k, ok := slices.BinarySearchFunc(f.kept, f.pi, byPart); ok {
 			f.cur = f.kept[k].cur
+		} else if f.p.s != nil {
+			f.cur = f.p.s.NewCursor()
+		} else {
+			f.ramp = rampSeq{ramp: f.p.ramp, n: f.p.n}
+			f.cur = &f.ramp
 		}
 	}
-	local = i - f.starts[f.pi]
-	if f.p.s != nil {
-		if f.cur == nil {
-			f.cur = f.p.s.NewCursor()
-		}
-		// A backward read wants the cursor just past the element, so its
-		// Prev yields it; a sequential run then needs no further seeks.
-		want := local
-		if back {
-			want++
-		}
-		if f.cur.Pos() != want {
-			f.cur.Seek(want)
-		}
+	// A backward read wants the cursor just past the element, so its Prev
+	// yields it; a sequential run then needs no further seeks.
+	want := local
+	if back {
+		want++
+	}
+	if f.cur.Pos() != want {
+		f.cur.Seek(want)
 	}
 	return local
 }
@@ -121,11 +176,8 @@ func (f *fedSeq) Next() uint32 {
 	if f.pos >= f.Len() {
 		panic("core: Seq Next past end")
 	}
-	local := f.at(f.pos, false)
+	f.at(f.pos, false)
 	f.pos++
-	if f.p.s == nil {
-		return f.p.ramp + uint32(local)
-	}
 	return f.cur.Next() + f.p.add
 }
 
@@ -134,33 +186,19 @@ func (f *fedSeq) Prev() uint32 {
 		panic("core: Seq Prev past start")
 	}
 	f.pos--
-	local := f.at(f.pos, true)
-	if f.p.s == nil {
-		return f.p.ramp + uint32(local)
-	}
+	f.at(f.pos, true)
 	return f.cur.Prev() + f.p.add
 }
 
 // NextN batches a forward run across segment boundaries: one part lookup
-// and at most one (checkpointed) cursor reposition per segment crossed, with
-// the inner decode delegated to the segment cursor's batched stepping.
+// and at most one cursor reposition per segment crossed.
 func (f *fedSeq) NextN(dst []uint32) int {
 	total := max(min(f.Len()-f.pos, len(dst)), 0)
 	for done := 0; done < total; {
 		local := f.at(f.pos, false)
 		out := dst[done:min(total, done+f.p.n-local)]
-		if f.p.s == nil {
-			for i := range out {
-				out[i] = f.p.ramp + uint32(local+i)
-			}
-		} else {
-			f.cur.NextN(out)
-			if f.p.add != 0 {
-				for i := range out {
-					out[i] += f.p.add
-				}
-			}
-		}
+		f.cur.NextN(out)
+		rebase(out, f.p.add)
 		done += len(out)
 		f.pos += len(out)
 	}
@@ -168,82 +206,53 @@ func (f *fedSeq) NextN(dst []uint32) int {
 }
 
 // PrevN batches a backward run the same way (dst in traversal order): each
-// segment is entered with a single checkpointed seek to its right edge
-// instead of one per element, so Prev-heavy scans stop replaying from the
-// segment start at every step.
+// segment is entered with one checkpointed seek to its right edge.
 func (f *fedSeq) PrevN(dst []uint32) int {
 	total := max(min(f.pos, len(dst)), 0)
 	for done := 0; done < total; {
 		local := f.at(f.pos-1, true) // the part's elements below f.pos number local+1
 		out := dst[done:min(total, done+local+1)]
-		if f.p.s == nil {
-			for i := range out {
-				out[i] = f.p.ramp + uint32(local-i)
-			}
-		} else {
-			f.cur.PrevN(out)
-			if f.p.add != 0 {
-				for i := range out {
-					out[i] += f.p.add
-				}
-			}
-		}
+		f.cur.PrevN(out)
+		rebase(out, f.p.add)
 		done += len(out)
 		f.pos -= len(out)
 	}
 	return total
 }
 
-var (
-	_ Seq     = (*fedSeq)(nil)
-	_ Seeker  = (*fedSeq)(nil)
-	_ BulkSeq = (*fedSeq)(nil)
-)
-
-// tsFed returns a federated cursor over n's timestamp segments, re-basing
-// each segment's local timestamps by its epoch base.
-func (w *WET) tsFed(n *Node) Seq {
-	return newFedSeq(len(n.TSSegs), func(i int) fedPart {
-		sg := n.TSSegs[i]
-		return fedPart{n: sg.N, add: uint32(sg.Epoch) * w.EpochTS, s: sg.S}
-	}, nil)
-}
-
-// labelFed returns a federated cursor over plain label segments whose values
-// need no re-basing.
-func labelFed(segs []*LabelSeg) Seq {
-	return newFedSeq(len(segs), func(i int) fedPart { return fedPart{n: segs[i].N, s: segs[i].S} }, nil)
-}
-
-// patFed returns a federated cursor over g's pattern segments. Pattern
-// entries index the run-global unique-value table, so no re-basing applies.
-func (w *WET) patFed(g *Group) Seq { return labelFed(g.PatSegs) }
-
-// uvalFed returns a federated cursor over the unique values of
-// g.ValMembers[mi]. Each segment holds the values first observed in its
-// epoch, so the concatenation is the run-global discovery order.
-func (w *WET) uvalFed(g *Group, mi int) Seq { return labelFed(g.UValSegs[mi]) }
-
-// edgeFed returns federated (dst, src) cursors over e's label segments:
-// inferable segments synthesize their ordinal ramp, shared segments read the
-// representative edge's streams, and diagonal segments read the destination
-// stream on both sides (through independent cursors).
-func (w *WET) edgeFed(e *Edge) (dst, src Seq) {
-	side := func(source bool) func(i int) fedPart {
-		return func(i int) fedPart {
-			sg := e.Segs[i]
-			if sg.Inferable {
-				return fedPart{n: sg.N, ramp: sg.RampBase}
-			}
-			if sg.SharedWith >= 0 {
-				sg = w.Edges[sg.SharedWith].Segs[sg.SharedSeg]
-			}
-			if source && !sg.Diagonal {
-				return fedPart{n: e.Segs[i].N, s: sg.SrcS}
-			}
-			return fedPart{n: e.Segs[i].N, s: sg.DstS}
+// rebase adds a part's epoch base to values read from it.
+func rebase(v []uint32, add uint32) {
+	if add != 0 {
+		for i := range v {
+			v[i] += add
 		}
 	}
-	d := newFedSeq(len(e.Segs), side(false), nil)
-	return d, newFedSeq(len(e.Segs), side(true), d.starts)
+}
+
+// rampSeq is the cursor of a synthesized ramp part: element k is ramp+k.
+type rampSeq struct {
+	ramp   uint32
+	n, pos int
+}
+
+func (r *rampSeq) Len() int     { return r.n }
+func (r *rampSeq) Pos() int     { return r.pos }
+func (r *rampSeq) Seek(i int)   { r.pos = i }
+func (r *rampSeq) Next() uint32 { r.pos++; return r.ramp + uint32(r.pos-1) }
+func (r *rampSeq) Prev() uint32 { r.pos--; return r.ramp + uint32(r.pos) }
+
+func (r *rampSeq) NextN(dst []uint32) int {
+	n := min(len(dst), r.n-r.pos)
+	for i := range dst[:n] {
+		dst[i] = r.Next()
+	}
+	return n
+}
+
+func (r *rampSeq) PrevN(dst []uint32) int {
+	n := min(len(dst), r.pos)
+	for i := range dst[:n] {
+		dst[i] = r.Prev()
+	}
+	return n
 }

@@ -97,10 +97,7 @@ func fill[T any](lists [][]T, each func(emit func(key int, item T))) {
 func (w *WET) MaterializeTier1Ctx(ctx context.Context, workers int) error {
 	drain := func(s Seq) []uint32 {
 		out := make([]uint32, s.Len())
-		if sk, ok := s.(Seeker); ok {
-			sk.Seek(0)
-		}
-		SeqNextN(s, out)
+		s.NextN(out)
 		return out
 	}
 	var jobs []func(sc *stream.Scratch)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"wet/internal/faultpoint"
 	"wet/internal/interp"
@@ -70,15 +69,6 @@ type EdgeSeg struct {
 	SharedSeg  int // segment index within the owner, or -1
 
 	DstS, SrcS stream.Stream
-}
-
-// EdgeSegAt returns the index in e.Segs of the segment sealed by the epoch
-// that issued timestamp ts, and whether e has one. A label is stored in the
-// epoch its destination executed in, so an edge with no segment there did not
-// fire at any execution stamped ts.
-func (w *WET) EdgeSegAt(e *Edge, ts uint32) (int, bool) {
-	return slices.BinarySearchFunc(e.Segs, int((ts-1)/w.EpochTS),
-		func(sg *EdgeSeg, epoch int) int { return sg.Epoch - epoch })
 }
 
 // sealEpoch freezes every label appended during the epoch that just closed:

@@ -121,13 +121,7 @@ func TestStreamingEquivalence(t *testing.T) {
 			n0 := streamed.Nodes[0]
 			fwd := drainSeq(streamed.TSSeq(n0, core.Tier2))
 			bs := streamed.TSSeq(n0, core.Tier2)
-			if sk, ok := bs.(core.Seeker); ok {
-				sk.Seek(bs.Len())
-			} else {
-				for bs.Pos() < bs.Len() {
-					bs.Next()
-				}
-			}
+			bs.Seek(bs.Len())
 			for i := len(fwd) - 1; i >= 0; i-- {
 				if v := bs.Prev(); v != fwd[i] {
 					t.Fatalf("backward ts walk: element %d: %d vs %d", i, v, fwd[i])
@@ -228,7 +222,6 @@ func TestFederatedCursorRandomWalk(t *testing.T) {
 	walk := func(what string, fresh func() core.Seq) {
 		want := drainSeq(fresh())
 		s := fresh()
-		bulk, seeker := s.(core.BulkSeq), s.(core.Seeker)
 		buf := make([]uint32, 40)
 		for step := 0; step < 400; step++ {
 			pos := s.Pos()
@@ -242,9 +235,9 @@ func TestFederatedCursorRandomWalk(t *testing.T) {
 					t.Fatalf("%s: Prev at %d = %d, want %d", what, pos, v, want[pos-1])
 				}
 			case op == 2:
-				seeker.Seek(rng.Intn(len(want) + 1))
+				s.Seek(rng.Intn(len(want) + 1))
 			case op == 3:
-				n := bulk.NextN(buf[:rng.Intn(len(buf))])
+				n := s.NextN(buf[:rng.Intn(len(buf))])
 				for i, v := range buf[:n] {
 					if v != want[pos+i] {
 						t.Fatalf("%s: NextN at %d+%d = %d, want %d", what, pos, i, v, want[pos+i])
@@ -254,7 +247,7 @@ func TestFederatedCursorRandomWalk(t *testing.T) {
 					t.Fatalf("%s: NextN read %d from %d and stands at %d", what, n, pos, s.Pos())
 				}
 			case op == 4:
-				n := bulk.PrevN(buf[:rng.Intn(len(buf))])
+				n := s.PrevN(buf[:rng.Intn(len(buf))])
 				for i, v := range buf[:n] {
 					if v != want[pos-1-i] {
 						t.Fatalf("%s: PrevN at %d-%d = %d, want %d", what, pos, i, v, want[pos-1-i])

@@ -285,83 +285,30 @@ func (w *WET) NodeOf(fn int, pathID int64) *Node {
 // Frozen reports whether FreezeErr has run (tier-2 streams are available).
 func (w *WET) Frozen() bool { return w.frozen }
 
-// Seq is a detached bidirectional cursor over one label sequence; both
-// tiers implement it (slice cursors at tier 1, stream cursors at tier 2).
-//
-// Concurrency contract: every factory call (TSSeq, PatternSeq, UValSeq,
-// EdgeLabels) returns a FRESH cursor holding private traversal state —
-// cursors over the same sequence share nothing mutable, so any number may
-// traverse one frozen WET from concurrent goroutines without caller
-// synchronization. A single cursor is not safe for concurrent use; confine
-// each to one goroutine.
+// Seq is a detached bidirectional cursor over one label sequence: slice
+// cursors at tier 1, stream cursors at tier 2, federated cursors over
+// segments. Seek(i) places it so Next returns element i (O(K) steps from a
+// stream checkpoint). NextN fills dst[i] with element Pos()+i and advances;
+// PrevN fills dst[i] with element Pos()-1-i and retreats; both return the
+// count read, and are the fast path. Every factory call (TSSeq, PatternSeq,
+// UValSeq, EdgeLabels) returns a FRESH cursor sharing nothing mutable, so
+// any number may traverse one frozen WET concurrently; each is confined to
+// one goroutine.
 type Seq interface {
 	Len() int
 	Pos() int
 	Next() uint32
 	Prev() uint32
-}
-
-// RandomAccess is the O(1) fast path of a Seq: tier-1 label storage is
-// plain arrays, so reads need not step a cursor. Tier-2 stream cursors do
-// not implement it — they offer Seeker instead, whose checkpointed seeks
-// cost O(K) steps rather than O(1) (that asymmetry is what the paper's
-// tier-1-vs-tier-2 response time comparison measures).
-type RandomAccess interface {
-	At(i int) uint32
-}
-
-// Seeker is the repositioning fast path of a cursor: Seek(i) places the
-// cursor so the next Next() returns element i. Tier-2 stream cursors
-// implement it with checkpointed restores (cost bounded by the checkpoint
-// spacing K instead of the distance from the current position); tier-1
-// slice cursors implement it trivially.
-type Seeker interface {
 	Seek(i int)
-}
-
-// BulkSeq is the batched fast path of a Seq — stream.Cursor's NextN/PrevN
-// contract lifted to the Seq level. NextN fills dst[i] with the value at
-// Pos()+i and advances; PrevN fills dst in traversal order (dst[i] holds the
-// value at Pos()-1-i) and retreats; both return the count read. Every
-// sequence this package hands out implements it: tier-1 slice cursors copy,
-// tier-2 stream cursors decode in a hoisted loop, and federated cursors
-// shard the batch across segments so a long run pays one segment lookup and
-// at most one cursor reposition per segment crossed instead of per element.
-type BulkSeq interface {
 	NextN(dst []uint32) int
 	PrevN(dst []uint32) int
 }
 
-// SeqNextN reads a forward run from s into dst, batched when s implements
-// BulkSeq and by per-element stepping otherwise.
-func SeqNextN(s Seq, dst []uint32) int {
-	if b, ok := s.(BulkSeq); ok {
-		return b.NextN(dst)
-	}
-	n := s.Len() - s.Pos()
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = s.Next()
-	}
-	return n
-}
-
-// SeqPrevN reads a backward run from s into dst in traversal order, batched
-// when s implements BulkSeq.
-func SeqPrevN(s Seq, dst []uint32) int {
-	if b, ok := s.(BulkSeq); ok {
-		return b.PrevN(dst)
-	}
-	n := s.Pos()
-	if n > len(dst) {
-		n = len(dst)
-	}
-	for i := 0; i < n; i++ {
-		dst[i] = s.Prev()
-	}
-	return n
+// RandomAccess is the O(1) fast path of a tier-1 Seq, whose labels are
+// plain arrays; a tier-2 cursor's checkpointed seek costs O(K) steps (the
+// asymmetry the paper's tier-1-vs-tier-2 response times measure).
+type RandomAccess interface {
+	At(i int) uint32
 }
 
 // sliceSeq adapts a []uint32 to Seq.
@@ -373,7 +320,6 @@ type sliceSeq struct {
 // At implements RandomAccess without disturbing the cursor.
 func (s *sliceSeq) At(i int) uint32 { return s.v[i] }
 
-// Seek implements Seeker.
 func (s *sliceSeq) Seek(i int) {
 	if i < 0 || i > len(s.v) {
 		panic(fmt.Sprintf("core: seek to %d outside [0,%d]", i, len(s.v)))
@@ -458,7 +404,7 @@ func (w *WET) TSSeq(n *Node, tier Tier) Seq {
 // identical to TSSeq. Callers own the approximation.
 func (w *WET) ApproxTSSeq(n *Node, tier Tier) Seq {
 	if tier == Tier2 && n.TSSegs != nil {
-		return w.tsFed(n)
+		return newFedSeq(parts{wet: w, segs: &n.TSSegs, stride: w.EpochTS})
 	}
 	return newSeq(n.TS, n.TSS, tier)
 }
@@ -479,7 +425,7 @@ func (w *WET) EdgeLabels(e *Edge, tier Tier) (dst, src Seq) {
 			Detail: fmt.Sprintf("labels of edge %s dropped by a byte-budgeted freeze", e.Kind)})
 	}
 	if tier == Tier2 && e.Segs != nil {
-		return w.edgeFed(e)
+		return newFedSeq(parts{wet: w, edge: e}), newFedSeq(parts{wet: w, edge: e, src: true})
 	}
 	if e.SharedWith >= 0 {
 		e = w.Edges[e.SharedWith]
@@ -503,7 +449,7 @@ func (w *WET) PatternSeq(g *Group, tier Tier) Seq {
 			Detail: "value group streams dropped by a byte-budgeted freeze"})
 	}
 	if tier == Tier2 && g.PatSegs != nil {
-		return w.patFed(g)
+		return newFedSeq(parts{segs: &g.PatSegs})
 	}
 	return newSeq(g.Pattern, g.PatternS, tier)
 }
@@ -522,7 +468,7 @@ func (w *WET) UValSeq(g *Group, i int, tier Tier) Seq {
 		return newSeq(g.UVals[i], nil, tier)
 	}
 	if g.UValSegs != nil {
-		return w.uvalFed(g, i)
+		return newFedSeq(parts{segs: &g.UValSegs[i]})
 	}
 	return newSeq(nil, g.UValS[i], tier)
 }
@@ -549,29 +495,17 @@ func (w *WET) Value(n *Node, pos, ord int, tier Tier) (int64, error) {
 		return 0, fmt.Errorf("core: ordinal %d out of range [0,%d)", ord, n.Execs)
 	}
 	pat := w.PatternSeq(g, tier)
-	idx := seqAt(pat, ord)
+	idx := SeqAt(pat, ord)
 	uv := w.UValSeq(g, mi, tier)
-	return int64(int32(seqAt(uv, int(idx)))), nil
+	return int64(int32(SeqAt(uv, int(idx)))), nil
 }
 
-// seqAt reads element i of s: directly for random-access (tier-1) storage,
-// through a checkpointed seek for stream cursors, by stepping otherwise.
-func seqAt(s Seq, i int) uint32 {
+// SeqAt reads element i of s: directly for random-access (tier-1) storage,
+// through a checkpointed seek otherwise.
+func SeqAt(s Seq, i int) uint32 {
 	if ra, ok := s.(RandomAccess); ok {
 		return ra.At(i)
 	}
-	if sk, ok := s.(Seeker); ok {
-		sk.Seek(i)
-		return s.Next()
-	}
-	for s.Pos() > i {
-		s.Prev()
-	}
-	for s.Pos() < i {
-		s.Next()
-	}
+	s.Seek(i)
 	return s.Next()
 }
-
-// SeqAt is the exported form of seqAt for query packages.
-func SeqAt(s Seq, i int) uint32 { return seqAt(s, i) }

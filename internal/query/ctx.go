@@ -4,28 +4,25 @@ import (
 	"fmt"
 
 	"wet/internal/core"
+	"wet/internal/ir"
 )
 
-// qctx caches the detached cursors one logical query needs, so every label
-// sequence it touches is materialized once per query rather than once per
-// access. Spawning a tier-2 cursor copies the stream's predictor tables;
-// queries that revisit the same edge or group (slice sweeps, DOT
-// re-walks, address resolution) would otherwise pay that copy in their
-// inner loop. A whole-program pass (LoadValueTraces, AddressTraces) is one
-// logical query: its statements share the qctx, so a producer feeding
-// several of them keeps one reader and one decoded unique-value table.
-//
-// A qctx is confined to one goroutine — the cursors it holds are. That is
-// the whole concurrency story: independent queries against the same frozen
-// WET each build a private qctx, and the WET itself is never mutated.
+// qctx caches the windows one logical query needs, so every label sequence
+// it touches gets one cursor per query, not one per access (spawning a
+// tier-2 cursor copies the stream's predictor tables). A whole-program pass
+// (LoadValueTraces, AddressTraces) is one logical query: a producer feeding
+// several statements keeps one reader and one decoded unique-value table.
+// A qctx is confined to one goroutine, as its cursors are; independent
+// queries build private ones, and the WET is never mutated.
 type qctx struct {
 	w     *core.WET
 	tier  core.Tier
-	edges []*edgeCur // by edge index, spawned on first touch (srcOrd)
+	edges []*[2]core.Window // (dst, src) by edge index, spawned on first touch (srcOrd)
 	vals  map[uint64]*valReader
-	buf   [walkChunk]uint32 // reusable batch buffer for value runs
-	ts    [walkChunk]uint32 // one window of node timestamps (occSrc.refill)
-	srcs  []occSrc          // occurrence windows, reused by every statement of a pass
+	buf   [core.WalkChunk]uint32 // reusable batch buffer for value runs
+	ts    [core.WalkChunk]uint32 // one window of node timestamps (occSrc.refill)
+	srcs  []occSrc               // occurrence windows, reused by every statement of a pass
+	err   error                  // the first label a sample read found pointing nowhere
 }
 
 func newCtx(w *core.WET, tier core.Tier) *qctx {
@@ -40,26 +37,22 @@ func (q *qctx) occs(n int) []occSrc {
 	return q.srcs[:0]
 }
 
-// valReader resolves one statement occurrence's values by execution ordinal.
-// It steps its streams forward in batches and seeks only when asked for an
-// ordinal outside the window it holds: seq is read walkChunk ordinals at a
-// time, and the unique values it indexes are decoded once, as a prefix that
-// grows with the largest index seen — the builder numbers unique values in
-// discovery order, so a forward read never indexes past the prefix by more
-// than one.
+// valReader resolves one statement occurrence's values by execution ordinal,
+// through a window; the unique values it indexes are decoded once, as a
+// prefix that grows with the largest index seen — the builder numbers them in
+// discovery order, so a forward read indexes at most one past the prefix.
 type valReader struct {
+	st *ir.Stmt
 	// seq is what an ordinal indexes: the group pattern, or — when every
 	// execution produced a new unique value, so the pattern can only be
 	// 0,1,2,… — the unique values themselves, with no pattern read at all.
-	seq core.Seq
+	seq core.Window
 	// uv holds the unique values a pattern entry indexes; nil when seq
 	// yields values directly.
 	uv    core.Seq
+	nuv   int               // uv's length
 	ra    core.RandomAccess // uv's O(1) reads at tier 1, which needs no table
 	uvals []uint32          // decoded prefix of uv, allocated at uv's exact length
-
-	win        *[walkChunk]uint32 // at's window: seq's elements base … base+fill-1
-	base, fill int
 }
 
 // valueReader returns this query's cached reader for the statement at
@@ -74,11 +67,13 @@ func (q *qctx) valueReader(n *core.Node, pos int) (*valReader, error) {
 	if mi < 0 {
 		return nil, fmt.Errorf("query: %s has no def port", n.Stmts[pos])
 	}
-	r := &valReader{seq: q.w.UValSeq(g, mi, q.tier)}
-	if r.seq.Len() != n.Execs {
-		r.uv, r.seq = r.seq, q.w.PatternSeq(g, q.tier)
+	r := &valReader{st: n.Stmts[pos]}
+	seq := q.w.UValSeq(g, mi, q.tier)
+	if seq.Len() != n.Execs {
+		r.uv, r.nuv, seq = seq, seq.Len(), q.w.PatternSeq(g, q.tier)
 		r.ra, _ = r.uv.(core.RandomAccess)
 	}
+	r.seq = core.NewWindow(seq)
 	if q.vals == nil {
 		q.vals = map[uint64]*valReader{}
 	}
@@ -86,63 +81,39 @@ func (q *qctx) valueReader(n *core.Node, pos int) (*valReader, error) {
 	return r, nil
 }
 
-// uval returns unique value idx, extending the decoded prefix to cover it.
-func (r *valReader) uval(idx int) uint32 {
-	if r.ra != nil {
-		return r.ra.At(idx)
-	}
-	if idx >= len(r.uvals) {
-		if r.uvals == nil {
-			r.uvals = make([]uint32, 0, r.uv.Len())
-		}
-		// Decode a batch, not one value: a new unique value is usually
-		// followed by more.
-		n := len(r.uvals)
-		r.uvals = r.uvals[:min(cap(r.uvals), max(idx+1, n+walkChunk))]
-		core.SeqNextN(r.uv, r.uvals[n:])
-	}
-	return r.uvals[idx]
-}
-
-// run fills vals with the raw 32-bit values of ordinals from, from+1, …: the
-// sequential read of an occurrence tracing itself or feeding an inferable
-// edge. It seeks only if the last read ended elsewhere.
-func (r *valReader) run(from int, vals []uint32) {
-	if r.seq.Pos() != from {
-		seqSeek(r.seq, from)
-	}
-	core.SeqNextN(r.seq, vals)
-	if r.uv != nil {
-		for i, idx := range vals {
-			vals[i] = r.uval(int(idx))
-		}
-	}
-}
-
-// at returns the value produced at the occurrence's ord-th execution. An
-// ordinal less than one window ahead of the cursor is reached by reading on;
-// anything else costs one seek.
-func (r *valReader) at(ord int) int64 {
-	if uint(ord-r.base) >= uint(r.fill) {
-		if r.win == nil {
-			r.win = new([walkChunk]uint32)
-		}
-		pos := r.seq.Pos()
-		if ord < pos || ord >= pos+walkChunk {
-			seqSeek(r.seq, ord)
-			pos = ord
-		}
-		r.base, r.fill = pos, 0
-		for ord >= r.base+r.fill {
-			r.base += r.fill
-			if r.fill = core.SeqNextN(r.seq, r.win[:]); r.fill == 0 {
-				panic(fmt.Sprintf("query: ordinal %d outside [0,%d)", ord, r.seq.Len()))
+// val returns the value element x of seq stands for: x itself, or the
+// unique value a pattern entry indexes (decoding the prefix on to cover it).
+// false (q.err set) means the entry points past the table.
+func (r *valReader) val(q *qctx, x uint32) (int64, bool) {
+	switch {
+	case r.uv == nil:
+	case int(x) >= r.nuv:
+		q.err = fmt.Errorf("query: %s: pattern entry %d outside [0,%d)", r.st, x, r.nuv)
+		return 0, false
+	case r.ra != nil:
+		x = r.ra.At(int(x))
+	default:
+		if int(x) >= len(r.uvals) {
+			if r.uvals == nil {
+				r.uvals = make([]uint32, 0, r.nuv)
 			}
+			// Decode a batch, not one value: a new unique value is usually
+			// followed by more.
+			n := len(r.uvals)
+			r.uvals = r.uvals[:min(cap(r.uvals), max(int(x)+1, n+core.WalkChunk))]
+			r.uv.NextN(r.uvals[n:])
 		}
+		x = r.uvals[x]
 	}
-	v := r.win[ord-r.base]
-	if r.uv != nil {
-		v = r.uval(int(v))
+	return int64(int32(x)), true
+}
+
+// at returns the value produced at the occurrence's ord-th execution; false
+// (q.err set) means the occurrence never ran an ord-th time.
+func (r *valReader) at(q *qctx, ord int) (int64, bool) {
+	if uint(ord) >= uint(r.seq.Len()) {
+		q.err = fmt.Errorf("query: %s: label names execution %d of %d", r.st, ord, r.seq.Len())
+		return 0, false
 	}
-	return int64(int32(v))
+	return r.val(q, r.seq.At(ord, false))
 }

@@ -74,7 +74,9 @@ func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err
 		label := fmt.Sprintf("%s\\nord=%d", s, in.Ord)
 		if s.Op.HasDef() && s.Dest >= 0 {
 			if vr, err := q.valueReader(n, in.Pos); err == nil {
-				label = fmt.Sprintf("%s = %d\\nord=%d", s, vr.at(in.Ord), in.Ord)
+				if v, ok := vr.at(q, in.Ord); ok {
+					label = fmt.Sprintf("%s = %d\\nord=%d", s, v, in.Ord)
+				}
 			}
 		}
 		style := ""

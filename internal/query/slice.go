@@ -99,8 +99,8 @@ func ForwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int) 
 // as mergeSamples picks over occurrences). A dependence reaches back in time,
 // so whatever an expansion finds lies below the sweep line: each node's
 // executions, and with them the destination ordinals each edge is asked for,
-// only descend, and an edgeCur answers them in one backward pass over its
-// labels. A forward sweep reads inverted edges (fanout), which do not care
+// only descend, and an edge's window answers them in one backward pass over
+// its labels. A forward sweep reads inverted edges (fanout), which do not care
 // about order, and takes the latest pending execution of any one node.
 //
 // Nothing here depends on the tier or on how streams are stored, so neither
@@ -161,10 +161,10 @@ func (s *sweep) pick() (best *nodeSet) {
 			continue
 		}
 		if ord != f.topOrd && s.back {
-			if f.ts.seq == nil {
-				f.ts.seq = s.q.w.ApproxTSSeq(s.q.w.Nodes[f.id], s.q.tier)
+			if f.ts.Len() == 0 {
+				f.ts = core.NewWindow(s.q.w.ApproxTSSeq(s.q.w.Nodes[f.id], s.q.tier))
 			}
-			f.topTS = f.ts.at(ord, walkChunk)
+			f.topTS = f.ts.At(ord, true)
 		}
 		if f.topOrd = ord; best == nil || f.topTS > best.topTS {
 			best = f
@@ -223,8 +223,8 @@ func (s *sweep) fanout(ei int) []uint64 {
 		dseq, sseq := s.q.w.EdgeLabels(s.q.w.Edges[ei], s.q.tier)
 		n := dseq.Len()
 		lab, f := make([]uint32, 2*n), make([]uint64, n)
-		core.SeqNextN(dseq, lab[:n])
-		core.SeqNextN(sseq, lab[n:])
+		dseq.NextN(lab[:n])
+		sseq.NextN(lab[n:])
 		for i := range f {
 			f[i] = uint64(lab[n+i])<<32 | uint64(lab[i])
 		}
@@ -234,112 +234,29 @@ func (s *sweep) fanout(ei int) []uint64 {
 	return s.fan[ei]
 }
 
-// backWin is a window of a sequence read backward with SeqPrevN: v[k] holds
-// element top-1-k, for k < fill. A read that starts where the last one ended
-// costs no seek.
-type backWin struct {
-	seq       core.Seq
-	v         []uint32
-	top, fill int
-}
-
-// load reads up to n elements ending just below index hi.
-func (b *backWin) load(hi, n int) {
-	if b.seq.Pos() != hi {
-		seqSeek(b.seq, hi)
-	}
-	if n > len(b.v) {
-		b.v = make([]uint32, n)
-	}
-	b.top, b.fill = hi, core.SeqPrevN(b.seq, b.v[:max(n, 0)])
-}
-
-// at returns element i, loading the n elements ending with it if the window
-// does not hold it.
-func (b *backWin) at(i, n int) uint32 {
-	if ra, ok := b.seq.(core.RandomAccess); ok {
-		return ra.At(i)
-	}
-	if uint(b.top-1-i) >= uint(b.fill) {
-		b.load(i+1, n)
-	}
-	return b.v[b.top-1-i]
-}
-
-// edgeCur answers "which source ordinal does this edge pair with destination
-// ordinal d" for asks that mostly descend, from a window of destination
-// labels: a lower ask scans on through it and reads the next one where it
-// ended, so a descending run of asks costs one sequential backward pass over
-// the labels, and only an ask above the previous one, or far below the
-// window, seeks. Source labels are read for the windows that hold a hit.
-type edgeCur struct {
-	dst, src    backWin
-	head        int    // dst.v[head:dst.fill] is not yet passed by an ask
-	last        uint32 // the previous ask
-	seg, segEnd int    // on a segmented trace: labels below segEnd lie in segments 0 … seg
-}
-
 // srcOrd returns the source ordinal edge ei pairs with destination ordinal
-// ord, or -1 when the edge did not fire at that execution. The edge's
-// cursor lives in a table indexed by edge, spawned on first touch. ts is the
-// execution's timestamp, or 0 if the caller has none. On a segmented trace
-// it names the epoch, and so the one segment of the edge, the label can be
-// in (unless a budgeted freeze widened it): an edge with none for that epoch
-// did not fire and is answered without a cursor, and any other is read
-// inside that segment.
+// ord, or -1 when the edge did not fire at that execution, from the edge's
+// windows (spawned on first touch). ts, the execution's timestamp or 0 if the
+// caller has none, keys them by epoch. A sweep's asks mostly descend, so its
+// asks of one edge read the labels in one backward pass.
 func (q *qctx) srcOrd(ei, ord int, ts uint32) int {
 	e := q.w.Edges[ei]
 	if e.Inferable {
 		return ord
 	}
-	seg := -1
-	if ts > 0 && e.Segs != nil && q.w.TSStride == 0 {
-		var fired bool
-		if seg, fired = q.w.EdgeSegAt(e, ts); !fired {
-			return -1
-		}
-	}
 	if q.edges == nil {
-		q.edges = make([]*edgeCur, len(q.w.Edges))
+		q.edges = make([]*[2]core.Window, len(q.w.Edges))
 	}
 	c := q.edges[ei]
 	if c == nil {
-		c = &edgeCur{seg: -1}
-		c.dst.seq, c.src.seq = q.w.EdgeLabels(e, q.tier)
-		c.dst.top = -1
+		c = new([2]core.Window)
+		c[0], c[1] = q.w.EdgeWindows(e, q.tier, ts > 0)
 		q.edges[ei] = c
 	}
-	// The label equal to ord, if any, has an index in [lo, hi): destination
-	// ordinals strictly increase, so label i is at least i.
-	target, lo, hi := uint32(ord), 0, min(ord+1, c.dst.seq.Len())
-	if seg >= 0 {
-		for ; c.seg < seg; c.seg++ {
-			c.segEnd += e.Segs[c.seg+1].N
-		}
-		for ; c.seg > seg; c.seg-- {
-			c.segEnd -= e.Segs[c.seg].N
-		}
-		lo, hi = c.segEnd-e.Segs[seg].N, min(hi, c.segEnd)
+	if i := c[0].Find(uint32(ord), ts, true); i >= 0 {
+		return int(c[1].At(i, true))
 	}
-	if c.dst.top < 0 || target > c.last {
-		c.dst.load(hi, min(hi-lo, walkChunk))
-		c.head = 0
-	}
-	for c.last = target; ; c.head = 0 {
-		d := c.dst.v[:c.dst.fill]
-		for c.head < len(d) && d[c.head] > target {
-			c.head++
-		}
-		switch below := c.dst.top - c.dst.fill; {
-		case c.head < len(d) && d[c.head] == target:
-			i := c.dst.top - 1 - c.head
-			return int(c.src.at(i, min(i+1-lo, walkChunk)))
-		case c.head < len(d) || below <= lo:
-			return -1 // a lower label, or nowhere further down to look
-		default:
-			c.dst.load(min(below, hi), min(min(below, hi)-lo, walkChunk))
-		}
-	}
+	return -1
 }
 
 func checkInstance(w *core.WET, in Instance) error {
@@ -463,10 +380,10 @@ type nodeSet struct {
 	pages            []*instPage
 	hi               int // no page above hi holds a pending position
 
-	live   bool    // listed in sweep.live
-	topOrd int     // the latest pending execution when sweep.pick last looked (-1: none) …
-	topTS  uint32  // … and its timestamp
-	ts     backWin // the node's timestamps
+	live   bool        // listed in sweep.live
+	topOrd int         // the latest pending execution when sweep.pick last looked (-1: none) …
+	topTS  uint32      // … and its timestamp
+	ts     core.Window // the node's timestamps, once Len > 0
 }
 
 func newInstSet(w *core.WET) *instSet {

@@ -13,7 +13,7 @@ type refCtx struct {
 	w     *core.WET
 	tier  core.Tier
 	edges map[*core.Edge][2]core.Seq
-	buf   [walkChunk]uint32
+	buf   [core.WalkChunk]uint32
 }
 
 func (q *refCtx) edgeLabels(e *core.Edge) (dst, src core.Seq) {
@@ -128,10 +128,10 @@ func refForwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances in
 				continue
 			}
 			dseq, sseq := q.edgeLabels(e)
-			seqSeek(sseq, 0)
+			sseq.Seek(0)
 			buf := q.buf[:]
 			for base := 0; base < sseq.Len(); {
-				got := core.SeqNextN(sseq, buf)
+				got := sseq.NextN(buf)
 				for i := 0; i < got; i++ {
 					if int(buf[i]) == cur.Ord {
 						reach(Instance{Node: e.DstNode, Pos: e.DstPos, Ord: int(core.SeqAt(dseq, base+i))})

@@ -35,66 +35,66 @@ func checkStmt(w *core.WET, stmtID int) error {
 // for a value trace, one incoming dependence edge of the address operand for
 // an address trace.
 type valRun struct {
-	vr  *valReader // the producer's values; nil for a constant
-	lab *edgeWin   // the edge's labels; nil when sample k takes the producer's k-th value
-}
-
-// edgeWin reads one edge's (dst, src) labels forward, a chunk at a time.
-type edgeWin struct {
-	dst, src   core.Seq
-	d, s       [walkChunk]uint32
-	head, fill int // unread labels are d[head:fill], s[head:fill]
+	vr  *valReader      // the producer's values; nil for a constant
+	lab *[2]core.Window // the edge's (dst, src) labels; nil when sample k takes the producer's k-th value
+	k   int             // the next label to read
 }
 
 // occSrc is one occurrence of the traced statement, read forward in windows
-// of up to walkChunk node executions: the node's timestamps are drained with
-// one batched read per window, and each run then supplies the values of the
-// executions it covers — the runs of one occurrence partition its ordinals,
-// so they fill one window between them and only occurrences need merging.
+// of up to core.WalkChunk node executions: the node's timestamps are drained
+// with one batched read per window, and each run then supplies the values of
+// the executions it covers — the runs of one occurrence partition its
+// ordinals, so they fill one window between them and only occurrences need
+// merging.
 type occSrc struct {
 	ts         core.Seq // the node's timestamps; its position is the next window's first ordinal
 	runs       []valRun
-	buf        [walkChunk]Sample
+	buf        [core.WalkChunk]Sample
 	head, fill int // undelivered samples are buf[head:fill]
 }
 
 // refill decodes the next window that holds a sample into o.buf; false means
-// the occurrence is exhausted. A sample's value is (add + produced) & mask.
+// the occurrence is exhausted, or (q.err set) a label points nowhere. A
+// sample's value is (add + produced) & mask.
 func (o *occSrc) refill(q *qctx, add, mask int64) bool {
 	for base := o.ts.Pos(); base < o.ts.Len(); base = o.ts.Pos() {
-		ts := q.ts[:core.SeqNextN(o.ts, q.ts[:])]
+		ts := q.ts[:o.ts.NextN(q.ts[:])]
 		end := base + len(ts)
-		var have uint64 // bit k: execution base+k has a sample (walkChunk <= 64)
-		for _, r := range o.runs {
-			if r.lab == nil {
+		var have uint64 // bit k: execution base+k has a sample (WalkChunk <= 64)
+		for ri := range o.runs {
+			switch r := &o.runs[ri]; {
+			case r.vr == nil:
 				have = ^uint64(0)
-				if r.vr == nil {
-					clear(o.buf[:len(ts)])
-					continue
-				}
+				clear(o.buf[:len(ts)])
+			case r.lab == nil:
+				have = ^uint64(0)
 				vals := q.buf[:len(ts)]
-				r.vr.run(base, vals)
-				for k, v := range vals {
-					o.buf[k].Value = int64(int32(v))
-				}
-				continue
-			}
-			for l := r.lab; ; l.head++ {
-				if l.head == l.fill {
-					l.head, l.fill = 0, min(walkChunk, l.dst.Len()-l.dst.Pos())
-					if l.fill == 0 {
-						break
+				r.vr.seq.Read(base, vals)
+				for k, x := range vals {
+					v, ok := r.vr.val(q, x)
+					if !ok {
+						return false
 					}
-					core.SeqNextN(l.dst, l.d[:l.fill])
-					core.SeqNextN(l.src, l.s[:l.fill])
+					o.buf[k].Value = v
 				}
-				d := int(l.d[l.head])
-				if d >= end {
-					break
-				}
-				if d >= base { // destination ordinals only grow
-					o.buf[d-base].Value = r.vr.at(int(l.s[l.head]))
-					have |= 1 << (d - base)
+			default: // the label windows fill in step: both read runs from r.k
+			labels:
+				for r.k < r.lab[0].Len() {
+					dst, src := r.lab[0].Run(r.k), r.lab[1].Run(r.k)
+					for j := range min(len(dst), len(src)) {
+						d := int(dst[j])
+						if d >= end {
+							break labels
+						}
+						if r.k++; d >= base { // destination ordinals only grow
+							v, ok := r.vr.at(q, int(src[j]))
+							if !ok {
+								return false
+							}
+							o.buf[d-base].Value = v
+							have |= 1 << (d - base)
+						}
+					}
 				}
 			}
 		}
@@ -113,7 +113,8 @@ func (o *occSrc) refill(q *qctx, add, mask int64) bool {
 }
 
 // mergeSamples emits the samples of srcs, each in timestamp order, in
-// timestamp order overall, and returns how many there were. It drains the
+// timestamp order overall, and returns how many there were; it stops at the
+// first label that points nowhere (q.err). It drains the
 // source with the smallest head up to the runner-up's head before looking
 // again, so a pick costs O(len(srcs)) per switch of occurrence, not per
 // sample.
@@ -125,7 +126,7 @@ func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, emit func(Sample)) (
 			live, heads = append(live, o), append(heads, o.buf[0].TS)
 		}
 	}
-	for len(live) > 0 {
+	for len(live) > 0 && q.err == nil {
 		best, limit := 0, ^uint32(0)
 		for i, t := range heads {
 			switch {
@@ -181,7 +182,7 @@ func (q *qctx) valueTrace(stmtID int, emit func(Sample)) (uint64, error) {
 		}
 		srcs = append(srcs, occSrc{ts: q.w.TSSeq(n, q.tier), runs: []valRun{{vr: vr}}})
 	}
-	return q.mergeSamples(srcs, 0, -1, emit), nil
+	return q.mergeSamples(srcs, 0, -1, emit), q.err
 }
 
 // LoadValueTraces extracts the value trace of every load instruction
@@ -262,8 +263,8 @@ func (q *qctx) addressTrace(stmtID int, emit func(Sample)) (uint64, error) {
 				return 0, err
 			}
 			if !e.Inferable {
-				r.lab = &edgeWin{}
-				r.lab.dst, r.lab.src = w.EdgeLabels(e, q.tier)
+				r.lab = new([2]core.Window)
+				r.lab[0], r.lab[1] = w.EdgeWindows(e, q.tier, false)
 			}
 			runs = append(runs, r)
 		}
@@ -271,7 +272,7 @@ func (q *qctx) addressTrace(stmtID int, emit func(Sample)) (uint64, error) {
 			srcs = append(srcs, occSrc{ts: w.TSSeq(n, q.tier), runs: runs})
 		}
 	}
-	return q.mergeSamples(srcs, add, w.Prog.MemWords-1, emit), nil
+	return q.mergeSamples(srcs, add, w.Prog.MemWords-1, emit), q.err
 }
 
 // AddressTraces extracts the address trace of every load and store

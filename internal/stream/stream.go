@@ -96,15 +96,6 @@ type Cursor interface {
 // HeaderBits is the fixed per-stream metadata charge (method id + length).
 const HeaderBits = 64
 
-// SeekStart rewinds c to position 0.
-func SeekStart(c Cursor) { c.Seek(0) }
-
-// SeekEnd advances c to position Len.
-func SeekEnd(c Cursor) { c.Seek(c.Len()) }
-
-// SeekTo positions the cursor at p.
-func SeekTo(c Cursor, p int) { c.Seek(p) }
-
 // At reads the value at index i through a throwaway cursor. Callers reading
 // many positions should hold their own cursor and Seek it.
 func At(s Stream, i int) uint32 {

@@ -9,6 +9,15 @@ import (
 
 // datasets returns named value streams with different predictability
 // profiles, mirroring the stream shapes WET produces.
+// SeekStart rewinds c to position 0.
+func SeekStart(c Cursor) { c.Seek(0) }
+
+// SeekEnd advances c to position Len.
+func SeekEnd(c Cursor) { c.Seek(c.Len()) }
+
+// SeekTo positions the cursor at p.
+func SeekTo(c Cursor, p int) { c.Seek(p) }
+
 func datasets() map[string][]uint32 {
 	rng := rand.New(rand.NewSource(7))
 	d := map[string][]uint32{}

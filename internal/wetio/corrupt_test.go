@@ -10,7 +10,10 @@ package wetio
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"wet/internal/core"
@@ -133,27 +136,49 @@ func checkSalvaged(t *testing.T, w *core.WET, rep *SalvageReport, what string) {
 // TestCorruptBitflipsExhaustive flips every single bit of a saved workload
 // WET and asserts the strict loader reports each mutation as *FormatError.
 // CRC32-C detects all single-bit errors, and the loader verifies every
-// checksum before parsing, so this sweep is exhaustive yet cheap.
+// checksum before parsing, so this sweep is exhaustive yet cheap. The byte
+// range is split over GOMAXPROCS workers, each flipping bits in its own copy
+// and stopping at its first failure; the lowest failing (byte, bit) is
+// reported.
 func TestCorruptBitflipsExhaustive(t *testing.T) {
 	data := savedWET(t, "vortex")
 	t.Logf("sweeping %d bits over %d bytes", len(data)*8, len(data))
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("strict Load panicked during bit-flip sweep: %v", r)
-		}
-	}()
-	for off := 0; off < len(data); off++ {
-		for bit := 0; bit < 8; bit++ {
-			data[off] ^= 1 << bit
-			_, err := Load(bytes.NewReader(data), LoadOptions{})
-			data[off] ^= 1 << bit
-			if err == nil {
-				t.Fatalf("strict Load accepted file with bit %d of byte %d flipped", bit, off)
+	workers := runtime.GOMAXPROCS(0)
+	fails := make([]string, workers)
+	var wg sync.WaitGroup
+	for k := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mut := bytes.Clone(data)
+			defer func() {
+				if r := recover(); r != nil {
+					fails[k] = fmt.Sprintf("strict Load panicked during bit-flip sweep: %v", r)
+				}
+			}()
+			for off := len(data) * k / workers; off < len(data)*(k+1)/workers; off++ {
+				for bit := 0; bit < 8; bit++ {
+					mut[off] ^= 1 << bit
+					_, err := Load(bytes.NewReader(mut), LoadOptions{})
+					mut[off] ^= 1 << bit
+					var fe *FormatError
+					switch {
+					case err == nil:
+						fails[k] = fmt.Sprintf("strict Load accepted file with bit %d of byte %d flipped", bit, off)
+						return
+					case !errors.As(err, &fe):
+						fails[k] = fmt.Sprintf("flip at byte %d bit %d: error is not *FormatError: %v", off, bit, err)
+						return
+					}
+				}
 			}
-			var fe *FormatError
-			if !errors.As(err, &fe) {
-				t.Fatalf("flip at byte %d bit %d: error is not *FormatError: %v", off, bit, err)
-			}
+		}()
+	}
+	wg.Wait()
+	// Workers own ascending byte ranges, so the first failure is the lowest.
+	for _, f := range fails {
+		if f != "" {
+			t.Fatal(f)
 		}
 	}
 }

@@ -296,7 +296,7 @@ func TestInstanceOfTSEveryExecution(t *testing.T) {
 			for _, ref := range w.StmtOcc[id] {
 				n := w.Nodes[ref.Node]
 				ts := make([]uint32, n.Execs)
-				core.SeqNextN(w.TSSeq(n, tier), ts)
+				w.TSSeq(n, tier).NextN(ts)
 				for ord, v := range ts {
 					at[v] = wet.Instance{Node: ref.Node, Pos: ref.Pos, Ord: ord}
 				}
