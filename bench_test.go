@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -720,12 +721,14 @@ func sizeName(n uint64) string {
 func newArchRecorder() interp.ArchSink { return arch.NewRecorder() }
 
 // TestBuildAllocBudget pins the tier-1 builder's allocation volume: one
-// core.Build of mcf (interpreter and builder, no freeze) must stay under 64
-// bytes per statement. It measures 58, of which 8 are the location table
-// and 15 the single-epoch Finish storing the ramps it counted; a builder
-// that stores every label as it arrives spends twice the budget.
+// core.Build of mcf (interpreter and builder, no freeze) must stay under 54
+// bytes per statement. It measures 50.6, of which 15 are the single-epoch
+// Finish storing the ramps it counted; a builder that stores every label as
+// it arrives spends twice the budget, and one that locates dependence
+// sources through a per-statement table rather than a per-path one spends 8
+// more (58).
 func TestBuildAllocBudget(t *testing.T) {
-	checkMcfAllocs(t, "core.Build", 64, func(st *interp.Static, ropts interp.Options) (*interp.Result, error) {
+	checkMcfAllocs(t, "core.Build", 54, func(st *interp.Static, ropts interp.Options) (*interp.Result, error) {
 		_, res, err := core.Build(st, ropts)
 		return res, err
 	})
@@ -733,13 +736,13 @@ func TestBuildAllocBudget(t *testing.T) {
 
 // TestStreamingBuildAllocBudget pins the streamed build's allocation volume:
 // core.BuildStreaming of mcf in epochs of 2048 timestamps at one worker
-// (interpreter, builder, seals and tier-2 encode) must stay under 37 bytes
-// per statement. It measures about 34, of which 8 are the location table. A
-// build whose seals drop their label buffers and regrow them every epoch,
-// keys its value groups by strings and encodes through bit stacks measured
-// 45.8.
+// (interpreter, builder, seals and tier-2 encode) must stay under 28 bytes
+// per statement. It measures 25.0. A per-statement location table cost 7.5
+// more (32.5); a build whose seals drop their label buffers and regrow them
+// every epoch, keys its value groups by strings and encodes through bit
+// stacks measured 45.8.
 func TestStreamingBuildAllocBudget(t *testing.T) {
-	checkMcfAllocs(t, "core.BuildStreaming(EpochTS=2048)", 37, func(st *interp.Static, ropts interp.Options) (*interp.Result, error) {
+	checkMcfAllocs(t, "core.BuildStreaming(EpochTS=2048)", 28, func(st *interp.Static, ropts interp.Options) (*interp.Result, error) {
 		_, _, res, err := core.BuildStreaming(st, ropts, core.FreezeOptions{EpochTS: 1 << 11, Workers: 1})
 		return res, err
 	})
@@ -797,6 +800,43 @@ func TestSliceAllocBudget(t *testing.T) {
 	t.Logf("Backward(li x4): %.1f B/instance over %d instances", perInst, instances)
 	if perInst > 65 {
 		t.Errorf("backward slices allocate %.1f B/instance, budget 65", perInst)
+	}
+}
+
+// TestSaveAllocBudget pins what Trace.Save allocates: its one frame buffer
+// (96 KiB, sections are framed into it and written out 64 KiB at a time) and
+// next to nothing per container byte, on the li container of
+// TestOpenAllocBudget (v4, many epochs) and on li in one epoch (v3). Writing
+// every field through encoding/binary and a bufio.Writer (one boxed value
+// per field, one scratch slice per array, two escaping frame buffers per
+// section) measured 210 and 169 allocations/KiB and 548 and 200 KB per save
+// on these containers.
+func TestSaveAllocBudget(t *testing.T) {
+	const maxAllocsPerKiB, maxBytes = 0.1, 100 << 10
+	for _, c := range []struct {
+		name    string
+		epochTS uint32
+	}{{"v4, EpochTS=256", 1 << 8}, {"v3", 0}} {
+		tr := runWorkload(t, "li", wet.WithEpochTS(c.epochTS))
+		size := len(saveBytes(t, tr))
+		save := func() {
+			if err := tr.Save(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 10
+		allocs := testing.AllocsPerRun(runs, save) / (float64(size) / 1024)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			save()
+		}
+		runtime.ReadMemStats(&after)
+		perSave := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("Save(li, %s): %.2f allocations/KiB, %d B allocated per save (%d B container)", c.name, allocs, perSave, size)
+		if allocs > maxAllocsPerKiB || perSave > maxBytes {
+			t.Errorf("Save(li, %s) allocates %.2f/KiB and %d B, budget %.2f and %d", c.name, allocs, perSave, maxAllocsPerKiB, maxBytes)
+		}
 	}
 }
 

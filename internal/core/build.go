@@ -19,17 +19,20 @@ type Builder struct {
 	prog   *ir.Program
 	static *interp.Static
 
-	w       *WET
-	nodeIdx map[nodeKey]int
+	w *WET
+	// nodeIdx[fn] maps a Ball–Larus path id of function fn to its node;
+	// plans[node] is what every execution of the node is checked against
+	// and what it need not look at.
+	nodeIdx []map[int64]int
+	plans   []pathPlan
 
-	// Per-instance location records (dropped after Finish): where each
-	// dynamic statement instance landed, packed one word per instance as
-	// node(16) | pos(12) | ord(32) — see packInstLoc. Indexed by instance
-	// id in chunks of instChunk words, so growth never copies; this table is
-	// the only builder structure that must grow with the full trace even
-	// when streaming. nInst is the next instance id (ids are dense from 1).
-	instLoc [][]uint64
-	nInst   trace.Inst
+	// Where each path execution landed (dropped after Finish), one word per
+	// timestamp as node(32) | ord(32), in chunks of pathChunk words so growth
+	// never copies. An instance is named by its path's timestamp and its
+	// position (trace.InstAt), so this table locates every dependence source:
+	// it is the only builder structure that grows with the whole trace even
+	// when streaming, one word per path execution rather than per statement.
+	pathLoc [][]uint64
 
 	// Pending events of the currently executing path; dd/dv hold their
 	// operand sources and values back to back (pendingEvent.off/n). The
@@ -43,9 +46,13 @@ type Builder struct {
 
 	// Edge lookup: slots[node] caches the edge each operand of the node's
 	// statements used last, edgeIdx answers misses; ramps parallels w.Edges.
+	// fixed lists the edges whose source a path fixes (pathPlan.src): after
+	// their node's first execution they are counted, not visited
+	// (settleFixed).
 	edgeIdx map[edgeKey]int
 	slots   [][]edgeSlot
 	ramps   []edgeRamp
+	fixed   []int
 
 	time     uint32
 	prevNode int
@@ -88,11 +95,6 @@ func (b *Builder) fail(err error) {
 	}
 }
 
-type nodeKey struct {
-	fn     int
-	pathID int64
-}
-
 // edgeKey packs an edge identity into one word for fast map hashing:
 // kind(1) | srcNode(16) | srcPos(12) | dstNode(16) | dstPos(12) | opIdx(4).
 // Builder.node rejects programs that outgrow the widths, so the panic below
@@ -120,11 +122,14 @@ type pendingEvent struct {
 	stmt, off, n int32
 }
 
-// edgeRamp is the open epoch's label state of w.Edges[i]. While !stored the
+// edgeRamp is the label state of w.Edges[i]: count is every label so far,
+// written to Edge.Count when the build ends (countEdges), so a label that
+// extends a ramp touches this array only. While !stored the open epoch's
 // labels so far are exactly <start+k, start+k> for k < n (start = the node's
 // first ordinal of the epoch) and only n is kept; stored edges, which
 // include every cross-node edge, append to Edge.DstOrd/SrcOrd.
 type edgeRamp struct {
+	count  int
 	n      uint32
 	stored bool
 }
@@ -136,8 +141,8 @@ type edgeSlot struct {
 	edge int
 }
 
-// instChunk is the instLoc chunk size in words (64 KiB).
-const instChunk = 1 << 13
+// pathChunk is the pathLoc chunk size in words (64 KiB).
+const pathChunk = 1 << 13
 
 // NewBuilder returns a builder for one run of the analyzed program.
 func NewBuilder(st *interp.Static) *Builder {
@@ -145,17 +150,17 @@ func NewBuilder(st *interp.Static) *Builder {
 		prog:     st.Prog,
 		static:   st,
 		w:        &WET{Prog: st.Prog, Static: st, StmtOcc: make([][]StmtRef, len(st.Prog.Stmts))},
-		nodeIdx:  map[nodeKey]int{},
+		nodeIdx:  make([]map[int64]int, len(st.Prog.Funcs)),
 		edgeIdx:  map[edgeKey]int{},
-		nInst:    1, // instance ids start at 1
 		prevNode: -1,
 	}
 }
 
 // Stmt implements trace.Sink. The pending and operand counters are reset,
 // not the buffers, at each PathDone, so buffering allocates only while the
-// longest path seen so far is still growing. Instance ids are dense, so the
-// id itself is implied: location records are written in order.
+// longest path seen so far is still growing. The instance's own name is
+// implied: it is the next position of the path that closes at the next
+// timestamp.
 func (b *Builder) Stmt(_ trace.Inst, st *ir.Stmt, value int64, ddSrcs []trace.Inst, ddVals []int64, cdSrc trace.Inst) {
 	if b.err != nil {
 		return
@@ -164,7 +169,10 @@ func (b *Builder) Stmt(_ trace.Inst, st *ir.Stmt, value int64, ddSrcs []trace.In
 	if p == len(b.pending) || nd > len(b.dd) || nv > len(b.dv) {
 		b.pending, b.dd, b.dv = room(b.pending, p+1), room(b.dd, nd), room(b.dv, nv)
 	}
-	b.pending[p] = pendingEvent{value: value, cd: cdSrc, stmt: int32(st.ID), off: int32(b.nDD), n: int32(len(ddSrcs))}
+	// Field by field: a composite literal is built on the stack and copied
+	// with 16-byte moves that stall on the narrower stores before them.
+	ev := &b.pending[p]
+	ev.value, ev.cd, ev.stmt, ev.off, ev.n = value, cdSrc, int32(st.ID), int32(b.nDD), int32(len(ddSrcs))
 	copy(b.dd[b.nDD:], ddSrcs)
 	copy(b.dv[b.nDV:], ddVals)
 	b.nPend, b.nDD, b.nDV = p+1, nd, nv
@@ -199,9 +207,13 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 		return fmt.Errorf("core: path (fn %d, id %d) delivered %d events, node has %d statements", fn, pathID, b.nPend, len(node.Stmts))
 	}
 	b.time++
-	ord := uint32(node.Execs)
+	ts, ord := b.time, uint32(node.Execs)
 	node.Execs++
-	node.TS = append(node.TS, b.time)
+	node.TS = append(node.TS, ts)
+	if int(ts/pathChunk) == len(b.pathLoc) {
+		b.pathLoc = append(b.pathLoc, make([]uint64, pathChunk))
+	}
+	b.pathLoc[ts/pathChunk][ts%pathChunk] = uint64(node.ID)<<32 | uint64(ord)
 	if b.prevNode >= 0 {
 		addUniq(&b.w.Nodes[b.prevNode].CFNext, node.ID)
 		addUniq(&node.CFPrev, b.prevNode)
@@ -214,51 +226,67 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 		return err
 	}
 
-	// Record instance locations and dependence edge labels. A source inside
-	// this path execution is (node, src-pathStart, ord) by construction; only
-	// cross-path sources read the location table.
+	// Record dependence edge labels. A source inside this path execution is
+	// (node, pos, ord) by construction; only a source in an earlier path
+	// reads the location table, at its timestamp. A source the path fixes
+	// is only compared with what the path says after the node's first
+	// execution: its edge fires on every execution, on the ramp.
 	if b.nDV != b.nDD {
 		return fmt.Errorf("core: path (fn %d, id %d) delivered %d operand sources, %d values", fn, pathID, b.nDD, b.nDV)
 	}
 	pending, dd := b.pending[:b.nPend], b.dd[:b.nDD]
-	slots := b.slots[node.ID]
+	slots, plan := b.slots[node.ID], &b.plans[node.ID]
 	if need := len(dd) + len(pending); len(slots) < need {
 		slots = make([]edgeSlot, need)
 		b.slots[node.ID] = slots
 	}
-	pathStart, here, start := b.nInst, uint32(node.ID)<<12, uint32(node.sealedExecs)
+	start, first := uint32(node.sealedExecs), ord == 0
 	for i := range pending {
 		ev := &pending[i]
-		if int(ev.stmt) != node.Stmts[i].ID {
+		if ev.stmt != plan.ids[i] {
 			st := b.prog.Stmts[ev.stmt]
 			return fmt.Errorf("core: path (fn %d, id %d) statement %d is [%d]%s, node expects [%d]%s",
 				fn, pathID, i, st.ID, st, node.Stmts[i].ID, node.Stmts[i])
 		}
-		cur := b.nInst
-		if int(cur/instChunk) == len(b.instLoc) {
-			b.instLoc = append(b.instLoc, make([]uint64, instChunk))
+		if ev.n != plan.nops[i] {
+			return fmt.Errorf("core: path (fn %d, id %d) statement %d [%d]%s delivered %d operand sources, it reads %d",
+				fn, pathID, i, ev.stmt, node.Stmts[i], ev.n, plan.nops[i])
 		}
-		b.instLoc[cur/instChunk][cur%instChunk] = packInstLoc(node.ID, i, ord)
-		b.nInst++
 
 		// DD operands in order, then the CD source as operand -1: the order
 		// edges are created in is the order they are saved in.
 		for k := 0; k <= int(ev.n); k++ {
+			j := int(ev.off) + i + k
 			src, kind, opIdx := ev.cd, CD, -1
 			if k < int(ev.n) {
 				src, kind, opIdx = dd[int(ev.off)+k], DD, k
 			}
-			if src == 0 {
+			fixed := plan.src[j]
+			if fixed >= 0 && !first && src == trace.InstAt(ts, int(fixed)) {
 				continue
 			}
-			srcLoc, srcOrd := here|uint32(src-pathStart), ord
-			if src < pathStart {
-				l := b.instLoc[src/instChunk][src%instChunk]
-				srcLoc, srcOrd = uint32(l>>32), uint32(l)
-			} else if src > cur {
-				return fmt.Errorf("core: dependence source instance %d not yet recorded", src)
+			if src == 0 && fixed < 0 {
+				continue
 			}
-			b.label(&slots[int(ev.off)+i+k], kind, int(srcLoc>>12), int(srcLoc&0xfff), node.ID, i, opIdx, ord, srcOrd, start)
+			srcNode, srcPos, srcOrd := node.ID, trace.InstPos(src), ord
+			switch sts := trace.InstTS(src); {
+			case sts > ts || sts == ts && srcPos > i:
+				return fmt.Errorf("core: dependence source instance %d.%d not yet recorded", sts, srcPos)
+			case sts < ts:
+				l := b.pathLoc[sts/pathChunk][sts%pathChunk]
+				srcNode, srcOrd = int(l>>32), uint32(l)
+				if srcPos >= len(b.w.Nodes[srcNode].Stmts) {
+					return fmt.Errorf("core: dependence source instance %d.%d outside its %d-statement path", sts, srcPos, len(b.w.Nodes[srcNode].Stmts))
+				}
+			}
+			if fixed >= 0 && src != trace.InstAt(ts, int(fixed)) {
+				return fmt.Errorf("core: path (fn %d, id %d) statement %d operand %d reads instance %d.%d, the path fixes position %d",
+					fn, pathID, i, opIdx, trace.InstTS(src), srcPos, fixed)
+			}
+			b.label(&slots[j], kind, srcNode, srcPos, node.ID, i, opIdx, ord, srcOrd, start)
+			if fixed >= 0 {
+				b.fixed = append(b.fixed, slots[j].edge)
+			}
 		}
 	}
 
@@ -277,13 +305,6 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 	return nil
 }
 
-// packInstLoc packs an instance location into one word: node(16) | pos(12) |
-// ord(32). The widths match packEdgeKey's; Builder.node rejects programs
-// that outgrow them.
-func packInstLoc(node, pos int, ord uint32) uint64 {
-	return uint64(node)<<44 | uint64(pos)<<32 | uint64(ord)
-}
-
 // label records one <dstOrd, srcOrd> instance of a dependence edge, creating
 // the edge on first use. sl is the destination operand's slot; start is the
 // destination node's first ordinal of the open epoch. The common case — a
@@ -300,8 +321,8 @@ func (b *Builder) label(sl *edgeSlot, kind EdgeKind, srcNode, srcPos, dstNode, d
 		}
 		sl.key, sl.edge = k, idx
 	}
-	e, r := b.w.Edges[sl.edge], &b.ramps[sl.edge]
-	e.Count++
+	r := &b.ramps[sl.edge]
+	r.count++
 	if !r.stored {
 		if srcOrd == dstOrd && dstOrd == start+r.n {
 			r.n++
@@ -309,6 +330,7 @@ func (b *Builder) label(sl *edgeSlot, kind EdgeKind, srcNode, srcPos, dstNode, d
 		}
 		b.materialise(sl.edge, start, int(r.n)+4)
 	}
+	e := b.w.Edges[sl.edge]
 	e.DstOrd = append(e.DstOrd, dstOrd)
 	e.SrcOrd = append(e.SrcOrd, srcOrd)
 }
@@ -319,7 +341,7 @@ func (b *Builder) label(sl *edgeSlot, kind EdgeKind, srcNode, srcPos, dstNode, d
 func (b *Builder) materialise(idx int, start uint32, extra int) {
 	e, r := b.w.Edges[idx], &b.ramps[idx]
 	n, c := int(r.n), int(r.n)+extra
-	*r = edgeRamp{stored: true}
+	r.n, r.stored = 0, true
 	if cap(e.DstOrd) >= c && cap(e.SrcOrd) >= c {
 		e.DstOrd, e.SrcOrd = e.DstOrd[:n], e.SrcOrd[:n]
 	} else {
@@ -438,35 +460,68 @@ func mix(h, x uint64) uint64 {
 // node returns (creating on first execution) the WET node for a path: the
 // static side from newNode, then the builder's width checks and indexes.
 func (b *Builder) node(fn int, pathID int64) (*Node, error) {
-	k := nodeKey{fn, pathID}
-	if idx, ok := b.nodeIdx[k]; ok {
+	if fn < 0 || fn >= len(b.nodeIdx) {
+		return nil, fmt.Errorf("core: path of function %d, the program has %d", fn, len(b.nodeIdx))
+	}
+	if idx, ok := b.nodeIdx[fn][pathID]; ok {
 		return b.w.Nodes[idx], nil
 	}
 	n, err := newNode(b.static, len(b.w.Nodes), fn, pathID)
 	if err != nil {
 		return nil, err
 	}
-	var uses []ir.Reg
+	if n.ID >= 1<<16 || len(n.Stmts) > 1<<12 {
+		return nil, fmt.Errorf("core: node %d (%d statements) exceeds the edge key's widths", n.ID, len(n.Stmts))
+	}
+	plan, err := newPathPlan(b.static, n)
+	if err != nil {
+		return nil, err
+	}
 	for pos, s := range n.Stmts {
-		// Operands: the register uses, plus the memory-carried producer of a
-		// load. opIdx must fit packEdgeKey's 4-bit field.
-		uses = s.Uses(uses[:0])
-		ops := len(uses)
-		if s.Op == ir.OpLoad || s.Op == ir.OpLoadSh {
-			ops++
-		}
-		if ops > maxOperands {
-			return nil, fmt.Errorf("core: [%d]%s has %d register operands, the edge key holds %d", s.ID, s, ops, maxOperands)
-		}
 		b.w.StmtOcc[s.ID] = append(b.w.StmtOcc[s.ID], StmtRef{Node: n.ID, Pos: pos})
 	}
-	if n.ID >= 1<<16 || len(n.Stmts) > 1<<12 {
-		return nil, fmt.Errorf("core: node %d (%d statements) exceeds packed location widths", n.ID, len(n.Stmts))
-	}
-	b.slots = append(b.slots, nil)
+	b.slots, b.plans = append(b.slots, nil), append(b.plans, plan)
 	b.w.Nodes = append(b.w.Nodes, n)
-	b.nodeIdx[k] = n.ID
+	if b.nodeIdx[fn] == nil {
+		b.nodeIdx[fn] = map[int64]int{}
+	}
+	b.nodeIdx[fn][pathID] = n.ID
 	return n, nil
+}
+
+// pathPlan is what every execution of a node is checked against, and what
+// it need not look at, worked out once from the path's statements.
+type pathPlan struct {
+	ids []int32 // statement ids
+	// nops and src are interp.Static.PathSources: each statement's DD
+	// operand count and, slot by slot as Builder.slots lays them out, the
+	// position of the instance a slot reads when the path fixes it, else -1.
+	nops, src []int32
+	raw       trace.RawStats // one execution's counts apart from the dependences
+}
+
+// newPathPlan works out node n's pathPlan. A statement's operand count must
+// fit packEdgeKey's 4-bit opIdx.
+func newPathPlan(st *interp.Static, n *Node) (pathPlan, error) {
+	p := pathPlan{ids: make([]int32, len(n.Stmts)), raw: trace.PathRaw(n.Stmts)}
+	p.src, p.nops = st.PathSources(n.Fn, n.Blocks)
+	for i, s := range n.Stmts {
+		if p.nops[i] > maxOperands {
+			return p, fmt.Errorf("core: [%d]%s has %d register operands, the edge key holds %d", s.ID, s, p.nops[i], maxOperands)
+		}
+		p.ids[i] = int32(s.ID)
+	}
+	return p, nil
+}
+
+// settleFixed brings the edges a path fixes up to date before a seal or the
+// end of the build: each fires on every execution of its node, so its
+// labels this epoch are the node's executions this epoch, all on the ramp.
+func (b *Builder) settleFixed() {
+	for _, ei := range b.fixed {
+		n, r := b.w.Nodes[b.w.Edges[ei].DstNode], &b.ramps[ei]
+		r.count, r.n = n.Execs, uint32(n.Execs-n.sealedExecs)
+	}
 }
 
 // newNode builds the static side of the WET node for path pathID of
@@ -680,6 +735,8 @@ func (b *Builder) Finish() (*WET, error) {
 	}
 	w := b.w
 	w.Time = b.time
+	b.settleFixed()
+	b.countEdges()
 	// Tier-1 queries and FreezeErr read plain label slices: store what the
 	// builder only counted. Then fill edge adjacency.
 	for i := range w.Edges {
@@ -688,9 +745,33 @@ func (b *Builder) Finish() (*WET, error) {
 		}
 	}
 	w.indexEdges()
-	// Release instance records.
-	b.instLoc = nil
+	w.Raw = b.rawStats()
+	b.pathLoc = nil
 	return w, nil
+}
+
+// countEdges stores each edge's label count.
+func (b *Builder) countEdges() {
+	for i, e := range b.w.Edges {
+		e.Count = b.ramps[i].count
+	}
+}
+
+// rawStats returns the run's RawStats: each node's per-execution counts
+// times its executions, and one dependence per label of each edge.
+func (b *Builder) rawStats() trace.RawStats {
+	var r trace.RawStats
+	for i, n := range b.w.Nodes {
+		r.Add(&b.plans[i].raw, uint64(n.Execs))
+	}
+	for _, e := range b.w.Edges {
+		if e.Kind == DD {
+			r.DynDD += uint64(e.Count)
+		} else {
+			r.DynCD += uint64(e.Count)
+		}
+	}
+	return r
 }
 
 func addUniq(s *[]int, v int) {
@@ -707,8 +788,7 @@ func addUniq(s *[]int, v int) {
 // the size report. opts.Sink is overridden.
 func Build(st *interp.Static, opts interp.Options) (*WET, *interp.Result, error) {
 	b := NewBuilder(st)
-	cnt := trace.NewCounting(b)
-	opts.Sink = cnt
+	opts.Sink = b
 	res, err := interp.Run(st, opts)
 	if err != nil {
 		return nil, res, err
@@ -717,7 +797,6 @@ func Build(st *interp.Static, opts interp.Options) (*WET, *interp.Result, error)
 	if err != nil {
 		return nil, res, err
 	}
-	w.Raw = cnt.RawStats
 	return w, res, nil
 }
 

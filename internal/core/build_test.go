@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"wet/internal/interp"
 	"wet/internal/ir"
 	"wet/internal/trace"
+	"wet/internal/workload"
 )
 
 // replayOp is one event of a hand-fed stream: a statement or a path end.
@@ -95,6 +97,19 @@ func TestBuilderRejectsMalformedEvents(t *testing.T) {
 	if good[i+1].ev == nil || good[i+1].ev.Stmt.ID == good[i].ev.Stmt.ID {
 		t.Fatal("the event after the edited one must be another statement of the same path")
 	}
+	// j is the first statement event with operands after the first path; f
+	// is the last one whose first operand reads an instance of its own path
+	// other than the path's first, in a path that is not its node's first
+	// execution.
+	j := slices.IndexFunc(good, func(op replayOp) bool {
+		return op.ev != nil && len(op.ev.DDSrcs) > 0 && trace.InstTS(op.ev.Inst) > 1
+	})
+	f := len(good) - 1
+	for ; f >= 0; f-- {
+		if ev := good[f].ev; ev != nil && len(ev.DDSrcs) > 0 && trace.InstTS(ev.DDSrcs[0]) == trace.InstTS(ev.Inst) && trace.InstPos(ev.DDSrcs[0]) > 0 {
+			break
+		}
+	}
 	cases := []struct {
 		name, want string
 		ops        []replayOp
@@ -107,6 +122,16 @@ func TestBuilderRejectsMalformedEvents(t *testing.T) {
 			edit(i, func(ev *trace.Event) { ev.DDVals = ev.DDVals[1:] })},
 		{"source instance not yet recorded", "not yet recorded",
 			edit(i, func(ev *trace.Event) { ev.DDSrcs[0] = ev.Inst + 1000 })},
+		{"source in a later path", "not yet recorded",
+			edit(j, func(ev *trace.Event) { ev.DDSrcs[0] = trace.InstAt(trace.InstTS(ev.Inst)+1, 0) })},
+		{"source past the end of its path", "outside its",
+			edit(j, func(ev *trace.Event) { ev.DDSrcs[0] = trace.InstAt(1, 999) })},
+		{"source other than the one the path fixes", "the path fixes position",
+			edit(f, func(ev *trace.Event) {
+				ev.DDSrcs[0] = trace.InstAt(trace.InstTS(ev.Inst), trace.InstPos(ev.DDSrcs[0])-1)
+			})},
+		{"operand count differs from the statement's", "operand sources, it reads",
+			edit(i, func(ev *trace.Event) { ev.DDSrcs, ev.DDVals = ev.DDSrcs[1:], ev.DDVals[1:] })},
 		{"events after the last PathDone", "not covered by a path",
 			append(append([]replayOp(nil), good...), good[0])},
 	}
@@ -252,14 +277,57 @@ func (s *sealWatch) PathDone(fn int, pathID int64) {
 		}
 	}
 	for ei, e := range b.w.Edges {
-		fired := e.Count > s.counts[ei]
-		s.counts[ei] = e.Count
+		fired := b.ramps[ei].count > s.counts[ei]
+		s.counts[ei] = b.ramps[ei].count
 		for _, sl := range [][]uint32{e.DstOrd, e.SrcOrd} {
 			if len(sl) != 0 || !fired && sl != nil {
 				t.Fatalf("after the seal at %d, edge %d (fired %v) keeps labels of length %d, capacity %d", b.time, ei, fired, len(sl), cap(sl))
 			}
 			if quiet && b.w.Nodes[e.DstNode].Fn == s.one && sl != nil {
 				t.Fatalf("after the seal at %d, first-phase edge %d keeps labels", b.time, ei)
+			}
+		}
+	}
+}
+
+// TestRawCountsPerPath: the RawStats a build returns, tallied per path
+// execution and per edge label, equal trace.Counting's event-by-event
+// totals, streamed and in one epoch, on the concurrent variants (sync and
+// shared-access counts) and on sequential workloads. The single-epoch
+// builder is checked the same way wherever a test tees a Counting into it.
+func TestRawCountsPerPath(t *testing.T) {
+	type prog struct {
+		name  string
+		build func(int) (*ir.Program, []int64)
+	}
+	var progs []prog
+	for _, w := range workload.ConcAll() {
+		progs = append(progs, prog{w.Name, w.Build})
+	}
+	for _, name := range []string{"gcc", "mcf", "vortex"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog{w.Name, w.Build})
+	}
+	for _, pr := range progs {
+		p, in := pr.build(1)
+		st, err := interp.Analyze(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cnt := trace.NewCounting(nil)
+		if _, err := interp.Run(st, interp.Options{Inputs: in, Sink: cnt}); err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		for _, epochTS := range []uint32{0, 256} {
+			w, _, _, err := BuildStreaming(st, interp.Options{Inputs: in}, FreezeOptions{EpochTS: epochTS, Workers: 1})
+			if err != nil {
+				t.Fatalf("%s (EpochTS %d): %v", pr.name, epochTS, err)
+			}
+			if w.Raw != cnt.RawStats {
+				t.Fatalf("%s (EpochTS %d): raw counts %+v, Counting's %+v", pr.name, epochTS, w.Raw, cnt.RawStats)
 			}
 		}
 	}

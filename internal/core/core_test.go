@@ -45,7 +45,9 @@ func buildWET(t *testing.T, p *ir.Program, inputs []int64) (*WET, *trace.Recordi
 	if err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
-	w.Raw = cnt.RawStats
+	if w.Raw != cnt.RawStats {
+		t.Fatalf("builder's raw counts %+v, Counting's %+v", w.Raw, cnt.RawStats)
+	}
 	return w, rec
 }
 

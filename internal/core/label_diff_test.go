@@ -2,7 +2,7 @@ package core_test
 
 // Differential test of the builder's dependence-label fast path. refBuilder
 // is the append-only label path the builder had before it learned to count
-// ramps (one packed location per instance in a flat table, one map lookup
+// ramps (one location per path execution in a flat table, one map lookup
 // and two appends per label, the §3.3 reductions found by scanning the
 // epoch's slices at seal), kept here the way the two-pass stream normalisers
 // were kept as test references. It consumes the same event stream as the
@@ -60,9 +60,9 @@ type refEvent struct {
 type refBuilder struct {
 	opts    core.FreezeOptions
 	nodeIdx map[[2]int64]int
-	execs   []int // per node
-	sealed  []int // per node: executions in sealed epochs
-	loc     []refLoc
+	execs   []int    // per node
+	sealed  []int    // per node: executions in sealed epochs
+	paths   []refLoc // per timestamp: node and ordinal (pos unused)
 	pend    []refEvent
 	edgeIdx map[uint64]int
 	edges   []*refEdge
@@ -70,7 +70,7 @@ type refBuilder struct {
 }
 
 func newRefBuilder(opts core.FreezeOptions) *refBuilder {
-	return &refBuilder{opts: opts, nodeIdx: map[[2]int64]int{}, edgeIdx: map[uint64]int{}, loc: make([]refLoc, 1)}
+	return &refBuilder{opts: opts, nodeIdx: map[[2]int64]int{}, edgeIdx: map[uint64]int{}, paths: make([]refLoc, 1)}
 }
 
 func (r *refBuilder) Stmt(_ trace.Inst, _ *ir.Stmt, _ int64, ddSrcs []trace.Inst, _ []int64, cdSrc trace.Inst) {
@@ -88,21 +88,28 @@ func (r *refBuilder) PathDone(fn int, pathID int64) {
 	ord := uint32(r.execs[node])
 	r.execs[node]++
 	r.time++
+	r.paths = append(r.paths, refLoc{node: node, ord: ord})
 	for i, ev := range r.pend {
-		r.loc = append(r.loc, refLoc{node, i, ord})
 		for opIdx, src := range ev.dd {
 			if src != 0 {
-				r.label(core.DD, r.loc[src], refLoc{node, i, ord}, opIdx)
+				r.label(core.DD, r.loc(src), refLoc{node, i, ord}, opIdx)
 			}
 		}
 		if ev.cd != 0 {
-			r.label(core.CD, r.loc[ev.cd], refLoc{node, i, ord}, -1)
+			r.label(core.CD, r.loc(ev.cd), refLoc{node, i, ord}, -1)
 		}
 	}
 	r.pend = r.pend[:0]
 	if e := r.opts.EpochTS; e > 0 && r.time%e == 0 {
 		r.seal(int(r.time/e) - 1)
 	}
+}
+
+// loc is where instance in landed: its path execution's node and ordinal,
+// at its position.
+func (r *refBuilder) loc(in trace.Inst) refLoc {
+	p := r.paths[trace.InstTS(in)]
+	return refLoc{p.node, trace.InstPos(in), p.ord}
 }
 
 func (r *refBuilder) label(kind core.EdgeKind, src, dst refLoc, opIdx int) {
@@ -432,13 +439,13 @@ func TestLabelDiffHandBuilt(t *testing.T) {
 			}
 			return false
 		}},
-		{"dependence reaching back across location chunks", loop(core.InstChunk, twoStores, func(fb *ir.FuncBuilder, i ir.Reg) {
+		{"dependence reaching back across location chunks", loop(2*core.PathChunk, twoStores, func(fb *ir.FuncBuilder, i ir.Reg) {
 			fb.Load(fb.NewReg(), ir.Imm(3000), 0)
 		}), func(r *refBuilder) bool {
-			// The pre-loop store is instance 1; the loop's last load of it is
-			// more than two chunks of instances later.
-			return len(r.loc) > 3*core.InstChunk && slices.ContainsFunc(r.edges, func(e *refEdge) bool {
-				return e.key.src.node != e.key.dst.node && len(e.allDst) >= core.InstChunk-1
+			// The pre-loop store runs at timestamp 1; the loop's last load of
+			// it is more than one chunk of path executions later.
+			return r.time > 2*core.PathChunk && slices.ContainsFunc(r.edges, func(e *refEdge) bool {
+				return e.key.src.node != e.key.dst.node && len(e.allDst) >= 2*core.PathChunk-1
 			})
 		}},
 	} {

@@ -151,6 +151,7 @@ func reuse(s []uint32) []uint32 {
 // identical uncompressed label slices are detected in edge-index order, so a
 // representative always has a smaller index than its sharers.
 func (b *Builder) sealEpochEdges(epoch int) {
+	b.settleFixed()
 	ck := b.fopts.CheckpointK
 	var reps shareTable
 	if !b.fopts.NoShare {
@@ -223,6 +224,7 @@ func (b *Builder) finishStreaming() error {
 	if b.err != nil {
 		return b.err
 	}
+	b.countEdges()
 	w := b.w
 	w.EpochTS = e
 	w.Epochs = int((uint64(b.time) + uint64(e) - 1) / uint64(e))
@@ -387,10 +389,8 @@ func NewStreamingBuilder(st *interp.Static, opts FreezeOptions) (*Builder, error
 	return b, nil
 }
 
-// FinishStreaming validates and returns the streamed WET: frozen, segmented,
-// with the size report attached. The WET's Raw stats must be set by the
-// caller before the report is meaningful only for Orig* lines; Raw is
-// assigned here from the counting sink when built via BuildStreaming.
+// FinishStreaming validates and returns the streamed WET, frozen and
+// segmented, with its Raw stats; BuildStreaming attaches the size report.
 func (b *Builder) FinishStreaming() (*WET, error) {
 	if b.epochTS == 0 {
 		return nil, fmt.Errorf("core: FinishStreaming on a non-streaming builder")
@@ -407,7 +407,8 @@ func (b *Builder) FinishStreaming() (*WET, error) {
 		return nil, err
 	}
 	w.indexEdges()
-	b.instLoc = nil
+	w.Raw = b.rawStats()
+	b.pathLoc = nil
 	return w, nil
 }
 
@@ -462,8 +463,7 @@ func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions,
 	defer releaseScratches(b.scratch)
 	b.CheckDeterminism = check
 	b.abort = cancel
-	cnt := trace.NewCounting(b)
-	ropts.Sink = cnt
+	ropts.Sink = b
 	res, err := runInterp(st, ropts)
 	if b.err != nil {
 		// The builder aborted the run; its error is the root cause, not
@@ -478,7 +478,6 @@ func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions,
 		if err != nil {
 			return nil, nil, res, err
 		}
-		w.Raw = cnt.RawStats
 		fopts := opts
 		fopts.Ctx = parent
 		rep, err := w.FreezeErr(fopts)
@@ -491,7 +490,6 @@ func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions,
 	if err != nil {
 		return nil, nil, res, err
 	}
-	w.Raw = cnt.RawStats
 	rep := w.streamingReport(opts)
 	rep.Degradation = deg
 	w.frozen = true

@@ -86,6 +86,51 @@ func AnalyzeOpt(p *ir.Program, perBlock bool) (*Static, error) {
 	return s, nil
 }
 
+// PathSources returns where the operands of one execution of the
+// Ball–Larus path through blocks of function fn read from, when the path
+// itself fixes it. Operands are laid out statement by statement in event
+// order: a statement's DD operand sources (its register uses, then a load's
+// memory producer), then its CD source. src[j] is the position in the path
+// of the instance operand j reads, or -1 when that source lies before the
+// path or is carried by memory; nops[i] is statement i's DD operand count.
+// Run reports exactly these sources: within a path, a frame's shadow state
+// changes only through the path's own statements, so a register defined
+// earlier in the path reads that definition, and a block with a CD parent
+// earlier in the path reads the branch of the latest such parent.
+func (s *Static) PathSources(fn int, blocks []int) (src, nops []int32) {
+	f := s.Prog.Funcs[fn]
+	lastDef := make([]int32, f.NumRegs) // position plus one, 0 for none
+	ran := make([]int32, len(f.Blocks)) // a branch's position plus one
+	var uses []ir.Reg
+	pos := int32(0)
+	for _, bid := range blocks {
+		cd := int32(-1)
+		for _, par := range s.CDParent[fn][bid] {
+			cd = max(cd, ran[par]-1)
+		}
+		for _, st := range f.Blocks[bid].Stmts {
+			uses = st.Uses(uses[:0])
+			for _, r := range uses {
+				src = append(src, lastDef[r]-1)
+			}
+			n := int32(len(uses))
+			if st.Op == ir.OpLoad || st.Op == ir.OpLoadSh {
+				src = append(src, -1)
+				n++
+			}
+			src, nops = append(src, cd), append(nops, n)
+			if st.Op.HasDef() && st.Dest != ir.NoReg {
+				lastDef[st.Dest] = pos + 1
+			}
+			pos++
+		}
+		if f.Blocks[bid].Term().Op == ir.OpBr {
+			ran[bid] = pos
+		}
+	}
+	return src, nops
+}
+
 // brRec remembers the latest dynamic instance of a branch block's terminator
 // within one frame.
 type brRec struct {
@@ -146,7 +191,7 @@ type runner struct {
 
 	res      *Result
 	maxSteps uint64
-	inst     trace.Inst // dense instance counter; first instance is 1
+	ts       uint32 // timestamp of the path executing now; the first is 1
 	brSeq    uint64
 	inPos    int
 	ddBuf    []trace.Inst
@@ -171,6 +216,7 @@ func Run(st *Static, opts Options) (*Result, error) {
 		mask:     p.MemWords - 1,
 		locked:   map[int64]bool{},
 		rng:      opts.Seed,
+		ts:       1,
 		res:      &Result{},
 		maxSteps: opts.MaxSteps,
 		ddBuf:    make([]trace.Inst, 0, 8),
@@ -221,6 +267,7 @@ func (r *runner) emitPath(t *thread, fr *frame, id int64) {
 		r.opts.Sink.PathDone(fr.f.Index, id)
 	}
 	r.pathDone = true
+	r.ts++
 }
 
 // run is the scheduler loop: pick a runnable thread (seeded-random among
@@ -289,10 +336,14 @@ func (r *runner) run() (*Result, error) {
 // program halts, or t's root frame returns). The operand buffers live in
 // locals for the whole path and are written back once, at its end, so a
 // statement stores no slice header into the heap (no GC write barrier).
+// Every statement of the path is named by the path's timestamp and its
+// position in the path (trace.InstAt): the path ends only at a terminator,
+// after the last statement is named.
 func (r *runner) runPath(t *thread) error {
 	st, opts, res := r.st, &r.opts, r.res
 	mem, memTag, mask := r.mem, r.memTag, r.mask
 	useBuf, ddBuf, dvBuf := r.useBuf, r.ddBuf, r.dvBuf
+	ts, pos := r.ts, 0
 	r.pathDone = false
 	for !r.pathDone {
 		fr := t.stack[len(t.stack)-1]
@@ -316,8 +367,8 @@ func (r *runner) runPath(t *thread) error {
 				return context.Cause(opts.Ctx)
 			}
 			res.Steps++
-			r.inst++
-			inst := r.inst
+			inst := trace.InstAt(ts, pos)
+			pos++
 
 			// Gather operand values and dependence sources.
 			val := func(o ir.Operand) int64 {

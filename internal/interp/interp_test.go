@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"testing"
 
 	"wet/internal/ir"
@@ -163,7 +164,7 @@ func TestRecursion(t *testing.T) {
 func TestDataDependenceThroughMemory(t *testing.T) {
 	p := ir.NewProgram(1024)
 	fb := p.NewFunc("main", 0)
-	v := fb.ConstReg(5) // inst 1
+	v := fb.ConstReg(5) // instance (1, 0): the first statement of the first path
 	fb.Store(ir.Imm(10), 0, ir.R(v))
 	w := fb.NewReg()
 	fb.Load(w, ir.Imm(10), 0)
@@ -325,6 +326,96 @@ func TestPathsPartitionStatementStream(t *testing.T) {
 			}
 		}
 		start = pe.Upto
+	}
+}
+
+// TestInstancesNamedByPath: every statement event is named by the timestamp
+// of its path execution and its position in the path — through calls, which
+// end a path mid-block, and across two threads interleaved at path
+// boundaries — every dependence source names an instance already emitted,
+// and every source PathSources says the path fixes is the one read.
+func TestInstancesNamedByPath(t *testing.T) {
+	p := ir.NewProgram(1024)
+	g := p.NewFunc("worker", 1)
+	acc := g.ConstReg(0)
+	g.For(ir.Imm(0), ir.R(g.Param(0)), ir.Imm(1), func(i ir.Reg) {
+		x := g.NewReg()
+		g.LoadShared(x, ir.R(i), 0)
+		g.Add(acc, ir.R(acc), ir.R(x))
+		g.StoreShared(ir.R(i), 0, ir.R(acc))
+	})
+	g.Ret(ir.R(acc))
+	sq := p.NewFunc("square", 1)
+	r := sq.NewReg()
+	sq.Mul(r, ir.R(sq.Param(0)), ir.R(sq.Param(0)))
+	sq.Ret(ir.R(r))
+	fb := p.NewFunc("main", 0)
+	tid := fb.NewReg()
+	fb.Spawn(tid, "worker", ir.Imm(20))
+	s := fb.ConstReg(0)
+	fb.For(ir.Imm(0), ir.Imm(10), ir.Imm(1), func(i ir.Reg) {
+		d := fb.NewReg()
+		fb.Call(d, "square", ir.R(i))
+		fb.Store(ir.R(i), 100, ir.R(d))
+		fb.Add(s, ir.R(s), ir.R(d))
+	})
+	j := fb.NewReg()
+	fb.Join(j, ir.R(tid))
+	fb.Output(ir.R(fb.Add(fb.NewReg(), ir.R(s), ir.R(j))))
+	fb.Halt()
+	p.Entry = 2
+	p.MustFinalize()
+	st, err := Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &trace.Recording{}
+	if _, err := Run(st, Options{Sink: rec}); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[trace.Inst]bool{}
+	start, fixed := 0, 0
+	for k, pe := range rec.Paths {
+		blocks, err := st.Paths[pe.Fn].Blocks(pe.PathID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, nops := st.PathSources(pe.Fn, blocks)
+		if len(nops) != pe.Upto-start {
+			t.Fatalf("path %d: PathSources covers %d statements, the path ran %d", k+1, len(nops), pe.Upto-start)
+		}
+		slot := 0
+		for pos, e := range rec.Events[start:pe.Upto] {
+			if int(nops[pos]) != len(e.DDSrcs) {
+				t.Fatalf("(%d, %d): %d operand sources, PathSources says %d", k+1, pos, len(e.DDSrcs), nops[pos])
+			}
+			for j, got := range append(slices.Clone(e.DDSrcs), e.CDSrc) {
+				if want := plan[slot+j]; want >= 0 {
+					fixed++
+					if got != trace.InstAt(uint32(k+1), int(want)) {
+						t.Fatalf("(%d, %d) operand %d reads %#x, PathSources fixes position %d", k+1, pos, j, got, want)
+					}
+				}
+			}
+			slot += len(e.DDSrcs) + 1
+			if want := trace.InstAt(uint32(k+1), pos); e.Inst != want {
+				t.Fatalf("path %d position %d is named %#x, want %#x", k+1, pos, e.Inst, want)
+			}
+			if trace.InstTS(e.Inst) != uint32(k+1) || trace.InstPos(e.Inst) != pos {
+				t.Fatalf("name %#x does not split back into (%d, %d)", e.Inst, k+1, pos)
+			}
+			for _, src := range append(slices.Clone(e.DDSrcs), e.CDSrc) {
+				if src != 0 && !seen[src] {
+					t.Fatalf("[%d]%s at (%d, %d) depends on %#x, not emitted before it", e.Stmt.ID, e.Stmt, k+1, pos, src)
+				}
+			}
+			seen[e.Inst] = true
+		}
+		start = pe.Upto
+	}
+	if len(rec.Paths) < 40 || fixed == 0 {
+		t.Fatalf("%d path executions, %d fixed sources; the program should interleave many paths that fix sources", len(rec.Paths), fixed)
 	}
 }
 

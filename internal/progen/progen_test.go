@@ -57,7 +57,9 @@ func TestPipelineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: Finish: %v", seed, err)
 		}
-		w.Raw = cnt.RawStats
+		if w.Raw != cnt.RawStats {
+			t.Fatalf("seed %d: builder's raw counts %+v, Counting's %+v", seed, w.Raw, cnt.RawStats)
+		}
 		if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +133,7 @@ func checkSliceSources(t *testing.T, seed int64, w *core.WET, rec *trace.Recordi
 	t.Helper()
 	// Locate each instance's (node, pos, ord) by replay.
 	type loc struct{ node, pos, ord int }
-	locs := make([]loc, len(rec.Events)+1)
+	locs := make(map[trace.Inst]loc, len(rec.Events))
 	ordOf := map[int]int{}
 	start := 0
 	for _, pe := range rec.Paths {

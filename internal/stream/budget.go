@@ -1,31 +1,23 @@
 package stream
 
-import "io"
+import "wet/internal/wire"
 
-// countWriter tallies bytes without retaining them.
-type countWriter struct{ n uint64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += uint64(len(p))
-	return len(p), nil
-}
-
-// SaveSize returns the exact number of bytes Save would write for s, by
-// running the serializer against a counting writer. This is the byte-budget
-// optimizer's per-stream cost oracle: unlike SizeBits it includes every
-// framing field Save emits, so summing SaveSize over a container's streams
-// plus the fixed section overhead reproduces the on-disk size exactly.
+// SaveSize returns the exact number of bytes Encode writes for s. This is
+// the byte-budget optimizer's per-stream cost oracle: unlike SizeBits it
+// includes every framing field Encode emits, so summing SaveSize over a
+// container's streams plus the fixed section overhead reproduces the
+// on-disk size exactly.
 func SaveSize(s Stream) (uint64, error) {
-	var cw countWriter
-	if err := Save(&cw, s); err != nil {
+	var e wire.Enc
+	if err := Encode(&e, s); err != nil {
 		return 0, err
 	}
-	return cw.n, nil
+	return uint64(len(e.B)), nil
 }
 
 // Empty returns the canonical zero-length stream (a verbatim with no
 // values). Budgeted freezes substitute it for dropped value and dependence
-// streams so the container keeps an identical payload shape — Save writes
+// streams so the container keeps an identical payload shape — Encode writes
 // the 9-byte empty-verbatim form — while the data itself is gone.
 func Empty() Stream { return newVerbatim(nil) }
 
@@ -46,5 +38,3 @@ func SampleStride(vals []uint32, k uint32) []uint32 {
 	}
 	return out
 }
-
-var _ io.Writer = (*countWriter)(nil)

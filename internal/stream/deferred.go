@@ -52,7 +52,7 @@ type ResidencyHooks interface {
 }
 
 // Evictable is the one deferred stream, what Scan returns for every
-// predictor-backed stream: it holds the exact serialized bytes Save wrote
+// predictor-backed stream: it holds the exact serialized bytes Encode wrote
 // and decodes them (Load — array conversion, full normalization, checkpoint
 // rebuild, the dominant cost of opening a container) when a cursor first
 // touches it, single-flight, so any number of goroutines can race on the
@@ -65,8 +65,8 @@ type ResidencyHooks interface {
 // evicts and nobody hooks is simply a lazy one.
 //
 // The bytes are a view of the buffer Scan was handed until Own copies them.
-// They are kept after the decode either way — Save of a deferred stream is a
-// Write of what it holds — so a view pins its buffer for the stream's life.
+// They are kept after the decode either way — Encode of a deferred stream
+// appends what it holds — so a view pins its buffer for the stream's life.
 //
 // A failed decode or a BeforeLoad veto is not cached: the touch panics with
 // a *DecodeError and the next touch tries again.

@@ -59,7 +59,7 @@ func TestScanMatchesLoad(t *testing.T) {
 				t.Fatalf("%s/%s: lazy Name %q != %q", name, spec, lazy.Name(), eager.Name())
 			}
 			var buf bytes.Buffer
-			if err := Save(&buf, lazy); err != nil {
+			if err := saveTo(&buf, lazy); err != nil {
 				t.Fatalf("%s/%s: Save of scanned stream: %v", name, spec, err)
 			}
 			if !bytes.Equal(buf.Bytes(), data) {
@@ -385,7 +385,7 @@ func TestScanDeferred(t *testing.T) {
 					ev.NewCursor()
 				}
 				var got bytes.Buffer
-				if err := Save(&got, ev); err != nil {
+				if err := saveTo(&got, ev); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), data) || ev.Resident() != resident {

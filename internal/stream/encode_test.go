@@ -206,7 +206,7 @@ func FuzzEncode(f *testing.F) {
 		checkEncode(t, fmt.Sprintf("%s/k=%d", spec, k), vals, spec, int(k))
 		s := Compress(vals, spec)
 		var buf bytes.Buffer
-		if err := Save(&buf, s); err != nil {
+		if err := saveTo(&buf, s); err != nil {
 			t.Fatalf("%s: Save: %v", spec, err)
 		}
 		got, _, err := Load(buf.Bytes())

@@ -246,7 +246,7 @@ func packedKernelCases(t *testing.T, rng *rand.Rand) []packedCase {
 				}
 			}
 			var buf bytes.Buffer
-			if err := Save(&buf, built); err != nil {
+			if err := saveTo(&buf, built); err != nil {
 				t.Fatal(err)
 			}
 			loaded, _, err := Load(buf.Bytes())
@@ -281,7 +281,7 @@ func TestLoadRunsStraddleCheckpoints(t *testing.T) {
 		for _, in := range []namedVals{{"equal", equalVals(m, 3)}, {"ramp", rampVals(rng, m, 0)}} {
 			name, orig := in.name, Compress(in.vals, spec)
 			var buf bytes.Buffer
-			if err := Save(&buf, orig); err != nil {
+			if err := saveTo(&buf, orig); err != nil {
 				t.Fatal(err)
 			}
 			got, _, err := Load(buf.Bytes())

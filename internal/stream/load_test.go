@@ -247,7 +247,7 @@ func TestLoadMatchesTwoPass(t *testing.T) {
 			}
 			orig := Compress(vals, spec)
 			var buf bytes.Buffer
-			if err := Save(&buf, orig); err != nil {
+			if err := saveTo(&buf, orig); err != nil {
 				t.Fatalf("%s/%d: Save: %v", spec, m, err)
 			}
 			want, err := refLoad(buf.Bytes())
@@ -462,7 +462,7 @@ func BenchmarkLoadStream(b *testing.B) {
 	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 8}, {KindFCM, 2}, {KindDFCM, 2}} {
 		for _, in := range inputs {
 			var buf bytes.Buffer
-			if err := Save(&buf, Compress(in.vals, spec)); err != nil {
+			if err := saveTo(&buf, Compress(in.vals, spec)); err != nil {
 				b.Fatal(err)
 			}
 			data := buf.Bytes()

@@ -11,7 +11,7 @@ import (
 // random access and is the natural encoding for tier-1 pattern index
 // sequences, so it participates in method selection alongside the
 // predictors. The payload is immutable; cursors carry only a position.
-// data is the payload as Save writes it, value i at bits [i*width,
+// data is the payload as Encode writes it, value i at bits [i*width,
 // (i+1)*width) of little-endian words: a view of Scan's buffer, else a copy.
 type packed struct {
 	data  []byte

@@ -2,41 +2,39 @@ package stream
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/bits"
 
 	"wet/internal/wire"
 )
 
-// Save writes the stream's complete compressed state to w, so a later Load
-// resumes traversal without recompressing. The state written is the
+// Encode appends the stream's complete compressed state to e, so a later
+// Load resumes traversal without recompressing. The state written is the
 // canonical position-0 form — FR empty, BL full, predictor tables as they
 // stand at the stream start (all zeros except last-n-free BL table) — which
 // is byte-identical to what earlier versions wrote for a freshly compressed
 // stream, so the format is unchanged. Checkpoints are not serialized; Load
-// rebuilds them. Callers that save many streams should pass a buffered
-// writer.
-func Save(w io.Writer, s Stream) error {
+// rebuilds them.
+func Encode(e *wire.Enc, s Stream) error {
 	switch t := s.(type) {
 	case *verbatim:
-		return t.save(w)
+		t.encode(e)
 	case *packed:
-		return t.save(w)
+		t.encode(e)
 	case *fcmStream:
-		return t.save(w)
+		t.encode(e)
 	case *lastNStream:
-		return t.save(w)
+		t.encode(e)
 	case *Evictable:
 		// The retained bytes ARE the serialized form; no decode needed.
-		_, err := w.Write(t.raw)
-		return err
+		e.Raw(t.raw)
+	default:
+		return fmt.Errorf("stream: cannot serialize %T", s)
 	}
-	return fmt.Errorf("stream: cannot serialize %T", s)
+	return nil
 }
 
-// Load decodes the stream Save wrote at the front of b and reports how many
+// Load decodes the stream Encode wrote at the front of b and reports how many
 // bytes it occupied, so streams can be concatenated in one container.
 //
 // Load is the package's error boundary for untrusted input: every length,
@@ -143,37 +141,17 @@ func WalkCheck(s Stream) (err error) {
 
 // --- encoding helpers ---
 
-func writeAll(w io.Writer, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
+// putU32s puts a length-prefixed sequence.
+func putU32s(e *wire.Enc, s []uint32) {
+	e.U32(uint32(len(s)))
+	e.U32s(s)
 }
 
-func writeU32s(w io.Writer, s []uint32) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(s))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, s)
-}
-
-// writeZeroU32s writes a length-prefixed all-zero sequence (the canonical
+// putZeroU32s puts a length-prefixed all-zero sequence (the canonical
 // serialized form of a predictor table at position 0).
-func writeZeroU32s(w io.Writer, n int) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(n)); err != nil {
-		return err
-	}
-	zeros := make([]uint32, min(n, 1<<16))
-	for n > 0 {
-		c := min(n, len(zeros))
-		if err := binary.Write(w, binary.LittleEndian, zeros[:c]); err != nil {
-			return err
-		}
-		n -= c
-	}
-	return nil
+func putZeroU32s(e *wire.Enc, n int) {
+	e.U32(uint32(n))
+	e.Zeros(4 * n)
 }
 
 // readU32s reads a length-prefixed sequence of exactly want values (want < 0:
@@ -193,32 +171,18 @@ func readU32s(d *wire.Dec, want int, what string) ([]uint32, error) {
 	return s, d.Err()
 }
 
-func writeBits(w io.Writer, b *bitstack) error {
-	if err := binary.Write(w, binary.LittleEndian, b.n); err != nil {
-		return err
-	}
-	words := b.words[:(b.n+63)>>6]
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(words))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, words)
+// putBitvec puts an immutable bit vector in the bitstack wire form.
+func putBitvec(e *wire.Enc, v *bitvec) {
+	e.U64(v.n)
+	e.U32(uint32(len(v.words)))
+	e.U64s(v.words)
 }
 
-// writeBitvec writes an immutable bit vector in the bitstack wire form.
-func writeBitvec(w io.Writer, v *bitvec) error {
-	if err := binary.Write(w, binary.LittleEndian, v.n); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(v.words))); err != nil {
-		return err
-	}
-	return binary.Write(w, binary.LittleEndian, v.words)
-}
-
-// writeEmptyBits writes a zero-length bit vector (the canonical FR store at
+// putEmptyBits puts a zero-length bit vector (the canonical FR store at
 // position 0).
-func writeEmptyBits(w io.Writer) error {
-	return writeAll(w, uint64(0), uint32(0))
+func putEmptyBits(e *wire.Enc) {
+	e.U64(0)
+	e.U32(0)
 }
 
 func readBits(d *wire.Dec) (bitstack, error) {
@@ -236,14 +200,10 @@ func readBits(d *wire.Dec) (bitstack, error) {
 
 // --- per-type state ---
 
-func (v *verbatim) save(w io.Writer) error {
-	if err := writeAll(w, uint8(KindVerbatim)); err != nil {
-		return err
-	}
-	if err := writeU32s(w, v.vals); err != nil {
-		return err
-	}
-	return writeAll(w, uint32(0)) // canonical cursor-free position
+func (v *verbatim) encode(e *wire.Enc) {
+	e.U8(uint8(KindVerbatim))
+	putU32s(e, v.vals)
+	e.U32(0) // canonical cursor-free position
 }
 
 func loadVerbatim(d *wire.Dec) (*verbatim, error) {
@@ -261,12 +221,13 @@ func loadVerbatim(d *wire.Dec) (*verbatim, error) {
 	return &verbatim{vals: vals}, nil
 }
 
-func (p *packed) save(w io.Writer) error {
-	if err := writeAll(w, uint8(KindPacked), uint32(p.width), uint32(p.m), uint32(0), uint32(len(p.data)/8)); err != nil {
-		return err
-	}
-	_, err := w.Write(p.data)
-	return err
+func (p *packed) encode(e *wire.Enc) {
+	e.U8(uint8(KindPacked))
+	e.U32(uint32(p.width))
+	e.U32(uint32(p.m))
+	e.U32(0)
+	e.U32(uint32(len(p.data) / 8))
+	e.Raw(p.data)
 }
 
 // loadPacked reads a packed stream whose payload is a view of d's bytes
@@ -298,29 +259,23 @@ func loadPacked(d *wire.Dec, view bool) (*packed, error) {
 	return &packed{width: uint(width), m: int(m), data: data}, nil
 }
 
-func (s *fcmStream) save(w io.Writer) error {
+func (s *fcmStream) encode(e *wire.Enc) {
 	kind := KindFCM
 	if s.stride {
 		kind = KindDFCM
 	}
-	if err := writeAll(w, uint8(kind), uint32(s.m), uint32(s.order),
-		uint32(s.tbBits), uint32(0), s.size); err != nil {
-		return err
-	}
+	e.U8(uint8(kind))
+	e.U32(uint32(s.m))
+	e.U32(uint32(s.order))
+	e.U32(uint32(s.tbBits))
+	e.U32(0)
+	e.U64(s.size)
 	// Position-0 state: FR table and window are canonically all zeros.
-	if err := writeZeroU32s(w, 1<<s.tbBits); err != nil {
-		return err
-	}
-	if err := writeU32s(w, s.bltb0); err != nil {
-		return err
-	}
-	if err := writeZeroU32s(w, s.winLen()); err != nil {
-		return err
-	}
-	if err := writeEmptyBits(w); err != nil {
-		return err
-	}
-	return writeBitvec(w, &s.bl)
+	putZeroU32s(e, 1<<s.tbBits)
+	putU32s(e, s.bltb0)
+	putZeroU32s(e, s.winLen())
+	putEmptyBits(e)
+	putBitvec(e, &s.bl)
 }
 
 // readFCMState is the structural half of an FCM load: it consumes exactly
@@ -391,24 +346,24 @@ func normalizeFCM(e *fcmEnc) (Stream, error) {
 	return s, nil
 }
 
-func (s *lastNStream) save(w io.Writer) error {
+func (s *lastNStream) encode(e *wire.Enc) {
 	kind := KindLastN
 	if s.stride {
 		kind = KindLastNStride
 	}
-	if err := writeAll(w, uint8(kind), uint8(b2u8(s.stride)), uint32(s.m),
-		uint32(s.n), uint32(s.idxBits), uint32(0), uint32(0), s.size); err != nil {
-		return err
-	}
+	e.U8(uint8(kind))
+	e.Bool(s.stride)
+	e.U32(uint32(s.m))
+	e.U32(uint32(s.n))
+	e.U32(uint32(s.idxBits))
+	e.U32(0) // cursor
+	e.U32(0) // lastVal
+	e.U64(s.size)
 	// Position-0 state: the move-to-front table is canonically all zeros
 	// and lastVal is 0 (written above).
-	if err := writeZeroU32s(w, s.n); err != nil {
-		return err
-	}
-	if err := writeEmptyBits(w); err != nil {
-		return err
-	}
-	return writeBitvec(w, &s.bl)
+	putZeroU32s(e, s.n)
+	putEmptyBits(e)
+	putBitvec(e, &s.bl)
 }
 
 // readLastNState is the structural half of a last-n load (see readFCMState).
@@ -469,11 +424,4 @@ func normalizeLastN(e *lastNEnc) (Stream, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-func b2u8(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

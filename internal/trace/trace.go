@@ -6,10 +6,22 @@ package trace
 
 import "wet/internal/ir"
 
-// Inst identifies one dynamic statement instance. Instances are numbered
-// densely from 1 in execution order; 0 means "no source" (immediates,
-// inputs, program start).
+// Inst identifies one dynamic statement instance by where it ran: the
+// timestamp of its Ball–Larus path execution (the high 32 bits; the first
+// path is 1) and its position in that path (the low 32 bits). 0 means "no
+// source" (immediates, inputs, program start). A consumer that knows where
+// each path execution landed therefore locates any instance without a
+// per-instance table.
 type Inst = uint64
+
+// InstAt names the instance at position pos of the path executed at ts.
+func InstAt(ts uint32, pos int) Inst { return Inst(ts)<<32 | Inst(uint32(pos)) }
+
+// InstTS is the timestamp of the path execution instance i belongs to.
+func InstTS(i Inst) uint32 { return uint32(i >> 32) }
+
+// InstPos is instance i's position in its path execution.
+func InstPos(i Inst) int { return int(uint32(i)) }
 
 // Sink consumes the dynamic event stream of one program run.
 //
@@ -19,7 +31,7 @@ type Inst = uint64
 // terminate Ball–Larus paths.
 type Sink interface {
 	// Stmt reports one executed statement instance.
-	//   inst   – dense instance id (starting at 1)
+	//   inst   – the instance's name, InstAt(path timestamp, position)
 	//   st     – the static statement
 	//   value  – the produced value; meaningful only when st.Op.HasDef()
 	//   ddSrcs – instance ids of the producers of each register operand, in
@@ -141,10 +153,7 @@ func NewCounting(next Sink) *Counting { return &Counting{Next: next} }
 
 // Stmt implements Sink.
 func (c *Counting) Stmt(inst Inst, st *ir.Stmt, value int64, ddSrcs []Inst, ddVals []int64, cdSrc Inst) {
-	c.StmtExecs++
-	if st.Op.HasDef() {
-		c.DefExecs++
-	}
+	c.count(st)
 	for _, s := range ddSrcs {
 		if s != 0 {
 			c.DynDD++
@@ -153,23 +162,7 @@ func (c *Counting) Stmt(inst Inst, st *ir.Stmt, value int64, ddSrcs []Inst, ddVa
 	if cdSrc != 0 {
 		c.DynCD++
 	}
-	switch st.Op {
-	case ir.OpLoad:
-		c.Loads++
-	case ir.OpStore:
-		c.Stores++
-	case ir.OpBr:
-		c.Branches++
-	case ir.OpLoadSh:
-		c.Loads++
-		c.SharedAcc++
-	case ir.OpStoreSh:
-		c.Stores++
-		c.SharedAcc++
-	case ir.OpSpawn, ir.OpJoin, ir.OpLock, ir.OpUnlock:
-		c.SyncOps++
-	}
-	if !c.haveBlk || c.curFn != st.Fn || c.curBlk != st.Blk || st.Idx == 0 {
+	if !c.haveBlk || newBlock(st, c.curFn, c.curBlk) {
 		c.BlockExecs++
 		c.haveBlk = true
 		c.curFn, c.curBlk = st.Fn, st.Blk
@@ -177,6 +170,68 @@ func (c *Counting) Stmt(inst Inst, st *ir.Stmt, value int64, ddSrcs []Inst, ddVa
 	if c.Next != nil {
 		c.Next.Stmt(inst, st, value, ddSrcs, ddVals, cdSrc)
 	}
+}
+
+// count adds what one execution of st contributes whatever its operands:
+// everything but the dependences and the block executions.
+func (r *RawStats) count(st *ir.Stmt) {
+	r.StmtExecs++
+	if st.Op.HasDef() {
+		r.DefExecs++
+	}
+	switch st.Op {
+	case ir.OpLoad:
+		r.Loads++
+	case ir.OpStore:
+		r.Stores++
+	case ir.OpBr:
+		r.Branches++
+	case ir.OpLoadSh:
+		r.Loads++
+		r.SharedAcc++
+	case ir.OpStoreSh:
+		r.Stores++
+		r.SharedAcc++
+	case ir.OpSpawn, ir.OpJoin, ir.OpLock, ir.OpUnlock:
+		r.SyncOps++
+	}
+}
+
+// newBlock reports whether st, following a statement of block blk of
+// function fn in the same path, starts a new block execution.
+func newBlock(st *ir.Stmt, fn, blk int) bool {
+	return fn != st.Fn || blk != st.Blk || st.Idx == 0
+}
+
+// PathRaw returns the counts one execution of a Ball–Larus path with
+// statements stmts contributes, apart from the dependences (DynDD, DynCD),
+// which depend on the operands' producers. A consumer that tallies a
+// path's executions gets Counting's totals as the sum over paths of
+// PathRaw times the executions, without looking at a statement event.
+func PathRaw(stmts []*ir.Stmt) RawStats {
+	r := RawStats{PathExecs: 1}
+	for i, st := range stmts {
+		r.count(st)
+		if i == 0 || newBlock(st, stmts[i-1].Fn, stmts[i-1].Blk) {
+			r.BlockExecs++
+		}
+	}
+	return r
+}
+
+// Add adds k times o to r.
+func (r *RawStats) Add(o *RawStats, k uint64) {
+	r.StmtExecs += k * o.StmtExecs
+	r.DefExecs += k * o.DefExecs
+	r.DynDD += k * o.DynDD
+	r.DynCD += k * o.DynCD
+	r.BlockExecs += k * o.BlockExecs
+	r.PathExecs += k * o.PathExecs
+	r.Loads += k * o.Loads
+	r.Stores += k * o.Stores
+	r.Branches += k * o.Branches
+	r.SyncOps += k * o.SyncOps
+	r.SharedAcc += k * o.SharedAcc
 }
 
 // PathDone implements Sink.

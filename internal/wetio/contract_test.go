@@ -23,8 +23,7 @@ import (
 func withPayload(t *testing.T, data []byte, idx int, payload []byte) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	out.Write(data[:8])
-	sw := &sectionWriter{w: &out}
+	sw := newSectionWriter(&out, data[:8])
 	for i, s := range mustScan(t, data) {
 		p := s.payload
 		if i == idx {
@@ -34,6 +33,9 @@ func withPayload(t *testing.T, data []byte, idx int, payload []byte) []byte {
 		if err := sw.emit(s.tag); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := sw.close(); err != nil {
+		t.Fatal(err)
 	}
 	return out.Bytes()
 }

@@ -19,7 +19,6 @@ package wetio
 
 import (
 	"fmt"
-	"io"
 
 	"wet/internal/core"
 	"wet/internal/wire"
@@ -51,28 +50,24 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func saveFidelityPayload(w io.Writer, f *core.FidelityReport) error {
-	if err := writeVals(w, f.BudgetBytes, f.FloorBytes, f.AchievedBytes,
-		f.TSStride, uint32(f.GroupsKept), uint32(f.EdgesKept)); err != nil {
-		return err
-	}
-	if err := writeVals(w, uint32(len(f.DroppedGroups))); err != nil {
-		return err
-	}
+func saveFidelityPayload(w *wire.Enc, f *core.FidelityReport) {
+	w.U64(f.BudgetBytes)
+	w.U64(f.FloorBytes)
+	w.U64(f.AchievedBytes)
+	w.U32(f.TSStride)
+	w.U32(uint32(f.GroupsKept))
+	w.U32(uint32(f.EdgesKept))
+	w.U32(uint32(len(f.DroppedGroups)))
 	for _, d := range f.DroppedGroups {
-		if err := writeVals(w, uint32(d.Node), uint32(d.Group), d.SavedBytes); err != nil {
-			return err
-		}
+		w.U32(uint32(d.Node))
+		w.U32(uint32(d.Group))
+		w.U64(d.SavedBytes)
 	}
-	if err := writeVals(w, uint32(len(f.DroppedEdges))); err != nil {
-		return err
-	}
+	w.U32(uint32(len(f.DroppedEdges)))
 	for _, d := range f.DroppedEdges {
-		if err := writeVals(w, uint32(d.Edge), d.SavedBytes); err != nil {
-			return err
-		}
+		w.U32(uint32(d.Edge))
+		w.U64(d.SavedBytes)
 	}
-	return nil
 }
 
 // parseFidelitySec deserializes the fidelity section. Entries are bounds

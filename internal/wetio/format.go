@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"wet/internal/core"
+	"wet/internal/wire"
 )
 
 // WET format v3 framing: after the 8-byte preamble (magic, version), the
@@ -256,34 +257,62 @@ func walkSections(r io.Reader, visit func(tag uint8, offset int64, plen int, crc
 	}
 }
 
-// sectionWriter accumulates one section payload and emits framed sections.
+// sectionWriter frames sections back to back into one buffer, the open
+// section's payload appended through the embedded Enc behind a header emit
+// fills in, and writes the buffer out whenever it holds flushAt bytes: the
+// destination sees few large writes, each ending on a section boundary.
 type sectionWriter struct {
-	w   io.Writer
-	buf []byte
+	w io.Writer
+	wire.Enc
+	start int // offset in B of the open section's frame header
 }
 
-// Write implements io.Writer over the pending payload.
+const (
+	frameHdr = 5 // tag and payload length
+	flushAt  = 1 << 16
+)
+
+// newSectionWriter returns a writer whose first write starts with preamble.
+func newSectionWriter(w io.Writer, preamble []byte) *sectionWriter {
+	sw := &sectionWriter{w: w, Enc: wire.Enc{B: make([]byte, 0, flushAt+flushAt/2)}}
+	sw.Raw(preamble)
+	sw.open()
+	return sw
+}
+
+// open starts the next section.
+func (sw *sectionWriter) open() {
+	sw.start = len(sw.B)
+	sw.Zeros(frameHdr)
+}
+
+// Write implements io.Writer over the open section's payload.
 func (sw *sectionWriter) Write(p []byte) (int, error) {
-	sw.buf = append(sw.buf, p...)
+	sw.Raw(p)
 	return len(p), nil
 }
 
-// emit frames the pending payload as one section and resets the buffer.
+// emit frames the open section as one tag-length-payload-CRC section and
+// opens the next.
 func (sw *sectionWriter) emit(tag uint8) error {
-	var hdr [5]byte
-	hdr[0] = tag
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(sw.buf)))
-	sum := crc32.Checksum(hdr[:], crcTable)
-	sum = crc32.Update(sum, crcTable, sw.buf)
-	if _, err := sw.w.Write(hdr[:]); err != nil {
-		return err
+	f := sw.B[sw.start:]
+	f[0] = tag
+	binary.LittleEndian.PutUint32(f[1:], uint32(len(f)-frameHdr))
+	sw.U32(crc32.Checksum(f, crcTable))
+	if len(sw.B) >= flushAt {
+		if _, err := sw.w.Write(sw.B); err != nil {
+			return err
+		}
+		sw.B = sw.B[:0]
 	}
-	if _, err := sw.w.Write(sw.buf); err != nil {
-		return err
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], sum)
-	_, err := sw.w.Write(crcBuf[:])
-	sw.buf = sw.buf[:0]
+	sw.open()
+	return nil
+}
+
+// close writes out every section emitted and not yet written.
+func (sw *sectionWriter) close() error {
+	_, err := sw.w.Write(sw.B[:sw.start])
+	sw.B = sw.B[:0]
+	sw.open()
 	return err
 }

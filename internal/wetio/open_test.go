@@ -250,10 +250,7 @@ func TestVerifyAllocationBounded(t *testing.T) {
 	// contents never parse.
 	rng := rand.New(rand.NewSource(3))
 	var buf bytes.Buffer
-	if err := writeVals(&buf, magic, version); err != nil {
-		t.Fatal(err)
-	}
-	sw := &sectionWriter{w: &buf}
+	sw := newSectionWriter(&buf, order.AppendUint32(order.AppendUint32(nil, magic), version))
 	const secSize = 2 << 20
 	for i := 0; i < 8; i++ {
 		payload := make([]byte, secSize)
@@ -266,6 +263,9 @@ func TestVerifyAllocationBounded(t *testing.T) {
 		}
 	}
 	if err := sw.emit(secEnd); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.close(); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -10,7 +10,6 @@ package wetio
 
 import (
 	"fmt"
-	"io"
 
 	"wet/internal/core"
 	"wet/internal/stream"
@@ -35,44 +34,34 @@ func at[T any](xs []T, i int) (zero T) {
 
 // writeLabels writes one node-side label list: the whole-run stream s, or on
 // a segmented (v4) container the segment list segs.
-func writeLabels(w io.Writer, segmented bool, s stream.Stream, segs []*core.LabelSeg) error {
+func writeLabels(w *wire.Enc, segmented bool, s stream.Stream, segs []*core.LabelSeg) error {
 	if !segmented {
-		return stream.Save(w, s)
+		return stream.Encode(w, s)
 	}
-	if err := writeVals(w, uint32(len(segs))); err != nil {
-		return err
-	}
+	w.U32(uint32(len(segs)))
 	for _, sg := range segs {
-		if err := writeVals(w, uint32(sg.Epoch), uint32(sg.N)); err != nil {
-			return err
-		}
-		if err := stream.Save(w, sg.S); err != nil {
+		w.U32(uint32(sg.Epoch))
+		w.U32(uint32(sg.N))
+		if err := stream.Encode(w, sg.S); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeNode(w io.Writer, n *core.Node, segmented bool) error {
-	if err := writeVals(w, int32(n.Fn), n.PathID, uint32(n.Execs)); err != nil {
-		return err
-	}
+func writeNode(w *wire.Enc, n *core.Node, segmented bool) error {
+	w.I32(int32(n.Fn))
+	w.I64(n.PathID)
+	w.U32(uint32(n.Execs))
 	if err := writeLabels(w, segmented, n.TSS, n.TSSegs); err != nil {
 		return err
 	}
-	if err := writeInts(w, n.CFNext); err != nil {
-		return err
-	}
-	if err := writeInts(w, n.CFPrev); err != nil {
-		return err
-	}
-	if err := writeVals(w, uint32(len(n.Groups))); err != nil {
-		return err
-	}
+	putInts(w, n.CFNext)
+	putInts(w, n.CFPrev)
+	w.U32(uint32(len(n.Groups)))
 	for _, g := range n.Groups {
-		if err := writeVals(w, uint32(g.UniqueKeys()), uint32(len(g.ValMembers))); err != nil {
-			return err
-		}
+		w.U32(uint32(g.UniqueKeys()))
+		w.U32(uint32(len(g.ValMembers)))
 		if err := writeLabels(w, segmented, g.PatternS, g.PatSegs); err != nil {
 			return err
 		}
@@ -87,54 +76,57 @@ func writeNode(w io.Writer, n *core.Node, segmented bool) error {
 
 // writeLabelPair writes the stored streams of one owned label-pair sequence:
 // destination ordinals, then source ordinals unless diagonal.
-func writeLabelPair(w io.Writer, dst, src stream.Stream, diagonal bool) error {
-	if err := stream.Save(w, dst); err != nil || diagonal {
+func writeLabelPair(w *wire.Enc, dst, src stream.Stream, diagonal bool) error {
+	if err := stream.Encode(w, dst); err != nil || diagonal {
 		return err
 	}
-	return stream.Save(w, src)
+	return stream.Encode(w, src)
 }
 
 // writeEdgeLabels writes an edge's label list: on v3 the owned pair (nothing
 // for inferable edges and sharers), on v4 the per-epoch segment list.
-func writeEdgeLabels(w io.Writer, e *core.Edge, segmented bool) error {
+func writeEdgeLabels(w *wire.Enc, e *core.Edge, segmented bool) error {
 	if !segmented {
 		if e.Inferable || e.SharedWith >= 0 {
 			return nil
 		}
 		return writeLabelPair(w, e.DstS, e.SrcS, e.Diagonal)
 	}
-	if err := writeVals(w, uint32(len(e.Segs))); err != nil {
-		return err
-	}
+	w.U32(uint32(len(e.Segs)))
 	for _, sg := range e.Segs {
-		var err error
-		switch epoch, n := uint32(sg.Epoch), uint32(sg.N); {
+		w.U32(uint32(sg.Epoch))
+		w.U32(uint32(sg.N))
+		switch {
 		case sg.Inferable:
-			err = writeVals(w, epoch, n, uint8(segInferable), sg.RampBase)
+			w.U8(segInferable)
+			w.U32(sg.RampBase)
 		case sg.SharedWith >= 0:
-			err = writeVals(w, epoch, n, uint8(segShared), int32(sg.SharedWith), int32(sg.SharedSeg))
+			w.U8(segShared)
+			w.I32(int32(sg.SharedWith))
+			w.I32(int32(sg.SharedSeg))
 		default:
 			var flags uint8
 			if sg.Diagonal {
 				flags = segDiagonal
 			}
-			if err = writeVals(w, epoch, n, flags); err == nil {
-				err = writeLabelPair(w, sg.DstS, sg.SrcS, sg.Diagonal)
+			w.U8(flags)
+			if err := writeLabelPair(w, sg.DstS, sg.SrcS, sg.Diagonal); err != nil {
+				return err
 			}
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil
 }
 
-func writeEdge(w io.Writer, e *core.Edge, segmented bool) error {
-	if err := writeVals(w, uint8(e.Kind), int32(e.SrcNode), int32(e.SrcPos),
-		int32(e.DstNode), int32(e.DstPos), int32(e.OpIdx), uint32(e.Count),
-		boolByte(e.Inferable), boolByte(e.Diagonal), int32(e.SharedWith)); err != nil {
-		return err
+func writeEdge(w *wire.Enc, e *core.Edge, segmented bool) error {
+	w.U8(uint8(e.Kind))
+	for _, v := range [...]int{e.SrcNode, e.SrcPos, e.DstNode, e.DstPos, e.OpIdx} {
+		w.I32(int32(v))
 	}
+	w.U32(uint32(e.Count))
+	w.Bool(e.Inferable)
+	w.Bool(e.Diagonal)
+	w.I32(int32(e.SharedWith))
 	return writeEdgeLabels(w, e, segmented)
 }
 

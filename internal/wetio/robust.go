@@ -15,7 +15,7 @@ import (
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Failpoints of the IO layer. wetio.save.write fires inside every Write of
-// a Save (through the bufio flush, so roughly once per 64 KiB); with the
+// a Save (one per 64 KiB or so of whole sections); with the
 // "short" action it writes half the chunk and then fails, producing
 // exactly the torn tail the salvage loader is built for. wetio.load.read
 // fires inside every Read feeding a Load or Verify.

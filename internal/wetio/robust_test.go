@@ -41,7 +41,7 @@ func noStrays(t *testing.T, dir, name string) {
 }
 
 // TestSaveFileAtomicUnderInjectedFaults kills the save at every write the
-// destination device would see (wetio.save.write fires per bufio flush)
+// destination device would see (wetio.save.write fires per buffer flush)
 // and at the fsync and rename steps: every failure must surface the typed
 // injected error, keep the previous file byte-identical, and remove the
 // temp file.

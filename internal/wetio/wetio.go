@@ -31,7 +31,6 @@
 package wetio
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -74,40 +73,30 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 	if segmented {
 		ver = versionV4
 	}
-	bw := bufio.NewWriterSize(failWriter{w}, 1<<16)
-	if err := writeVals(bw, magic, ver); err != nil {
-		return err
-	}
-	sw := &sectionWriter{w: bw}
+	sw := newSectionWriter(failWriter{w}, order.AppendUint32(order.AppendUint32(nil, magic), ver))
 
 	for _, f := range rawHeaderFields(&wet.Raw) {
-		if err := writeVals(sw, *f); err != nil {
-			return err
-		}
+		sw.U64(*f)
 	}
-	if err := writeVals(sw, wet.Time, int32(wet.FirstNode), int32(wet.LastNode),
-		uint32(len(wet.Nodes)), uint32(len(wet.Edges))); err != nil {
-		return err
-	}
+	sw.U32(wet.Time)
+	sw.I32(int32(wet.FirstNode))
+	sw.I32(int32(wet.LastNode))
+	sw.U32(uint32(len(wet.Nodes)))
+	sw.U32(uint32(len(wet.Edges)))
 	if segmented {
-		if err := writeVals(sw, wet.EpochTS, uint32(wet.Epochs)); err != nil {
-			return err
-		}
+		sw.U32(wet.EpochTS)
+		sw.U32(uint32(wet.Epochs))
 	}
 	if err := sw.emit(secHeader); err != nil {
 		return err
 	}
 
-	if err := saveProgram(sw, wet.Prog); err != nil {
-		return err
-	}
+	saveProgram(&sw.Enc, wet.Prog)
 	if err := sw.emit(secProgram); err != nil {
 		return err
 	}
 
-	if err := saveReport(sw, wet.Report()); err != nil {
-		return err
-	}
+	saveReport(&sw.Enc, wet.Report())
 	if err := sw.emit(secReport); err != nil {
 		return err
 	}
@@ -116,9 +105,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 	// actually shed something: lossless output (no budget, or a budget at or
 	// above the floor) stays byte-identical to pre-budget releases.
 	if wet.Fidelity.Degraded() {
-		if err := saveFidelityPayload(sw, wet.Fidelity); err != nil {
-			return err
-		}
+		saveFidelityPayload(&sw.Enc, wet.Fidelity)
 		if err := sw.emit(secFidelity); err != nil {
 			return err
 		}
@@ -132,7 +119,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		if err := writeNode(sw, n, segmented); err != nil {
+		if err := writeNode(&sw.Enc, n, segmented); err != nil {
 			return err
 		}
 		if err := sw.emit(secNode); err != nil {
@@ -143,7 +130,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 		if ctx.Err() != nil {
 			return context.Cause(ctx)
 		}
-		if err := writeEdge(sw, e, segmented); err != nil {
+		if err := writeEdge(&sw.Enc, e, segmented); err != nil {
 			return err
 		}
 		if err := sw.emit(secEdge); err != nil {
@@ -154,7 +141,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 	// records and the end marker. Single-threaded WETs (Conc nil) emit
 	// nothing here, keeping their bytes identical to pre-concurrency output.
 	if wet.Conc != nil {
-		if err := saveConcPayload(sw, wet); err != nil {
+		if err := saveConcPayload(&sw.Enc, wet); err != nil {
 			return err
 		}
 		if err := sw.emit(secConc); err != nil {
@@ -164,7 +151,7 @@ func saveCtx(ctx context.Context, w io.Writer, wet *core.WET) error {
 	if err := sw.emit(secEnd); err != nil {
 		return err
 	}
-	return bw.Flush()
+	return sw.close()
 }
 
 // rawHeaderFields lists the RawStats fields that belong to the file
@@ -177,13 +164,13 @@ func rawHeaderFields(r *trace.RawStats) []*uint64 {
 		&r.BlockExecs, &r.PathExecs, &r.Loads, &r.Stores, &r.Branches}
 }
 
-func saveConcPayload(w io.Writer, wet *core.WET) error {
+func saveConcPayload(w *wire.Enc, wet *core.WET) error {
 	c := wet.Conc
-	if err := writeVals(w, wet.Raw.SyncOps, wet.Raw.SharedAcc, uint32(c.NumThreads())); err != nil {
-		return err
-	}
+	w.U64(wet.Raw.SyncOps)
+	w.U64(wet.Raw.SharedAcc)
+	w.U32(uint32(c.NumThreads()))
 	for _, cs := range c.Streams() {
-		if err := stream.Save(w, cs.S); err != nil {
+		if err := stream.Encode(w, cs.S); err != nil {
 			return err
 		}
 	}
@@ -1003,65 +990,44 @@ func done(d *wire.Dec) error {
 
 // --- program (de)serialization ---
 
-func saveProgram(w io.Writer, p *ir.Program) error {
-	if err := writeVals(w, p.MemWords, int32(p.Entry), uint32(len(p.Funcs))); err != nil {
-		return err
-	}
+func saveProgram(w *wire.Enc, p *ir.Program) {
+	w.I64(p.MemWords)
+	w.I32(int32(p.Entry))
+	w.U32(uint32(len(p.Funcs)))
 	for _, f := range p.Funcs {
-		if err := writeString(w, f.Name); err != nil {
-			return err
-		}
-		if err := writeVals(w, int32(f.Params), int32(f.NumRegs), uint32(len(f.Blocks))); err != nil {
-			return err
-		}
+		putString(w, f.Name)
+		w.I32(int32(f.Params))
+		w.I32(int32(f.NumRegs))
+		w.U32(uint32(len(f.Blocks)))
 		for _, b := range f.Blocks {
-			if err := writeInts(w, b.Succs); err != nil {
-				return err
-			}
-			if err := writeVals(w, uint32(len(b.Stmts))); err != nil {
-				return err
-			}
+			putInts(w, b.Succs)
+			w.U32(uint32(len(b.Stmts)))
 			for _, s := range b.Stmts {
-				if err := saveStmt(w, s); err != nil {
-					return err
-				}
+				saveStmt(w, s)
 			}
 		}
 	}
-	return nil
 }
 
-func saveStmt(w io.Writer, s *ir.Stmt) error {
-	if err := writeVals(w, uint8(s.Op), int32(s.Dest)); err != nil {
-		return err
-	}
-	if err := saveOperand(w, s.A); err != nil {
-		return err
-	}
-	if err := saveOperand(w, s.B); err != nil {
-		return err
-	}
-	if err := writeVals(w, s.Off); err != nil {
-		return err
-	}
+func saveStmt(w *wire.Enc, s *ir.Stmt) {
+	w.U8(uint8(s.Op))
+	w.I32(int32(s.Dest))
+	saveOperand(w, s.A)
+	saveOperand(w, s.B)
+	w.I64(s.Off)
 	if s.Op == ir.OpCall || s.Op == ir.OpSpawn {
-		if err := writeString(w, s.CalleeName); err != nil {
-			return err
-		}
-		if err := writeVals(w, uint32(len(s.Args))); err != nil {
-			return err
-		}
+		putString(w, s.CalleeName)
+		w.U32(uint32(len(s.Args)))
 		for _, a := range s.Args {
-			if err := saveOperand(w, a); err != nil {
-				return err
-			}
+			saveOperand(w, a)
 		}
 	}
-	return nil
 }
 
-func saveOperand(w io.Writer, o ir.Operand) error {
-	return writeVals(w, boolByte(o.IsReg), int32(o.Reg), o.Imm)
+func saveOperand(w *wire.Enc, o ir.Operand) {
+	w.Bool(o.IsReg)
+	w.I32(int32(o.Reg))
+	w.I64(o.Imm)
 }
 
 func loadOperand(d *wire.Dec) ir.Operand {
@@ -1129,17 +1095,15 @@ func loadStmt(d *wire.Dec) *ir.Stmt {
 
 // --- report ---
 
-func saveReport(w io.Writer, r *core.SizeReport) error {
-	if err := writeVals(w,
-		r.OrigTS, r.OrigVals, r.OrigEdges,
-		r.T1TS, r.T1Vals, r.T1Edges,
-		r.T2TS, r.T2Vals, r.T2Edges,
-		int64(r.InferableEdges), int64(r.SharedEdges), int64(r.OwnedEdges)); err != nil {
-		return err
+func saveReport(w *wire.Enc, r *core.SizeReport) {
+	for _, v := range [...]uint64{r.OrigTS, r.OrigVals, r.OrigEdges,
+		r.T1TS, r.T1Vals, r.T1Edges, r.T2TS, r.T2Vals, r.T2Edges} {
+		w.U64(v)
 	}
-	if err := writeVals(w, uint32(len(r.Methods))); err != nil {
-		return err
-	}
+	w.I64(int64(r.InferableEdges))
+	w.I64(int64(r.SharedEdges))
+	w.I64(int64(r.OwnedEdges))
+	w.U32(uint32(len(r.Methods)))
 	// Sorted order: two saves of equal WETs must produce identical bytes
 	// (map iteration order would otherwise leak into the file).
 	names := make([]string, 0, len(r.Methods))
@@ -1148,14 +1112,9 @@ func saveReport(w io.Writer, r *core.SizeReport) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := writeString(w, name); err != nil {
-			return err
-		}
-		if err := writeVals(w, int64(r.Methods[name])); err != nil {
-			return err
-		}
+		putString(w, name)
+		w.I64(int64(r.Methods[name]))
 	}
-	return nil
 }
 
 func loadReport(d *wire.Dec) (*core.SizeReport, error) {
@@ -1174,21 +1133,10 @@ func loadReport(d *wire.Dec) (*core.SizeReport, error) {
 
 // --- primitives ---
 
-func writeVals(w io.Writer, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Write(w, order, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeVals(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.Write([]byte(s))
-	return err
+// putString puts a length-prefixed string.
+func putString(w *wire.Enc, s string) {
+	w.U32(uint32(len(s)))
+	w.B = append(w.B, s...)
 }
 
 // readString reads a length-prefixed string ("" once the input is short).
@@ -1196,16 +1144,12 @@ func readString(d *wire.Dec) string {
 	return string(d.Bytes(d.Count(1)))
 }
 
-func writeInts(w io.Writer, s []int) error {
-	if err := writeVals(w, uint32(len(s))); err != nil {
-		return err
-	}
+// putInts puts a length-prefixed int32 slice.
+func putInts(w *wire.Enc, s []int) {
+	w.U32(uint32(len(s)))
 	for _, v := range s {
-		if err := writeVals(w, int32(v)); err != nil {
-			return err
-		}
+		w.I32(int32(v))
 	}
-	return nil
 }
 
 // readInts reads a length-prefixed int32 slice (nil when empty).
@@ -1219,11 +1163,4 @@ func readInts(d *wire.Dec) ([]int, error) {
 		out[i] = int(d.I32())
 	}
 	return out, nil
-}
-
-func boolByte(b bool) uint8 {
-	if b {
-		return 1
-	}
-	return 0
 }

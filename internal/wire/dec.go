@@ -1,6 +1,7 @@
-// Package wire is the one decoder of the little-endian container bytes: the
-// stream deserializer and the .wet section parsers both walk a byte slice
-// they already hold through a Dec.
+// Package wire is the one decoder and the one encoder of the little-endian
+// container bytes: the stream deserializer and the .wet section parsers both
+// walk a byte slice they already hold through a Dec, and the stream and
+// section writers both append to one through an Enc.
 package wire
 
 import (

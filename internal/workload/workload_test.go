@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"wet/internal/core"
@@ -150,7 +151,9 @@ func buildChecked(st *interp.Static, b *core.Builder, in []int64) (*core.WET, *i
 	if err != nil {
 		return nil, nil, err
 	}
-	w.Raw = cnt.RawStats
+	if w.Raw != cnt.RawStats {
+		return nil, nil, fmt.Errorf("builder's raw counts %+v, Counting's %+v", w.Raw, cnt.RawStats)
+	}
 	return w, res, nil
 }
 
