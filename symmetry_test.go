@@ -3,13 +3,14 @@ package wet_test
 // Count-based checks of the paper's §4 claim that the bidirectional
 // compressor makes backward traversal cost what forward traversal costs.
 // No timing: Trace.SeekStats counts the cursor steps walked on behalf of
-// seeks, and the counts repeat exactly. A change to how queries probe
+// seeks, and the counts repeat exactly. The tests here check the claims as
+// bounds; TestExactCounts pins the exact counts the same measurements give
+// (testdata/counts.json). A change to how queries probe
 // (internal/query/walker.go) or to checkpoint placement moves them; update
-// the pinned numbers on purpose when it does.
+// the counts file on purpose when it does.
 
 import (
 	"bytes"
-	"maps"
 	"testing"
 
 	"wet"
@@ -38,14 +39,22 @@ func reopenedLi(t *testing.T) *wet.Trace {
 	return tr
 }
 
+// cfSeeks extracts reopenedLi's whole control flow forward, then backward,
+// and returns the seek counters each direction moved and the statements it
+// visited.
+func cfSeeks(t *testing.T) (fwd, bwd wet.SeekStats, nf, nb uint64) {
+	t.Helper()
+	tr := reopenedLi(t)
+	fwd = seekDelta(tr, func() { nf = tr.ExtractControlFlow(true, func(int) {}) })
+	bwd = seekDelta(tr, func() { nb = tr.ExtractControlFlow(false, func(int) {}) })
+	return fwd, bwd, nf, nb
+}
+
 // TestBackwardCFWalksNoMoreThanForward: on a reopened multi-epoch container
 // a whole backward control-flow extraction walks at most 1.5x the seek steps
-// of the forward one.
+// of the forward one, and the forward one never seeks.
 func TestBackwardCFWalksNoMoreThanForward(t *testing.T) {
-	tr := reopenedLi(t)
-	var nf, nb uint64
-	fwd := seekDelta(tr, func() { nf = tr.ExtractControlFlow(true, func(int) {}) })
-	bwd := seekDelta(tr, func() { nb = tr.ExtractControlFlow(false, func(int) {}) })
+	fwd, bwd, nf, nb := cfSeeks(t)
 	if nf != nb || nf == 0 {
 		t.Fatalf("forward visited %d statements, backward %d", nf, nb)
 	}
@@ -53,9 +62,8 @@ func TestBackwardCFWalksNoMoreThanForward(t *testing.T) {
 	if 2*bwd.Steps > 3*fwd.Steps {
 		t.Errorf("backward extraction walked %d seek steps, forward %d: more than 1.5x", bwd.Steps, fwd.Steps)
 	}
-	want := [2]wet.SeekStats{wantCFForward, wantCFBackward}
-	if got := [2]wet.SeekStats{fwd, bwd}; got != want {
-		t.Errorf("seek counts (forward, backward) = %+v, pinned %+v", got, want)
+	if fwd != (wet.SeekStats{}) {
+		t.Errorf("forward extraction moved the seek counters by %+v, want no seek", fwd)
 	}
 }
 
@@ -73,15 +81,13 @@ func spacedCriteria(t *testing.T, tr *wet.Trace) (crit []wet.Instance) {
 	return crit
 }
 
-// TestBackwardSliceStepsPerSeek: a batch of backward slices on li, the
-// workload whose label probes jump furthest, is a sweep, not a search: it
-// seeks less than once per 32 instances (the worklist it replaced sought
-// twice per instance, 19,280 times here) and the steps those seeks walk stay
-// under 2 per instance.
-func TestBackwardSliceStepsPerSeek(t *testing.T) {
-	tr := runWorkload(t, "li")
-	instances := 0
-	got := seekDelta(tr, func() {
+// sliceBatch runs uncapped backward slices from spacedCriteria's instances
+// and returns the seek counters they moved (spacedCriteria's StartAt
+// included: its lookups read windows on and never seek back over what a
+// batch decoded past the target) and the instances they reached.
+func sliceBatch(t *testing.T, tr *wet.Trace) (got wet.SeekStats, instances int) {
+	t.Helper()
+	got = seekDelta(tr, func() {
 		for _, c := range spacedCriteria(t, tr) {
 			res, err := tr.Backward(c, 0)
 			if err != nil {
@@ -90,14 +96,43 @@ func TestBackwardSliceStepsPerSeek(t *testing.T) {
 			instances += len(res.Instances)
 		}
 	})
+	return got, instances
+}
+
+// TestBackwardSliceStepsPerSeek: a batch of backward slices on li, the
+// workload whose label probes jump furthest, is a sweep, not a search: it
+// seeks less than once per 32 instances (the worklist it replaced sought
+// twice per instance, 19,280 times here) and the steps those seeks walk stay
+// under 2 per instance.
+func TestBackwardSliceStepsPerSeek(t *testing.T) {
+	got, instances := sliceBatch(t, runWorkload(t, "li"))
 	t.Logf("%+v over %d slice instances", got, instances)
 	if got.Seeks == 0 || 32*got.Seeks > uint64(instances) || got.Steps > 2*uint64(instances) {
 		t.Errorf("backward slice batch of %d instances took %d seeks walking %d steps: more than 1 seek per 32 or 2 steps per instance",
 			instances, got.Seeks, got.Steps)
 	}
-	if got != wantSliceBatch {
-		t.Errorf("seek counts = %+v, pinned %+v", got, wantSliceBatch)
+}
+
+// forwardSlices runs forward slices capped at limit from six instances of
+// tr (spacedCriteria's four and the first statements of two of their
+// nodes) and returns the seek counters they moved and the instances they
+// popped.
+func forwardSlices(t *testing.T, tr *wet.Trace, limit int) (got wet.SeekStats, popped int) {
+	t.Helper()
+	crit := spacedCriteria(t, tr)
+	for _, c := range crit[:2] {
+		crit = append(crit, wet.Instance{Node: c.Node, Pos: 0, Ord: c.Ord})
 	}
+	got = seekDelta(tr, func() {
+		for _, c := range crit {
+			res, err := tr.Forward(c, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			popped += len(res.Instances)
+		}
+	})
+	return got, popped
 }
 
 // TestForwardSliceReadsEachEdgeOnce: a forward slice inverts each edge it
@@ -107,24 +142,13 @@ func TestBackwardSliceStepsPerSeek(t *testing.T) {
 // instance and sought once per hit.
 func TestForwardSliceReadsEachEdgeOnce(t *testing.T) {
 	for _, tr := range []*wet.Trace{runWorkload(t, "li"), reopenedLi(t)} {
-		crit := spacedCriteria(t, tr)
-		for _, c := range crit[:2] {
-			crit = append(crit, wet.Instance{Node: c.Node, Pos: 0, Ord: c.Ord})
-		}
 		popped := map[int]int{}
 		for _, limit := range []int{300, 0} {
-			got := seekDelta(tr, func() {
-				for _, c := range crit {
-					res, err := tr.Forward(c, limit)
-					if err != nil {
-						t.Fatal(err)
-					}
-					popped[limit] += len(res.Instances)
-				}
-			})
-			t.Logf("cap %d: %+v over %d slice instances", limit, got, popped[limit])
-			if got != wantForwardSlices {
-				t.Errorf("cap %d: six forward slices moved the seek counters by %+v, pinned %+v", limit, got, wantForwardSlices)
+			got, n := forwardSlices(t, tr, limit)
+			popped[limit] = n
+			t.Logf("cap %d: %+v over %d slice instances", limit, got, n)
+			if got != (wet.SeekStats{}) {
+				t.Errorf("cap %d: six forward slices moved the seek counters by %+v, want no seek", limit, got)
 			}
 		}
 		if popped[300] == 0 || popped[0] < 100*popped[300] {
@@ -133,17 +157,25 @@ func TestForwardSliceReadsEachEdgeOnce(t *testing.T) {
 	}
 }
 
+// sampleTraceSeeks runs every load value trace, then every address trace,
+// on reopenedLi and returns the seek counters each pass moved and the
+// samples it extracted.
+func sampleTraceSeeks(t *testing.T) (vals, addrs wet.SeekStats, nv, na uint64) {
+	t.Helper()
+	tr := reopenedLi(t)
+	vals = seekDelta(tr, func() { nv, _ = query.LoadValueTraces(tr.WET(), tr.Tier(), func(int, wet.Sample) {}) })
+	addrs = seekDelta(tr, func() { na, _ = query.AddressTraces(tr.WET(), tr.Tier(), func(int, wet.Sample) {}) })
+	return vals, addrs, nv, na
+}
+
 // TestSampleTracesReadInRuns: the whole-program sample extractions step their
 // streams forward in batches. Every load value trace together costs no seek
 // at all; the address traces seek only where a producer's ordinals jump
 // outside the window its reader holds, or a later statement rewinds a reader
 // an earlier one drained — a hundredth of the 15,521 seeks (5,535 steps) the
-// per-sample readers issued on this container.
+// per-sample readers issued on this container (TestExactCounts pins them).
 func TestSampleTracesReadInRuns(t *testing.T) {
-	tr := reopenedLi(t)
-	var nv, na uint64
-	vals := seekDelta(tr, func() { nv, _ = query.LoadValueTraces(tr.WET(), tr.Tier(), func(int, wet.Sample) {}) })
-	addrs := seekDelta(tr, func() { na, _ = query.AddressTraces(tr.WET(), tr.Tier(), func(int, wet.Sample) {}) })
+	vals, addrs, nv, na := sampleTraceSeeks(t)
 	if nv == 0 || na == 0 {
 		t.Fatalf("extracted %d value and %d address samples", nv, na)
 	}
@@ -151,18 +183,16 @@ func TestSampleTracesReadInRuns(t *testing.T) {
 	if vals != (wet.SeekStats{}) {
 		t.Errorf("LoadValueTraces moved the seek counters by %+v, want no seek", vals)
 	}
-	if addrs != wantAddressTraces {
-		t.Errorf("AddressTraces seek counts = %+v, pinned %+v", addrs, wantAddressTraces)
-	}
 }
 
-// TestTimestampLookupsDecodeOneEpoch: on a lazily opened li in epochs of 256
-// timestamps, a control-flow window inside one epoch, and InstanceOfTS at a
-// timestamp in it, decode timestamp segments of that epoch and nothing else:
-// the nodes a search reads before the one that executed there, and the CF
-// neighbours a walk probes. The scans they replaced read every node they
-// searched from its first timestamp, through every earlier epoch.
-func TestTimestampLookupsDecodeOneEpoch(t *testing.T) {
+// timestampLookupSegments opens li, recorded in epochs of 256 timestamps,
+// lazily twice. On the first it reads a control-flow window of 100
+// timestamps inside the middle epoch and starts a walker in it; on the
+// second it asks InstanceOfTS at a timestamp in it. It returns that epoch
+// and the deferred timestamp segments each decoded, by epoch (packed and
+// verbatim streams are never deferred).
+func timestampLookupSegments(t *testing.T) (epoch int, cf, inst map[int]int) {
+	t.Helper()
 	data := saveBytes(t, runWorkload(t, "li", wet.WithEpochTS(1<<8)))
 	open := func() *wet.Trace {
 		tr, _, err := wet.Open(bytes.NewReader(data), wet.WithLazy())
@@ -171,8 +201,6 @@ func TestTimestampLookupsDecodeOneEpoch(t *testing.T) {
 		}
 		return tr
 	}
-	// decoded counts the deferred timestamp segments decoded so far, by
-	// epoch (packed and verbatim streams are never deferred).
 	decoded := func(tr *wet.Trace) map[int]int {
 		got := map[int]int{}
 		for _, n := range tr.WET().Nodes {
@@ -185,7 +213,7 @@ func TestTimestampLookupsDecodeOneEpoch(t *testing.T) {
 		return got
 	}
 	tr := open()
-	epoch := tr.Epochs() / 2
+	epoch = tr.Epochs() / 2
 	from := uint32(epoch)<<8 + 40
 	if _, err := tr.ExtractCFRange(from, from+100, nil); err != nil {
 		t.Fatal(err)
@@ -195,34 +223,27 @@ func TestTimestampLookupsDecodeOneEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt := tr.WET().Nodes[wk.Node].Stmts[0].ID
-	cf := decoded(tr)
+	cf = decoded(tr)
 
 	tr = open()
 	if _, err := tr.InstanceOfTS(stmt, from+50); err != nil {
 		t.Fatal(err)
 	}
-	inst := decoded(tr)
-	t.Logf("epoch %d of %d: window decoded %v, InstanceOfTS %v", epoch, tr.Epochs(), cf, inst)
-	if want := map[int]int{epoch: wantWindowSegs}; !maps.Equal(cf, want) {
-		t.Errorf("a window in epoch %d decoded timestamp segments %v, pinned %v", epoch, cf, want)
-	}
-	if want := map[int]int{epoch: wantInstanceSegs}; !maps.Equal(inst, want) {
-		t.Errorf("InstanceOfTS in epoch %d decoded timestamp segments %v, pinned %v", epoch, inst, want)
-	}
+	return epoch, cf, decoded(tr)
 }
 
-// wantSliceBatch includes spacedCriteria's StartAt, which runs inside the
-// delta: its lookups read windows on and never seek back over what a batch
-// decoded past the target, as findOrdered did (201 seeks walking 16,601
-// steps before PR 25).
-var (
-	wantCFForward     = wet.SeekStats{}
-	wantCFBackward    = wet.SeekStats{Seeks: 39, Restores: 35} // a window enters each segment backward at its end
-	wantSliceBatch    = wet.SeekStats{Seeks: 192, Restores: 75, Steps: 16481}
-	wantForwardSlices = wet.SeekStats{}
-
-	wantAddressTraces = wet.SeekStats{Seeks: 156, Restores: 40}
-
-	wantWindowSegs   = 3
-	wantInstanceSegs = 3
-)
+// TestTimestampLookupsDecodeOneEpoch: on a lazily opened li in epochs of 256
+// timestamps, a control-flow window inside one epoch, and InstanceOfTS at a
+// timestamp in it, decode timestamp segments of that epoch and nothing else:
+// the nodes a search reads before the one that executed there, and the CF
+// neighbours a walk probes. The scans they replaced read every node they
+// searched from its first timestamp, through every earlier epoch.
+func TestTimestampLookupsDecodeOneEpoch(t *testing.T) {
+	epoch, cf, inst := timestampLookupSegments(t)
+	t.Logf("epoch %d: window decoded %v, InstanceOfTS %v", epoch, cf, inst)
+	for what, got := range map[string]map[int]int{"a window": cf, "InstanceOfTS": inst} {
+		if len(got) != 1 || got[epoch] == 0 {
+			t.Errorf("%s in epoch %d decoded timestamp segments %v, want some of that epoch only", what, epoch, got)
+		}
+	}
+}
