@@ -286,15 +286,7 @@ func epochSegStats(w *core.WET) []segStats {
 // On a budget-degraded trace with widened timestamps the exact-TS scan is
 // unanswerable; the capability panic surfaces as a typed error, not a crash.
 func defAt(w *core.WET, ts uint32) (in query.Instance, err error) {
-	defer func() {
-		switch p := recover().(type) {
-		case nil:
-		case *core.CapabilityError:
-			in, err = query.Instance{}, p
-		default:
-			panic(p)
-		}
-	}()
+	defer core.RecoverTyped(&err)
 	for ni, n := range w.Nodes {
 		seq := w.TSSeq(n, core.Tier2)
 		for ord := 0; ord < n.Execs; ord++ {

@@ -98,7 +98,7 @@ func main() {
 	}
 
 	if *load != "" {
-		lopts := wetio.LoadOptions{Ctx: ctx, RestoreTier1: *tierN == 1, Salvage: *salvage}
+		lopts := wetio.LoadOptions{Ctx: ctx, Salvage: *salvage}
 		os.Exit(cliutil.LoadWET("wetquery", *load, lopts, func(wt *core.WET) int {
 			run := &exp.Run{Name: *load, Stmts: wt.Raw.StmtExecs, W: wt, Rep: wt.Report()}
 			return runQuery(run, o)

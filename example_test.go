@@ -201,8 +201,7 @@ done:
 }
 
 // ExampleOpen round-trips a trace through the file format and back via the
-// unified Open entry point, covering the strict, tier-1, and verify-only
-// paths.
+// unified Open entry point, covering the verify-only and strict paths.
 func ExampleOpen() {
 	prog, err := wet.ParseProgram(`
 func main() {
@@ -234,16 +233,16 @@ done:
 	}
 	fmt.Println("version:", rep.Version, "intact:", rep.Verify.OK())
 
-	// Strict load with tier-1 rehydration; tier-1 and tier-2 views agree.
-	got, _, err := wet.Open(bytes.NewReader(buf.Bytes()), wet.WithTier1())
+	// Strict load: the opened trace reads what was recorded.
+	got, _, err := wet.Open(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("tier2:", got.ExtractControlFlow(true, nil),
-		"tier1:", got.AtTier(wet.Tier1).ExtractControlFlow(true, nil))
+	fmt.Println("recorded:", t.ExtractControlFlow(true, nil),
+		"opened:", got.ExtractControlFlow(true, nil))
 	// Output:
 	// version: 4 intact: true
-	// tier2: 33 tier1: 33
+	// recorded: 33 opened: 33
 }
 
 // ExampleTrace_ExtractCFRange extracts a window of the control-flow trace;

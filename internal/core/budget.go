@@ -24,9 +24,9 @@ var containerMeasure func(w *WET) (uint64, error)
 // FreezeOptions.ByteBudget. wetio calls it from init.
 func RegisterContainerMeasure(fn func(w *WET) (uint64, error)) { containerMeasure = fn }
 
-// Query capabilities a byte-budgeted freeze can trade away, as stable
-// machine-readable identifiers (they appear in FidelityReport JSON and in
-// *CapabilityError).
+// Query capabilities a trace can lack, as stable machine-readable
+// identifiers (they appear in *CapabilityError; all but CapTier1, which no
+// freeze trades, in FidelityReport JSON).
 const (
 	// CapValues: value queries on a dropped group (ValueTrace, Value,
 	// invariance/stride profiles over its statements).
@@ -37,13 +37,18 @@ const (
 	// CapExactTS: exact-timestamp queries (InstanceOfTS, slicing at a
 	// timestamp) once node timestamps are widened to a sampled stride.
 	CapExactTS = "exact-timestamps"
+	// CapTier1: any query asked at Tier1 of a trace that keeps tier 2 only.
+	// Tier 1 is what a single-epoch build keeps; a streamed build and an
+	// opened file have tier 2 only.
+	CapTier1 = "tier-1-labels"
 )
 
-// CapabilityError reports a query that needs data a byte-budgeted freeze
-// discarded. It is panicked by the core cursor factories (TSSeq,
-// PatternSeq, UValSeq, EdgeLabels) and recovered into a returned error at
-// the query-package entry points: a degraded trace answers what it still
-// can and refuses — typed, never wrong — what it cannot.
+// CapabilityError reports a query that needs data the trace does not hold:
+// data a byte-budgeted freeze discarded, or tier-1 labels a streamed build
+// or an opened file never keeps. It is panicked by the core cursor
+// factories (TSSeq, PatternSeq, UValSeq, EdgeLabels, ConcSeq) and recovered
+// into a returned error by RecoverTyped at the query entry points: a trace
+// answers what it can and refuses — typed, never wrong — what it cannot.
 type CapabilityError struct {
 	// Capability is the Cap* identifier that was lost.
 	Capability string `json:"capability"`
@@ -51,7 +56,28 @@ type CapabilityError struct {
 }
 
 func (e *CapabilityError) Error() string {
-	return fmt.Sprintf("core: query needs %s, dropped by the byte-budgeted freeze (%s)", e.Capability, e.Detail)
+	return fmt.Sprintf("core: query needs %s: %s", e.Capability, e.Detail)
+}
+
+// RecoverTyped is the deferred guard of the query entry points: it converts
+// the two typed panics a query can legitimately hit — a lazily loaded stream
+// failing its deferred decode (*stream.DecodeError) and a cursor factory
+// refusing data the trace does not hold (*CapabilityError) — into *err
+// (unless *err is already set), re-raising anything else.
+func RecoverTyped(err *error) {
+	switch p := recover().(type) {
+	case nil:
+	case *stream.DecodeError:
+		if *err == nil {
+			*err = p
+		}
+	case *CapabilityError:
+		if *err == nil {
+			*err = p
+		}
+	default:
+		panic(p)
+	}
 }
 
 // BudgetError reports a ByteBudget no degradation ladder can reach: even

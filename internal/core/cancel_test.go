@@ -163,26 +163,6 @@ func TestFreezeErrWorkerPanicTyped(t *testing.T) {
 	}
 }
 
-// TestMaterializePanicNamesItsOp: the recover boundary belongs to the
-// caller of the pool, so a panic while rehydrating tier-1 is reported as a
-// materialize fault, not as a freeze fault.
-func TestMaterializePanicNamesItsOp(t *testing.T) {
-	st, in := analyzed(t, "li", 30_000)
-	w, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: in}, core.FreezeOptions{EpochTS: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := faultpoint.Arm("core.freeze.job", faultpoint.Spec{Action: faultpoint.ActPanic}); err != nil {
-		t.Fatal(err)
-	}
-	err = w.MaterializeTier1Ctx(context.Background(), 2)
-	faultpoint.DisarmAll()
-	var pe *core.PanicError
-	if !errors.As(err, &pe) || pe.Op != "materialize" {
-		t.Fatalf("materialize panic surfaced as %v, want *core.PanicError with Op \"materialize\"", err)
-	}
-}
-
 // TestFreezeCertifiedCancelledReturnsError: FreezeCertified returns the
 // freeze's failure — here a context dead on entry — as its error instead of
 // panicking, and leaves the WET unfrozen.

@@ -32,7 +32,7 @@ import (
 // the serialized bytes are identical to a build that predates the feature.
 
 // ConcStream is one concurrency label sequence in both representations:
-// tier-1 raw values (nil after DropTier1) and the tier-2 compressed stream
+// tier-1 raw values (nil on a streamed build or an opened file) and the tier-2 compressed stream
 // (nil before Freeze).
 type ConcStream struct {
 	Raw []uint32
@@ -257,14 +257,6 @@ func concFreezeJobs(c *Conc, ck int, jobs *[]func(sc *stream.Scratch)) {
 	}
 }
 
-// dropTier1 releases the raw concurrency slices (FreezeOptions.DropTier1 and
-// the streaming pipeline).
-func (c *Conc) dropTier1() {
-	for _, cs := range c.Streams() {
-		cs.Raw = nil
-	}
-}
-
 // SizeBits sums the tier-2 compressed size of every concurrency stream (what
 // the race checker's one-pass walk scans); 0 before the freeze.
 func (c *Conc) SizeBits() uint64 {
@@ -275,20 +267,6 @@ func (c *Conc) SizeBits() uint64 {
 		}
 	}
 	return bits
-}
-
-// materializeTier1 rehydrates the raw concurrency slices from the tier-2
-// streams (MaterializeTier1Ctx).
-func (c *Conc) materializeTier1() {
-	for _, cs := range c.Streams() {
-		if cs.Raw != nil || cs.S == nil {
-			continue
-		}
-		out := make([]uint32, cs.S.Len())
-		cur := cs.S.NewCursor()
-		cur.NextN(out)
-		cs.Raw = out
-	}
 }
 
 // validateConc checks the concurrency stream invariants of a frozen WET:

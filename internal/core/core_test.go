@@ -358,10 +358,11 @@ func TestFreezeIdempotentAndDropTier1(t *testing.T) {
 	}
 
 	w2, _ := buildWET(t, sumLoop(t, 10), nil)
-	freeze(t, w2, FreezeOptions{DropTier1: true})
+	freeze(t, w2, FreezeOptions{})
+	w2.dropTier1()
 	for _, n := range w2.Nodes {
 		if n.TS != nil {
-			t.Fatal("DropTier1 kept node TS")
+			t.Fatal("dropTier1 kept node TS")
 		}
 	}
 	// Tier-2 reads still work.

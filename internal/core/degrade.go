@@ -14,9 +14,6 @@ const (
 	// DegradeLazyStreams: eager stream materialization fell back to lazy
 	// first-touch decode.
 	DegradeLazyStreams = "load.eager-streams"
-	// DegradeDropTier1Restore: tier-1 rehydration was skipped; the trace
-	// opens tier-2 only.
-	DegradeDropTier1Restore = "load.tier1-restore"
 	// DegradeSerialFreeze: the tier-2 compression pool fell back to serial.
 	DegradeSerialFreeze = "freeze.parallel-workers"
 	// DegradeShrinkEpoch: the streaming epoch size was shrunk so one

@@ -78,9 +78,6 @@ func Ratio(a, b uint64) float64 {
 
 // FreezeOptions tunes FreezeErr.
 type FreezeOptions struct {
-	// DropTier1 releases the tier-1 slices after building the tier-2
-	// streams, halving memory; tier-1 queries become unavailable.
-	DropTier1 bool
 	// NoShare disables non-local label sharing (ablation).
 	NoShare bool
 	// NoInfer disables local label inference (ablation).
@@ -393,15 +390,11 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 		return nil, err
 	}
 	r.CheckpointBytes = w.checkpointBytes()
-
-	if opts.DropTier1 {
-		w.dropTier1()
-	}
 	return r, nil
 }
 
-// dropTier1 releases every tier-1 label slice. A group keeps one (nil)
-// unique-value slice per value member.
+// dropTier1 releases every tier-1 label slice: a streamed build keeps tier 2
+// only. A group keeps one (nil) unique-value slice per value member.
 func (w *WET) dropTier1() {
 	for _, n := range w.Nodes {
 		n.TS = nil
@@ -414,7 +407,9 @@ func (w *WET) dropTier1() {
 		e.DstOrd, e.SrcOrd = nil, nil
 	}
 	if w.Conc != nil {
-		w.Conc.dropTier1()
+		for _, cs := range w.Conc.Streams() {
+			cs.Raw = nil
+		}
 	}
 }
 

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"wet/internal/interp"
-	"wet/internal/stream"
 )
 
 // RestoreNode rebuilds the static side of a WET node (statement list,
@@ -76,64 +74,6 @@ func fill[T any](lists [][]T, each func(emit func(key int, item T))) {
 		}
 	}
 	each(func(k int, v T) { lists[k] = append(lists[k], v) })
-}
-
-// MaterializeTier1Ctx rehydrates the tier-1 slices of a frozen WET by
-// draining its tier-2 cursors once — node timestamps (global, on a segmented
-// WET), group patterns and unique values, edge label pairs (on a segmented
-// WET ramp and shared segments become plain labels), and the concurrency
-// streams. It is LoadOptions.RestoreTier1 for every container version. As
-// after a freeze, inferable edges, sharers and the source side of diagonal
-// edges keep no tier-1 labels, and budget-dropped groups and edges have
-// nothing to drain.
-//
-// Each node's and each edge's drain is an independent job writing only that
-// object's tier-1 fields, fanned over workers goroutines (<= 0: GOMAXPROCS),
-// so the result is identical at any width; drains read batched (one
-// segment-cursor reposition per segment instead of per element).
-// Cancellation is honoured between jobs and returns context.Cause. A
-// deferred-decode failure on a lazily opened stream surfaces as a
-// *stream.DecodeError, not a panic.
-func (w *WET) MaterializeTier1Ctx(ctx context.Context, workers int) error {
-	drain := func(s Seq) []uint32 {
-		out := make([]uint32, s.Len())
-		s.NextN(out)
-		return out
-	}
-	var jobs []func(sc *stream.Scratch)
-	for _, n := range w.Nodes {
-		n := n
-		jobs = append(jobs, func(*stream.Scratch) {
-			n.TS = drain(w.ApproxTSSeq(n, Tier2))
-			for _, g := range n.Groups {
-				if g.Dropped {
-					continue // budget-dropped: no streams to drain
-				}
-				g.Pattern = drain(w.PatternSeq(g, Tier2))
-				g.UVals = make([][]uint32, len(g.ValMembers))
-				for mi := range g.UVals {
-					g.UVals[mi] = drain(w.UValSeq(g, mi, Tier2))
-				}
-			}
-		})
-	}
-	for _, e := range w.Edges {
-		if e.Inferable || e.Dropped || e.SharedWith >= 0 {
-			continue
-		}
-		e := e
-		jobs = append(jobs, func(*stream.Scratch) {
-			d, s := w.EdgeLabels(e, Tier2)
-			e.DstOrd = drain(d)
-			if !e.Diagonal {
-				e.SrcOrd = drain(s)
-			}
-		})
-	}
-	if w.Conc != nil {
-		jobs = append(jobs, func(*stream.Scratch) { w.Conc.materializeTier1() })
-	}
-	return runJobs(ctx, "materialize", jobs, workers, nil)
 }
 
 // SanitizeSalvaged repairs the invariants RestoreIndexes and the query

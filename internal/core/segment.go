@@ -230,9 +230,9 @@ func (b *Builder) finishStreaming() error {
 	w.Epochs = int((uint64(b.time) + uint64(e) - 1) / uint64(e))
 
 	// Concurrency streams are whole-run (not epoch-segmented; see conc.go),
-	// so they compress here, after the last seal. Streaming implies
-	// DropTier1: that releases them and the buffers the seals kept for a
-	// next epoch.
+	// so they compress here, after the last seal. A streamed build keeps
+	// no tier 1: dropTier1 releases them and the buffers the seals kept for
+	// a next epoch.
 	if w.Conc != nil {
 		var jobs []func(sc *stream.Scratch)
 		concFreezeJobs(w.Conc, b.fopts.CheckpointK, &jobs)
@@ -369,8 +369,8 @@ func (w *WET) streamingReport(opts FreezeOptions) *SizeReport {
 // the profile in epochs of opts.EpochTS timestamps while events arrive (see
 // the package comment above). The returned builder implements trace.Sink
 // like NewBuilder; FinishStreaming must be called instead of Finish.
-// Streaming implies DropTier1: the per-epoch tier-1 slices are released as
-// each epoch seals. The value-grouping ablations (NoGrouping,
+// A streamed build keeps no tier 1: the per-epoch tier-1 slices are
+// released as each epoch seals. The value-grouping ablations (NoGrouping,
 // SkipFullSizing) are incompatible with streaming.
 func NewStreamingBuilder(st *interp.Static, opts FreezeOptions) (*Builder, error) {
 	if opts.EpochTS == 0 {

@@ -367,7 +367,9 @@ func (s *sliceSeq) PrevN(dst []uint32) int {
 
 // newSeq builds one fresh detached cursor over either representation:
 // tier-1 wraps the plain slice, tier-2 spawns a stream cursor carrying its
-// own predictor tables. No state is shared with any previous cursor.
+// own predictor tables. No state is shared with any previous cursor. A
+// tier-1 ask where there is no slice panics with *CapabilityError
+// (CapTier1): only a single-epoch build keeps tier 1.
 func newSeq(sl []uint32, st stream.Stream, tier Tier) Seq {
 	if tier == Tier2 {
 		if st == nil {
@@ -376,15 +378,16 @@ func newSeq(sl []uint32, st stream.Stream, tier Tier) Seq {
 		return st.NewCursor()
 	}
 	if sl == nil {
-		panic("core: tier-1 labels were dropped (DropTier1)")
+		panic(&CapabilityError{Capability: CapTier1,
+			Detail: "a streamed build or an opened file keeps tier 2 only"})
 	}
 	return &sliceSeq{v: sl}
 }
 
 // TSSeq returns a fresh cursor over the timestamp sequence of node n at the
 // given tier. On a segmented WET the tier-2 cursor federates the per-epoch
-// segments (re-based to global time); tier-1 reads the materialized slices
-// when present (MaterializeTier1Ctx, LoadOptions.RestoreTier1).
+// segments (re-based to global time); tier-1 reads the builder's slices,
+// which only a single-epoch build keeps.
 //
 // On a budget-degraded WET whose timestamps were widened (TSStride > 0)
 // TSSeq panics with *CapabilityError: the exact values are gone and
@@ -462,15 +465,18 @@ func (w *WET) UValSeq(g *Group, i int, tier Tier) Seq {
 		panic(&CapabilityError{Capability: CapValues,
 			Detail: "value group streams dropped by a byte-budgeted freeze"})
 	}
-	if tier == Tier1 {
-		// Index only the tier asked for: a rehydrated segmented WET has
-		// UVals but no whole-run UValS.
-		return newSeq(g.UVals[i], nil, tier)
-	}
-	if g.UValSegs != nil {
+	if tier == Tier2 && g.UValSegs != nil {
 		return newFedSeq(parts{segs: &g.UValSegs[i]})
 	}
-	return newSeq(nil, g.UValS[i], tier)
+	return newSeq(at(g.UVals, i), at(g.UValS, i), tier)
+}
+
+// at is xs[i], or the zero value past the end of xs.
+func at[T any](xs []T, i int) (zero T) {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return zero
 }
 
 // ValMemberIndex returns the index of node position pos within g.ValMembers,

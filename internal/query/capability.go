@@ -1,35 +1,12 @@
 package query
 
-import (
-	"wet/internal/core"
-	"wet/internal/stream"
-)
+import "wet/internal/core"
 
-// CapabilityError is the typed refusal a query returns when it needs data a
-// byte-budgeted freeze discarded (dropped value groups or dependence-edge
-// labels, widened timestamps). A degraded trace answers what it still can;
+// CapabilityError is the typed refusal a query returns when it needs data
+// the trace does not hold: data a byte-budgeted freeze discarded (dropped
+// value groups or dependence-edge labels, widened timestamps), or tier-1
+// labels on a trace that keeps tier 2 only. A trace answers what it can;
 // what it cannot, it refuses with this error — never with wrong data. Check
 // with errors.As against *query.CapabilityError; the Capability field holds
 // the stable core.Cap* identifier that was lost.
 type CapabilityError = core.CapabilityError
-
-// recoverTyped is the deferred guard of the query entry points: it converts
-// the two typed panics a query can legitimately hit on a loaded trace — a
-// lazily loaded stream failing its deferred decode (*stream.DecodeError)
-// and a cursor factory refusing budget-dropped data (*CapabilityError) —
-// into returned errors, re-raising anything else.
-func recoverTyped(err *error) {
-	switch p := recover().(type) {
-	case nil:
-	case *stream.DecodeError:
-		if *err == nil {
-			*err = p
-		}
-	case *CapabilityError:
-		if *err == nil {
-			*err = p
-		}
-	default:
-		panic(p)
-	}
-}

@@ -54,7 +54,7 @@ func HotPaths(w *core.WET, n int) []HotPath {
 // the slice, both in (Node, Ord, Pos) order. Deferred-decode failures
 // surface as a *stream.DecodeError, not a panic.
 func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	inSlice := newInstSet(w)
 	for _, in := range res.Instances {
 		inSlice.add(in.Node, in.Pos, in.Ord, false)

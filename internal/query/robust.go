@@ -57,7 +57,7 @@ func BatchCtx(ctx context.Context, workers, n int, job func(i int) error) error 
 // (*stream.DecodeError, kept as-is — it names the failing stream), a
 // cursor factory refusing budget-dropped data (*CapabilityError, also kept
 // typed), and anything else a job does (wrapped as *core.PanicError). The
-// query entry points use recoverTyped directly; BatchCtx uses this wider
+// query entry points use core.RecoverTyped directly; BatchCtx uses this wider
 // net because it runs arbitrary caller code.
 func recoverQueryPanic(slot *error) {
 	p := recover()
@@ -79,7 +79,7 @@ func recoverQueryPanic(slot *error) {
 // instead of a panic. A cancelled extraction returns the statements emitted
 // so far together with context.Cause.
 func ExtractCFCtx(ctx context.Context, w *core.WET, tier core.Tier, forward bool, emit func(stmtID int)) (n uint64, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -102,7 +102,7 @@ func ExtractCFCtx(ctx context.Context, w *core.WET, tier core.Tier, forward bool
 // ExtractCFRangeCtx is ExtractCFRange with cooperative cancellation, at the
 // same 4096-node-step cadence as ExtractCFCtx.
 func ExtractCFRangeCtx(ctx context.Context, w *core.WET, tier core.Tier, fromTS, toTS uint32, emit func(stmtID int)) (n uint64, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -118,7 +118,7 @@ type sweep struct {
 // runSweep slices from one criterion and returns the slice, materialised
 // once at its exact size, and the set holding its instances.
 func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions, back bool) (res *SliceResult, set *instSet, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	if err := checkInstance(w, from); err != nil {
 		return nil, nil, err
 	}
@@ -281,7 +281,7 @@ func checkInstance(w *core.WET, in Instance) error {
 // skipped undecoded. A statement id outside the program returns a
 // *StmtError.
 func InstanceOfTS(w *core.WET, tier core.Tier, stmtID int, ts uint32) (in Instance, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	if err := checkStmt(w, stmtID); err != nil {
 		return Instance{}, err
 	}
@@ -324,7 +324,7 @@ func Chop(w *core.WET, tier core.Tier, from, to Instance, maxInstances int) (*Sl
 // fire. It is the paper's "chains of data dependences ... can all be easily
 // found by traversing the WET" query.
 func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen int) (chain []Instance, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	if err := checkInstance(w, from); err != nil {
 		return nil, err
 	}

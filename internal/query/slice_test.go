@@ -63,12 +63,10 @@ func sliceViews(t *testing.T, p *ir.Program, in []int64, epochTS uint32) []slice
 		}
 		return w
 	}
-	eager := open(wetio.LoadOptions{RestoreTier1: true})
 	return []sliceView{
 		{"single/tier1", single, core.Tier1},
 		{"single/tier2", single, core.Tier2},
-		{"reopened/tier1", eager, core.Tier1},
-		{"reopened/tier2", eager, core.Tier2},
+		{"reopened/tier2", open(wetio.LoadOptions{}), core.Tier2},
 		{"lazy/tier2", open(wetio.LoadOptions{Lazy: true}), core.Tier2},
 	}
 }

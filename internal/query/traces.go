@@ -164,7 +164,7 @@ func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, emit func(Sample)) (
 // *StmtError. On a lazily loaded WET, a stream failing its deferred decode
 // surfaces as a *stream.DecodeError, not a panic.
 func ValueTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	return newCtx(w, tier).valueTrace(stmtID, emit)
 }
 
@@ -196,7 +196,7 @@ func LoadValueTraces(w *core.WET, tier core.Tier, emit func(stmtID int, s Sample
 // in statement order, and returns the total number of samples.
 func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, func(Sample)) (uint64, error),
 	emit func(stmtID int, s Sample)) (total uint64, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	for _, st := range w.Prog.Stmts {
 		if !want(st) {
 			continue
@@ -222,7 +222,7 @@ func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, func(Sampl
 // *StmtError. Deferred-decode failures surface as a *stream.DecodeError, not
 // a panic.
 func AddressTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	return newCtx(w, tier).addressTrace(stmtID, emit)
 }
 

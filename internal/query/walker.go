@@ -134,7 +134,7 @@ func (wk *Walker) SeekStart() {
 // StartAt positions the walker on the node execution holding timestamp t.
 // Deferred-decode failures surface as a *stream.DecodeError, not a panic.
 func (wk *Walker) StartAt(t uint32) (err error) {
-	defer recoverTyped(&err)
+	defer core.RecoverTyped(&err)
 	if t < 1 || t > wk.w.Time {
 		return fmt.Errorf("query: timestamp %d outside [1,%d]", t, wk.w.Time)
 	}

@@ -191,16 +191,19 @@ type raceKey struct {
 
 // Check walks the concurrency streams of w at the given tier and returns
 // the race report. A WET without concurrency streams yields a report with
-// Concurrent == false and no findings. Tier 1 requires the raw slices
-// (before DropTier1, or after MaterializeTier1Ctx); tier 2 walks the
+// Concurrent == false and no findings. Tier 1 reads the raw slices only a
+// single-epoch build keeps: on a streamed build or an opened file it
+// returns a *core.CapabilityError (core.CapTier1). Tier 2 walks the
 // compressed streams through fresh detached cursors and is safe for
-// concurrent use with other queries.
-func Check(w *core.WET, tier core.Tier) (*Report, error) {
+// concurrent use with other queries; a lazily opened stream whose deferred
+// decode fails returns its *stream.DecodeError.
+func Check(w *core.WET, tier core.Tier) (rep *Report, err error) {
+	defer core.RecoverTyped(&err)
 	c := w.Conc
 	if c == nil {
 		return &Report{}, nil
 	}
-	rep := &Report{
+	rep = &Report{
 		Concurrent:     true,
 		Threads:        c.NumThreads(),
 		SyncEvents:     c.SyncEvents(),

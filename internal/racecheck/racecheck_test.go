@@ -23,11 +23,8 @@ func buildConc(tb testing.TB, name string, seed uint64, fopts core.FreezeOptions
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w, _, err := core.Build(st, interp.Options{Inputs: in, Seed: seed})
+	w, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: in, Seed: seed}, fopts)
 	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := w.FreezeErr(fopts); err != nil {
 		tb.Fatal(err)
 	}
 	return w
@@ -148,12 +145,12 @@ func TestCrossTierEquality(t *testing.T) {
 	}
 }
 
-// TestTier2CursorOnly pins the access discipline: after DropTier1 the raw
-// slices are gone, so a successful tier-2 check proves the walk runs on
-// detached cursors alone; and the merge-walk is monotone, so it must not
-// issue random-access seeks.
+// TestTier2CursorOnly pins the access discipline: a streamed build keeps no
+// raw slices, so a successful tier-2 check proves the walk runs on detached
+// cursors alone; and the merge-walk is monotone, so it must not issue
+// random-access seeks.
 func TestTier2CursorOnly(t *testing.T) {
-	w := buildConc(t, "mcf-conc-racy", 0, core.FreezeOptions{DropTier1: true})
+	w := buildConc(t, "mcf-conc-racy", 0, core.FreezeOptions{EpochTS: 1 << 10})
 	ref := buildConc(t, "mcf-conc-racy", 0, core.FreezeOptions{})
 	want, err := Check(ref, core.Tier1)
 	if err != nil {
@@ -172,7 +169,7 @@ func TestTier2CursorOnly(t *testing.T) {
 		t.Fatal("frozen concurrency streams report zero compressed bits")
 	}
 	if !reflect.DeepEqual(want.Races, got.Races) {
-		t.Fatalf("dropped-tier-1 report differs from raw report:\n%v\n%v", want.Races, got.Races)
+		t.Fatalf("streamed-build report differs from raw report:\n%v\n%v", want.Races, got.Races)
 	}
 }
 

@@ -16,8 +16,8 @@ func init() {
 
 // Certify verifies the WET semantically and renders any findings as one
 // error. Frozen WETs are certified through their tier-2 streams (always
-// present after Freeze, even with DropTier1); unfrozen ones through the
-// tier-1 slices.
+// present after Freeze, and all a streamed build keeps); unfrozen ones
+// through the tier-1 slices.
 func Certify(w *core.WET) error {
 	tier := core.Tier1
 	if w.Frozen() {

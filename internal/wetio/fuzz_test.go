@@ -8,8 +8,8 @@ import (
 // FuzzLoad fuzzes the whole-file loader in both strict and salvage modes.
 // The corpus is seeded with a real saved WET plus truncated and bit-flipped
 // variants, so the fuzzer starts at interesting boundaries instead of
-// random noise. Tier-1 restoration is exercised too: it drains every
-// stream, driving the deepest decode paths under the recover boundaries.
+// random noise. Both loads verify their streams: that walks every stream
+// both ways, driving the deepest decode paths under the recover boundaries.
 func FuzzLoad(f *testing.F) {
 	data := savedWET(f, "li")
 	f.Add(data)
@@ -25,13 +25,13 @@ func FuzzLoad(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		// Strict: must return a WET or an error, never panic.
-		w, err := Load(bytes.NewReader(in), LoadOptions{RestoreTier1: true})
+		w, err := Load(bytes.NewReader(in), LoadOptions{VerifyStreams: true})
 		if err == nil && w == nil {
 			t.Fatal("strict Load returned nil WET without error")
 		}
 		// Salvage: additionally, any returned WET must hold the structural
 		// invariants the query layer indexes by.
-		w, rep, err := LoadWithReport(bytes.NewReader(in), LoadOptions{Salvage: true, RestoreTier1: true})
+		w, rep, err := LoadWithReport(bytes.NewReader(in), LoadOptions{Salvage: true, VerifyStreams: true})
 		if err != nil {
 			return
 		}

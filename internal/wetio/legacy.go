@@ -24,7 +24,8 @@ func loadV2(d *wire.Dec, opts LoadOptions) (*core.WET, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wet, finishLoad(wet, rep, opts)
+	wet.RestoreIndexes(rep)
+	return wet, nil
 }
 
 func loadV2Body(d *wire.Dec, opts LoadOptions) (*core.WET, *core.SizeReport, error) {

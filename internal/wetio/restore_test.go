@@ -1,27 +1,21 @@
 package wetio
 
-// LoadOptions.RestoreTier1 is one post-pass (core.MaterializeTier1Ctx) on
-// every container version and on the salvage path. These tests hold it to
-// that: the same rehydrated tier 1 whatever the version, worker count and
-// load mode, and cancellable on the salvage path too. (The typed error of a
-// forged lazily decoded stream is TestForgedDecodeTypedAcrossFormats'.)
+// A loaded WET has tier 2 only; the loader is exact when its tier-2 cursors
+// answer what a fresh build of the same run answers from its tier-1 arrays,
+// whatever the container version, worker count and load mode.
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
-	"time"
 
 	"wet/internal/core"
-	"wet/internal/faultpoint"
 	"wet/internal/interp"
-	"wet/internal/leakcheck"
 	"wet/internal/query"
 	"wet/internal/stream"
 	"wet/internal/workload"
@@ -68,16 +62,38 @@ func tierDigest(w *core.WET, tier core.Tier) string {
 	return out + part("bslice", n, err)
 }
 
-// restoreFixture is one container of the RestoreTier1 matrix. fresh is a
-// build of the same run that still holds its own tier 1 (nil when the
-// container is budget-degraded: nothing undegraded compares).
-type restoreFixture struct {
+// matchesFresh checks a loaded WET against a fresh build of the same run:
+// queries over the loaded tier-2 cursors digest as the fresh build's over
+// its tier-1 arrays (want, from tierDigest), and each concurrency stream
+// drains to the fresh build's raw slice.
+func matchesFresh(t *testing.T, what string, loaded *core.WET, want string, fresh *core.WET) {
+	t.Helper()
+	if got := tierDigest(loaded, core.Tier2); got != want {
+		t.Errorf("%s: loaded tier 2 disagrees with a fresh build:\n got  %s\n want %s", what, got, want)
+	}
+	if fresh == nil || fresh.Conc == nil {
+		return
+	}
+	freshConc := fresh.Conc.Streams()
+	for i, cs := range loaded.Conc.Streams() {
+		if !slices.Equal(stream.Drain(cs.S), freshConc[i].Raw) {
+			t.Errorf("%s: concurrency stream %d differs from a fresh build's", what, i)
+		}
+	}
+}
+
+// loadFixture is one container of the load matrix. fresh is a single-epoch
+// build of the same run, which keeps its own tier 1; want is its tier-1
+// digest, or, for a budget-degraded container, the tier-2 digest of the
+// degraded build that was saved (fresh is then nil).
+type loadFixture struct {
 	name  string
 	data  []byte
 	fresh *core.WET
+	want  string
 }
 
-func restoreFixtures(t *testing.T) []restoreFixture {
+func loadFixtures(t *testing.T) []loadFixture {
 	t.Helper()
 	save := func(w *core.WET) []byte {
 		var buf bytes.Buffer
@@ -121,22 +137,25 @@ func restoreFixtures(t *testing.T) []restoreFixture {
 		}
 		return st, interp.Options{Inputs: in, Seed: 1}
 	}
+	fixture := func(name string, data []byte, fresh *core.WET) loadFixture {
+		return loadFixture{name, data, fresh, tierDigest(fresh, core.Tier1)}
+	}
 
 	freshLi := build(li, core.FreezeOptions{})
 	liV3 := save(freshLi)
 	// The committed fixtures are li at scale 1 (v2) and scale 3 (v3).
-	var fx []restoreFixture
+	var fx []loadFixture
 	for name, fresh := range map[string]*core.WET{"li_v2.wet": freshLi, "li_v3.wet": build(liAt(3), core.FreezeOptions{})} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx = append(fx, restoreFixture{name, data, fresh})
+		fx = append(fx, fixture(name, data, fresh))
 	}
 	fx = append(fx,
-		restoreFixture{"fresh_v3", liV3, freshLi},
-		restoreFixture{"fresh_v4", save(build(li, core.FreezeOptions{EpochTS: 256})), freshLi},
-		restoreFixture{"conc_v4", save(build(liConc, core.FreezeOptions{EpochTS: 256})), build(liConc, core.FreezeOptions{})},
+		fixture("fresh_v3", liV3, freshLi),
+		fixture("fresh_v4", save(build(li, core.FreezeOptions{EpochTS: 256})), freshLi),
+		fixture("conc_v4", save(build(liConc, core.FreezeOptions{EpochTS: 256})), build(liConc, core.FreezeOptions{})),
 	)
 	for _, epochTS := range []uint32{0, 256} {
 		floor := len(save(build(li, core.FreezeOptions{EpochTS: epochTS})))
@@ -144,25 +163,21 @@ func restoreFixtures(t *testing.T) []restoreFixture {
 		if !w.Fidelity.Degraded() {
 			t.Fatalf("budget of 70%% of the floor degraded nothing at EpochTS=%d", epochTS)
 		}
-		fx = append(fx, restoreFixture{fmt.Sprintf("budget_epoch%d", epochTS), save(w), nil})
+		fx = append(fx, loadFixture{fmt.Sprintf("budget_epoch%d", epochTS), save(w), nil, tierDigest(w, core.Tier2)})
 	}
 	return fx
 }
 
-// TestRestoreTier1Matrix: whatever the container version, worker count and
-// load mode, the rehydrated tier 1 answers exactly as tier 2 does and as the
-// tier 1 of a fresh build of the same run.
-func TestRestoreTier1Matrix(t *testing.T) {
-	for _, fx := range restoreFixtures(t) {
-		var want string
-		if fx.fresh != nil {
-			want = tierDigest(fx.fresh, core.Tier1)
-		}
+// TestLoadMatchesFreshTier1: whatever the container version, worker count
+// and load mode, a loaded WET keeps no tier-1 labels and its tier 2 answers
+// exactly as the tier 1 of a fresh build of the same run.
+func TestLoadMatchesFreshTier1(t *testing.T) {
+	for _, fx := range loadFixtures(t) {
 		for _, workers := range []int{1, 4} {
 			for _, salvage := range []bool{false, true} {
 				what := fmt.Sprintf("%s workers=%d salvage=%v", fx.name, workers, salvage)
 				w, rep, err := LoadWithReport(bytes.NewReader(fx.data),
-					LoadOptions{RestoreTier1: true, Workers: workers, Salvage: salvage})
+					LoadOptions{Workers: workers, Salvage: salvage})
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
@@ -170,66 +185,12 @@ func TestRestoreTier1Matrix(t *testing.T) {
 					t.Fatalf("%s: intact file did not load cleanly: %s", what, rep)
 				}
 				for _, n := range w.Nodes {
-					if len(n.TS) != n.Execs {
-						t.Fatalf("%s: node %d holds %d tier-1 timestamps for %d executions", what, n.ID, len(n.TS), n.Execs)
+					if n.TS != nil {
+						t.Fatalf("%s: node %d holds tier-1 timestamps", what, n.ID)
 					}
 				}
-				t1, t2 := tierDigest(w, core.Tier1), tierDigest(w, core.Tier2)
-				if t1 != t2 {
-					t.Errorf("%s: rehydrated tier 1 disagrees with tier 2:\n t1 %s\n t2 %s", what, t1, t2)
-				}
-				if want != "" && t1 != want {
-					t.Errorf("%s: rehydrated tier 1 disagrees with a fresh build's:\n got  %s\n want %s", what, t1, want)
-				}
-				if w.Conc != nil {
-					for i, cs := range w.Conc.Streams() {
-						if !slices.Equal(stream.Drain(cs.S), cs.Raw) {
-							t.Errorf("%s: concurrency stream %d tier 1 differs from tier 2", what, i)
-						}
-					}
-				}
+				matchesFresh(t, what, w, fx.want, fx.fresh)
 			}
 		}
-	}
-}
-
-// TestSalvageRestoreTier1Cancellable: the rehydration pass of a salvage load
-// honours the context like a strict load's — the cause comes back promptly,
-// unwrapped, with no pool goroutine left — on v3 and v4 alike. The stall is
-// injected into the materialize jobs only, so the cancel lands there.
-func TestSalvageRestoreTier1Cancellable(t *testing.T) {
-	for name, data := range map[string][]byte{"v3": savedWET(t, "li"), "v4": savedStreamedWET(t, "li")} {
-		t.Run(name, func(t *testing.T) {
-			defer leakcheck.Check(t)()
-			if err := faultpoint.Arm("core.freeze.job", faultpoint.Spec{Action: faultpoint.ActSleep, Detail: "5ms"}); err != nil {
-				t.Fatal(err)
-			}
-			defer faultpoint.DisarmAll()
-			cause := errors.New("operator abort")
-			ctx, cancel := context.WithCancelCause(context.Background())
-			type result struct {
-				err error
-				at  time.Time
-			}
-			done := make(chan result, 1)
-			go func() {
-				_, _, err := LoadWithReport(bytes.NewReader(data),
-					LoadOptions{Ctx: ctx, Salvage: true, RestoreTier1: true, Workers: 4})
-				done <- result{err, time.Now()}
-			}()
-			time.Sleep(40 * time.Millisecond)
-			cancelled := time.Now()
-			cancel(cause)
-			res := <-done
-			if !errors.Is(res.err, cause) {
-				t.Fatalf("cancelled salvage load returned %v, want the cancellation cause", res.err)
-			}
-			if errors.As(res.err, new(*FormatError)) {
-				t.Fatalf("cancellation was wrapped in a *FormatError: %v", res.err)
-			}
-			if lat := res.at.Sub(cancelled); lat > 100*time.Millisecond {
-				t.Fatalf("cancelled salvage load returned after %v, want <= 100ms", lat)
-			}
-		})
 	}
 }

@@ -147,9 +147,6 @@ const (
 	// decodeExpansion approximates decoded stream state (entry stores,
 	// predictor tables, checkpoints) per serialized payload byte.
 	decodeExpansion = 6
-	// tier1Expansion approximates the rehydrated tier-1 label slices per
-	// serialized payload byte on top of the decoded streams.
-	tier1Expansion = 4
 	// lazyExpansion approximates a lazily opened container: serialized
 	// state retained plus the structural skeleton, no decoded streams.
 	lazyExpansion = 2
@@ -157,8 +154,7 @@ const (
 
 // planLoadBudget applies LoadOptions.MemBudget to a strict framed load.
 // The ladder, in order: parallel decode falls back to serial (sheds the
-// in-flight per-worker decode transients), tier-1 rehydration is dropped
-// (the trace opens tier-2 only), eager decode falls back to lazy
+// in-flight per-worker decode transients), eager decode falls back to lazy
 // first-touch materialization. Salvage and VerifyStreams pin the eager
 // rungs (both must decode to do their job), so those rungs are skipped
 // rather than violated. Returns the adjusted options and the rungs taken
@@ -181,9 +177,6 @@ func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.Degrad
 		e := payload * decodeExpansion
 		if opts.deferred() {
 			e = payload * lazyExpansion
-		}
-		if opts.RestoreTier1 {
-			e += payload * tier1Expansion
 		}
 		if workers > 1 {
 			// Transient: each extra worker holds one section's decoded
@@ -212,12 +205,6 @@ func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.Degrad
 		workers, opts.Workers = 1, 1
 		add(core.DegradeSerialDecode, from, "serial",
 			"per-worker in-flight section decode exceeds the budget", before)
-	}
-	if est() > opts.MemBudget && opts.RestoreTier1 {
-		before := est()
-		opts.RestoreTier1 = false
-		add(core.DegradeDropTier1Restore, "tier-1 rehydrated", "tier-2 only",
-			"rehydrated tier-1 label slices exceed the budget", before)
 	}
 	if est() > opts.MemBudget && !opts.deferred() && !opts.VerifyStreams && !opts.Salvage {
 		before := est()

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -181,42 +182,48 @@ func (cr chunkReader) Read(p []byte) (int, error) {
 	return cr.r.Read(p)
 }
 
-// TestLoadCancelledPromptly cancels an in-flight parallel load and
-// requires it to return the cancellation cause within 100ms, without
-// wrapping it in a *FormatError and without leaking pool goroutines.
+// TestLoadCancelledPromptly cancels an in-flight parallel load, strict and
+// salvage, of a v3 and a v4 file and requires each to return the
+// cancellation cause within 100ms, without wrapping it in a *FormatError
+// and without leaking pool goroutines.
 func TestLoadCancelledPromptly(t *testing.T) {
-	defer leakcheck.Check(t)()
-	data := savedStreamedWET(t, "li")
-	if err := faultpoint.Arm("wetio.load.read", faultpoint.Spec{Action: faultpoint.ActSleep, Detail: "2ms"}); err != nil {
-		t.Fatal(err)
-	}
-	defer faultpoint.DisarmAll()
+	for name, data := range map[string][]byte{"v3": savedWET(t, "li"), "v4": savedStreamedWET(t, "li")} {
+		for _, salvage := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/salvage=%v", name, salvage), func(t *testing.T) {
+				defer leakcheck.Check(t)()
+				if err := faultpoint.Arm("wetio.load.read", faultpoint.Spec{Action: faultpoint.ActSleep, Detail: "2ms"}); err != nil {
+					t.Fatal(err)
+				}
+				defer faultpoint.DisarmAll()
 
-	cause := errors.New("operator abort")
-	ctx, cancel := context.WithCancelCause(context.Background())
-	type result struct {
-		err error
-		at  time.Time
-	}
-	done := make(chan result, 1)
-	go func() {
-		_, _, err := LoadWithReport(chunkReader{bytes.NewReader(data), 512},
-			LoadOptions{Ctx: ctx, Workers: 4, RestoreTier1: true})
-		done <- result{err, time.Now()}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancelled := time.Now()
-	cancel(cause)
-	res := <-done
-	if !errors.Is(res.err, cause) {
-		t.Fatalf("cancelled load returned %v, want the cancellation cause", res.err)
-	}
-	var fe *FormatError
-	if errors.As(res.err, &fe) {
-		t.Fatalf("cancellation was wrapped in a *FormatError: %v", res.err)
-	}
-	if lat := res.at.Sub(cancelled); lat > 100*time.Millisecond {
-		t.Fatalf("cancelled load returned after %v, want <= 100ms", lat)
+				cause := errors.New("operator abort")
+				ctx, cancel := context.WithCancelCause(context.Background())
+				type result struct {
+					err error
+					at  time.Time
+				}
+				done := make(chan result, 1)
+				go func() {
+					_, _, err := LoadWithReport(chunkReader{bytes.NewReader(data), 512},
+						LoadOptions{Ctx: ctx, Workers: 4, Salvage: salvage})
+					done <- result{err, time.Now()}
+				}()
+				time.Sleep(20 * time.Millisecond)
+				cancelled := time.Now()
+				cancel(cause)
+				res := <-done
+				if !errors.Is(res.err, cause) {
+					t.Fatalf("cancelled load returned %v, want the cancellation cause", res.err)
+				}
+				var fe *FormatError
+				if errors.As(res.err, &fe) {
+					t.Fatalf("cancellation was wrapped in a *FormatError: %v", res.err)
+				}
+				if lat := res.at.Sub(cancelled); lat > 100*time.Millisecond {
+					t.Fatalf("cancelled load returned after %v, want <= 100ms", lat)
+				}
+			})
+		}
 	}
 }
 
@@ -251,7 +258,7 @@ func TestVerifyCancelled(t *testing.T) {
 }
 
 // TestLoadMemBudgetDegrades: an impossible budget walks the whole ladder —
-// serial decode, no tier-1 rehydration, lazy streams — reports every rung
+// serial decode, then lazy streams — reports every rung
 // machine-readably, and still opens a trace whose queries match an
 // unbudgeted load.
 func TestLoadMemBudgetDegrades(t *testing.T) {
@@ -264,7 +271,7 @@ func TestLoadMemBudgetDegrades(t *testing.T) {
 	query.ExtractCF(base, core.Tier2, true, func(id int) { want = append(want, id) })
 
 	w, rep, err := LoadWithReport(bytes.NewReader(data),
-		LoadOptions{MemBudget: 1, Workers: 4, RestoreTier1: true})
+		LoadOptions{MemBudget: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +289,7 @@ func TestLoadMemBudgetDegrades(t *testing.T) {
 			t.Fatalf("degradation action missing fields: %+v", a)
 		}
 	}
-	for _, p := range []string{core.DegradeSerialDecode, core.DegradeDropTier1Restore, core.DegradeLazyStreams} {
+	for _, p := range []string{core.DegradeSerialDecode, core.DegradeLazyStreams} {
 		if !points[p] {
 			t.Fatalf("ladder skipped rung %s: %v", p, deg.Actions)
 		}
@@ -354,8 +361,7 @@ func TestLoadMemBudgetPricesDeferredAlike(t *testing.T) {
 // TestForgedDecodeTypedAcrossFormats arms the stream.decode point after a
 // lazy open — standing in for a store forged to pass structural validation
 // — and requires every query racing on the first touch to get a typed
-// *stream.DecodeError, never a panic — and a RestoreTier1 load, whose
-// rehydration pass is such a first touch, to fail with it. All three formats
+// *stream.DecodeError, never a panic. All three formats
 // defer decode under Lazy: v2/v3 on whole-trace streams, v4 on per-epoch
 // segments.
 func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
@@ -412,15 +418,6 @@ func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
 				}
 				if de.Stream == "" {
 					t.Fatalf("goroutine %d: DecodeError does not name the stream", g)
-				}
-			}
-			// Tier-1 rehydration of a lazy open is itself a first touch of
-			// every stream: the load fails with the same typed error, not
-			// re-wrapped as a *FormatError, at any width.
-			for _, workers := range []int{1, 4} {
-				_, err := Load(bytes.NewReader(data), LoadOptions{Lazy: true, RestoreTier1: true, Workers: workers})
-				if !errors.As(err, new(*stream.DecodeError)) || errors.As(err, new(*FormatError)) {
-					t.Fatalf("lazy RestoreTier1 load (%d workers) returned %v, want a bare *stream.DecodeError", workers, err)
 				}
 			}
 			// Direct stream API: Force returns the same typed error

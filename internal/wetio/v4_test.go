@@ -127,33 +127,6 @@ func TestV4RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV4RestoreTier1 materializes the tier-1 view at load and checks tier-1
-// queries agree with tier-2.
-func TestV4RestoreTier1(t *testing.T) {
-	data := savedStreamedWET(t, "li")
-	w, err := Load(bytes.NewReader(data), LoadOptions{RestoreTier1: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range w.Nodes {
-		if len(n.TS) != n.Execs {
-			t.Fatalf("node %d tier-1 timestamps not materialized", n.ID)
-		}
-	}
-	a := query.ExtractCF(w, core.Tier2, true, nil)
-	b := query.ExtractCF(w, core.Tier1, true, nil)
-	if a != b || a == 0 {
-		t.Fatalf("tier-1 CF trace %d vs tier-2 %d", b, a)
-	}
-	w2, err := Load(bytes.NewReader(data), LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.Nodes[0].TS != nil {
-		t.Fatal("tier-1 materialized without RestoreTier1")
-	}
-}
-
 // TestV4ByteStability: saving the same segmented WET twice produces
 // identical bytes, and a load/save cycle reproduces the file exactly.
 func TestV4ByteStability(t *testing.T) {

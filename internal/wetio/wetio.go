@@ -180,25 +180,18 @@ func saveConcPayload(w *wire.Enc, wet *core.WET) error {
 // LoadOptions tunes Load.
 type LoadOptions struct {
 	// Ctx cancels the load cooperatively: the read of the file aborts at the
-	// next Read of the source, section decode between sections, tier-1
-	// rehydration between drain jobs. A cancelled Load returns
+	// next Read of the source, section decode between sections. A cancelled
+	// Load returns
 	// context.Cause(Ctx) — never a *FormatError, a cancelled file is not a
 	// corrupt one. Nil means context.Background().
 	Ctx context.Context
 	// MemBudget is a soft ceiling, in bytes, on the load's working set.
 	// When the estimate for the requested options exceeds it, the load
 	// degrades gracefully instead of failing — parallel decode falls back
-	// to serial, tier-1 rehydration is dropped, eager decode falls back to
-	// lazy — and reports what it shed in SalvageReport.Degradation. Zero
+	// to serial, eager decode falls back to lazy — and reports what it shed
+	// in SalvageReport.Degradation. Zero
 	// means unlimited. See planLoadBudget for the ladder.
 	MemBudget uint64
-	// RestoreTier1 rehydrates the tier-1 slices so tier-1 queries work on the
-	// loaded WET: one core.(*WET).MaterializeTier1Ctx pass after the node and
-	// edge tables exist, the same on every container version and on the
-	// salvage path — parallel over Workers, cancellable through Ctx, and a
-	// forged lazily decoded stream surfaces as the typed *stream.DecodeError
-	// (it names the stream better than a section offset could).
-	RestoreTier1 bool
 	// Salvage makes Load of a damaged v3 file return the maximal loadable
 	// prefix instead of failing: node records after the first damaged one
 	// and individually damaged edge records are dropped, and cross
@@ -212,8 +205,8 @@ type LoadOptions struct {
 	// load instead of panicking in a later query. VerifyStreams overrides
 	// Lazy: certification requires the decode.
 	VerifyStreams bool
-	// Workers bounds the goroutines decoding node and edge sections (and
-	// rehydrating tier-1) in parallel: 0 means GOMAXPROCS, 1
+	// Workers bounds the goroutines decoding node and edge sections in
+	// parallel: 0 means GOMAXPROCS, 1
 	// decodes serially. Assembly is deterministic — the loaded WET and any
 	// error reported are identical at every width. The salvage path always
 	// decodes serially (its share-repair cascade is order-dependent).
@@ -347,28 +340,12 @@ func loadFramed(file []byte, opts LoadOptions, v4 bool) (*core.WET, *SalvageRepo
 	} else {
 		w, sizeRep, err = parseSalvage(secs, opts, rep, v4)
 	}
-	if err == nil {
-		err = finishLoad(w, sizeRep, opts)
-	}
 	if err != nil {
 		return nil, nil, ctxCause(opts.Ctx, err)
 	}
+	w.RestoreIndexes(sizeRep)
 	rep.NodesLoaded, rep.EdgesLoaded = len(w.Nodes), len(w.Edges)
 	return w, rep, nil
-}
-
-// finishLoad completes an assembled WET of any version: tier-1 is rehydrated
-// in one pass over the tier-2 cursors when asked for (a deferred-decode
-// failure or cancellation surfaces as the typed error, not re-wrapped as a
-// *FormatError), then the derived indexes are rebuilt and the WET is frozen.
-func finishLoad(wet *core.WET, sizeRep *core.SizeReport, opts LoadOptions) error {
-	if opts.RestoreTier1 {
-		if err := wet.MaterializeTier1Ctx(orBackground(opts.Ctx), opts.Workers); err != nil {
-			return err
-		}
-	}
-	wet.RestoreIndexes(sizeRep)
-	return nil
 }
 
 // parseStrict requires the exact section sequence header, program, report,

@@ -9,19 +9,12 @@ import (
 
 type openConfig struct {
 	ctx        context.Context
-	tier1      bool
 	salvage    bool
 	verifyOnly bool
 	workers    int
 	lazy       bool
 	memBudget  uint64
 	segments   *SegmentSource
-}
-
-// WithTier1 rehydrates the tier-1 label arrays on load so tier-1 queries
-// work on the opened trace (Open(r, WithTier1()) ≡ Load(r, true)).
-func WithTier1() OpenOption {
-	return openOptionFunc(func(c *openConfig) { c.tier1 = true })
 }
 
 // WithSalvage loads as much of a damaged file as remains loadable instead
@@ -48,8 +41,7 @@ func WithVerifyOnly() OpenOption {
 // safe under concurrent first touch from parallel queries. Every deferred
 // stream keeps a view of the file's bytes (saving the trace writes them back
 // undecoded), so the file's buffer lives as long as the trace. Ignored with
-// WithSalvage (damage must be found eagerly) and moot with WithTier1 (tier-1
-// rehydration drains every stream at open).
+// WithSalvage (damage must be found eagerly).
 func WithLazy() OpenOption {
 	return openOptionFunc(func(c *openConfig) { c.lazy = true })
 }
@@ -91,18 +83,21 @@ type OpenReport struct {
 // as a query handle. It unifies the older free functions behind one entry
 // point:
 //
-//	Open(r)                   ≡ Load(r, false)        strict load, tier-2 only
-//	Open(r, WithTier1())      ≡ Load(r, true)         strict load + tier-1 arrays
+//	Open(r)                   ≡ Load(r)               strict load
 //	Open(r, WithSalvage())    ≡ LoadSalvage(r, ...)   best-effort load of damage
 //	Open(r, WithVerifyOnly()) ≡ Verify(r)             checksum walk, nil Trace
+//
+// An opened trace has tier 2 only, as a streamed build does: tier 1 is what
+// a single-epoch build keeps, and a query at Tier1 on an opened trace
+// returns a *CapabilityError naming CapTier1.
 //
 // WithWorkers(n) and WithLazy() tune the decode path — parallel section
 // decode and deferred stream materialization — without changing any observed
 // result; WithContext makes it cancellable and WithMemBudget bounds its
 // working set.
 //
-// Options compose (WithSalvage() with WithTier1() salvages and rehydrates),
-// except WithVerifyOnly, which never constructs a trace. Structural or
+// Options compose (WithSalvage() with WithWorkers(n) salvages with n
+// workers), except WithVerifyOnly, which never constructs a trace. Structural or
 // checksum failures on the strict path are reported as *FormatError.
 func Open(r io.Reader, opts ...OpenOption) (*Trace, *OpenReport, error) {
 	var cfg openConfig
@@ -117,13 +112,12 @@ func Open(r io.Reader, opts ...OpenOption) (*Trace, *OpenReport, error) {
 		return nil, &OpenReport{Version: res.Version, Verify: res}, nil
 	}
 	w, rep, err := wetio.LoadWithReport(r, wetio.LoadOptions{
-		Ctx:          cfg.ctx,
-		MemBudget:    cfg.memBudget,
-		RestoreTier1: cfg.tier1,
-		Salvage:      cfg.salvage,
-		Workers:      cfg.workers,
-		Lazy:         cfg.lazy,
-		Segments:     cfg.segments,
+		Ctx:       cfg.ctx,
+		MemBudget: cfg.memBudget,
+		Salvage:   cfg.salvage,
+		Workers:   cfg.workers,
+		Lazy:      cfg.lazy,
+		Segments:  cfg.segments,
 	})
 	if err != nil {
 		return nil, nil, err

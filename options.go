@@ -75,7 +75,7 @@ func WithContext(ctx context.Context) Option {
 // run's freeze pipeline or of the open. When the requested configuration
 // would exceed it, the path degrades gracefully instead of failing —
 // parallel stages fall back to serial, a streaming build's epoch shrinks,
-// tier-1 rehydration is dropped — and the rungs taken are recorded in the
+// an open defers its stream decodes — and the rungs taken are recorded in the
 // trace's Report (Degradation). Zero means unlimited.
 func WithMemBudget(bytes uint64) Option {
 	return dualOption{

@@ -81,6 +81,9 @@ func (t *Trace) WET() *WET { return t.w }
 func (t *Trace) Tier() Tier { return t.tier }
 
 // AtTier returns a handle over the same WET that queries at the given tier.
+// Tier 1 is what a single-epoch build keeps: at Tier1 of a streamed build
+// or an opened file every query refuses with a *CapabilityError naming
+// CapTier1.
 func (t *Trace) AtTier(tier Tier) *Trace { return &Trace{w: t.w, tier: tier} }
 
 // Report bundles every machine-readable account a trace carries, with
@@ -178,7 +181,10 @@ func (t *Trace) SaveFileCtx(ctx context.Context, path string) error {
 func (t *Trace) Walker() *Walker { return query.NewWalker(t.w, t.tier) }
 
 // ExtractControlFlow walks the entire control-flow trace (forward or
-// backward), calling emit per executed statement; it returns the count.
+// backward), calling emit per executed statement; it returns the count. It
+// returns no error, so what the other queries return it panics with: a
+// *CapabilityError at Tier1 of a trace that keeps tier 2 only, a
+// *DecodeError from a lazily opened stream whose deferred decode fails.
 func (t *Trace) ExtractControlFlow(forward bool, emit func(stmtID int)) uint64 {
 	return query.ExtractCF(t.w, t.tier, forward, emit)
 }

@@ -91,11 +91,11 @@ func hasValue(st *ir.Stmt) bool { return st.Op.HasDef() && st.Dest != wet.NoReg 
 func isMemory(st *ir.Stmt) bool { return st.Op == ir.OpLoad || st.Op == ir.OpStore }
 
 // checkAgainstReference compares every per-statement trace of tr, and the two
-// whole-program passes (whose statements share one query context), with the
-// reference, sample by sample.
-func checkAgainstReference(t *testing.T, tr *wet.Trace) {
+// whole-program passes (whose statements share one query context), sample by
+// sample with the reference read from ref, a trace of the same run.
+func checkAgainstReference(t *testing.T, tr, ref *wet.Trace) {
 	t.Helper()
-	w, tier := tr.WET(), tr.Tier()
+	w, tier := ref.WET(), ref.Tier()
 	collect := func(trace func(int, func(wet.Sample)) (uint64, error), id int) []wet.Sample {
 		var got []wet.Sample
 		n, err := trace(id, func(s wet.Sample) { got = append(got, s) })
@@ -137,7 +137,7 @@ func checkAgainstReference(t *testing.T, tr *wet.Trace) {
 		want map[int][]wet.Sample
 	}{"LoadValueTraces": {query.LoadValueTraces, wantVals}, "AddressTraces": {query.AddressTraces, wantAddrs}} {
 		got := map[int][]wet.Sample{}
-		if _, err := pass.run(w, tier, func(id int, s query.Sample) { got[id] = append(got[id], s) }); err != nil {
+		if _, err := pass.run(tr.WET(), tr.Tier(), func(id int, s query.Sample) { got[id] = append(got[id], s) }); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for id, want := range pass.want {
@@ -189,25 +189,29 @@ func TestTracesMatchPerSampleReference(t *testing.T) {
 			}
 			return tr
 		}
-		eager := open(wet.WithTier1())
+		eager, lazy := open(), open(wet.WithLazy())
 		// A segment cache far smaller than any of these traces: segments
 		// evict and reload while a query is reading them.
 		entry, err := corpus.New(4<<10).Add(pg.name, data)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Each view is checked against the reference read from itself, and
+		// the reopened trace, which keeps tier 2 only, also against the
+		// reference read from the single-epoch build's tier 1: the loader
+		// is exact.
 		for _, v := range []struct {
-			name string
-			tr   *wet.Trace
+			name    string
+			tr, ref *wet.Trace
 		}{
-			{"single/tier1", single.AtTier(wet.Tier1)},
-			{"single/tier2", single},
-			{"reopened/tier1", eager.AtTier(wet.Tier1)},
-			{"reopened/tier2", eager.AtTier(wet.Tier2)},
-			{"lazy/tier2", open(wet.WithLazy())},
-			{"segments/tier2", entry.Trace},
+			{"single/tier1", single.AtTier(wet.Tier1), single.AtTier(wet.Tier1)},
+			{"single/tier2", single, single},
+			{"reopened/tier1", eager, single.AtTier(wet.Tier1)},
+			{"reopened/tier2", eager, eager},
+			{"lazy/tier2", lazy, lazy},
+			{"segments/tier2", entry.Trace, entry.Trace},
 		} {
-			t.Run(pg.name+"/"+v.name, func(t *testing.T) { checkAgainstReference(t, v.tr) })
+			t.Run(pg.name+"/"+v.name, func(t *testing.T) { checkAgainstReference(t, v.tr, v.ref) })
 		}
 	}
 }
@@ -270,25 +274,24 @@ func TestTracesRefuseTyped(t *testing.T) {
 }
 
 // TestInstanceOfTSEveryExecution asks for every execution of a dozen
-// statements by its timestamp, at both tiers of a reopened multi-epoch
-// trace, and for timestamps the statement did not execute at: 0, one past
-// the end of the run, and one held by some other node between two of its
-// executions.
+// statements by its timestamp, on a reopened multi-epoch trace and at tier 1
+// of a single-epoch build, and for timestamps the statement did not execute
+// at: 0, one past the end of the run, and one held by some other node
+// between two of its executions.
 func TestInstanceOfTSEveryExecution(t *testing.T) {
 	data := saveBytes(t, runWorkload(t, "li", wet.WithEpochTS(1<<8)))
-	opened, _, err := wet.Open(bytes.NewReader(data), wet.WithTier1())
+	opened, _, err := wet.Open(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := opened.WET()
-	var stmts []int
-	for id, occ := range w.StmtOcc {
-		if len(occ) > 0 {
-			stmts = append(stmts, id)
+	for _, tr := range []*wet.Trace{opened, runWorkload(t, "li").AtTier(wet.Tier1)} {
+		w, tier := tr.WET(), tr.Tier()
+		var stmts []int
+		for id, occ := range w.StmtOcc {
+			if len(occ) > 0 {
+				stmts = append(stmts, id)
+			}
 		}
-	}
-	for _, tier := range []wet.Tier{wet.Tier1, wet.Tier2} {
-		tr := opened.AtTier(tier)
 		found, missed := 0, 0
 		for k := 0; k < 12; k++ {
 			id := stmts[k*len(stmts)/12]

@@ -27,9 +27,10 @@
 // container under a hard size ceiling (trading query capabilities in a
 // fixed order and reporting exactly what it shed in Trace.Fidelity), and
 // the shared knobs WithWorkers, WithContext, and WithMemBudget mean the
-// same thing on both paths. Saved traces come back through Open:
+// same thing on both paths. Saved traces come back through Open, at
+// tier 2 (tier 1 is what a single-epoch build keeps):
 //
-//	tr2, rep, err := wet.Open(f, wet.WithTier1())
+//	tr2, rep, err := wet.Open(f, wet.WithLazy())
 //
 // The heavy lifting lives in internal packages; this package re-exports the
 // stable surface: the IR builder (internal/ir), the simulator entry points
@@ -254,19 +255,21 @@ type (
 	DroppedEdge  = core.DroppedEdge
 )
 
-// CapabilityError is the typed refusal of a query that needs data a
-// byte-budgeted freeze discarded: a degraded trace answers what it still
-// can and refuses — typed, never wrong — what it cannot. The Capability
-// field holds the stable identifier (CapValues, CapDependences,
-// CapExactTS) that was lost.
+// CapabilityError is the typed refusal of a query that needs data the trace
+// does not hold: a trace answers what it can and refuses — typed, never
+// wrong — what it cannot. The Capability field holds the stable identifier
+// (CapValues, CapDependences, CapExactTS, CapTier1) that was lost.
 type CapabilityError = query.CapabilityError
 
-// Capability identifiers a byte-budgeted freeze can trade away; they
-// appear in FidelityReport.LostCapabilities and CapabilityError.
+// Capability identifiers. A byte-budgeted freeze can trade away the first
+// three; they appear in FidelityReport.LostCapabilities and
+// CapabilityError. CapTier1 is refused at Tier1 of a trace that keeps tier
+// 2 only: a streamed build (WithEpochTS) or an opened file.
 const (
 	CapValues      = core.CapValues
 	CapDependences = core.CapDependences
 	CapExactTS     = core.CapExactTS
+	CapTier1       = core.CapTier1
 )
 
 // BudgetError reports a WithByteBudget ceiling no degradation ladder can

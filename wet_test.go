@@ -148,13 +148,13 @@ func TestPublicSaveLoad(t *testing.T) {
 	if err := wet.Save(&buf, tr.WET()); err != nil {
 		t.Fatal(err)
 	}
-	tr2, _, err := wet.Open(&buf, wet.WithTier1())
+	tr2, _, err := wet.Open(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b []int
-	tr.ExtractControlFlow(true, func(id int) { a = append(a, id) })
-	tr2.AtTier(wet.Tier1).ExtractControlFlow(true, func(id int) { b = append(b, id) })
+	tr.AtTier(wet.Tier1).ExtractControlFlow(true, func(id int) { a = append(a, id) })
+	tr2.ExtractControlFlow(true, func(id int) { b = append(b, id) })
 	if len(a) != len(b) {
 		t.Fatalf("loaded CF trace %d stmts, want %d", len(b), len(a))
 	}
@@ -337,22 +337,19 @@ func TestOpenMatchesLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, rep, err := wet.Open(bytes.NewReader(buf.Bytes()), wet.WithTier1())
+	got, rep, err := wet.Open(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Version != 4 || rep.Salvage != nil || rep.Verify != nil {
 		t.Fatalf("open report: %+v", rep)
 	}
-	old, err := wetio.Load(bytes.NewReader(buf.Bytes()), wetio.LoadOptions{RestoreTier1: true})
+	old, err := wetio.Load(bytes.NewReader(buf.Bytes()), wetio.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := got.ExtractControlFlow(true, nil), wet.NewTrace(old).AtTier(wet.Tier1).ExtractControlFlow(true, nil); a != b {
+	if a, b := got.ExtractControlFlow(true, nil), wet.NewTrace(old).ExtractControlFlow(true, nil); a != b {
 		t.Fatalf("open vs load: %d vs %d statements", a, b)
-	}
-	if got.AtTier(wet.Tier1).ExtractControlFlow(true, nil) != got.ExtractControlFlow(true, nil) {
-		t.Fatal("tier-1 rehydration mismatch")
 	}
 
 	sv, srep, err := wet.Open(bytes.NewReader(buf.Bytes()), wet.WithSalvage())
@@ -408,7 +405,6 @@ func TestOpenLazyAndParallel(t *testing.T) {
 		{"lazy", []wet.OpenOption{wet.WithLazy()}},
 		{"workers", []wet.OpenOption{wet.WithWorkers(4)}},
 		{"lazy_parallel", []wet.OpenOption{wet.WithLazy(), wet.WithWorkers(0)}},
-		{"lazy_tier1", []wet.OpenOption{wet.WithLazy(), wet.WithTier1()}},
 	} {
 		got, rep, err := wet.Open(bytes.NewReader(buf.Bytes()), tc.opts...)
 		if err != nil {
@@ -441,8 +437,9 @@ func TestOpenLazyAndParallel(t *testing.T) {
 
 // TestCappedSliceSameOnEveryOpen: a slice, capped or not, is a function of the
 // trace, the criterion and the cap — the same instances in the same order,
-// the same Edges — at either tier of an eager open, from a lazy open, and
-// from evictable segments under a cache too small to keep them.
+// the same Edges — at tier 1 of a single-epoch build of the same run, from
+// an eager open, from a lazy open, and from evictable segments under a
+// cache too small to keep them.
 func TestCappedSliceSameOnEveryOpen(t *testing.T) {
 	for _, name := range []string{"li", "gzip"} {
 		data := saveBytes(t, runWorkload(t, name, wet.WithEpochTS(1<<8)))
@@ -453,12 +450,12 @@ func TestCappedSliceSameOnEveryOpen(t *testing.T) {
 			}
 			return tr
 		}
-		eager := open(wet.WithTier1())
+		eager := open()
 		entry, err := corpus.New(4<<10).Add(name, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		views := []*wet.Trace{eager.AtTier(wet.Tier1), eager.AtTier(wet.Tier2), open(wet.WithLazy()), entry.Trace}
+		views := []*wet.Trace{runWorkload(t, name).AtTier(wet.Tier1), eager, open(wet.WithLazy()), entry.Trace}
 		compared := 0
 		for _, c := range spacedCriteria(t, eager) {
 			for _, limit := range []int{0, 1, 50, 500} {
