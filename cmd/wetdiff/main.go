@@ -50,8 +50,8 @@ func main() {
 	opts := wetio.LoadOptions{Ctx: ctx, Salvage: *salvage}
 	// Nest the two loads so either file's integrity failure surfaces with
 	// its own exit code, and a lossy salvage of either raises 0 to 4.
-	os.Exit(cliutil.LoadWET("wetdiff", flag.Arg(0), opts, func(a *core.WET) int {
-		return cliutil.LoadWET("wetdiff", flag.Arg(1), opts, func(b *core.WET) int {
+	os.Exit(cliutil.LoadWET(os.Stderr, "wetdiff", flag.Arg(0), opts, func(a *core.WET) int {
+		return cliutil.LoadWET(os.Stderr, "wetdiff", flag.Arg(1), opts, func(b *core.WET) int {
 			return diff(a, b, *top)
 		})
 	}))

@@ -58,7 +58,7 @@ func main() {
 	if *verify {
 		os.Exit(runVerify(ctx, flag.Arg(0), *semantic))
 	}
-	os.Exit(cliutil.LoadWET("wetdump", flag.Arg(0), wetio.LoadOptions{Ctx: ctx, Salvage: *salvage, Lazy: *lazy},
+	os.Exit(cliutil.LoadWET(os.Stderr, "wetdump", flag.Arg(0), wetio.LoadOptions{Ctx: ctx, Salvage: *salvage, Lazy: *lazy},
 		func(w *core.WET) int {
 			dump(w, *paths, *sliceTS, *dotFile)
 			return cliutil.ExitOK

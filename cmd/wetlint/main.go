@@ -82,7 +82,7 @@ func runRaces(paths []string, jsonOut bool) int {
 	results := make([]raceResult, 0, len(paths))
 	for _, path := range paths {
 		r := raceResult{File: path}
-		lc := cliutil.LoadWET("wetlint", path, wetio.LoadOptions{}, func(w *core.WET) int {
+		lc := cliutil.LoadWET(os.Stderr, "wetlint", path, wetio.LoadOptions{}, func(w *core.WET) int {
 			rep, err := racecheck.Check(w, core.Tier2)
 			if err != nil {
 				r.Error = err.Error()

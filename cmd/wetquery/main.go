@@ -2,7 +2,8 @@
 // against the compressed representation.
 //
 // Exit codes: 0 ok, 1 error, 2 usage, 3 integrity failure on -load,
-// 4 loaded with data loss under -salvage.
+// 4 loaded with data loss under -salvage. -tier is 1 or 2, and 1 only on a
+// fresh build: a loaded file keeps tier 2 only.
 //
 // Usage:
 //
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -45,35 +47,55 @@ import (
 )
 
 type opts struct {
-	ctx      context.Context
-	q        string
-	tier     core.Tier
-	dir      string
-	from, to uint32
-	slices   int
-	parallel int
-	criteria string
-	verbose  bool
-	cdprune  bool
+	ctx            context.Context
+	stdout, stderr io.Writer
+	q              string
+	tier           core.Tier
+	dir            string
+	from, to       uint32
+	slices         int
+	parallel       int
+	criteria       string
+	verbose        bool
+	cdprune        bool
 }
 
-func main() {
-	bench := flag.String("bench", "gzip", "workload name")
-	stmts := flag.Uint64("stmts", 400_000, "target dynamic statements")
-	q := flag.String("query", "cftrace", "query: cftrace | cfrange | values | addresses | slice")
-	tierN := flag.Int("tier", 2, "compression tier to query (1 or 2)")
-	dir := flag.String("dir", "forward", "cftrace direction: forward | backward")
-	fromTS := flag.Uint("from", 1, "cfrange window start timestamp (inclusive)")
-	toTS := flag.Uint("to", 0, "cfrange window end timestamp (inclusive; 0 = end of trace)")
-	slices := flag.Int("slices", 25, "number of slices for -query slice")
-	parallel := flag.Int("parallel", 1, "worker goroutines for -query slice (0 = GOMAXPROCS)")
-	criteria := flag.String("criteria", "", "file of 'node pos ord' slicing criteria for -query slice")
-	cdprune := flag.Bool("cdprune", false, "prune CD edges not supported by static control dependence before resolving their labels")
-	verbose := flag.Bool("v", false, "per-query wall time and cursor checkpoint seek stats")
-	load := flag.String("load", "", "query a saved WET file instead of rebuilding")
-	salvage := flag.Bool("salvage", false, "with -load: recover what a damaged file still holds")
-	timeout := flag.Duration("timeout", 0, "abort after this duration (exit code 5); 0 = no limit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wetquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "gzip", "workload name")
+	stmts := fs.Uint64("stmts", 400_000, "target dynamic statements")
+	q := fs.String("query", "cftrace", "query: cftrace | cfrange | values | addresses | slice")
+	tierN := fs.Int("tier", 2, "compression tier to query (1 or 2; 1 needs a fresh build, not -load)")
+	dir := fs.String("dir", "forward", "cftrace direction: forward | backward")
+	fromTS := fs.Uint("from", 1, "cfrange window start timestamp (inclusive)")
+	toTS := fs.Uint("to", 0, "cfrange window end timestamp (inclusive; 0 = end of trace)")
+	slices := fs.Int("slices", 25, "number of slices for -query slice")
+	parallel := fs.Int("parallel", 1, "worker goroutines for -query slice (0 = GOMAXPROCS)")
+	criteria := fs.String("criteria", "", "file of 'node pos ord' slicing criteria for -query slice")
+	cdprune := fs.Bool("cdprune", false, "prune CD edges not supported by static control dependence before resolving their labels")
+	verbose := fs.Bool("v", false, "per-query wall time and cursor checkpoint seek stats")
+	load := fs.String("load", "", "query a saved WET file instead of rebuilding")
+	salvage := fs.Bool("salvage", false, "with -load: recover what a damaged file still holds")
+	timeout := fs.Duration("timeout", 0, "abort after this duration (exit code 5); 0 = no limit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cliutil.ExitOK
+		}
+		return cliutil.ExitUsage
+	}
+	switch {
+	case *tierN != 1 && *tierN != 2:
+		fmt.Fprintf(stderr, "wetquery: -tier %d: the tiers are 1 and 2\n", *tierN)
+		return cliutil.ExitUsage
+	case *tierN == 1 && *load != "":
+		fmt.Fprintln(stderr, "wetquery: -tier 1 needs a fresh build: a loaded file keeps tier 2 only")
+		return cliutil.ExitUsage
+	}
 
 	// ^C or -timeout expiry cancels the load and the query batch
 	// cooperatively; a cancelled run exits with code 5.
@@ -82,8 +104,10 @@ func main() {
 
 	o := opts{
 		ctx:      ctx,
+		stdout:   stdout,
+		stderr:   stderr,
 		q:        *q,
-		tier:     core.Tier2,
+		tier:     core.Tier(*tierN),
 		dir:      *dir,
 		from:     uint32(*fromTS),
 		to:       uint32(*toTS),
@@ -93,30 +117,26 @@ func main() {
 		verbose:  *verbose,
 		cdprune:  *cdprune,
 	}
-	if *tierN == 1 {
-		o.tier = core.Tier1
-	}
-
 	if *load != "" {
 		lopts := wetio.LoadOptions{Ctx: ctx, Salvage: *salvage}
-		os.Exit(cliutil.LoadWET("wetquery", *load, lopts, func(wt *core.WET) int {
+		return cliutil.LoadWET(stderr, "wetquery", *load, lopts, func(wt *core.WET) int {
 			run := &exp.Run{Name: *load, Stmts: wt.Raw.StmtExecs, W: wt, Rep: wt.Report()}
 			return runQuery(run, o)
-		}))
+		})
 	}
 
 	w, err := workload.ByName(*bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wetquery:", err)
-		os.Exit(cliutil.ExitError)
+		fmt.Fprintln(stderr, "wetquery:", err)
+		return cliutil.ExitError
 	}
-	fmt.Fprintf(os.Stderr, "building WET for %s...\n", w.Name)
+	fmt.Fprintf(stderr, "building WET for %s...\n", w.Name)
 	run, err := exp.BuildRun(ctx, w, *stmts, 0)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "wetquery:", err)
-		os.Exit(cliutil.ExitCode(err))
+		fmt.Fprintln(stderr, "wetquery:", err)
+		return cliutil.ExitCode(err)
 	}
-	os.Exit(runQuery(run, o))
+	return runQuery(run, o)
 }
 
 func runQuery(run *exp.Run, o opts) int {
@@ -126,12 +146,12 @@ func runQuery(run *exp.Run, o opts) int {
 	case "cftrace":
 		n, err := query.ExtractCFCtx(o.ctx, run.W, o.tier, o.dir == "forward", nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wetquery:", err)
+			fmt.Fprintln(o.stderr, "wetquery:", err)
 			return cliutil.ExitCode(err)
 		}
 		d := time.Since(start)
 		bytes := n * trace.TSBytes
-		fmt.Printf("control flow trace: %d statements (%.2f MB) in %v (%s, %.2f MB/s)\n",
+		fmt.Fprintf(o.stdout, "control flow trace: %d statements (%.2f MB) in %v (%s, %.2f MB/s)\n",
 			n, float64(bytes)/(1<<20), d, o.dir, float64(bytes)/(1<<20)/d.Seconds())
 	case "cfrange":
 		to := o.to
@@ -144,38 +164,38 @@ func runQuery(run *exp.Run, o opts) int {
 			// than as an empty trace.
 			var re *query.RangeError
 			if errors.As(err, &re) {
-				fmt.Fprintln(os.Stderr, "wetquery:", re)
+				fmt.Fprintln(o.stderr, "wetquery:", re)
 				return cliutil.ExitUsage
 			}
-			fmt.Fprintln(os.Stderr, "wetquery:", err)
+			fmt.Fprintln(o.stderr, "wetquery:", err)
 			return cliutil.ExitCode(err)
 		}
 		d := time.Since(start)
-		fmt.Printf("control flow window [%d, %d]: %d statements in %v\n", o.from, to, n, d)
+		fmt.Fprintf(o.stdout, "control flow window [%d, %d]: %d statements in %v\n", o.from, to, n, d)
 	case "values":
 		n, err := query.LoadValueTraces(run.W, o.tier, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wetquery:", err)
+			fmt.Fprintln(o.stderr, "wetquery:", err)
 			return cliutil.ExitError
 		}
 		d := time.Since(start)
-		fmt.Printf("load value traces: %d samples (%.2f MB) in %v\n", n, float64(n*4)/(1<<20), d)
+		fmt.Fprintf(o.stdout, "load value traces: %d samples (%.2f MB) in %v\n", n, float64(n*4)/(1<<20), d)
 	case "addresses":
 		n, err := query.AddressTraces(run.W, o.tier, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wetquery:", err)
+			fmt.Fprintln(o.stderr, "wetquery:", err)
 			return cliutil.ExitError
 		}
 		d := time.Since(start)
-		fmt.Printf("load/store address traces: %d samples (%.2f MB) in %v\n", n, float64(n*4)/(1<<20), d)
+		fmt.Fprintf(o.stdout, "load/store address traces: %d samples (%.2f MB) in %v\n", n, float64(n*4)/(1<<20), d)
 	case "slice":
 		return runSlices(run, o, before, start)
 	default:
-		fmt.Fprintf(os.Stderr, "wetquery: unknown query %q\n", o.q)
+		fmt.Fprintf(o.stderr, "wetquery: unknown query %q\n", o.q)
 		return cliutil.ExitUsage
 	}
 	if o.verbose {
-		printSeekStats(stream.ReadSeekStats().Sub(before))
+		printSeekStats(o.stdout, stream.ReadSeekStats().Sub(before))
 	}
 	return cliutil.ExitOK
 }
@@ -188,14 +208,14 @@ func runSlices(run *exp.Run, o opts, before stream.SeekStats, start time.Time) i
 		var err error
 		crit, err = parseCriteria(o.criteria, run.W)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wetquery:", err)
+			fmt.Fprintln(o.stderr, "wetquery:", err)
 			return cliutil.ExitError
 		}
 	} else {
 		crit = exp.SliceCriteria(run.W, o.slices)
 	}
 	if len(crit) == 0 {
-		fmt.Fprintln(os.Stderr, "wetquery: no slicing criteria")
+		fmt.Fprintln(o.stderr, "wetquery: no slicing criteria")
 		return cliutil.ExitError
 	}
 
@@ -203,7 +223,7 @@ func runSlices(run *exp.Run, o opts, before stream.SeekStats, start time.Time) i
 	if o.cdprune {
 		an, err := sanalysis.Analyze(run.W.Prog)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "wetquery:", err)
+			fmt.Fprintln(o.stderr, "wetquery:", err)
 			return cliutil.ExitError
 		}
 		sopts.CDOracle = an
@@ -224,14 +244,14 @@ func runSlices(run *exp.Run, o opts, before stream.SeekStats, start time.Time) i
 		pruned[i] = res.PrunedCD
 		return nil
 	}); err != nil {
-		fmt.Fprintln(os.Stderr, "wetquery:", err)
+		fmt.Fprintln(o.stderr, "wetquery:", err)
 		return cliutil.ExitCode(err)
 	}
 	wall := time.Since(start)
 	delta := stream.ReadSeekStats().Sub(before)
 	if o.verbose {
 		for i, c := range crit {
-			fmt.Printf("  slice %3d: node=%-4d pos=%-3d ord=%-8d %8d instances  %v\n",
+			fmt.Fprintf(o.stdout, "  slice %3d: node=%-4d pos=%-3d ord=%-8d %8d instances  %v\n",
 				i, c.Node, c.Pos, c.Ord, sizes[i], durs[i].Round(time.Microsecond))
 		}
 	}
@@ -240,7 +260,7 @@ func runSlices(run *exp.Run, o opts, before stream.SeekStats, start time.Time) i
 		instances += int64(sizes[i])
 		cpu += int64(durs[i])
 	}
-	fmt.Printf("%d backward WET slices on %d workers: avg %.1f instances, avg %.3f ms, wall %v\n",
+	fmt.Fprintf(o.stdout, "%d backward WET slices on %d workers: avg %.1f instances, avg %.3f ms, wall %v\n",
 		len(crit), o.parallel, float64(instances)/float64(len(crit)),
 		float64(cpu)/1e6/float64(len(crit)), wall.Round(time.Microsecond))
 	if o.cdprune {
@@ -248,10 +268,10 @@ func runSlices(run *exp.Run, o opts, before stream.SeekStats, start time.Time) i
 		for _, n := range pruned {
 			p += int64(n)
 		}
-		fmt.Printf("static-CD pruning: %d control edges refuted before label resolution\n", p)
+		fmt.Fprintf(o.stdout, "static-CD pruning: %d control edges refuted before label resolution\n", p)
 	}
 	if o.verbose {
-		printSeekStats(delta)
+		printSeekStats(o.stdout, delta)
 	}
 	return cliutil.ExitOK
 }
@@ -290,12 +310,12 @@ func parseCriteria(path string, w *core.WET) ([]query.Instance, error) {
 
 // printSeekStats reports how the checkpointed cursors served this run's
 // random accesses.
-func printSeekStats(d stream.SeekStats) {
+func printSeekStats(stdout io.Writer, d stream.SeekStats) {
 	if d.Seeks == 0 {
-		fmt.Println("cursor seeks: none (sequential access only)")
+		fmt.Fprintln(stdout, "cursor seeks: none (sequential access only)")
 		return
 	}
-	fmt.Printf("cursor seeks: %d, %.1f%% served by checkpoint restore, %.1f steps/seek\n",
+	fmt.Fprintf(stdout, "cursor seeks: %d, %.1f%% served by checkpoint restore, %.1f steps/seek\n",
 		d.Seeks, 100*float64(d.Restores)/float64(d.Seeks),
 		float64(d.Steps)/float64(d.Seeks))
 }

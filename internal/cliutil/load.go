@@ -6,6 +6,7 @@ package cliutil
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"wet/internal/core"
@@ -21,22 +22,22 @@ const (
 	ExitSalvaged  = 4 // loaded with data loss under -salvage
 )
 
-// LoadWET opens and loads one WET file. Integrity failures
-// (*wetio.FormatError) exit with ExitIntegrity; with salvage enabled, a
-// lossy load prints the salvage report to stderr and exits ExitSalvaged
+// LoadWET opens and loads one WET file, reporting failures on stderr.
+// Integrity failures (*wetio.FormatError) exit with ExitIntegrity; with
+// salvage enabled, a lossy load prints the salvage report and exits ExitSalvaged
 // only after run() completes — the caller's queries still run on the
 // recovered prefix. run is invoked with the loaded WET; its return value
 // becomes the exit code unless salvage loss raises it.
-func LoadWET(cmd, path string, opts wetio.LoadOptions, run func(*core.WET) int) int {
+func LoadWET(stderr io.Writer, cmd, path string, opts wetio.LoadOptions, run func(*core.WET) int) int {
 	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+		fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
 		return ExitError
 	}
 	w, rep, err := wetio.LoadWithReport(f, opts)
 	f.Close()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %s: %v\n", cmd, path, err)
+		fmt.Fprintf(stderr, "%s: %s: %v\n", cmd, path, err)
 		// A cancelled load (LoadOptions.Ctx) is reported as cancellation,
 		// never as an integrity failure — the file may be fine.
 		if IsCancelled(err) {
@@ -50,7 +51,7 @@ func LoadWET(cmd, path string, opts wetio.LoadOptions, run func(*core.WET) int) 
 	}
 	lossy := rep != nil && !rep.Clean()
 	if lossy {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", cmd, path, rep)
+		fmt.Fprintf(stderr, "%s: %s: %s\n", cmd, path, rep)
 	}
 	code := run(w)
 	if code == ExitOK && lossy {
