@@ -163,10 +163,12 @@ func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.Degrad
 	if opts.MemBudget == 0 {
 		return opts, nil
 	}
-	var payload uint64
+	var payload, maxSection uint64
 	for i := range secs {
+		n := uint64(len(secs[i].payload))
+		maxSection = max(maxSection, n)
 		if secs[i].tag == secNode || secs[i].tag == secEdge {
-			payload += uint64(len(secs[i].payload))
+			payload += n
 		}
 	}
 	workers := opts.Workers
@@ -181,7 +183,7 @@ func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.Degrad
 		if workers > 1 {
 			// Transient: each extra worker holds one section's decoded
 			// state in flight beyond the final resting cost.
-			e += uint64(workers-1) * maxSectionPayload(secs) * decodeExpansion
+			e += uint64(workers-1) * maxSection * decodeExpansion
 		}
 		return e
 	}
@@ -216,14 +218,4 @@ func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.Degrad
 		rep.FinalBytes = est()
 	}
 	return opts, rep
-}
-
-func maxSectionPayload(secs []section) uint64 {
-	var m uint64
-	for i := range secs {
-		if n := uint64(len(secs[i].payload)); n > m {
-			m = n
-		}
-	}
-	return m
 }

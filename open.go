@@ -80,25 +80,19 @@ type OpenReport struct {
 }
 
 // Open reads a WET file written by Save (or (*Trace).Save) and returns it
-// as a query handle. It unifies the older free functions behind one entry
-// point:
+// as a query handle at tier 2, the only tier an opened file has (at Tier1
+// every query refuses with a *CapabilityError naming CapTier1):
 //
-//	Open(r)                   ≡ Load(r)               strict load
-//	Open(r, WithSalvage())    ≡ LoadSalvage(r, ...)   best-effort load of damage
-//	Open(r, WithVerifyOnly()) ≡ Verify(r)             checksum walk, nil Trace
-//
-// An opened trace has tier 2 only, as a streamed build does: tier 1 is what
-// a single-epoch build keeps, and a query at Tier1 on an opened trace
-// returns a *CapabilityError naming CapTier1.
+//	Open(r)                   strict load
+//	Open(r, WithSalvage())    best-effort load of damage
+//	Open(r, WithVerifyOnly()) checksum walk, nil Trace
 //
 // WithWorkers(n) and WithLazy() tune the decode path — parallel section
 // decode and deferred stream materialization — without changing any observed
 // result; WithContext makes it cancellable and WithMemBudget bounds its
-// working set.
-//
-// Options compose (WithSalvage() with WithWorkers(n) salvages with n
-// workers), except WithVerifyOnly, which never constructs a trace. Structural or
-// checksum failures on the strict path are reported as *FormatError.
+// working set. Options compose, except WithVerifyOnly, which never
+// constructs a trace. Structural or checksum failures on the strict path
+// are reported as *FormatError.
 func Open(r io.Reader, opts ...OpenOption) (*Trace, *OpenReport, error) {
 	var cfg openConfig
 	for _, o := range opts {
