@@ -370,6 +370,39 @@ func TestFreezeIdempotentAndDropTier1(t *testing.T) {
 	if got := stream.Drain(n.TSS); len(got) != n.Execs {
 		t.Fatalf("tier-2 ts after drop: %d values, want %d", len(got), n.Execs)
 	}
+	// Tier-1 asks are refused typed by every cursor factory, also for a
+	// group that holds no unique-value slices at all.
+	refused := func(what string, ask func()) {
+		t.Helper()
+		defer func() {
+			if ce, ok := recover().(*CapabilityError); !ok || ce.Capability != CapTier1 {
+				t.Errorf("%s at tier 1 after dropTier1: want a *CapabilityError naming %s", what, CapTier1)
+			}
+		}()
+		ask()
+	}
+	asked := 0
+	for _, n := range w2.Nodes {
+		refused("TSSeq", func() { w2.TSSeq(n, Tier1) })
+		for _, g := range n.Groups {
+			refused("PatternSeq", func() { w2.PatternSeq(g, Tier1) })
+			for _, uvals := range [][][]uint32{g.UVals, nil} {
+				g.UVals = uvals
+				for i := range g.ValMembers {
+					refused("UValSeq", func() { w2.UValSeq(g, i, Tier1) })
+					asked++
+				}
+			}
+		}
+	}
+	for _, e := range w2.Edges {
+		if !e.Inferable {
+			refused("EdgeLabels", func() { w2.EdgeLabels(e, Tier1) })
+		}
+	}
+	if asked == 0 {
+		t.Fatal("no value member to ask UValSeq for")
+	}
 }
 
 func TestCFEdgesObserved(t *testing.T) {
