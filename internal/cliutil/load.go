@@ -24,9 +24,9 @@ const (
 
 // LoadWET opens and loads one WET file, reporting failures on stderr.
 // Integrity failures (*wetio.FormatError) exit with ExitIntegrity; with
-// salvage enabled, a lossy load prints the salvage report and exits ExitSalvaged
-// only after run() completes — the caller's queries still run on the
-// recovered prefix. run is invoked with the loaded WET; its return value
+// salvage enabled, a lossy load prints the salvage report and exits
+// ExitSalvaged only after run() completes — the caller's queries still run
+// on the recovered prefix. run is invoked with the loaded WET; its return value
 // becomes the exit code unless salvage loss raises it.
 func LoadWET(stderr io.Writer, cmd, path string, opts wetio.LoadOptions, run func(*core.WET) int) int {
 	f, err := os.Open(path)

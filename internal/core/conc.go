@@ -32,8 +32,8 @@ import (
 // the serialized bytes are identical to a build that predates the feature.
 
 // ConcStream is one concurrency label sequence in both representations:
-// tier-1 raw values (nil on a streamed build or an opened file) and the tier-2 compressed stream
-// (nil before Freeze).
+// tier-1 raw values (nil on a streamed build or an opened file) and the
+// tier-2 compressed stream (nil before Freeze).
 type ConcStream struct {
 	Raw []uint32
 	S   stream.Stream

@@ -57,8 +57,8 @@ func BatchCtx(ctx context.Context, workers, n int, job func(i int) error) error 
 // (*stream.DecodeError, kept as-is — it names the failing stream), a
 // cursor factory refusing budget-dropped data (*CapabilityError, also kept
 // typed), and anything else a job does (wrapped as *core.PanicError). The
-// query entry points use core.RecoverTyped directly; BatchCtx uses this wider
-// net because it runs arbitrary caller code.
+// query entry points use core.RecoverTyped directly; BatchCtx uses this
+// wider net because it runs arbitrary caller code.
 func recoverQueryPanic(slot *error) {
 	p := recover()
 	if p == nil {

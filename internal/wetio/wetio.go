@@ -181,16 +181,15 @@ func saveConcPayload(w *wire.Enc, wet *core.WET) error {
 type LoadOptions struct {
 	// Ctx cancels the load cooperatively: the read of the file aborts at the
 	// next Read of the source, section decode between sections. A cancelled
-	// Load returns
-	// context.Cause(Ctx) — never a *FormatError, a cancelled file is not a
-	// corrupt one. Nil means context.Background().
+	// Load returns context.Cause(Ctx) — never a *FormatError, a cancelled
+	// file is not a corrupt one. Nil means context.Background().
 	Ctx context.Context
 	// MemBudget is a soft ceiling, in bytes, on the load's working set.
 	// When the estimate for the requested options exceeds it, the load
 	// degrades gracefully instead of failing — parallel decode falls back
 	// to serial, eager decode falls back to lazy — and reports what it shed
-	// in SalvageReport.Degradation. Zero
-	// means unlimited. See planLoadBudget for the ladder.
+	// in SalvageReport.Degradation. Zero means unlimited. See
+	// planLoadBudget for the ladder.
 	MemBudget uint64
 	// Salvage makes Load of a damaged v3 file return the maximal loadable
 	// prefix instead of failing: node records after the first damaged one
@@ -206,10 +205,10 @@ type LoadOptions struct {
 	// Lazy: certification requires the decode.
 	VerifyStreams bool
 	// Workers bounds the goroutines decoding node and edge sections in
-	// parallel: 0 means GOMAXPROCS, 1
-	// decodes serially. Assembly is deterministic — the loaded WET and any
-	// error reported are identical at every width. The salvage path always
-	// decodes serially (its share-repair cascade is order-dependent).
+	// parallel: 0 means GOMAXPROCS, 1 decodes serially. Assembly is
+	// deterministic — the loaded WET and any error reported are identical
+	// at every width. The salvage path always decodes serially (its
+	// share-repair cascade is order-dependent).
 	Workers int
 	// Lazy defers each predictor-backed stream's decode — the normalization
 	// traversal that dominates load time — until a cursor first touches it,
