@@ -223,67 +223,6 @@ func TestSealWorkerPanicNamesItsOp(t *testing.T) {
 	}
 }
 
-// TestFreezeMemBudgetDegrades: an impossible freeze budget falls back to
-// the serial pool and reports the rung machine-readably; the frozen output
-// is identical to an unbudgeted freeze.
-func TestFreezeMemBudgetDegrades(t *testing.T) {
-	w := unfrozen(t, "li")
-	rep, err := w.FreezeErr(core.FreezeOptions{Workers: 4, MemBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Degradation == nil {
-		t.Fatal("budget of 1 byte produced no degradation report")
-	}
-	found := false
-	for _, a := range rep.Degradation.Actions {
-		if a.Point == core.DegradeSerialFreeze {
-			found = true
-			if a.Reason == "" || a.From == "" || a.To == "" {
-				t.Fatalf("degradation action missing fields: %+v", a)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("ladder skipped %s: %v", core.DegradeSerialFreeze, rep.Degradation.Actions)
-	}
-	base := unfrozen(t, "li")
-	baseRep, err := base.FreezeErr(core.FreezeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.T2Total() != baseRep.T2Total() {
-		t.Fatalf("degraded freeze produced %d tier-2 bytes, unbudgeted %d",
-			rep.T2Total(), baseRep.T2Total())
-	}
-}
-
-// TestStreamingMemBudgetShrinksEpoch: a streaming build under a tight
-// budget shrinks its epoch toward the floor and says so in the report.
-func TestStreamingMemBudgetShrinksEpoch(t *testing.T) {
-	st, in := analyzed(t, "li", 200_000)
-	w, rep, _, err := core.BuildStreaming(st, interp.Options{Inputs: in},
-		core.FreezeOptions{EpochTS: 1 << 20, MemBudget: 8 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Degradation == nil {
-		t.Fatal("tight streaming budget produced no degradation report")
-	}
-	found := false
-	for _, a := range rep.Degradation.Actions {
-		if a.Point == core.DegradeShrinkEpoch {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("ladder skipped %s: %v", core.DegradeShrinkEpoch, rep.Degradation.Actions)
-	}
-	if w.EpochTS >= 1<<20 {
-		t.Fatalf("epoch did not shrink: %d timestamps", w.EpochTS)
-	}
-}
-
 // TestBuildCancelledBeforeStart: a context dead on entry returns its cause
 // without running a single interpreter step.
 func TestBuildCancelledBeforeStart(t *testing.T) {

@@ -53,7 +53,7 @@ type Entry struct {
 	Trace *wet.Trace
 	// Segs indexes the trace's evictable segments.
 	Segs *wet.SegmentSource
-	// Report is the open report (version, degradation).
+	// Report is the open report (its version).
 	Report *wet.OpenReport
 }
 

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"io"
 
-	"wet/internal/core"
 	"wet/internal/wire"
 )
 
@@ -112,11 +111,6 @@ type SalvageReport struct {
 	// loaded prefix internally consistent (clamped control-flow successor
 	// lists, remapped first/last pointers, dropped shared-label edges).
 	Adjustments []string `json:"adjustments,omitempty"`
-
-	// Degradation records the rungs LoadOptions.MemBudget forced the load
-	// down (nil when no budget was set or nothing was shed). Budget
-	// degradation is not data loss, so it does not affect Clean().
-	Degradation *core.DegradationReport `json:"degradation,omitempty"`
 }
 
 // Clean reports whether the file loaded without any loss.

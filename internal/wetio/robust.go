@@ -5,14 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 
 	"wet/internal/atomicfile"
 	"wet/internal/core"
 	"wet/internal/faultpoint"
 )
-
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Failpoints of the IO layer. wetio.save.write fires inside every Write of
 // a Save (one per 64 KiB or so of whole sections); with the
@@ -138,84 +135,4 @@ func SaveFileCtx(ctx context.Context, path string, wet *core.WET) error {
 	return atomicfile.Write(path, func(w io.Writer) error {
 		return SaveCtx(ctx, w, wet)
 	})
-}
-
-// Load working-set model (order-of-magnitude, like the freeze planner's):
-// scanSections has already materialized every payload, so the base cost is
-// known exactly; what the ladder controls is the expansion beyond it.
-const (
-	// decodeExpansion approximates decoded stream state (entry stores,
-	// predictor tables, checkpoints) per serialized payload byte.
-	decodeExpansion = 6
-	// lazyExpansion approximates a lazily opened container: serialized
-	// state retained plus the structural skeleton, no decoded streams.
-	lazyExpansion = 2
-)
-
-// planLoadBudget applies LoadOptions.MemBudget to a strict framed load.
-// The ladder, in order: parallel decode falls back to serial (sheds the
-// in-flight per-worker decode transients), eager decode falls back to lazy
-// first-touch materialization. Salvage and VerifyStreams pin the eager
-// rungs (both must decode to do their job), so those rungs are skipped
-// rather than violated. Returns the adjusted options and the rungs taken
-// (nil when no budget was set or nothing degraded).
-func planLoadBudget(opts LoadOptions, secs []section) (LoadOptions, *core.DegradationReport) {
-	if opts.MemBudget == 0 {
-		return opts, nil
-	}
-	var payload, maxSection uint64
-	for i := range secs {
-		n := uint64(len(secs[i].payload))
-		maxSection = max(maxSection, n)
-		if secs[i].tag == secNode || secs[i].tag == secEdge {
-			payload += n
-		}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	est := func() uint64 {
-		e := payload * decodeExpansion
-		if opts.deferred() {
-			e = payload * lazyExpansion
-		}
-		if workers > 1 {
-			// Transient: each extra worker holds one section's decoded
-			// state in flight beyond the final resting cost.
-			e += uint64(workers-1) * maxSection * decodeExpansion
-		}
-		return e
-	}
-	estimate := est()
-	if estimate <= opts.MemBudget {
-		return opts, nil
-	}
-	var rep *core.DegradationReport
-	add := func(point, from, to, reason string, before uint64) {
-		if rep == nil {
-			rep = &core.DegradationReport{BudgetBytes: opts.MemBudget, EstimateBytes: estimate}
-		}
-		rep.Actions = append(rep.Actions, core.DegradationAction{
-			Point: point, From: from, To: to,
-			SavedBytes: before - est(), Reason: reason,
-		})
-	}
-	if workers > 1 {
-		before := est()
-		from := fmt.Sprintf("%d workers", workers)
-		workers, opts.Workers = 1, 1
-		add(core.DegradeSerialDecode, from, "serial",
-			"per-worker in-flight section decode exceeds the budget", before)
-	}
-	if est() > opts.MemBudget && !opts.deferred() && !opts.VerifyStreams && !opts.Salvage {
-		before := est()
-		opts.Lazy = true
-		add(core.DegradeLazyStreams, "eager", "lazy first-touch",
-			"eagerly decoded stream state exceeds the budget", before)
-	}
-	if rep != nil {
-		rep.FinalBytes = est()
-	}
-	return opts, rep
 }

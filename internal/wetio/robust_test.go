@@ -2,9 +2,8 @@ package wetio
 
 // Robustness harness for the IO layer: atomic saves under injected faults,
 // torn-write recovery when the writer dies at a section boundary, prompt
-// cooperative cancellation of loads and saves, budget degradation, and
-// forged deferred decodes surfacing as typed errors under concurrent first
-// touch.
+// cooperative cancellation of loads and saves, and forged deferred decodes
+// surfacing as typed errors under concurrent first touch.
 
 import (
 	"bytes"
@@ -14,7 +13,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -254,107 +252,6 @@ func TestVerifyCancelled(t *testing.T) {
 	cancel(cause)
 	if _, err := VerifyCtx(ctx, bytes.NewReader(data)); !errors.Is(err, cause) {
 		t.Fatalf("cancelled verify returned %v, want the cancellation cause", err)
-	}
-}
-
-// TestLoadMemBudgetDegrades: an impossible budget walks the whole ladder —
-// serial decode, then lazy streams — reports every rung
-// machine-readably, and still opens a trace whose queries match an
-// unbudgeted load.
-func TestLoadMemBudgetDegrades(t *testing.T) {
-	data := savedWET(t, "li")
-	base, err := Load(bytes.NewReader(data), LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []int
-	query.ExtractCF(base, core.Tier2, true, func(id int) { want = append(want, id) })
-
-	w, rep, err := LoadWithReport(bytes.NewReader(data),
-		LoadOptions{MemBudget: 1, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg := rep.Degradation
-	if deg == nil {
-		t.Fatal("budget of 1 byte produced no degradation report")
-	}
-	if deg.BudgetBytes != 1 || deg.EstimateBytes == 0 || deg.FinalBytes == 0 {
-		t.Fatalf("degradation accounting wrong: %+v", deg)
-	}
-	points := map[string]bool{}
-	for _, a := range deg.Actions {
-		points[a.Point] = true
-		if a.Reason == "" || a.From == "" || a.To == "" {
-			t.Fatalf("degradation action missing fields: %+v", a)
-		}
-	}
-	for _, p := range []string{core.DegradeSerialDecode, core.DegradeLazyStreams} {
-		if !points[p] {
-			t.Fatalf("ladder skipped rung %s: %v", p, deg.Actions)
-		}
-	}
-	if !rep.Clean() {
-		t.Fatalf("budget degradation flagged the load as lossy: %s", rep)
-	}
-	var got []int
-	query.ExtractCF(w, core.Tier2, true, func(id int) { got = append(got, id) })
-	if len(got) != len(want) {
-		t.Fatalf("degraded load CF trace has %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("degraded load CF trace differs at %d", i)
-		}
-	}
-}
-
-// TestLoadMemBudgetPinsSalvage: salvage must decode eagerly to find
-// damage, so the lazy rung is skipped rather than violated.
-func TestLoadMemBudgetPinsSalvage(t *testing.T) {
-	data := savedWET(t, "li")
-	_, rep, err := LoadWithReport(bytes.NewReader(data),
-		LoadOptions{MemBudget: 1, Salvage: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Degradation != nil {
-		for _, a := range rep.Degradation.Actions {
-			if a.Point == core.DegradeLazyStreams {
-				t.Fatalf("budget forced lazy streams on a salvage load: %+v", a)
-			}
-		}
-	}
-}
-
-// TestLoadMemBudgetPricesDeferredAlike: a Segments load defers every decode
-// exactly as a Lazy one does, so a budget an eager load can only meet by
-// going lazy is met by both without a rung — in particular without an
-// "eager -> lazy" rung on a load that was never going to decode anything.
-func TestLoadMemBudgetPricesDeferredAlike(t *testing.T) {
-	data := savedStreamedWET(t, "li")
-	for what, c := range map[string]struct {
-		opts  LoadOptions
-		rungs []string
-	}{
-		"eager":    {LoadOptions{}, []string{core.DegradeLazyStreams}},
-		"lazy":     {LoadOptions{Lazy: true}, nil},
-		"segments": {LoadOptions{Segments: NewSegmentSource()}, nil},
-	} {
-		c.opts.MemBudget, c.opts.Workers = 3*uint64(len(data)), 1
-		_, rep, err := LoadWithReport(bytes.NewReader(data), c.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		var got []string
-		if rep.Degradation != nil {
-			for _, a := range rep.Degradation.Actions {
-				got = append(got, a.Point)
-			}
-		}
-		if !slices.Equal(got, c.rungs) {
-			t.Fatalf("%s load under a 3x-file budget took rungs %v, want %v", what, got, c.rungs)
-		}
 	}
 }
 

@@ -184,13 +184,6 @@ type LoadOptions struct {
 	// Load returns context.Cause(Ctx) — never a *FormatError, a cancelled
 	// file is not a corrupt one. Nil means context.Background().
 	Ctx context.Context
-	// MemBudget is a soft ceiling, in bytes, on the load's working set.
-	// When the estimate for the requested options exceeds it, the load
-	// degrades gracefully instead of failing — parallel decode falls back
-	// to serial, eager decode falls back to lazy — and reports what it shed
-	// in SalvageReport.Degradation. Zero means unlimited. See
-	// planLoadBudget for the ladder.
-	MemBudget uint64
 	// Salvage makes Load of a damaged v3 file return the maximal loadable
 	// prefix instead of failing: node records after the first damaged one
 	// and individually damaged edge records are dropped, and cross
@@ -326,11 +319,6 @@ func loadFramed(file []byte, opts LoadOptions, v4 bool) (*core.WET, *SalvageRepo
 		// Salvage must decode eagerly to find damage.
 		opts.Lazy, opts.Segments = false, nil
 	}
-	// The budget ladder adjusts the options before any decode starts; the
-	// rungs taken (if any) ride along on the report.
-	var deg *core.DegradationReport
-	opts, deg = planLoadBudget(opts, secs)
-	rep.Degradation = deg
 	var w *core.WET
 	var sizeRep *core.SizeReport
 	if strict {
@@ -865,7 +853,7 @@ func parseConcSec(s *section, opts LoadOptions, raw *trace.RawStats) (*core.Conc
 
 // deferred reports whether the load scans its predictor-backed streams and
 // leaves their decode to the first touch: the one predicate behind both Lazy
-// and Segments, which loadStream and the budget estimate share.
+// and Segments.
 func (o LoadOptions) deferred() bool {
 	return (o.Lazy || o.Segments != nil) && !o.VerifyStreams
 }

@@ -13,7 +13,6 @@ type openConfig struct {
 	verifyOnly bool
 	workers    int
 	lazy       bool
-	memBudget  uint64
 	segments   *SegmentSource
 }
 
@@ -74,9 +73,6 @@ type OpenReport struct {
 	// with WithSalvage. Its Clean method distinguishes intact from lossy
 	// loads.
 	Salvage *SalvageReport `json:"salvage,omitempty"`
-	// Degradation lists the options WithMemBudget forced the open to shed
-	// (nil when no budget was set or nothing degraded).
-	Degradation *DegradationReport `json:"degradation,omitempty"`
 }
 
 // Open reads a WET file written by Save (or (*Trace).Save) and returns it
@@ -89,8 +85,7 @@ type OpenReport struct {
 //
 // WithWorkers(n) and WithLazy() tune the decode path — parallel section
 // decode and deferred stream materialization — without changing any observed
-// result; WithContext makes it cancellable and WithMemBudget bounds its
-// working set. Options compose, except WithVerifyOnly, which never
+// result; WithContext makes it cancellable. Options compose, except WithVerifyOnly, which never
 // constructs a trace. Structural or checksum failures on the strict path
 // are reported as *FormatError.
 func Open(r io.Reader, opts ...OpenOption) (*Trace, *OpenReport, error) {
@@ -106,17 +101,16 @@ func Open(r io.Reader, opts ...OpenOption) (*Trace, *OpenReport, error) {
 		return nil, &OpenReport{Version: res.Version, Verify: res}, nil
 	}
 	w, rep, err := wetio.LoadWithReport(r, wetio.LoadOptions{
-		Ctx:       cfg.ctx,
-		MemBudget: cfg.memBudget,
-		Salvage:   cfg.salvage,
-		Workers:   cfg.workers,
-		Lazy:      cfg.lazy,
-		Segments:  cfg.segments,
+		Ctx:      cfg.ctx,
+		Salvage:  cfg.salvage,
+		Workers:  cfg.workers,
+		Lazy:     cfg.lazy,
+		Segments: cfg.segments,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &OpenReport{Version: rep.Version, Degradation: rep.Degradation}
+	out := &OpenReport{Version: rep.Version}
 	if cfg.salvage {
 		out.Salvage = rep
 	}

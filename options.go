@@ -7,15 +7,14 @@ import (
 )
 
 // RunOption configures Run. Options shared with Open (WithWorkers,
-// WithContext, WithMemBudget) satisfy both interfaces.
+// WithContext) satisfy both interfaces.
 type RunOption interface{ applyRun(*runConfig) }
 
 // OpenOption configures Open.
 type OpenOption interface{ applyOpen(*openConfig) }
 
 // Option is accepted by both Run and Open: the shared resource knobs
-// (worker pool, cancellation context, memory budget) mean the same thing
-// on both paths.
+// (worker pool, cancellation context) mean the same thing on both paths.
 type Option interface {
 	RunOption
 	OpenOption
@@ -68,19 +67,6 @@ func WithContext(ctx context.Context) Option {
 	return dualOption{
 		run:  func(c *runConfig) { c.run.Ctx = ctx; c.frz.Ctx = ctx },
 		open: func(c *openConfig) { c.ctx = ctx },
-	}
-}
-
-// WithMemBudget sets a soft ceiling, in bytes, on the working set of the
-// run's freeze pipeline or of the open. When the requested configuration
-// would exceed it, the path degrades gracefully instead of failing —
-// parallel stages fall back to serial, a streaming build's epoch shrinks,
-// an open defers its stream decodes — and the rungs taken are recorded in the
-// trace's Report (Degradation). Zero means unlimited.
-func WithMemBudget(bytes uint64) Option {
-	return dualOption{
-		run:  func(c *runConfig) { c.frz.MemBudget = bytes },
-		open: func(c *openConfig) { c.memBudget = bytes },
 	}
 }
 

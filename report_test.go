@@ -48,16 +48,10 @@ func TestReportFamilyJSONCasing(t *testing.T) {
 		DroppedEdges:     []wet.DroppedEdge{{Edge: 5, SavedBytes: 400}},
 		LostCapabilities: []string{wet.CapValues, wet.CapDependences, wet.CapExactTS},
 	}
-	degradation := &wet.DegradationReport{
-		BudgetBytes: 1 << 24, EstimateBytes: 1 << 25, FinalBytes: 1 << 23,
-		Actions: []wet.DegradationAction{{
-			Point: "freeze.parallel-workers", From: "8", To: "1", SavedBytes: 1 << 22, Reason: "budget",
-		}},
-	}
 	salvage := &wet.SalvageReport{
 		Version: 4, SectionsRead: 6, SectionsDropped: 1, BytesSkipped: 512,
 		Truncated: true, NodesLoaded: 10, NodesDropped: 2, EdgesLoaded: 20,
-		EdgesDropped: 3, Adjustments: []string{"edge 7 re-owned"}, Degradation: degradation,
+		EdgesDropped: 3, Adjustments: []string{"edge 7 re-owned"},
 	}
 	open := &wet.OpenReport{
 		Version: 4,
@@ -66,22 +60,19 @@ func TestReportFamilyJSONCasing(t *testing.T) {
 			Sections:    []wet.SectionStatus{{Section: "header", Offset: 6, Length: 40, CRCOK: true}},
 			BadSections: 1, TailSkipped: 9, Truncated: true,
 		},
-		Salvage:     salvage,
-		Degradation: degradation,
+		Salvage: salvage,
 	}
 	bundle := &wet.Report{
-		Size:        &wet.SizeReport{OrigTS: 1, T1TS: 2, T2TS: 3, Methods: map[string]int{"packed0": 4}},
-		Fidelity:    fidelity,
-		Degradation: degradation,
-		Salvage:     salvage,
+		Size:     &wet.SizeReport{OrigTS: 1, T1TS: 2, T2TS: 3, Methods: map[string]int{"packed0": 4}},
+		Fidelity: fidelity,
+		Salvage:  salvage,
 	}
 
 	for name, rep := range map[string]any{
-		"OpenReport":        open,
-		"DegradationReport": degradation,
-		"FidelityReport":    fidelity,
-		"SalvageReport":     salvage,
-		"Report":            bundle,
+		"OpenReport":     open,
+		"FidelityReport": fidelity,
+		"SalvageReport":  salvage,
+		"Report":         bundle,
 	} {
 		t.Run(name, func(t *testing.T) {
 			data, err := json.Marshal(rep)

@@ -88,15 +88,13 @@ func (t *Trace) AtTier(tier Tier) *Trace { return &Trace{w: t.w, tier: tier} }
 
 // Report bundles every machine-readable account a trace carries, with
 // consistent snake_case JSON casing across the family: the compression
-// size report, the fidelity report of a byte-budgeted freeze, the
-// degradation rungs a memory budget took, and the salvage report of a
-// damaged-file open. Fields not applicable to how this trace was produced
+// size report, the fidelity report of a byte-budgeted freeze, and the
+// salvage report of a damaged-file open. Fields not applicable to how this trace was produced
 // are nil (and omitted from JSON).
 type Report struct {
-	Size        *SizeReport        `json:"size,omitempty"`
-	Fidelity    *FidelityReport    `json:"fidelity,omitempty"`
-	Degradation *DegradationReport `json:"degradation,omitempty"`
-	Salvage     *SalvageReport     `json:"salvage,omitempty"`
+	Size     *SizeReport     `json:"size,omitempty"`
+	Fidelity *FidelityReport `json:"fidelity,omitempty"`
+	Salvage  *SalvageReport  `json:"salvage,omitempty"`
 }
 
 func (r *Report) String() string {
@@ -114,18 +112,12 @@ func (r *Report) String() string {
 }
 
 // Report returns the trace's report bundle. The Size field is nil before
-// Freeze; Fidelity is non-nil only for byte-budgeted traces; Salvage and
-// Degradation carry over from Open when it reported them.
+// Freeze; Fidelity is non-nil only for byte-budgeted traces; Salvage
+// carries over from Open when it reported one.
 func (t *Trace) Report() *Report {
 	r := &Report{Size: t.w.Report(), Fidelity: t.w.Fidelity}
-	if r.Size != nil {
-		r.Degradation = r.Size.Degradation
-	}
 	if t.open != nil {
 		r.Salvage = t.open.Salvage
-		if r.Degradation == nil {
-			r.Degradation = t.open.Degradation
-		}
 	}
 	return r
 }

@@ -26,8 +26,8 @@
 // build in bounded-memory epochs, WithByteBudget lands the serialized
 // container under a hard size ceiling (trading query capabilities in a
 // fixed order and reporting exactly what it shed in Trace.Fidelity), and
-// the shared knobs WithWorkers, WithContext, and WithMemBudget mean the
-// same thing on both paths. Saved traces come back through Open, at
+// the shared knobs WithWorkers and WithContext mean the same thing on
+// both paths. Saved traces come back through Open, at
 // tier 2 (tier 1 is what a single-epoch build keeps):
 //
 //	tr2, rep, err := wet.Open(f, wet.WithLazy())
@@ -233,14 +233,6 @@ func SaveFile(path string, t *WET) error { return wetio.SaveFile(path, t) }
 func SaveFileCtx(ctx context.Context, path string, t *WET) error {
 	return wetio.SaveFileCtx(ctx, path, t)
 }
-
-// DegradationReport lists what a memory budget (WithMemBudget,
-// FreezeOptions.MemBudget) forced a pipeline stage to shed, machine-readable
-// (JSON tags) for tooling.
-type DegradationReport = core.DegradationReport
-
-// DegradationAction is one rung of a DegradationReport.
-type DegradationAction = core.DegradationAction
 
 // FidelityReport is the machine-readable account of a byte-budgeted freeze
 // (WithByteBudget): budget, lossless floor, achieved container size, which
