@@ -304,7 +304,7 @@ func (w *WET) applyByteBudget(opts FreezeOptions) error {
 	// containers only: v4 segments store epoch-local timestamps whose
 	// re-based quantization would not round-trip).
 	if projected > budget && !w.Segmented() {
-		projected, err = w.widenTS(budget, fid, opts.CheckpointK)
+		projected, err = w.widenTS(budget, fid)
 		if err != nil {
 			return err
 		}
@@ -560,7 +560,7 @@ func (w *WET) dropEdges(projected, budget uint64, fid *FidelityReport) (uint64, 
 // successively coarser strides until the measured container fits. The
 // sequence keeps its length — only resolution is lost — so loaders and
 // per-node Execs bookkeeping are untouched.
-func (w *WET) widenTS(budget uint64, fid *FidelityReport, ck int) (uint64, error) {
+func (w *WET) widenTS(budget uint64, fid *FidelityReport) (uint64, error) {
 	orig := make([][]uint32, len(w.Nodes))
 	for i, n := range w.Nodes {
 		if n.TS != nil {
@@ -575,7 +575,7 @@ func (w *WET) widenTS(budget uint64, fid *FidelityReport, ck int) (uint64, error
 	for stride := uint32(2); stride <= maxTSStride; stride *= 2 {
 		for i, n := range w.Nodes {
 			sampled := stream.SampleStride(orig[i], stride)
-			n.TSS = stream.CompressBestScratchK(sampled, sc, ck)
+			n.TSS = stream.CompressBestScratch(sampled, sc)
 			if n.TS != nil {
 				n.TS = sampled
 			}

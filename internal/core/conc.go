@@ -248,11 +248,11 @@ func (b *Builder) concFlush() error {
 // (appended to the freeze job list; no report accounting — the concurrency
 // streams are outside the paper's size tables, and the race bench reports
 // their bytes separately).
-func concFreezeJobs(c *Conc, ck int, jobs *[]func(sc *stream.Scratch)) {
+func concFreezeJobs(c *Conc, jobs *[]func(sc *stream.Scratch)) {
 	for _, cs := range c.Streams() {
 		cs := cs
 		*jobs = append(*jobs, func(sc *stream.Scratch) {
-			cs.S = stream.CompressBestScratchK(cs.Raw, sc, ck)
+			cs.S = stream.CompressBestScratch(cs.Raw, sc)
 		})
 	}
 }

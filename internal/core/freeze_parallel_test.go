@@ -114,7 +114,6 @@ func TestFreezeParallelDeterminismAblations(t *testing.T) {
 	for _, opts := range []core.FreezeOptions{
 		{NoGrouping: true},
 		{AggressiveEdges: true},
-		{NoShare: true, NoInfer: true},
 	} {
 		optsSerial, optsParallel := opts, opts
 		optsSerial.Workers, optsParallel.Workers = 1, 8
@@ -122,33 +121,6 @@ func TestFreezeParallelDeterminismAblations(t *testing.T) {
 		repParallel := freeze(t, genWET(t, 3), optsParallel)
 		if !reflect.DeepEqual(repSerial, repParallel) {
 			t.Fatalf("%+v: reports differ:\nserial:   %+v\nparallel: %+v", opts, repSerial, repParallel)
-		}
-	}
-}
-
-// TestFreezeSkipFullSizing checks that NoGrouping+SkipFullSizing skips the
-// sizing-only pass (no T2Vals charge) but still yields a queryable WET.
-func TestFreezeSkipFullSizing(t *testing.T) {
-	w := genWET(t, 4)
-	rep := freeze(t, w, core.FreezeOptions{NoGrouping: true, SkipFullSizing: true, Workers: 4})
-	if rep.T2Vals != 0 {
-		t.Fatalf("SkipFullSizing left T2Vals=%d", rep.T2Vals)
-	}
-	full := freeze(t, genWET(t, 4), core.FreezeOptions{NoGrouping: true, Workers: 4})
-	if full.T2Vals == 0 {
-		t.Fatal("sizing pass charged nothing; test program has no values")
-	}
-	// Grouped streams exist, so tier-2 value queries still resolve.
-	for _, n := range w.Nodes {
-		for pos := range n.Stmts {
-			g := n.Groups[n.GroupOf[pos]]
-			if g.ValMemberIndex(pos) < 0 || n.Execs == 0 {
-				continue
-			}
-			if _, err := w.Value(n, pos, 0, core.Tier2); err != nil {
-				t.Fatalf("Value at tier-2 after SkipFullSizing: %v", err)
-			}
-			return
 		}
 	}
 }

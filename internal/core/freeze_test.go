@@ -17,43 +17,6 @@ func freeze(t testing.TB, w *WET, opts FreezeOptions) *SizeReport {
 	return rep
 }
 
-// buildProgramWET builds the WET of an ad-hoc program with given freeze
-// options.
-func freezeWith(t *testing.T, opts FreezeOptions) (*WET, *SizeReport) {
-	t.Helper()
-	w, _ := buildWET(t, sumLoop(t, 50), nil)
-	rep := freeze(t, w, opts)
-	return w, rep
-}
-
-func TestNoInferKeepsAllLabels(t *testing.T) {
-	_, repDef := freezeWith(t, FreezeOptions{})
-	_, repNoInfer := freezeWith(t, FreezeOptions{NoInfer: true})
-	if repNoInfer.InferableEdges != 0 {
-		t.Fatalf("NoInfer left %d inferable edges", repNoInfer.InferableEdges)
-	}
-	if repDef.InferableEdges == 0 {
-		t.Fatal("default freeze inferred nothing")
-	}
-	if repNoInfer.T1Edges <= repDef.T1Edges {
-		t.Fatalf("NoInfer tier-1 edges %d <= default %d", repNoInfer.T1Edges, repDef.T1Edges)
-	}
-}
-
-func TestNoShareKeepsDuplicates(t *testing.T) {
-	_, repDef := freezeWith(t, FreezeOptions{})
-	_, repNoShare := freezeWith(t, FreezeOptions{NoShare: true})
-	if repNoShare.SharedEdges != 0 {
-		t.Fatalf("NoShare left %d shared edges", repNoShare.SharedEdges)
-	}
-	if repDef.SharedEdges == 0 {
-		t.Fatal("default freeze shared nothing")
-	}
-	if repNoShare.T1Edges <= repDef.T1Edges {
-		t.Fatalf("NoShare tier-1 edges %d <= default %d", repNoShare.T1Edges, repDef.T1Edges)
-	}
-}
-
 // repetitiveProgram computes over an alternating input, so value grouping
 // collapses each hot group to two unique tuples (the paper's §3.2 win).
 // sumLoop, by contrast, keys its group on the induction variable and gains

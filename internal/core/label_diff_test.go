@@ -137,7 +137,7 @@ func (r *refBuilder) seal(epoch int) {
 		sg := refSeg{epoch: epoch, n: len(e.dst), sharedWith: -1, sharedSeg: -1, dst: e.dst, src: e.src}
 		e.dst, e.src = nil, nil
 		start := uint32(r.sealed[e.key.dst.node])
-		ramp := !r.opts.NoInfer && e.key.src.node == e.key.dst.node && sg.n == r.execs[e.key.dst.node]-r.sealed[e.key.dst.node]
+		ramp := e.key.src.node == e.key.dst.node && sg.n == r.execs[e.key.dst.node]-r.sealed[e.key.dst.node]
 		diag := true
 		for k := range sg.dst {
 			diag = diag && sg.dst[k] == sg.src[k]
@@ -149,9 +149,6 @@ func (r *refBuilder) seal(epoch int) {
 		default:
 			sg.diagonal = r.opts.AggressiveEdges && diag
 			for _, o := range owners {
-				if r.opts.NoShare {
-					break
-				}
 				oe, os := r.edges[o.edge], r.edges[o.edge].segs[o.seg]
 				if oe.key.src.node == e.key.src.node && oe.key.dst.node == e.key.dst.node && oe.key.kind == e.key.kind &&
 					os.diagonal == sg.diagonal && slices.Equal(os.dst, sg.dst) && (sg.diagonal || slices.Equal(os.src, sg.src)) {
@@ -303,8 +300,10 @@ func diffCheckSegs(t *testing.T, i int, e *core.Edge, re *refEdge, execs int) {
 	}
 }
 
-// diffMatrix runs one program through every epoch size and reduction
-// ablation of the issue's matrix.
+// diffMatrix runs one program through every epoch size, with and without
+// the diagonal-edge reduction. The subtest names keep the noinfer/noshare
+// labels of the inference and sharing ablations the matrix once also ran,
+// so a result stays comparable with its history.
 func diffMatrix(t *testing.T, p *ir.Program, in []int64) {
 	t.Helper()
 	st, err := interp.Analyze(p)
@@ -312,9 +311,9 @@ func diffMatrix(t *testing.T, p *ir.Program, in []int64) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	for _, epochTS := range []uint32{0, 64, 2048} {
-		for _, o := range []core.FreezeOptions{{}, {NoInfer: true}, {AggressiveEdges: true}, {NoShare: true}} {
-			o.EpochTS = epochTS
-			t.Run(fmt.Sprintf("epoch=%d/noinfer=%v/aggr=%v/noshare=%v", epochTS, o.NoInfer, o.AggressiveEdges, o.NoShare), func(t *testing.T) {
+		for _, aggr := range []bool{false, true} {
+			o := core.FreezeOptions{EpochTS: epochTS, AggressiveEdges: aggr}
+			t.Run(fmt.Sprintf("epoch=%d/noinfer=false/aggr=%v/noshare=false", epochTS, aggr), func(t *testing.T) {
 				w, ref := diffBuild(t, st, in, o)
 				diffCheck(t, w, ref)
 			})

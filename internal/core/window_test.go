@@ -42,7 +42,7 @@ func epochSegs(rng *rand.Rand, vals []uint32, epochTS uint32) []*core.LabelSeg {
 		for i := range local {
 			local[i] -= epoch * epochTS
 		}
-		segs = append(segs, &core.LabelSeg{Epoch: int(epoch), N: k, S: stream.CompressK(local, randomSpec(rng), 16)})
+		segs = append(segs, &core.LabelSeg{Epoch: int(epoch), N: k, S: stream.Compress(local, randomSpec(rng))})
 		rest = rest[k:]
 	}
 	return segs
@@ -50,8 +50,7 @@ func epochSegs(rng *rand.Rand, vals []uint32, epochTS uint32) []*core.LabelSeg {
 
 // tsViews returns a window factory per representation a node's timestamps
 // come in, each over a one-node WET holding vals: a tier-1 slice, every
-// stream kind at several checkpoint spacings, and segments of epochs of 16,
-// 64 and 500 timestamps.
+// stream kind, and segments of epochs of 16, 64 and 500 timestamps.
 func tsViews(rng *rand.Rand, vals []uint32) map[string]func() core.Window {
 	view := func(n *core.Node, epochTS uint32, tier core.Tier) func() core.Window {
 		w := &core.WET{Nodes: []*core.Node{n}, EpochTS: epochTS}
@@ -59,9 +58,7 @@ func tsViews(rng *rand.Rand, vals []uint32) map[string]func() core.Window {
 	}
 	out := map[string]func() core.Window{"tier1": view(&core.Node{TS: vals}, 0, core.Tier1)}
 	for _, spec := range stream.Candidates {
-		for _, k := range []int{-1, 0, 7, 64} {
-			out[fmt.Sprintf("%s/k%d", spec, k)] = view(&core.Node{TSS: stream.CompressK(vals, spec, k)}, 0, core.Tier2)
-		}
+		out[spec.String()] = view(&core.Node{TSS: stream.Compress(vals, spec)}, 0, core.Tier2)
 	}
 	for _, epochTS := range []uint32{16, 64, 500} {
 		out[fmt.Sprintf("epochs%d", epochTS)] = view(&core.Node{TSSegs: epochSegs(rng, vals, epochTS)}, epochTS, core.Tier2)
@@ -151,7 +148,7 @@ type edgeView struct {
 func edgeViews(rng *rand.Rand, l edgeLabels) map[string]edgeView {
 	w, e := l.segmented(rng)
 	single := &core.Edge{SharedWith: -1, DstOrd: l.dst, SrcOrd: l.src,
-		DstS: stream.CompressK(l.dst, randomSpec(rng), 7), SrcS: stream.CompressK(l.src, randomSpec(rng), 7)}
+		DstS: stream.Compress(l.dst, randomSpec(rng)), SrcS: stream.Compress(l.src, randomSpec(rng))}
 	w1 := &core.WET{Edges: []*core.Edge{single}}
 	return map[string]edgeView{
 		"tier1":     {false, func() (core.Window, core.Window) { return w1.EdgeWindows(single, core.Tier1, true) }},

@@ -161,7 +161,7 @@ func TestCrossTierEquivalenceRandom(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Build: %v", trial, err)
 		}
-		if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+		if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
 			t.Fatal(err)
 		}
 

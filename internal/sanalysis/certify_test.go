@@ -11,7 +11,7 @@ import (
 // certification must pass on a clean build and walk the tier-2 streams.
 func TestFreezeCertified(t *testing.T) {
 	w := buildRaw(t, "li", 3)
-	if _, err := w.FreezeCertified(core.FreezeOptions{CheckpointK: 64}); err != nil {
+	if _, err := w.FreezeCertified(core.FreezeOptions{}); err != nil {
 		t.Fatalf("FreezeCertified: %v", err)
 	}
 	if !w.Frozen() {
@@ -23,7 +23,7 @@ func TestFreezeCertified(t *testing.T) {
 // renders the rule id into its error.
 func TestCertifyReportsFindings(t *testing.T) {
 	w := buildRaw(t, "li", 3)
-	if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Repoint a labeled CD edge's source ordinal stream is invasive; the

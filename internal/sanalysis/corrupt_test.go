@@ -38,7 +38,7 @@ func buildRaw(t *testing.T, name string, scale int) *core.WET {
 // bit rot — and loads it back for tier-2 verification.
 func roundtrip(t *testing.T, w *core.WET) *core.WET {
 	t.Helper()
-	if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -286,10 +286,9 @@ func TestVerifyWalksStreams(t *testing.T) {
 	if d.Seeks == 0 {
 		t.Fatal("tier-2 verification issued no cursor seeks; it is not walking the compressed streams")
 	}
-	// Ordinal->timestamp lookups go through checkpointed Seek (buildWET
-	// freezes with CheckpointK=64, so each costs at most ~64 steps plus a
-	// restore); a generous linear bound over all lookups catches any
-	// fallback to full rescans.
+	// Ordinal->timestamp lookups go through checkpointed Seek and windowed
+	// reads; a generous linear bound over all lookups catches any fallback
+	// to full rescans.
 	bound := uint64(rep.Labels+rep.Transitions+1) * 128
 	if d.Steps > bound {
 		t.Fatalf("tier-2 verification stepped %d cursor positions for %d labels (bound %d): seeks are degenerating to scans", d.Steps, rep.Labels, bound)

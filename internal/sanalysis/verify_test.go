@@ -25,7 +25,7 @@ func buildWET(t *testing.T, name string, scale int) *core.WET {
 	if err != nil {
 		t.Fatalf("%s: Build: %v", name, err)
 	}
-	if _, err := w.FreezeErr(core.FreezeOptions{CheckpointK: 64}); err != nil {
+	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return w

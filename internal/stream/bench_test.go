@@ -103,7 +103,7 @@ func BenchmarkCompressWinner(b *testing.B) {
 		spec := BestSpec(vals, sc)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			benchSink += CompressK(vals, spec, 0).Len()
+			benchSink += Compress(vals, spec).Len()
 		}
 	})
 }

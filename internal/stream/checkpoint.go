@@ -13,22 +13,15 @@ import (
 // all-zero there, except the BL table which the stream stores anyway) and
 // position Len (the construction-end state, kept as the last checkpoint).
 
-// DefaultCheckpointK is the minimum checkpoint spacing (in values) the
-// automatic policy will use. With k == 0, the spacing is widened beyond
-// this floor for methods with large predictor tables so that total
-// checkpoint storage stays below ~25% of the raw (uncompressed) stream.
+// DefaultCheckpointK is the minimum checkpoint spacing (in values). The
+// spacing is widened beyond this floor for methods with large predictor
+// tables so that total checkpoint storage stays below ~25% of the raw
+// (uncompressed) stream.
 const DefaultCheckpointK = 1024
 
-// ckSpacing resolves the checkpoint spacing for a stream of m values whose
-// per-checkpoint state costs stateBits: k > 0 is honored verbatim, k < 0
-// disables interior checkpoints, k == 0 applies the automatic budget.
-func ckSpacing(k, m int, stateBits uint64) int {
-	if k != 0 {
-		if k < 0 {
-			return 0
-		}
-		return k
-	}
+// ckSpacing returns the checkpoint spacing for a stream of m values whose
+// per-checkpoint state costs stateBits (0: no interior checkpoints).
+func ckSpacing(m int, stateBits uint64) int {
 	if m == 0 || stateBits == 0 {
 		return 0
 	}

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// The bit-stack encoders CompressK used before the encode kernels: last-n
+// The bit-stack encoders Compress used before the encode kernels: last-n
 // runs forward pushing FR entries, then walks back popping them, pushing
 // their BL references and capturing checkpoints; packed pushes each value.
 // They are the reference encodeLastN and newPacked are compared against.
@@ -60,10 +60,10 @@ func (e *lastNEnc) encode(x uint32) {
 // finish freezes the encoder (at position m, BL empty) into an immutable
 // stream, rebuilding BL backward while capturing checkpoints (see
 // fcmEnc.finish).
-func (e *lastNEnc) finish(k int) *lastNStream {
+func (e *lastNEnc) finish() *lastNStream {
 	s := &lastNStream{m: e.m, n: e.n, idxBits: e.idxBits, stride: e.stride}
 	fr := e.fr.freeze()
-	sp := ckSpacing(k, e.m, s.stateBits())
+	sp := ckSpacing(e.m, s.stateBits())
 	var cks []lastNCk // built in strictly descending pos, reversed below
 	if e.m > 0 {
 		cks = append(cks, e.snapshot())
@@ -110,11 +110,11 @@ func wordBytes(words []uint64) []byte {
 	return b
 }
 
-// refEncode is CompressK through the reference encoders.
-func refEncode(vals []uint32, spec Spec, k int) Stream {
+// refEncode is Compress through the reference encoders.
+func refEncode(vals []uint32, spec Spec) Stream {
 	switch spec.Kind {
 	case KindLastN, KindLastNStride:
-		return newLastNEnc(vals, spec.Order, spec.Kind == KindLastNStride).finish(k)
+		return newLastNEnc(vals, spec.Order, spec.Kind == KindLastNStride).finish()
 	case KindPacked:
 		return refPacked(vals)
 	}
@@ -135,9 +135,9 @@ func encodeSpecs() []Spec {
 
 // checkEncode requires the kernel's stream for vals to equal the
 // reference's field by field.
-func checkEncode(t *testing.T, what string, vals []uint32, spec Spec, k int) {
+func checkEncode(t *testing.T, what string, vals []uint32, spec Spec) {
 	t.Helper()
-	if err := diffStreams(CompressK(vals, spec, k), refEncode(vals, spec, k)); err != nil {
+	if err := diffStreams(Compress(vals, spec), refEncode(vals, spec)); err != nil {
 		t.Fatalf("%s: kernel differs from the reference encoder: %v", what, err)
 	}
 }
@@ -160,8 +160,9 @@ func packedVals(rng *rand.Rand, m int, width uint) []uint32 {
 
 // TestEncodeMatchesReference is the differential test of the encode
 // kernels: at lengths around a 64-bit word and a long stream, for every
-// last-n spec under each checkpoint policy and for every packed width, the
-// kernel builds the stream the bit-stack reference builds, field by field.
+// last-n spec (the longer lengths with interior checkpoints) and for every
+// packed width, the kernel builds the stream the bit-stack reference builds,
+// field by field.
 func TestEncodeMatchesReference(t *testing.T) {
 	lengths := []int{0, 1, 63, 64, 65, 5000}
 	if !testing.Short() {
@@ -174,19 +175,16 @@ func TestEncodeMatchesReference(t *testing.T) {
 			if spec.Kind == KindPacked {
 				continue
 			}
-			for _, k := range []int{0, -1, 1, 7, 1024} {
-				checkEncode(t, fmt.Sprintf("%s/%d/k=%d", spec, m, k), vals, spec, k)
-			}
+			checkEncode(t, fmt.Sprintf("%s/%d", spec, m), vals, spec)
 		}
 		for width := uint(0); width <= 32; width++ {
-			checkEncode(t, fmt.Sprintf("packed%d/%d", width, m), packedVals(rng, m, width), Spec{KindPacked, 0}, 0)
+			checkEncode(t, fmt.Sprintf("packed%d/%d", width, m), packedVals(rng, m, width), Spec{KindPacked, 0})
 		}
 	}
 }
 
-// FuzzEncode: for any values, spec and checkpoint spacing the kernel builds
-// the reference's stream, and Load(Save(·)) of the kernel's stream under the
-// automatic spacing is that same stream.
+// FuzzEncode: for any values and spec the kernel builds the reference's
+// stream, and Load(Save(·)) of the kernel's stream is that same stream.
 func FuzzEncode(f *testing.F) {
 	for _, vals := range selectionSeeds() {
 		for i := range encodeSpecs() {
@@ -194,16 +192,16 @@ func FuzzEncode(f *testing.F) {
 			for _, v := range vals {
 				seed = append(seed, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 			}
-			f.Add(seed, uint8(i), int8(0))
+			f.Add(seed, uint8(i))
 		}
 	}
-	f.Add([]byte{1, 0, 0, 7, 0, 7, 7, 0}, uint8(0), int8(1))
-	f.Add([]byte{2, 1, 1, 1, 200, 1, 1, 1}, uint8(3), int8(-1))
+	f.Add([]byte{1, 0, 0, 7, 0, 7, 7, 0}, uint8(0))
+	f.Add([]byte{2, 1, 1, 1, 200, 1, 1, 1}, uint8(3))
 	specs := encodeSpecs()
-	f.Fuzz(func(t *testing.T, data []byte, which uint8, k int8) {
+	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		vals := fuzzVals(data)
 		spec := specs[int(which)%len(specs)]
-		checkEncode(t, fmt.Sprintf("%s/k=%d", spec, k), vals, spec, int(k))
+		checkEncode(t, spec.String(), vals, spec)
 		s := Compress(vals, spec)
 		var buf bytes.Buffer
 		if err := saveTo(&buf, s); err != nil {

@@ -199,14 +199,13 @@ func (e *fcmEnc) prev() uint32 {
 
 // finish freezes the encoder (which must be at position m with BL empty)
 // into an immutable stream: the FR store is snapshotted, then one backward
-// pass rebuilds the BL store while capturing checkpoints every k values
-// (k == 0: automatic spacing; k < 0: none).
-func (e *fcmEnc) finish(k int) *fcmStream {
+// pass rebuilds the BL store while capturing checkpoints at ckSpacing.
+func (e *fcmEnc) finish() *fcmStream {
 	s := &fcmStream{
 		m: e.m, order: e.order, stride: e.stride, tbBits: e.tbBits,
 	}
 	fr := e.fr.freeze() // popBits clears bits, so copy before walking back
-	sp := ckSpacing(k, e.m, s.stateBits())
+	sp := ckSpacing(e.m, s.stateBits())
 	var cks []fcmCk // built in strictly descending pos, reversed below
 	if e.m > 0 {
 		cks = append(cks, e.snapshot()) // construction-end state at pos m
@@ -243,7 +242,7 @@ func (e *fcmEnc) load() (*fcmStream, error) {
 		bl: e.bl.freeze(), bltb0: append([]uint32(nil), e.bltb...),
 	}
 	e.fr.words = slices.Grow(e.fr.words, len(s.bl.words))
-	sp := ckSpacing(0, e.m, s.stateBits())
+	sp := ckSpacing(e.m, s.stateBits())
 	cks := []fcmCk{{pos: 0, frLen: 0, blLen: s.bl.n, bltb: s.bltb0}}
 	for e.pos < e.m {
 		if sp > 0 && e.pos > 0 && e.pos%sp == 0 {

@@ -26,14 +26,14 @@ import (
 // literal where FR carries the evicted value. So the second pass pops FR
 // entries from the top by their flag bit and stacks their twins into BL,
 // position 0 on top.
-func encodeLastN(vals []uint32, n int, stride bool, k int) *lastNStream {
+func encodeLastN(vals []uint32, n int, stride bool) *lastNStream {
 	if n < 2 || n&(n-1) != 0 {
 		panic("stream: last-n table size must be a power of two >= 2")
 	}
 	m := len(vals)
 	s := &lastNStream{m: m, n: n, idxBits: uint(bits.TrailingZeros(uint(n))), stride: stride}
 	hitW, flag := uint64(s.idxBits)+1, uint64(1)<<s.idxBits
-	sp := ckSpacing(k, m, s.stateBits())
+	sp := ckSpacing(m, s.stateBits())
 	nextCk, nCks := m, 2
 	if sp > 0 {
 		nextCk, nCks = sp, 2+(m-1)/sp
@@ -294,7 +294,7 @@ func (s *lastNStream) load(tb []uint32) error {
 	if s.stride {
 		strideMask = ^uint32(0)
 	}
-	sp := ckSpacing(0, m, s.stateBits())
+	sp := ckSpacing(m, s.stateBits())
 	nextCk, nCks := m, 2
 	if sp > 0 {
 		nextCk, nCks = sp, 2+(m-1)/sp

@@ -49,7 +49,7 @@ func refNormalizeLastN(e *lastNEnc) (*lastNStream, error) {
 	if !e.bl.empty() {
 		return nil, fmt.Errorf("stream: last-n BL store holds %d bits beyond the stream", e.bl.bits())
 	}
-	return e.finish(0), nil
+	return e.finish(), nil
 }
 
 func (e *fcmEnc) refNext() uint32 {
@@ -83,7 +83,7 @@ func refNormalizeFCM(e *fcmEnc) (*fcmStream, error) {
 	if !e.bl.empty() {
 		return nil, fmt.Errorf("stream: fcm BL store holds %d bits beyond the stream", e.bl.bits())
 	}
-	return e.finish(0), nil
+	return e.finish(), nil
 }
 
 // refLoad is Load through the two-pass normalisers, under Load's recover
@@ -439,15 +439,14 @@ func benchVals(m int) []uint32 {
 	return vals
 }
 
-// BenchmarkEncode is the encode kernels' cost per value (CompressK at the
-// automatic checkpoint spacing).
+// BenchmarkEncode is the encode kernels' cost per value.
 func BenchmarkEncode(b *testing.B) {
 	vals := benchVals(1 << 16)
 	for _, spec := range []Spec{{KindLastN, 4}, {KindLastNStride, 8}, {KindPacked, 0}} {
 		b.Run(spec.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchSink += CompressK(vals, spec, 0).Len()
+				benchSink += Compress(vals, spec).Len()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vals)), "ns/value")
 		})

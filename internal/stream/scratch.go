@@ -186,16 +186,10 @@ func selectBest(vals []uint32, sc *Scratch) (int, uint64) {
 // the selection phase allocates nothing, and only the winning method's
 // stream is materialized.
 func CompressBestScratch(vals []uint32, sc *Scratch) Stream {
-	return CompressBestScratchK(vals, sc, 0)
-}
-
-// CompressBestScratchK is CompressBestScratch with explicit checkpoint
-// spacing (see CompressK).
-func CompressBestScratchK(vals []uint32, sc *Scratch, k int) Stream {
 	if len(vals) == 0 {
 		return newVerbatim(nil)
 	}
-	return CompressK(vals, BestSpec(vals, sc), k)
+	return Compress(vals, BestSpec(vals, sc))
 }
 
 // SizeBest runs selection and returns the winning method's exact full

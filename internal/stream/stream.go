@@ -154,24 +154,19 @@ func (s Spec) String() string {
 }
 
 // Compress builds an immutable compressed stream from vals with the given
-// method, recording seek checkpoints at the default spacing policy.
-func Compress(vals []uint32, spec Spec) Stream { return CompressK(vals, spec, 0) }
-
-// CompressK is Compress with explicit checkpoint spacing k: k == 0 applies
-// the automatic policy (see DefaultCheckpointK), k < 0 records no interior
-// checkpoints, and k > 0 records one checkpoint every k values.
-func CompressK(vals []uint32, spec Spec, k int) Stream {
+// method, recording seek checkpoints at ckSpacing.
+func Compress(vals []uint32, spec Spec) Stream {
 	switch spec.Kind {
 	case KindVerbatim:
 		return newVerbatim(vals)
 	case KindFCM:
-		return newFCMEnc(vals, spec.Order, false).finish(k)
+		return newFCMEnc(vals, spec.Order, false).finish()
 	case KindDFCM:
-		return newFCMEnc(vals, spec.Order, true).finish(k)
+		return newFCMEnc(vals, spec.Order, true).finish()
 	case KindLastN:
-		return encodeLastN(vals, spec.Order, false, k)
+		return encodeLastN(vals, spec.Order, false)
 	case KindLastNStride:
-		return encodeLastN(vals, spec.Order, true, k)
+		return encodeLastN(vals, spec.Order, true)
 	case KindPacked:
 		return newPacked(vals)
 	default:

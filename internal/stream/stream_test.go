@@ -2,6 +2,7 @@ package stream
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,47 +139,65 @@ func TestRandomWalkStateIndependence(t *testing.T) {
 }
 
 // TestSeekMatchesLinearWalk is the checkpointed-access property test: for
-// every method/spec combination and every checkpoint spacing mode, a
-// cursor that Seeks to a random position must read exactly what a pure
-// linear walk from position 0 reads — and a second untouched cursor must
-// stay byte-identical in behaviour (seeking must not leak state between
-// cursors).
+// every method/spec combination, a cursor that Seeks to a random position
+// must read exactly what a pure linear walk from position 0 reads — and a
+// second untouched cursor must stay byte-identical in behaviour (seeking
+// must not leak state between cursors). One case per checkpointed family
+// is required to have an interior checkpoint to restore: last-n on an
+// input longer than DefaultCheckpointK, FCM on one long enough that its
+// table stops growing (past 2^20 values).
 func TestSeekMatchesLinearWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	check := func(name string, vals []uint32, spec Spec, trials int) {
+		s := Compress(vals, spec)
+		seeker := s.NewCursor()
+		linear := s.NewCursor()
+		for trial := 0; trial < trials; trial++ {
+			i := rng.Intn(len(vals))
+			seeker.Seek(i)
+			if seeker.Pos() != i {
+				t.Fatalf("%s/%s: Seek(%d) left Pos=%d", name, spec, i, seeker.Pos())
+			}
+			if got := seeker.Next(); got != vals[i] {
+				t.Fatalf("%s/%s: Seek(%d)+Next = %d, want %d", name, spec, i, got, vals[i])
+			}
+			// The linear cursor only ever steps.
+			for linear.Pos() > i {
+				linear.Prev()
+			}
+			for linear.Pos() < i {
+				linear.Next()
+			}
+			if got := linear.Next(); got != vals[i] {
+				t.Fatalf("%s/%s: linear walk at %d = %d, want %d", name, spec, i, got, vals[i])
+			}
+		}
+	}
 	for name, vals := range datasets() {
 		if len(vals) == 0 {
 			continue
 		}
 		for _, spec := range allSpecs() {
-			// k=61: odd spacing that exercises interior checkpoints on every
-			// dataset; k=-1: no interior checkpoints (boundary states only);
-			// k=0: the automatic policy.
-			for _, k := range []int{61, -1, 0} {
-				s := CompressK(vals, spec, k)
-				seeker := s.NewCursor()
-				linear := s.NewCursor()
-				for trial := 0; trial < 40; trial++ {
-					i := rng.Intn(len(vals))
-					seeker.Seek(i)
-					if seeker.Pos() != i {
-						t.Fatalf("%s/%s/k=%d: Seek(%d) left Pos=%d", name, spec, k, i, seeker.Pos())
-					}
-					if got := seeker.Next(); got != vals[i] {
-						t.Fatalf("%s/%s/k=%d: Seek(%d)+Next = %d, want %d", name, spec, k, i, got, vals[i])
-					}
-					// The linear cursor only ever steps.
-					for linear.Pos() > i {
-						linear.Prev()
-					}
-					for linear.Pos() < i {
-						linear.Next()
-					}
-					if got := linear.Next(); got != vals[i] {
-						t.Fatalf("%s/%s/k=%d: linear walk at %d = %d, want %d", name, spec, k, i, got, vals[i])
-					}
-				}
-			}
+			check(name, vals, spec, 40)
 		}
+	}
+	long := make([]uint32, 1<<21)
+	for i := range long {
+		long[i] = uint32(rng.Intn(64))
+	}
+	for _, c := range []struct {
+		name string
+		vals []uint32
+		spec Spec
+	}{
+		{"periodic", datasets()["periodic"], Spec{KindLastN, 4}},
+		{"long", long, Spec{KindFCM, 1}},
+	} {
+		cks := checkpointsOf(Compress(c.vals, c.spec))
+		if !slices.ContainsFunc(cks, func(p int) bool { return p > 0 && p < len(c.vals) }) {
+			t.Fatalf("%s/%s: checkpoints at %v, none interior", c.name, c.spec, cks)
+		}
+		check(c.name, c.vals, c.spec, 8)
 	}
 }
 
@@ -207,23 +226,6 @@ func TestCursorsShareNothing(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-	}
-}
-
-func TestCheckpointAccounting(t *testing.T) {
-	vals := datasets()["periodic"]
-	s := CompressK(vals, Spec{KindLastN, 4}, 256)
-	if s.CheckpointBits() == 0 {
-		t.Fatal("explicit k=256 recorded no checkpoint bits")
-	}
-	none := CompressK(vals, Spec{KindLastN, 4}, -1)
-	if none.CheckpointBits() >= s.CheckpointBits() {
-		t.Fatalf("k=-1 checkpoint bits %d not below k=256's %d", none.CheckpointBits(), s.CheckpointBits())
-	}
-	// SizeBits is the paper's compressed-size metric and must not move with
-	// the checkpoint policy.
-	if s.SizeBits() != none.SizeBits() {
-		t.Fatalf("SizeBits varies with checkpoint spacing: %d vs %d", s.SizeBits(), none.SizeBits())
 	}
 }
 
