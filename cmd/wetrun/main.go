@@ -12,8 +12,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -26,26 +28,49 @@ import (
 	"wet/internal/workload"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wetrun:", err)
-	os.Exit(cliutil.ExitCode(err))
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	bench := flag.String("bench", "gzip", "workload name (go gcc li gzip mcf parser vortex bzip2 twolf)")
-	conc := flag.Bool("conc", false, "treat -bench as a concurrent variant name (li-conc-racy, li-conc-clean, gzip-conc-..., mcf-conc-...)")
-	seed := flag.Uint64("seed", 0, "thread scheduler seed for -conc runs (0 = default interleaving)")
-	stmts := flag.Uint64("stmts", 400_000, "target dynamic statements")
-	scale := flag.Int("scale", 0, "fixed scale (overrides -stmts)")
-	census := flag.Bool("census", false, "print the tier-2 method selection census")
-	printIR := flag.Bool("ir", false, "dump the workload's IR")
-	outFile := flag.String("o", "", "save the frozen WET to this file")
-	workers := flag.Int("workers", 0, "tier-2 freeze worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	certify := flag.Bool("certify", false, "semantically certify the frozen WET against its static analysis before reporting/saving")
-	budget := flag.String("budget", "", "byte budget for the frozen container (KiB/MiB/GiB suffixes); past the lossless floor the freeze sheds query capabilities in a fixed order and reports exactly what it lost")
-	epoch := flag.Uint("epoch", 0, "epoch size in timestamps: seal and tier-2 compress the profile per epoch while the run executes (0 = single-epoch; saves format v4)")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (exit code 5); 0 = no limit")
-	flag.Parse()
+// run is the command with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wetrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "gzip", "workload name (go gcc li gzip mcf parser vortex bzip2 twolf)")
+	conc := fs.Bool("conc", false, "treat -bench as a concurrent variant name (li-conc-racy, li-conc-clean, gzip-conc-..., mcf-conc-...)")
+	seed := fs.Uint64("seed", 0, "thread scheduler seed for -conc runs (0 = default interleaving)")
+	stmts := fs.Uint64("stmts", 400_000, "target dynamic statements")
+	scale := fs.Int("scale", 0, "fixed scale (overrides -stmts)")
+	census := fs.Bool("census", false, "print the tier-2 method selection census")
+	printIR := fs.Bool("ir", false, "dump the workload's IR")
+	outFile := fs.String("o", "", "save the frozen WET to this file")
+	workers := fs.Int("workers", 0, "tier-2 freeze worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	certify := fs.Bool("certify", false, "semantically certify the frozen WET against its static analysis before reporting/saving")
+	budget := fs.String("budget", "", "byte budget for the frozen container (KiB/MiB/GiB suffixes); past the lossless floor the freeze sheds query capabilities in a fixed order and reports exactly what it lost")
+	epoch := fs.Uint("epoch", 0, "epoch size in timestamps: seal and tier-2 compress the profile per epoch while the run executes (0 = single-epoch; saves format v4)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (exit code 5); 0 = no limit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cliutil.ExitOK
+		}
+		return cliutil.ExitUsage
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "wetrun:", err)
+		return cliutil.ExitCode(err)
+	}
+
+	var budgetBytes uint64
+	if *budget != "" {
+		var err error
+		if budgetBytes, err = cliutil.ParseBytes(*budget); err != nil {
+			fmt.Fprintln(stderr, "wetrun:", err)
+			return cliutil.ExitUsage
+		}
+	}
+	if budgetBytes > 0 && *conc {
+		fmt.Fprintln(stderr, "wetrun: -budget is not supported with -conc")
+		return cliutil.ExitUsage
+	}
 
 	// ^C or -timeout expiry unwinds the pipeline cooperatively: the
 	// interpreter stops within 4096 steps, partially built epochs are
@@ -53,117 +78,94 @@ func main() {
 	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
 
-	var budgetBytes uint64
-	if *budget != "" {
-		var err error
-		if budgetBytes, err = cliutil.ParseBytes(*budget); err != nil {
-			fmt.Fprintln(os.Stderr, "wetrun:", err)
-			os.Exit(cliutil.ExitUsage)
-		}
-	}
-	if budgetBytes > 0 && *conc {
-		fmt.Fprintln(os.Stderr, "wetrun: -budget is not supported with -conc")
-		os.Exit(cliutil.ExitUsage)
-	}
-
 	if *conc {
 		cw, err := workload.ConcByName(*bench)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		run, err := exp.BuildConcRun(ctx, cw, *stmts, *workers, *seed)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		report(ctx, workload.Workload{Name: cw.Name, Mimics: cw.Mimics}, run,
+		return report(ctx, stdout, stderr, workload.Workload{Name: cw.Name, Mimics: cw.Mimics}, run,
 			*certify, *outFile, *census)
-		return
 	}
 
 	w, err := workload.ByName(*bench)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	var run *exp.Run
-	if *scale > 0 || *epoch > 0 || budgetBytes > 0 {
-		sc := *scale
-		if sc == 0 {
-			sc, err = workload.ScaleFor(w, *stmts)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		prog, in := w.Build(sc)
-		if *printIR {
-			fmt.Print(prog.String())
-		}
-		st, err := interp.Analyze(prog)
-		if err != nil {
-			fatal(err)
-		}
-		// BuildStreaming with epoch 0 is exactly Build + Freeze.
-		wet, rep, res, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{
-			Workers: *workers, EpochTS: uint32(*epoch), ByteBudget: budgetBytes,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		run = &exp.Run{Name: w.Name, Stmts: res.Steps, Scale: sc, W: wet, Rep: rep}
-	} else {
-		run, err = exp.BuildRun(ctx, w, *stmts, *workers)
-		if err != nil {
-			fatal(err)
+	sc := *scale
+	if sc == 0 {
+		if sc, err = workload.ScaleFor(w, *stmts); err != nil {
+			return fail(err)
 		}
 	}
-
-	report(ctx, w, run, *certify, *outFile, *census)
+	prog, in := w.Build(sc)
+	if *printIR {
+		fmt.Fprint(stdout, prog.String())
+	}
+	st, err := interp.Analyze(prog)
+	if err != nil {
+		return fail(err)
+	}
+	// BuildStreaming with epoch 0 is exactly Build + Freeze.
+	wet, rep, res, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{
+		Workers: *workers, EpochTS: uint32(*epoch), ByteBudget: budgetBytes,
+	})
+	if err != nil {
+		return fail(err)
+	}
+	run := &exp.Run{Name: w.Name, Stmts: res.Steps, Scale: sc, W: wet, Rep: rep}
+	return report(ctx, stdout, stderr, w, run, *certify, *outFile, *census)
 }
 
 // report certifies/saves the built trace as requested and prints the run
-// summary (shared by the sequential and -conc paths).
-func report(ctx context.Context, w workload.Workload, run *exp.Run, certify bool, outFile string, census bool) {
+// summary (shared by the sequential and -conc paths), and returns the exit
+// code.
+func report(ctx context.Context, stdout, stderr io.Writer, w workload.Workload, run *exp.Run, certify bool, outFile string, census bool) int {
 	wet, rep := run.W, run.Rep
 	if certify {
 		if err := wet.Certify(); err != nil {
-			fmt.Fprintln(os.Stderr, "wetrun:", err)
-			os.Exit(3)
+			fmt.Fprintln(stderr, "wetrun:", err)
+			return cliutil.ExitIntegrity
 		}
 		if wet.Conc != nil {
-			fmt.Println("certified: structure only (sequential semantic replay is skipped on concurrent traces)")
+			fmt.Fprintln(stdout, "certified: structure only (sequential semantic replay is skipped on concurrent traces)")
 		} else {
-			fmt.Println("certified: trace is semantically consistent with its program")
+			fmt.Fprintln(stdout, "certified: trace is semantically consistent with its program")
 		}
 	}
 	if outFile != "" {
 		// Atomic save: temp file + fsync + rename, so an interrupted or
 		// failed save never leaves a torn .wet behind.
 		if err := wetio.SaveFileCtx(ctx, outFile, wet); err != nil {
-			fatal(err)
+			fmt.Fprintln(stderr, "wetrun:", err)
+			return cliutil.ExitCode(err)
 		}
-		fmt.Printf("saved WET to %s\n", outFile)
+		fmt.Fprintf(stdout, "saved WET to %s\n", outFile)
 	}
-	fmt.Printf("benchmark    %s (%s)\n", w.Name, w.Mimics)
-	fmt.Printf("statements   %d dynamic (scale %d)\n", run.Stmts, run.Scale)
-	fmt.Printf("paths        %d executions of %d distinct Ball-Larus paths\n", wet.Raw.PathExecs, len(wet.Nodes))
-	fmt.Printf("blocks       %d executions\n", wet.Raw.BlockExecs)
-	fmt.Printf("dependences  %d data, %d control\n", wet.Raw.DynDD, wet.Raw.DynCD)
+	fmt.Fprintf(stdout, "benchmark    %s (%s)\n", w.Name, w.Mimics)
+	fmt.Fprintf(stdout, "statements   %d dynamic (scale %d)\n", run.Stmts, run.Scale)
+	fmt.Fprintf(stdout, "paths        %d executions of %d distinct Ball-Larus paths\n", wet.Raw.PathExecs, len(wet.Nodes))
+	fmt.Fprintf(stdout, "blocks       %d executions\n", wet.Raw.BlockExecs)
+	fmt.Fprintf(stdout, "dependences  %d data, %d control\n", wet.Raw.DynDD, wet.Raw.DynCD)
 	if wet.Segmented() {
-		fmt.Printf("epochs       %d sealed at %d timestamps each\n", wet.Epochs, wet.EpochTS)
+		fmt.Fprintf(stdout, "epochs       %d sealed at %d timestamps each\n", wet.Epochs, wet.EpochTS)
 	}
 	if c := wet.Conc; c != nil {
-		fmt.Printf("concurrency  %d threads, %d sync events, %d shared accesses\n",
+		fmt.Fprintf(stdout, "concurrency  %d threads, %d sync events, %d shared accesses\n",
 			c.NumThreads(), c.SyncEvents(), c.SharedAccesses())
 	}
-	fmt.Printf("edges        %d static dependence edges\n", len(wet.Edges))
-	fmt.Println()
-	fmt.Print(rep.String())
+	fmt.Fprintf(stdout, "edges        %d static dependence edges\n", len(wet.Edges))
+	fmt.Fprintln(stdout)
+	fmt.Fprint(stdout, rep.String())
 	if fid := wet.Fidelity; fid.Degraded() {
-		fmt.Println()
-		fmt.Println(fid.String())
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, fid.String())
 	}
 	if census {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		names := make([]string, 0, len(rep.Methods))
 		for name := range rep.Methods {
 			names = append(names, name)
@@ -175,7 +177,8 @@ func report(ctx context.Context, w workload.Workload, run *exp.Run, certify bool
 			return names[i] < names[j]
 		})
 		for _, name := range names {
-			fmt.Printf("  %-10s %d streams\n", name, rep.Methods[name])
+			fmt.Fprintf(stdout, "  %-10s %d streams\n", name, rep.Methods[name])
 		}
 	}
+	return cliutil.ExitOK
 }
