@@ -39,10 +39,20 @@ type programCounts struct {
 	SavedBytes int            `json:"saved_bytes"`
 	T1         componentBytes `json:"t1"`
 	T2         componentBytes `json:"t2"`
+	Report     reportCounts   `json:"report"`
 	Methods    map[string]int `json:"methods"`
 	// SliceBatch is the seek traffic of uncapped backward slices from
 	// spacedCriteria's four instances.
 	SliceBatch wet.SeekStats `json:"slice_batch"`
+}
+
+// reportCounts are the size report's edge eliminations and the in-memory
+// cost of its cursor checkpoints.
+type reportCounts struct {
+	InferableEdges  int    `json:"inferable_edges"`
+	SharedEdges     int    `json:"shared_edges"`
+	OwnedEdges      int    `json:"owned_edges"`
+	CheckpointBytes uint64 `json:"checkpoint_bytes"`
 }
 
 // symmetryCounts are the seek and decode counts behind symmetry_test.go's
@@ -102,6 +112,7 @@ func countProgram(t *testing.T, name string, scale int, epochTS uint32) programC
 		SavedBytes: len(saveBytes(t, tr)),
 		T1:         componentBytes{sz.T1TS, sz.T1Vals, sz.T1Edges},
 		T2:         componentBytes{sz.T2TS, sz.T2Vals, sz.T2Edges},
+		Report:     reportCounts{sz.InferableEdges, sz.SharedEdges, sz.OwnedEdges, sz.CheckpointBytes},
 		Methods:    sz.Methods,
 		SliceBatch: batch,
 	}
@@ -280,6 +291,7 @@ func TestExactCounts(t *testing.T) {
 		diff(id+" saved bytes", g.SavedBytes, w.SavedBytes)
 		diff(id+" t1 bytes", g.T1, w.T1)
 		diff(id+" t2 bytes", g.T2, w.T2)
+		diff(id+" report", g.Report, w.Report)
 		diff(id+" methods", g.Methods, w.Methods)
 		diff(id+" slice batch", g.SliceBatch, w.SliceBatch)
 	}
