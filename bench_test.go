@@ -603,8 +603,9 @@ func BenchmarkAblationStreamMethods(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationValueGrouping compares freezing with and without the
-// tier-1 value grouping (paper §3.2).
+// BenchmarkAblationValueGrouping compares the tier-2 value bytes of the
+// tier-1 value grouping (paper §3.2) with those of every statement
+// occurrence's full value sequence, sized without building its stream.
 func BenchmarkAblationValueGrouping(b *testing.B) {
 	wl, err := workload.ByName("li")
 	if err != nil {
@@ -615,30 +616,49 @@ func BenchmarkAblationValueGrouping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, off := range []bool{false, true} {
-		name := "grouped"
-		if off {
-			name = "ungrouped"
+	build := func() *core.WET {
+		w, _, err := core.Build(st, interp.Options{Inputs: in})
+		if err != nil {
+			b.Fatal(err)
 		}
-		off := off
-		b.Run(name, func(b *testing.B) {
-			var bytes uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				w, _, err := core.Build(st, interp.Options{Inputs: in})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				rep, err := w.FreezeErr(core.FreezeOptions{NoGrouping: off})
-				if err != nil {
-					b.Fatal(err)
-				}
-				bytes = rep.T2Vals
-			}
-			b.ReportMetric(float64(bytes), "valbytes")
-		})
+		return w
 	}
+	b.Run("grouped", func(b *testing.B) {
+		var bytes uint64
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w := build()
+			b.StartTimer()
+			rep, err := w.FreezeErr(core.FreezeOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes = rep.T2Vals
+		}
+		b.ReportMetric(float64(bytes), "valbytes")
+	})
+	b.Run("ungrouped", func(b *testing.B) {
+		w := build()
+		sc := stream.NewScratch()
+		defer sc.Release()
+		var bytes uint64
+		for i := 0; i < b.N; i++ {
+			bytes = 0
+			for _, n := range w.Nodes {
+				for _, g := range n.Groups {
+					for _, uv := range g.UVals {
+						full := make([]uint32, len(g.Pattern))
+						for k, idx := range g.Pattern {
+							full[k] = uv[idx]
+						}
+						bits, _ := stream.SizeBest(full, sc)
+						bytes += (bits + 7) / 8
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(bytes), "valbytes")
+	})
 }
 
 // BenchmarkAblationLocalTS compares local vs global timestamps on edge

@@ -2,12 +2,15 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
 	"wet/internal/interp"
 	"wet/internal/ir"
+	"wet/internal/pool"
 	"wet/internal/stream"
 	"wet/internal/trace"
 )
@@ -57,10 +60,10 @@ type Builder struct {
 	time     uint32
 	prevNode int
 
-	// Streaming (epoch-segmented) state; zero/nil on single-epoch builds.
-	// jobs collects one seal's compression closures; scratch is the
-	// per-worker selection state kept across seals.
-	epochTS uint32
+	// fopts are the options the builder was made with; EpochTS > 0 seals
+	// epochs (segment.go). jobs collects one seal's compression closures;
+	// scratch is the per-worker selection state kept across seals (nil on a
+	// one-epoch build).
 	fopts   FreezeOptions
 	jobs    []func(*stream.Scratch)
 	scratch []*stream.Scratch
@@ -78,7 +81,7 @@ type Builder struct {
 	CheckDeterminism bool
 
 	err error
-	// abort, when set (buildStreaming wires it to a CancelCauseFunc),
+	// abort, when set (record wires it to a CancelCauseFunc),
 	// propagates a builder failure to the interpreter's context so the
 	// run stops within one ctx-check window instead of streaming events
 	// into a dead build. Called only from the interpreter goroutine.
@@ -144,16 +147,28 @@ type edgeSlot struct {
 // pathChunk is the pathLoc chunk size in words (64 KiB).
 const pathChunk = 1 << 13
 
-// NewBuilder returns a builder for one run of the analyzed program.
-func NewBuilder(st *interp.Static) *Builder {
-	return &Builder{
+// NewBuilder returns a builder for one run of the analyzed program. With
+// opts.EpochTS > 0 it seals and tier-2 compresses the profile in epochs of
+// that many timestamps while events arrive (segment.go) and keeps no tier
+// 1; with 0 it builds one epoch and keeps its tier-1 labels for FreezeErr.
+// opts.AggressiveEdges, Workers and Ctx apply to the seals.
+func NewBuilder(st *interp.Static, opts FreezeOptions) *Builder {
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
+	b := &Builder{
 		prog:     st.Prog,
 		static:   st,
 		w:        &WET{Prog: st.Prog, Static: st, StmtOcc: make([][]StmtRef, len(st.Prog.Stmts))},
 		nodeIdx:  make([]map[int64]int, len(st.Prog.Funcs)),
 		edgeIdx:  map[edgeKey]int{},
 		prevNode: -1,
+		fopts:    opts,
 	}
+	if opts.EpochTS > 0 {
+		b.scratch = newScratches(pool.Workers(opts.Workers, math.MaxInt))
+	}
+	return b
 }
 
 // Stmt implements trace.Sink. The pending and operand counters are reset,
@@ -299,8 +314,8 @@ func (b *Builder) flushPath(fn int, pathID int64) error {
 	// Streaming: the timestamp just issued closed its epoch — seal it, which
 	// compresses the epoch's label slices before the run resumes. A path carries
 	// exactly one timestamp, so a path never spans epochs.
-	if b.epochTS > 0 && b.time%b.epochTS == 0 {
-		b.sealEpoch(int(b.time/b.epochTS) - 1)
+	if e := b.fopts.EpochTS; e > 0 && b.time%e == 0 {
+		b.sealEpoch(int(b.time/e) - 1)
 	}
 	return nil
 }
@@ -722,11 +737,11 @@ func decCmp(a, b int) int {
 	return cmp.Or(cmp.Compare(x, y), cmp.Compare(a, b))
 }
 
-// Finish validates and returns the built WET (tier-1 labeled, not frozen).
+// Finish validates and returns the built WET, not yet frozen. A segmented
+// build seals its trailing epoch and keeps tier 2 only; a one-epoch build
+// stores the labels it only counted, so tier-1 queries and FreezeErr read
+// plain label slices.
 func (b *Builder) Finish() (*WET, error) {
-	if b.epochTS > 0 {
-		return nil, fmt.Errorf("core: streaming builder must finish via FinishStreaming")
-	}
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -735,13 +750,17 @@ func (b *Builder) Finish() (*WET, error) {
 	}
 	w := b.w
 	w.Time = b.time
-	b.settleFixed()
-	b.countEdges()
-	// Tier-1 queries and FreezeErr read plain label slices: store what the
-	// builder only counted. Then fill edge adjacency.
-	for i := range w.Edges {
-		if !b.ramps[i].stored {
-			b.materialise(i, 0, 0)
+	if b.fopts.EpochTS > 0 {
+		if err := b.finishEpochs(); err != nil {
+			return nil, err
+		}
+	} else {
+		b.settleFixed()
+		b.countEdges()
+		for i := range w.Edges {
+			if !b.ramps[i].stored {
+				b.materialise(i, 0, 0)
+			}
 		}
 	}
 	w.indexEdges()
@@ -783,21 +802,11 @@ func addUniq(s *[]int, v int) {
 	*s = append(*s, v)
 }
 
-// Build runs the program and constructs its WET in one call. The returned
-// WET is unfrozen (tier-1 labels only); call FreezeErr for tier-2 streams and
-// the size report. opts.Sink is overridden.
+// Build runs the program and constructs its one-epoch WET in one call. The
+// returned WET is unfrozen (tier-1 labels only); call FreezeErr for tier-2
+// streams and the size report. opts.Sink is overridden.
 func Build(st *interp.Static, opts interp.Options) (*WET, *interp.Result, error) {
-	b := NewBuilder(st)
-	opts.Sink = b
-	res, err := interp.Run(st, opts)
-	if err != nil {
-		return nil, res, err
-	}
-	w, err := b.Finish()
-	if err != nil {
-		return nil, res, err
-	}
-	return w, res, nil
+	return record(st, opts, FreezeOptions{}, false)
 }
 
 // Ensure Builder satisfies trace.Sink and its concurrency extension.

@@ -52,11 +52,7 @@ func feed(t *testing.T, what string, b *Builder, ops []replayOp) (err error) {
 			b.PathDone(op.path.Fn, op.path.PathID)
 		}
 	}
-	if b.epochTS > 0 {
-		_, err = b.FinishStreaming()
-	} else {
-		_, err = b.Finish()
-	}
+	_, err = b.Finish()
 	return err
 }
 
@@ -135,19 +131,13 @@ func TestBuilderRejectsMalformedEvents(t *testing.T) {
 		{"events after the last PathDone", "not covered by a path",
 			append(append([]replayOp(nil), good...), good[0])},
 	}
-	if err := feed(t, "unaltered", NewBuilder(st), good); err != nil {
+	if err := feed(t, "unaltered", NewBuilder(st, FreezeOptions{}), good); err != nil {
 		t.Fatalf("the recorded stream is refused: %v", err)
 	}
 	for _, tc := range cases {
-		for _, streaming := range []bool{false, true} {
-			b := NewBuilder(st)
-			if streaming {
-				if b, err = NewStreamingBuilder(st, FreezeOptions{EpochTS: 4, Workers: 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			what := fmt.Sprintf("%s (streaming %v)", tc.name, streaming)
-			err := feed(t, what, b, tc.ops)
+		for _, epochTS := range []uint32{0, 4} {
+			what := fmt.Sprintf("%s (EpochTS %d)", tc.name, epochTS)
+			err := feed(t, what, NewBuilder(st, FreezeOptions{EpochTS: epochTS, Workers: 1}), tc.ops)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("%s: got %v, want an error saying %q", what, err, tc.want)
 			}
@@ -183,7 +173,7 @@ func twoPhases(t *testing.T) *ir.Program {
 // TestSealReleasesQuietBuffers: a seal empties every tier-1 label slice and
 // keeps the buffer only of an item that fired in the sealed epoch, so after
 // a seal in the second phase every first-phase node, group and edge holds a
-// nil slice; FinishStreaming leaves every slice nil.
+// nil slice; Finish leaves every slice nil.
 func TestSealReleasesQuietBuffers(t *testing.T) {
 	prog := twoPhases(t)
 	st, err := interp.Analyze(prog)
@@ -191,10 +181,7 @@ func TestSealReleasesQuietBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	const epochTS = 16
-	b, err := NewStreamingBuilder(st, FreezeOptions{EpochTS: epochTS, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := NewBuilder(st, FreezeOptions{EpochTS: epochTS, Workers: 1})
 	one := prog.FuncByName("one").Index
 	s := &sealWatch{t: t, b: b, one: one, execs: map[int]int{}, counts: map[int]int{}}
 	if _, err := interp.Run(st, interp.Options{Sink: s, MaxSteps: 1 << 22}); err != nil {
@@ -203,13 +190,13 @@ func TestSealReleasesQuietBuffers(t *testing.T) {
 	if s.quiet == 0 {
 		t.Fatal("no seal fell in the second phase after the first had gone quiet")
 	}
-	w, err := b.FinishStreaming()
+	w, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range w.Nodes {
 		if n.TS != nil {
-			t.Fatalf("node %d keeps timestamps after FinishStreaming", n.ID)
+			t.Fatalf("node %d keeps timestamps after Finish", n.ID)
 		}
 		for gi, g := range n.Groups {
 			if g.Pattern != nil || len(g.UVals) != len(g.ValMembers) {
@@ -217,14 +204,14 @@ func TestSealReleasesQuietBuffers(t *testing.T) {
 			}
 			for _, uv := range g.UVals {
 				if uv != nil {
-					t.Fatalf("node %d group %d keeps unique values after FinishStreaming", n.ID, gi)
+					t.Fatalf("node %d group %d keeps unique values after Finish", n.ID, gi)
 				}
 			}
 		}
 	}
 	for ei, e := range w.Edges {
 		if e.DstOrd != nil || e.SrcOrd != nil {
-			t.Fatalf("edge %d keeps labels after FinishStreaming", ei)
+			t.Fatalf("edge %d keeps labels after Finish", ei)
 		}
 	}
 }
@@ -250,10 +237,10 @@ func (s *sealWatch) PathDone(fn int, pathID int64) {
 	if fn == s.one {
 		s.lastOne = b.time
 	}
-	if b.time%b.epochTS != 0 {
+	if b.time%b.fopts.EpochTS != 0 {
 		return
 	}
-	quiet := b.time-s.lastOne >= b.epochTS && s.lastOne > 0
+	quiet := b.time-s.lastOne >= b.fopts.EpochTS && s.lastOne > 0
 	if quiet {
 		s.quiet++
 	}

@@ -34,7 +34,7 @@ func buildWET(t *testing.T, p *ir.Program, inputs []int64) (*WET, *trace.Recordi
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	b := NewBuilder(st)
+	b := NewBuilder(st, FreezeOptions{})
 	b.CheckDeterminism = true
 	rec := &trace.Recording{}
 	cnt := trace.NewCounting(&tee{sinks: []trace.Sink{rec, b}})

@@ -108,11 +108,10 @@ func TestFreezeParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFreezeParallelDeterminismAblations covers the ablation freeze paths,
+// TestFreezeParallelDeterminismAblations covers the ablation freeze path,
 // whose job extraction differs from the default one.
 func TestFreezeParallelDeterminismAblations(t *testing.T) {
 	for _, opts := range []core.FreezeOptions{
-		{NoGrouping: true},
 		{AggressiveEdges: true},
 	} {
 		optsSerial, optsParallel := opts, opts

@@ -5,6 +5,7 @@ import (
 
 	"wet/internal/interp"
 	"wet/internal/ir"
+	"wet/internal/workload"
 )
 
 // freeze is FreezeErr for tests that expect it to succeed.
@@ -15,58 +16,6 @@ func freeze(t testing.TB, w *WET, opts FreezeOptions) *SizeReport {
 		t.Fatal(err)
 	}
 	return rep
-}
-
-// repetitiveProgram computes over an alternating input, so value grouping
-// collapses each hot group to two unique tuples (the paper's §3.2 win).
-// sumLoop, by contrast, keys its group on the induction variable and gains
-// nothing — which is why the paper's value ratios are modest.
-func repetitiveProgram(t *testing.T) (*ir.Program, []int64) {
-	t.Helper()
-	p := ir.NewProgram(1024)
-	fb := p.NewFunc("main", 0)
-	x := fb.NewReg()
-	y := fb.NewReg()
-	z := fb.NewReg()
-	iters := int64(120)
-	in := make([]int64, iters)
-	for i := range in {
-		in[i] = int64(i % 2)
-	}
-	fb.For(ir.Imm(0), ir.Imm(iters), ir.Imm(1), func(i ir.Reg) {
-		fb.Input(x)
-		fb.Mul(y, ir.R(x), ir.Imm(17))
-		fb.Add(z, ir.R(y), ir.R(x))
-		fb.Output(ir.R(z))
-	})
-	fb.Halt()
-	p.MustFinalize()
-	return p, in
-}
-
-func TestNoGroupingSizes(t *testing.T) {
-	pDef, inDef := repetitiveProgram(t)
-	wDef, _ := buildWET(t, pDef, inDef)
-	repDef := freeze(t, wDef, FreezeOptions{})
-	pOff, inOff := repetitiveProgram(t)
-	wOff, _ := buildWET(t, pOff, inOff)
-	repOff := freeze(t, wOff, FreezeOptions{NoGrouping: true})
-	if repOff.T1Vals != wOff.Raw.OrigNodeValBytes() {
-		t.Fatalf("NoGrouping tier-1 vals %d, want raw %d", repOff.T1Vals, wOff.Raw.OrigNodeValBytes())
-	}
-	if repDef.T1Vals >= repOff.T1Vals {
-		t.Fatalf("grouping did not reduce tier-1 values: %d vs %d", repDef.T1Vals, repOff.T1Vals)
-	}
-	// Tier-2 value queries still work after a NoGrouping freeze.
-	for _, n := range wOff.Nodes {
-		for pos, s := range n.Stmts {
-			if s.Op.HasDef() && s.Dest != ir.NoReg && n.Execs > 0 {
-				if _, err := wOff.Value(n, pos, 0, Tier2); err != nil {
-					t.Fatalf("Value after NoGrouping freeze: %v", err)
-				}
-			}
-		}
-	}
 }
 
 func TestValueErrors(t *testing.T) {
@@ -143,7 +92,7 @@ func TestPerBlockCFTraceStillReconstructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &countingRecorder{}
-	b := NewBuilder(st)
+	b := NewBuilder(st, FreezeOptions{})
 	b.CheckDeterminism = true
 	w, _, err := buildVia(st, b, rec)
 	if err != nil {
@@ -226,5 +175,64 @@ func TestAggressiveEdgesPreservesQueries(t *testing.T) {
 	}
 	if err := wB.Validate(); err != nil {
 		t.Fatalf("aggressive WET fails validation: %v", err)
+	}
+
+	// DiagonalEdges counts edges, not segments: on li in epochs of 2,048
+	// timestamps 13 edges own a diagonal segment, some of them several.
+	wl, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, in := wl.Build(1)
+	st, err := interp.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, rep, _, err := BuildStreaming(st, interp.Options{Inputs: in}, FreezeOptions{EpochTS: 2048, AggressiveEdges: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owners, segs := 0, 0
+	for _, e := range w.Edges {
+		n := 0
+		for _, sg := range e.Segs {
+			if sg.Diagonal && sg.SharedWith < 0 {
+				n++
+			}
+		}
+		segs += n
+		if n > 0 {
+			owners++
+		}
+	}
+	if owners == segs {
+		t.Fatalf("no edge owns two diagonal segments (%d edges): the case no longer tells edges from segments", owners)
+	}
+	if rep.DiagonalEdges != owners {
+		t.Fatalf("DiagonalEdges = %d, want the %d edges owning a diagonal segment (%d segments)", rep.DiagonalEdges, owners, segs)
+	}
+}
+
+// TestSizeReportAllocatesPerReport: the report walk allocates the report
+// and its method census, nothing per node, group or edge, on a one-epoch
+// and a segmented WET alike.
+func TestSizeReportAllocatesPerReport(t *testing.T) {
+	wl, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, in := wl.Build(1)
+	st, err := interp.Analyze(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, epochTS := range []uint32{0, 2048} {
+		w, _, _, err := BuildStreaming(st, interp.Options{Inputs: in}, FreezeOptions{EpochTS: epochTS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { w.sizeReport() }); allocs > 16 {
+			t.Errorf("EpochTS=%d: sizeReport made %.0f allocations over %d nodes and %d edges", epochTS, allocs, len(w.Nodes), len(w.Edges))
+		}
 	}
 }

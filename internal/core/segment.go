@@ -2,14 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"math"
 
 	"wet/internal/faultpoint"
 	"wet/internal/interp"
-	"wet/internal/pool"
 	"wet/internal/stream"
-	"wet/internal/trace"
 )
 
 // fpSealEpoch injects faults at the moment an epoch closes — the natural
@@ -84,7 +80,7 @@ func (b *Builder) sealEpoch(epoch int) {
 		b.fail(err)
 		return
 	}
-	base := uint32(epoch) * b.epochTS
+	base := uint32(epoch) * b.fopts.EpochTS
 	queue := func(segs *[]*LabelSeg, vals []uint32) {
 		seg := &LabelSeg{Epoch: epoch, N: len(vals)}
 		*segs = append(*segs, seg)
@@ -179,18 +175,9 @@ func (b *Builder) sealEpochEdges(epoch int) {
 		dst, src := e.DstOrd, e.SrcOrd
 		e.DstOrd, e.SrcOrd = dst[:0], src[:0]
 		r.stored = e.SrcNode != e.DstNode
-		if b.fopts.AggressiveEdges {
-			diag := true
-			for k := range dst {
-				if dst[k] != src[k] {
-					diag = false
-					break
-				}
-			}
-			if diag {
-				seg.Diagonal = true
-				src = nil
-			}
+		if b.fopts.AggressiveEdges && diagonal(dst, src) {
+			seg.Diagonal = true
+			src = nil
 		}
 		if rep, ok := reps.intern(e, dst, src, seg.Diagonal, ei, len(e.Segs)-1); ok {
 			seg.SharedWith, seg.SharedSeg = rep.edge, rep.seg
@@ -207,11 +194,12 @@ func (b *Builder) sealEpochEdges(epoch int) {
 	}
 }
 
-// finishStreaming completes a streaming build after the interpreter stops:
-// seals the trailing partial epoch and promotes whole-run inferable edges.
-func (b *Builder) finishStreaming() error {
-	e := b.epochTS
-	if b.time > 0 && b.time%e != 0 {
+// finishEpochs completes a segmented build after the interpreter stops:
+// seals the trailing partial epoch, compresses the whole-run concurrency
+// streams, drops tier 1 and promotes whole-run inferable edges.
+func (b *Builder) finishEpochs() error {
+	e := b.fopts.EpochTS
+	if b.time%e != 0 {
 		b.sealEpoch(int(b.time / e))
 	}
 	if b.err != nil {
@@ -236,8 +224,8 @@ func (b *Builder) finishStreaming() error {
 	w.dropTier1()
 
 	// Whole-run inference: an edge whose every segment is inferable and
-	// that fired on every node execution carries exactly the labels the
-	// single-epoch Freeze drops — promote it so the edge-level fast paths
+	// that fired on every node execution carries exactly the labels a
+	// one-epoch freeze drops — promote it so the edge-level fast paths
 	// (queries, semantic verifier) apply unchanged.
 	for _, ed := range w.Edges {
 		if ed.SrcNode != ed.DstNode || ed.Count != w.Nodes[ed.DstNode].Execs || len(ed.Segs) == 0 {
@@ -258,175 +246,42 @@ func (b *Builder) finishStreaming() error {
 	return nil
 }
 
-// streamingReport assembles the SizeReport of a streamed WET. Tier-1 costs
-// are charged per segment (an epoch-local inference or share drops only its
-// own epoch's labels), so tier-1 edge bytes can differ from a single-epoch
-// freeze of the same run; tier-2 sizes are the measured stream bits either
-// way. Deterministic: nodes, groups, and edges are walked in index order
-// after the last seal.
-func (w *WET) streamingReport(opts FreezeOptions) *SizeReport {
-	r := &SizeReport{Methods: map[string]int{}}
-	r.OrigTS = w.Raw.OrigNodeTSBytes()
-	r.OrigVals = w.Raw.OrigNodeValBytes()
-	r.OrigEdges = w.Raw.OrigEdgeBytes()
-
-	addSeg := func(sg *LabelSeg) {
-		r.Methods[sg.S.Name()]++
-	}
-	for _, n := range w.Nodes {
-		r.T1TS += uint64(n.Execs) * trace.TSBytes
-		var bits uint64
-		for _, sg := range n.TSSegs {
-			addSeg(sg)
-			bits += sg.S.SizeBits()
-		}
-		r.T2TS += (bits + 7) / 8
-
-		for _, g := range n.Groups {
-			if len(g.ValMembers) == 0 && len(g.PatSegs) == 0 {
-				continue
-			}
-			uniq := uint64(g.UniqueKeys())
-			var patBits uint64
-			if uniq > 1 {
-				patBits = uint64(n.Execs) * uint64(bitsFor(uniq-1))
-			}
-			if len(g.ValMembers) > 0 {
-				r.T1Vals += uniq*uint64(len(g.ValMembers))*trace.ValBytes + (patBits+7)/8
-			}
-			var t2 uint64
-			for _, segs := range g.UValSegs {
-				for _, sg := range segs {
-					addSeg(sg)
-					t2 += sg.S.SizeBits()
-				}
-			}
-			if len(g.ValMembers) > 0 {
-				for _, sg := range g.PatSegs {
-					addSeg(sg)
-					t2 += sg.S.SizeBits()
-				}
-				r.T2Vals += (t2 + 7) / 8
-			}
-		}
-	}
-
-	for _, e := range w.Edges {
-		if e.Inferable {
-			r.InferableEdges++
-			continue
-		}
-		ownedSegs, sharedSegs := 0, 0
-		var t1 uint64
-		var t2bits uint64
-		for _, sg := range e.Segs {
-			switch {
-			case sg.Inferable:
-			case sg.SharedWith >= 0:
-				sharedSegs++
-			default:
-				ownedSegs++
-				if sg.Diagonal {
-					t1 += uint64(sg.N) * trace.TSBytes
-					r.Methods[sg.DstS.Name()]++
-					t2bits += sg.DstS.SizeBits()
-				} else {
-					t1 += uint64(sg.N) * trace.PairBytes
-					r.Methods[sg.DstS.Name()]++
-					r.Methods[sg.SrcS.Name()]++
-					t2bits += sg.DstS.SizeBits() + sg.SrcS.SizeBits()
-				}
-				if sg.Diagonal {
-					r.DiagonalEdges++
-				}
-			}
-		}
-		r.T1Edges += t1
-		if e.Kind == DD {
-			r.T1EdgesDD += t1
-		} else {
-			r.T1EdgesCD += t1
-		}
-		r.T2Edges += (t2bits + 7) / 8
-		if ownedSegs == 0 && sharedSegs > 0 {
-			r.SharedEdges++
-		} else {
-			r.OwnedEdges++
-		}
-	}
-	r.CheckpointBytes = w.checkpointBytes()
-	return r
-}
-
-// NewStreamingBuilder returns a builder that seals and tier-2 compresses
-// the profile in epochs of opts.EpochTS timestamps while events arrive (see
-// the package comment above). The returned builder implements trace.Sink
-// like NewBuilder; FinishStreaming must be called instead of Finish.
-// A streamed build keeps no tier 1: the per-epoch tier-1 slices are
-// released as each epoch seals. The value-grouping ablation (NoGrouping)
-// is incompatible with streaming.
-func NewStreamingBuilder(st *interp.Static, opts FreezeOptions) (*Builder, error) {
-	if opts.EpochTS == 0 {
-		return nil, fmt.Errorf("core: streaming builder requires EpochTS > 0")
-	}
-	if opts.NoGrouping {
-		return nil, fmt.Errorf("core: NoGrouping is a single-epoch ablation; not available when streaming")
-	}
-	if opts.Ctx == nil {
-		opts.Ctx = context.Background()
-	}
-	b := NewBuilder(st)
-	b.epochTS = opts.EpochTS
-	b.fopts = opts
-	b.scratch = newScratches(pool.Workers(opts.Workers, math.MaxInt))
-	return b, nil
-}
-
-// FinishStreaming validates and returns the streamed WET, frozen and
-// segmented, with its Raw stats; BuildStreaming attaches the size report.
-func (b *Builder) FinishStreaming() (*WET, error) {
-	if b.epochTS == 0 {
-		return nil, fmt.Errorf("core: FinishStreaming on a non-streaming builder")
-	}
-	if b.err != nil {
-		return nil, b.err
-	}
-	if b.nPend != 0 {
-		return nil, fmt.Errorf("core: %d statement events not covered by a path", b.nPend)
-	}
-	w := b.w
-	w.Time = b.time
-	if err := b.finishStreaming(); err != nil {
-		return nil, err
-	}
-	w.indexEdges()
-	w.Raw = b.rawStats()
-	b.pathLoc = nil
-	return w, nil
-}
-
-// BuildStreaming runs the program and constructs its epoch-segmented,
-// frozen WET in one call (the streaming counterpart of Build + Freeze).
-// When opts.EpochTS is 0 it falls back to exactly the single-epoch path, so
-// its output — including Save bytes — is identical to the pre-streaming
-// pipeline.
+// BuildStreaming runs the program and constructs its frozen WET in one
+// call: record, then FreezeErr. With opts.EpochTS > 0 the profile is sealed
+// in epochs while the run executes and the WET keeps tier 2 only; 0 builds
+// one epoch, keeps tier 1 and compresses it whole at the freeze.
 func BuildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions) (*WET, *SizeReport, *interp.Result, error) {
 	return buildStreaming(st, ropts, opts, false)
 }
 
 // BuildStreamingChecked is BuildStreaming with the tier-1 value-grouping
-// determinism re-verification enabled on every node execution (the
-// streaming counterpart of setting Builder.CheckDeterminism; slower).
+// determinism re-verification enabled on every node execution (see
+// Builder.CheckDeterminism; slower).
 func BuildStreamingChecked(st *interp.Static, ropts interp.Options, opts FreezeOptions) (*WET, *SizeReport, *interp.Result, error) {
 	return buildStreaming(st, ropts, opts, true)
 }
 
 func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions, check bool) (*WET, *SizeReport, *interp.Result, error) {
-	// One cancellable context spans the whole pipeline: the caller's
-	// deadline (ropts.Ctx / opts.Ctx) cancels it from outside, and a
-	// builder or seal failure cancels it from inside so the interpreter
-	// aborts within one ctx-check window instead of running to completion
-	// against a dead build.
+	w, res, err := record(st, ropts, opts, check)
+	if err != nil {
+		return nil, nil, res, err
+	}
+	if ropts.Ctx != nil {
+		opts.Ctx = ropts.Ctx
+	}
+	rep, err := w.FreezeErr(opts)
+	if err != nil {
+		return nil, nil, res, err
+	}
+	return w, rep, res, nil
+}
+
+// record runs the program into a builder made with opts and finishes it.
+// One cancellable context spans the run: the caller's deadline (ropts.Ctx,
+// else opts.Ctx) cancels it from outside, and a builder or seal failure
+// cancels it from inside, so the interpreter aborts within one ctx-check
+// window instead of running to completion against a dead build.
+func record(st *interp.Static, ropts interp.Options, opts FreezeOptions, check bool) (*WET, *interp.Result, error) {
 	parent := ropts.Ctx
 	if parent == nil {
 		parent = opts.Ctx
@@ -434,22 +289,10 @@ func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions,
 	if parent == nil {
 		parent = context.Background()
 	}
-	bctx, cancel := context.WithCancelCause(parent)
+	ctx, cancel := context.WithCancelCause(parent)
 	defer cancel(nil)
-	ropts.Ctx = bctx
-
-	var b *Builder
-	if opts.EpochTS == 0 {
-		b = NewBuilder(st)
-	} else {
-		sopts := opts
-		sopts.Ctx = bctx
-		var err error
-		b, err = NewStreamingBuilder(st, sopts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
+	ropts.Ctx, opts.Ctx = ctx, ctx
+	b := NewBuilder(st, opts)
 	defer releaseScratches(b.scratch)
 	b.CheckDeterminism = check
 	b.abort = cancel
@@ -461,37 +304,10 @@ func buildStreaming(st *interp.Static, ropts interp.Options, opts FreezeOptions,
 		err = b.err
 	}
 	if err != nil {
-		return nil, nil, res, err
+		return nil, res, err
 	}
-	if opts.EpochTS == 0 {
-		w, err := b.Finish()
-		if err != nil {
-			return nil, nil, res, err
-		}
-		fopts := opts
-		fopts.Ctx = parent
-		rep, err := w.FreezeErr(fopts)
-		if err != nil {
-			return nil, nil, res, err
-		}
-		return w, rep, res, nil
-	}
-	w, err := b.FinishStreaming()
-	if err != nil {
-		return nil, nil, res, err
-	}
-	rep := w.streamingReport(opts)
-	w.frozen = true
-	w.report = rep
-	// Byte budget on the segmented container: same ladder as the
-	// single-epoch freeze minus the timestamp-widening rung (v4 segments
-	// store epoch-local timestamps; see budget.go). The failed-build WET is
-	// discarded by the caller, so only the frozen flag needs restoring.
-	if err := w.applyByteBudget(opts); err != nil {
-		w.frozen, w.report = false, nil
-		return nil, nil, res, err
-	}
-	return w, rep, res, nil
+	w, err := b.Finish()
+	return w, res, err
 }
 
 // runInterp runs the interpreter with a recover boundary that converts an

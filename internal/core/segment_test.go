@@ -3,6 +3,7 @@ package core_test
 import (
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"wet/internal/core"
@@ -380,19 +381,31 @@ func TestStreamingEpochZeroFallback(t *testing.T) {
 	}
 }
 
-// TestStreamingRejectsAblations: the value-grouping ablations are
-// single-epoch only.
-func TestStreamingRejectsAblations(t *testing.T) {
-	wl, _ := workload.ByName("li")
-	prog, _ := wl.Build(1)
-	st, err := interp.Analyze(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.NewStreamingBuilder(st, core.FreezeOptions{EpochTS: 64, NoGrouping: true}); err == nil {
-		t.Fatal("NoGrouping accepted by streaming builder")
-	}
-	if _, err := core.NewStreamingBuilder(st, core.FreezeOptions{}); err == nil {
-		t.Fatal("EpochTS=0 accepted by streaming builder")
+// TestOneEpochMatchesSingleEpoch: a single-epoch build and a streamed build
+// whose one epoch holds the whole run report the same sizes, field by
+// field, with and without the diagonal-edge reduction.
+func TestOneEpochMatchesSingleEpoch(t *testing.T) {
+	for _, wl := range workload.All() {
+		for _, aggr := range []bool{false, true} {
+			prog, in := wl.Build(1)
+			st, err := interp.Analyze(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reps [2]*core.SizeReport
+			for i, epochTS := range []uint32{0, 1 << 31} {
+				w, rep, _, err := core.BuildStreaming(st, interp.Options{Inputs: in}, core.FreezeOptions{EpochTS: epochTS, AggressiveEdges: aggr})
+				if err != nil {
+					t.Fatalf("%s: %v", wl.Name, err)
+				}
+				if w.Segmented() != (epochTS > 0) {
+					t.Fatalf("%s, EpochTS=%d: Segmented() = %v", wl.Name, epochTS, w.Segmented())
+				}
+				reps[i] = rep
+			}
+			if !reflect.DeepEqual(reps[0], reps[1]) {
+				t.Errorf("%s, aggressive %v: single epoch\n%+v\none epoch\n%+v", wl.Name, aggr, *reps[0], *reps[1])
+			}
+		}
 	}
 }

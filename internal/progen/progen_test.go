@@ -46,7 +46,7 @@ func TestPipelineDifferential(t *testing.T) {
 		if _, err := interp.Run(st, interp.Options{Inputs: in, MaxSteps: 200_000}); err != nil {
 			continue
 		}
-		b := core.NewBuilder(st)
+		b := core.NewBuilder(st, core.FreezeOptions{})
 		b.CheckDeterminism = true
 		rec := &trace.Recording{}
 		cnt := trace.NewCounting(&tee{sinks: []trace.Sink{rec, b}})

@@ -34,7 +34,7 @@ func buildWET(t *testing.T, p *ir.Program, inputs []int64) (*core.WET, *trace.Re
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	b := core.NewBuilder(st)
+	b := core.NewBuilder(st, core.FreezeOptions{})
 	b.CheckDeterminism = true
 	rec := &trace.Recording{}
 	cnt := trace.NewCounting(&tee{sinks: []trace.Sink{rec, b}})

@@ -352,9 +352,9 @@ func (s *fcmStream) CheckpointBits() uint64 { return s.ckBits }
 
 func (s *fcmStream) Name() string {
 	if s.stride {
-		return fmt.Sprintf("dfcm%d", s.order)
+		return methodName(KindDFCM, s.order)
 	}
-	return fmt.Sprintf("fcm%d", s.order)
+	return methodName(KindFCM, s.order)
 }
 
 func (s *fcmStream) winLen() int {

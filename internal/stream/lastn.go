@@ -240,9 +240,9 @@ func (s *lastNStream) CheckpointBits() uint64 { return s.ckBits }
 
 func (s *lastNStream) Name() string {
 	if s.stride {
-		return fmt.Sprintf("lastS%d", s.n)
+		return methodName(KindLastNStride, s.n)
 	}
-	return fmt.Sprintf("last%d", s.n)
+	return methodName(KindLastN, s.n)
 }
 
 func (s *lastNStream) NewCursor() Cursor {

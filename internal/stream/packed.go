@@ -49,7 +49,7 @@ func newPacked(vals []uint32) *packed {
 }
 
 func (p *packed) Len() int               { return p.m }
-func (p *packed) Name() string           { return fmt.Sprintf("packed%d", p.width) }
+func (p *packed) Name() string           { return methodName(KindPacked, int(p.width)) }
 func (p *packed) CheckpointBits() uint64 { return 0 }
 
 func (p *packed) SizeBits() uint64 {

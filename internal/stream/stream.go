@@ -30,7 +30,10 @@
 // performs best on a prefix.
 package stream
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Stream is an immutable, bidirectionally traversable compressed sequence
 // of 32-bit values. A Stream carries no cursor state of its own: all
@@ -139,18 +142,33 @@ func (s Spec) String() string {
 	switch s.Kind {
 	case KindVerbatim:
 		return "verbatim"
-	case KindFCM:
-		return fmt.Sprintf("fcm%d", s.Order)
-	case KindDFCM:
-		return fmt.Sprintf("dfcm%d", s.Order)
-	case KindLastN:
-		return fmt.Sprintf("last%d", s.Order)
-	case KindLastNStride:
-		return fmt.Sprintf("lastS%d", s.Order)
+	case KindFCM, KindDFCM, KindLastN, KindLastNStride:
+		return methodName(s.Kind, s.Order)
 	case KindPacked:
 		return "packed"
 	}
 	return "unknown"
+}
+
+var methodPrefix = [...]string{KindFCM: "fcm", KindDFCM: "dfcm", KindLastN: "last", KindLastNStride: "lastS", KindPacked: "packed"}
+
+// methodNames[k][n] is methodName(k, n), made once for the orders and
+// packed widths streams use, so that naming a stream allocates nothing.
+var methodNames = func() (t [len(methodPrefix)][33]string) {
+	for k := range t {
+		for n := range t[k] {
+			t[k][n] = methodPrefix[k] + strconv.Itoa(n)
+		}
+	}
+	return t
+}()
+
+// methodName is the name of a kind-k stream of order, or packed width, n.
+func methodName(k Kind, n int) string {
+	if n >= 0 && n < len(methodNames[k]) {
+		return methodNames[k][n]
+	}
+	return methodPrefix[k] + strconv.Itoa(n)
 }
 
 // Compress builds an immutable compressed stream from vals with the given

@@ -116,7 +116,7 @@ func TestWETBuildsOnAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
-			b := core.NewBuilder(st)
+			b := core.NewBuilder(st, core.FreezeOptions{})
 			b.CheckDeterminism = true
 			wet, _, err := buildChecked(st, b, in)
 			if err != nil {
