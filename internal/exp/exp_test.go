@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -113,15 +114,35 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	AblationStreamMethods(runs, &buf)
-	if err := AblationValueGrouping(context.Background(), "li", 20_000, &buf); err != nil {
+	var grouping bytes.Buffer
+	if err := AblationValueGrouping(context.Background(), "li", 20_000, &grouping); err != nil {
 		t.Fatal(err)
 	}
+	buf.Write(grouping.Bytes())
 	AblationLocalTS(runs, &buf)
 	AblationSelection(runs, &buf)
+	if err := AblationAggressiveEdges(context.Background(), "li", 20_000, &buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
-	for _, want := range []string{"Ball-Larus", "basic blocks", "sequitur", "grouping", "local", "adaptive"} {
+	for _, want := range []string{"Ball-Larus", "basic blocks", "sequitur", "grouping", "local", "adaptive", "diagonal"} {
 		if !strings.Contains(strings.ToLower(out), strings.ToLower(want)) {
 			t.Fatalf("ablation output missing %q:\n%s", want, out)
 		}
+	}
+	// Grouping must shrink the tier-1 values below the raw per-execution
+	// cost the "off" row charges.
+	t1 := map[string]float64{}
+	for _, line := range strings.Split(grouping.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && (f[0] == "on" || f[0] == "off") {
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			t1[f[0]] = v
+		}
+	}
+	if len(t1) != 2 || t1["on"] >= t1["off"] {
+		t.Fatalf("grouping did not reduce tier-1 values (%v):\n%s", t1, grouping.String())
 	}
 }
