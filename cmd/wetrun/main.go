@@ -23,7 +23,7 @@ import (
 	"wet/internal/core"
 	"wet/internal/exp"
 	"wet/internal/interp"
-	_ "wet/internal/sanalysis" // registers the semantic certifier for -certify
+	"wet/internal/sanalysis"
 	"wet/internal/wetio"
 	"wet/internal/workload"
 )
@@ -109,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	// BuildStreaming with epoch 0 is exactly Build + Freeze.
 	wet, rep, res, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{
 		Workers: *workers, EpochTS: uint32(*epoch), ByteBudget: budgetBytes,
 	})
@@ -126,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func report(ctx context.Context, stdout, stderr io.Writer, w workload.Workload, run *exp.Run, certify bool, outFile string, census bool) int {
 	wet, rep := run.W, run.Rep
 	if certify {
-		if err := wet.Certify(); err != nil {
+		if err := sanalysis.Certify(wet); err != nil {
 			fmt.Fprintln(stderr, "wetrun:", err)
 			return cliutil.ExitIntegrity
 		}

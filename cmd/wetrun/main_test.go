@@ -26,6 +26,8 @@ func TestRun(t *testing.T) {
 			"", "wetrun: -budget is not supported with -conc"},
 		{[]string{"-bench", "li", "-stmts", "20000"}, cliutil.ExitOK,
 			liLine, ""},
+		{[]string{"-bench", "li", "-stmts", "20000", "-certify"}, cliutil.ExitOK,
+			"certified: trace is semantically consistent with its program", ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

@@ -163,22 +163,6 @@ func TestFreezeErrWorkerPanicTyped(t *testing.T) {
 	}
 }
 
-// TestFreezeCertifiedCancelledReturnsError: FreezeCertified returns the
-// freeze's failure — here a context dead on entry — as its error instead of
-// panicking, and leaves the WET unfrozen.
-func TestFreezeCertifiedCancelledReturnsError(t *testing.T) {
-	w := unfrozen(t, "li")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rep, err := w.FreezeCertified(core.FreezeOptions{Ctx: ctx, Workers: 2})
-	if !errors.Is(err, context.Canceled) || rep != nil {
-		t.Fatalf("FreezeCertified under a cancelled context = (%v, %v), want (nil, context.Canceled)", rep, err)
-	}
-	if w.Frozen() {
-		t.Fatal("cancelled FreezeCertified left the WET frozen")
-	}
-}
-
 // TestSealEpochInjectedFault: a fault at epoch-seal time, or in one of the
 // seal's compression jobs, aborts the streaming build with the typed
 // injected error — no hang, no partial WET, no goroutine left behind.

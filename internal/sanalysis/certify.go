@@ -7,13 +7,6 @@ import (
 	"wet/internal/core"
 )
 
-// init installs VerifyWET as core's semantic certifier, giving
-// core.FreezeCertified / (*core.WET).Certify their implementation without a
-// core -> sanalysis import cycle.
-func init() {
-	core.RegisterCertifier(Certify)
-}
-
 // Certify verifies the WET semantically and renders any findings as one
 // error. Frozen WETs are certified through their tier-2 streams (always
 // present after Freeze, and all a streamed build keeps); unfrozen ones

@@ -5,26 +5,19 @@ import (
 	"testing"
 
 	"wet/internal/core"
+	"wet/internal/sanalysis"
 )
 
-// TestFreezeCertified exercises the option-gated build hook: freezing with
-// certification must pass on a clean build and walk the tier-2 streams.
-func TestFreezeCertified(t *testing.T) {
-	w := buildRaw(t, "li", 3)
-	if _, err := w.FreezeCertified(core.FreezeOptions{}); err != nil {
-		t.Fatalf("FreezeCertified: %v", err)
-	}
-	if !w.Frozen() {
-		t.Fatal("WET not frozen after FreezeCertified")
-	}
-}
-
-// TestCertifyReportsFindings corrupts a frozen WET and checks the certifier
-// renders the rule id into its error.
+// TestCertifyReportsFindings certifies a clean frozen WET through its
+// tier-2 streams, then corrupts it and checks the certifier renders the
+// rule id into its error.
 func TestCertifyReportsFindings(t *testing.T) {
 	w := buildRaw(t, "li", 3)
 	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
 		t.Fatal(err)
+	}
+	if err := sanalysis.Certify(w); err != nil {
+		t.Fatalf("Certify on a clean build: %v", err)
 	}
 	// Repoint a labeled CD edge's source ordinal stream is invasive; the
 	// cheap corruption with the same effect at tier-1 is retargeting an
@@ -38,7 +31,7 @@ func TestCertifyReportsFindings(t *testing.T) {
 			break
 		}
 	}
-	err := w.Certify()
+	err := sanalysis.Certify(w)
 	if err == nil {
 		t.Fatal("certifier passed a corrupted WET")
 	}

@@ -82,7 +82,7 @@ func TestVerifySkipsConcurrent(t *testing.T) {
 	if rep.Skipped == "" || !rep.OK() || len(rep.Findings) != 0 {
 		t.Fatalf("concurrent trace not gated: %+v", rep)
 	}
-	if err := w.Certify(); err != nil {
+	if err := Certify(w); err != nil {
 		t.Fatalf("Certify on a concurrent trace must pass via the gate: %v", err)
 	}
 }
