@@ -101,11 +101,10 @@ func WithCheckDeterminism() RunOption {
 	return runOptionFunc(func(c *runConfig) { c.check = true })
 }
 
-// WithEpochTS selects the epoch-segmented streaming pipeline: the dynamic
-// profile is sealed and tier-2 compressed in epochs of n timestamps while
-// the interpreter runs, bounding peak memory by the epoch size. 0 (the
-// default) builds fully and then freezes, producing output byte-identical
-// to the pre-streaming pipeline.
+// WithEpochTS sets the builder's epoch size: the dynamic profile is sealed
+// and tier-2 compressed in epochs of n timestamps while the interpreter
+// runs, bounding peak memory by the epoch size. 0 (the default) is one
+// epoch, which keeps tier 1 and is compressed whole when the run ends.
 func WithEpochTS(n uint32) RunOption {
 	return runOptionFunc(func(c *runConfig) { c.frz.EpochTS = n })
 }
