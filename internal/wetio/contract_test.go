@@ -258,3 +258,54 @@ func TestSalvageTruncationAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestStrictRefusesForgedShareRepresentative: a CRC-valid v3 file whose
+// first sharer names an inferable edge as its representative is refused by
+// a strict load with a *FormatError naming the sharer's record, and a
+// salvage load drops that one edge and says so once. Accepting it would
+// leave a sharer without labels, and a slice through it would panic.
+func TestStrictRefusesForgedShareRepresentative(t *testing.T) {
+	data := savedWET(t, "li")
+	intact := mustLoad(t, data)
+	sharer, inferable := -1, -1
+	for i, e := range intact.Edges {
+		if sharer < 0 && e.SharedWith >= 0 {
+			sharer = i
+		}
+		if inferable < 0 && e.Inferable {
+			inferable = i
+		}
+	}
+	if sharer < 0 || inferable < 0 {
+		t.Fatalf("fixture lacks a sharer (%d) or an inferable edge (%d)", sharer, inferable)
+	}
+	secs := mustScan(t, data)
+	idx, edges := -1, 0
+	for i, s := range secs {
+		if s.tag == secEdge {
+			if edges == sharer {
+				idx = i
+				break
+			}
+			edges++
+		}
+	}
+	payload := bytes.Clone(secs[idx].payload)
+	binary.LittleEndian.PutUint32(payload[27:], uint32(inferable)) // SharedWith
+	forged := withPayload(t, data, idx, payload)
+
+	_, err := Load(bytes.NewReader(forged), LoadOptions{})
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.Section != secName("edge", sharer) || fe.Offset != secs[idx].offset {
+		t.Fatalf("strict load of edge %d sharing with inferable edge %d returned %v, want a *FormatError at edge %d (offset %d)",
+			sharer, inferable, err, sharer, secs[idx].offset)
+	}
+	w, rep, err := LoadWithReport(bytes.NewReader(forged), LoadOptions{Salvage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Edges) != len(intact.Edges)-1 || rep.EdgesDropped != 1 || len(rep.Adjustments) != 1 {
+		t.Fatalf("salvage kept %d of %d edges, report: %s; want the one sharer dropped with one adjustment",
+			len(w.Edges), len(intact.Edges), rep)
+	}
+}

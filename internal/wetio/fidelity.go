@@ -73,9 +73,8 @@ func saveFidelityPayload(w *wire.Enc, f *core.FidelityReport) {
 // parseFidelitySec deserializes the fidelity section. Entries are bounds
 // checked against the header counts here; the per-record validation they
 // relax happens in the node/edge parsers consulting the returned report.
-func parseFidelitySec(s *section, hdr header) (*core.FidelityReport, error) {
-	var fid *core.FidelityReport
-	err := guard("fidelity", -1, s.offset, func() error {
+func parseFidelitySec(s *section, hdr header) (fid *core.FidelityReport, err error) {
+	err = guard("fidelity", -1, s.offset, func() error {
 		d := wire.NewDec(s.payload)
 		f := &core.FidelityReport{
 			BudgetBytes: d.U64(), FloorBytes: d.U64(), AchievedBytes: d.U64(),
@@ -101,10 +100,7 @@ func parseFidelitySec(s *section, hdr header) (*core.FidelityReport, error) {
 		fid = f
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return fid, nil
+	return fid, err
 }
 
 // installFidelity attaches a parsed fidelity report to an assembled WET:

@@ -40,6 +40,11 @@ const (
 // lastSecTag is the highest recognized section tag (framing-recovery bound).
 const lastSecTag = secFidelity
 
+// secRank orders the section kinds as a strict load requires them: header,
+// program, report, fidelity, node records, edge records, conc, end.
+var secRank = [lastSecTag + 1]uint8{secHeader: 0, secProgram: 1, secReport: 2, secFidelity: 3,
+	secNode: 4, secEdge: 5, secConc: 6, secEnd: 7}
+
 // maxSectionLen bounds a single section's declared payload size. It is a
 // framing-sanity limit, not an allocation bound: a payload is a view of the
 // bytes already read, so a lying length field allocates nothing.
