@@ -121,9 +121,11 @@ func TestAblations(t *testing.T) {
 	buf.Write(grouping.Bytes())
 	AblationLocalTS(runs, &buf)
 	AblationSelection(runs, &buf)
-	if err := AblationAggressiveEdges(context.Background(), "li", 20_000, &buf); err != nil {
+	var aggr bytes.Buffer
+	if err := AblationAggressiveEdges(context.Background(), "mcf", 20_000, &aggr); err != nil {
 		t.Fatal(err)
 	}
+	buf.Write(aggr.Bytes())
 	out := buf.String()
 	for _, want := range []string{"Ball-Larus", "basic blocks", "sequitur", "grouping", "local", "adaptive", "diagonal"} {
 		if !strings.Contains(strings.ToLower(out), strings.ToLower(want)) {
@@ -144,5 +146,14 @@ func TestAblations(t *testing.T) {
 	}
 	if len(t1) != 2 || t1["on"] >= t1["off"] {
 		t.Fatalf("grouping did not reduce tier-1 values (%v):\n%s", t1, grouping.String())
+	}
+	// Both aggressive-edge rows, character for character.
+	const wantAggr = `Ablation: aggressive (diagonal) edge labels, per [25] (mcf).
+mode         T1 edges(KB) T2 edges(KB)     diagonal
+paper tier-1       388.23        50.67            0
+aggressive         388.15        50.54           17
+`
+	if aggr.String() != wantAggr {
+		t.Fatalf("aggressive-edge ablation:\n%s\nwant:\n%s", aggr.String(), wantAggr)
 	}
 }
