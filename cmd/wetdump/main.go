@@ -284,9 +284,7 @@ func epochSegStats(w *core.WET) []segStats {
 				continue
 			}
 			add(sg.Epoch, sg.DstS)
-			if !sg.Diagonal {
-				add(sg.Epoch, sg.SrcS)
-			}
+			add(sg.Epoch, sg.SrcS)
 		}
 	}
 	return st

@@ -431,13 +431,11 @@ func edgeDropSavings(e *Edge) (uint64, error) {
 					return 0, err
 				}
 				saved += n
-				if !sg.Diagonal {
-					n, err = stream.SaveSize(sg.SrcS)
-					if err != nil {
-						return 0, err
-					}
-					saved += n
+				n, err = stream.SaveSize(sg.SrcS)
+				if err != nil {
+					return 0, err
 				}
+				saved += n
 			}
 		}
 		return saved, nil
@@ -451,13 +449,11 @@ func edgeDropSavings(e *Edge) (uint64, error) {
 		return 0, err
 	}
 	saved += n - emptyStreamBytes
-	if !e.Diagonal {
-		n, err = stream.SaveSize(e.SrcS)
-		if err != nil {
-			return 0, err
-		}
-		saved += n - emptyStreamBytes
+	n, err = stream.SaveSize(e.SrcS)
+	if err != nil {
+		return 0, err
 	}
+	saved += n - emptyStreamBytes
 	return saved, nil
 }
 
@@ -540,10 +536,7 @@ func (w *WET) dropEdges(projected, budget uint64, fid *FidelityReport) (uint64, 
 			if e.Segs != nil {
 				e.Segs = nil
 			} else if !e.Inferable && e.SharedWith < 0 && e.DstS != nil {
-				e.DstS = stream.Empty()
-				if !e.Diagonal {
-					e.SrcS = stream.Empty()
-				}
+				e.DstS, e.SrcS = stream.Empty(), stream.Empty()
 			}
 			saved += perEdge[ci]
 			cost += fidEdgeEntryBytes

@@ -151,7 +151,7 @@ const pathChunk = 1 << 13
 // opts.EpochTS > 0 it seals and tier-2 compresses the profile in epochs of
 // that many timestamps while events arrive (segment.go) and keeps no tier
 // 1; with 0 it builds one epoch and keeps its tier-1 labels for FreezeErr.
-// opts.AggressiveEdges, Workers and Ctx apply to the seals.
+// opts.Workers and Ctx apply to the seals.
 func NewBuilder(st *interp.Static, opts FreezeOptions) *Builder {
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()

@@ -49,7 +49,7 @@ func (ps *parts) at(i int) fedPart {
 	if sg.SharedWith >= 0 {
 		sg = ps.wet.Edges[sg.SharedWith].Segs[sg.SharedSeg]
 	}
-	if p.s = sg.DstS; ps.src && !sg.Diagonal {
+	if p.s = sg.DstS; ps.src {
 		p.s = sg.SrcS
 	}
 	return p

@@ -37,12 +37,10 @@ type SizeReport struct {
 	T1EdgesCD uint64 `json:"t1_edges_cd"`
 
 	// InferableEdges / SharedEdges count edges whose tier-1 labels are
-	// implied or all reused; OwnedEdges counts the rest. DiagonalEdges
-	// counts the owned edges that store a diagonal stream (AggressiveEdges).
+	// implied or all reused; OwnedEdges counts the rest.
 	InferableEdges int `json:"inferable_edges"`
 	SharedEdges    int `json:"shared_edges"`
 	OwnedEdges     int `json:"owned_edges"`
-	DiagonalEdges  int `json:"diagonal_edges"`
 	// Methods counts tier-2 method selections by name.
 	Methods map[string]int `json:"methods,omitempty"`
 
@@ -73,12 +71,6 @@ func Ratio(a, b uint64) float64 {
 
 // FreezeOptions tunes the builder and FreezeErr.
 type FreezeOptions struct {
-	// AggressiveEdges enables the [25]-style diagonal-edge reduction: edges
-	// whose label pairs always have equal ordinals (but that fire on only
-	// some executions, so full inference does not apply) store a single
-	// ordinal stream instead of a pair. Off by default to keep the paper's
-	// tier-1 exactly; the ablation bench quantifies the extra gain.
-	AggressiveEdges bool
 	// Workers bounds the tier-2 compression worker pool: 0 means
 	// GOMAXPROCS, 1 forces the serial path. Every stream is an independent
 	// compression job and the report is computed after the pool drains, so
@@ -130,7 +122,7 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 	}
 	var jobs []func(sc *stream.Scratch)
 	if !w.Segmented() {
-		jobs = w.reduce(opts.AggressiveEdges)
+		jobs = w.reduce()
 	}
 	if err := runJobs(ctx, "freeze", jobs, opts.Workers, nil); err != nil {
 		w.releasePartialTier2()
@@ -161,10 +153,10 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 }
 
 // reduce applies the tier-1 edge label reductions to a one-epoch WET —
-// inference, the diagonal form when aggressive, sharing — and returns one
-// compression job per remaining whole-run stream, concurrency streams
-// included. Each job writes only its own stream slot.
-func (w *WET) reduce(aggressive bool) []func(sc *stream.Scratch) {
+// inference, then sharing — and returns one compression job per remaining
+// whole-run stream, concurrency streams included. Each job writes only its
+// own stream slot.
+func (w *WET) reduce() []func(sc *stream.Scratch) {
 	var jobs []func(sc *stream.Scratch)
 	for _, n := range w.Nodes {
 		jobs = append(jobs, func(sc *stream.Scratch) { n.TSS = stream.CompressBestScratch(n.TS, sc) })
@@ -178,26 +170,20 @@ func (w *WET) reduce(aggressive bool) []func(sc *stream.Scratch) {
 	}
 	reps := shareTable{}
 	for i, e := range w.Edges {
-		switch diag := diagonal(e.DstOrd, e.SrcOrd); {
-		case diag && e.SrcNode == e.DstNode && e.Count == w.Nodes[e.DstNode].Execs:
+		if e.SrcNode == e.DstNode && e.Count == w.Nodes[e.DstNode].Execs && diagonal(e.DstOrd, e.SrcOrd) {
 			// Every execution's pair is <k,k>: implied by the node.
 			e.Inferable = true
 			e.DstOrd, e.SrcOrd = nil, nil
 			continue
-		case diag && aggressive:
-			e.Diagonal = true
-			e.SrcOrd = nil
 		}
-		if rep, ok := reps.intern(e, e.DstOrd, e.SrcOrd, e.Diagonal, i, -1); ok {
+		if rep, ok := reps.intern(e, e.DstOrd, e.SrcOrd, i, -1); ok {
 			e.SharedWith = rep.edge
 			e.DstOrd, e.SrcOrd = nil, nil
 			continue
 		}
 		jobs = append(jobs, func(sc *stream.Scratch) {
 			e.DstS = stream.CompressBestScratch(e.DstOrd, sc)
-			if !e.Diagonal {
-				e.SrcS = stream.CompressBestScratch(e.SrcOrd, sc)
-			}
+			e.SrcS = stream.CompressBestScratch(e.SrcOrd, sc)
 		})
 	}
 	if w.Conc != nil {
@@ -207,14 +193,14 @@ func (w *WET) reduce(aggressive bool) []func(sc *stream.Scratch) {
 }
 
 // diagonal reports whether every label pair (dst[k], src[k]) has equal
-// ordinals: the test of both the inference and the diagonal reduction.
+// ordinals: the inference test.
 func diagonal(dst, src []uint32) bool { return slices.Equal(dst, src) }
 
 // sizeReport walks the frozen WET once, in the units of the paper's Tables
 // 1–3, over its whole-run streams or, on a segmented WET, its per-epoch
 // segments. An edge's label units are its segments, or the edge itself on a
-// one-epoch WET; a unit costs 8 bytes per pair at tier 1 (4 when diagonal,
-// nothing when inferable or shared). Each node's timestamps, each group's
+// one-epoch WET; a unit costs 8 bytes per pair at tier 1 (nothing when
+// inferable or shared). Each node's timestamps, each group's
 // values and each edge's labels round up to whole bytes once at tier 2.
 // The walk allocates nothing per node, group or edge.
 func (w *WET) sizeReport() *SizeReport {
@@ -270,21 +256,17 @@ func (w *WET) sizeReport() *SizeReport {
 			continue
 		}
 		units := e.Segs
-		whole := EdgeSeg{N: e.Count, Diagonal: e.Diagonal, SharedWith: e.SharedWith, DstS: e.DstS, SrcS: e.SrcS}
+		whole := EdgeSeg{N: e.Count, SharedWith: e.SharedWith, DstS: e.DstS, SrcS: e.SrcS}
 		if !seg {
 			units = []*EdgeSeg{&whole}
 		}
-		owned, shared, diag := 0, 0, false
+		owned, shared := 0, 0
 		var t1 uint64
 		for _, u := range units {
 			switch {
 			case u.Inferable:
 			case u.SharedWith >= 0:
 				shared++
-			case u.Diagonal:
-				owned, diag = owned+1, true
-				t1 += uint64(u.N) * trace.TSBytes // one ordinal per pair
-				add(u.DstS)
 			default:
 				owned++
 				t1 += uint64(u.N) * trace.PairBytes
@@ -303,9 +285,6 @@ func (w *WET) sizeReport() *SizeReport {
 			r.SharedEdges++
 		} else {
 			r.OwnedEdges++
-		}
-		if diag {
-			r.DiagonalEdges++
 		}
 	}
 	return r
@@ -491,28 +470,23 @@ type shareKey struct {
 
 type shareRep struct {
 	dst, src  []uint32
-	diag      bool
 	edge, seg int
 }
 
 // intern returns the representative holding exactly the labels (dst, src) of
-// e — diagonal sequences carry dst only and match only diagonal ones — or
-// records them as the representative (edge, seg) and reports false.
-func (t shareTable) intern(e *Edge, dst, src []uint32, diag bool, edge, seg int) (shareRep, bool) {
-	if diag {
-		src = dst
-	}
+// e, or records them as the representative (edge, seg) and reports false.
+func (t shareTable) intern(e *Edge, dst, src []uint32, edge, seg int) (shareRep, bool) {
 	h := uint64(len(dst))
 	for i := range dst {
 		h = mix(h, uint64(dst[i])|uint64(src[i])<<32)
 	}
 	k := shareKey{e.SrcNode, e.DstNode, e.Kind, h}
 	for _, r := range t[k] {
-		if r.diag == diag && slices.Equal(r.dst, dst) && (diag || slices.Equal(r.src, src)) {
+		if slices.Equal(r.dst, dst) && slices.Equal(r.src, src) {
 			return r, true
 		}
 	}
-	t[k] = append(t[k], shareRep{dst, src, diag, edge, seg})
+	t[k] = append(t[k], shareRep{dst, src, edge, seg})
 	return shareRep{}, false
 }
 

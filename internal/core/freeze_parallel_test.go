@@ -108,22 +108,6 @@ func TestFreezeParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestFreezeParallelDeterminismAblations covers the ablation freeze path,
-// whose job extraction differs from the default one.
-func TestFreezeParallelDeterminismAblations(t *testing.T) {
-	for _, opts := range []core.FreezeOptions{
-		{AggressiveEdges: true},
-	} {
-		optsSerial, optsParallel := opts, opts
-		optsSerial.Workers, optsParallel.Workers = 1, 8
-		repSerial := freeze(t, genWET(t, 3), optsSerial)
-		repParallel := freeze(t, genWET(t, 3), optsParallel)
-		if !reflect.DeepEqual(repSerial, repParallel) {
-			t.Fatalf("%+v: reports differ:\nserial:   %+v\nparallel: %+v", opts, repSerial, repParallel)
-		}
-	}
-}
-
 // TestFreezeWorkerPoolStress exercises predictor-table pool reuse: several
 // consecutive freezes on one goroutine, then independent WETs frozen
 // concurrently. Run under -race (CI does) to check the worker pool.

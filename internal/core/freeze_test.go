@@ -134,85 +134,6 @@ func buildVia(st *interp.Static, b *Builder, extra *countingRecorder) (*WET, *in
 	return w, res, nil
 }
 
-// TestAggressiveEdgesPreservesQueries freezes two WETs of the same run with
-// and without the diagonal-edge reduction; every dependence resolution must
-// agree, and the aggressive variant must be smaller.
-func TestAggressiveEdgesPreservesQueries(t *testing.T) {
-	wA, _ := buildWET(t, sumLoop(t, 60), nil)
-	repA := freeze(t, wA, FreezeOptions{})
-	wB, _ := buildWET(t, sumLoop(t, 60), nil)
-	repB := freeze(t, wB, FreezeOptions{AggressiveEdges: true})
-	if repB.DiagonalEdges == 0 {
-		t.Skip("no diagonal edges in this program")
-	}
-	if repB.T1Edges >= repA.T1Edges || repB.T2Edges >= repA.T2Edges {
-		t.Fatalf("aggressive edges not smaller: t1 %d vs %d, t2 %d vs %d",
-			repB.T1Edges, repA.T1Edges, repB.T2Edges, repA.T2Edges)
-	}
-	// Edge labels must resolve identically (the graphs are built from the
-	// same deterministic run, so edge order matches).
-	if len(wA.Edges) != len(wB.Edges) {
-		t.Fatalf("edge counts differ: %d vs %d", len(wA.Edges), len(wB.Edges))
-	}
-	for i := range wA.Edges {
-		ea, eb := wA.Edges[i], wB.Edges[i]
-		if ea.Inferable != eb.Inferable {
-			t.Fatalf("edge %d inferable mismatch", i)
-		}
-		if ea.Inferable {
-			continue
-		}
-		da, sa := wA.EdgeLabels(ea, Tier2)
-		db, sb := wB.EdgeLabels(eb, Tier2)
-		if da.Len() != db.Len() {
-			t.Fatalf("edge %d label lengths differ", i)
-		}
-		for k := 0; k < da.Len(); k++ {
-			if SeqAt(da, k) != SeqAt(db, k) || SeqAt(sa, k) != SeqAt(sb, k) {
-				t.Fatalf("edge %d label %d differs between freezes", i, k)
-			}
-		}
-	}
-	if err := wB.Validate(); err != nil {
-		t.Fatalf("aggressive WET fails validation: %v", err)
-	}
-
-	// DiagonalEdges counts edges, not segments: on li in epochs of 2,048
-	// timestamps 13 edges own a diagonal segment, some of them several.
-	wl, err := workload.ByName("li")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, in := wl.Build(1)
-	st, err := interp.Analyze(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, rep, _, err := BuildStreaming(st, interp.Options{Inputs: in}, FreezeOptions{EpochTS: 2048, AggressiveEdges: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners, segs := 0, 0
-	for _, e := range w.Edges {
-		n := 0
-		for _, sg := range e.Segs {
-			if sg.Diagonal && sg.SharedWith < 0 {
-				n++
-			}
-		}
-		segs += n
-		if n > 0 {
-			owners++
-		}
-	}
-	if owners == segs {
-		t.Fatalf("no edge owns two diagonal segments (%d edges): the case no longer tells edges from segments", owners)
-	}
-	if rep.DiagonalEdges != owners {
-		t.Fatalf("DiagonalEdges = %d, want the %d edges owning a diagonal segment (%d segments)", rep.DiagonalEdges, owners, segs)
-	}
-}
-
 // TestSizeReportAllocatesPerReport: the report walk allocates the report
 // and its method census, nothing per node, group or edge, on a one-epoch
 // and a segmented WET alike.

@@ -34,12 +34,10 @@ type refEdgeKey struct {
 	opIdx    int
 }
 
-// refSeg is one epoch of one reference edge. diagonal is the pre-sharing
-// verdict: the streaming sealer clears it on a shared segment, the
-// single-epoch freeze keeps it.
+// refSeg is one epoch of one reference edge.
 type refSeg struct {
 	epoch, n              int
-	inferable, diagonal   bool
+	inferable             bool
 	rampBase              uint32
 	sharedWith, sharedSeg int
 	dst, src              []uint32
@@ -138,20 +136,17 @@ func (r *refBuilder) seal(epoch int) {
 		e.dst, e.src = nil, nil
 		start := uint32(r.sealed[e.key.dst.node])
 		ramp := e.key.src.node == e.key.dst.node && sg.n == r.execs[e.key.dst.node]-r.sealed[e.key.dst.node]
-		diag := true
 		for k := range sg.dst {
-			diag = diag && sg.dst[k] == sg.src[k]
 			ramp = ramp && sg.dst[k] == sg.src[k] && sg.dst[k] == start+uint32(k)
 		}
 		switch {
 		case ramp:
 			sg.inferable, sg.rampBase = true, start
 		default:
-			sg.diagonal = r.opts.AggressiveEdges && diag
 			for _, o := range owners {
 				oe, os := r.edges[o.edge], r.edges[o.edge].segs[o.seg]
 				if oe.key.src.node == e.key.src.node && oe.key.dst.node == e.key.dst.node && oe.key.kind == e.key.kind &&
-					os.diagonal == sg.diagonal && slices.Equal(os.dst, sg.dst) && (sg.diagonal || slices.Equal(os.src, sg.src)) {
+					slices.Equal(os.dst, sg.dst) && slices.Equal(os.src, sg.src) {
 					sg.sharedWith, sg.sharedSeg = o.edge, o.seg
 					break
 				}
@@ -232,9 +227,9 @@ func diffCheck(t *testing.T, w *core.WET, ref *refBuilder) {
 			diffCheckSegs(t, i, e, re, ref.execs[k.dst.node])
 		} else {
 			sg := re.segs[0]
-			if e.Inferable != sg.inferable || e.Diagonal != sg.diagonal || e.SharedWith != sg.sharedWith || e.Segs != nil {
-				t.Fatalf("edge %d: Inferable/Diagonal/SharedWith %v/%v/%d, reference %v/%v/%d", i,
-					e.Inferable, e.Diagonal, e.SharedWith, sg.inferable, sg.diagonal, sg.sharedWith)
+			if e.Inferable != sg.inferable || e.SharedWith != sg.sharedWith || e.Segs != nil {
+				t.Fatalf("edge %d: Inferable/SharedWith %v/%d, reference %v/%d", i,
+					e.Inferable, e.SharedWith, sg.inferable, sg.sharedWith)
 			}
 		}
 		if e.Inferable {
@@ -252,8 +247,8 @@ func diffCheckSegs(t *testing.T, i int, e *core.Edge, re *refEdge, execs int) {
 	for _, sg := range re.segs {
 		whole = whole && sg.inferable
 	}
-	if e.Inferable != whole || e.Diagonal || e.SharedWith != -1 {
-		t.Fatalf("edge %d: Inferable/Diagonal/SharedWith %v/%v/%d, reference %v/false/-1", i, e.Inferable, e.Diagonal, e.SharedWith, whole)
+	if e.Inferable != whole || e.SharedWith != -1 {
+		t.Fatalf("edge %d: Inferable/SharedWith %v/%d, reference %v/-1", i, e.Inferable, e.SharedWith, whole)
 	}
 	if whole {
 		if e.Segs != nil {
@@ -267,29 +262,27 @@ func diffCheckSegs(t *testing.T, i int, e *core.Edge, re *refEdge, execs int) {
 	for si, sg := range e.Segs {
 		rs := re.segs[si]
 		want := core.EdgeSeg{Epoch: rs.epoch, N: rs.n, Inferable: rs.inferable, RampBase: rs.rampBase,
-			Diagonal: rs.diagonal && rs.sharedWith < 0, SharedWith: rs.sharedWith, SharedSeg: rs.sharedSeg}
+			SharedWith: rs.sharedWith, SharedSeg: rs.sharedSeg}
 		got := *sg
 		got.DstS, got.SrcS = nil, nil
 		if got != want {
 			t.Fatalf("edge %d segment %d: %+v, reference %+v", i, si, got, want)
 		}
 		owned := !rs.inferable && rs.sharedWith < 0
-		if (sg.DstS != nil) != owned || (sg.SrcS != nil) != (owned && !rs.diagonal) {
-			t.Fatalf("edge %d segment %d: streams present dst=%v src=%v, reference owned=%v diagonal=%v", i, si, sg.DstS != nil, sg.SrcS != nil, owned, rs.diagonal)
+		if (sg.DstS != nil) != owned || (sg.SrcS != nil) != owned {
+			t.Fatalf("edge %d segment %d: streams present dst=%v src=%v, reference owned=%v", i, si, sg.DstS != nil, sg.SrcS != nil, owned)
 		}
 		if owned {
 			eqU32(t, fmt.Sprintf("edge %d segment %d dst stream", i, si), drainSeq(sg.DstS.NewCursor()), rs.dst)
-			if !rs.diagonal {
-				eqU32(t, fmt.Sprintf("edge %d segment %d src stream", i, si), drainSeq(sg.SrcS.NewCursor()), rs.src)
-			}
+			eqU32(t, fmt.Sprintf("edge %d segment %d src stream", i, si), drainSeq(sg.SrcS.NewCursor()), rs.src)
 		}
 	}
 }
 
-// diffMatrix runs one program through every epoch size, with and without
-// the diagonal-edge reduction. The subtest names keep the noinfer/noshare
-// labels of the inference and sharing ablations the matrix once also ran,
-// so a result stays comparable with its history.
+// diffMatrix runs one program through every epoch size. The subtest names
+// keep the noinfer/aggr/noshare labels of the inference, diagonal-edge and
+// sharing ablations the matrix once also ran, so a result stays comparable
+// with its history.
 func diffMatrix(t *testing.T, p *ir.Program, in []int64) {
 	t.Helper()
 	st, err := interp.Analyze(p)
@@ -297,13 +290,11 @@ func diffMatrix(t *testing.T, p *ir.Program, in []int64) {
 		t.Fatalf("Analyze: %v", err)
 	}
 	for _, epochTS := range []uint32{0, 64, 2048} {
-		for _, aggr := range []bool{false, true} {
-			o := core.FreezeOptions{EpochTS: epochTS, AggressiveEdges: aggr}
-			t.Run(fmt.Sprintf("epoch=%d/noinfer=false/aggr=%v/noshare=false", epochTS, aggr), func(t *testing.T) {
-				w, ref := diffBuild(t, st, in, o)
-				diffCheck(t, w, ref)
-			})
-		}
+		o := core.FreezeOptions{EpochTS: epochTS}
+		t.Run(fmt.Sprintf("epoch=%d/noinfer=false/aggr=false/noshare=false", epochTS), func(t *testing.T) {
+			w, ref := diffBuild(t, st, in, o)
+			diffCheck(t, w, ref)
+		})
 	}
 }
 

@@ -52,14 +52,13 @@ type LabelSeg struct {
 // node execution of their epoch with <k,k> pairs starting at RampBase and
 // store nothing; shared segments reuse the identical labels of
 // Edges[SharedWith].Segs[SharedSeg] (the representative always has a smaller
-// edge index); Diagonal segments store only the destination ordinals.
+// edge index).
 type EdgeSeg struct {
 	Epoch int
 	N     int
 
 	Inferable bool
 	RampBase  uint32
-	Diagonal  bool
 
 	SharedWith int // owning edge index, or -1
 	SharedSeg  int // segment index within the owner, or -1
@@ -175,21 +174,13 @@ func (b *Builder) sealEpochEdges(epoch int) {
 		dst, src := e.DstOrd, e.SrcOrd
 		e.DstOrd, e.SrcOrd = dst[:0], src[:0]
 		r.stored = e.SrcNode != e.DstNode
-		if b.fopts.AggressiveEdges && diagonal(dst, src) {
-			seg.Diagonal = true
-			src = nil
-		}
-		if rep, ok := reps.intern(e, dst, src, seg.Diagonal, ei, len(e.Segs)-1); ok {
+		if rep, ok := reps.intern(e, dst, src, ei, len(e.Segs)-1); ok {
 			seg.SharedWith, seg.SharedSeg = rep.edge, rep.seg
-			seg.Diagonal = false
 			continue
 		}
-		dstBuf, srcBuf, diag := dst, src, seg.Diagonal
 		b.jobs = append(b.jobs, func(sc *stream.Scratch) {
-			seg.DstS = stream.CompressBestScratch(dstBuf, sc)
-			if !diag {
-				seg.SrcS = stream.CompressBestScratch(srcBuf, sc)
-			}
+			seg.DstS = stream.CompressBestScratch(dst, sc)
+			seg.SrcS = stream.CompressBestScratch(src, sc)
 		})
 	}
 }

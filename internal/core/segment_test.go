@@ -213,8 +213,7 @@ func rampProgram() *ir.Program {
 }
 
 // TestFederatedCursorRandomWalk drives federated cursors — node timestamps
-// and both label sides of edges with stored, shared, diagonal and ramp
-// segments — through random Next, Prev, Seek, NextN and PrevN steps against
+// and both label sides of edges with stored, shared and ramp segments — through random Next, Prev, Seek, NextN and PrevN steps against
 // the sequence's own forward drain. A cursor resolves a segment when a read
 // enters it and keeps the cursors of segments it has left, so the walk
 // crosses, leaves and re-enters segments in every direction.
@@ -274,7 +273,7 @@ func TestFederatedCursorRandomWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: pg.in}, core.FreezeOptions{EpochTS: 1 << 6, AggressiveEdges: true})
+		w, _, _, err := core.BuildStreaming(st, interp.Options{Inputs: pg.in}, core.FreezeOptions{EpochTS: 1 << 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,15 +295,13 @@ func TestFederatedCursorRandomWalk(t *testing.T) {
 					kinds["ramp"]++
 				case sg.SharedWith >= 0:
 					kinds["shared"]++
-				case sg.Diagonal:
-					kinds["diagonal"]++
 				default:
 					kinds["stored"]++
 				}
 			}
 		}
 	}
-	for _, kind := range []string{"timestamps", "ramp", "shared", "diagonal", "stored"} {
+	for _, kind := range []string{"timestamps", "ramp", "shared", "stored"} {
 		if kinds[kind] == 0 {
 			t.Errorf("walked no %s segments (%v)", kind, kinds)
 		}
@@ -383,29 +380,27 @@ func TestStreamingEpochZeroFallback(t *testing.T) {
 
 // TestOneEpochMatchesSingleEpoch: a single-epoch build and a streamed build
 // whose one epoch holds the whole run report the same sizes, field by
-// field, with and without the diagonal-edge reduction.
+// field.
 func TestOneEpochMatchesSingleEpoch(t *testing.T) {
 	for _, wl := range workload.All() {
-		for _, aggr := range []bool{false, true} {
-			prog, in := wl.Build(1)
-			st, err := interp.Analyze(prog)
+		prog, in := wl.Build(1)
+		st, err := interp.Analyze(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reps [2]*core.SizeReport
+		for i, epochTS := range []uint32{0, 1 << 31} {
+			w, rep, _, err := core.BuildStreaming(st, interp.Options{Inputs: in}, core.FreezeOptions{EpochTS: epochTS})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", wl.Name, err)
 			}
-			var reps [2]*core.SizeReport
-			for i, epochTS := range []uint32{0, 1 << 31} {
-				w, rep, _, err := core.BuildStreaming(st, interp.Options{Inputs: in}, core.FreezeOptions{EpochTS: epochTS, AggressiveEdges: aggr})
-				if err != nil {
-					t.Fatalf("%s: %v", wl.Name, err)
-				}
-				if w.Segmented() != (epochTS > 0) {
-					t.Fatalf("%s, EpochTS=%d: Segmented() = %v", wl.Name, epochTS, w.Segmented())
-				}
-				reps[i] = rep
+			if w.Segmented() != (epochTS > 0) {
+				t.Fatalf("%s, EpochTS=%d: Segmented() = %v", wl.Name, epochTS, w.Segmented())
 			}
-			if !reflect.DeepEqual(reps[0], reps[1]) {
-				t.Errorf("%s, aggressive %v: single epoch\n%+v\none epoch\n%+v", wl.Name, aggr, *reps[0], *reps[1])
-			}
+			reps[i] = rep
+		}
+		if !reflect.DeepEqual(reps[0], reps[1]) {
+			t.Errorf("%s: single epoch\n%+v\none epoch\n%+v", wl.Name, *reps[0], *reps[1])
 		}
 	}
 }

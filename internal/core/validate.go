@@ -117,7 +117,7 @@ func (w *WET) Validate() error {
 			}
 		default:
 			if !w.Segmented() {
-				if e.DstS == nil || (!e.Diagonal && e.SrcS == nil) {
+				if e.DstS == nil || e.SrcS == nil {
 					return fmt.Errorf("core: edge %d lacks label streams", ei)
 				}
 			}
@@ -266,7 +266,7 @@ func (w *WET) validateSegments() error {
 					return fmt.Errorf("core: edge %d segment %d has bad share representative", ei, si)
 				}
 			default:
-				if sg.DstS == nil || sg.DstS.Len() != sg.N || (!sg.Diagonal && (sg.SrcS == nil || sg.SrcS.Len() != sg.N)) {
+				if sg.DstS == nil || sg.DstS.Len() != sg.N || sg.SrcS == nil || sg.SrcS.Len() != sg.N {
 					return fmt.Errorf("core: edge %d segment %d stream/length mismatch", ei, si)
 				}
 			}

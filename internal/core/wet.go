@@ -76,11 +76,6 @@ type Edge struct {
 	// instance is <t,t> within one node execution and the edge fires on
 	// every execution (paper §3.3): the labels are implied by the node.
 	Inferable bool
-	// Diagonal marks edges whose every label pair has equal ordinals but
-	// which do not fire on every execution: only the destination ordinal
-	// stream is stored (the paper defers such "more aggressive techniques"
-	// to [25]; enabled by FreezeOptions.AggressiveEdges).
-	Diagonal bool
 	// SharedWith >= 0 names the edge whose identical label sequence this
 	// edge reuses (paper §3.3, label sharing across edge groups).
 	SharedWith int
@@ -414,9 +409,7 @@ func (w *WET) ApproxTSSeq(n *Node, tier Tier) Seq {
 
 // EdgeLabels returns fresh cursors over the (dst, src) local-timestamp
 // label sequences of e. For shared edges the representative's labels are
-// read; Inferable edges have implicit labels and return (nil, nil). For
-// Diagonal edges dst and src are two independent cursors over the single
-// stored ordinal stream (source ordinals equal destination ordinals). On a
+// read; Inferable edges have implicit labels and return (nil, nil). On a
 // segmented WET the tier-2 cursors federate the per-epoch segments,
 // synthesizing inferable segments and resolving per-segment sharing.
 func (w *WET) EdgeLabels(e *Edge, tier Tier) (dst, src Seq) {
@@ -436,9 +429,6 @@ func (w *WET) EdgeLabels(e *Edge, tier Tier) (dst, src Seq) {
 			panic(&CapabilityError{Capability: CapDependences,
 				Detail: "shared label representative dropped by a byte-budgeted freeze"})
 		}
-	}
-	if e.Diagonal {
-		return newSeq(e.DstOrd, e.DstS, tier), newSeq(e.DstOrd, e.DstS, tier)
 	}
 	return newSeq(e.DstOrd, e.DstS, tier), newSeq(e.SrcOrd, e.SrcS, tier)
 }

@@ -76,7 +76,7 @@ type edgeLabels struct {
 
 // randomEdge draws about n labels over epochs of epochTS timestamps, epoch by
 // epoch: a quarter of the epochs hold none, and the rest are inferable ramps,
-// diagonal, shared with another edge, or stored.
+// <k,k> pairs off a ramp, shared with another edge, or stored.
 func randomEdge(rng *rand.Rand, n int, epochTS uint32) edgeLabels {
 	l := edgeLabels{epochTS: epochTS}
 	ord := uint32(rng.Intn(3))
@@ -107,7 +107,7 @@ func (l edgeLabels) ts(rng *rand.Rand, epoch int) uint32 {
 
 // segmented stores l as edge 1 of a two-edge WET, one segment per epoch that
 // holds labels: a ramp where its pairs are <k,k> with consecutive k, a
-// diagonal or a stored segment, or a segment shared with edge 0.
+// stored segment, or a segment shared with edge 0.
 func (l edgeLabels) segmented(rng *rand.Rand) (*core.WET, *core.Edge) {
 	rep := &core.Edge{SharedWith: -1}
 	e := &core.Edge{SharedWith: -1}
@@ -118,12 +118,9 @@ func (l edgeLabels) segmented(rng *rand.Rand) (*core.WET, *core.Edge) {
 		}
 		dst, src := l.dst[lo:hi], l.src[lo:hi]
 		sg := &core.EdgeSeg{Epoch: l.epoch[lo], N: hi - lo, SharedWith: -1, SharedSeg: -1}
-		diag := slices.Equal(dst, src)
 		switch {
-		case diag && int(dst[len(dst)-1]-dst[0]) == len(dst)-1 && rng.Intn(2) == 0:
+		case slices.Equal(dst, src) && int(dst[len(dst)-1]-dst[0]) == len(dst)-1 && rng.Intn(2) == 0:
 			sg.Inferable, sg.RampBase = true, dst[0]
-		case diag:
-			sg.Diagonal, sg.DstS = true, stream.Compress(dst, randomSpec(rng))
 		default:
 			sg.DstS, sg.SrcS = stream.Compress(dst, randomSpec(rng)), stream.Compress(src, randomSpec(rng))
 			if rng.Intn(2) == 0 {
@@ -193,7 +190,7 @@ func indexOf(vals []uint32, t uint32) int {
 // either direction between the searches, what SeqAt answers. A windowless
 // lookup (a fresh window per ask, the scratch read a search makes) answers
 // the same. Node timestamps and both sides of edge labels alike: an edge is
-// segmented into inferable, shared, diagonal and stored segments, and a
+// segmented into inferable, shared and stored segments, and a
 // keyed edge window finds a label only in the epoch of the timestamp it is
 // asked with.
 func TestTSWindowMatchesSearch(t *testing.T) {
@@ -281,7 +278,7 @@ func FuzzWindow(f *testing.F) {
 			l.dst, l.epoch = append(l.dst, v-1), append(l.epoch, int((v-1)/epochTS))
 			l.src[i] = uint32(rng.Intn(1 << 20))
 			if seed%2 == 0 {
-				l.src[i] = v - 1 // diagonal segments, and ramps where ordinals run on
+				l.src[i] = v - 1 // <k,k> pairs, and ramps where ordinals run on
 			}
 		}
 		we, e := l.segmented(rng)

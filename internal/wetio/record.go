@@ -16,10 +16,10 @@ import (
 	"wet/internal/wire"
 )
 
-// v4 edge segment forms (flags byte).
+// v4 edge segment forms (flags byte). Bit 1 is retired: a segment that sets
+// it is refused as invalid flags.
 const (
 	segInferable = 1 << 0
-	segDiagonal  = 1 << 1
 	segShared    = 1 << 2
 )
 
@@ -75,9 +75,9 @@ func writeNode(w *wire.Enc, n *core.Node, segmented bool) error {
 }
 
 // writeLabelPair writes the stored streams of one owned label-pair sequence:
-// destination ordinals, then source ordinals unless diagonal.
-func writeLabelPair(w *wire.Enc, dst, src stream.Stream, diagonal bool) error {
-	if err := stream.Encode(w, dst); err != nil || diagonal {
+// destination ordinals, then source ordinals.
+func writeLabelPair(w *wire.Enc, dst, src stream.Stream) error {
+	if err := stream.Encode(w, dst); err != nil {
 		return err
 	}
 	return stream.Encode(w, src)
@@ -90,7 +90,7 @@ func writeEdgeLabels(w *wire.Enc, e *core.Edge, segmented bool) error {
 		if e.Inferable || e.SharedWith >= 0 {
 			return nil
 		}
-		return writeLabelPair(w, e.DstS, e.SrcS, e.Diagonal)
+		return writeLabelPair(w, e.DstS, e.SrcS)
 	}
 	w.U32(uint32(len(e.Segs)))
 	for _, sg := range e.Segs {
@@ -105,12 +105,8 @@ func writeEdgeLabels(w *wire.Enc, e *core.Edge, segmented bool) error {
 			w.I32(int32(sg.SharedWith))
 			w.I32(int32(sg.SharedSeg))
 		default:
-			var flags uint8
-			if sg.Diagonal {
-				flags = segDiagonal
-			}
-			w.U8(flags)
-			if err := writeLabelPair(w, sg.DstS, sg.SrcS, sg.Diagonal); err != nil {
+			w.U8(0)
+			if err := writeLabelPair(w, sg.DstS, sg.SrcS); err != nil {
 				return err
 			}
 		}
@@ -125,7 +121,7 @@ func writeEdge(w *wire.Enc, e *core.Edge, segmented bool) error {
 	}
 	w.U32(uint32(e.Count))
 	w.Bool(e.Inferable)
-	w.Bool(e.Diagonal)
+	w.U8(0) // the retired diagonal form; readers refuse anything else
 	w.I32(int32(e.SharedWith))
 	return writeEdgeLabels(w, e, segmented)
 }
@@ -257,15 +253,12 @@ func readNode(d *wire.Dec, wet *core.WET, id, nNodes int, opts LoadOptions) (*co
 
 // readLabelPair reads what writeLabelPair wrote, each stream holding want
 // labels (want < 0: a budget-dropped owner's placeholders, unchecked).
-func readLabelPair(d *wire.Dec, want int, diagonal bool, opts LoadOptions) (dst, src stream.Stream, err error) {
+func readLabelPair(d *wire.Dec, want int, opts LoadOptions) (dst, src stream.Stream, err error) {
 	if dst, err = loadStream(d, opts); err != nil {
 		return nil, nil, err
 	}
 	if want >= 0 && dst.Len() != want {
 		return nil, nil, fmt.Errorf("destination labels have %d entries, want %d", dst.Len(), want)
-	}
-	if diagonal {
-		return dst, nil, nil
 	}
 	if src, err = loadStream(d, opts); err != nil {
 		return nil, nil, err
@@ -281,11 +274,15 @@ func readEdge(d *wire.Dec, wet *core.WET, e *core.Edge, id, nEdges int, opts Loa
 	*e = core.Edge{
 		Kind: core.EdgeKind(d.U8()), SrcNode: int(d.I32()), SrcPos: int(d.I32()),
 		DstNode: int(d.I32()), DstPos: int(d.I32()), OpIdx: int(d.I32()),
-		Count: int(d.U32()), Inferable: d.U8() == 1, Diagonal: d.U8() == 1,
-		SharedWith: int(d.I32()),
+		Count: int(d.U32()), Inferable: d.U8() == 1,
 	}
+	diagonal := d.U8()
+	e.SharedWith = int(d.I32())
 	if err := d.Err(); err != nil {
 		return err
+	}
+	if diagonal != 0 {
+		return fmt.Errorf("diagonal byte is %#x: the diagonal edge form is retired", diagonal)
 	}
 	if err := checkEdge(wet, e, nEdges); err != nil {
 		return err
@@ -307,13 +304,13 @@ func readEdgeLabels(d *wire.Dec, wet *core.WET, e *core.Edge, id int, opts LoadO
 		if e.Dropped {
 			want = -1
 		}
-		e.DstS, e.SrcS, err = readLabelPair(d, want, e.Diagonal, opts)
+		e.DstS, e.SrcS, err = readLabelPair(d, want, opts)
 		return err
 	}
 	// The streaming pipeline reduces per segment, not per whole edge: the
-	// edge-level diagonal/shared forms never appear in a v4 file.
-	if e.Diagonal || e.SharedWith >= 0 {
-		return fmt.Errorf("edge-level diagonal/shared forms are not valid in v4")
+	// edge-level shared form never appears in a v4 file.
+	if e.SharedWith >= 0 {
+		return fmt.Errorf("edge-level shared form is not valid in v4")
 	}
 	nSegs := d.Count(9)
 	if err := d.Err(); err != nil {
@@ -364,10 +361,9 @@ func readEdgeLabels(d *wire.Dec, wet *core.WET, e *core.Edge, id int, opts LoadO
 				return fmt.Errorf("segment %d shares with edge %d segment %d (this is edge %d)", si, ow, os, id)
 			}
 			sg.SharedWith, sg.SharedSeg = int(ow), int(os)
-		case segDiagonal, 0:
+		case 0:
 			opts.segEpoch = int(epoch)
-			sg.Diagonal = flags == segDiagonal
-			if sg.DstS, sg.SrcS, err = readLabelPair(d, sg.N, sg.Diagonal, opts); err != nil {
+			if sg.DstS, sg.SrcS, err = readLabelPair(d, sg.N, opts); err != nil {
 				return fmt.Errorf("segment %d: %w", si, err)
 			}
 		default:
