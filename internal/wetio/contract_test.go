@@ -12,8 +12,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"wet/internal/core"
 	"wet/internal/faultpoint"
 	"wet/internal/stream"
 )
@@ -280,16 +282,7 @@ func TestStrictRefusesForgedShareRepresentative(t *testing.T) {
 		t.Fatalf("fixture lacks a sharer (%d) or an inferable edge (%d)", sharer, inferable)
 	}
 	secs := mustScan(t, data)
-	idx, edges := -1, 0
-	for i, s := range secs {
-		if s.tag == secEdge {
-			if edges == sharer {
-				idx = i
-				break
-			}
-			edges++
-		}
-	}
+	idx := edgeSection(secs, sharer)
 	payload := bytes.Clone(secs[idx].payload)
 	binary.LittleEndian.PutUint32(payload[27:], uint32(inferable)) // SharedWith
 	forged := withPayload(t, data, idx, payload)
@@ -307,5 +300,87 @@ func TestStrictRefusesForgedShareRepresentative(t *testing.T) {
 	if len(w.Edges) != len(intact.Edges)-1 || rep.EdgesDropped != 1 || len(rep.Adjustments) != 1 {
 		t.Fatalf("salvage kept %d of %d edges, report: %s; want the one sharer dropped with one adjustment",
 			len(w.Edges), len(intact.Edges), rep)
+	}
+}
+
+// edgeSection returns the index in secs of edge record i's section.
+func edgeSection(secs []section, i int) int {
+	for si, s := range secs {
+		if s.tag == secEdge {
+			if i == 0 {
+				return si
+			}
+			i--
+		}
+	}
+	return -1
+}
+
+// TestRetiredDiagonalFormRefused: the diagonal edge form is retired. A
+// CRC-valid record that sets it — the diagonal byte of a v3 owned edge or of
+// a v3 sharer, or flag bit 1 of a v4 segment — is refused by a strict load
+// with a *FormatError naming the record, and a salvage load drops that one
+// record and loads the rest. Each forged edge is one no other edge shares
+// labels with, so nothing else depends on it.
+func TestRetiredDiagonalFormRefused(t *testing.T) {
+	v3, v4 := savedWET(t, "li"), savedStreamedWET(t, "li")
+	for _, c := range []struct {
+		what  string
+		data  []byte
+		ok    func(e *core.Edge) bool
+		at    int  // payload offset of the forged byte
+		val   byte // its forged value
+		cause string
+	}{
+		// Edge header: kind u8, five i32, count u32, inferable u8, then the
+		// diagonal byte at 26; a v4 edge's first segment flags sit at 43,
+		// after sharedWith i32, the segment count u32, epoch u32 and n u32.
+		{"v3 owned edge", v3, func(e *core.Edge) bool { return !e.Inferable && e.SharedWith < 0 }, 26, 1, "diagonal"},
+		{"v3 sharer", v3, func(e *core.Edge) bool { return e.SharedWith >= 0 }, 26, 1, "diagonal"},
+		{"v4 segment", v4, func(e *core.Edge) bool {
+			return len(e.Segs) > 0 && !e.Segs[0].Inferable && e.Segs[0].SharedWith < 0
+		}, 43, 0x2, "invalid flags"},
+	} {
+		intact := mustLoad(t, c.data)
+		shared := map[int]bool{}
+		for _, e := range intact.Edges {
+			shared[e.SharedWith] = true
+			for _, sg := range e.Segs {
+				shared[sg.SharedWith] = true
+			}
+		}
+		edge := -1
+		for i, e := range intact.Edges {
+			if !shared[i] && c.ok(e) {
+				edge = i
+				break
+			}
+		}
+		if edge < 0 {
+			t.Fatalf("%s: the fixture has no such edge", c.what)
+		}
+		secs := mustScan(t, c.data)
+		idx := edgeSection(secs, edge)
+		payload := bytes.Clone(secs[idx].payload)
+		if payload[c.at] != 0 {
+			t.Fatalf("%s: edge %d payload byte %d is %#x, want 0", c.what, edge, c.at, payload[c.at])
+		}
+		payload[c.at] = c.val
+		forged := withPayload(t, c.data, idx, payload)
+
+		_, err := Load(bytes.NewReader(forged), LoadOptions{})
+		var fe *FormatError
+		if !errors.As(err, &fe) || fe.Section != secName("edge", edge) || fe.Offset != secs[idx].offset || !strings.Contains(err.Error(), c.cause) {
+			t.Fatalf("%s: strict load returned %v, want a *FormatError at edge %d (offset %d) about %q",
+				c.what, err, edge, secs[idx].offset, c.cause)
+		}
+		w, rep, err := LoadWithReport(bytes.NewReader(forged), LoadOptions{Salvage: true})
+		if err != nil {
+			t.Fatalf("%s: salvage: %v", c.what, err)
+		}
+		if len(w.Edges) != len(intact.Edges)-1 || rep.EdgesDropped != 1 || rep.SectionsDropped != 1 || len(w.Nodes) != len(intact.Nodes) {
+			t.Fatalf("%s: salvage kept %d of %d edges and %d of %d nodes, report: %s; want edge %d's section dropped",
+				c.what, len(w.Edges), len(intact.Edges), len(w.Nodes), len(intact.Nodes), rep, edge)
+		}
 	}
 }
