@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wetdump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	paths := fs.Int("paths", 10, "number of hot paths to list")
-	sliceTS := fs.Uint("slice-ts", 0, "backward-slice the last def at this timestamp")
+	sliceTS := cliutil.Uint32(fs, "slice-ts", 0, "backward-slice the last def at this timestamp")
 	dotFile := fs.String("dot", "", "write the slice as Graphviz DOT to this file")
 	verify := fs.Bool("verify", false, "walk all sections and report per-section CRC status, loading nothing")
 	semantic := fs.Bool("semantic", false, "with -verify: also validate structure and certify the trace against its program's static semantics")
@@ -147,7 +147,7 @@ func runVerifySemantic(stdout, stderr io.Writer, f *os.File) int {
 	return cliutil.ExitOK
 }
 
-func dump(stdout io.Writer, w *core.WET, path string, paths int, sliceTS uint, dotFile string) error {
+func dump(stdout io.Writer, w *core.WET, path string, paths int, sliceTS uint32, dotFile string) error {
 	fmt.Fprintf(stdout, "file         %s\n", path)
 	fmt.Fprintf(stdout, "program      %d funcs, %d statements, %d basic blocks\n",
 		len(w.Prog.Funcs), len(w.Prog.Stmts), w.Prog.NumBlocks())
@@ -211,7 +211,7 @@ func dump(stdout io.Writer, w *core.WET, path string, paths int, sliceTS uint, d
 	}
 
 	if sliceTS > 0 {
-		in, err := defAt(w, uint32(sliceTS))
+		in, err := defAt(w, sliceTS)
 		if err != nil {
 			return err
 		}

@@ -35,7 +35,7 @@ func main() {
 	outFile := flag.String("o", "", "save the frozen WET to this file")
 	showOut := flag.Bool("show-outputs", false, "print the program's output values")
 	maxSteps := flag.Uint64("max-steps", 1<<28, "dynamic statement budget")
-	epoch := flag.Uint("epoch", 0, "epoch size in timestamps: seal and tier-2 compress the profile per epoch while the program runs (0 = single-epoch; saves format v4)")
+	epoch := cliutil.Uint32(flag.CommandLine, "epoch", 0, "epoch size in timestamps: seal and tier-2 compress the profile per epoch while the program runs (0 = single-epoch; saves format v4)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this duration (exit code 5); 0 = no limit")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -75,7 +75,7 @@ func main() {
 	// Collecting outputs requires a direct run first (the builders override
 	// the sink but not output collection — it flows through Result).
 	// BuildStreaming with epoch 0 is exactly Build + Freeze.
-	w, rep, res, err := core.BuildStreaming(st, opts, core.FreezeOptions{EpochTS: uint32(*epoch)})
+	w, rep, res, err := core.BuildStreaming(st, opts, core.FreezeOptions{EpochTS: *epoch})
 	if err != nil {
 		fail(err)
 	}

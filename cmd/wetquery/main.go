@@ -72,8 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	q := fs.String("query", "cftrace", "query: cftrace | cfrange | values | addresses | slice")
 	tierN := fs.Int("tier", 2, "compression tier to query (1 or 2; 1 needs a fresh build, not -load)")
 	dir := fs.String("dir", "forward", "cftrace direction: forward | backward")
-	fromTS := fs.Uint("from", 1, "cfrange window start timestamp (inclusive)")
-	toTS := fs.Uint("to", 0, "cfrange window end timestamp (inclusive; 0 = end of trace)")
+	fromTS := cliutil.Uint32(fs, "from", 1, "cfrange window start timestamp (inclusive)")
+	toTS := cliutil.Uint32(fs, "to", 0, "cfrange window end timestamp (inclusive; 0 = end of trace)")
 	slices := fs.Int("slices", 25, "number of slices for -query slice")
 	parallel := fs.Int("parallel", 1, "worker goroutines for -query slice (0 = GOMAXPROCS)")
 	criteria := fs.String("criteria", "", "file of 'node pos ord' slicing criteria for -query slice")
@@ -109,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		q:        *q,
 		tier:     core.Tier(*tierN),
 		dir:      *dir,
-		from:     uint32(*fromTS),
-		to:       uint32(*toTS),
+		from:     *fromTS,
+		to:       *toTS,
 		slices:   *slices,
 		parallel: *parallel,
 		criteria: *criteria,

@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "tier-2 freeze worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	certify := fs.Bool("certify", false, "semantically certify the frozen WET against its static analysis before reporting/saving")
 	budget := fs.String("budget", "", "byte budget for the frozen container (KiB/MiB/GiB suffixes); past the lossless floor the freeze sheds query capabilities in a fixed order and reports exactly what it lost")
-	epoch := fs.Uint("epoch", 0, "epoch size in timestamps: seal and tier-2 compress the profile per epoch while the run executes (0 = single-epoch; saves format v4)")
+	epoch := cliutil.Uint32(fs, "epoch", 0, "epoch size in timestamps: seal and tier-2 compress the profile per epoch while the run executes (0 = single-epoch; saves format v4)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (exit code 5); 0 = no limit")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -110,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	wet, rep, res, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{
-		Workers: *workers, EpochTS: uint32(*epoch), ByteBudget: budgetBytes,
+		Workers: *workers, EpochTS: *epoch, ByteBudget: budgetBytes,
 	})
 	if err != nil {
 		return fail(err)

@@ -26,6 +26,10 @@ func TestRun(t *testing.T) {
 			"", "wetrun: -budget is not supported with -conc"},
 		{[]string{"-bench", "li", "-stmts", "20000"}, cliutil.ExitOK,
 			liLine, ""},
+		{[]string{"-bench", "li", "-stmts", "20000", "-epoch", "4294967296"}, cliutil.ExitUsage,
+			"", `invalid value "4294967296" for flag -epoch: value out of range`},
+		{[]string{"-bench", "li", "-stmts", "20000", "-epoch", "4294967295"}, cliutil.ExitOK,
+			liLine, ""},
 		{[]string{"-bench", "li", "-stmts", "20000", "-certify"}, cliutil.ExitOK,
 			"certified: trace is semantically consistent with its program", ""},
 	} {
