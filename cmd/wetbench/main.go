@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,23 +23,33 @@ import (
 	"wet/internal/exp"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wetbench:", err)
-	os.Exit(cliutil.ExitCode(err))
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	table := flag.Int("table", 0, "print only this table (1-9)")
-	figure := flag.Int("figure", 0, "print only this figure (8 or 9)")
-	stmts := flag.Uint64("stmts", exp.DefaultTargetStmts, "target dynamic statements per workload")
-	workloads := flag.String("workloads", "", "comma separated subset of benchmarks")
-	slices := flag.Int("slices", 25, "slice criteria for Table 9")
-	census := flag.Bool("census", false, "also print the tier-2 method selection census")
-	ablations := flag.Bool("ablations", false, "also print the design-choice ablations")
-	workers := flag.Int("workers", 0, "tier-2 freeze worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	timeout := flag.Duration("timeout", 0, "abort the run after this duration (exit code 5); 0 = no limit")
-	quiet := flag.Bool("q", false, "suppress progress output")
-	flag.Parse()
+// run is the command with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wetbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 0, "print only this table (1-9)")
+	figure := fs.Int("figure", 0, "print only this figure (8 or 9)")
+	stmts := fs.Uint64("stmts", exp.DefaultTargetStmts, "target dynamic statements per workload")
+	workloads := fs.String("workloads", "", "comma separated subset of benchmarks")
+	slices := fs.Int("slices", 25, "slice criteria for Table 9")
+	census := fs.Bool("census", false, "also print the tier-2 method selection census")
+	ablations := fs.Bool("ablations", false, "also print the design-choice ablations")
+	workers := fs.Int("workers", 0, "tier-2 freeze worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	timeout := fs.Duration("timeout", 0, "abort the run after this duration (exit code 5); 0 = no limit")
+	quiet := fs.Bool("q", false, "suppress progress output")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cliutil.ExitOK
+		}
+		return cliutil.ExitUsage
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "wetbench:", err)
+		return cliutil.ExitCode(err)
+	}
 
 	// ^C or -timeout expiry stops the build in flight: the interpreter
 	// within 4096 steps, the freeze between jobs.
@@ -48,19 +60,19 @@ func main() {
 	if *workloads != "" {
 		cfg.Workloads = strings.Split(*workloads, ",")
 	}
-	progress := os.Stderr
+	progress := stderr
 	if *quiet {
 		progress = nil
 	}
 
-	out := os.Stdout
+	out := stdout
 	needRuns := *figure != 9 || *table != 0
 	var runs []*exp.Run
 	var err error
 	if needRuns {
 		runs, err = exp.RunAll(ctx, cfg, progress)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 
@@ -93,19 +105,19 @@ func main() {
 	}
 	if want(7) {
 		if err := exp.Table7(runs, out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		fmt.Fprintln(out)
 	}
 	if want(8) {
 		if err := exp.Table8(runs, out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		fmt.Fprintln(out)
 	}
 	if want(9) {
 		if err := exp.Table9(runs, cfg.Slices, out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		fmt.Fprintln(out)
 	}
@@ -115,7 +127,7 @@ func main() {
 	}
 	if wantFig(9) {
 		if err := exp.Figure9(ctx, cfg, out, progress); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		fmt.Fprintln(out)
 	}
@@ -124,13 +136,13 @@ func main() {
 	}
 	if *ablations && runs != nil {
 		if err := exp.AblationBLvsBB(ctx, "go", *stmts, out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		fmt.Fprintln(out)
 		exp.AblationStreamMethods(runs, out)
 		fmt.Fprintln(out)
 		if err := exp.AblationValueGrouping(ctx, "bzip2", *stmts, out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		fmt.Fprintln(out)
 		exp.AblationLocalTS(runs, out)
@@ -138,7 +150,8 @@ func main() {
 		exp.AblationSelection(runs, out)
 		fmt.Fprintln(out)
 		if err := exp.AblationAggressiveEdges(ctx, "mcf", *stmts, out); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
+	return cliutil.ExitOK
 }
