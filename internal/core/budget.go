@@ -426,16 +426,13 @@ func edgeDropSavings(e *Edge) (uint64, error) {
 			case sg.SharedWith >= 0:
 				saved += 8
 			default:
-				n, err := stream.SaveSize(sg.DstS)
-				if err != nil {
-					return 0, err
+				for _, s := range [...]stream.Stream{sg.DstS, sg.SrcS} {
+					n, err := stream.SaveSize(s)
+					if err != nil {
+						return 0, err
+					}
+					saved += n
 				}
-				saved += n
-				n, err = stream.SaveSize(sg.SrcS)
-				if err != nil {
-					return 0, err
-				}
-				saved += n
 			}
 		}
 		return saved, nil
@@ -444,16 +441,13 @@ func edgeDropSavings(e *Edge) (uint64, error) {
 	if e.Inferable || e.SharedWith >= 0 || e.DstS == nil {
 		return 0, nil
 	}
-	n, err := stream.SaveSize(e.DstS)
-	if err != nil {
-		return 0, err
+	for _, s := range [...]stream.Stream{e.DstS, e.SrcS} {
+		n, err := stream.SaveSize(s)
+		if err != nil {
+			return 0, err
+		}
+		saved += n - emptyStreamBytes
 	}
-	saved += n - emptyStreamBytes
-	n, err = stream.SaveSize(e.SrcS)
-	if err != nil {
-		return 0, err
-	}
-	saved += n - emptyStreamBytes
 	return saved, nil
 }
 
