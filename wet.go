@@ -90,7 +90,9 @@ type WET = core.WET
 // SizeReport holds per-component sizes at each compression level.
 type SizeReport = core.SizeReport
 
-// FreezeOptions tunes WET.FreezeErr.
+// FreezeOptions tunes the builder and WET.FreezeErr: worker count, epoch
+// size, cancellation and byte budget. The paper's §3.3 edge reductions,
+// inference and sharing, always apply, and no option adds another.
 type FreezeOptions = core.FreezeOptions
 
 // Tier selects the representation a query reads.
