@@ -73,6 +73,7 @@ func TestRun(t *testing.T) {
 		{[]string{"-verify", good}, cliutil.ExitOK, "", ""},
 		{[]string{"-slice-ts", "4000", "-dot", dot, good}, cliutil.ExitOK, "wrote " + dot, ""},
 		{[]string{"-slice-ts", "999999", good}, cliutil.ExitError, "", "no def statement executed at ts 999999"},
+		{[]string{"-slice-ts", "4294967296", good}, cliutil.ExitUsage, "", `invalid value "4294967296" for flag -slice-ts: value out of range`},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

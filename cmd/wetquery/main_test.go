@@ -60,6 +60,8 @@ func TestRun(t *testing.T) {
 			"", "wetquery: " + flipped + ": wetio: node section at offset 69756: checksum mismatch"},
 		{[]string{"-load", good, "-query", "cftrace"}, cliutil.ExitOK,
 			"control flow trace: 144586 statements (0.55 MB) in ...", ""},
+		{[]string{"-load", good, "-to", "4294967296"}, cliutil.ExitUsage,
+			"", `invalid value "4294967296" for flag -to: value out of range`},
 		{[]string{"-bench", "li", "-stmts", "20000", "-tier", "1"}, cliutil.ExitOK,
 			"control flow trace: 144586 statements (0.55 MB) in ...", "building WET for li..."},
 	} {
