@@ -1,8 +1,9 @@
 package wet_test
 
 // Pins the exact counts the system produces, in one file: stored bytes per
-// component and tier, the tier-2 method census, and the cursor seek
-// counters of fixed query batches. Counts repeat exactly where timings do
+// component and tier, the tier-2 method census, the smallest container
+// the byte budget's ladder reaches, and the cursor seek counters of fixed
+// query batches. Counts repeat exactly where timings do
 // not, so a change that moves one shows as a one-file JSON diff. Regenerate
 // testdata/counts.json on the commit whose counts are the new reference
 // with
@@ -12,6 +13,7 @@ package wet_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -44,6 +46,9 @@ type programCounts struct {
 	// SliceBatch is the seek traffic of uncapped backward slices from
 	// spacedCriteria's four instances.
 	SliceBatch wet.SeekStats `json:"slice_batch"`
+	// LadderFloor is the smallest container the byte budget's full
+	// degradation ladder reaches (BudgetError.Best of a 1-byte budget).
+	LadderFloor uint64 `json:"ladder_floor"`
 }
 
 // reportCounts are the size report's edge eliminations and the in-memory
@@ -107,6 +112,10 @@ func countProgram(t *testing.T, name string, scale int, epochTS uint32) programC
 	}
 	sz := tr.Report().Size
 	batch, _ := sliceBatch(t, tr)
+	var be *wet.BudgetError
+	if _, _, err := wet.Run(prog, wet.WithInputs(in...), wet.WithEpochTS(epochTS), wet.WithByteBudget(1)); !errors.As(err, &be) {
+		t.Fatalf("%s/%d at a 1-byte budget: %v, want a *BudgetError", name, epochTS, err)
+	}
 	return programCounts{
 		Workload: name, Scale: scale, EpochTS: epochTS,
 		SavedBytes: len(saveBytes(t, tr)),
@@ -114,7 +123,7 @@ func countProgram(t *testing.T, name string, scale int, epochTS uint32) programC
 		T2:         componentBytes{sz.T2TS, sz.T2Vals, sz.T2Edges},
 		Report:     reportCounts{sz.InferableEdges, sz.SharedEdges, sz.OwnedEdges, sz.CheckpointBytes},
 		Methods:    sz.Methods,
-		SliceBatch: batch,
+		SliceBatch: batch, LadderFloor: be.Best,
 	}
 }
 
@@ -294,6 +303,7 @@ func TestExactCounts(t *testing.T) {
 		diff(id+" report", g.Report, w.Report)
 		diff(id+" methods", g.Methods, w.Methods)
 		diff(id+" slice batch", g.SliceBatch, w.SliceBatch)
+		diff(id+" ladder floor", g.LadderFloor, w.LadderFloor)
 	}
 	diff("serve", got.Serve, want.Serve)
 }
