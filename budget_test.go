@@ -92,7 +92,6 @@ func TestBudgetSweep(t *testing.T) {
 			floor := uint64(len(base))
 
 			prevGroups, prevEdges := math.MaxInt, math.MaxInt
-			var prevStride uint32
 			infeasible := false
 			for _, frac := range []float64{0.9, 0.7, 0.5, 0.3, 0.15, 0.1} {
 				budget := uint64(float64(floor) * frac)
@@ -129,11 +128,11 @@ func TestBudgetSweep(t *testing.T) {
 				if uint64(len(got)) > budget {
 					t.Fatalf("budget %d exceeded: container is %d B", budget, len(got))
 				}
-				if fid.GroupsKept > prevGroups || fid.EdgesKept > prevEdges || fid.TSStride < prevStride {
-					t.Fatalf("fidelity not monotone at budget %d: kept %d/%d stride %d after kept %d/%d stride %d",
-						budget, fid.GroupsKept, fid.EdgesKept, fid.TSStride, prevGroups, prevEdges, prevStride)
+				if fid.GroupsKept > prevGroups || fid.EdgesKept > prevEdges {
+					t.Fatalf("fidelity not monotone at budget %d: kept %d/%d after kept %d/%d",
+						budget, fid.GroupsKept, fid.EdgesKept, prevGroups, prevEdges)
 				}
-				prevGroups, prevEdges, prevStride = fid.GroupsKept, fid.EdgesKept, fid.TSStride
+				prevGroups, prevEdges = fid.GroupsKept, fid.EdgesKept
 
 				checkBudgetQueries(t, baseTr, tr)
 				checkBudgetRoundTrip(t, baseTr, tr, got)
@@ -167,19 +166,7 @@ func checkBudgetQueries(t *testing.T, baseTr, tr *wet.Trace) {
 	w := tr.WET()
 	droppedGroup, _ := droppedSets(fid)
 
-	if fid.TSStride > 0 {
-		// Widened timestamps take out every timestamp-ordered query —
-		// quantized timestamps served as exact would be wrong data.
-		var ce *wet.CapabilityError
-		if _, err := tr.ExtractCFRange(1, tr.Time(), nil); !errors.As(err, &ce) {
-			t.Fatalf("widened trace: ExtractCFRange err = %v, want *CapabilityError", err)
-		} else if ce.Capability != wet.CapExactTS {
-			t.Fatalf("widened trace refused with capability %q", ce.Capability)
-		}
-		return
-	}
-
-	// Exact timestamps intact: the control-flow walk is identical.
+	// Timestamps are never degraded: the control-flow walk is identical.
 	var baseCF, gotCF uint64
 	baseH, gotH := uint64(14695981039346656037), uint64(14695981039346656037)
 	baseCF = baseTr.ExtractControlFlow(true, func(id int) { baseH = (baseH ^ uint64(id)) * 1099511628211 })
@@ -276,7 +263,7 @@ func checkBudgetRoundTrip(t *testing.T, baseTr, tr *wet.Trace, data []byte) {
 			t.Fatalf("%s open lost the fidelity report", mode)
 		}
 		if lf.BudgetBytes != fid.BudgetBytes || lf.FloorBytes != fid.FloorBytes ||
-			lf.AchievedBytes != fid.AchievedBytes || lf.TSStride != fid.TSStride ||
+			lf.AchievedBytes != fid.AchievedBytes ||
 			len(lf.DroppedGroups) != len(fid.DroppedGroups) || len(lf.DroppedEdges) != len(fid.DroppedEdges) {
 			t.Fatalf("%s open fidelity mismatch:\n built %s\nloaded %s", mode, fid, lf)
 		}

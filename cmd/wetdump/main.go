@@ -291,8 +291,8 @@ func epochSegStats(w *core.WET) []segStats {
 }
 
 // defAt finds the last def-port statement instance at the given timestamp.
-// On a budget-degraded trace with widened timestamps the exact-TS scan is
-// unanswerable; the capability panic surfaces as a typed error, not a crash.
+// On a lazily opened trace a timestamp stream whose deferred decode fails
+// surfaces as a typed error, not a crash.
 func defAt(w *core.WET, ts uint32) (in query.Instance, err error) {
 	defer core.RecoverTyped(&err)
 	for ni, n := range w.Nodes {

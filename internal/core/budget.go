@@ -34,9 +34,6 @@ const (
 	// CapDependences: dependence traversals over a dropped edge (slicing,
 	// chops, dependence chains that cross it).
 	CapDependences = "dependence-labels"
-	// CapExactTS: exact-timestamp queries (InstanceOfTS, slicing at a
-	// timestamp) once node timestamps are widened to a sampled stride.
-	CapExactTS = "exact-timestamps"
 	// CapTier1: any query asked at Tier1 of a trace that keeps tier 2 only.
 	// Tier 1 is what a single-epoch build keeps; a streamed build and an
 	// opened file have tier 2 only.
@@ -81,8 +78,8 @@ func RecoverTyped(err *error) {
 }
 
 // BudgetError reports a ByteBudget no degradation ladder can reach: even
-// with every value group and dependence edge dropped and timestamps at the
-// widest stride, the container still exceeds the budget.
+// with every value group and dependence edge dropped, the container still
+// exceeds the budget.
 type BudgetError struct {
 	// Budget is the requested ceiling, Floor the lossless container size,
 	// Best the smallest size the full ladder reached.
@@ -121,9 +118,6 @@ type FidelityReport struct {
 	FloorBytes    uint64 `json:"floor_bytes"`
 	AchievedBytes uint64 `json:"achieved_bytes"`
 
-	// TSStride > 0 means node timestamps were widened to multiples of it.
-	TSStride uint32 `json:"ts_stride,omitempty"`
-
 	// GroupsKept / EdgesKept count the streams still answering exactly
 	// (inferable edges, whose labels are implied, count as kept).
 	GroupsKept int `json:"groups_kept"`
@@ -143,7 +137,7 @@ type FidelityReport struct {
 // Degraded reports whether the freeze had to shed anything: false means
 // the container is byte-identical to an unbudgeted freeze.
 func (f *FidelityReport) Degraded() bool {
-	return f != nil && (f.TSStride > 0 || len(f.DroppedGroups) > 0 || len(f.DroppedEdges) > 0)
+	return f != nil && (len(f.DroppedGroups) > 0 || len(f.DroppedEdges) > 0)
 }
 
 func (f *FidelityReport) buildIndex() {
@@ -192,9 +186,6 @@ func (f *FidelityReport) Finish(totalGroups, totalEdges int) {
 	if len(f.DroppedEdges) > 0 {
 		f.LostCapabilities = append(f.LostCapabilities, CapDependences)
 	}
-	if f.TSStride > 0 {
-		f.LostCapabilities = append(f.LostCapabilities, CapExactTS)
-	}
 }
 
 func (f *FidelityReport) String() string {
@@ -212,9 +203,6 @@ func (f *FidelityReport) String() string {
 	if len(f.DroppedEdges) > 0 {
 		s += fmt.Sprintf("\n  dropped: %d dependence edges", len(f.DroppedEdges))
 	}
-	if f.TSStride > 0 {
-		s += fmt.Sprintf("\n  degraded: timestamps widened to stride %d", f.TSStride)
-	}
 	for _, c := range f.LostCapabilities {
 		s += fmt.Sprintf("\n  lost: %s", c)
 	}
@@ -231,10 +219,6 @@ const (
 	emptyStreamBytes   = 9 // Save size of stream.Empty()
 )
 
-// maxTSStride bounds the timestamp-widening rung: past 64Ki-timestamp
-// quantization the sampled sequence carries no useful order anyway.
-const maxTSStride = 1 << 16
-
 // budgetCandidate is one unit the ladder can shed: a value group, or a
 // dependence edge together with its share-closure (dropping an owner
 // drops every edge reading its labels).
@@ -249,9 +233,8 @@ type budgetCandidate struct {
 // WET must already be frozen (the measure oracle serializes it). Past the
 // lossless floor it descends the ordered lossy ladder — uncompressed-value
 // group streams (largest first), then dependence-edge label streams
-// (largest share-closure first), then timestamp widening to sampled
-// strides (single-epoch containers only) — mutating the WET in place and
-// recording every rung in w.Fidelity. Savings are computed exactly
+// (largest share-closure first), the same on both build routes — mutating
+// the WET in place and recording every rung in w.Fidelity. Savings are computed exactly
 // (stream.SaveSize of what each drop removes, minus the placeholder and
 // report-entry bytes it adds), so one projection pass per rung suffices;
 // the final size is re-measured and recorded as AchievedBytes.
@@ -295,17 +278,7 @@ func (w *WET) applyByteBudget(opts FreezeOptions) error {
 	}
 	// Rung 2: drop dependence edge label streams.
 	if projected > budget {
-		projected, err = w.dropEdges(projected, budget, fid)
-		if err != nil {
-			return err
-		}
-	}
-	// Rung 3: widen node timestamps to a sampled stride (single-epoch
-	// containers only: v4 segments store epoch-local timestamps whose
-	// re-based quantization would not round-trip).
-	if projected > budget && !w.Segmented() {
-		projected, err = w.widenTS(budget, fid)
-		if err != nil {
+		if err := w.dropEdges(projected, budget, fid); err != nil {
 			return err
 		}
 	}
@@ -471,7 +444,7 @@ func (w *WET) edgeClosure(i int, dependents map[int][]int) []int {
 
 // dropEdges descends rung 2: owners with the largest exact savings first,
 // each dragging its full share closure.
-func (w *WET) dropEdges(projected, budget uint64, fid *FidelityReport) (uint64, error) {
+func (w *WET) dropEdges(projected, budget uint64, fid *FidelityReport) error {
 	dependents := map[int][]int{}
 	for i, e := range w.Edges {
 		if e.SharedWith >= 0 {
@@ -490,7 +463,7 @@ func (w *WET) dropEdges(projected, budget uint64, fid *FidelityReport) (uint64, 
 		}
 		saved, err := edgeDropSavings(e)
 		if err != nil {
-			return 0, fmt.Errorf("core: budget planning: sizing edge %d: %w", i, err)
+			return fmt.Errorf("core: budget planning: sizing edge %d: %w", i, err)
 		}
 		perEdge[i] = saved
 	}
@@ -540,43 +513,5 @@ func (w *WET) dropEdges(projected, budget uint64, fid *FidelityReport) (uint64, 
 			projected -= saved - cost
 		}
 	}
-	return projected, nil
-}
-
-// widenTS descends rung 3: recompress every node's timestamp stream at
-// successively coarser strides until the measured container fits. The
-// sequence keeps its length — only resolution is lost — so loaders and
-// per-node Execs bookkeeping are untouched.
-func (w *WET) widenTS(budget uint64, fid *FidelityReport) (uint64, error) {
-	orig := make([][]uint32, len(w.Nodes))
-	for i, n := range w.Nodes {
-		if n.TS != nil {
-			orig[i] = n.TS
-		} else {
-			orig[i] = stream.Drain(n.TSS)
-		}
-	}
-	sc := stream.NewScratch()
-	defer sc.Release()
-	var size uint64
-	for stride := uint32(2); stride <= maxTSStride; stride *= 2 {
-		for i, n := range w.Nodes {
-			sampled := stream.SampleStride(orig[i], stride)
-			n.TSS = stream.CompressBestScratch(sampled, sc)
-			if n.TS != nil {
-				n.TS = sampled
-			}
-		}
-		w.TSStride = stride
-		fid.TSStride = stride
-		var err error
-		size, err = containerMeasure(w)
-		if err != nil {
-			return 0, fmt.Errorf("core: budget planning: measuring at ts stride %d: %w", stride, err)
-		}
-		if size <= budget {
-			return size, nil
-		}
-	}
-	return size, nil
+	return nil
 }

@@ -93,9 +93,9 @@ type FreezeOptions struct {
 	// size. A budget at or above the lossless floor changes nothing (the
 	// output stays byte-identical to an unbudgeted freeze); below it the
 	// freeze descends an ordered lossy ladder — drop uncompressed-value
-	// group streams, then dependence-edge label streams, then widen node
-	// timestamps to a sampled stride — until the measured size fits,
-	// recording every rung in the WET's FidelityReport (budget.go). A
+	// group streams, then dependence-edge label streams, the same on both
+	// build routes — until the measured size fits, recording every rung in
+	// the WET's FidelityReport (budget.go). A
 	// budget even the full ladder cannot reach fails the freeze with
 	// *BudgetError. 0 means unlimited.
 	ByteBudget uint64
@@ -136,7 +136,7 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 	w.frozen, w.report = true, r
 	if err := w.applyByteBudget(opts); err != nil {
 		w.frozen, w.report = false, nil
-		w.Fidelity, w.TSStride = nil, 0
+		w.Fidelity = nil
 		w.releasePartialTier2()
 		for _, n := range w.Nodes {
 			for _, g := range n.Groups {

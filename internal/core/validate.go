@@ -28,32 +28,21 @@ func (w *WET) Validate() error {
 			return err
 		}
 	}
-	// A budget-degraded WET relaxes the timestamp invariants: widened
-	// (stride-sampled) timestamps are non-decreasing per node, repeat
-	// across nodes, and no longer partition 1..Time, so only the range is
-	// checked. Dropped groups and edges carry placeholder (or no) streams
-	// and are skipped entirely — their capability checks live in the
-	// cursor factories.
-	sampled := w.TSStride > 0
+	// Dropped groups and edges of a budget-degraded WET carry placeholder
+	// (or no) streams and are skipped entirely — their capability checks
+	// live in the cursor factories.
 	seen := make(map[uint32]bool, w.Time)
 	for _, n := range w.Nodes {
 		if !w.Segmented() && (n.TSS == nil || n.TSS.Len() != n.Execs) {
 			return fmt.Errorf("core: node %d ts stream has %d entries, executed %d times", n.ID, seqLenOrZero(n), n.Execs)
 		}
-		tsc := w.ApproxTSSeq(n, Tier2)
+		tsc := w.TSSeq(n, Tier2)
 		if tsc.Len() != n.Execs {
 			return fmt.Errorf("core: node %d ts sequence has %d entries, executed %d times", n.ID, tsc.Len(), n.Execs)
 		}
 		last := uint32(0)
 		for i := 0; i < n.Execs; i++ {
 			ts := tsc.Next()
-			if sampled {
-				if ts < last || ts == 0 || ts > w.Time {
-					return fmt.Errorf("core: node %d sampled timestamp %d out of order or range", n.ID, ts)
-				}
-				last = ts
-				continue
-			}
 			if ts <= last || ts > w.Time {
 				return fmt.Errorf("core: node %d timestamp %d out of order or range", n.ID, ts)
 			}
@@ -91,7 +80,7 @@ func (w *WET) Validate() error {
 			}
 		}
 	}
-	if !sampled && uint32(len(seen)) != w.Time {
+	if uint32(len(seen)) != w.Time {
 		return fmt.Errorf("core: %d timestamps present, want %d", len(seen), w.Time)
 	}
 

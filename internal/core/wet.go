@@ -246,11 +246,6 @@ type WET struct {
 	// bytes are unchanged by the concurrency extension.
 	Conc *Conc
 
-	// TSStride > 0 means a byte-budgeted freeze widened the node timestamps
-	// to multiples of TSStride: exact-timestamp queries are unavailable
-	// (TSSeq panics with *CapabilityError; ApproxTSSeq reads the sampled
-	// sequence explicitly).
-	TSStride uint32
 	// Fidelity records what a byte-budgeted freeze kept, degraded, and
 	// dropped; nil when no ByteBudget was set.
 	Fidelity *FidelityReport
@@ -383,24 +378,7 @@ func newSeq(sl []uint32, st stream.Stream, tier Tier) Seq {
 // given tier. On a segmented WET the tier-2 cursor federates the per-epoch
 // segments (re-based to global time); tier-1 reads the builder's slices,
 // which only a single-epoch build keeps.
-//
-// On a budget-degraded WET whose timestamps were widened (TSStride > 0)
-// TSSeq panics with *CapabilityError: the exact values are gone and
-// answering from the sampled ones would silently be wrong. Callers that
-// want the sampled sequence use ApproxTSSeq.
 func (w *WET) TSSeq(n *Node, tier Tier) Seq {
-	if w.TSStride > 0 {
-		panic(&CapabilityError{Capability: CapExactTS,
-			Detail: fmt.Sprintf("timestamps widened to stride %d by a byte-budgeted freeze", w.TSStride)})
-	}
-	return w.ApproxTSSeq(n, tier)
-}
-
-// ApproxTSSeq is TSSeq without the exact-timestamp capability check: on a
-// budget-degraded WET it reads the stride-sampled sequence (each value
-// quantized to a multiple of WET.TSStride), and on an undegraded WET it is
-// identical to TSSeq. Callers own the approximation.
-func (w *WET) ApproxTSSeq(n *Node, tier Tier) Seq {
 	if tier == Tier2 && n.TSSegs != nil {
 		return newFedSeq(parts{wet: w, segs: &n.TSSegs, stride: w.EpochTS})
 	}

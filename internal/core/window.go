@@ -43,7 +43,7 @@ func NewWindow(s Seq) Window {
 // (nil: a buffer is allocated on the first read).
 func (w *WET) TSWindow(n *Node, tier Tier, buf []uint32) Window {
 	win := Window{span: span{parts: parts{wet: w, segs: &n.TSSegs, stride: w.EpochTS}}, byEpoch: true}
-	if tier != Tier2 || n.TSSegs == nil || w.TSStride > 0 {
+	if tier != Tier2 || n.TSSegs == nil {
 		win = NewWindow(w.TSSeq(n, tier))
 	}
 	win.v = buf
@@ -51,10 +51,9 @@ func (w *WET) TSWindow(n *Node, tier Tier, buf []uint32) Window {
 }
 
 // EdgeWindows returns windows over e's (dst, src) labels, read by epoch when
-// byEpoch is set on a segmented tier-2 WET with exact timestamps, and
-// otherwise over EdgeLabels.
+// byEpoch is set on a segmented tier-2 WET, and otherwise over EdgeLabels.
 func (w *WET) EdgeWindows(e *Edge, tier Tier, byEpoch bool) (dst, src Window) {
-	if byEpoch && tier == Tier2 && e.Segs != nil && w.TSStride == 0 && !e.Dropped {
+	if byEpoch && tier == Tier2 && e.Segs != nil && !e.Dropped {
 		dst = Window{span: span{parts: parts{wet: w, edge: e}}, byEpoch: true, ords: true}
 		return dst, Window{span: span{parts: parts{wet: w, edge: e, src: true}}, byEpoch: true}
 	}

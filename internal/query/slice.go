@@ -148,8 +148,7 @@ func (s *sweep) full() bool { return s.opts.MaxInstances > 0 && s.set.n >= s.opt
 // pick returns the live node whose latest pending execution, f.topOrd, is to
 // be expanded next: backward the one with the latest timestamp, forward any.
 // It returns nil when nothing is pending or the slice is full. Timestamps
-// are read through a window per node that follows the sweep down; only their
-// order matters here, and a budgeted freeze's widened ones keep it.
+// are read through a window per node that follows the sweep down.
 func (s *sweep) pick() (best *nodeSet) {
 	for i := len(s.live) - 1; i >= 0 && !s.full(); i-- {
 		f := s.live[i]
@@ -162,7 +161,7 @@ func (s *sweep) pick() (best *nodeSet) {
 		}
 		if ord != f.topOrd && s.back {
 			if f.ts.Len() == 0 {
-				f.ts = core.NewWindow(s.q.w.ApproxTSSeq(s.q.w.Nodes[f.id], s.q.tier))
+				f.ts = core.NewWindow(s.q.w.TSSeq(s.q.w.Nodes[f.id], s.q.tier))
 			}
 			f.topTS = f.ts.At(ord, true)
 		}

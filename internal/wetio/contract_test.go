@@ -384,3 +384,48 @@ func TestRetiredDiagonalFormRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestWidenedTimestampsRefused: a fidelity section whose tsStride is set
+// records timestamp widening, a retired budget rung that quantized every
+// node's timestamps. A strict load refuses it with a *FormatError at the
+// fidelity section naming the stride, and salvage refuses the whole file:
+// dropping the section alone would load the quantized timestamps as exact.
+func TestWidenedTimestampsRefused(t *testing.T) {
+	floor := uint64(len(savedWET(t, "li")))
+	w := buildFrozenWith(t, "li", core.FreezeOptions{ByteBudget: floor * 7 / 10})
+	if !w.Fidelity.Degraded() {
+		t.Fatalf("a budget of 70%% of the floor degraded nothing: %s", w.Fidelity)
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, w); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	mustLoad(t, data)
+	secs := mustScan(t, data)
+	idx := -1
+	for i, s := range secs {
+		if s.tag == secFidelity {
+			idx = i
+		}
+	}
+	if idx < 0 {
+		t.Fatal("the degraded container has no fidelity section")
+	}
+	// Fidelity payload: budget, floor and achieved u64, then tsStride u32.
+	payload := bytes.Clone(secs[idx].payload)
+	if got := binary.LittleEndian.Uint32(payload[24:]); got != 0 {
+		t.Fatalf("written tsStride is %d, want 0", got)
+	}
+	binary.LittleEndian.PutUint32(payload[24:], 4)
+	forged := withPayload(t, data, idx, payload)
+
+	_, err := Load(bytes.NewReader(forged), LoadOptions{})
+	var fe *FormatError
+	if !errors.As(err, &fe) || fe.Section != "fidelity" || fe.Offset != secs[idx].offset || !strings.Contains(err.Error(), "tsStride is 4") {
+		t.Fatalf("strict load returned %v, want a *FormatError at the fidelity section (offset %d) naming stride 4", err, secs[idx].offset)
+	}
+	if got, _, err := LoadWithReport(bytes.NewReader(forged), LoadOptions{Salvage: true}); err == nil || got != nil {
+		t.Fatalf("salvage load returned a trace (%v) and error %v, want no trace and an error", got != nil, err)
+	}
+}

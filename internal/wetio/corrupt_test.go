@@ -25,6 +25,13 @@ import (
 // buildFrozenTB is buildFrozen for any testing.TB (fuzz seeding included).
 func buildFrozenTB(tb testing.TB, name string) *core.WET {
 	tb.Helper()
+	return buildFrozenWith(tb, name, core.FreezeOptions{})
+}
+
+// buildFrozenWith builds one workload at scale 1, single-epoch, and freezes
+// it under opts.
+func buildFrozenWith(tb testing.TB, name string, opts core.FreezeOptions) *core.WET {
+	tb.Helper()
 	wl, err := workload.ByName(name)
 	if err != nil {
 		tb.Fatal(err)
@@ -38,7 +45,7 @@ func buildFrozenTB(tb testing.TB, name string) *core.WET {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := w.FreezeErr(core.FreezeOptions{}); err != nil {
+	if _, err := w.FreezeErr(opts); err != nil {
 		tb.Fatal(err)
 	}
 	return w

@@ -14,10 +14,15 @@ package wetio
 //	dropped groups: count u32, then per entry node u32, group u32, saved u64
 //	dropped edges:  count u32, then per entry edge u32, saved u64
 //
+// tsStride is always 0: it recorded timestamp widening, a retired rung
+// that quantized every node's timestamps, and readers refuse a file that
+// sets it (errWidenedTS).
+//
 // (These widths are mirrored by core's fidSectionBytes / fidGroupEntryBytes
 // / fidEdgeEntryBytes projection constants.)
 
 import (
+	"errors"
 	"fmt"
 
 	"wet/internal/core"
@@ -54,7 +59,7 @@ func saveFidelityPayload(w *wire.Enc, f *core.FidelityReport) {
 	w.U64(f.BudgetBytes)
 	w.U64(f.FloorBytes)
 	w.U64(f.AchievedBytes)
-	w.U32(f.TSStride)
+	w.U32(0) // tsStride: the retired timestamp widening
 	w.U32(uint32(f.GroupsKept))
 	w.U32(uint32(f.EdgesKept))
 	w.U32(uint32(len(f.DroppedGroups)))
@@ -70,16 +75,22 @@ func saveFidelityPayload(w *wire.Enc, f *core.FidelityReport) {
 	}
 }
 
+// errWidenedTS refuses a fidelity section whose tsStride is set: the file's
+// node records hold timestamps quantized by the retired widening rung, so
+// no load, salvage included, may read them as exact.
+var errWidenedTS = errors.New("timestamp widening is retired: this file's node timestamps are quantized, not exact")
+
 // parseFidelitySec deserializes the fidelity section. Entries are bounds
 // checked against the header counts here; the per-record validation they
 // relax happens in the node/edge parsers consulting the returned report.
 func parseFidelitySec(s *section, hdr header) (fid *core.FidelityReport, err error) {
 	err = guard("fidelity", -1, s.offset, func() error {
 		d := wire.NewDec(s.payload)
-		f := &core.FidelityReport{
-			BudgetBytes: d.U64(), FloorBytes: d.U64(), AchievedBytes: d.U64(),
-			TSStride: d.U32(), GroupsKept: int(d.U32()), EdgesKept: int(d.U32()),
+		f := &core.FidelityReport{BudgetBytes: d.U64(), FloorBytes: d.U64(), AchievedBytes: d.U64()}
+		if stride := d.U32(); stride != 0 {
+			return fmt.Errorf("tsStride is %d: %w", stride, errWidenedTS)
 		}
+		f.GroupsKept, f.EdgesKept = int(d.U32()), int(d.U32())
 		for n := d.Count(16); n > 0; n-- {
 			g := core.DroppedGroup{Node: int(d.U32()), Group: int(d.U32()), SavedBytes: d.U64()}
 			if g.Node >= hdr.nNodes {
@@ -103,10 +114,9 @@ func parseFidelitySec(s *section, hdr header) (fid *core.FidelityReport, err err
 	return fid, err
 }
 
-// installFidelity attaches a parsed fidelity report to an assembled WET:
-// the stride gates exact-timestamp queries, and the summary fields are
-// rederived from the (possibly salvage-filtered) drop lists rather than
-// trusted from the file.
+// installFidelity attaches a parsed fidelity report to an assembled WET,
+// rederiving the summary fields from the (possibly salvage-filtered) drop
+// lists rather than trusting them from the file.
 func installFidelity(wet *core.WET, fid *core.FidelityReport) {
 	totalGroups := 0
 	for _, n := range wet.Nodes {
@@ -114,5 +124,4 @@ func installFidelity(wet *core.WET, fid *core.FidelityReport) {
 	}
 	fid.Finish(totalGroups, len(wet.Edges))
 	wet.Fidelity = fid
-	wet.TSStride = fid.TSStride
 }

@@ -1,6 +1,7 @@
 package wetio
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -137,9 +138,14 @@ func parse(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool) (*core
 	// The fidelity section's drop lists steer the record parsers below. A
 	// salvage load that loses it drops the budget-degraded records like any
 	// other damaged section — still the maximal loadable subset, just a
-	// smaller one.
+	// smaller one. A section recording the retired timestamp widening is
+	// refused by salvage too: every node record of that file holds
+	// quantized timestamps, which would otherwise load as exact.
 	if fs := one[secFidelity]; fs != nil {
 		if opts.fid, err = parseFidelitySec(fs, hdr); err != nil {
+			if errors.Is(err, errWidenedTS) {
+				return nil, nil, err
+			}
 			if err := damage(fs, err); err != nil {
 				return nil, nil, err
 			}
@@ -273,7 +279,7 @@ func parse(secs []section, opts LoadOptions, rep *SalvageReport, v4 bool) (*core
 	if opts.fid != nil {
 		f := &core.FidelityReport{
 			BudgetBytes: opts.fid.BudgetBytes, FloorBytes: opts.fid.FloorBytes,
-			AchievedBytes: opts.fid.AchievedBytes, TSStride: opts.fid.TSStride,
+			AchievedBytes: opts.fid.AchievedBytes,
 		}
 		for _, d := range opts.fid.DroppedGroups {
 			if d.Node < len(wet.Nodes) {

@@ -113,8 +113,8 @@ func WithEpochTS(n uint32) RunOption {
 // size of the frozen trace. A budget at or above the lossless floor changes
 // nothing — the container stays byte-identical to an unbudgeted run. Below
 // the floor, the freeze descends an ordered lossy ladder — uncompressed-
-// value group streams first, then dependence-edge labels, then widening
-// node timestamps to a sampled stride — until the projected size fits, and
+// value group streams first, then dependence-edge labels, the same on
+// both build routes — until the projected size fits, and
 // records exactly what it shed in the trace's FidelityReport
 // (Trace.Fidelity, serialized with the container). Queries over kept
 // streams stay exact; queries needing dropped data fail with a typed

@@ -43,10 +43,10 @@ func auditKeys(v any, path string, bad *[]string) {
 func TestReportFamilyJSONCasing(t *testing.T) {
 	fidelity := &wet.FidelityReport{
 		BudgetBytes: 1 << 20, FloorBytes: 1 << 21, AchievedBytes: 1<<20 - 7,
-		TSStride: 16, GroupsKept: 3, EdgesKept: 4,
+		GroupsKept: 3, EdgesKept: 4,
 		DroppedGroups:    []wet.DroppedGroup{{Node: 1, Group: 2, SavedBytes: 900}},
 		DroppedEdges:     []wet.DroppedEdge{{Edge: 5, SavedBytes: 400}},
-		LostCapabilities: []string{wet.CapValues, wet.CapDependences, wet.CapExactTS},
+		LostCapabilities: []string{wet.CapValues, wet.CapDependences},
 	}
 	salvage := &wet.SalvageReport{
 		Version: 4, SectionsRead: 6, SectionsDropped: 1, BytesSkipped: 512,

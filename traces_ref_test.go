@@ -253,8 +253,8 @@ func TestTracesRefuseTyped(t *testing.T) {
 
 	full := saveBytes(t, runWorkload(t, "mcf"))
 	budgeted := runWorkload(t, "mcf", wet.WithByteBudget(uint64(len(full))*3/10))
-	if len(budgeted.Fidelity().DroppedGroups) == 0 || budgeted.Fidelity().TSStride > 0 {
-		t.Fatalf("want dropped groups and exact timestamps, got %s", budgeted.Fidelity())
+	if len(budgeted.Fidelity().DroppedGroups) == 0 {
+		t.Fatalf("want dropped groups, got %s", budgeted.Fidelity())
 	}
 	if refused, answered := refusals(budgeted, new(*wet.CapabilityError)); refused == 0 || answered == 0 {
 		t.Fatalf("budgeted trace: %d refusals, %d answers; want both", refused, answered)

@@ -252,23 +252,22 @@ type (
 // CapabilityError is the typed refusal of a query that needs data the trace
 // does not hold: a trace answers what it can and refuses — typed, never
 // wrong — what it cannot. The Capability field holds the stable identifier
-// (CapValues, CapDependences, CapExactTS, CapTier1) that was lost.
+// (CapValues, CapDependences, CapTier1) that was lost.
 type CapabilityError = query.CapabilityError
 
 // Capability identifiers. A byte-budgeted freeze can trade away the first
-// three; they appear in FidelityReport.LostCapabilities and
+// two; they appear in FidelityReport.LostCapabilities and
 // CapabilityError. CapTier1 is refused at Tier1 of a trace that keeps tier
 // 2 only: a streamed build (WithEpochTS) or an opened file.
 const (
 	CapValues      = core.CapValues
 	CapDependences = core.CapDependences
-	CapExactTS     = core.CapExactTS
 	CapTier1       = core.CapTier1
 )
 
 // BudgetError reports a WithByteBudget ceiling no degradation ladder can
-// reach: even with every droppable stream shed and timestamps at the
-// widest stride, the container still exceeds the budget.
+// reach: even with every droppable stream shed, the container still
+// exceeds the budget.
 type BudgetError = core.BudgetError
 
 // DecodeError reports a lazily opened stream whose deferred decode failed
