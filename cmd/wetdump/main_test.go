@@ -53,6 +53,29 @@ func savedLi(t *testing.T, dir string) (good, cut, flipped string) {
 	return good, cut, write("flipped.wet", data)
 }
 
+// savedBudgetedMcf writes mcf under a 60 KiB byte budget, which drops value
+// groups and dependence edges, to dir and returns the path.
+func savedBudgetedMcf(t *testing.T, dir string) string {
+	t.Helper()
+	wl, err := wet.WorkloadByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, in := wl.Build(1)
+	tr, _, err := wet.Run(prog, wet.WithInputs(in...), wet.WithByteBudget(60<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Fidelity().DroppedEdges) == 0 {
+		t.Fatalf("a 60 KiB budget dropped no edge: %s", tr.Fidelity())
+	}
+	path := filepath.Join(dir, "mcfb.wet")
+	if err := wet.SaveFile(path, tr.WET()); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestRun pins wetdump's exit code for each command line, and the lines
 // that say why: the salvage report on stderr, the verdict that ends a
 // -verify walk, the slice written as DOT or the reason there is none.
@@ -60,6 +83,7 @@ func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	good, cut, flipped := savedLi(t, dir)
 	dot := filepath.Join(dir, "slice.dot")
+	budgeted := savedBudgetedMcf(t, dir)
 	for _, c := range []struct {
 		args     []string
 		code     int
@@ -71,6 +95,8 @@ func TestRun(t *testing.T) {
 		{[]string{"-salvage", cut}, cliutil.ExitSalvaged, "", "salvage:"},
 		{[]string{"-verify", flipped}, cliutil.ExitIntegrity, "FAILED: 1 bad sections", ""},
 		{[]string{"-verify", good}, cliutil.ExitOK, "", ""},
+		{[]string{"-verify", "-semantic", budgeted}, cliutil.ExitOK,
+			"semantics: ok (14 nodes, 556 edges, 41617 labels, 9478 transitions certified)", ""},
 		{[]string{"-slice-ts", "4000", "-dot", dot, good}, cliutil.ExitOK, "wrote " + dot, ""},
 		{[]string{"-slice-ts", "999999", good}, cliutil.ExitError, "", "no def statement executed at ts 999999"},
 		{[]string{"-slice-ts", "4294967296", good}, cliutil.ExitUsage, "", `invalid value "4294967296" for flag -slice-ts: value out of range`},

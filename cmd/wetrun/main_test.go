@@ -2,36 +2,50 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"wet/internal/cliutil"
 )
 
-// TestRun pins wetrun's exit code and the first line it writes for each
-// command line.
+// TestRun pins wetrun's exit code, the first line it writes to each stream
+// and, where given, one line its stdout must hold, for each command line.
 func TestRun(t *testing.T) {
-	const liLine = "benchmark    li (130.li — bytecode interpretation (lisp interpreter))"
+	const (
+		liLine  = "benchmark    li (130.li — bytecode interpretation (lisp interpreter))"
+		mcfLine = "benchmark    mcf (181.mcf — network-simplex-like arc relaxation, pointer chasing)"
+	)
+	saved := filepath.Join(t.TempDir(), "mcfb.wet")
 	for _, c := range []struct {
 		args   []string
 		code   int
 		stdout string // first line of stdout, "" for none
 		stderr string // first line of stderr, "" for none
+		holds  string // a line stdout must hold, "" for any
 	}{
 		{[]string{"-bench", "li", "-stmts", "20000", "-ir"}, cliutil.ExitOK,
-			"func main(params=0 regs=21):", ""},
+			"func main(params=0 regs=21):", "", ""},
 		{[]string{"-budget", "nonsense"}, cliutil.ExitUsage,
-			"", `wetrun: bad byte size "nonsense"`},
+			"", `wetrun: bad byte size "nonsense"`, ""},
 		{[]string{"-conc", "-bench", "li-conc-racy", "-budget", "1MiB"}, cliutil.ExitUsage,
-			"", "wetrun: -budget is not supported with -conc"},
+			"", "wetrun: -budget is not supported with -conc", ""},
 		{[]string{"-bench", "li", "-stmts", "20000"}, cliutil.ExitOK,
-			liLine, ""},
+			liLine, "", ""},
 		{[]string{"-bench", "li", "-stmts", "20000", "-epoch", "4294967296"}, cliutil.ExitUsage,
-			"", `invalid value "4294967296" for flag -epoch: value out of range`},
+			"", `invalid value "4294967296" for flag -epoch: value out of range`, ""},
 		{[]string{"-bench", "li", "-stmts", "20000", "-epoch", "4294967295"}, cliutil.ExitOK,
-			liLine, ""},
+			liLine, "", ""},
 		{[]string{"-bench", "li", "-stmts", "20000", "-certify"}, cliutil.ExitOK,
-			"certified: trace is semantically consistent with its program", ""},
+			"certified: trace is semantically consistent with its program", "", ""},
+		{[]string{"-bench", "mcf", "-stmts", "30000", "-budget", "60KiB"}, cliutil.ExitOK,
+			mcfLine, "", "byte budget 61440 B: lossless floor 375180 B, achieved 61166 B"},
+		{[]string{"-bench", "mcf", "-stmts", "30000", "-budget", "36KiB"}, cliutil.ExitError,
+			"", "wetrun: core: byte budget 36864 B unreachable: lossless floor 375180 B, full degradation ladder still 37892 B", ""},
+		// A budget that drops dependence edges: the verifier certifies what
+		// the trace kept.
+		{[]string{"-bench", "mcf", "-stmts", "30000", "-budget", "60KiB", "-certify", "-o", saved}, cliutil.ExitOK,
+			"certified: trace is semantically consistent with its program", "", "  dropped: 12 dependence edges"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)
@@ -45,6 +59,9 @@ func TestRun(t *testing.T) {
 			if first, _, _ := strings.Cut(out.got, "\n"); first != out.want {
 				t.Errorf("%s: first %s line %q, want %q", what, out.name, first, out.want)
 			}
+		}
+		if c.holds != "" && !strings.Contains("\n"+stdout.String(), "\n"+c.holds+"\n") {
+			t.Errorf("%s: stdout holds no line %q", what, c.holds)
 		}
 	}
 }

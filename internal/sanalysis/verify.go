@@ -393,6 +393,12 @@ func (v *verifier) checkEdge(idx int, e *core.Edge) {
 		}
 	}
 
+	// A byte-budgeted freeze dropped this edge's labels: only its static
+	// endpoints, checked above, remain to certify (as core.Validate does).
+	if e.Dropped {
+		return
+	}
+
 	// (d): inferable edges carry no labels; certify them from static
 	// sole-source facts instead.
 	if e.Inferable {
