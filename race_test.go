@@ -72,3 +72,49 @@ func TestRaceReportCrossTierAndOpenPath(t *testing.T) {
 		})
 	}
 }
+
+// TestRaceReportUnderByteBudget: a byte budget below a concurrent trace's
+// lossless floor degrades it on both build routes, the degraded container
+// survives a strict save and open and validates, and the race report of
+// the reopened trace is the unbudgeted one. The ladder drops value groups
+// and dependence labels only; the race detector reads neither.
+func TestRaceReportUnderByteBudget(t *testing.T) {
+	wl, err := workload.ConcByName("li-conc-racy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, in := wl.Build(1)
+	for _, epochTS := range []uint32{0, 1 << 8} {
+		run := func(opts ...wet.RunOption) *wet.Trace {
+			tr, _, err := wet.Run(prog, append([]wet.RunOption{wet.WithInputs(in...), wet.WithEpochTS(epochTS)}, opts...)...)
+			if err != nil {
+				t.Fatalf("epoch %d: %v", epochTS, err)
+			}
+			return tr
+		}
+		base := run()
+		want, err := base.Races()
+		if err != nil || !want.Racy() {
+			t.Fatalf("epoch %d: unbudgeted report %+v, error %v; want races", epochTS, want, err)
+		}
+		floor := uint64(len(saveBytes(t, base)))
+		tr := run(wet.WithByteBudget(floor * 85 / 100))
+		if fid := tr.Fidelity(); !fid.Degraded() {
+			t.Fatalf("epoch %d: a budget of 85%% of the floor (%d B) degraded nothing", epochTS, floor)
+		}
+		loaded, _, err := wet.Open(bytes.NewReader(saveBytes(t, tr)))
+		if err != nil {
+			t.Fatalf("epoch %d: strict open: %v", epochTS, err)
+		}
+		if err := loaded.WET().Validate(); err != nil {
+			t.Fatalf("epoch %d: reopened trace: %v", epochTS, err)
+		}
+		got, err := loaded.Races()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Races, got.Races) {
+			t.Fatalf("epoch %d: budgeted report differs:\n%v\n%v", epochTS, got.Races, want.Races)
+		}
+	}
+}
