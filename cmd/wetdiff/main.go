@@ -19,8 +19,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"wet/internal/cliutil"
@@ -29,19 +31,25 @@ import (
 	"wet/internal/wetio"
 )
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "wetdiff:", err)
-	os.Exit(cliutil.ExitError)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	top := flag.Int("top", 15, "number of diverging statements to list")
-	salvage := flag.Bool("salvage", false, "recover what damaged inputs still hold")
-	timeout := flag.Duration("timeout", 0, "abort after this duration (exit code 5); 0 = no limit")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: wetdiff [-salvage] a.wet b.wet")
-		os.Exit(cliutil.ExitUsage)
+// run is the command with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wetdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 15, "number of diverging statements to list")
+	salvage := fs.Bool("salvage", false, "recover what damaged inputs still hold")
+	timeout := fs.Duration("timeout", 0, "abort after this duration (exit code 5); 0 = no limit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cliutil.ExitOK
+		}
+		return cliutil.ExitUsage
+	}
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: wetdiff [-salvage] a.wet b.wet")
+		return cliutil.ExitUsage
 	}
 	// ^C or -timeout expiry cancels whichever load is in flight; a cancelled
 	// run exits with code 5, not an integrity code.
@@ -50,35 +58,36 @@ func main() {
 	opts := wetio.LoadOptions{Ctx: ctx, Salvage: *salvage}
 	// Nest the two loads so either file's integrity failure surfaces with
 	// its own exit code, and a lossy salvage of either raises 0 to 4.
-	os.Exit(cliutil.LoadWET(os.Stderr, "wetdiff", flag.Arg(0), opts, func(a *core.WET) int {
-		return cliutil.LoadWET(os.Stderr, "wetdiff", flag.Arg(1), opts, func(b *core.WET) int {
-			return diff(a, b, *top)
+	return cliutil.LoadWET(stderr, "wetdiff", fs.Arg(0), opts, func(a *core.WET) int {
+		return cliutil.LoadWET(stderr, "wetdiff", fs.Arg(1), opts, func(b *core.WET) int {
+			return diff(stdout, stderr, a, b, *top)
 		})
-	}))
+	})
 }
 
-func diff(a, b *core.WET, top int) int {
+func diff(stdout, stderr io.Writer, a, b *core.WET, top int) int {
 	d, err := query.DiffWETs(a, b)
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(stderr, "wetdiff:", err)
+		return cliutil.ExitError
 	}
 
-	fmt.Printf("run A: %d statements, %d path execs%s   run B: %d statements, %d path execs%s\n",
+	fmt.Fprintf(stdout, "run A: %d statements, %d path execs%s   run B: %d statements, %d path execs%s\n",
 		a.Raw.StmtExecs, a.Raw.PathExecs, epochInfo(a), b.Raw.StmtExecs, b.Raw.PathExecs, epochInfo(b))
-	fmt.Printf("paths: %d shared, %d only in A, %d only in B\n\n",
+	fmt.Fprintf(stdout, "paths: %d shared, %d only in A, %d only in B\n\n",
 		d.SharedPaths, d.PathsOnlyA, d.PathsOnlyB)
 
 	if len(d.Stmts) == 0 {
-		fmt.Println("no per-statement behaviour differences")
+		fmt.Fprintln(stdout, "no per-statement behaviour differences")
 		return cliutil.ExitOK
 	}
-	fmt.Printf("diverging statements (%d total, top %d by execution delta):\n", len(d.Stmts), top)
-	fmt.Printf("%-34s %10s %10s %9s %9s\n", "statement", "execs A", "execs B", "uniq A", "uniq B")
+	fmt.Fprintf(stdout, "diverging statements (%d total, top %d by execution delta):\n", len(d.Stmts), top)
+	fmt.Fprintf(stdout, "%-34s %10s %10s %9s %9s\n", "statement", "execs A", "execs B", "uniq A", "uniq B")
 	for i, sd := range d.Stmts {
 		if i >= top {
 			break
 		}
-		fmt.Printf("%-34s %10d %10d %9d %9d\n",
+		fmt.Fprintf(stdout, "%-34s %10d %10d %9d %9d\n",
 			a.Prog.Stmts[sd.StmtID], sd.ExecsA, sd.ExecsB, sd.UniqueA, sd.UniqueB)
 	}
 	return cliutil.ExitOK
