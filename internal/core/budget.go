@@ -234,10 +234,11 @@ type budgetCandidate struct {
 // lossless floor it descends the ordered lossy ladder — uncompressed-value
 // group streams (largest first), then dependence-edge label streams
 // (largest share-closure first), the same on both build routes — mutating
-// the WET in place and recording every rung in w.Fidelity. Savings are computed exactly
-// (stream.SaveSize of what each drop removes, minus the placeholder and
-// report-entry bytes it adds), so one projection pass per rung suffices;
-// the final size is re-measured and recorded as AchievedBytes.
+// the WET in place and recording every rung in w.Fidelity. Savings are
+// computed exactly (stream.SaveSize of what each drop removes, minus the
+// placeholder and report-entry bytes it adds), so one projection pass per
+// rung suffices; the final size is re-measured and recorded as
+// AchievedBytes.
 //
 // A nil error with opts.ByteBudget == 0 is the no-op fast path. On error
 // the caller unfreezes and releases per the FreezeErr contract.
