@@ -375,8 +375,9 @@ func BenchmarkTable9Slices(b *testing.B) {
 }
 
 // BenchmarkSliceBatch is the bench's slice op in-process: backward slices of
-// 4 criteria on li and 6 on gzip at tier 2, and under /forward the forward
-// slices of the same criteria capped at 300 instances (its alternate op).
+// 4 criteria on li and 6 on gzip at tier 2, under /forward the forward
+// slices of the same criteria capped at 300 instances (its alternate op), and
+// under /forward_all the same forward slices uncapped.
 func BenchmarkSliceBatch(b *testing.B) {
 	type job struct {
 		tr   *wet.Trace
@@ -396,6 +397,7 @@ func BenchmarkSliceBatch(b *testing.B) {
 	}{
 		{"backward", func(tr *wet.Trace, c wet.Instance) (*wet.SliceResult, error) { return tr.Backward(c, 0) }},
 		{"forward", func(tr *wet.Trace, c wet.Instance) (*wet.SliceResult, error) { return tr.Forward(c, 300) }},
+		{"forward_all", func(tr *wet.Trace, c wet.Instance) (*wet.SliceResult, error) { return tr.Forward(c, 0) }},
 	} {
 		b.Run(dir.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -413,6 +415,30 @@ func BenchmarkSliceBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instances), "ns/instance")
 		})
+	}
+}
+
+// BenchmarkForwardSlices times forwardCriteria's six forward slices, one op
+// per batch, on every workload at scale 1: built in one epoch and streamed in
+// epochs of 256 and 4096 timestamps, capped at 300 instances and uncapped.
+// EXPERIMENTS.md's forward-slice table is its ns/op.
+func BenchmarkForwardSlices(b *testing.B) {
+	for _, wl := range workload.All() {
+		for _, epochTS := range []uint32{0, 256, 4096} {
+			tr := runWorkload(b, wl.Name, wet.WithEpochTS(epochTS))
+			crit := forwardCriteria(b, tr)
+			for _, limit := range []int{300, 0} {
+				b.Run(fmt.Sprintf("%s/epoch=%d/cap=%d", wl.Name, epochTS, limit), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for _, c := range crit {
+							if _, err := tr.Forward(c, limit); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -134,7 +134,7 @@ func countSymmetry(t *testing.T) symmetryCounts {
 	c.SliceBatch, _ = sliceBatch(t, runWorkload(t, "li"))
 	for _, tr := range []*wet.Trace{runWorkload(t, "li"), reopenedLi(t)} {
 		for _, limit := range []int{300, 0} {
-			got, _ := forwardSlices(t, tr, limit)
+			got, _, _ := forwardSlices(t, tr, limit)
 			c.ForwardSlices = append(c.ForwardSlices, got)
 		}
 	}

@@ -2,8 +2,8 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 
 	"wet/internal/core"
 )
@@ -77,55 +77,46 @@ func BackwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int)
 // criterion and the cap alone, the same at either tier and however the trace
 // was opened.
 func BackwardSliceOpts(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (*SliceResult, error) {
-	res, _, err := runSweep(w, tier, from, opts, true)
+	res, _, err := runSweep(w, tier, from, opts)
 	return res, err
 }
 
 // ForwardSlice computes the forward WET slice: every instance whose
-// computation was influenced by the given instance, ordered and capped as
-// BackwardSliceOpts documents. Deferred-decode failures surface as a
-// *stream.DecodeError, not a panic.
+// computation was influenced by the given instance, ordered as BackwardSliceOpts
+// documents; capped, the criterion and the maxInstances-1 members that executed
+// first, by (timestamp, position). Decode failures surface as *stream.DecodeError.
 func ForwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int) (*SliceResult, error) {
-	res, _, err := runSweep(w, tier, from, SliceOptions{MaxInstances: maxInstances}, false)
+	res, _, err := runWalk(w, tier, from, maxInstances)
 	return res, err
 }
 
-// sweep is one slice traversal. Reached instances wait as pending bits of an
-// instSet until they are expanded along their dependence edges, one node
-// execution at a time.
+// sweep is one backward slice traversal. Reached instances wait as pending
+// bits of an instSet until they are expanded along their dependence edges,
+// one node execution at a time.
 //
-// A backward sweep takes executions in descending timestamp order: always the
-// latest one pending in any node (a k-way pick over the nodes holding some,
-// as mergeSamples picks over occurrences). A dependence reaches back in time,
-// so whatever an expansion finds lies below the sweep line: each node's
+// The sweep takes executions in descending timestamp order: always the latest
+// one pending in any node (a k-way pick over the nodes holding some, as
+// mergeSamples picks over occurrences). A dependence reaches back in time, so
+// whatever an expansion finds lies below the sweep line: each node's
 // executions, and with them the destination ordinals each edge is asked for,
 // only descend, and an edge's window answers them in one backward pass over
-// its labels. A forward sweep reads inverted edges (fanout), which do not care
-// about order, and takes the latest pending execution of any one node.
-//
-// Nothing here depends on the tier or on how streams are stored, so neither
-// does the order instances are reached in, which is what a cap cuts short.
+// its labels.
 type sweep struct {
 	q    *qctx
-	back bool
 	opts SliceOptions
 	set  *instSet
 	live []*nodeSet // nodes holding pending instances
-	fan  [][]uint64 // forward: inverted edges by edge index, built on first touch
 	res  *SliceResult
 }
 
-// runSweep slices from one criterion and returns the slice, materialised
-// once at its exact size, and the set holding its instances.
-func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions, back bool) (res *SliceResult, set *instSet, err error) {
+// runSweep slices backward from one criterion and returns the slice,
+// materialised once at its exact size, and the set holding its instances.
+func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (res *SliceResult, set *instSet, err error) {
 	defer core.RecoverTyped(&err)
 	if err := checkInstance(w, from); err != nil {
 		return nil, nil, err
 	}
-	s := &sweep{q: newCtx(w, tier), back: back, opts: opts, set: newInstSet(w), res: &SliceResult{Criterion: from}}
-	if !back {
-		s.fan = make([][]uint64, len(w.Edges))
-	}
+	s := &sweep{q: newCtx(w, tier), opts: opts, set: newInstSet(w), res: &SliceResult{Criterion: from}}
 	s.reach(from.Node, from.Pos, from.Ord)
 	s.res.Edges = 0 // the criterion is reached along no edge
 	for f := s.pick(); f != nil; f = s.pick() {
@@ -134,21 +125,26 @@ func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions, bac
 			s.expand(w.Nodes[f.id], f.popAt(f.topOrd), f.topOrd, f.topTS)
 		}
 	}
-	s.res.Instances = append(make([]Instance, 0, s.set.n), from)
-	s.set.each(func(in Instance) {
-		if in != from {
-			s.res.Instances = append(s.res.Instances, in)
+	return s.set.result(s.res), s.set, nil
+}
+
+// result fills res.Instances: the criterion, then the rest in (Node, Ord, Pos) order.
+func (s *instSet) result(res *SliceResult) *SliceResult {
+	res.Instances = append(make([]Instance, 0, s.n), res.Criterion)
+	s.each(func(in Instance) {
+		if in != res.Criterion {
+			res.Instances = append(res.Instances, in)
 		}
 	})
-	return s.res, s.set, nil
+	return res
 }
 
 func (s *sweep) full() bool { return s.opts.MaxInstances > 0 && s.set.n >= s.opts.MaxInstances }
 
-// pick returns the live node whose latest pending execution, f.topOrd, is to
-// be expanded next: backward the one with the latest timestamp, forward any.
-// It returns nil when nothing is pending or the slice is full. Timestamps
-// are read through a window per node that follows the sweep down.
+// pick returns the live node whose latest pending execution, f.topOrd, has
+// the latest timestamp: the next to be expanded. It returns nil when nothing
+// is pending or the slice is full. Timestamps are read through a window per
+// node that follows the sweep down.
 func (s *sweep) pick() (best *nodeSet) {
 	for i := len(s.live) - 1; i >= 0 && !s.full(); i-- {
 		f := s.live[i]
@@ -159,7 +155,7 @@ func (s *sweep) pick() (best *nodeSet) {
 			s.live = s.live[:len(s.live)-1]
 			continue
 		}
-		if ord != f.topOrd && s.back {
+		if ord != f.topOrd {
 			if f.ts.Len() == 0 {
 				f.ts = core.NewWindow(s.q.w.TSSeq(s.q.w.Nodes[f.id], s.q.tier))
 			}
@@ -172,29 +168,14 @@ func (s *sweep) pick() (best *nodeSet) {
 	return best
 }
 
-// expand follows the dependence edges of one instance, executed at ts.
+// expand follows the dependence edges into one instance, executed at ts.
 func (s *sweep) expand(n *core.Node, pos, ord int, ts uint32) {
 	w := s.q.w
-	edges := n.OutEdges[pos]
-	if s.back {
-		edges = n.InEdges[pos]
-	}
-	for _, ei := range edges {
-		e := w.Edges[ei]
-		switch {
-		case !s.back && e.Inferable:
-			s.reach(e.DstNode, e.DstPos, ord)
-		case !s.back:
-			f := s.fanout(ei)
-			for i, _ := slices.BinarySearch(f, uint64(ord)<<32); i < len(f) && int(f[i]>>32) == ord; i++ {
-				s.reach(e.DstNode, e.DstPos, int(uint32(f[i])))
-			}
-		case s.opts.cdPruned(w, e):
+	for _, ei := range n.InEdges[pos] {
+		if e := w.Edges[ei]; s.opts.cdPruned(w, e) {
 			s.res.PrunedCD++
-		default:
-			if sord := s.q.srcOrd(ei, ord, ts); sord >= 0 {
-				s.reach(e.SrcNode, e.SrcPos, sord)
-			}
+		} else if sord := s.q.srcOrd(ei, ord, ts); sord >= 0 {
+			s.reach(e.SrcNode, e.SrcPos, sord)
 		}
 	}
 }
@@ -214,23 +195,114 @@ func (s *sweep) reach(node, pos, ord int) {
 	}
 }
 
-// fanout returns edge ei inverted for forward slicing: its (source,
-// destination) ordinal pairs, packed and sorted by source, built from one
-// pass over its labels on first touch.
-func (s *sweep) fanout(ei int) []uint64 {
-	if s.fan[ei] == nil {
-		dseq, sseq := s.q.w.EdgeLabels(s.q.w.Edges[ei], s.q.tier)
-		n := dseq.Len()
-		lab, f := make([]uint32, 2*n), make([]uint64, n)
-		dseq.NextN(lab[:n])
-		sseq.NextN(lab[n:])
-		for i := range f {
-			f[i] = uint64(lab[n+i])<<32 | uint64(lab[i])
-		}
-		slices.Sort(f)
-		s.fan[ei] = f
+// fwalk is one forward slice: a walk of the control flow forward in time from
+// the criterion, settling each execution's members by position. Sources execute
+// before destinations, so members are found in (timestamp, position) order and
+// nothing is inverted. It ends at the cap, the trace's end, or no labels left.
+type fwalk struct {
+	wk        *Walker
+	set       *instSet
+	res       *SliceResult
+	max, live int // the cap; the readers that may have labels left
+}
+
+// reader reads an edge's labels: label k of the run held is (buf[k], buf[len(buf)/2+k]).
+type reader struct {
+	e          *core.Edge
+	dseq, sseq core.Seq
+	buf        []uint32
+	k, next    int // next is label k's destination: -1 before placing
+}
+
+// runWalk slices forward from one criterion and returns the slice and its set.
+func runWalk(w *core.WET, tier core.Tier, from Instance, maxInstances int) (res *SliceResult, set *instSet, err error) {
+	defer core.RecoverTyped(&err)
+	if err := checkInstance(w, from); err != nil {
+		return nil, nil, err
 	}
-	return s.fan[ei]
+	s := &fwalk{wk: NewWalker(w, tier), max: maxInstances, res: &SliceResult{Criterion: from},
+		set: &instSet{w: w, nodes: make([]*nodeSet, len(w.Nodes)), walk: true}}
+	ts := w.TSWindow(w.Nodes[from.Node], tier, nil)
+	s.wk.Node, s.wk.Ord, s.wk.ts, s.wk.wins[from.Node] = from.Node, from.Ord, ts.At(from.Ord, false), &ts
+	s.set.node(from.Node).bits[from.Pos/64] |= 1 << (from.Pos % 64)
+	for s.visit(s.set.nodes[from.Node]); s.live > 0 && !s.full() && s.wk.Forward(); {
+		if f := s.set.nodes[s.wk.Node]; f != nil && f.next <= s.wk.Ord {
+			s.visit(f)
+		}
+	}
+	return s.set.result(s.res), s.set, nil
+}
+
+func (s *fwalk) full() bool { return s.max > 0 && s.set.n >= s.max }
+
+// visit settles f's execution the walker is on, position by position: a new
+// member follows its inferable out-edges at once; a position's first gives the
+// others readers.
+func (s *fwalk) visit(f *nodeSet) {
+	d := s.wk.Ord
+	f.next = math.MaxInt // an edge activated into f meanwhile lowers it again
+	for q := f.nextPos(0); q >= 0 && !s.full(); q = f.nextPos(q + 1) {
+		hit := f.bits[q/64]&(1<<(q%64)) != 0 // an inferable edge reached q
+		f.bits[q/64] &^= 1 << (q % 64)
+		for _, r := range f.in[q] {
+			for ; r.next <= d; s.read(r, d) {
+				if r.next == d && s.set.nodes[r.e.SrcNode].has(r.e.SrcPos, int(r.buf[len(r.buf)/2+r.k])) {
+					s.res.Edges++
+					hit = true
+				}
+			}
+			f.next = min(f.next, r.next)
+		}
+		if hit && s.set.add(f.id, q, d, false) {
+			first := f.bits[2*f.words+q/64]&(1<<(q%64)) == 0
+			f.bits[2*f.words+q/64] |= 1 << (q % 64)
+			for _, ei := range s.wk.w.Nodes[f.id].OutEdges[q] {
+				switch e := s.wk.w.Edges[ei]; {
+				case e.Inferable && !s.full():
+					s.res.Edges++
+					f.bits[e.DstPos/64] |= 1 << (e.DstPos % 64)
+				case !e.Inferable && first:
+					g := s.set.node(e.DstNode)
+					g.in[e.DstPos], g.next = append(g.in[e.DstPos], &reader{e: e, next: -1}), -1
+					g.bits[g.words+e.DstPos/64] |= 1 << (e.DstPos % 64)
+					s.live++
+				}
+			}
+		}
+	}
+}
+
+// nextPos returns the first position from q on with a reach or readers, or -1.
+func (f *nodeSet) nextPos(q int) int {
+	for ; q < 64*f.words; q = q/64*64 + 64 {
+		if m := (f.bits[q/64] | f.bits[f.words+q/64]) >> (q % 64); m != 0 {
+			return q + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// read moves r to its next label, in runs of 8 labels doubling to WalkChunk,
+// first seeking its streams once to the first label that can name ordinal d:
+// destinations rise by one or more a label and stay below the node's
+// executions. An exhausted r holds one label past every ordinal.
+func (s *fwalk) read(r *reader, d int) {
+	if r.buf == nil {
+		r.dseq, r.sseq = s.wk.w.EdgeLabels(r.e, s.wk.tier)
+		if at := d - (s.wk.w.Nodes[r.e.DstNode].Execs - r.dseq.Len()); at > 0 {
+			r.dseq.Seek(at)
+			r.sseq.Seek(at)
+		}
+		r.k, r.buf = -1, make([]uint32, 0, 2*core.WalkChunk)
+	}
+	if r.k++; r.k == len(r.buf)/2 {
+		n := r.dseq.NextN(r.buf[:min(max(len(r.buf), 8), core.WalkChunk)])
+		r.sseq.NextN(r.buf[n : 2*n])
+		if r.k, r.buf = 0, r.buf[:2*n]; n == 0 {
+			r.buf, s.live = append(r.buf, math.MaxUint32, 0), s.live-1
+		}
+	}
+	r.next = int(r.buf[r.k])
 }
 
 // srcOrd returns the source ordinal edge ei pairs with destination ordinal
@@ -294,16 +366,15 @@ func InstanceOfTS(w *core.WET, tier core.Tier, stmtID int, ts uint32) (in Instan
 }
 
 // Chop computes the intersection of the forward slice of `from` and the
-// backward slice of `to`: the dynamic instances through which `from`
-// influenced `to`. It answers the classic debugging question "how did THIS
-// value reach THAT one?" using only the WET's dependence labels.
+// backward slice of `to`, each capped as ForwardSlice and BackwardSliceOpts
+// document: the instances through which `from` influenced `to`, the classic
+// "how did THIS value reach THAT one?" from dependence labels alone.
 func Chop(w *core.WET, tier core.Tier, from, to Instance, maxInstances int) (*SliceResult, error) {
-	opts := SliceOptions{MaxInstances: maxInstances}
-	fwd, inFwd, err := runSweep(w, tier, from, opts, false)
+	fwd, inFwd, err := runWalk(w, tier, from, maxInstances)
 	if err != nil {
 		return nil, err
 	}
-	bwd, _, err := runSweep(w, tier, to, opts, true)
+	bwd, _, err := runSweep(w, tier, to, SliceOptions{MaxInstances: maxInstances})
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +431,8 @@ func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen i
 type instSet struct {
 	w     *core.WET
 	nodes []*nodeSet
-	n     int // members
+	n     int  // members
+	walk  bool // a forward walk's: every node holds its positions' states
 }
 
 const pageOrds = 64
@@ -373,7 +445,7 @@ type instPage struct {
 	any  uint64 // bit r: execution r has a pending position
 }
 
-// nodeSet is an instSet's share for one node, and a sweep's state for it.
+// nodeSet is an instSet's share for one node, and a slice's state for it.
 type nodeSet struct {
 	id, words, execs int
 	pages            []*instPage
@@ -383,10 +455,26 @@ type nodeSet struct {
 	topOrd int         // the latest pending execution when sweep.pick last looked (-1: none) …
 	topTS  uint32      // … and its timestamp
 	ts     core.Window // the node's timestamps, once Len > 0
+
+	in   [][]*reader // a walk's readers of active in-edges, by position
+	bits []uint64    // a walk's positions: reached by an inferable edge this execution, with readers, holding a member
+	next int         // no reader fires below this ordinal (-1: one is not yet placed)
 }
 
 func newInstSet(w *core.WET) *instSet {
 	return &instSet{w: w, nodes: make([]*nodeSet, len(w.Nodes))}
+}
+
+// node returns the share of node id, allocating it on first touch.
+func (s *instSet) node(id int) *nodeSet {
+	if n := s.w.Nodes[id]; s.nodes[id] == nil {
+		s.nodes[id] = &nodeSet{id: id, words: (len(n.Stmts) + 63) / 64, execs: n.Execs, topOrd: -1,
+			next: math.MaxInt, pages: make([]*instPage, (n.Execs+pageOrds-1)/pageOrds)}
+		if s.walk {
+			s.nodes[id].in, s.nodes[id].bits = make([][]*reader, len(n.Stmts)), make([]uint64, 3*s.nodes[id].words)
+		}
+	}
+	return s.nodes[id]
 }
 
 // row returns the masks of (node, ord), allocating up to them when grow is
@@ -394,10 +482,7 @@ func newInstSet(w *core.WET) *instSet {
 // ord-th time (a label from a damaged file names nothing).
 func (s *instSet) row(node, ord int, grow bool) (f *nodeSet, pg *instPage, row []uint64) {
 	if f = s.nodes[node]; f == nil && grow {
-		n := s.w.Nodes[node]
-		f = &nodeSet{id: node, words: (len(n.Stmts) + 63) / 64, execs: n.Execs, topOrd: -1,
-			pages: make([]*instPage, (n.Execs+pageOrds-1)/pageOrds)}
-		s.nodes[node] = f
+		f = s.node(node)
 	}
 	if f == nil || uint(ord) >= uint(f.execs) {
 		return nil, nil, nil
@@ -432,6 +517,11 @@ func (s *instSet) add(node, pos, ord int, pend bool) bool {
 func (s *instSet) has(in Instance) bool {
 	_, _, row := s.row(in.Node, in.Ord, false)
 	return row != nil && row[in.Pos/64]&(1<<(in.Pos%64)) != 0
+}
+
+func (f *nodeSet) has(pos, ord int) bool {
+	i := ord / pageOrds
+	return uint(i) < uint(len(f.pages)) && f.pages[i] != nil && f.pages[i].rows[2*f.words*(ord%pageOrds)+pos/64]&(1<<(pos%64)) != 0
 }
 
 // each calls f on every member in (Node, Ord, Pos) order.

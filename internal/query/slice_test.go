@@ -183,6 +183,54 @@ func TestSlicesMatchWorklistReference(t *testing.T) {
 	}
 }
 
+// TestCappedForwardIsEarliestFirst: a forward slice capped at k is its
+// criterion and the k-1 other members of the uncapped slice that executed
+// first, ordered by (timestamp, position), at tier 1 and tier 2 of a
+// single-epoch build and in a 256-timestamp-epoch container opened eager and
+// lazy.
+func TestCappedForwardIsEarliestFirst(t *testing.T) {
+	cut := 0
+	for _, name := range []string{"li", "gzip", "mcf", "vortex"} {
+		wl, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, in := wl.Build(1)
+		views := sliceViews(t, p, in, 1<<8)
+		w := views[0].w
+		ts := func(in Instance) uint32 { return core.SeqAt(w.TSSeq(w.Nodes[in.Node], core.Tier1), in.Ord) }
+		for _, c := range sliceCriteria(t, w, 3) {
+			for _, c := range []Instance{c, {Node: c.Node, Pos: 0, Ord: c.Ord}} {
+				full, err := ForwardSlice(w, core.Tier1, c, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				order := slices.Clone(full.Instances[1:])
+				slices.SortFunc(order, func(x, y Instance) int { return cmp.Or(cmp.Compare(ts(x), ts(y)), cmp.Compare(x.Pos, y.Pos)) })
+				for _, limit := range []int{1, 50, 500} {
+					want := sortedInsts(append([]Instance{c}, order[:min(limit-1, len(order))]...))
+					if limit <= len(order) {
+						cut++
+					}
+					for _, v := range views {
+						got, err := ForwardSlice(v.w, v.tier, c, limit)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Instances[0] != c || !slices.Equal(sortedInsts(got.Instances), want) {
+							t.Fatalf("%s %+v cap %d %s: %d instances, not the criterion and the %d that executed first",
+								name, c, limit, v.name, len(got.Instances), len(want)-1)
+						}
+					}
+				}
+			}
+		}
+	}
+	if cut < 20 {
+		t.Fatalf("only %d capped slices were cut short", cut)
+	}
+}
+
 // TestInstSetWideCoordinates: the set keeps apart instances whose node or
 // position does not fit 16 bits; the packed map key it replaced aliased
 // (70000, p, o) with (70000-65536, p, o).

@@ -211,13 +211,18 @@ func (t *Trace) Backward(from Instance, maxInstances int) (*SliceResult, error) 
 	return query.BackwardSlice(t.w, t.tier, from, maxInstances)
 }
 
-// Forward computes the forward WET slice of an instance.
+// Forward computes the forward WET slice of an instance: the criterion
+// first, then every other member in (Node, Ord, Pos) order. With
+// maxInstances > 0 it is the criterion and the maxInstances-1 members that
+// executed first, by (timestamp, position) (query.ForwardSlice).
 func (t *Trace) Forward(from Instance, maxInstances int) (*SliceResult, error) {
 	return query.ForwardSlice(t.w, t.tier, from, maxInstances)
 }
 
 // Chop computes the slice intersection: the instances through which `from`
-// influenced `to`.
+// influenced `to`. With maxInstances > 0 it intersects the two capped
+// slices: the maxInstances-1 members of from's forward slice that executed
+// first and the first of to's backward slice reached in descending time.
 func (t *Trace) Chop(from, to Instance, maxInstances int) (*SliceResult, error) {
 	return query.Chop(t.w, t.tier, from, to, maxInstances)
 }
