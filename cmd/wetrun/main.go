@@ -67,10 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return cliutil.ExitUsage
 		}
 	}
-	if budgetBytes > 0 && *conc {
-		fmt.Fprintln(stderr, "wetrun: -budget is not supported with -conc")
-		return cliutil.ExitUsage
-	}
 
 	// ^C or -timeout expiry unwinds the pipeline cooperatively: the
 	// interpreter stops within 4096 steps, partially built epochs are
@@ -78,12 +74,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := cliutil.Context(*timeout)
 	defer stop()
 
+	fo := core.FreezeOptions{Workers: *workers, EpochTS: *epoch, ByteBudget: budgetBytes}
 	if *conc {
 		cw, err := workload.ConcByName(*bench)
 		if err != nil {
 			return fail(err)
 		}
-		run, err := exp.BuildConcRun(ctx, cw, *stmts, *workers, *seed)
+		run, err := exp.BuildConcRun(ctx, cw, *stmts, *seed, fo)
 		if err != nil {
 			return fail(err)
 		}
@@ -109,9 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	wet, rep, res, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, core.FreezeOptions{
-		Workers: *workers, EpochTS: *epoch, ByteBudget: budgetBytes,
-	})
+	wet, rep, res, err := core.BuildStreaming(st, interp.Options{Ctx: ctx, Inputs: in}, fo)
 	if err != nil {
 		return fail(err)
 	}

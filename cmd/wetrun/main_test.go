@@ -13,8 +13,9 @@ import (
 // and, where given, one line its stdout must hold, for each command line.
 func TestRun(t *testing.T) {
 	const (
-		liLine  = "benchmark    li (130.li — bytecode interpretation (lisp interpreter))"
-		mcfLine = "benchmark    mcf (181.mcf — network-simplex-like arc relaxation, pointer chasing)"
+		liLine   = "benchmark    li (130.li — bytecode interpretation (lisp interpreter))"
+		mcfLine  = "benchmark    mcf (181.mcf — network-simplex-like arc relaxation, pointer chasing)"
+		concLine = "benchmark    li-conc-racy (two bytecode workers bump a shared allocation counter without a lock)"
 	)
 	saved := filepath.Join(t.TempDir(), "mcfb.wet")
 	for _, c := range []struct {
@@ -28,8 +29,11 @@ func TestRun(t *testing.T) {
 			"func main(params=0 regs=21):", "", ""},
 		{[]string{"-budget", "nonsense"}, cliutil.ExitUsage,
 			"", `wetrun: bad byte size "nonsense"`, ""},
-		{[]string{"-conc", "-bench", "li-conc-racy", "-budget", "1MiB"}, cliutil.ExitUsage,
-			"", "wetrun: -budget is not supported with -conc", ""},
+		// A concurrent run is frozen with the same epoch size and budget.
+		{[]string{"-conc", "-bench", "li-conc-racy", "-stmts", "20000", "-epoch", "256"}, cliutil.ExitOK,
+			concLine, "", "epochs       4 sealed at 256 timestamps each"},
+		{[]string{"-conc", "-bench", "li-conc-racy", "-stmts", "20000", "-budget", "50000"}, cliutil.ExitOK,
+			concLine, "", "byte budget 50000 B: lossless floor 69444 B, achieved 46172 B"},
 		{[]string{"-bench", "li", "-stmts", "20000"}, cliutil.ExitOK,
 			liLine, "", ""},
 		{[]string{"-bench", "li", "-stmts", "20000", "-epoch", "4294967296"}, cliutil.ExitUsage,

@@ -88,7 +88,7 @@ func BuildRun(ctx context.Context, w workload.Workload, targetStmts uint64, work
 	}
 	prog, in := w.Build(scale)
 	rec := arch.NewRecorder()
-	r, err := buildRun(ctx, w.Name, scale, prog, interp.Options{Inputs: in, Arch: rec}, workers)
+	r, err := buildRun(ctx, w.Name, scale, prog, interp.Options{Inputs: in, Arch: rec}, core.FreezeOptions{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -96,17 +96,17 @@ func BuildRun(ctx context.Context, w workload.Workload, targetStmts uint64, work
 	return r, nil
 }
 
-// buildRun is the build shared by BuildRun and BuildConcRun: single-epoch
-// BuildStreaming is exactly Build + FreezeErr and keeps tier-1 for the
-// tables.
-func buildRun(ctx context.Context, name string, scale int, prog *ir.Program, opts interp.Options, workers int) (*Run, error) {
+// buildRun is the build shared by BuildRun and BuildConcRun, frozen with fo
+// under ctx: single-epoch BuildStreaming is exactly Build + FreezeErr and
+// keeps tier-1 for the tables.
+func buildRun(ctx context.Context, name string, scale int, prog *ir.Program, opts interp.Options, fo core.FreezeOptions) (*Run, error) {
 	st, err := interp.Analyze(prog)
 	if err != nil {
 		return nil, err
 	}
-	opts.Ctx = ctx
+	opts.Ctx, fo.Ctx = ctx, ctx
 	start := time.Now()
-	wet, rep, res, err := core.BuildStreaming(st, opts, core.FreezeOptions{Ctx: ctx, Workers: workers})
+	wet, rep, res, err := core.BuildStreaming(st, opts, fo)
 	if err != nil {
 		return nil, err
 	}
@@ -155,16 +155,17 @@ func concScaleFor(wl workload.ConcWorkload, targetStmts uint64) (int, error) {
 }
 
 // BuildConcRun executes one concurrent workload variant at the target
-// length and constructs its frozen WET (the wetrun -conc path). The seed
-// drives the deterministic thread scheduler; the same seed replays the same
+// length and constructs its frozen WET (the wetrun -conc path), frozen with
+// fo: its workers, epoch size and byte budget. The seed drives the
+// deterministic thread scheduler; the same seed replays the same
 // interleaving bit-for-bit.
-func BuildConcRun(ctx context.Context, wl workload.ConcWorkload, targetStmts uint64, workers int, seed uint64) (*Run, error) {
+func BuildConcRun(ctx context.Context, wl workload.ConcWorkload, targetStmts uint64, seed uint64, fo core.FreezeOptions) (*Run, error) {
 	scale, err := concScaleFor(wl, targetStmts)
 	if err != nil {
 		return nil, err
 	}
 	prog, in := wl.Build(scale)
-	return buildRun(ctx, wl.Name, scale, prog, interp.Options{Inputs: in, Seed: seed}, workers)
+	return buildRun(ctx, wl.Name, scale, prog, interp.Options{Inputs: in, Seed: seed}, fo)
 }
 
 // RunAll builds every configured workload.
