@@ -189,21 +189,21 @@ func TestTier2StreamsMatchTier1(t *testing.T) {
 	w, _ := buildWET(t, sumLoop(t, 12), nil)
 	freeze(t, w, FreezeOptions{})
 	for _, n := range w.Nodes {
-		got := stream.Drain(n.TSS)
+		got := drainStream(n.TSS)
 		for i, ts := range n.TS {
 			if got[i] != ts {
 				t.Fatalf("node %d tier-2 ts[%d] = %d, want %d", n.ID, i, got[i], ts)
 			}
 		}
 		for gi, g := range n.Groups {
-			pat := stream.Drain(g.PatternS)
+			pat := drainStream(g.PatternS)
 			for i := range g.Pattern {
 				if pat[i] != g.Pattern[i] {
 					t.Fatalf("node %d group %d pattern mismatch at %d", n.ID, gi, i)
 				}
 			}
 			for mi := range g.UVals {
-				uv := stream.Drain(g.UValS[mi])
+				uv := drainStream(g.UValS[mi])
 				for i := range g.UVals[mi] {
 					if uv[i] != g.UVals[mi][i] {
 						t.Fatalf("node %d group %d uvals[%d] mismatch", n.ID, gi, mi)
@@ -216,8 +216,8 @@ func TestTier2StreamsMatchTier1(t *testing.T) {
 		if e.Inferable || e.SharedWith >= 0 {
 			continue
 		}
-		d := stream.Drain(e.DstS)
-		s := stream.Drain(e.SrcS)
+		d := drainStream(e.DstS)
+		s := drainStream(e.SrcS)
 		for i := range e.DstOrd {
 			if d[i] != e.DstOrd[i] || s[i] != e.SrcOrd[i] {
 				t.Fatalf("edge %d tier-2 labels mismatch at %d", ei, i)
@@ -367,7 +367,7 @@ func TestFreezeIdempotentAndDropTier1(t *testing.T) {
 	}
 	// Tier-2 reads still work.
 	n := w2.Nodes[0]
-	if got := stream.Drain(n.TSS); len(got) != n.Execs {
+	if got := drainStream(n.TSS); len(got) != n.Execs {
 		t.Fatalf("tier-2 ts after drop: %d values, want %d", len(got), n.Execs)
 	}
 	// Tier-1 asks are refused typed by every cursor factory, also for a
@@ -591,4 +591,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := w.Validate(); err == nil {
 		t.Fatal("Validate missed a corrupted edge count")
 	}
+}
+
+// drainStream returns all values of s in order.
+func drainStream(s stream.Stream) []uint32 {
+	out := make([]uint32, s.Len())
+	s.NewCursor().NextN(out)
+	return out
 }

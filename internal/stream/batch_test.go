@@ -74,7 +74,7 @@ func TestNextNPrevNMatchSingleStep(t *testing.T) {
 	}
 }
 
-// TestNextNPrevNWholeStream checks the two full-length batch shapes Drain
+// TestNextNPrevNWholeStream checks the two full-length batch shapes drain
 // and the tier-1 materializer rely on: one NextN covering the whole stream,
 // then one PrevN covering it back.
 func TestNextNPrevNWholeStream(t *testing.T) {

@@ -230,7 +230,7 @@ func TestScanDeferred(t *testing.T) {
 			if ev.Len() != len(vals) {
 				t.Fatalf("Len = %d, want %d", ev.Len(), len(vals))
 			}
-			checkVals(t, Drain(ev))
+			checkVals(t, drain(ev))
 			if !ev.Resident() || ev.ResidentBytes() == 0 {
 				t.Fatal("not resident after touch")
 			}
@@ -238,7 +238,7 @@ func TestScanDeferred(t *testing.T) {
 			if w := ev.Evict(); w == 0 || ev.Resident() || ev.CheckpointBits() != 0 {
 				t.Fatalf("evict released %d bytes, resident=%v", w, ev.Resident())
 			}
-			checkVals(t, Drain(ev)) // re-decoded from the retained bytes
+			checkVals(t, drain(ev)) // re-decoded from the retained bytes
 			if loads, hits := h.counts(2, 1); loads != 2 || hits != 1 {
 				t.Fatalf("loads=%d hits=%d, want 2 loads 1 hit", loads, hits)
 			}
@@ -318,7 +318,7 @@ func TestScanDeferred(t *testing.T) {
 				t.Fatal("resident after vetoed load")
 			}
 			h.veto = nil // the veto was not cached: the next touch decodes
-			checkVals(t, Drain(ev))
+			checkVals(t, drain(ev))
 		}},
 		{"AttachStats", func(t *testing.T, v deferredVariant) {
 			ev, _ := v.scan(t, data)
@@ -373,7 +373,7 @@ func TestScanDeferred(t *testing.T) {
 			if err := Force(ev); err != nil {
 				t.Fatalf("second touch: %v (a failed decode must be retried, not cached)", err)
 			}
-			checkVals(t, Drain(ev))
+			checkVals(t, drain(ev))
 			if loads, hits := h.counts(1, 1); loads != 1 || hits != 1 {
 				t.Fatalf("loads=%d hits=%d, want 1 and 1", loads, hits)
 			}

@@ -87,7 +87,7 @@ func TestSaveLoadConcatenated(t *testing.T) {
 			t.Fatal(err)
 		}
 		rest = rest[n:]
-		got := Drain(s)
+		got := drain(s)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("concatenated load: got %v want %v", got, want)
@@ -300,7 +300,7 @@ func TestLoadNormalizesMidStreamCursor(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Load of mid-stream state: %v", spec, err)
 		}
-		got := Drain(s)
+		got := drain(s)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("%s: normalized stream value %d = %d, want %d", spec, i, got[i], vals[i])

@@ -107,13 +107,6 @@ func At(s Stream, i int) uint32 {
 	return c.Next()
 }
 
-// Drain returns all values of s in order.
-func Drain(s Stream) []uint32 {
-	out := make([]uint32, s.Len())
-	s.NewCursor().NextN(out)
-	return out
-}
-
 // Spec selects a compression method.
 type Spec struct {
 	Kind  Kind

@@ -69,7 +69,7 @@ func TestRoundTripAllMethodsAllDatasets(t *testing.T) {
 			if s.Len() != len(vals) {
 				t.Fatalf("%s/%s: Len = %d, want %d", name, spec, s.Len(), len(vals))
 			}
-			got := Drain(s)
+			got := drain(s)
 			for i := range vals {
 				if got[i] != vals[i] {
 					t.Fatalf("%s/%s: value %d = %d, want %d", name, spec, i, got[i], vals[i])
@@ -239,7 +239,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				vals = vals[:500]
 			}
 			s := Compress(vals, spec)
-			got := Drain(s)
+			got := drain(s)
 			if len(got) != len(vals) {
 				return false
 			}
@@ -298,7 +298,7 @@ func TestCompressBestPicksSensibly(t *testing.T) {
 	d := datasets()
 	for name, vals := range d {
 		s := CompressBest(vals)
-		got := Drain(s)
+		got := drain(s)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("CompressBest(%s) corrupted value %d", name, i)
@@ -519,4 +519,11 @@ func TestCloneIndependence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// drain returns all values of s in order, through one whole-stream NextN.
+func drain(s Stream) []uint32 {
+	out := make([]uint32, s.Len())
+	s.NewCursor().NextN(out)
+	return out
 }

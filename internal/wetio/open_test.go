@@ -152,14 +152,14 @@ func TestPackedPayloadsViewOnlyLazily(t *testing.T) {
 			}
 			before := make([][]uint32, len(packed))
 			for i, s := range packed {
-				before[i] = stream.Drain(s)
+				before[i] = drainStream(s)
 			}
 			for i := range file {
 				file[i] ^= 0xff
 			}
 			moved := 0
 			for i, s := range packed {
-				if !slices.Equal(stream.Drain(s), before[i]) {
+				if !slices.Equal(drainStream(s), before[i]) {
 					moved++
 				}
 			}
