@@ -18,8 +18,10 @@ import (
 	"wet"
 	"wet/internal/arch"
 	"wet/internal/core"
+	"wet/internal/corpus"
 	"wet/internal/exp"
 	"wet/internal/interp"
+	"wet/internal/ir"
 	"wet/internal/query"
 	"wet/internal/sequitur"
 	"wet/internal/stream"
@@ -167,7 +169,11 @@ func benchCF(b *testing.B, tier core.Tier, forward bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := runs[i%len(runs)]
-		total += query.ExtractCF(r.W, tier, forward, nil)
+		n, err := query.ExtractCFCtx(context.Background(), r.W, tier, forward, -1, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		total += n
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "stmts/op")
 }
@@ -297,6 +303,39 @@ func BenchmarkExtractCFRange(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows*b.N), "ns/window")
+}
+
+// BenchmarkServeValueTrace is wetd's valuetrace request on the serve
+// workload's starved cache: li in epochs of 256 timestamps behind a 16 KiB
+// corpus, one load after another, capped at 64 samples as wetd serves it
+// and read whole.
+func BenchmarkServeValueTrace(b *testing.B) {
+	tr := runWorkload(b, "li", wet.WithEpochTS(serveEpochTS))
+	e, err := corpus.New(serveStarved).Add("li", saveBytes(b, tr))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var loads []int
+	for _, st := range tr.WET().Prog.Stmts {
+		if st.Op == ir.OpLoad {
+			loads = append(loads, st.ID)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		limit int
+	}{{"capped", serveItems}, {"uncapped", -1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, err := query.ValueTraceCtx(context.Background(), e.Trace.WET(), e.Trace.Tier(), loads[i%len(loads)], c.limit,
+					func(s query.Sample) { benchSum += int(s.Value) })
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // openModes are the two opens BenchmarkOpen times and TestOpenAllocBudget
@@ -524,7 +563,7 @@ func BenchmarkQueryParallel(b *testing.B) {
 			jobs = append(jobs, func() { _, _ = query.BackwardSlice(r.W, tier, c, 0) })
 		}
 		jobs = append(jobs,
-			func() { query.ExtractCF(r.W, tier, true, nil) },
+			func() { _, _ = query.ExtractCFCtx(context.Background(), r.W, tier, true, -1, nil) },
 			func() { _, _ = query.LoadValueTraces(r.W, tier, nil) },
 			func() { _, _ = query.AddressTraces(r.W, tier, nil) },
 		)

@@ -100,7 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(out)
 	}
 	if want(6) {
-		exp.Table6(runs, out)
+		if err := exp.Table6(runs, out); err != nil {
+			return fatal(err)
+		}
 		fmt.Fprintln(out)
 	}
 	if want(7) {

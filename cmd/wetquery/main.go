@@ -144,7 +144,7 @@ func runQuery(run *exp.Run, o opts) int {
 	start := time.Now()
 	switch o.q {
 	case "cftrace":
-		n, err := query.ExtractCFCtx(o.ctx, run.W, o.tier, o.dir == "forward", nil)
+		n, err := query.ExtractCFCtx(o.ctx, run.W, o.tier, o.dir == "forward", -1, nil)
 		if err != nil {
 			fmt.Fprintln(o.stderr, "wetquery:", err)
 			return cliutil.ExitCode(err)

@@ -12,17 +12,21 @@ package wet_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"wet"
 	"wet/internal/corpus"
 	"wet/internal/ir"
+	"wet/internal/serve"
 )
 
 // componentBytes is one tier's stored bytes per WET component.
@@ -83,7 +87,10 @@ type serveCounts struct {
 type countsFile struct {
 	Symmetry symmetryCounts  `json:"symmetry"`
 	Programs []programCounts `json:"programs"`
-	Serve    serveCounts     `json:"serve"`
+	// ServeCapped is Serve's schedule with its value traces asked of wetd's
+	// query surface at ?limit=serveItems, Serve's all read whole.
+	ServeCapped serveCounts `json:"serve_capped"`
+	Serve       serveCounts `json:"serve"`
 }
 
 // countedPrograms: gzip and vortex at scale 1, and go at scale 8, the
@@ -156,20 +163,25 @@ const (
 	serveRequests = 1000
 	serveWindow   = 256 // timestamps per ExtractCFRange call
 	serveSliceMax = 128 // maxInstances of Backward
+	serveItems    = 64  // ?limit= of a capped value trace
 )
 
 // countServe opens li (scale 2), gzip and mcf through a corpus at a 16 KiB
 // budget and runs a fixed, seeded schedule of the serve workload's mix on
 // it, sequentially and in process: 60% ExtractCFRange, 20% ValueTrace, 20%
 // Backward, 80% of the offsets inside a hot tenth of each trace. Segment
-// loads are the corpus's misses.
-func countServe(t *testing.T) serveCounts {
+// loads are the corpus's misses. A capped schedule asks its value traces of
+// a serve.Server at ?limit=serveItems, as wetd serves them; the other reads
+// each one whole.
+func countServe(t *testing.T, capped bool) serveCounts {
 	t.Helper()
 	type served struct {
+		name    string
 		tr, ref *wet.Trace // the corpus's open, and an eager one to plan on
 		loads   []int
 	}
 	corp := corpus.New(serveStarved)
+	srv := serve.New(corp, serve.Options{})
 	var progs []served
 	for _, p := range []struct {
 		name  string
@@ -193,7 +205,7 @@ func countServe(t *testing.T) serveCounts {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := served{tr: e.Trace, ref: ref}
+		s := served{name: p.name, tr: e.Trace, ref: ref}
 		for _, st := range prog.Stmts {
 			if st.Op == ir.OpLoad {
 				s.loads = append(s.loads, st.ID)
@@ -209,6 +221,9 @@ func countServe(t *testing.T) serveCounts {
 		switch p := rng.Float64(); {
 		case p < 0.6:
 			_, err = s.tr.ExtractCFRange(from, from+serveWindow-1, func(int) {})
+		case p < 0.8 && capped:
+			stmt := strconv.Itoa(s.loads[rng.Intn(len(s.loads))])
+			_, err = srv.Query(context.Background(), s.name, "valuetrace", url.Values{"stmt": {stmt}, "limit": {strconv.Itoa(serveItems)}})
 		case p < 0.8:
 			_, err = s.tr.ValueTrace(s.loads[rng.Intn(len(s.loads))], func(wet.Sample) {})
 		default:
@@ -258,7 +273,7 @@ func lastDefFrom(t *testing.T, tr *wet.Trace, ts uint32) (stmt int, at uint32) {
 
 func TestExactCounts(t *testing.T) {
 	path := filepath.Join("testdata", "counts.json")
-	got := countsFile{Symmetry: countSymmetry(t), Serve: countServe(t)}
+	got := countsFile{Symmetry: countSymmetry(t), ServeCapped: countServe(t, true), Serve: countServe(t, false)}
 	for _, c := range countedPrograms {
 		got.Programs = append(got.Programs, countProgram(t, c.workload, c.scale, c.epochTS))
 	}
@@ -305,5 +320,6 @@ func TestExactCounts(t *testing.T) {
 		diff(id+" slice batch", g.SliceBatch, w.SliceBatch)
 		diff(id+" ladder floor", g.LadderFloor, w.LadderFloor)
 	}
+	diff("serve_capped", got.ServeCapped, want.ServeCapped)
 	diff("serve", got.Serve, want.Serve)
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"hash/fnv"
 	"math/rand"
 	"reflect"
@@ -142,18 +143,21 @@ func TestStreamingEquivalence(t *testing.T) {
 					buf[0], buf[1], buf[2], buf[3] = byte(id), byte(id>>8), byte(id>>16), byte(id>>24)
 					h.Write(buf[:])
 				}
-				query.ExtractCF(w, core.Tier2, true, emit)
-				query.ExtractCF(w, core.Tier2, false, emit)
+				for _, forward := range []bool{true, false} {
+					if _, err := query.ExtractCFCtx(context.Background(), w, core.Tier2, forward, -1, emit); err != nil {
+						t.Fatalf("ExtractCFCtx(forward=%v): %v", forward, err)
+					}
+				}
 				for _, st := range w.Prog.Stmts {
 					if st.Op.HasDef() && st.Dest >= 0 {
-						if _, err := query.ValueTrace(w, core.Tier2, st.ID, func(s query.Sample) {
+						if _, err := query.ValueTraceCtx(context.Background(), w, core.Tier2, st.ID, -1, func(s query.Sample) {
 							emit(int(s.TS))
 							emit(int(uint32(s.Value)))
 						}); err != nil {
 							t.Fatalf("ValueTrace(%d): %v", st.ID, err)
 						}
 					}
-					if _, err := query.AddressTrace(w, core.Tier2, st.ID, func(s query.Sample) {
+					if _, err := query.AddressTraceCtx(context.Background(), w, core.Tier2, st.ID, -1, func(s query.Sample) {
 						emit(int(s.TS))
 						emit(int(uint32(s.Value)))
 					}); err == nil {

@@ -26,7 +26,9 @@ func TestTablesProduceRows(t *testing.T) {
 	Table3(runs, &buf)
 	Table4(runs, &buf)
 	Table5(runs, &buf)
-	Table6(runs, &buf)
+	if err := Table6(runs, &buf); err != nil {
+		t.Fatal(err)
+	}
 	if err := Table7(runs, &buf); err != nil {
 		t.Fatal(err)
 	}

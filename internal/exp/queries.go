@@ -21,7 +21,7 @@ func timeIt(f func()) time.Duration {
 
 // Table6 prints control-flow trace extraction rates, forward and backward,
 // after tier-1 and tier-2 compression (paper Table 6).
-func Table6(runs []*Run, w io.Writer) {
+func Table6(runs []*Run, w io.Writer) error {
 	fmt.Fprintf(w, "Table 6. Response times for control flow traces.\n")
 	fmt.Fprintf(w, "%-10s %10s |%22s |%22s |%22s |%22s\n", "", "", "Fwd Tier-1", "Fwd Tier-2", "Bwd Tier-1", "Bwd Tier-2")
 	fmt.Fprintf(w, "%-10s %10s |%10s %11s |%10s %11s |%10s %11s |%10s %11s\n",
@@ -32,9 +32,15 @@ func Table6(runs []*Run, w io.Writer) {
 		row := []float64{}
 		for _, dir := range []bool{true, false} {
 			for _, tier := range []core.Tier{core.Tier1, core.Tier2} {
+				var err error
 				d := timeIt(func() {
-					sink += query.ExtractCF(r.W, tier, dir, nil)
+					var n uint64
+					n, err = query.ExtractCFCtx(context.Background(), r.W, tier, dir, -1, nil)
+					sink += n
 				})
+				if err != nil {
+					return err
+				}
 				row = append(row, float64(d.Microseconds())/1e3, mb(traceBytes)/d.Seconds())
 			}
 		}
@@ -43,6 +49,7 @@ func Table6(runs []*Run, w io.Writer) {
 			row[0], row[1], row[2], row[3], row[4], row[5], row[6], row[7])
 	}
 	_ = sink
+	return nil
 }
 
 // Table7 prints per-instruction load value trace extraction (paper Table 7).

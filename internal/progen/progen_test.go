@@ -1,6 +1,7 @@
 package progen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -78,7 +79,9 @@ func checkCF(t *testing.T, seed int64, w *core.WET, rec *trace.Recording) {
 	}
 	for _, tier := range []core.Tier{core.Tier1, core.Tier2} {
 		var got []int
-		query.ExtractCF(w, tier, true, func(id int) { got = append(got, id) })
+		if _, err := query.ExtractCFCtx(context.Background(), w, tier, true, -1, func(id int) { got = append(got, id) }); err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("seed %d %s: CF trace %d stmts, want %d", seed, tier, len(got), len(want))
 		}
@@ -88,7 +91,9 @@ func checkCF(t *testing.T, seed int64, w *core.WET, rec *trace.Recording) {
 			}
 		}
 		var rev []int
-		query.ExtractCF(w, tier, false, func(id int) { rev = append(rev, id) })
+		if _, err := query.ExtractCFCtx(context.Background(), w, tier, false, -1, func(id int) { rev = append(rev, id) }); err != nil {
+			t.Fatal(err)
+		}
 		for i := range want {
 			if rev[len(rev)-1-i] != want[i] {
 				t.Fatalf("seed %d %s: backward CF diverges at %d", seed, tier, i)

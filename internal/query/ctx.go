@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 
 	"wet/internal/core"
@@ -15,6 +16,7 @@ import (
 // A qctx is confined to one goroutine, as its cursors are; independent
 // queries build private ones, and the WET is never mutated.
 type qctx struct {
+	ctx   context.Context // the query's caller's; mergeSamples polls it
 	w     *core.WET
 	tier  core.Tier
 	edges []*[2]core.Window // (dst, src) by edge index, spawned on first touch (srcOrd)
@@ -26,7 +28,7 @@ type qctx struct {
 }
 
 func newCtx(w *core.WET, tier core.Tier) *qctx {
-	return &qctx{w: w, tier: tier}
+	return &qctx{ctx: context.Background(), w: w, tier: tier}
 }
 
 // occs returns an empty list with room for n occurrence sources.

@@ -120,23 +120,23 @@ func TestParallelMixedQueries(t *testing.T) {
 
 	// Concurrent whole-trace walks (walkers own private cursors).
 	wantCF := make([]uint64, 2)
-	wantCF[0] = ExtractCF(w, core.Tier1, true, nil)
-	wantCF[1] = ExtractCF(w, core.Tier2, false, nil)
+	wantCF[0] = extractCF(t, w, core.Tier1, true, nil)
+	wantCF[1] = extractCF(t, w, core.Tier2, false, nil)
 	gotCF := make([]uint64, 16)
-	err = BatchCtx(context.Background(), 8, len(gotCF), func(i int) error {
+	err = BatchCtx(context.Background(), 8, len(gotCF), func(i int) (err error) {
 		if i%2 == 0 {
-			gotCF[i] = ExtractCF(w, core.Tier1, true, nil)
+			gotCF[i], err = ExtractCFCtx(context.Background(), w, core.Tier1, true, -1, nil)
 		} else {
-			gotCF[i] = ExtractCF(w, core.Tier2, false, nil)
+			gotCF[i], err = ExtractCFCtx(context.Background(), w, core.Tier2, false, -1, nil)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, g := range gotCF {
 		if g != wantCF[i%2] {
-			t.Fatalf("concurrent ExtractCF %d = %d, want %d", i, g, wantCF[i%2])
+			t.Fatalf("concurrent ExtractCFCtx %d = %d, want %d", i, g, wantCF[i%2])
 		}
 	}
 }
@@ -166,8 +166,8 @@ func TestCrossTierEquivalenceRandom(t *testing.T) {
 		}
 
 		var cf1, cf2 []int
-		ExtractCF(w, core.Tier1, true, func(id int) { cf1 = append(cf1, id) })
-		ExtractCF(w, core.Tier2, true, func(id int) { cf2 = append(cf2, id) })
+		extractCF(t, w, core.Tier1, true, func(id int) { cf1 = append(cf1, id) })
+		extractCF(t, w, core.Tier2, true, func(id int) { cf2 = append(cf2, id) })
 		if !reflect.DeepEqual(cf1, cf2) {
 			t.Fatalf("trial %d: CF traces differ (%d vs %d stmts)", trial, len(cf1), len(cf2))
 		}

@@ -33,7 +33,7 @@ func ValueInvariance(w *core.WET, tier core.Tier, minExecs uint64) ([]Invariance
 			continue
 		}
 		counts := map[int64]uint64{}
-		n, err := ValueTrace(w, tier, st.ID, func(s Sample) {
+		n, err := ValueTraceCtx(context.Background(), w, tier, st.ID, -1, func(s Sample) {
 			counts[s.Value]++
 		})
 		if err != nil {
@@ -102,7 +102,7 @@ func StrideProfiles(w *core.WET, tier core.Tier, minAccesses int) ([]StrideProfi
 			continue
 		}
 		var addrs []int64
-		if _, err := AddressTrace(w, tier, st.ID, func(s Sample) {
+		if _, err := AddressTraceCtx(context.Background(), w, tier, st.ID, -1, func(s Sample) {
 			addrs = append(addrs, s.Value)
 		}); err != nil {
 			return nil, err
@@ -143,7 +143,7 @@ func StrideProfiles(w *core.WET, tier core.Tier, minAccesses int) ([]StrideProfi
 	return out, nil
 }
 
-// RangeError reports an inverted timestamp range handed to ExtractCFRange:
+// RangeError reports an inverted timestamp range handed to ExtractCFRangeCtx:
 // the caller asked for a window that ends before it starts. It used to be
 // swallowed as an empty extraction, which made off-by-swap bugs in callers
 // invisible.
@@ -153,13 +153,4 @@ type RangeError struct {
 
 func (e *RangeError) Error() string {
 	return fmt.Sprintf("query: inverted timestamp range [%d, %d]", e.From, e.To)
-}
-
-// ExtractCFRange walks the statement-level control flow trace between two
-// timestamps (inclusive), the paper's "part of the program path starting at
-// any execution point". It returns the number of statements emitted. An
-// inverted range (fromTS > toTS) returns a *RangeError; a range merely
-// clipped by the ends of the trace is extracted as far as it exists.
-func ExtractCFRange(w *core.WET, tier core.Tier, fromTS, toTS uint32, emit func(stmtID int)) (uint64, error) {
-	return ExtractCFRangeCtx(context.Background(), w, tier, fromTS, toTS, emit)
 }

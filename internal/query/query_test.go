@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"slices"
@@ -89,6 +90,16 @@ func mixedProgram(t *testing.T) *ir.Program {
 	return p
 }
 
+// extractCF is an uncapped ExtractCFCtx that fails tb on an error.
+func extractCF(tb testing.TB, w *core.WET, tier core.Tier, forward bool, emit func(int)) uint64 {
+	tb.Helper()
+	n, err := ExtractCFCtx(context.Background(), w, tier, forward, -1, emit)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
 func TestExtractCFForwardMatchesRecording(t *testing.T) {
 	w, rec := buildWET(t, mixedProgram(t), nil)
 	want := make([]int, 0, len(rec.Events))
@@ -97,7 +108,7 @@ func TestExtractCFForwardMatchesRecording(t *testing.T) {
 	}
 	for _, tier := range []core.Tier{core.Tier1, core.Tier2} {
 		var got []int
-		n := ExtractCF(w, tier, true, func(id int) { got = append(got, id) })
+		n := extractCF(t, w, tier, true, func(id int) { got = append(got, id) })
 		if n != uint64(len(want)) || len(got) != len(want) {
 			t.Fatalf("%s: extracted %d stmts, want %d", tier, len(got), len(want))
 		}
@@ -113,7 +124,7 @@ func TestExtractCFBackwardIsReverse(t *testing.T) {
 	w, rec := buildWET(t, mixedProgram(t), nil)
 	for _, tier := range []core.Tier{core.Tier1, core.Tier2} {
 		var got []int
-		ExtractCF(w, tier, false, func(id int) { got = append(got, id) })
+		extractCF(t, w, tier, false, func(id int) { got = append(got, id) })
 		if len(got) != len(rec.Events) {
 			t.Fatalf("%s: %d stmts backward, want %d", tier, len(got), len(rec.Events))
 		}
@@ -686,7 +697,7 @@ func TestExtractCFRange(t *testing.T) {
 		for _, v := range c.views {
 			for _, win := range windows {
 				var got []int
-				n, err := ExtractCFRange(v.w, v.tier, win[0], win[1], func(id int) { got = append(got, id) })
+				n, err := ExtractCFRangeCtx(context.Background(), v.w, v.tier, win[0], win[1], func(id int) { got = append(got, id) })
 				var want []int
 				if from, to := max(win[0], 1), min(win[1], tm); from <= to {
 					want = recStmts(c.rec, from, to)
@@ -698,7 +709,7 @@ func TestExtractCFRange(t *testing.T) {
 			}
 			// An inverted range is a caller bug and must surface as
 			// *RangeError, not a silent empty extraction.
-			n, err := ExtractCFRange(v.w, v.tier, 10, 5, nil)
+			n, err := ExtractCFRangeCtx(context.Background(), v.w, v.tier, 10, 5, nil)
 			var re *RangeError
 			if n != 0 || !errors.As(err, &re) || re.From != 10 || re.To != 5 {
 				t.Fatalf("%s/%s: inverted range: n=%d err=%#v, want *RangeError{10, 5}", c.name, v.name, n, err)

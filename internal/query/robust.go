@@ -16,8 +16,9 @@ import (
 var fpBatchJob = faultpoint.New("query.batch.job")
 
 // ctxCheckMask paces the cooperative cancellation checks of the long scans
-// (ExtractCFCtx, ExtractCFRangeCtx): one context poll per 4096 node steps,
-// the same cadence the interpreter uses.
+// (ExtractCFCtx and ExtractCFRangeCtx per node step, ValueTraceCtx and
+// AddressTraceCtx per sample): one context poll per 4096, the same cadence
+// the interpreter uses.
 const ctxCheckMask = 1<<12 - 1
 
 // BatchCtx runs n independent query jobs against one shared frozen WET from
@@ -74,43 +75,53 @@ func recoverQueryPanic(slot *error) {
 	}
 }
 
-// ExtractCFCtx is ExtractCF with cooperative cancellation (polled every 4096
-// node steps) and with deferred-decode failures surfacing as a typed error
-// instead of a panic. A cancelled extraction returns the statements emitted
-// so far together with context.Cause.
-func ExtractCFCtx(ctx context.Context, w *core.WET, tier core.Tier, forward bool, emit func(stmtID int)) (n uint64, err error) {
-	defer core.RecoverTyped(&err)
+// alive returns ctx (context.Background for nil) and, when it is already
+// done, its cause: a short query may never reach its periodic poll.
+func alive(ctx context.Context) (context.Context, error) {
 	if ctx == nil {
-		ctx = context.Background()
+		return context.Background(), nil
 	}
-	// A context dead on entry returns immediately: short traces may never
-	// reach the periodic poll.
-	if ctx.Err() != nil {
-		return 0, context.Cause(ctx)
+	return ctx, context.Cause(ctx)
+}
+
+// ExtractCFCtx walks the control-flow trace in the given direction,
+// invoking emit for the first limit executed statements (every one when
+// limit < 0; in per-node static order, the node-level order being exact
+// execution order). It returns the number of statements the whole trace
+// holds — times 4 bytes, the paper's CF trace size — which a capped call
+// takes as Σ Execs × len(Stmts) over the nodes instead of walking on. The
+// walk polls ctx every 4096 node steps; a cancelled extraction returns the
+// statements emitted so far together with context.Cause. Deferred-decode
+// failures surface as a typed error, not a panic.
+func ExtractCFCtx(ctx context.Context, w *core.WET, tier core.Tier, forward bool, limit int, emit func(stmtID int)) (n uint64, err error) {
+	defer core.RecoverTyped(&err)
+	if ctx, err = alive(ctx); err != nil {
+		return 0, err
 	}
-	var steps uint64
-	n, stopped := walkCF(w, tier, forward, emit, func() bool {
-		steps++
-		return steps&ctxCheckMask == 0 && ctx.Err() != nil
-	})
-	if stopped {
-		return n, context.Cause(ctx)
+	// A negative limit converts to the largest uint64: no cap.
+	if n, err = walkCF(ctx, w, tier, forward, uint64(limit), emit); err != nil || limit < 0 {
+		return n, err
+	}
+	n = 0
+	for _, nd := range w.Nodes {
+		n += uint64(nd.Execs) * uint64(len(nd.Stmts))
 	}
 	return n, nil
 }
 
-// ExtractCFRangeCtx is ExtractCFRange with cooperative cancellation, at the
-// same 4096-node-step cadence as ExtractCFCtx.
+// ExtractCFRangeCtx walks the statement-level control flow trace between
+// two timestamps (inclusive), the paper's "part of the program path starting
+// at any execution point". It returns the number of statements emitted. An
+// inverted range (fromTS > toTS) returns a *RangeError; a range merely
+// clipped by the ends of the trace is extracted as far as it exists. The
+// walk polls ctx at the same 4096-node-step cadence as ExtractCFCtx.
 func ExtractCFRangeCtx(ctx context.Context, w *core.WET, tier core.Tier, fromTS, toTS uint32, emit func(stmtID int)) (n uint64, err error) {
 	defer core.RecoverTyped(&err)
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if fromTS > toTS {
 		return 0, &RangeError{From: fromTS, To: toTS}
 	}
-	if ctx.Err() != nil {
-		return 0, context.Cause(ctx)
+	if ctx, err = alive(ctx); err != nil {
+		return 0, err
 	}
 	if fromTS < 1 {
 		fromTS = 1

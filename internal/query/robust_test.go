@@ -7,13 +7,16 @@ package query
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wet/internal/core"
 	"wet/internal/faultpoint"
+	"wet/internal/ir"
 	"wet/internal/stream"
+	"wet/internal/workload"
 )
 
 func TestBatchCtxCoversAllJobs(t *testing.T) {
@@ -142,7 +145,7 @@ func TestExtractCFCtxCancelled(t *testing.T) {
 	cause := errors.New("operator abort")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	if _, err := ExtractCFCtx(ctx, w, core.Tier2, true, nil); !errors.Is(err, cause) {
+	if _, err := ExtractCFCtx(ctx, w, core.Tier2, true, -1, nil); !errors.Is(err, cause) {
 		t.Fatalf("cancelled ExtractCFCtx returned %v, want the cause", err)
 	}
 	if _, err := ExtractCFRangeCtx(ctx, w, core.Tier2, 1, w.Time, nil); !errors.Is(err, cause) {
@@ -150,19 +153,64 @@ func TestExtractCFCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestExtractCFCtxMatchesPanicVariant: with a live context the ctx-aware
-// walk is exactly ExtractCF.
-func TestExtractCFCtxMatchesPanicVariant(t *testing.T) {
-	w, _ := buildWET(t, mixedProgram(t), nil)
-	var a, b []int
-	want := ExtractCF(w, core.Tier2, true, func(id int) { a = append(a, id) })
-	got, err := ExtractCFCtx(context.Background(), w, core.Tier2, true, func(id int) { b = append(b, id) })
-	if err != nil || got != want || len(a) != len(b) {
-		t.Fatalf("ExtractCFCtx = (%d, %v), ExtractCF = %d", got, err, want)
+// TestSampleTracesCancelledMidMerge: an uncapped value or address trace
+// polls its context while it merges, so one cancelled after its first
+// sample stops within ctxCheckMask+1 samples and returns the cause.
+func TestSampleTracesCancelledMidMerge(t *testing.T) {
+	wl, err := workload.ByName("li")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces differ at %d", i)
+	p, in := wl.Build(1)
+	w := sliceViews(t, p, in, 0)[1].w
+	for name, trace := range map[string]func(context.Context, *core.WET, core.Tier, int, int, func(Sample)) (uint64, error){
+		"value": ValueTraceCtx, "address": AddressTraceCtx,
+	} {
+		stmt, most := -1, uint64(0)
+		for _, st := range w.Prog.Stmts {
+			if n, err := trace(context.Background(), w, core.Tier2, st.ID, 0, nil); err == nil && st.Op == ir.OpLoad && n > most {
+				stmt, most = st.ID, n
+			}
+		}
+		if most <= ctxCheckMask+1 {
+			t.Fatalf("%s: the longest load trace has %d samples, too few to see a poll", name, most)
+		}
+		cause := errors.New("client gone")
+		ctx, cancel := context.WithCancelCause(context.Background())
+		var got uint64
+		_, err := trace(ctx, w, core.Tier2, stmt, -1, func(Sample) {
+			got++
+			cancel(cause)
+		})
+		if !errors.Is(err, cause) || got > ctxCheckMask+1 {
+			t.Fatalf("%s: cancelled after its first sample, the trace emitted %d of %d and returned %v", name, got, most, err)
+		}
+	}
+}
+
+// TestExtractCFCtxMatchesWalker: with a live context the walk emits each
+// node execution's statements in the order a Walker steps through them,
+// in either direction.
+func TestExtractCFCtxMatchesWalker(t *testing.T) {
+	w, _ := buildWET(t, mixedProgram(t), nil)
+	for _, forward := range []bool{true, false} {
+		var want, got []int
+		wk := NewWalker(w, core.Tier2)
+		if !forward {
+			wk.SeekEnd()
+		}
+		for wk.step(!forward) {
+			stmts := w.Nodes[wk.Node].Stmts
+			for i := range stmts {
+				if !forward {
+					i = len(stmts) - 1 - i
+				}
+				want = append(want, stmts[i].ID)
+			}
+		}
+		n, err := ExtractCFCtx(context.Background(), w, core.Tier2, forward, -1, func(id int) { got = append(got, id) })
+		if err != nil || n != uint64(len(want)) || !slices.Equal(got, want) {
+			t.Fatalf("forward=%v: ExtractCFCtx = (%d, %v), %d statements; the walker stepped %d", forward, n, err, len(got), len(want))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 
 	"wet/internal/core"
@@ -112,13 +113,13 @@ func (o *occSrc) refill(q *qctx, add, mask int64) bool {
 	return false
 }
 
-// mergeSamples emits the samples of srcs, each in timestamp order, in
-// timestamp order overall, and returns how many there were; it stops at the
-// first label that points nowhere (q.err). It drains the
-// source with the smallest head up to the runner-up's head before looking
-// again, so a pick costs O(len(srcs)) per switch of occurrence, not per
-// sample.
-func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, emit func(Sample)) (count uint64) {
+// mergeSamples emits the first limit samples of srcs, each in timestamp
+// order, in timestamp order overall, and returns how many it emitted; it
+// stops at the first label that points nowhere, or when q.ctx is done (polled
+// every ctxCheckMask+1 samples), with q.err set. It drains the source with
+// the smallest head up to the runner-up's head before looking again, so a
+// pick costs O(len(srcs)) per switch of occurrence, not per sample.
+func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, limit uint64, emit func(Sample)) (count uint64) {
 	live := make([]*occSrc, 0, len(srcs))
 	heads := make([]uint32, 0, len(srcs)) // heads[i] is live[i]'s next timestamp
 	for i := range srcs {
@@ -127,17 +128,24 @@ func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, emit func(Sample)) (
 		}
 	}
 	for len(live) > 0 && q.err == nil {
-		best, limit := 0, ^uint32(0)
+		best, until := 0, ^uint32(0)
 		for i, t := range heads {
 			switch {
 			case t < heads[best]:
-				best, limit = i, heads[best]
-			case t < limit && i != best:
-				limit = t
+				best, until = i, heads[best]
+			case t < until && i != best:
+				until = t
 			}
 		}
 		o := live[best]
-		for o.buf[o.head].TS <= limit {
+		for o.buf[o.head].TS <= until {
+			if count == limit {
+				return count
+			}
+			if count&ctxCheckMask == 0 && q.ctx.Err() != nil {
+				q.err = context.Cause(q.ctx)
+				return count
+			}
 			if emit != nil {
 				emit(o.buf[o.head])
 			}
@@ -157,23 +165,44 @@ func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, emit func(Sample)) (
 	return count
 }
 
-// ValueTrace extracts the complete value trace of one static statement in
-// execution order, merging its occurrences across WET nodes by timestamp.
-// This is the paper's "per instruction load value trace" when the statement
-// is a load (Table 7). A statement id outside the program returns a
-// *StmtError. On a lazily loaded WET, a stream failing its deferred decode
-// surfaces as a *stream.DecodeError, not a panic.
-func ValueTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
-	defer core.RecoverTyped(&err)
-	return newCtx(w, tier).valueTrace(stmtID, emit)
+// samples emits the first limit samples of srcs (every sample when limit <
+// 0) and returns the trace's sample count: the merge's own when it runs to
+// the end, else whole, which the caller counted from the WET's execution and
+// label counts. At limit 0 the merge does not run.
+func (q *qctx) samples(srcs []occSrc, add, mask int64, whole uint64, limit int, emit func(Sample)) (uint64, error) {
+	if limit != 0 { // a negative limit converts to the largest uint64: no cap
+		if n := q.mergeSamples(srcs, add, mask, uint64(limit), emit); limit < 0 {
+			whole = n
+		}
+	}
+	return whole, q.err
 }
 
-func (q *qctx) valueTrace(stmtID int, emit func(Sample)) (uint64, error) {
+// ValueTraceCtx extracts the value trace of one static statement in
+// execution order, merging its occurrences across WET nodes by timestamp.
+// This is the paper's "per instruction load value trace" when the statement
+// is a load (Table 7). It emits the first limit samples (every sample when
+// limit < 0) and returns the whole trace's count, which a capped call takes
+// from the occurrences' execution counts without reading past the limit. A
+// statement id outside the program returns a *StmtError, a context done
+// before the end its cause. On a lazily loaded WET, a stream failing its
+// deferred decode surfaces as a *stream.DecodeError, not a panic.
+func ValueTraceCtx(ctx context.Context, w *core.WET, tier core.Tier, stmtID, limit int, emit func(Sample)) (count uint64, err error) {
+	defer core.RecoverTyped(&err)
+	q := newCtx(w, tier)
+	if q.ctx, err = alive(ctx); err != nil {
+		return 0, err
+	}
+	return q.valueTrace(stmtID, limit, emit)
+}
+
+func (q *qctx) valueTrace(stmtID, limit int, emit func(Sample)) (uint64, error) {
 	if err := checkStmt(q.w, stmtID); err != nil {
 		return 0, err
 	}
 	refs := q.w.StmtOcc[stmtID]
 	srcs := q.occs(len(refs))
+	var whole uint64 // one sample per execution
 	for _, ref := range refs {
 		n := q.w.Nodes[ref.Node]
 		vr, err := q.valueReader(n, ref.Pos)
@@ -181,8 +210,9 @@ func (q *qctx) valueTrace(stmtID int, emit func(Sample)) (uint64, error) {
 			return 0, err
 		}
 		srcs = append(srcs, occSrc{ts: q.w.TSSeq(n, q.tier), runs: []valRun{{vr: vr}}})
+		whole += uint64(n.Execs)
 	}
-	return q.mergeSamples(srcs, 0, -1, emit), q.err
+	return q.samples(srcs, 0, -1, whole, limit, emit)
 }
 
 // LoadValueTraces extracts the value trace of every load instruction
@@ -194,7 +224,7 @@ func LoadValueTraces(w *core.WET, tier core.Tier, emit func(stmtID int, s Sample
 
 // tracePass runs one per-statement trace over every statement want selects,
 // in statement order, and returns the total number of samples.
-func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, func(Sample)) (uint64, error),
+func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, int, func(Sample)) (uint64, error),
 	emit func(stmtID int, s Sample)) (total uint64, err error) {
 	defer core.RecoverTyped(&err)
 	for _, st := range w.Prog.Stmts {
@@ -205,7 +235,7 @@ func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, func(Sampl
 		if emit != nil {
 			one = func(s Sample) { emit(st.ID, s) }
 		}
-		n, err := trace(st.ID, one)
+		n, err := trace(st.ID, -1, one)
 		if err != nil {
 			return total, err
 		}
@@ -214,19 +244,26 @@ func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, func(Sampl
 	return total, nil
 }
 
-// AddressTrace extracts the address trace of one load/store: for every
+// AddressTraceCtx extracts the address trace of one load/store: for every
 // execution, the address operand's value (resolved through the DD edge to
 // its producer, per the paper: "addresses ... can be obtained by examining
 // the <t,v> sequences of statements that produce the operands") plus the
-// static displacement. A statement id outside the program returns a
-// *StmtError. Deferred-decode failures surface as a *stream.DecodeError, not
-// a panic.
-func AddressTrace(w *core.WET, tier core.Tier, stmtID int, emit func(Sample)) (count uint64, err error) {
+// static displacement. It emits the first limit samples (every sample when
+// limit < 0) and returns the whole trace's count, which a capped call takes
+// from execution and label counts without reading past the limit. A
+// statement id outside the program returns a *StmtError, a context done
+// before the end its cause. Deferred-decode failures surface as a
+// *stream.DecodeError, not a panic.
+func AddressTraceCtx(ctx context.Context, w *core.WET, tier core.Tier, stmtID, limit int, emit func(Sample)) (count uint64, err error) {
 	defer core.RecoverTyped(&err)
-	return newCtx(w, tier).addressTrace(stmtID, emit)
+	q := newCtx(w, tier)
+	if q.ctx, err = alive(ctx); err != nil {
+		return 0, err
+	}
+	return q.addressTrace(stmtID, limit, emit)
 }
 
-func (q *qctx) addressTrace(stmtID int, emit func(Sample)) (uint64, error) {
+func (q *qctx) addressTrace(stmtID, limit int, emit func(Sample)) (uint64, error) {
 	w := q.w
 	if err := checkStmt(w, stmtID); err != nil {
 		return 0, err
@@ -243,6 +280,7 @@ func (q *qctx) addressTrace(stmtID int, emit func(Sample)) (uint64, error) {
 	}
 	refs := w.StmtOcc[stmtID]
 	srcs := q.occs(len(refs))
+	var whole uint64
 	for _, ref := range refs {
 		n := w.Nodes[ref.Node]
 		var runs []valRun
@@ -250,6 +288,10 @@ func (q *qctx) addressTrace(stmtID int, emit func(Sample)) (uint64, error) {
 			// Constant address: one sample per execution.
 			runs = []valRun{{}}
 		}
+		// An execution has a sample when a run covers it: a constant or
+		// inferable run covers every one, a labelled edge the executions
+		// its destination labels name.
+		all, labelled := opIdx < 0, uint64(0)
 		// Resolve through each incoming DD edge on the address operand; the
 		// producer's value reader is shared by the runs it feeds.
 		for _, ei := range n.InEdges[ref.Pos] {
@@ -262,17 +304,24 @@ func (q *qctx) addressTrace(stmtID int, emit func(Sample)) (uint64, error) {
 			if r.vr, err = q.valueReader(w.Nodes[e.SrcNode], e.SrcPos); err != nil {
 				return 0, err
 			}
-			if !e.Inferable {
+			if e.Inferable {
+				all = true
+			} else {
 				r.lab = new([2]core.Window)
 				r.lab[0], r.lab[1] = w.EdgeWindows(e, q.tier, false)
+				labelled += uint64(r.lab[0].Len())
 			}
 			runs = append(runs, r)
 		}
 		if len(runs) > 0 {
 			srcs = append(srcs, occSrc{ts: w.TSSeq(n, q.tier), runs: runs})
 		}
+		if all {
+			labelled = uint64(n.Execs)
+		}
+		whole += labelled
 	}
-	return q.mergeSamples(srcs, add, w.Prog.MemWords-1, emit), q.err
+	return q.samples(srcs, add, w.Prog.MemWords-1, whole, limit, emit)
 }
 
 // AddressTraces extracts the address trace of every load and store

@@ -6,6 +6,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 
 	"wet/internal/core"
@@ -144,41 +145,30 @@ func (wk *Walker) StartAt(t uint32) (err error) {
 	return nil
 }
 
-// ExtractCF walks the whole control-flow trace in the given direction,
-// invoking emit for every executed statement (in per-node static order; the
-// node-level order is exact execution order). It returns the number of
-// statements visited — times 4 bytes, the paper's CF trace size. On a
-// lazily loaded WET a deferred-decode failure panics with a
-// *stream.DecodeError (this signature has no error slot); use ExtractCFCtx
-// to receive it as a typed error instead.
-func ExtractCF(w *core.WET, tier core.Tier, forward bool, emit func(stmtID int)) uint64 {
-	n, _ := walkCF(w, tier, forward, emit, nil)
-	return n
-}
-
-// walkCF is the whole-trace walk behind ExtractCF and ExtractCFCtx. stop,
-// when non-nil, is polled after every node execution; a true answer ends
-// the walk with the statements visited so far.
-func walkCF(w *core.WET, tier core.Tier, forward bool, emit func(stmtID int), stop func() bool) (n uint64, stopped bool) {
+// walkCF walks the control-flow trace in the given direction until it ends
+// or limit statements are emitted, and returns the statements emitted. It
+// polls ctx every ctxCheckMask+1 node steps and stops with its cause.
+func walkCF(ctx context.Context, w *core.WET, tier core.Tier, forward bool, limit uint64, emit func(stmtID int)) (n uint64, err error) {
 	wk := NewWalker(w, tier)
 	if !forward {
 		wk.SeekEnd()
 	}
-	for wk.step(!forward) {
+	for steps := uint64(1); n < limit && wk.step(!forward); steps++ {
 		stmts := w.Nodes[wk.Node].Stmts
-		n += uint64(len(stmts))
+		k := int(min(uint64(len(stmts)), limit-n))
+		n += uint64(k)
 		if emit != nil && forward {
-			for _, s := range stmts {
+			for _, s := range stmts[:k] {
 				emit(s.ID)
 			}
 		} else if emit != nil {
-			for i := len(stmts) - 1; i >= 0; i-- {
+			for i := len(stmts) - 1; i >= len(stmts)-k; i-- {
 				emit(stmts[i].ID)
 			}
 		}
-		if stop != nil && stop() {
-			return n, true
+		if steps&ctxCheckMask == 0 && ctx.Err() != nil {
+			return n, context.Cause(ctx)
 		}
 	}
-	return n, false
+	return n, nil
 }

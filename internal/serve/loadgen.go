@@ -16,7 +16,9 @@ import (
 // DefaultLoadMix is the query mix the load generator drives when none is
 // given: metadata lookups (served from the registry) interleaved with
 // range extractions and profiles that touch segment state, so a bounded
-// cache shows both hits and evictions.
+// cache shows both hits and evictions. The evictions come from the one
+// window over every timestamp: a capped cf stops at its limit, a cfrange
+// walks its whole window.
 var DefaultLoadMix = []string{
 	"info",
 	"cfrange?from=1&to=128&limit=32",
@@ -25,7 +27,7 @@ var DefaultLoadMix = []string{
 	"segments",
 	"cfrange?from=4096&to=4224&limit=32",
 	"hotpaths?n=5",
-	"cf?limit=8",
+	"cfrange?from=1&to=4294967295&limit=8",
 	"time",
 	"epochs",
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -20,6 +21,7 @@ import (
 	"wet/internal/core"
 	"wet/internal/corpus"
 	"wet/internal/faultpoint"
+	"wet/internal/ir"
 	"wet/internal/stream"
 	"wet/internal/workload"
 )
@@ -144,7 +146,8 @@ func readAll(resp *http.Response) (string, error) {
 }
 
 // TestQueryResults spot-checks real payloads: the cf count matches the
-// trace's own walk, and hotpaths returns ranked rows.
+// trace's own walk, a capped value or address trace is the library's
+// prefix, and hotpaths returns ranked rows.
 func TestQueryResults(t *testing.T) {
 	c := testCorpus(t, 0, "li")
 	s := New(c, Options{})
@@ -161,6 +164,29 @@ func TestQueryResults(t *testing.T) {
 	}
 	if len(m["ids"].([]int)) != 8 || m["truncated"] != true {
 		t.Fatalf("cf limit not applied: %v", m)
+	}
+
+	// A capped sample trace returns the library's whole count, the first
+	// samples of its trace, and says it was truncated.
+	stmt := longLoad(t, e.Trace)
+	for _, q := range []string{"valuetrace", "addrtrace"} {
+		var all []wet.Sample
+		trace := e.Trace.ValueTrace
+		if q == "addrtrace" {
+			trace = e.Trace.AddressTrace
+		}
+		n, err := trace(stmt, func(sm wet.Sample) { all = append(all, sm) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Query(context.Background(), "li", q, url.Values{"stmt": {strconv.Itoa(stmt)}, "limit": {"4"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := res.(map[string]any)
+		if m["count"].(uint64) != n || !slices.Equal(m["samples"].([]wet.Sample), all[:4]) || m["truncated"] != true {
+			t.Fatalf("%s?limit=4 = %v, want count %d and samples %v", q, m, n, all[:4])
+		}
 	}
 
 	res, err = s.Query(context.Background(), "li", "hotpaths", url.Values{"n": {"3"}})
@@ -196,6 +222,45 @@ func TestQueryResults(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no control dependence fired in the first executions of any li node")
+	}
+}
+
+// longLoad returns the load of tr that executes most often.
+func longLoad(tb testing.TB, tr *wet.Trace) int {
+	tb.Helper()
+	stmt, most := -1, uint64(0)
+	for _, st := range tr.WET().Prog.Stmts {
+		if n := uint64(0); st.Op == ir.OpLoad {
+			for _, ref := range tr.WET().StmtOcc[st.ID] {
+				n += uint64(tr.WET().Nodes[ref.Node].Execs)
+			}
+			if n > most {
+				stmt, most = st.ID, n
+			}
+		}
+	}
+	if most <= 4 {
+		tb.Fatalf("no load executes more than 4 times")
+	}
+	return stmt
+}
+
+// TestTraceDeadline: an uncapped value trace past its deadline returns the
+// deadline's cause instead of holding its worker to the end of the trace,
+// and the worker is released. The pool admits an expired request about half
+// the time, so it is asked several times.
+func TestTraceDeadline(t *testing.T) {
+	c := testCorpus(t, 0, "li")
+	s := New(c, Options{Deadline: time.Nanosecond, MaxItems: math.MaxInt})
+	stmt := longLoad(t, c.Entries()[0].Trace)
+	for range 16 {
+		_, err := s.Query(context.Background(), "li", "valuetrace", url.Values{"stmt": {strconv.Itoa(stmt)}})
+		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "wetd: deadline") {
+			t.Fatalf("valuetrace past a 1ns deadline returned %v, want the deadline's cause", err)
+		}
+	}
+	if st := s.PoolStats(); st.Active != 0 {
+		t.Fatalf("pool stats %+v after the deadline, want no active query", st)
 	}
 }
 

@@ -182,11 +182,7 @@ func (s *Server) run(ctx context.Context, e *corpus.Entry, q string, params url.
 	case "cf":
 		forward := params.Get("dir") != "backward"
 		ids := make([]int, 0, min(limit, 1024))
-		n, err := query.ExtractCFCtx(ctx, tr.WET(), tr.Tier(), forward, func(id int) {
-			if len(ids) < limit {
-				ids = append(ids, id)
-			}
-		})
+		n, err := query.ExtractCFCtx(ctx, tr.WET(), tr.Tier(), forward, limit, func(id int) { ids = append(ids, id) })
 		if err != nil {
 			return nil, err
 		}
@@ -215,19 +211,12 @@ func (s *Server) run(ctx context.Context, e *corpus.Entry, q string, params url.
 		if err != nil {
 			return nil, err
 		}
+		trace := query.ValueTraceCtx
+		if q == "addrtrace" {
+			trace = query.AddressTraceCtx
+		}
 		samples := make([]wet.Sample, 0, min(limit, 1024))
-		emit := func(sm wet.Sample) {
-			if len(samples) < limit {
-				samples = append(samples, sm)
-			}
-		}
-		var n uint64
-		var qerr error
-		if q == "valuetrace" {
-			n, qerr = tr.ValueTrace(stmt, emit)
-		} else {
-			n, qerr = tr.AddressTrace(stmt, emit)
-		}
+		n, qerr := trace(ctx, tr.WET(), tr.Tier(), stmt, limit, func(sm wet.Sample) { samples = append(samples, sm) })
 		if qerr != nil {
 			return nil, qerr
 		}

@@ -144,7 +144,7 @@ func censusSalvage(t *testing.T, data []byte, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cf, err := query.ExtractCFCtx(context.Background(), w, core.Tier2, true, nil)
+	cf, err := query.ExtractCFCtx(context.Background(), w, core.Tier2, true, -1, nil)
 	return fmt.Sprintf("%s cf=%d/%v", js, cf, err)
 }
 

@@ -132,7 +132,7 @@ func checkSalvaged(t *testing.T, w *core.WET, rep *SalvageReport, what string) {
 	}
 	// Queries must degrade gracefully, not crash: walk the control flow and
 	// pull one backward slice off the last node.
-	query.ExtractCF(w, core.Tier2, true, nil)
+	mustCF(w, core.Tier2, true, nil)
 	last := w.Nodes[w.LastNode]
 	if last.Execs > 0 && len(last.Stmts) > 0 {
 		crit := query.Instance{Node: w.LastNode, Pos: 0, Ord: last.Execs - 1}
@@ -406,8 +406,8 @@ func TestCorruptCleanSalvageIsLossless(t *testing.T) {
 		t.Fatalf("salvage of intact file lost records: %d/%d nodes, %d/%d edges",
 			len(sal.Nodes), len(strict.Nodes), len(sal.Edges), len(strict.Edges))
 	}
-	a := query.ExtractCF(strict, core.Tier2, true, nil)
-	b := query.ExtractCF(sal, core.Tier2, true, nil)
+	a := mustCF(strict, core.Tier2, true, nil)
+	b := mustCF(sal, core.Tier2, true, nil)
 	if a != b {
 		t.Fatalf("salvage of intact file changed the CF trace: %d vs %d stmts", b, a)
 	}

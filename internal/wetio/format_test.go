@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"wet/internal/core"
-	"wet/internal/query"
 )
 
 // TestSaveDeterministic asserts two saves of the same WET are byte
@@ -73,8 +72,8 @@ func TestV2FixtureLoads(t *testing.T) {
 		t.Fatal("fixture time/raw counters differ from fresh build")
 	}
 	var a, b []int
-	query.ExtractCF(fresh, core.Tier1, true, func(id int) { a = append(a, id) })
-	query.ExtractCF(w2, core.Tier2, true, func(id int) { b = append(b, id) })
+	mustCF(fresh, core.Tier1, true, func(id int) { a = append(a, id) })
+	mustCF(w2, core.Tier2, true, func(id int) { b = append(b, id) })
 	if len(a) != len(b) {
 		t.Fatalf("fixture CF trace has %d entries, fresh build %d", len(b), len(a))
 	}

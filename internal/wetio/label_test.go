@@ -2,6 +2,7 @@ package wetio
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -78,7 +79,7 @@ func TestLabelsPastTheirSequenceRefused(t *testing.T) {
 		"AddressTrace": func(w *core.WET) (err error) {
 			for _, st := range w.Prog.Stmts {
 				if st.Op == ir.OpLoad {
-					if _, err = query.AddressTrace(w, core.Tier2, st.ID, nil); err != nil {
+					if _, err = query.AddressTraceCtx(context.Background(), w, core.Tier2, st.ID, -1, nil); err != nil {
 						return err
 					}
 				}
@@ -92,7 +93,7 @@ func TestLabelsPastTheirSequenceRefused(t *testing.T) {
 		"ValueTrace": func(w *core.WET) (err error) {
 			for _, st := range w.Prog.Stmts {
 				if st.Op == ir.OpLoad {
-					if _, err = query.ValueTrace(w, core.Tier2, st.ID, nil); err != nil {
+					if _, err = query.ValueTraceCtx(context.Background(), w, core.Tier2, st.ID, -1, nil); err != nil {
 						return err
 					}
 				}

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"wet/internal/core"
-	"wet/internal/query"
 	"wet/internal/stream"
 )
 
@@ -27,7 +26,7 @@ func cfDigest(w *core.WET, tier core.Tier, forward bool) uint64 {
 		h.Write(b[:])
 	}
 	emit(w.Time)
-	query.ExtractCF(w, tier, forward, func(id int) { emit(uint32(id)) })
+	mustCF(w, tier, forward, func(id int) { emit(uint32(id)) })
 	return h.Sum64()
 }
 
@@ -109,7 +108,7 @@ func TestLazyOpenConcurrentQueries(t *testing.T) {
 			}
 			// Also push a backward walk through the same lazy streams.
 			if !fwd {
-				query.ExtractCF(w, core.Tier2, false, nil)
+				mustCF(w, core.Tier2, false, nil)
 			}
 		}()
 	}

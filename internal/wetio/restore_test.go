@@ -43,9 +43,9 @@ func tierDigest(w *core.WET, tier core.Tier) string {
 	}
 	ctx := context.Background()
 	var out string
-	n, err := query.ExtractCFCtx(ctx, w, tier, true, func(id int) { emit(uint64(id)) })
+	n, err := query.ExtractCFCtx(ctx, w, tier, true, -1, func(id int) { emit(uint64(id)) })
 	out += part("cf_fwd", n, err)
-	n, err = query.ExtractCFCtx(ctx, w, tier, false, func(id int) { emit(uint64(id)) })
+	n, err = query.ExtractCFCtx(ctx, w, tier, false, -1, func(id int) { emit(uint64(id)) })
 	out += part("cf_bwd", n, err)
 	n, err = query.LoadValueTraces(w, tier, func(id int, s query.Sample) { emit(uint64(id), uint64(s.TS), uint64(s.Value)) })
 	out += part("values", n, err)

@@ -304,7 +304,7 @@ func TestForgedDecodeTypedAcrossFormats(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					_, errs[g] = query.ExtractCFCtx(context.Background(), w, core.Tier2, g%2 == 0, nil)
+					_, errs[g] = query.ExtractCFCtx(context.Background(), w, core.Tier2, g%2 == 0, -1, nil)
 				}(g)
 			}
 			wg.Wait()

@@ -7,14 +7,13 @@ import (
 	"testing"
 
 	"wet/internal/core"
-	"wet/internal/query"
 )
 
 // cfDigest fingerprints the forward control-flow trace.
 func segCFDigest(tb testing.TB, w *core.WET) uint64 {
 	tb.Helper()
 	var h uint64 = 1469598103934665603
-	query.ExtractCF(w, core.Tier2, true, func(id int) {
+	mustCF(w, core.Tier2, true, func(id int) {
 		h = (h ^ uint64(id)) * 1099511628211
 	})
 	return h

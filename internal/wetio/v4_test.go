@@ -91,8 +91,8 @@ func TestV4RoundTrip(t *testing.T) {
 	}
 
 	var a, b []int
-	query.ExtractCF(w, core.Tier2, true, func(id int) { a = append(a, id) })
-	query.ExtractCF(w2, core.Tier2, true, func(id int) { b = append(b, id) })
+	mustCF(w, core.Tier2, true, func(id int) { a = append(a, id) })
+	mustCF(w2, core.Tier2, true, func(id int) { b = append(b, id) })
 	if len(a) != len(b) {
 		t.Fatalf("CF trace length %d vs %d", len(b), len(a))
 	}
@@ -248,7 +248,7 @@ func TestV4SalvageEdgeDrop(t *testing.T) {
 				}
 			}
 		}
-		query.ExtractCF(w, core.Tier2, true, nil)
+		mustCF(w, core.Tier2, true, nil)
 	}
 	if tested == 0 {
 		t.Fatal("no edge sections found")
@@ -285,7 +285,7 @@ func TestV4SalvageStomps(t *testing.T) {
 				t.Fatalf("trial %d: salvage returned empty WET without error", trial)
 			}
 			_ = rep
-			query.ExtractCF(w, core.Tier2, true, nil)
+			mustCF(w, core.Tier2, true, nil)
 		}()
 	}
 }

@@ -2,6 +2,7 @@ package wetio
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"wet/internal/core"
@@ -9,6 +10,17 @@ import (
 	"wet/internal/query"
 	"wet/internal/workload"
 )
+
+// mustCF walks the whole control-flow trace and returns its statement count;
+// a walk that fails panics with the error, as the facade's
+// ExtractControlFlow does.
+func mustCF(w *core.WET, tier core.Tier, forward bool, emit func(stmtID int)) uint64 {
+	n, err := query.ExtractCFCtx(context.Background(), w, tier, forward, -1, emit)
+	if err != nil {
+		panic(err)
+	}
+	return n
+}
 
 func buildFrozen(t *testing.T, name string) *core.WET {
 	t.Helper()
@@ -58,8 +70,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	// The loaded tier 2 reads the control-flow trace the fresh tier 1 holds.
 	var a, b []int
-	query.ExtractCF(w, core.Tier1, true, func(id int) { a = append(a, id) })
-	query.ExtractCF(w2, core.Tier2, true, func(id int) { b = append(b, id) })
+	mustCF(w, core.Tier1, true, func(id int) { a = append(a, id) })
+	mustCF(w2, core.Tier2, true, func(id int) { b = append(b, id) })
 	if len(a) != len(b) {
 		t.Fatalf("CF trace length %d vs %d", len(b), len(a))
 	}
@@ -111,7 +123,7 @@ func TestLoadWithoutTier1(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tier-2 queries work; tier-1 arrays stay nil.
-	if n := query.ExtractCF(w2, core.Tier2, true, nil); n != w.Raw.StmtExecs {
+	if n := mustCF(w2, core.Tier2, true, nil); n != w.Raw.StmtExecs {
 		t.Fatalf("CF extracted %d stmts, want %d", n, w.Raw.StmtExecs)
 	}
 	if w2.Nodes[0].TS != nil {
@@ -153,7 +165,7 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Load: %v", wl.Name, err)
 		}
-		if n := query.ExtractCF(w2, core.Tier2, true, nil); n != w.Raw.StmtExecs {
+		if n := mustCF(w2, core.Tier2, true, nil); n != w.Raw.StmtExecs {
 			t.Fatalf("%s: loaded CF trace %d stmts, want %d", wl.Name, n, w.Raw.StmtExecs)
 		}
 	}

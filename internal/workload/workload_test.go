@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -197,10 +198,10 @@ func TestSoakLargeRun(t *testing.T) {
 		t.Fatalf("soak compression ratio %.1f", ratio)
 	}
 	// The full control flow trace reconstructs at both tiers.
-	n1 := query.ExtractCF(wet, core.Tier1, true, nil)
-	n2 := query.ExtractCF(wet, core.Tier2, true, nil)
-	if n1 != res.Steps || n2 != res.Steps {
-		t.Fatalf("CF trace %d/%d stmts, ran %d", n1, n2, res.Steps)
+	n1, err1 := query.ExtractCFCtx(context.Background(), wet, core.Tier1, true, -1, nil)
+	n2, err2 := query.ExtractCFCtx(context.Background(), wet, core.Tier2, true, -1, nil)
+	if n1 != res.Steps || n2 != res.Steps || err1 != nil || err2 != nil {
+		t.Fatalf("CF trace %d/%d stmts (%v, %v), ran %d", n1, n2, err1, err2, res.Steps)
 	}
 	t.Logf("soak: %d stmts, ratio %.1fx, %d nodes, %d edges",
 		res.Steps, ratio, len(wet.Nodes), len(wet.Edges))

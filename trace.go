@@ -178,24 +178,28 @@ func (t *Trace) Walker() *Walker { return query.NewWalker(t.w, t.tier) }
 // *CapabilityError at Tier1 of a trace that keeps tier 2 only, a
 // *DecodeError from a lazily opened stream whose deferred decode fails.
 func (t *Trace) ExtractControlFlow(forward bool, emit func(stmtID int)) uint64 {
-	return query.ExtractCF(t.w, t.tier, forward, emit)
+	n, err := query.ExtractCFCtx(context.Background(), t.w, t.tier, forward, -1, emit)
+	if err != nil {
+		panic(err)
+	}
+	return n
 }
 
 // ExtractCFRange walks the control-flow trace between two timestamps
 // (inclusive). An inverted range returns a *RangeError; a range merely
 // clipped by the ends of the trace is extracted as far as it exists.
 func (t *Trace) ExtractCFRange(fromTS, toTS uint32, emit func(stmtID int)) (uint64, error) {
-	return query.ExtractCFRange(t.w, t.tier, fromTS, toTS, emit)
+	return query.ExtractCFRangeCtx(context.Background(), t.w, t.tier, fromTS, toTS, emit)
 }
 
 // ValueTrace extracts the per-instruction value trace of one statement.
 func (t *Trace) ValueTrace(stmtID int, emit func(Sample)) (uint64, error) {
-	return query.ValueTrace(t.w, t.tier, stmtID, emit)
+	return query.ValueTraceCtx(context.Background(), t.w, t.tier, stmtID, -1, emit)
 }
 
 // AddressTrace extracts the per-instruction address trace of a load/store.
 func (t *Trace) AddressTrace(stmtID int, emit func(Sample)) (uint64, error) {
-	return query.AddressTrace(t.w, t.tier, stmtID, emit)
+	return query.AddressTraceCtx(context.Background(), t.w, t.tier, stmtID, -1, emit)
 }
 
 // InstanceOfTS locates a statement's instance at a given timestamp.
