@@ -13,6 +13,7 @@ package wet_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,6 +54,10 @@ type programCounts struct {
 	// LadderFloor is the smallest container the byte budget's full
 	// degradation ladder reaches (BudgetError.Best of a 1-byte budget).
 	LadderFloor uint64 `json:"ladder_floor"`
+	// CappedBackward digests, per cap, the instances and Edges of backward
+	// slices capped there from spacedCriteria's four instances: which
+	// instances a capped sweep keeps.
+	CappedBackward map[int]string `json:"capped_backward"`
 }
 
 // reportCounts are the size report's edge eliminations and the in-memory
@@ -131,7 +136,32 @@ func countProgram(t *testing.T, name string, scale int, epochTS uint32) programC
 		Report:     reportCounts{sz.InferableEdges, sz.SharedEdges, sz.OwnedEdges, sz.CheckpointBytes},
 		Methods:    sz.Methods,
 		SliceBatch: batch, LadderFloor: be.Best,
+		CappedBackward: cappedBackward(t, tr),
 	}
+}
+
+// cappedBackwardCaps are the caps cappedBackward slices at: one instance,
+// and below and at the serve workload's serveSliceMax.
+var cappedBackwardCaps = []int{1, 50, serveSliceMax}
+
+// cappedBackward returns, per cap, a SHA-256 prefix of the instances and
+// Edges of the backward slices capped there from spacedCriteria's instances.
+func cappedBackward(t *testing.T, tr *wet.Trace) map[int]string {
+	t.Helper()
+	out := map[int]string{}
+	crit := spacedCriteria(t, tr)
+	for _, limit := range cappedBackwardCaps {
+		h := sha256.New()
+		for _, c := range crit {
+			res, err := tr.Backward(c, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(h, res.Edges, res.Instances)
+		}
+		out[limit] = fmt.Sprintf("%x", h.Sum(nil)[:8])
+	}
+	return out
 }
 
 func countSymmetry(t *testing.T) symmetryCounts {
@@ -319,6 +349,7 @@ func TestExactCounts(t *testing.T) {
 		diff(id+" methods", g.Methods, w.Methods)
 		diff(id+" slice batch", g.SliceBatch, w.SliceBatch)
 		diff(id+" ladder floor", g.LadderFloor, w.LadderFloor)
+		diff(id+" capped backward", g.CappedBackward, w.CappedBackward)
 	}
 	diff("serve_capped", got.ServeCapped, want.ServeCapped)
 	diff("serve", got.Serve, want.Serve)
