@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"wet/internal/stream"
 )
@@ -55,41 +56,41 @@ func (ps *parts) at(i int) fedPart {
 	return p
 }
 
-// span follows one part of a federated sequence and, as a running sum kept
-// for part sumPi and moved to pi only when asked, the global index of its
-// first element: a reader that stays in one segment pays for no other, and
-// none builds a table over every epoch of the run.
+// bounds returns segment i's epoch, global start and length, resolving no
+// sharer.
+func (ps *parts) bounds(i int) (epoch, start, n int) {
+	if ps.edge != nil {
+		sg := ps.edge.Segs[i]
+		return sg.Epoch, sg.Start, sg.N
+	}
+	sg := (*ps.segs)[i]
+	return sg.Epoch, sg.Start, sg.N
+}
+
+// span follows one part of a federated sequence: its index pi, the global
+// index of its first element and its length, read off the segment when pi
+// moves. Segments record their starts, so reaching a part costs a binary
+// search, not a walk over the parts before it.
 type span struct {
 	parts
-	pi, sumPi, sum int
+	pi, first, n int
 }
 
 // start returns the global index of part pi's first element.
-func (s *span) start() int {
-	if s.sumPi != s.pi {
-		s.move()
-	}
-	return s.sum
-}
+func (s *span) start() int { return s.first }
 
-func (s *span) move() {
-	for ; s.sumPi < s.pi; s.sumPi++ {
-		s.sum += s.at(s.sumPi).n
-	}
-	for ; s.sumPi > s.pi; s.sumPi-- {
-		s.sum -= s.at(s.sumPi - 1).n
-	}
+// enterPart makes part pi current.
+func (s *span) enterPart(pi int) {
+	s.pi = pi
+	_, s.first, s.n = s.bounds(pi)
 }
 
 // locate makes the part holding global element i current; i's index in it.
 func (s *span) locate(i int) int {
-	for i < s.start() {
-		s.pi--
+	if i < s.first || i >= s.first+s.n {
+		s.enterPart(sort.Search(s.count(), func(k int) bool { _, st, _ := s.bounds(k); return st > i }) - 1)
 	}
-	for i >= s.start()+s.at(s.pi).n {
-		s.pi++
-	}
-	return i - s.sum
+	return i - s.first
 }
 
 // fedSeq federates per-epoch segments behind the Seq contract: one
@@ -100,8 +101,7 @@ func (s *span) locate(i int) int {
 // seeks; repositioning costs one checkpointed seek inside the target segment.
 type fedSeq struct {
 	span
-	size int // Len, summed on first use (-1 before)
-	pos  int
+	pos int
 
 	// The part the last read was in (span.pi) and its cursor: nil until a read
 	// needs it, ramp for a ramp part. Stream cursors of parts left behind wait
@@ -117,16 +117,16 @@ type keptCursor struct {
 	cur Seq
 }
 
-func newFedSeq(ps parts) *fedSeq { return &fedSeq{span: span{parts: ps}, size: -1} }
+func newFedSeq(ps parts) *fedSeq { return &fedSeq{span: span{parts: ps}} }
 
+// Len is the last segment's start plus its length.
 func (f *fedSeq) Len() int {
-	if f.size < 0 {
-		f.size = 0
-		for i := range f.count() {
-			f.size += f.parts.at(i).n
-		}
+	k := f.count()
+	if k == 0 {
+		return 0
 	}
-	return f.size
+	_, start, n := f.bounds(k - 1)
+	return start + n
 }
 
 func (f *fedSeq) Pos() int { return f.pos }

@@ -259,10 +259,12 @@ func diffCheckSegs(t *testing.T, i int, e *core.Edge, re *refEdge, execs int) {
 	if len(e.Segs) != len(re.segs) {
 		t.Fatalf("edge %d: %d segments, reference %d", i, len(e.Segs), len(re.segs))
 	}
+	start := 0
 	for si, sg := range e.Segs {
 		rs := re.segs[si]
-		want := core.EdgeSeg{Epoch: rs.epoch, N: rs.n, Inferable: rs.inferable, RampBase: rs.rampBase,
+		want := core.EdgeSeg{Epoch: rs.epoch, N: rs.n, Start: start, Inferable: rs.inferable, RampBase: rs.rampBase,
 			SharedWith: rs.sharedWith, SharedSeg: rs.sharedSeg}
+		start += rs.n
 		got := *sg
 		got.DstS, got.SrcS = nil, nil
 		if got != want {

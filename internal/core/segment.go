@@ -40,10 +40,13 @@ var fpSealEpoch = faultpoint.New("core.seal.epoch")
 // a segmented and a single-epoch WET of the same run.
 
 // LabelSeg is one epoch's frozen slice of a label sequence (timestamps,
-// group pattern, or unique values).
+// group pattern, or unique values). Start, the global index of its first
+// element (the sum of N before it), is set where segments are made and not
+// saved.
 type LabelSeg struct {
 	Epoch int
 	N     int
+	Start int
 	S     stream.Stream
 }
 
@@ -52,10 +55,11 @@ type LabelSeg struct {
 // node execution of their epoch with <k,k> pairs starting at RampBase and
 // store nothing; shared segments reuse the identical labels of
 // Edges[SharedWith].Segs[SharedSeg] (the representative always has a smaller
-// edge index).
+// edge index). Start is as LabelSeg's: the edge's own labels before it.
 type EdgeSeg struct {
 	Epoch int
 	N     int
+	Start int
 
 	Inferable bool
 	RampBase  uint32
@@ -82,6 +86,9 @@ func (b *Builder) sealEpoch(epoch int) {
 	base := uint32(epoch) * b.fopts.EpochTS
 	queue := func(segs *[]*LabelSeg, vals []uint32) {
 		seg := &LabelSeg{Epoch: epoch, N: len(vals)}
+		if k := len(*segs); k > 0 {
+			seg.Start = (*segs)[k-1].Start + (*segs)[k-1].N
+		}
 		*segs = append(*segs, seg)
 		b.jobs = append(b.jobs, func(sc *stream.Scratch) { seg.S = stream.CompressBestScratch(vals, sc) })
 	}
@@ -155,6 +162,9 @@ func (b *Builder) sealEpochEdges(epoch int) {
 			continue
 		}
 		seg := &EdgeSeg{Epoch: epoch, N: int(r.n) + len(e.DstOrd), SharedWith: -1, SharedSeg: -1}
+		if k := len(e.Segs); k > 0 {
+			seg.Start = e.Segs[k-1].Start + e.Segs[k-1].N
+		}
 		e.Segs = append(e.Segs, seg)
 
 		// Per-segment inference: the edge fired on every execution of its

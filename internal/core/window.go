@@ -22,10 +22,10 @@ const WalkChunk = 64
 type Window struct {
 	seq     Seq          // the whole sequence, or the entered segment's cursor
 	ra      RandomAccess // seq's O(1) reads at tier 1
-	span                 // read by epoch: the segments, and the one entered
+	span                 // read by epoch: the segments, and the one entered; n is the part's length
 	v       []uint32     // the run: the part's elements base … base+len(v)-1
 	base, i int          // v[i] is where the last Find ended
-	ep, hi  int          // the entered segment's epoch; the part's length
+	ep      int          // the entered segment's epoch
 	add     uint32       // added to every value read from the part
 	last    uint32       // the previous Find, on ords
 	byEpoch bool
@@ -35,7 +35,7 @@ type Window struct {
 // NewWindow returns a window over the whole of s.
 func NewWindow(s Seq) Window {
 	ra, _ := s.(RandomAccess)
-	return Window{seq: s, ra: ra, hi: s.Len()}
+	return Window{seq: s, ra: ra, span: span{n: s.Len()}}
 }
 
 // TSWindow returns a window over n's timestamps, read by epoch on a
@@ -64,7 +64,7 @@ func (w *WET) EdgeWindows(e *Edge, tier Tier, byEpoch bool) (dst, src Window) {
 }
 
 // Len returns the length of the window's part (the segment last entered).
-func (win *Window) Len() int { return win.hi }
+func (win *Window) Len() int { return win.n }
 
 // enter points the window at the segment of ts's epoch, if there is one.
 func (win *Window) enter(ts uint32) bool {
@@ -72,11 +72,14 @@ func (win *Window) enter(ts uint32) bool {
 	if win.seq != nil && win.ep == epoch {
 		return true
 	}
-	k := sort.Search(win.count(), func(i int) bool { return win.parts.at(i).epoch >= epoch })
-	if k == win.count() || win.parts.at(k).epoch != epoch {
+	k := sort.Search(win.count(), func(i int) bool { e, _, _ := win.bounds(i); return e >= epoch })
+	if k == win.count() {
 		return false
 	}
-	win.pi = k
+	if e, _, _ := win.bounds(k); e != epoch {
+		return false
+	}
+	win.enterPart(k)
 	win.open()
 	return true
 }
@@ -84,7 +87,7 @@ func (win *Window) enter(ts uint32) bool {
 // open spawns the cursor of segment pi, with an empty run.
 func (win *Window) open() {
 	p := win.parts.at(win.pi)
-	win.ep, win.add, win.hi, win.v, win.base = p.epoch, p.add, p.n, win.v[:0], 0
+	win.ep, win.add, win.v, win.base = p.epoch, p.add, win.v[:0], 0
 	if p.s != nil {
 		win.seq = p.s.NewCursor()
 	} else {
@@ -102,7 +105,7 @@ func (win *Window) Find(t, ts uint32, back bool) int {
 		return -1
 	}
 	win.grow(1)
-	top := win.hi
+	top := win.n
 	if win.ords {
 		top = max(min(top, int(t)+1-win.start()), 0)
 		if back && t > win.last {
@@ -126,7 +129,7 @@ func (win *Window) Find(t, ts uint32, back bool) int {
 			}
 			win.fill(min(win.base, top), true, win.base <= top)
 		case t > v[len(v)-1]:
-			if win.base+len(v) == win.hi {
+			if win.base+len(v) == win.n {
 				return -1
 			}
 			win.fill(win.base+len(v), false, true)
@@ -198,7 +201,7 @@ func (win *Window) Read(from int, dst []uint32) int {
 // below index i (back) or starting at i, keeping the old run's edge element
 // when keep is set, and returns how many it read.
 func (win *Window) fill(i int, back, keep bool) int {
-	v, k, n := win.v[:cap(win.v)], 0, min(WalkChunk, win.hi-i)
+	v, k, n := win.v[:cap(win.v)], 0, min(WalkChunk, win.n-i)
 	if back {
 		n = min(WalkChunk, i)
 	}
@@ -230,7 +233,7 @@ func (win *Window) fill(i int, back, keep bool) int {
 
 // grow sizes the run buffer to a run of the part, plus extra (Find's edge).
 func (win *Window) grow(extra int) {
-	if c := min(win.hi, WalkChunk) + extra; cap(win.v) < c {
+	if c := min(win.n, WalkChunk) + extra; cap(win.v) < c {
 		win.v = append(make([]uint32, 0, c), win.v...)
 	}
 }

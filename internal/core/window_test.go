@@ -35,15 +35,15 @@ func randomSpec(rng *rand.Rand) stream.Spec {
 // timestamps, stored epoch-local as a streamed WET stores them.
 func epochSegs(rng *rand.Rand, vals []uint32, epochTS uint32) []*core.LabelSeg {
 	var segs []*core.LabelSeg
-	for rest := vals; len(rest) > 0; {
+	for rest, start := vals, 0; len(rest) > 0; {
 		epoch := (rest[0] - 1) / epochTS
 		k, _ := slices.BinarySearch(rest, (epoch+1)*epochTS+1)
 		local := slices.Clone(rest[:k])
 		for i := range local {
 			local[i] -= epoch * epochTS
 		}
-		segs = append(segs, &core.LabelSeg{Epoch: int(epoch), N: k, S: stream.Compress(local, randomSpec(rng))})
-		rest = rest[k:]
+		segs = append(segs, &core.LabelSeg{Epoch: int(epoch), N: k, Start: start, S: stream.Compress(local, randomSpec(rng))})
+		rest, start = rest[k:], start+k
 	}
 	return segs
 }
@@ -117,7 +117,7 @@ func (l edgeLabels) segmented(rng *rand.Rand) (*core.WET, *core.Edge) {
 			hi++
 		}
 		dst, src := l.dst[lo:hi], l.src[lo:hi]
-		sg := &core.EdgeSeg{Epoch: l.epoch[lo], N: hi - lo, SharedWith: -1, SharedSeg: -1}
+		sg := &core.EdgeSeg{Epoch: l.epoch[lo], N: hi - lo, Start: lo, SharedWith: -1, SharedSeg: -1}
 		switch {
 		case slices.Equal(dst, src) && int(dst[len(dst)-1]-dst[0]) == len(dst)-1 && rng.Intn(2) == 0:
 			sg.Inferable, sg.RampBase = true, dst[0]
@@ -125,6 +125,10 @@ func (l edgeLabels) segmented(rng *rand.Rand) (*core.WET, *core.Edge) {
 			sg.DstS, sg.SrcS = stream.Compress(dst, randomSpec(rng)), stream.Compress(src, randomSpec(rng))
 			if rng.Intn(2) == 0 {
 				owned := *sg
+				if owned.Start = 0; len(rep.Segs) > 0 {
+					last := rep.Segs[len(rep.Segs)-1]
+					owned.Start = last.Start + last.N
+				}
 				rep.Segs = append(rep.Segs, &owned)
 				sg.SharedWith, sg.SharedSeg, sg.DstS, sg.SrcS = 0, len(rep.Segs)-1, nil, nil
 			}

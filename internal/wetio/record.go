@@ -162,8 +162,8 @@ func readLabels(d *wire.Dec, wet *core.WET, want int, opts LoadOptions) (stream.
 		if s.Len() != int(n) {
 			return nil, nil, fmt.Errorf("segment (epoch %d) stream has %d entries, record says %d", epoch, s.Len(), n)
 		}
+		slab[i] = core.LabelSeg{Epoch: int(epoch), N: int(n), Start: total, S: s}
 		total += int(n)
-		slab[i] = core.LabelSeg{Epoch: int(epoch), N: int(n), S: s}
 		segs[i] = &slab[i]
 	}
 	if err := d.Err(); err != nil {
@@ -346,7 +346,7 @@ func readEdgeLabels(d *wire.Dec, wet *core.WET, e *core.Edge, id int, opts LoadO
 			return fmt.Errorf("segment %d holds %d labels, edge count is %d", si, n, e.Count)
 		}
 		sg := &slab[si]
-		*sg = core.EdgeSeg{Epoch: int(epoch), N: int(n), SharedWith: -1, SharedSeg: -1}
+		*sg = core.EdgeSeg{Epoch: int(epoch), N: int(n), Start: total, SharedWith: -1, SharedSeg: -1}
 		e.Segs[si] = sg
 		switch flags {
 		case segInferable:
