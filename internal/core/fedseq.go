@@ -8,15 +8,15 @@ import (
 	"wet/internal/stream"
 )
 
-// fedPart describes one segment of a federated label sequence: a tier-2
-// stream, or the ramp of an inferable edge segment (element k is ramp+k,
-// stored nowhere). add re-bases every value read from it: a segment's local
-// timestamps to global time, zero elsewhere.
+// fedPart describes how to read one segment of a federated label sequence
+// (bounds says where it lies): a tier-2 stream, or the ramp of an inferable
+// edge segment (element k is ramp+k, stored nowhere). add re-bases every
+// value read from it: a segment's local timestamps to global time, zero
+// elsewhere.
 type fedPart struct {
-	n, epoch int
-	add      uint32
-	s        stream.Stream // nil for a synthesized ramp part
-	ramp     uint32        // first value of the ramp when s == nil
+	add  uint32
+	s    stream.Stream // nil for a synthesized ramp part
+	ramp uint32        // first value of the ramp when s == nil
 }
 
 // parts names the segments of one federated sequence (timestamps, plain
@@ -40,10 +40,10 @@ func (ps *parts) count() int {
 func (ps *parts) at(i int) fedPart {
 	if ps.edge == nil {
 		sg := (*ps.segs)[i]
-		return fedPart{n: sg.N, epoch: sg.Epoch, s: sg.S, add: uint32(sg.Epoch) * ps.stride}
+		return fedPart{s: sg.S, add: uint32(sg.Epoch) * ps.stride}
 	}
 	sg := ps.edge.Segs[i]
-	p := fedPart{n: sg.N, epoch: sg.Epoch, ramp: sg.RampBase}
+	p := fedPart{ramp: sg.RampBase}
 	if sg.Inferable {
 		return p
 	}
@@ -56,39 +56,36 @@ func (ps *parts) at(i int) fedPart {
 	return p
 }
 
-// bounds returns segment i's epoch, global start and length, resolving no
-// sharer.
-func (ps *parts) bounds(i int) (epoch, start, n int) {
+// segBounds is where a segment lies: its epoch, the global index of its
+// first element, and its length.
+type segBounds struct{ epoch, first, n int }
+
+// bounds returns segment i's bounds, resolving no sharer.
+func (ps *parts) bounds(i int) segBounds {
 	if ps.edge != nil {
 		sg := ps.edge.Segs[i]
-		return sg.Epoch, sg.Start, sg.N
+		return segBounds{sg.Epoch, sg.Start, sg.N}
 	}
 	sg := (*ps.segs)[i]
-	return sg.Epoch, sg.Start, sg.N
+	return segBounds{sg.Epoch, sg.Start, sg.N}
 }
 
-// span follows one part of a federated sequence: its index pi, the global
-// index of its first element and its length, read off the segment when pi
-// moves. Segments record their starts, so reaching a part costs a binary
-// search, not a walk over the parts before it.
+// span follows one part of a federated sequence, pi, with its bounds read
+// off the segment when pi moves. Segments record their starts, so reaching
+// a part costs a binary search, not a walk over the parts before it.
 type span struct {
 	parts
-	pi, first, n int
+	pi int
+	segBounds
 }
-
-// start returns the global index of part pi's first element.
-func (s *span) start() int { return s.first }
 
 // enterPart makes part pi current.
-func (s *span) enterPart(pi int) {
-	s.pi = pi
-	_, s.first, s.n = s.bounds(pi)
-}
+func (s *span) enterPart(pi int) { s.pi, s.segBounds = pi, s.bounds(pi) }
 
 // locate makes the part holding global element i current; i's index in it.
 func (s *span) locate(i int) int {
 	if i < s.first || i >= s.first+s.n {
-		s.enterPart(sort.Search(s.count(), func(k int) bool { _, st, _ := s.bounds(k); return st > i }) - 1)
+		s.enterPart(sort.Search(s.count(), func(k int) bool { return s.bounds(k).first > i }) - 1)
 	}
 	return i - s.first
 }
@@ -119,14 +116,13 @@ type keptCursor struct {
 
 func newFedSeq(ps parts) *fedSeq { return &fedSeq{span: span{parts: ps}} }
 
-// Len is the last segment's start plus its length.
 func (f *fedSeq) Len() int {
 	k := f.count()
 	if k == 0 {
 		return 0
 	}
-	_, start, n := f.bounds(k - 1)
-	return start + n
+	b := f.bounds(k - 1)
+	return b.first + b.n
 }
 
 func (f *fedSeq) Pos() int { return f.pos }
@@ -156,7 +152,7 @@ func (f *fedSeq) at(i int, back bool) (local int) {
 		} else if f.p.s != nil {
 			f.cur = f.p.s.NewCursor()
 		} else {
-			f.ramp = rampSeq{ramp: f.p.ramp, n: f.p.n}
+			f.ramp = rampSeq{ramp: f.p.ramp, n: f.n}
 			f.cur = &f.ramp
 		}
 	}
@@ -196,7 +192,7 @@ func (f *fedSeq) NextN(dst []uint32) int {
 	total := max(min(f.Len()-f.pos, len(dst)), 0)
 	for done := 0; done < total; {
 		local := f.at(f.pos, false)
-		out := dst[done:min(total, done+f.p.n-local)]
+		out := dst[done:min(total, done+f.n-local)]
 		f.cur.NextN(out)
 		rebase(out, f.p.add)
 		done += len(out)

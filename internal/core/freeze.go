@@ -149,6 +149,7 @@ func (w *WET) FreezeErr(opts FreezeOptions) (*SizeReport, error) {
 		return nil, err
 	}
 	r.CheckpointBytes = w.checkpointBytes()
+	w.orderInEdges() // inference and the budget have marked edges
 	return r, nil
 }
 

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"wet/internal/interp"
 )
@@ -40,7 +43,7 @@ func (w *WET) RestoreIndexes(rep *SizeReport) {
 	}
 }
 
-// indexEdges gives every node its InEdges/OutEdges lists, in edge order.
+// indexEdges gives every node its InEdges (orderInEdges) and OutEdges lists.
 func (w *WET) indexEdges() {
 	base := make([]int, len(w.Nodes)+1) // each node's first position, flat
 	for i, n := range w.Nodes {
@@ -57,6 +60,31 @@ func (w *WET) indexEdges() {
 	in, out := adj[:npos:npos], adj[npos:]
 	for i, n := range w.Nodes {
 		n.InEdges, n.OutEdges = in[base[i]:base[i+1]:base[i+1]], out[base[i]:base[i+1]:base[i+1]]
+	}
+	w.orderInEdges()
+}
+
+// orderInEdges sorts each position's in-edges into backward-ask order: by
+// operand (CD last); within one, the inferable edge first, budget-dropped
+// ones last, the rest by Count descending, then index. An execution has at
+// most one source per operand, so an ask stops at the first that names it.
+func (w *WET) orderInEdges() {
+	count := func(e *Edge) int {
+		switch {
+		case e.Inferable:
+			return math.MaxInt
+		case e.Dropped:
+			return -1
+		}
+		return e.Count
+	}
+	for _, n := range w.Nodes {
+		for _, in := range n.InEdges {
+			slices.SortFunc(in, func(a, b int) int {
+				ea, eb := w.Edges[a], w.Edges[b]
+				return cmp.Or(cmp.Compare(uint(ea.OpIdx), uint(eb.OpIdx)), cmp.Compare(count(eb), count(ea)), cmp.Compare(a, b))
+			})
+		}
 	}
 }
 

@@ -40,13 +40,11 @@ var fpSealEpoch = faultpoint.New("core.seal.epoch")
 // a segmented and a single-epoch WET of the same run.
 
 // LabelSeg is one epoch's frozen slice of a label sequence (timestamps,
-// group pattern, or unique values). Start, the global index of its first
-// element (the sum of N before it), is set where segments are made and not
-// saved.
+// group pattern, or unique values).
 type LabelSeg struct {
 	Epoch int
 	N     int
-	Start int
+	Start int // global index of the first element: N summed before it (not saved)
 	S     stream.Stream
 }
 
@@ -55,11 +53,11 @@ type LabelSeg struct {
 // node execution of their epoch with <k,k> pairs starting at RampBase and
 // store nothing; shared segments reuse the identical labels of
 // Edges[SharedWith].Segs[SharedSeg] (the representative always has a smaller
-// edge index). Start is as LabelSeg's: the edge's own labels before it.
+// edge index).
 type EdgeSeg struct {
 	Epoch int
 	N     int
-	Start int
+	Start int // as LabelSeg's, over this edge's own segments
 
 	Inferable bool
 	RampBase  uint32
@@ -161,10 +159,8 @@ func (b *Builder) sealEpochEdges(epoch int) {
 			e.DstOrd, e.SrcOrd = nil, nil
 			continue
 		}
-		seg := &EdgeSeg{Epoch: epoch, N: int(r.n) + len(e.DstOrd), SharedWith: -1, SharedSeg: -1}
-		if k := len(e.Segs); k > 0 {
-			seg.Start = e.Segs[k-1].Start + e.Segs[k-1].N
-		}
+		n := int(r.n) + len(e.DstOrd)
+		seg := &EdgeSeg{Epoch: epoch, N: n, Start: r.count - n, SharedWith: -1, SharedSeg: -1}
 		e.Segs = append(e.Segs, seg)
 
 		// Per-segment inference: the edge fired on every execution of its

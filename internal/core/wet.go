@@ -202,7 +202,8 @@ type Node struct {
 	// time (which node executed at t+1 / t-1).
 	CFNext, CFPrev []int
 
-	// InEdges/OutEdges list indices into WET.Edges per position.
+	// InEdges/OutEdges list indices into WET.Edges per position, in ask order
+	// (WET.orderInEdges) and in index order.
 	InEdges, OutEdges [][]int
 }
 

@@ -22,10 +22,9 @@ const WalkChunk = 64
 type Window struct {
 	seq     Seq          // the whole sequence, or the entered segment's cursor
 	ra      RandomAccess // seq's O(1) reads at tier 1
-	span                 // read by epoch: the segments, and the one entered; n is the part's length
+	span                 // read by epoch: the segments, and the bounds of the one entered
 	v       []uint32     // the run: the part's elements base … base+len(v)-1
 	base, i int          // v[i] is where the last Find ended
-	ep      int          // the entered segment's epoch
 	add     uint32       // added to every value read from the part
 	last    uint32       // the previous Find, on ords
 	byEpoch bool
@@ -35,7 +34,7 @@ type Window struct {
 // NewWindow returns a window over the whole of s.
 func NewWindow(s Seq) Window {
 	ra, _ := s.(RandomAccess)
-	return Window{seq: s, ra: ra, span: span{n: s.Len()}}
+	return Window{seq: s, ra: ra, span: span{segBounds: segBounds{n: s.Len()}}}
 }
 
 // TSWindow returns a window over n's timestamps, read by epoch on a
@@ -69,14 +68,11 @@ func (win *Window) Len() int { return win.n }
 // enter points the window at the segment of ts's epoch, if there is one.
 func (win *Window) enter(ts uint32) bool {
 	epoch := int((ts - 1) / win.wet.EpochTS)
-	if win.seq != nil && win.ep == epoch {
+	if win.seq != nil && win.epoch == epoch {
 		return true
 	}
-	k := sort.Search(win.count(), func(i int) bool { e, _, _ := win.bounds(i); return e >= epoch })
-	if k == win.count() {
-		return false
-	}
-	if e, _, _ := win.bounds(k); e != epoch {
+	k := sort.Search(win.count(), func(i int) bool { return win.bounds(i).epoch >= epoch })
+	if k == win.count() || win.bounds(k).epoch != epoch {
 		return false
 	}
 	win.enterPart(k)
@@ -87,11 +83,11 @@ func (win *Window) enter(ts uint32) bool {
 // open spawns the cursor of segment pi, with an empty run.
 func (win *Window) open() {
 	p := win.parts.at(win.pi)
-	win.ep, win.add, win.v, win.base = p.epoch, p.add, win.v[:0], 0
+	win.add, win.v, win.base = p.add, win.v[:0], 0
 	if p.s != nil {
 		win.seq = p.s.NewCursor()
 	} else {
-		win.seq = &rampSeq{ramp: p.ramp, n: p.n}
+		win.seq = &rampSeq{ramp: p.ramp, n: win.n}
 	}
 }
 
@@ -107,7 +103,7 @@ func (win *Window) Find(t, ts uint32, back bool) int {
 	win.grow(1)
 	top := win.n
 	if win.ords {
-		top = max(min(top, int(t)+1-win.start()), 0)
+		top = max(min(top, int(t)+1-win.first), 0)
 		if back && t > win.last {
 			win.v = win.v[:0]
 		}
@@ -144,7 +140,7 @@ func (win *Window) Find(t, ts uint32, back bool) int {
 			if win.i = i; v[i] != t {
 				return -1
 			}
-			return win.start() + win.base + i
+			return win.first + win.base + i
 		}
 	}
 }

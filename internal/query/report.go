@@ -87,7 +87,9 @@ func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err
 	})
 	// Re-resolve the dependence edges among slice members.
 	inSlice.each(func(in Instance) {
-		for _, ei := range w.Nodes[in.Node].InEdges[in.Pos] {
+		eis := slices.Clone(w.Nodes[in.Node].InEdges[in.Pos])
+		slices.Sort(eis) // in edge-index order, not ask order
+		for _, ei := range eis {
 			e := w.Edges[ei]
 			src := Instance{Node: e.SrcNode, Pos: e.SrcPos, Ord: q.srcOrd(ei, in.Ord, 0)}
 			if src.Ord < 0 || !inSlice.has(src) {

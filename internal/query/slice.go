@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"wet/internal/core"
 )
@@ -106,6 +107,7 @@ type sweep struct {
 	opts SliceOptions
 	set  *instSet
 	live []*nodeSet // nodes holding pending instances
+	hits []uint64   // an expansion's hits: edge index << 32 | source ordinal
 	res  *SliceResult
 }
 
@@ -169,15 +171,28 @@ func (s *sweep) pick() (best *nodeSet) {
 }
 
 // expand follows the dependence edges into one instance, executed at ts.
+// InEdges lists an operand's edges together, and an execution has at most
+// one source per operand: once an edge names it, the operand's other edges
+// are not asked. The hits are reached in edge-index order, as when every
+// edge was asked; pruned CD edges are counted all the same.
 func (s *sweep) expand(n *core.Node, pos, ord int, ts uint32) {
 	w := s.q.w
+	hits, named := s.hits[:0], math.MinInt // named: the operand last found a source
 	for _, ei := range n.InEdges[pos] {
 		if e := w.Edges[ei]; s.opts.cdPruned(w, e) {
 			s.res.PrunedCD++
-		} else if sord := s.q.srcOrd(ei, ord, ts); sord >= 0 {
-			s.reach(e.SrcNode, e.SrcPos, sord)
+		} else if e.OpIdx != named {
+			if sord := s.q.srcOrd(ei, ord, ts); sord >= 0 {
+				hits, named = append(hits, uint64(ei)<<32|uint64(sord)), e.OpIdx
+			}
 		}
 	}
+	slices.Sort(hits)
+	for _, h := range hits {
+		e := w.Edges[h>>32]
+		s.reach(e.SrcNode, e.SrcPos, int(uint32(h)))
+	}
+	s.hits = hits
 }
 
 // reach counts one traversed dependence instance and, if its far end is new,
