@@ -52,9 +52,14 @@ func newPool(workers, queue int) *pool {
 }
 
 // Do admits fn, waits for a worker slot, and runs it. Shedding (queue full
-// or injected via wetd.admit) returns *ShedError; a context that dies while
-// queued returns its cause.
+// or injected via wetd.admit) returns *ShedError; a context that is dead on
+// arrival or dies while queued returns its cause. The first check matters:
+// a select picks at random among ready cases, so with a slot free it would
+// run an expired request half the time.
 func (p *pool) Do(ctx context.Context, fn func() error) error {
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
+	}
 	if err := fpAdmit.Hit(); err != nil {
 		p.shed.Add(1)
 		return &ShedError{Cause: err}

@@ -247,8 +247,7 @@ func longLoad(tb testing.TB, tr *wet.Trace) int {
 
 // TestTraceDeadline: an uncapped value trace past its deadline returns the
 // deadline's cause instead of holding its worker to the end of the trace,
-// and the worker is released. The pool admits an expired request about half
-// the time, so it is asked several times.
+// and the worker is released.
 func TestTraceDeadline(t *testing.T) {
 	c := testCorpus(t, 0, "li")
 	s := New(c, Options{Deadline: time.Nanosecond, MaxItems: math.MaxInt})
@@ -261,6 +260,24 @@ func TestTraceDeadline(t *testing.T) {
 	}
 	if st := s.PoolStats(); st.Active != 0 {
 		t.Fatalf("pool stats %+v after the deadline, want no active query", st)
+	}
+}
+
+// TestPoolRefusesExpired: a request whose deadline passed before it reached
+// the pool returns the deadline's cause and never runs, although a worker is
+// free.
+func TestPoolRefusesExpired(t *testing.T) {
+	p := newPool(4, 4)
+	cause := errors.New("expired upstream")
+	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), cause)
+	defer cancel()
+	for k := range 100 {
+		if err := p.Do(ctx, func() error { return nil }); !errors.Is(err, cause) {
+			t.Fatalf("request %d under an expired context returned %v, want its cause", k, err)
+		}
+	}
+	if st := p.stats(); st.Done != 0 || st.Active != 0 || st.Waiting != 0 || st.Shed != 0 {
+		t.Fatalf("pool stats %+v, want no request run, waiting or shed", st)
 	}
 }
 
