@@ -69,21 +69,22 @@ func (w *WET) indexEdges() {
 // ones last, the rest by Count descending, then index. An execution has at
 // most one source per operand, so an ask stops at the first that names it.
 func (w *WET) orderInEdges() {
-	count := func(e *Edge) int {
-		switch {
-		case e.Inferable:
-			return math.MaxInt
-		case e.Dropped:
-			return -1
+	key := make([]uint64, len(w.Edges)) // operand, rank, then Count descending
+	for i, e := range w.Edges {
+		rank := uint64(1)
+		if e.Inferable {
+			rank = 0
+		} else if e.Dropped {
+			rank = 2
 		}
-		return e.Count
+		key[i] = uint64(uint16(e.OpIdx))<<48 | rank<<32 | uint64(math.MaxUint32-uint32(e.Count))
 	}
+	byKey := func(a, b int) int { return cmp.Or(cmp.Compare(key[a], key[b]), cmp.Compare(a, b)) }
 	for _, n := range w.Nodes {
 		for _, in := range n.InEdges {
-			slices.SortFunc(in, func(a, b int) int {
-				ea, eb := w.Edges[a], w.Edges[b]
-				return cmp.Or(cmp.Compare(uint(ea.OpIdx), uint(eb.OpIdx)), cmp.Compare(count(eb), count(ea)), cmp.Compare(a, b))
-			})
+			if len(in) > 1 {
+				slices.SortFunc(in, byKey)
+			}
 		}
 	}
 }
