@@ -338,6 +338,33 @@ func BenchmarkServeValueTrace(b *testing.B) {
 	}
 }
 
+// BenchmarkServeBackward is wetd's backward?max=128 request on the serve
+// workload's starved cache: li in epochs of 256 timestamps behind a 16 KiB
+// corpus, from 64 criteria drawn as countServe's schedule draws them.
+func BenchmarkServeBackward(b *testing.B) {
+	tr := runWorkload(b, "li", wet.WithEpochTS(serveEpochTS))
+	e, err := corpus.New(serveStarved).Add("li", saveBytes(b, tr))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	crit := make([]wet.Instance, 64)
+	for i := range crit {
+		if crit[i], err = tr.InstanceOfTS(lastDefFrom(b, tr, hotOffset(rng, tr.Time()))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Trace.Backward(crit[i%len(crit)], serveSliceMax)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSum += len(res.Instances)
+	}
+}
+
 // openModes are the two opens BenchmarkOpen times and TestOpenAllocBudget
 // budgets (allocations per KiB of container, bytes allocated per container
 // byte; the comments give the measured values the ceilings add 5% to).

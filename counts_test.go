@@ -282,7 +282,7 @@ func hotOffset(rng *rand.Rand, total uint32) uint32 {
 
 // lastDefFrom returns the first timestamp at or after ts whose node
 // defines a register, with the last statement of the node that does.
-func lastDefFrom(t *testing.T, tr *wet.Trace, ts uint32) (stmt int, at uint32) {
+func lastDefFrom(t testing.TB, tr *wet.Trace, ts uint32) (stmt int, at uint32) {
 	t.Helper()
 	wk := tr.Walker()
 	if err := wk.StartAt(ts); err != nil {
