@@ -69,17 +69,16 @@ func (w *WET) indexEdges() {
 // ones last, the rest by Count descending, then index. An execution has at
 // most one source per operand, so an ask stops at the first that names it.
 func (w *WET) orderInEdges() {
-	key := make([]uint64, len(w.Edges)) // operand, rank, then Count descending
-	for i, e := range w.Edges {
+	key := func(e *Edge) uint64 { // operand, rank, then Count descending
 		rank := uint64(1)
 		if e.Inferable {
 			rank = 0
 		} else if e.Dropped {
 			rank = 2
 		}
-		key[i] = uint64(uint16(e.OpIdx))<<48 | rank<<32 | uint64(math.MaxUint32-uint32(e.Count))
+		return uint64(uint16(e.OpIdx))<<48 | rank<<32 | uint64(math.MaxUint32-uint32(e.Count))
 	}
-	byKey := func(a, b int) int { return cmp.Or(cmp.Compare(key[a], key[b]), cmp.Compare(a, b)) }
+	byKey := func(a, b int) int { return cmp.Or(cmp.Compare(key(w.Edges[a]), key(w.Edges[b])), cmp.Compare(a, b)) }
 	for _, n := range w.Nodes {
 		for _, in := range n.InEdges {
 			if len(in) > 1 {

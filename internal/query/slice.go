@@ -173,8 +173,8 @@ func (s *sweep) pick() (best *nodeSet) {
 // expand follows the dependence edges into one instance, executed at ts.
 // InEdges lists an operand's edges together, and an execution has at most
 // one source per operand: once an edge names it, the operand's other edges
-// are not asked. The hits are reached in edge-index order, as when every
-// edge was asked; pruned CD edges are counted all the same.
+// are not asked. Hits are reached in edge-index order, so what a capped
+// slice keeps does not depend on the ask order; every pruned CD edge counts.
 func (s *sweep) expand(n *core.Node, pos, ord int, ts uint32) {
 	w := s.q.w
 	hits, named := s.hits[:0], math.MinInt // named: the operand last found a source
