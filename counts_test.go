@@ -58,6 +58,10 @@ type programCounts struct {
 	// slices capped there from spacedCriteria's four instances: which
 	// instances a capped sweep keeps.
 	CappedBackward map[int]string `json:"capped_backward"`
+	// CappedBackwardPositions is the same from every position of those four
+	// executions, at caps an expansion often fills the slice at: it pins the
+	// order an expansion reaches its sources in.
+	CappedBackwardPositions map[int]string `json:"capped_backward_positions"`
 }
 
 // reportCounts are the size report's edge eliminations and the in-memory
@@ -136,21 +140,32 @@ func countProgram(t *testing.T, name string, scale int, epochTS uint32) programC
 		Report:     reportCounts{sz.InferableEdges, sz.SharedEdges, sz.OwnedEdges, sz.CheckpointBytes},
 		Methods:    sz.Methods,
 		SliceBatch: batch, LadderFloor: be.Best,
-		CappedBackward: cappedBackward(t, tr),
+		CappedBackward:          cappedBackward(t, tr, spacedCriteria(t, tr), cappedBackwardCaps),
+		CappedBackwardPositions: cappedBackward(t, tr, everyPosition(t, tr), []int{2, 4, 10}),
 	}
 }
 
-// cappedBackwardCaps are the caps cappedBackward slices at: one instance,
-// and below and at the serve workload's serveSliceMax.
+// cappedBackwardCaps are the caps the capped_backward block slices at: one
+// instance, and below and at the serve workload's serveSliceMax.
 var cappedBackwardCaps = []int{1, 50, serveSliceMax}
 
+// everyPosition returns every position of spacedCriteria's executions.
+func everyPosition(t *testing.T, tr *wet.Trace) (crit []wet.Instance) {
+	t.Helper()
+	for _, c := range spacedCriteria(t, tr) {
+		for pos := range tr.WET().Nodes[c.Node].Stmts {
+			crit = append(crit, wet.Instance{Node: c.Node, Pos: pos, Ord: c.Ord})
+		}
+	}
+	return crit
+}
+
 // cappedBackward returns, per cap, a SHA-256 prefix of the instances and
-// Edges of the backward slices capped there from spacedCriteria's instances.
-func cappedBackward(t *testing.T, tr *wet.Trace) map[int]string {
+// Edges of the backward slices capped there from the criteria.
+func cappedBackward(t *testing.T, tr *wet.Trace, crit []wet.Instance, caps []int) map[int]string {
 	t.Helper()
 	out := map[int]string{}
-	crit := spacedCriteria(t, tr)
-	for _, limit := range cappedBackwardCaps {
+	for _, limit := range caps {
 		h := sha256.New()
 		for _, c := range crit {
 			res, err := tr.Backward(c, limit)
@@ -350,6 +365,7 @@ func TestExactCounts(t *testing.T) {
 		diff(id+" slice batch", g.SliceBatch, w.SliceBatch)
 		diff(id+" ladder floor", g.LadderFloor, w.LadderFloor)
 		diff(id+" capped backward", g.CappedBackward, w.CappedBackward)
+		diff(id+" capped backward positions", g.CappedBackwardPositions, w.CappedBackwardPositions)
 	}
 	diff("serve_capped", got.ServeCapped, want.ServeCapped)
 	diff("serve", got.Serve, want.Serve)
