@@ -338,22 +338,29 @@ func BenchmarkServeValueTrace(b *testing.B) {
 	}
 }
 
-// BenchmarkServeBackward is wetd's backward?max=128 request on the serve
-// workload's starved cache: li in epochs of 256 timestamps behind a 16 KiB
-// corpus, from 64 criteria drawn as countServe's schedule draws them.
-func BenchmarkServeBackward(b *testing.B) {
-	tr := runWorkload(b, "li", wet.WithEpochTS(serveEpochTS))
-	e, err := corpus.New(serveStarved).Add("li", saveBytes(b, tr))
+// servedLi is li in epochs of 256 timestamps behind a 16 KiB corpus, as the
+// serve workload serves it, and 64 backward criteria drawn as countServe's
+// schedule draws them.
+func servedLi(tb testing.TB) (*corpus.Entry, []wet.Instance) {
+	tr := runWorkload(tb, "li", wet.WithEpochTS(serveEpochTS))
+	e, err := corpus.New(serveStarved).Add("li", saveBytes(tb, tr))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	crit := make([]wet.Instance, 64)
 	for i := range crit {
-		if crit[i], err = tr.InstanceOfTS(lastDefFrom(b, tr, hotOffset(rng, tr.Time()))); err != nil {
-			b.Fatal(err)
+		if crit[i], err = tr.InstanceOfTS(lastDefFrom(tb, tr, hotOffset(rng, tr.Time()))); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	return e, crit
+}
+
+// BenchmarkServeBackward is wetd's backward?max=128 request on the serve
+// workload's starved cache (servedLi).
+func BenchmarkServeBackward(b *testing.B) {
+	e, crit := servedLi(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -362,6 +369,29 @@ func BenchmarkServeBackward(b *testing.B) {
 			b.Fatal(err)
 		}
 		benchSum += len(res.Instances)
+	}
+}
+
+// BenchmarkServeCFRange is wetd's cfrange?limit=64 request, the serve
+// workload's most frequent (60%), on its starved cache (servedLi): windows of
+// 256 timestamps from 256 offsets drawn by hotOffset.
+func BenchmarkServeCFRange(b *testing.B) {
+	e, _ := servedLi(b)
+	w, tier := e.Trace.WET(), e.Trace.Tier()
+	rng := rand.New(rand.NewSource(1))
+	from := make([]uint32, 256)
+	for i := range from {
+		from[i] = hotOffset(rng, w.Time)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := from[i%len(from)]
+		n, err := query.ExtractCFRangeCtx(context.Background(), w, tier, f, f+serveWindow-1, serveItems, func(id int) { benchSum += id })
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSum += int(n)
 	}
 }
 
@@ -912,6 +942,35 @@ func TestSliceAllocBudget(t *testing.T) {
 	t.Logf("Backward(li x4): %.1f B/instance over %d instances", perInst, instances)
 	if perInst > 65 {
 		t.Errorf("backward slices allocate %.1f B/instance, budget 65", perInst)
+	}
+}
+
+// TestServeBackwardAllocBudget pins what a wetd-shaped backward slice
+// allocates on average: max=128 slices on the serve workload's starved cache
+// (servedLi), 200 of them. Two collections empty the query pool before the
+// first slice and again halfway, so the average pays for refilling it twice.
+// It measures 11.3 KiB; before queries reused their state, 64 KiB.
+func TestServeBackwardAllocBudget(t *testing.T) {
+	const slices, budget = 200, 24 << 10
+	e, crit := servedLi(t)
+	var before, after runtime.MemStats
+	var total uint64
+	for half := 0; half < 2; half++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := half * slices / 2; i < (half+1)*slices/2; i++ {
+			if _, err := e.Trace.Backward(crit[i%len(crit)], serveSliceMax); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+	}
+	per := float64(total) / slices
+	t.Logf("Backward(max=%d) on a starved corpus: %.0f B/slice over %d slices", serveSliceMax, per, slices)
+	if per > budget {
+		t.Errorf("a capped backward slice allocates %.0f B, budget %d", per, budget)
 	}
 }
 

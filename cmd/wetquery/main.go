@@ -140,7 +140,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func runQuery(run *exp.Run, o opts) int {
-	before := stream.ReadSeekStats()
+	seeks := run.W.SeekCounters()
+	if seeks == nil {
+		seeks = new(stream.SeekCounters)
+		run.W.AttachSeekCounters(seeks)
+	}
+	before := seeks.Read()
+	delta := func() stream.SeekStats { return seeks.Read().Sub(before) }
 	start := time.Now()
 	switch o.q {
 	case "cftrace":
@@ -158,7 +164,7 @@ func runQuery(run *exp.Run, o opts) int {
 		if to == 0 {
 			to = run.W.Time
 		}
-		n, err := query.ExtractCFRangeCtx(o.ctx, run.W, o.tier, o.from, to, nil)
+		n, err := query.ExtractCFRangeCtx(o.ctx, run.W, o.tier, o.from, to, -1, nil)
 		if err != nil {
 			// An inverted window is a usage error, reported as such rather
 			// than as an empty trace.
@@ -189,20 +195,21 @@ func runQuery(run *exp.Run, o opts) int {
 		d := time.Since(start)
 		fmt.Fprintf(o.stdout, "load/store address traces: %d samples (%.2f MB) in %v\n", n, float64(n*4)/(1<<20), d)
 	case "slice":
-		return runSlices(run, o, before, start)
+		return runSlices(run, o, delta, start)
 	default:
 		fmt.Fprintf(o.stderr, "wetquery: unknown query %q\n", o.q)
 		return cliutil.ExitUsage
 	}
 	if o.verbose {
-		printSeekStats(o.stdout, stream.ReadSeekStats().Sub(before))
+		printSeekStats(o.stdout, delta())
 	}
 	return cliutil.ExitOK
 }
 
 // runSlices executes the slice batch — from -criteria or auto-picked — on
-// o.parallel worker goroutines over the one shared WET.
-func runSlices(run *exp.Run, o opts, before stream.SeekStats, start time.Time) int {
+// o.parallel worker goroutines over the one shared WET; seeks reads the
+// WET's seek counters since the query began.
+func runSlices(run *exp.Run, o opts, seeks func() stream.SeekStats, start time.Time) int {
 	var crit []query.Instance
 	if o.criteria != "" {
 		var err error
@@ -248,7 +255,7 @@ func runSlices(run *exp.Run, o opts, before stream.SeekStats, start time.Time) i
 		return cliutil.ExitCode(err)
 	}
 	wall := time.Since(start)
-	delta := stream.ReadSeekStats().Sub(before)
+	delta := seeks()
 	if o.verbose {
 		for i, c := range crit {
 			fmt.Fprintf(o.stdout, "  slice %3d: node=%-4d pos=%-3d ord=%-8d %8d instances  %v\n",

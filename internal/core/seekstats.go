@@ -6,11 +6,12 @@ import "wet/internal/stream"
 
 // AttachSeekCounters points every tier-2 stream of the WET — node timestamp
 // streams and segments, group pattern and unique-value streams and
-// segments, edge label streams and segments — at the counter set c, so all
-// cursor seeks over this trace aggregate there (as well as in the
-// deprecated process-wide counters). Lazy and evictable streams forward the
-// attachment to decodes that happen later. Call before the WET is shared
-// across goroutines; attaching twice re-points the accounting.
+// segments, edge label streams and segments, concurrency streams — at the
+// counter set c, so all cursor seeks over this trace aggregate there and
+// nowhere else: a stream counts only in the set attached to it. Lazy and
+// evictable streams forward the attachment to decodes that happen later.
+// Call before the WET is shared across goroutines; attaching twice
+// re-points the accounting.
 func (w *WET) AttachSeekCounters(c *stream.SeekCounters) {
 	w.seek = c
 	w.eachStream(func(s *stream.Stream) {

@@ -38,15 +38,21 @@ func NewWindow(s Seq) Window {
 }
 
 // TSWindow returns a window over n's timestamps, read by epoch on a
-// segmented tier-2 WET and otherwise over TSSeq, reading its runs into buf
-// (nil: a buffer is allocated on the first read).
-func (w *WET) TSWindow(n *Node, tier Tier, buf []uint32) Window {
-	win := Window{span: span{parts: parts{wet: w, segs: &n.TSSegs, stride: w.EpochTS}}, byEpoch: true}
+// segmented tier-2 WET and otherwise over TSSeq.
+func (w *WET) TSWindow(n *Node, tier Tier) Window {
 	if tier != Tier2 || n.TSSegs == nil {
-		win = NewWindow(w.TSSeq(n, tier))
+		return NewWindow(w.TSSeq(n, tier))
 	}
-	win.v = buf
-	return win
+	return Window{span: span{parts: parts{wet: w, segs: &n.TSSegs, stride: w.EpochTS}}, byEpoch: true}
+}
+
+// Reuse makes win the window next, an unread one, keeping win's run buffer
+// for next's runs. Reuse(Window{}) drops everything else win holds: its
+// cursor, its sequence and the WET it reads.
+func (win *Window) Reuse(next Window) {
+	v := win.v[:0]
+	*win = next
+	win.v = v
 }
 
 // EdgeWindows returns windows over e's (dst, src) labels, read by epoch when

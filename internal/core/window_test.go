@@ -54,7 +54,7 @@ func epochSegs(rng *rand.Rand, vals []uint32, epochTS uint32) []*core.LabelSeg {
 func tsViews(rng *rand.Rand, vals []uint32) map[string]func() core.Window {
 	view := func(n *core.Node, epochTS uint32, tier core.Tier) func() core.Window {
 		w := &core.WET{Nodes: []*core.Node{n}, EpochTS: epochTS}
-		return func() core.Window { return w.TSWindow(n, tier, nil) }
+		return func() core.Window { return w.TSWindow(n, tier) }
 	}
 	out := map[string]func() core.Window{"tier1": view(&core.Node{TS: vals}, 0, core.Tier1)}
 	for _, spec := range stream.Candidates {
@@ -192,13 +192,14 @@ func indexOf(vals []uint32, t uint32) int {
 // search over the plain values answers — in a segmented sequence across
 // epochs it has no segment in, too — and At, asked for random elements in
 // either direction between the searches, what SeqAt answers. A windowless
-// lookup (a fresh window per ask, the scratch read a search makes) answers
-// the same. Node timestamps and both sides of edge labels alike: an edge is
+// lookup (one scratch window Reused for every ask, of every view and
+// sequence, as a search reads) answers the same. Node timestamps and both sides of edge labels alike: an edge is
 // segmented into inferable, shared and stored segments, and a
 // keyed edge window finds a label only in the epoch of the timestamp it is
 // asked with.
 func TestTSWindowMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	var scratch core.Window
 	for _, n := range []int{1, 2, core.WalkChunk - 1, core.WalkChunk, core.WalkChunk + 1, 3*core.WalkChunk + 5, 1500} {
 		vals := increasing(rng, n)
 		plain := (&core.WET{}).TSSeq(&core.Node{TS: vals}, core.Tier1)
@@ -220,7 +221,7 @@ func TestTSWindowMatchesSearch(t *testing.T) {
 					if order != "jumps" {
 						continue
 					}
-					if w := fresh(); w.Find(target, target, back) != want {
+					if scratch.Reuse(fresh()); scratch.Find(target, target, back) != want {
 						t.Fatalf("%s n=%d: windowless Find(%d, back=%v) != %d", name, n, target, back, want)
 					}
 				}
@@ -256,7 +257,8 @@ func TestTSWindowMatchesSearch(t *testing.T) {
 					if order != "jumps" {
 						continue
 					}
-					if d, _ := v.open(); d.Find(target, ts, back) != want {
+					d, _ := v.open()
+					if scratch.Reuse(d); scratch.Find(target, ts, back) != want {
 						t.Fatalf("edge %s n=%d: windowless Find(%d, epoch %d, back=%v) != %d", name, n, target, epoch, back, want)
 					}
 				}
@@ -276,7 +278,7 @@ func FuzzWindow(f *testing.F) {
 		vals := increasing(rng, 1+int(n)%2000)
 		epochTS := uint32(epoch) + 1
 		w := &core.WET{Nodes: []*core.Node{{TSSegs: epochSegs(rng, vals, epochTS)}}, EpochTS: epochTS}
-		ts := w.TSWindow(w.Nodes[0], core.Tier2, nil)
+		ts := w.TSWindow(w.Nodes[0], core.Tier2)
 		l := edgeLabels{epochTS: epochTS, src: make([]uint32, len(vals))}
 		for i, v := range vals {
 			l.dst, l.epoch = append(l.dst, v-1), append(l.epoch, int((v-1)/epochTS))

@@ -131,7 +131,7 @@ func runPipeline(dir, bench string) (err error) {
 	if _, err := query.ExtractCFCtx(context.Background(), loaded, core.Tier2, true, -1, nil); err != nil {
 		return err
 	}
-	if _, err := query.ExtractCFRangeCtx(context.Background(), loaded, core.Tier2, 1, loaded.Time/2+1, nil); err != nil {
+	if _, err := query.ExtractCFRangeCtx(context.Background(), loaded, core.Tier2, 1, loaded.Time/2+1, -1, nil); err != nil {
 		return err
 	}
 	last := loaded.Nodes[loaded.LastNode]

@@ -16,7 +16,8 @@ import (
 // counts, and emits exactly the uncapped trace's first cap elements — for
 // every load and store of the nine workloads, single-epoch and in epochs of
 // 256 timestamps, at both tiers of the in-memory build and reopened eager
-// and lazy.
+// and lazy. So does a capped control-flow window, counting its statements
+// past the cap node by node.
 func TestCappedTracesMatchUncapped(t *testing.T) {
 	type sampleTrace func(context.Context, *core.WET, core.Tier, int, int, func(Sample)) (uint64, error)
 	kinds := []struct {
@@ -54,6 +55,22 @@ func TestCappedTracesMatchUncapped(t *testing.T) {
 								t.Fatalf("%s: %s trace of %s capped at %d: count %d (%v), %d samples; uncapped %d",
 									name, k.name, st, c, m, err, len(got), n)
 							}
+						}
+					}
+				}
+				for k := uint32(1); k <= 3; k++ {
+					from := v.w.Time / 4 * k
+					all := []int{}
+					n, err := ExtractCFRangeCtx(bg, v.w, v.tier, from, from+255, -1, func(id int) { all = append(all, id) })
+					if err != nil || n != uint64(len(all)) {
+						t.Fatalf("%s: uncapped cf window at %d: %d ids, count %d, %v", name, from, len(all), n, err)
+					}
+					for _, c := range caps {
+						got := []int{}
+						m, err := ExtractCFRangeCtx(bg, v.w, v.tier, from, from+255, c, func(id int) { got = append(got, id) })
+						if err != nil || m != n || !slices.Equal(got, all[:min(c, len(all))]) {
+							t.Fatalf("%s: cf window at %d capped at %d: count %d (%v), %d ids; uncapped %d",
+								name, from, c, m, err, len(got), n)
 						}
 					}
 				}

@@ -697,7 +697,7 @@ func TestExtractCFRange(t *testing.T) {
 		for _, v := range c.views {
 			for _, win := range windows {
 				var got []int
-				n, err := ExtractCFRangeCtx(context.Background(), v.w, v.tier, win[0], win[1], func(id int) { got = append(got, id) })
+				n, err := ExtractCFRangeCtx(context.Background(), v.w, v.tier, win[0], win[1], -1, func(id int) { got = append(got, id) })
 				var want []int
 				if from, to := max(win[0], 1), min(win[1], tm); from <= to {
 					want = recStmts(c.rec, from, to)
@@ -709,7 +709,7 @@ func TestExtractCFRange(t *testing.T) {
 			}
 			// An inverted range is a caller bug and must surface as
 			// *RangeError, not a silent empty extraction.
-			n, err := ExtractCFRangeCtx(context.Background(), v.w, v.tier, 10, 5, nil)
+			n, err := ExtractCFRangeCtx(context.Background(), v.w, v.tier, 10, 5, -1, nil)
 			var re *RangeError
 			if n != 0 || !errors.As(err, &re) || re.From != 10 || re.To != 5 {
 				t.Fatalf("%s/%s: inverted range: n=%d err=%#v, want *RangeError{10, 5}", c.name, v.name, n, err)

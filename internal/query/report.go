@@ -55,7 +55,9 @@ func HotPaths(w *core.WET, n int) []HotPath {
 // surface as a *stream.DecodeError, not a panic.
 func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err error) {
 	defer core.RecoverTyped(&err)
-	inSlice := newInstSet(w)
+	q := acquire(w, tier)
+	defer q.release()
+	inSlice := &q.set
 	for _, in := range res.Instances {
 		inSlice.add(in.Node, in.Pos, in.Ord, false)
 	}
@@ -67,7 +69,6 @@ func WriteDOT(w *core.WET, tier core.Tier, res *SliceResult, out io.Writer) (err
 	}
 	fmt.Fprintln(out, `  rankdir=BT; node [shape=box, fontname="monospace"];`)
 
-	q := newCtx(w, tier)
 	inSlice.each(func(in Instance) {
 		n := w.Nodes[in.Node]
 		s := n.Stmts[in.Pos]

@@ -98,8 +98,10 @@ func ExtractCFCtx(ctx context.Context, w *core.WET, tier core.Tier, forward bool
 	if ctx, err = alive(ctx); err != nil {
 		return 0, err
 	}
+	q := acquire(w, tier)
+	defer q.release()
 	// A negative limit converts to the largest uint64: no cap.
-	if n, err = walkCF(ctx, w, tier, forward, uint64(limit), emit); err != nil || limit < 0 {
+	if n, err = q.walkCF(ctx, forward, uint64(limit), emit); err != nil || limit < 0 {
 		return n, err
 	}
 	n = 0
@@ -111,11 +113,13 @@ func ExtractCFCtx(ctx context.Context, w *core.WET, tier core.Tier, forward bool
 
 // ExtractCFRangeCtx walks the statement-level control flow trace between
 // two timestamps (inclusive), the paper's "part of the program path starting
-// at any execution point". It returns the number of statements emitted. An
-// inverted range (fromTS > toTS) returns a *RangeError; a range merely
-// clipped by the ends of the trace is extracted as far as it exists. The
-// walk polls ctx at the same 4096-node-step cadence as ExtractCFCtx.
-func ExtractCFRangeCtx(ctx context.Context, w *core.WET, tier core.Tier, fromTS, toTS uint32, emit func(stmtID int)) (n uint64, err error) {
+// at any execution point". It emits the first limit statements (every one
+// when limit < 0) and returns the number of statements the range holds,
+// counting those past the limit node by node. An inverted range (fromTS >
+// toTS) returns a *RangeError; a range merely clipped by the ends of the
+// trace is extracted as far as it exists. The walk polls ctx at the same
+// 4096-node-step cadence as ExtractCFCtx.
+func ExtractCFRangeCtx(ctx context.Context, w *core.WET, tier core.Tier, fromTS, toTS uint32, limit int, emit func(stmtID int)) (n uint64, err error) {
 	defer core.RecoverTyped(&err)
 	if fromTS > toTS {
 		return 0, &RangeError{From: fromTS, To: toTS}
@@ -132,19 +136,26 @@ func ExtractCFRangeCtx(ctx context.Context, w *core.WET, tier core.Tier, fromTS,
 	if fromTS > toTS {
 		return 0, nil
 	}
-	wk := NewWalker(w, tier)
+	q := acquire(w, tier)
+	defer q.release()
+	wk := q.walker()
 	if err := wk.StartAt(fromTS); err != nil {
 		return 0, err
 	}
-	var steps uint64
-	for {
-		for _, s := range w.Nodes[wk.Node].Stmts {
-			if emit != nil {
+	left := uint64(limit) // a negative limit converts to the largest uint64: no cap
+	if emit == nil {
+		left = 0
+	}
+	for steps := uint64(1); ; steps++ {
+		stmts := w.Nodes[wk.Node].Stmts
+		if left > 0 {
+			k := min(uint64(len(stmts)), left)
+			for _, s := range stmts[:k] {
 				emit(s.ID)
 			}
-			n++
+			left -= k
 		}
-		if steps++; steps&ctxCheckMask == 0 && ctx.Err() != nil {
+		if n += uint64(len(stmts)); steps&ctxCheckMask == 0 && ctx.Err() != nil {
 			return n, context.Cause(ctx)
 		}
 		if wk.TS() >= toTS || !wk.Forward() {

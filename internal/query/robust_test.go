@@ -148,7 +148,7 @@ func TestExtractCFCtxCancelled(t *testing.T) {
 	if _, err := ExtractCFCtx(ctx, w, core.Tier2, true, -1, nil); !errors.Is(err, cause) {
 		t.Fatalf("cancelled ExtractCFCtx returned %v, want the cause", err)
 	}
-	if _, err := ExtractCFRangeCtx(ctx, w, core.Tier2, 1, w.Time, nil); !errors.Is(err, cause) {
+	if _, err := ExtractCFRangeCtx(ctx, w, core.Tier2, 1, w.Time, -1, nil); !errors.Is(err, cause) {
 		t.Fatalf("cancelled ExtractCFRangeCtx returned %v, want the cause", err)
 	}
 }

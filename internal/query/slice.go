@@ -78,8 +78,7 @@ func BackwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int)
 // criterion and the cap alone, the same at either tier and however the trace
 // was opened.
 func BackwardSliceOpts(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (*SliceResult, error) {
-	res, _, err := runSweep(w, tier, from, opts)
-	return res, err
+	return runSweep(w, tier, from, opts)
 }
 
 // ForwardSlice computes the forward WET slice: every instance whose
@@ -112,13 +111,16 @@ type sweep struct {
 }
 
 // runSweep slices backward from one criterion and returns the slice,
-// materialised once at its exact size, and the set holding its instances.
-func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (res *SliceResult, set *instSet, err error) {
+// materialised once at its exact size.
+func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (res *SliceResult, err error) {
 	defer core.RecoverTyped(&err)
 	if err := checkInstance(w, from); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s := &sweep{q: newCtx(w, tier), opts: opts, set: newInstSet(w), res: &SliceResult{Criterion: from}}
+	q := acquire(w, tier)
+	defer q.release()
+	s := &q.sweep
+	s.q, s.opts, s.set, s.res = q, opts, &q.set, &SliceResult{Criterion: from}
 	s.reach(from.Node, from.Pos, from.Ord)
 	s.res.Edges = 0 // the criterion is reached along no edge
 	for f := s.pick(); f != nil; f = s.pick() {
@@ -127,7 +129,7 @@ func runSweep(w *core.WET, tier core.Tier, from Instance, opts SliceOptions) (re
 			s.expand(w.Nodes[f.id], f.popAt(f.topOrd), f.topOrd, f.topTS)
 		}
 	}
-	return s.set.result(s.res), s.set, nil
+	return s.set.result(s.res), nil
 }
 
 // result fills res.Instances: the criterion, then the rest in (Node, Ord, Pos) order.
@@ -158,8 +160,9 @@ func (s *sweep) pick() (best *nodeSet) {
 			continue
 		}
 		if ord != f.topOrd {
-			if f.ts.Len() == 0 {
-				f.ts = core.NewWindow(s.q.w.TSSeq(s.q.w.Nodes[f.id], s.q.tier))
+			if f.ts == nil {
+				f.ts = s.q.nodes.take()
+				f.ts.Reuse(core.NewWindow(s.q.w.TSSeq(s.q.w.Nodes[f.id], s.q.tier)))
 			}
 			f.topTS = f.ts.At(ord, true)
 		}
@@ -235,10 +238,11 @@ func runWalk(w *core.WET, tier core.Tier, from Instance, maxInstances int) (res 
 	if err := checkInstance(w, from); err != nil {
 		return nil, nil, err
 	}
-	s := &fwalk{wk: NewWalker(w, tier), max: maxInstances, res: &SliceResult{Criterion: from},
-		set: &instSet{w: w, nodes: make([]*nodeSet, len(w.Nodes)), walk: true}}
-	ts := w.TSWindow(w.Nodes[from.Node], tier, nil)
-	s.wk.Node, s.wk.Ord, s.wk.ts, s.wk.wins[from.Node] = from.Node, from.Ord, ts.At(from.Ord, false), &ts
+	s := &fwalk{wk: NewWalker(w, tier), max: maxInstances, res: &SliceResult{Criterion: from}, set: &instSet{walk: true}}
+	s.set.bind(w)
+	ts := s.wk.wins.put(from.Node)
+	ts.Reuse(w.TSWindow(w.Nodes[from.Node], tier))
+	s.wk.Node, s.wk.Ord, s.wk.ts = from.Node, from.Ord, ts.At(from.Ord, false)
 	s.set.node(from.Node).bits[from.Pos/64] |= 1 << (from.Pos % 64)
 	for s.visit(s.set.nodes[from.Node]); s.live > 0 && !s.full() && s.wk.Forward(); {
 		if f := s.set.nodes[s.wk.Node]; f != nil && f.next <= s.wk.Ord {
@@ -322,7 +326,7 @@ func (s *fwalk) read(r *reader, d int) {
 
 // srcOrd returns the source ordinal edge ei pairs with destination ordinal
 // ord, or -1 when the edge did not fire at that execution, from the edge's
-// windows (spawned on first touch). ts, the execution's timestamp or 0 if the
+// windows (placed on first touch). ts, the execution's timestamp or 0 if the
 // caller has none, keys them by epoch. A sweep's asks mostly descend, so its
 // asks of one edge read the labels in one backward pass.
 func (q *qctx) srcOrd(ei, ord int, ts uint32) int {
@@ -330,14 +334,12 @@ func (q *qctx) srcOrd(ei, ord int, ts uint32) int {
 	if e.Inferable {
 		return ord
 	}
-	if q.edges == nil {
-		q.edges = make([]*[2]core.Window, len(q.w.Edges))
-	}
-	c := q.edges[ei]
+	c := q.edges.slot[ei]
 	if c == nil {
-		c = new([2]core.Window)
-		c[0], c[1] = q.w.EdgeWindows(e, q.tier, ts > 0)
-		q.edges[ei] = c
+		dst, src := q.w.EdgeWindows(e, q.tier, ts > 0)
+		c = q.edges.put(ei)
+		c[0].Reuse(dst)
+		c[1].Reuse(src)
 	}
 	if i := c[0].Find(uint32(ord), ts, true); i >= 0 {
 		return int(c[1].At(i, true))
@@ -371,7 +373,9 @@ func InstanceOfTS(w *core.WET, tier core.Tier, stmtID int, ts uint32) (in Instan
 	if err := checkStmt(w, stmtID); err != nil {
 		return Instance{}, err
 	}
-	wk := Walker{w: w, tier: tier}
+	q := acquire(w, tier)
+	defer q.release()
+	wk := q.walker()
 	for _, ref := range w.StmtOcc[stmtID] {
 		if ord := wk.lookup(ref.Node, ts, false); ord >= 0 {
 			return Instance{Node: ref.Node, Pos: ref.Pos, Ord: ord}, nil
@@ -389,7 +393,7 @@ func Chop(w *core.WET, tier core.Tier, from, to Instance, maxInstances int) (*Sl
 	if err != nil {
 		return nil, err
 	}
-	bwd, _, err := runSweep(w, tier, to, SliceOptions{MaxInstances: maxInstances})
+	bwd, err := runSweep(w, tier, to, SliceOptions{MaxInstances: maxInstances})
 	if err != nil {
 		return nil, err
 	}
@@ -413,7 +417,8 @@ func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen i
 	if err := checkInstance(w, from); err != nil {
 		return nil, err
 	}
-	q := newCtx(w, tier)
+	q := acquire(w, tier)
+	defer q.release()
 	chain = []Instance{from}
 	cur := from
 	for len(chain) < maxLen {
@@ -439,15 +444,20 @@ func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen i
 }
 
 // instSet is a set of instances: per node a table of pages, each holding
-// the position masks of pageOrds consecutive executions. Node entries and
-// pages are allocated on first touch, so a slice capped at a few hundred
+// the position masks of pageOrds consecutive executions. Node shares and
+// pages are handed out on first touch, so a slice capped at a few hundred
 // instances — close together in time, as a sweep reaches them — costs a few
-// pages however long the trace.
+// pages however long the trace. A pooled set (a qctx's) keeps its shares
+// and pages between queries: release zeroes the pages the query touched and
+// files them by width for the next.
 type instSet struct {
-	w     *core.WET
-	nodes []*nodeSet
-	n     int  // members
-	walk  bool // a forward walk's: every node holds its positions' states
+	w      *core.WET
+	nodes  []*nodeSet // by node id
+	shares []*nodeSet // shares[:used] are nodes' shares; the rest wait with their buffers
+	used   int
+	free   [][]*instPage // zeroed pages by words, up to the widest share handed out
+	n      int           // members
+	walk   bool          // a forward walk's: every node holds its positions' states
 }
 
 const pageOrds = 64
@@ -464,32 +474,69 @@ type instPage struct {
 type nodeSet struct {
 	id, words, execs int
 	pages            []*instPage
-	hi               int // no page above hi holds a pending position
+	held             []int32 // the indexes of pages not nil
+	hi               int     // no page above hi holds a pending position
 
-	live   bool        // listed in sweep.live
-	topOrd int         // the latest pending execution when sweep.pick last looked (-1: none) …
-	topTS  uint32      // … and its timestamp
-	ts     core.Window // the node's timestamps, once Len > 0
+	live   bool         // listed in sweep.live
+	topOrd int          // the latest pending execution when sweep.pick last looked (-1: none) …
+	topTS  uint32       // … and its timestamp
+	ts     *core.Window // the node's timestamps, from q.nodes once pick reads one
 
 	in   [][]*reader // a walk's readers of active in-edges, by position
 	bits []uint64    // a walk's positions: reached by an inferable edge this execution, with readers, holding a member
 	next int         // no reader fires below this ordinal (-1: one is not yet placed)
 }
 
-func newInstSet(w *core.WET) *instSet {
-	return &instSet{w: w, nodes: make([]*nodeSet, len(w.Nodes))}
+// bind makes the empty set index w's nodes.
+func (s *instSet) bind(w *core.WET) {
+	s.w = w
+	if cap(s.nodes) < len(w.Nodes) {
+		s.nodes = make([]*nodeSet, len(w.Nodes))
+	}
+	s.nodes = s.nodes[:len(w.Nodes)]
 }
 
-// node returns the share of node id, allocating it on first touch.
-func (s *instSet) node(id int) *nodeSet {
-	if n := s.w.Nodes[id]; s.nodes[id] == nil {
-		s.nodes[id] = &nodeSet{id: id, words: (len(n.Stmts) + 63) / 64, execs: n.Execs, topOrd: -1,
-			next: math.MaxInt, pages: make([]*instPage, (n.Execs+pageOrds-1)/pageOrds)}
-		if s.walk {
-			s.nodes[id].in, s.nodes[id].bits = make([][]*reader, len(n.Stmts)), make([]uint64, 3*s.nodes[id].words)
+// release empties the set, keeping its shares and its pages, zeroed.
+func (s *instSet) release() {
+	for _, f := range s.shares[:s.used] {
+		s.nodes[f.id] = nil
+		for _, i := range f.held {
+			pg := f.pages[i]
+			clear(pg.rows)
+			pg.any, f.pages[i] = 0, nil
+			s.free[f.words] = append(s.free[f.words], pg)
 		}
+		f.held = f.held[:0]
 	}
-	return s.nodes[id]
+	s.w, s.used, s.n = nil, 0, 0
+}
+
+// node returns the share of node id, handing it out on first touch.
+func (s *instSet) node(id int) *nodeSet {
+	if f := s.nodes[id]; f != nil {
+		return f
+	}
+	if s.used == len(s.shares) {
+		s.shares = append(s.shares, new(nodeSet))
+	}
+	f, n := s.shares[s.used], s.w.Nodes[id]
+	s.used++
+	pages := f.pages // nil up to its capacity
+	if np := (n.Execs + pageOrds - 1) / pageOrds; cap(pages) < np {
+		pages = make([]*instPage, np)
+	} else {
+		pages = pages[:np]
+	}
+	*f = nodeSet{id: id, words: (len(n.Stmts) + 63) / 64, execs: n.Execs, topOrd: -1,
+		next: math.MaxInt, pages: pages, held: f.held}
+	if s.walk {
+		f.in, f.bits = make([][]*reader, len(n.Stmts)), make([]uint64, 3*f.words)
+	}
+	for len(s.free) <= f.words {
+		s.free = append(s.free, nil)
+	}
+	s.nodes[id] = f
+	return f
 }
 
 // row returns the masks of (node, ord), allocating up to them when grow is
@@ -503,8 +550,13 @@ func (s *instSet) row(node, ord int, grow bool) (f *nodeSet, pg *instPage, row [
 		return nil, nil, nil
 	}
 	if pg = f.pages[ord/pageOrds]; pg == nil && grow {
-		pg = &instPage{rows: make([]uint64, 2*f.words*pageOrds)}
+		if free := s.free[f.words]; len(free) > 0 {
+			pg, s.free[f.words] = free[len(free)-1], free[:len(free)-1]
+		} else {
+			pg = &instPage{rows: make([]uint64, 2*f.words*pageOrds)}
+		}
 		f.pages[ord/pageOrds] = pg
+		f.held = append(f.held, int32(ord/pageOrds))
 	}
 	if pg == nil {
 		return nil, nil, nil

@@ -233,14 +233,15 @@ func TestCappedForwardIsEarliestFirst(t *testing.T) {
 
 // TestInstSetWideCoordinates: the set keeps apart instances whose node or
 // position does not fit 16 bits; the packed map key it replaced aliased
-// (70000, p, o) with (70000-65536, p, o).
+// (70000, p, o) with (70000-65536, p, o). A released set holds nothing.
 func TestInstSetWideCoordinates(t *testing.T) {
 	const wide = 70000
 	w := &core.WET{Nodes: make([]*core.Node, wide+1)}
 	for _, id := range []int{wide - 1<<16, wide} {
 		w.Nodes[id] = &core.Node{ID: id, Execs: 3000, Stmts: make([]*ir.Stmt, wide+1)}
 	}
-	s := newInstSet(w)
+	s := new(instSet)
+	s.bind(w)
 	in := Instance{Node: wide, Pos: wide, Ord: 2999}
 	aliases := []Instance{
 		{Node: wide - 1<<16, Pos: wide, Ord: 2999},
@@ -267,6 +268,14 @@ func TestInstSetWideCoordinates(t *testing.T) {
 	s.each(func(in Instance) { got = append(got, in) })
 	if want := sortedInsts(append(aliases, in)); !slices.Equal(got, want) || s.n != len(want) {
 		t.Fatalf("each yields %v (n=%d), want %v", got, s.n, want)
+	}
+	// Released and bound again, the set is empty, and its reused pages too.
+	s.release()
+	s.bind(w)
+	got = got[:0]
+	s.each(func(in Instance) { got = append(got, in) })
+	if len(got) != 0 || s.n != 0 || s.has(in) || !s.add(in.Node, in.Pos, in.Ord, false) {
+		t.Fatalf("a released set still holds %v (n=%d)", got, s.n)
 	}
 }
 

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"wet/internal/core"
 	"wet/internal/ir"
@@ -120,8 +121,10 @@ func (o *occSrc) refill(q *qctx, add, mask int64) bool {
 // the smallest head up to the runner-up's head before looking again, so a
 // pick costs O(len(srcs)) per switch of occurrence, not per sample.
 func (q *qctx) mergeSamples(srcs []occSrc, add, mask int64, limit uint64, emit func(Sample)) (count uint64) {
-	live := make([]*occSrc, 0, len(srcs))
-	heads := make([]uint32, 0, len(srcs)) // heads[i] is live[i]'s next timestamp
+	if cap(q.live) < len(srcs) {
+		q.live, q.heads = make([]*occSrc, 0, len(srcs)), make([]uint32, 0, len(srcs))
+	}
+	live, heads := q.live[:0], q.heads[:0] // heads[i] is live[i]'s next timestamp
 	for i := range srcs {
 		if o := &srcs[i]; o.refill(q, add, mask) {
 			live, heads = append(live, o), append(heads, o.buf[0].TS)
@@ -189,10 +192,12 @@ func (q *qctx) samples(srcs []occSrc, add, mask int64, whole uint64, limit int, 
 // deferred decode surfaces as a *stream.DecodeError, not a panic.
 func ValueTraceCtx(ctx context.Context, w *core.WET, tier core.Tier, stmtID, limit int, emit func(Sample)) (count uint64, err error) {
 	defer core.RecoverTyped(&err)
-	q := newCtx(w, tier)
-	if q.ctx, err = alive(ctx); err != nil {
+	if ctx, err = alive(ctx); err != nil {
 		return 0, err
 	}
+	q := acquire(w, tier)
+	defer q.release()
+	q.ctx = ctx
 	return q.valueTrace(stmtID, limit, emit)
 }
 
@@ -201,7 +206,7 @@ func (q *qctx) valueTrace(stmtID, limit int, emit func(Sample)) (uint64, error) 
 		return 0, err
 	}
 	refs := q.w.StmtOcc[stmtID]
-	srcs := q.occs(len(refs))
+	q.srcs = slices.Grow(q.srcs[:0], len(refs))
 	var whole uint64 // one sample per execution
 	for _, ref := range refs {
 		n := q.w.Nodes[ref.Node]
@@ -209,10 +214,12 @@ func (q *qctx) valueTrace(stmtID, limit int, emit func(Sample)) (uint64, error) 
 		if err != nil {
 			return 0, err
 		}
-		srcs = append(srcs, occSrc{ts: q.w.TSSeq(n, q.tier), runs: []valRun{{vr: vr}}})
+		o := q.occ()
+		o.runs = append(o.runs, valRun{vr: vr})
+		o.ts, q.srcs = q.w.TSSeq(n, q.tier), q.srcs[:len(q.srcs)+1]
 		whole += uint64(n.Execs)
 	}
-	return q.samples(srcs, 0, -1, whole, limit, emit)
+	return q.samples(q.srcs, 0, -1, whole, limit, emit)
 }
 
 // LoadValueTraces extracts the value trace of every load instruction
@@ -256,10 +263,12 @@ func tracePass(w *core.WET, want func(*ir.Stmt) bool, trace func(int, int, func(
 // *stream.DecodeError, not a panic.
 func AddressTraceCtx(ctx context.Context, w *core.WET, tier core.Tier, stmtID, limit int, emit func(Sample)) (count uint64, err error) {
 	defer core.RecoverTyped(&err)
-	q := newCtx(w, tier)
-	if q.ctx, err = alive(ctx); err != nil {
+	if ctx, err = alive(ctx); err != nil {
 		return 0, err
 	}
+	q := acquire(w, tier)
+	defer q.release()
+	q.ctx = ctx
 	return q.addressTrace(stmtID, limit, emit)
 }
 
@@ -279,14 +288,14 @@ func (q *qctx) addressTrace(stmtID, limit int, emit func(Sample)) (uint64, error
 		opIdx, add = -1, add+st.A.Imm
 	}
 	refs := w.StmtOcc[stmtID]
-	srcs := q.occs(len(refs))
+	q.srcs = slices.Grow(q.srcs[:0], len(refs))
 	var whole uint64
 	for _, ref := range refs {
 		n := w.Nodes[ref.Node]
-		var runs []valRun
+		o := q.occ()
 		if opIdx < 0 {
 			// Constant address: one sample per execution.
-			runs = []valRun{{}}
+			o.runs = append(o.runs, valRun{})
 		}
 		// An execution has a sample when a run covers it: a constant or
 		// inferable run covers every one, a labelled edge the executions
@@ -307,21 +316,23 @@ func (q *qctx) addressTrace(stmtID, limit int, emit func(Sample)) (uint64, error
 			if e.Inferable {
 				all = true
 			} else {
-				r.lab = new([2]core.Window)
-				r.lab[0], r.lab[1] = w.EdgeWindows(e, q.tier, false)
+				dst, src := w.EdgeWindows(e, q.tier, false)
+				r.lab = q.edges.take()
+				r.lab[0].Reuse(dst)
+				r.lab[1].Reuse(src)
 				labelled += uint64(r.lab[0].Len())
 			}
-			runs = append(runs, r)
+			o.runs = append(o.runs, r)
 		}
-		if len(runs) > 0 {
-			srcs = append(srcs, occSrc{ts: w.TSSeq(n, q.tier), runs: runs})
+		if len(o.runs) > 0 {
+			o.ts, q.srcs = w.TSSeq(n, q.tier), q.srcs[:len(q.srcs)+1]
 		}
 		if all {
 			labelled = uint64(n.Execs)
 		}
 		whole += labelled
 	}
-	return q.samples(srcs, add, w.Prog.MemWords-1, whole, limit, emit)
+	return q.samples(q.srcs, add, w.Prog.MemWords-1, whole, limit, emit)
 }
 
 // AddressTraces extracts the address trace of every load and store

@@ -21,8 +21,7 @@ import (
 type Walker struct {
 	w    *core.WET
 	tier core.Tier
-	wins []*core.Window // by node, placed on first touch (nil in InstanceOfTS)
-	buf  []uint32       // the run of the nodes a search merely reads
+	wins *winTable[core.Window] // by node, placed on first touch: its own, or its query's
 
 	// Node/Ord identify the current node execution; Node < 0 before the
 	// first step.
@@ -37,7 +36,15 @@ type Walker struct {
 // over one frozen WET concurrently; a single walker is confined to one
 // goroutine.
 func NewWalker(w *core.WET, tier core.Tier) *Walker {
-	return &Walker{w: w, tier: tier, wins: make([]*core.Window, len(w.Nodes)), Node: -1}
+	wins := new(winTable[core.Window])
+	wins.size(len(w.Nodes))
+	return &Walker{w: w, tier: tier, wins: wins, Node: -1}
+}
+
+// walker returns a walker over q's node windows, before the start of the
+// trace.
+func (q *qctx) walker() Walker {
+	return Walker{w: q.w, tier: q.tier, wins: &q.nodes, Node: -1}
 }
 
 // TS returns the timestamp of the current node execution (0 before start).
@@ -74,11 +81,12 @@ func (wk *Walker) step(back bool) bool {
 		cands = []int{wk.w.FirstNode}
 	}
 	for _, c := range cands {
-		if wk.wins[c] == nil {
-			h := wk.w.TSWindow(wk.w.Nodes[c], wk.tier, nil)
-			wk.wins[c] = &h
+		h := wk.wins.slot[c]
+		if h == nil {
+			h = wk.wins.put(c)
+			h.Reuse(wk.w.TSWindow(wk.w.Nodes[c], wk.tier))
 		}
-		if ord := wk.wins[c].Find(target, target, back); ord >= 0 {
+		if ord := h.Find(target, target, back); ord >= 0 {
 			wk.Node, wk.Ord, wk.ts = c, ord, target
 			return true
 		}
@@ -99,20 +107,17 @@ func (wk *Walker) search(t uint32, back bool) bool {
 }
 
 // lookup returns the ordinal of node c's execution at t, or -1. A node the
-// walker holds no window for is read through a scratch window, kept only if
-// the node executed at t (and the walker keeps windows).
+// walker holds no window for is read through the spare window, kept only if
+// the node executed at t.
 func (wk *Walker) lookup(c int, t uint32, back bool) int {
-	if wk.wins != nil && wk.wins[c] != nil {
-		return wk.wins[c].Find(t, t, back)
+	if h := wk.wins.slot[c]; h != nil {
+		return h.Find(t, t, back)
 	}
-	if wk.buf == nil {
-		wk.buf = make([]uint32, 0, core.WalkChunk+1)
-	}
-	h := wk.w.TSWindow(wk.w.Nodes[c], wk.tier, wk.buf[:0])
+	h := wk.wins.spare()
+	h.Reuse(wk.w.TSWindow(wk.w.Nodes[c], wk.tier))
 	ord := h.Find(t, t, back)
-	if ord >= 0 && wk.wins != nil {
-		kept := h
-		wk.wins[c], wk.buf = &kept, nil
+	if ord >= 0 {
+		wk.wins.put(c)
 	}
 	return ord
 }
@@ -148,8 +153,8 @@ func (wk *Walker) StartAt(t uint32) (err error) {
 // walkCF walks the control-flow trace in the given direction until it ends
 // or limit statements are emitted, and returns the statements emitted. It
 // polls ctx every ctxCheckMask+1 node steps and stops with its cause.
-func walkCF(ctx context.Context, w *core.WET, tier core.Tier, forward bool, limit uint64, emit func(stmtID int)) (n uint64, err error) {
-	wk := NewWalker(w, tier)
+func (q *qctx) walkCF(ctx context.Context, forward bool, limit uint64, emit func(stmtID int)) (n uint64, err error) {
+	w, wk := q.w, q.walker()
 	if !forward {
 		wk.SeekEnd()
 	}

@@ -4,7 +4,8 @@
 // families are merge-walked once through detached cursors (core.WET.ConcSeq),
 // so at tier 2 the working set is the cursor state plus per-address
 // frontier summaries — the same access discipline the other queries use,
-// provable with stream.ReadSeekStats.
+// provable with the seek counters attached to the WET
+// (core.WET.AttachSeekCounters).
 //
 // Three rules are reported:
 //

@@ -156,13 +156,13 @@ func TestTier2CursorOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := stream.ReadSeekStats()
+	seeks := new(stream.SeekCounters)
+	w.AttachSeekCounters(seeks)
 	got, err := Check(w, core.Tier2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := stream.ReadSeekStats().Sub(before)
-	if d.Seeks != 0 {
+	if d := seeks.Read(); d.Seeks != 0 {
 		t.Fatalf("race check issued %d cursor seeks; the merge-walk must be a monotone forward pass", d.Seeks)
 	}
 	if got.CompressedBits == 0 {

@@ -271,10 +271,11 @@ func TestCorruptCFSplice(t *testing.T) {
 
 // TestVerifyWalksStreams pins the streaming contract: tier-2 verification
 // must traverse the compressed streams through checkpointed cursors — no
-// materialized sequences — which ReadSeekStats makes observable.
+// materialized sequences — which the WET's seek counters make observable.
 func TestVerifyWalksStreams(t *testing.T) {
 	w := buildWET(t, "gzip", 1)
-	before := stream.ReadSeekStats()
+	seeks := new(stream.SeekCounters)
+	w.AttachSeekCounters(seeks)
 	rep, err := VerifyWET(w, VerifyOptions{Tier: core.Tier2})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func TestVerifyWalksStreams(t *testing.T) {
 	if !rep.OK() {
 		t.Fatalf("clean trace reported findings: %v", rep.Findings)
 	}
-	d := stream.ReadSeekStats().Sub(before)
+	d := seeks.Read()
 	if d.Seeks == 0 {
 		t.Fatal("tier-2 verification issued no cursor seeks; it is not walking the compressed streams")
 	}

@@ -92,7 +92,7 @@ type verifier struct {
 // The walk touches the trace exclusively through detached sequence cursors
 // (TSSeq / EdgeLabels / core.SeqAt) — no label sequence is materialized —
 // so at Tier2 it runs directly over the compressed streams; the caller can
-// assert that with stream.ReadSeekStats.
+// assert that with seek counters attached to w (core.WET.AttachSeekCounters).
 func VerifyWET(w *core.WET, opts VerifyOptions) (*Report, error) {
 	if opts.Tier == 0 {
 		opts.Tier = core.Tier1

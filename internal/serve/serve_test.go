@@ -168,7 +168,7 @@ func TestQueryResults(t *testing.T) {
 
 	// A capped sample trace returns the library's whole count, the first
 	// samples of its trace, and says it was truncated.
-	stmt := longLoad(t, e.Trace)
+	stmt := longLoad(t, e.Trace.WET())
 	for _, q := range []string{"valuetrace", "addrtrace"} {
 		var all []wet.Sample
 		trace := e.Trace.ValueTrace
@@ -225,14 +225,14 @@ func TestQueryResults(t *testing.T) {
 	}
 }
 
-// longLoad returns the load of tr that executes most often.
-func longLoad(tb testing.TB, tr *wet.Trace) int {
+// longLoad returns the load of w that executes most often.
+func longLoad(tb testing.TB, w *core.WET) int {
 	tb.Helper()
 	stmt, most := -1, uint64(0)
-	for _, st := range tr.WET().Prog.Stmts {
+	for _, st := range w.Prog.Stmts {
 		if n := uint64(0); st.Op == ir.OpLoad {
-			for _, ref := range tr.WET().StmtOcc[st.ID] {
-				n += uint64(tr.WET().Nodes[ref.Node].Execs)
+			for _, ref := range w.StmtOcc[st.ID] {
+				n += uint64(w.Nodes[ref.Node].Execs)
 			}
 			if n > most {
 				stmt, most = st.ID, n
@@ -251,7 +251,7 @@ func longLoad(tb testing.TB, tr *wet.Trace) int {
 func TestTraceDeadline(t *testing.T) {
 	c := testCorpus(t, 0, "li")
 	s := New(c, Options{Deadline: time.Nanosecond, MaxItems: math.MaxInt})
-	stmt := longLoad(t, c.Entries()[0].Trace)
+	stmt := longLoad(t, c.Entries()[0].Trace.WET())
 	for range 16 {
 		_, err := s.Query(context.Background(), "li", "valuetrace", url.Values{"stmt": {strconv.Itoa(stmt)}})
 		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "wetd: deadline") {

@@ -57,9 +57,10 @@ type Options struct {
 
 // Server serves queries over a corpus.
 type Server struct {
-	c    *corpus.Corpus
-	opts Options
-	pool *pool
+	c       *corpus.Corpus
+	opts    Options
+	pool    *pool
+	timeout error // a request's cause when its deadline passes
 
 	reg      *metrics.Registry
 	tracer   *metrics.Tracer
@@ -75,7 +76,8 @@ func New(c *corpus.Corpus, opts Options) *Server {
 	if opts.MaxItems <= 0 {
 		opts.MaxItems = 10000
 	}
-	s := &Server{c: c, opts: opts, pool: newPool(opts.Workers, opts.Queue)}
+	s := &Server{c: c, opts: opts, pool: newPool(opts.Workers, opts.Queue),
+		timeout: fmt.Errorf("wetd: deadline %v exceeded: %w", opts.Deadline, context.DeadlineExceeded)}
 
 	r := metrics.NewRegistry()
 	s.reg = r
@@ -123,8 +125,7 @@ func (s *Server) Query(ctx context.Context, ref, q string, params url.Values) (r
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithTimeoutCause(ctx, s.opts.Deadline,
-		fmt.Errorf("wetd: deadline %v exceeded: %w", s.opts.Deadline, context.DeadlineExceeded))
+	ctx, cancel := context.WithTimeoutCause(ctx, s.opts.Deadline, s.timeout)
 	defer cancel()
 
 	sp := s.tracer.Start(q)
@@ -197,11 +198,7 @@ func (s *Server) run(ctx context.Context, e *corpus.Entry, q string, params url.
 			return nil, err
 		}
 		ids := make([]int, 0, min(limit, 1024))
-		n, qerr := query.ExtractCFRangeCtx(ctx, tr.WET(), tr.Tier(), from, to, func(id int) {
-			if len(ids) < limit {
-				ids = append(ids, id)
-			}
-		})
+		n, qerr := query.ExtractCFRangeCtx(ctx, tr.WET(), tr.Tier(), from, to, limit, func(id int) { ids = append(ids, id) })
 		if qerr != nil {
 			return nil, qerr
 		}

@@ -83,7 +83,7 @@ type SeekStats struct {
 }
 
 // Sub returns the counter deltas s - before, for bracketing a query with
-// two ReadSeekStats calls.
+// two SeekCounters.Read calls.
 func (s SeekStats) Sub(before SeekStats) SeekStats {
 	return SeekStats{
 		Seeks:    s.Seeks - before.Seeks,
@@ -162,21 +162,9 @@ func StatsOf(s Stream) *SeekCounters {
 	return nil
 }
 
-// The process-wide aggregate counters behind ReadSeekStats. Per-stream
-// attachments update these too, so the global view stays a true
-// superset of every per-trace set.
-var globalSeekStats SeekCounters
-
-// ReadSeekStats returns the cumulative process-wide seek statistics, for
-// single-trace CLIs and tests. The aggregate conflates every trace served
-// from one process: multi-trace code attaches a SeekCounters per trace
-// (AttachStats) and reads that instead.
-func ReadSeekStats() SeekStats {
-	return globalSeekStats.Read()
-}
-
+// noteSeek counts one seek in c, the stream's counter set; a stream with
+// none attached counts nowhere.
 func noteSeek(c *SeekCounters, restored bool, steps int) {
-	globalSeekStats.note(restored, steps)
 	if c != nil {
 		c.note(restored, steps)
 	}

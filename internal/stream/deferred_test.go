@@ -401,8 +401,8 @@ func TestScanDeferred(t *testing.T) {
 	}
 }
 
-// TestSeekCountersAttach pins the per-stream counters AND the deprecated
-// process-global aggregate: an attached stream's seeks land in both.
+// TestSeekCountersAttach pins the per-stream counters: an attached stream's
+// seeks land in its set, and no other stream's do.
 func TestSeekCountersAttach(t *testing.T) {
 	vals := repeatRamp(8192)
 	s := Compress(vals, Spec{KindFCM, 2})
@@ -412,7 +412,6 @@ func TestSeekCountersAttach(t *testing.T) {
 		t.Fatal("StatsOf does not return the attached counters")
 	}
 
-	globalBefore := ReadSeekStats()
 	cur := s.NewCursor()
 	cur.Seek(len(vals) / 2)
 	cur.Seek(7)
@@ -422,11 +421,6 @@ func TestSeekCountersAttach(t *testing.T) {
 	if per.Seeks != 3 {
 		t.Fatalf("per-stream seeks = %d, want 3", per.Seeks)
 	}
-	gd := ReadSeekStats().Sub(globalBefore)
-	if gd.Seeks < 3 || gd.Steps < per.Steps {
-		t.Fatalf("deprecated global aggregate %+v did not absorb per-stream %+v", gd, per)
-	}
-
 	// A second, unattached stream must not leak into c.
 	s2 := Compress(vals, Spec{KindFCM, 2})
 	cur2 := s2.NewCursor()

@@ -325,7 +325,7 @@ type fcmStream struct {
 	cks    []fcmCk  // ascending by pos; [0] is the start state, last is pos m
 	size   uint64
 	ckBits uint64
-	stats  *SeekCounters // per-trace seek accounting; nil = global only
+	stats  *SeekCounters // per-trace seek accounting; nil = none
 }
 
 // stateBits is what one checkpoint's cursor state costs, for ckSpacing.

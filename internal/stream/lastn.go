@@ -213,7 +213,7 @@ type lastNStream struct {
 	cks     []lastNCk
 	size    uint64
 	ckBits  uint64
-	stats   *SeekCounters // per-trace seek accounting; nil = global only
+	stats   *SeekCounters // per-trace seek accounting; nil = none
 }
 
 // stateBits is what one checkpoint's cursor state costs, for ckSpacing.

@@ -189,7 +189,7 @@ func (t *Trace) ExtractControlFlow(forward bool, emit func(stmtID int)) uint64 {
 // (inclusive). An inverted range returns a *RangeError; a range merely
 // clipped by the ends of the trace is extracted as far as it exists.
 func (t *Trace) ExtractCFRange(fromTS, toTS uint32, emit func(stmtID int)) (uint64, error) {
-	return query.ExtractCFRangeCtx(context.Background(), t.w, t.tier, fromTS, toTS, emit)
+	return query.ExtractCFRangeCtx(context.Background(), t.w, t.tier, fromTS, toTS, -1, emit)
 }
 
 // ValueTrace extracts the per-instruction value trace of one statement.
