@@ -517,24 +517,30 @@ func BenchmarkSliceBatch(b *testing.B) {
 // BenchmarkForwardSlices times forwardCriteria's six forward slices, one op
 // per batch, on every workload at scale 1: built in one epoch and streamed in
 // epochs of 256 and 4096 timestamps, capped at 300 instances and uncapped.
-// EXPERIMENTS.md's forward-slice table is its ns/op.
+// Each trace is built inside its own sub-benchmark, so a filter such as
+// ForwardSlices/li/ builds only the traces it runs. EXPERIMENTS.md's
+// forward-slice table is its ns/op.
 func BenchmarkForwardSlices(b *testing.B) {
 	for _, wl := range workload.All() {
-		for _, epochTS := range []uint32{0, 256, 4096} {
-			tr := runWorkload(b, wl.Name, wet.WithEpochTS(epochTS))
-			crit := forwardCriteria(b, tr)
-			for _, limit := range []int{300, 0} {
-				b.Run(fmt.Sprintf("%s/epoch=%d/cap=%d", wl.Name, epochTS, limit), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						for _, c := range crit {
-							if _, err := tr.Forward(c, limit); err != nil {
-								b.Fatal(err)
+		b.Run(wl.Name, func(b *testing.B) {
+			for _, epochTS := range []uint32{0, 256, 4096} {
+				b.Run(fmt.Sprintf("epoch=%d", epochTS), func(b *testing.B) {
+					tr := runWorkload(b, wl.Name, wet.WithEpochTS(epochTS))
+					crit := forwardCriteria(b, tr)
+					for _, limit := range []int{300, 0} {
+						b.Run(fmt.Sprintf("cap=%d", limit), func(b *testing.B) {
+							for i := 0; i < b.N; i++ {
+								for _, c := range crit {
+									if _, err := tr.Forward(c, limit); err != nil {
+										b.Fatal(err)
+									}
+								}
 							}
-						}
+						})
 					}
 				})
 			}
-		}
+		})
 	}
 }
 

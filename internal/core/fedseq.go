@@ -140,6 +140,21 @@ func (f *fedSeq) Seek(i int) {
 // its cursor placed so the next read in the given direction yields a run
 // ending (back) or starting at i, and returns i's index within the part.
 func (f *fedSeq) at(i int, back bool) (local int) {
+	local = f.enter(i)
+	// A backward read wants the cursor just past the element, so its Prev
+	// yields it; a sequential run then needs no further seeks.
+	want := local
+	if back {
+		want++
+	}
+	if f.cur.Pos() != want {
+		f.cur.Seek(want)
+	}
+	return local
+}
+
+// enter makes the part holding element i current, its cursor kept or spawned.
+func (f *fedSeq) enter(i int) (local int) {
 	pi := f.pi
 	if local = f.locate(i); f.cur == nil || f.pi != pi {
 		byPart := func(k keptCursor, pi int) int { return k.pi - pi }
@@ -156,16 +171,30 @@ func (f *fedSeq) at(i int, back bool) (local int) {
 			f.cur = &f.ramp
 		}
 	}
-	// A backward read wants the cursor just past the element, so its Prev
-	// yields it; a sequential run then needs no further seeks.
-	want := local
-	if back {
-		want++
-	}
-	if f.cur.Pos() != want {
-		f.cur.Seek(want)
-	}
 	return local
+}
+
+// Ceil places s, over an edge's destination labels (each at least its index),
+// as stream.Ceil does (a tier-1 s exactly) before its first label ≥ t, at lo
+// or after, and returns its position. A federation first skips unread the
+// segments of epochs before ts's, the timestamp of execution t.
+func Ceil(s Seq, t uint32, lo int, ts uint32) int {
+	hi := min(int(t), s.Len()) // label t, if there is one, is ≥ t
+	switch s := s.(type) {
+	case *fedSeq:
+		k := sort.Search(s.count(), func(k int) bool { return s.bounds(k).epoch >= int((ts-1)/s.wet.EpochTS) })
+		if s.pos = hi; k < s.count() && max(lo, s.bounds(k).first) < hi {
+			local := s.enter(max(lo, s.bounds(k).first))
+			s.pos = s.first + Ceil(s.cur, t, local, ts)
+		}
+		return s.pos
+	case stream.Cursor:
+		return stream.Ceil(s, t, lo, hi)
+	case RandomAccess:
+		lo += sort.Search(hi-lo, func(i int) bool { return s.At(lo+i) >= t })
+	}
+	s.Seek(lo)
+	return lo
 }
 
 func (f *fedSeq) Next() uint32 {
@@ -231,11 +260,12 @@ type rampSeq struct {
 	n, pos int
 }
 
-func (r *rampSeq) Len() int     { return r.n }
-func (r *rampSeq) Pos() int     { return r.pos }
-func (r *rampSeq) Seek(i int)   { r.pos = i }
-func (r *rampSeq) Next() uint32 { r.pos++; return r.ramp + uint32(r.pos-1) }
-func (r *rampSeq) Prev() uint32 { r.pos--; return r.ramp + uint32(r.pos) }
+func (r *rampSeq) Len() int        { return r.n }
+func (r *rampSeq) Pos() int        { return r.pos }
+func (r *rampSeq) Seek(i int)      { r.pos = i }
+func (r *rampSeq) At(i int) uint32 { return r.ramp + uint32(i) }
+func (r *rampSeq) Next() uint32    { r.pos++; return r.ramp + uint32(r.pos-1) }
+func (r *rampSeq) Prev() uint32    { r.pos--; return r.ramp + uint32(r.pos) }
 
 func (r *rampSeq) NextN(dst []uint32) int {
 	n := min(len(dst), r.n-r.pos)

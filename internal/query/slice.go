@@ -224,12 +224,13 @@ type fwalk struct {
 	max, live int // the cap; the readers that may have labels left
 }
 
-// reader reads an edge's labels: label k of the run held is (buf[k], buf[len(buf)/2+k]).
+// reader reads an edge's labels: label k of the run held, the at+k-th, is
+// (buf[k], buf[len(buf)/2+k]), its source read only from label src on.
 type reader struct {
-	e          *core.Edge
-	dseq, sseq core.Seq
-	buf        []uint32
-	k, next    int // next is label k's destination: -1 before placing
+	e                *core.Edge
+	dseq, sseq       core.Seq
+	buf              []uint32
+	at, src, k, next int // next is label k's destination: -1 before placing
 }
 
 // runWalk slices forward from one criterion and returns the slice and its set.
@@ -265,7 +266,7 @@ func (s *fwalk) visit(f *nodeSet) {
 		f.bits[q/64] &^= 1 << (q % 64)
 		for _, r := range f.in[q] {
 			for ; r.next <= d; s.read(r, d) {
-				if r.next == d && s.set.nodes[r.e.SrcNode].has(r.e.SrcPos, int(r.buf[len(r.buf)/2+r.k])) {
+				if r.next == d && s.set.nodes[r.e.SrcNode].has(r.e.SrcPos, r.source()) {
 					s.res.Edges++
 					hit = true
 				}
@@ -301,27 +302,43 @@ func (f *nodeSet) nextPos(q int) int {
 	return -1
 }
 
-// read moves r to its next label, in runs of 8 labels doubling to WalkChunk,
-// first seeking its streams once to the first label that can name ordinal d:
-// destinations rise by one or more a label and stay below the node's
-// executions. An exhausted r holds one label past every ordinal.
+// read moves r to its next label at or above ordinal d, in runs of 8 labels
+// doubling to WalkChunk, once placed up to a checkpoint interval before the
+// first label that can name d (none below d-(execs-len): destinations rise by
+// one a label at least). An exhausted r holds one label past every ordinal.
 func (s *fwalk) read(r *reader, d int) {
 	if r.buf == nil {
 		r.dseq, r.sseq = s.wk.w.EdgeLabels(r.e, s.wk.tier)
-		if at := d - (s.wk.w.Nodes[r.e.DstNode].Execs - r.dseq.Len()); at > 0 {
-			r.dseq.Seek(at)
-			r.sseq.Seek(at)
-		}
-		r.k, r.buf = -1, make([]uint32, 0, 2*core.WalkChunk)
+		lo := max(d-(s.wk.w.Nodes[r.e.DstNode].Execs-r.dseq.Len()), 0)
+		r.at, r.k, r.buf = core.Ceil(r.dseq, uint32(d), lo, s.wk.ts), -1, make([]uint32, 0, 2*core.WalkChunk)
 	}
-	if r.k++; r.k == len(r.buf)/2 {
-		n := r.dseq.NextN(r.buf[:min(max(len(r.buf), 8), core.WalkChunk)])
-		r.sseq.NextN(r.buf[n : 2*n])
-		if r.k, r.buf = 0, r.buf[:2*n]; n == 0 {
-			r.buf, s.live = append(r.buf, math.MaxUint32, 0), s.live-1
+	for r.next = -1; r.next < d; r.next = int(r.buf[r.k]) {
+		if r.k++; r.k == len(r.buf)/2 {
+			n := r.dseq.NextN(r.buf[:min(max(len(r.buf), 8), core.WalkChunk)])
+			if r.at, r.k, r.src, r.buf = r.at+r.k, 0, n, r.buf[:2*n]; n == 0 {
+				r.buf, r.src, s.live = append(r.buf, math.MaxUint32, 0), 1, s.live-1
+			}
 		}
 	}
-	r.next = int(r.buf[r.k])
+}
+
+// source returns label k's source, reading the run's sources at the first ask.
+func (r *reader) source() int {
+	if r.k < r.src {
+		r.readSources()
+	}
+	return int(r.buf[len(r.buf)/2+r.k])
+}
+
+// readSources reads the run's sources from label k, or from where the source
+// cursor stands in the run before k.
+func (r *reader) readSources() {
+	n := len(r.buf) / 2
+	if r.src = r.sseq.Pos() - r.at; r.src < 0 || r.src > r.k {
+		r.src = r.k
+		r.sseq.Seek(r.at + r.k)
+	}
+	r.sseq.NextN(r.buf[n+r.src : 2*n])
 }
 
 // srcOrd returns the source ordinal edge ei pairs with destination ordinal

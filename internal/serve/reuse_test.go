@@ -59,7 +59,8 @@ func reuseTraces(t *testing.T) []reuseTrace {
 
 // reuseSchedule asks, of each trace, backward slices capped at 0 and 128,
 // value traces capped at 64 and control-flow windows of 256 timestamps
-// capped at 64, the kinds wetd serves, each from a few points of the run.
+// capped at 64, and of li forward slices and chops capped at 0 and 128, the
+// kinds wetd serves, each from a few points of the run.
 func reuseSchedule(t *testing.T, trs []reuseTrace) []reuseRequest {
 	t.Helper()
 	var out []reuseRequest
@@ -88,6 +89,9 @@ func reuseSchedule(t *testing.T, trs []reuseTrace) []reuseRequest {
 						return fmt.Sprint(res.Edges, res.PrunedCD, res.Instances), nil
 					}})
 			}
+			if tr.name == "li" {
+				out = append(out, forwardRequests(t, tr, ti, at, crit)...)
+			}
 			out = append(out, reuseRequest{fmt.Sprintf("%s/cfrange@%d", tr.name, at), ti,
 				func(ctx context.Context, w *core.WET, tier core.Tier) (string, error) {
 					var ids []int
@@ -103,6 +107,38 @@ func reuseSchedule(t *testing.T, trs []reuseTrace) []reuseRequest {
 					return fmt.Sprint(n, got), err
 				}})
 		}
+	}
+	return out
+}
+
+// forwardRequests asks forward slices from the instance a tenth of the run
+// before time at, and chops from it to crit, executed at at, each capped at
+// 0 and 128: on the segmented trace their readers skip the epochs sealed
+// before the execution they are placed for.
+func forwardRequests(t *testing.T, tr reuseTrace, ti int, at uint32, crit query.Instance) []reuseRequest {
+	wk := query.NewWalker(tr.ref, core.Tier1)
+	if err := wk.StartAt(at - tr.w.Time/10); err != nil {
+		t.Fatal(err)
+	}
+	from := query.Instance{Node: wk.Node, Ord: wk.Ord}
+	var out []reuseRequest
+	for _, max := range []int{0, 128} {
+		out = append(out, reuseRequest{fmt.Sprintf("%s/forward@%d/max=%d", tr.name, at, max), ti,
+			func(_ context.Context, w *core.WET, tier core.Tier) (string, error) {
+				res, err := query.ForwardSlice(w, tier, from, max)
+				if err != nil {
+					return "", err
+				}
+				return fmt.Sprint(res.Edges, res.Instances), nil
+			}},
+			reuseRequest{fmt.Sprintf("%s/chop@%d/max=%d", tr.name, at, max), ti,
+				func(_ context.Context, w *core.WET, tier core.Tier) (string, error) {
+					res, err := query.Chop(w, tier, from, crit, max)
+					if err != nil {
+						return "", err
+					}
+					return fmt.Sprint(res.Edges, res.Instances), nil
+				}})
 	}
 	return out
 }

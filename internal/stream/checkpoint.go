@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 )
 
@@ -50,6 +51,30 @@ type ckCursor interface {
 	// restoreNear restores the checkpoint i is cheapest to reach from, if
 	// restoring and walking from it costs fewer step-equivalents than walk.
 	restoreNear(i, walk int) bool
+	spacing() int // ckSpacing's: checkpoints lie at its multiples
+}
+
+// Ceil places c, over strictly increasing values whose first ≥ t lies in
+// positions [lo, hi], on it on a packed or verbatim stream, which reads any
+// position in place, else past the last checkpoint probed below t (a counted
+// seek each) or at lo, and returns c's position.
+func Ceil(c Cursor, t uint32, lo, hi int) int {
+	switch p := c.(type) {
+	case interface{ peek(i int) uint32 }:
+		lo += sort.Search(hi-lo, func(i int) bool { return p.peek(lo+i) >= t })
+	case ckCursor:
+		if sp := p.spacing(); sp > 0 {
+			j := max((lo+sp-1)/sp, 1) // the probes: inner checkpoints (j+k)*sp in [lo, hi)
+			k := sort.Search((hi+sp-1)/sp-j, func(k int) bool { p.Seek((j + k) * sp); return p.Next() >= t })
+			if k > 0 {
+				lo = (j+k-1)*sp + 1 // past the last probe below t
+			}
+		}
+	}
+	if c.Pos() != lo {
+		c.Seek(lo)
+	}
+	return lo
 }
 
 // seekBatch is how many values a Seek walk decodes per NextN/PrevN call.

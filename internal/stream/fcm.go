@@ -600,6 +600,8 @@ func (c *fcmCursor) restoreNear(i, walk int) bool {
 	return true
 }
 
+func (c *fcmCursor) spacing() int { return ckSpacing(c.s.m, c.s.stateBits()) }
+
 // Seek walks by single steps after startSeek: NextN/PrevN, with the tables
 // and window hoisted into locals, spill on every step and walked ~15%
 // slower on BenchmarkSeekCheckpointed.

@@ -629,6 +629,8 @@ func (c *lastNCursor) restoreNear(i, walk int) bool {
 	return true
 }
 
+func (c *lastNCursor) spacing() int { return ckSpacing(c.s.m, c.s.stateBits()) }
+
 func (c *lastNCursor) Seek(i int) {
 	startSeek(c, i, c.s.stats)
 	var buf [seekBatch]uint32
@@ -709,6 +711,8 @@ func (c *verbatimCursor) PrevN(dst []uint32) int {
 	c.pos -= n
 	return n
 }
+
+func (c *verbatimCursor) peek(i int) uint32 { return c.v.vals[i] }
 
 func (c *verbatimCursor) Seek(i int) {
 	if i < 0 || i > len(c.v.vals) {

@@ -138,6 +138,8 @@ func (p *packed) read(dst []uint32, b, step uint64) {
 	}
 }
 
+func (c *packedCursor) peek(i int) uint32 { return c.p.at(uint64(i) * uint64(c.p.width)) }
+
 func (c *packedCursor) Seek(i int) {
 	if i < 0 || i > c.p.m {
 		panic(fmt.Sprintf("stream: seek to %d outside [0,%d]", i, c.p.m))

@@ -158,12 +158,15 @@ func forwardSlices(t *testing.T, tr *wet.Trace, limit int) (got wet.SeekStats, p
 // TestForwardSliceReadsEachEdgeOnce: a forward slice walks forward in time
 // from its criterion and reads each edge whose source position holds a member
 // from one placement on, however many instances it goes on to pop per edge —
-// 300 or all of them. The placement seeks the edge's destination labels once
-// and its source labels once, so six slices seek at most twice per out-edge
-// with labels of their member positions, plus once per slice for its
-// criterion's timestamp. A slicer that inverted every edge it touched never
-// sought but decoded all of the edge's labels; one that rescanned an edge's
-// source labels for every popped instance sought once per hit.
+// 300 or all of them. The placement probes the interior checkpoints of a long
+// destination stream (a seek each, binary search) and seeks it once more to
+// the last probe below the visited execution; the source labels are sought
+// once, at the first label that names it. Over these slices that stays within
+// twice per out-edge with labels of their member positions, plus once per
+// slice for its criterion's timestamp (counts.json pins the exact counts). A
+// slicer that inverted every edge it touched never sought but decoded all of
+// the edge's labels; one that rescanned an edge's source labels for every
+// popped instance sought once per hit.
 func TestForwardSliceReadsEachEdgeOnce(t *testing.T) {
 	for _, tr := range []*wet.Trace{runWorkload(t, "li"), reopenedLi(t)} {
 		popped := map[int]int{}
