@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -45,28 +46,35 @@ import (
 	"wet/internal/workload"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	listen := flag.String("listen", ":9120", "address to serve on")
-	budget := flag.String("budget", "32MiB", "decoded segment cache budget (bytes; supports KiB/MiB/GiB suffixes; 0 = unlimited)")
-	workers := flag.Int("workers", 0, "concurrent query executions (0 = 4)")
-	queue := flag.Int("queue", 0, "queries allowed to wait for a worker before shedding (0 = 4x workers)")
-	deadline := flag.Duration("deadline", 30*time.Second, "per-request deadline")
-	bench := flag.String("bench", "", "comma-separated workload names to build and serve in-process (instead of .wet files)")
-	timeout := flag.Duration("timeout", 0, "shut down after this duration (exit code 5); 0 = run until signalled")
-	flag.Parse()
+// run is the command with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("wetd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", ":9120", "address to serve on")
+	budget := fs.String("budget", "32MiB", "decoded segment cache budget (bytes; supports KiB/MiB/GiB suffixes; 0 = unlimited)")
+	workers := fs.Int("workers", 0, "concurrent query executions (0 = 4)")
+	queue := fs.Int("queue", 0, "queries allowed to wait for a worker before shedding (0 = 4x workers)")
+	deadline := fs.Duration("deadline", 30*time.Second, "per-request deadline")
+	bench := fs.String("bench", "", "comma-separated workload names to build and serve in-process (instead of .wet files)")
+	timeout := fs.Duration("timeout", 0, "shut down after this duration (exit code 5); 0 = run until signalled")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cliutil.ExitOK
+		}
+		return cliutil.ExitUsage
+	}
 
 	budgetBytes, err := cliutil.ParseBytes(*budget)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "wetd: %v\n", err)
+		fmt.Fprintf(stderr, "wetd: %v\n", err)
 		return cliutil.ExitUsage
 	}
-	if flag.NArg() == 0 && *bench == "" {
-		fmt.Fprintln(os.Stderr, "wetd: no corpus: pass .wet files or -bench names")
-		flag.Usage()
+	if fs.NArg() == 0 && *bench == "" {
+		fmt.Fprintln(stderr, "wetd: no corpus: pass .wet files or -bench names")
+		fs.Usage()
 		return cliutil.ExitUsage
 	}
 
@@ -74,24 +82,24 @@ func run() int {
 	defer stop()
 
 	c := corpus.New(budgetBytes)
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		e, err := c.AddFile("", path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wetd: %s: %v\n", path, err)
+			fmt.Fprintf(stderr, "wetd: %s: %v\n", path, err)
 			var fe *wetio.FormatError
 			if errors.As(err, &fe) {
 				return cliutil.ExitIntegrity
 			}
 			return cliutil.ExitError
 		}
-		fmt.Printf("wetd: loaded %s as %s (%s, %d segments)\n", path, e.Name, e.Key[:12], e.Segs.Len())
+		fmt.Fprintf(stdout, "wetd: loaded %s as %s (%s, %d segments)\n", path, e.Name, e.Key[:12], e.Segs.Len())
 	}
 	for _, name := range splitList(*bench) {
 		if err := addBench(c, name); err != nil {
-			fmt.Fprintf(os.Stderr, "wetd: %v\n", err)
+			fmt.Fprintf(stderr, "wetd: %v\n", err)
 			return cliutil.ExitError
 		}
-		fmt.Printf("wetd: built and loaded workload %s\n", name)
+		fmt.Fprintf(stdout, "wetd: built and loaded workload %s\n", name)
 	}
 
 	s := serve.New(c, serve.Options{Workers: *workers, Queue: *queue, Deadline: *deadline})
@@ -99,7 +107,7 @@ func run() int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Printf("wetd: serving %d traces on %s (budget %s)\n", len(c.Entries()), *listen, *budget)
+	fmt.Fprintf(stdout, "wetd: serving %d traces on %s (budget %s)\n", len(c.Entries()), *listen, *budget)
 
 	select {
 	case <-ctx.Done():
@@ -107,12 +115,12 @@ func run() int {
 		defer cancel()
 		_ = srv.Shutdown(shctx)
 		if cliutil.IsCancelled(context.Cause(ctx)) {
-			fmt.Fprintln(os.Stderr, "wetd: shut down:", context.Cause(ctx))
+			fmt.Fprintln(stderr, "wetd: shut down:", context.Cause(ctx))
 			return cliutil.ExitCancelled
 		}
 		return cliutil.ExitOK
 	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "wetd: %v\n", err)
+		fmt.Fprintf(stderr, "wetd: %v\n", err)
 		return cliutil.ExitError
 	}
 }

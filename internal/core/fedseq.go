@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"wet/internal/stream"
@@ -82,6 +81,16 @@ type span struct {
 // enterPart makes part pi current.
 func (s *span) enterPart(pi int) { s.pi, s.segBounds = pi, s.bounds(pi) }
 
+// spawn returns a new cursor over the current part, with the part's
+// re-base.
+func (s *span) spawn() (Seq, uint32) {
+	p := s.parts.at(s.pi)
+	if p.s != nil {
+		return p.s.NewCursor(), p.add
+	}
+	return &rampSeq{ramp: p.ramp, n: s.n}, p.add
+}
+
 // locate makes the part holding global element i current; i's index in it.
 func (s *span) locate(i int) int {
 	if i < s.first || i >= s.first+s.n {
@@ -91,27 +100,18 @@ func (s *span) locate(i int) int {
 }
 
 // fedSeq federates per-epoch segments behind the Seq contract: one
-// bidirectional cursor over the concatenation of all parts. A part's cursor
-// is spawned when a read first needs it, so a fedSeq costs the segments it
-// touches; each fedSeq owns its cursors, so any number may traverse one
-// frozen WET concurrently. Sequential runs step the segment cursors without
-// seeks; repositioning costs one checkpointed seek inside the target segment.
+// bidirectional cursor over the concatenation of all parts. It holds the
+// cursor of the part the last read was in (span.pi), spawned when a read
+// enters the part, so a fedSeq costs the segments it touches; each fedSeq
+// owns its cursor, so any number may traverse one frozen WET concurrently.
+// Sequential runs step the part's cursor without seeks; repositioning costs
+// one checkpointed seek inside the target segment, and re-entering a part
+// left behind one spawn more.
 type fedSeq struct {
 	span
 	pos int
-
-	// The part the last read was in (span.pi) and its cursor: nil until a read
-	// needs it, ramp for a ramp part. Stream cursors of parts left behind wait
-	// in kept, sorted by part, so coming back resumes where it was left.
-	p    fedPart
-	cur  Seq
-	ramp rampSeq
-	kept []keptCursor
-}
-
-type keptCursor struct {
-	pi  int
-	cur Seq
+	cur Seq    // nil until a read needs it
+	add uint32 // the part's re-base
 }
 
 func newFedSeq(ps parts) *fedSeq { return &fedSeq{span: span{parts: ps}} }
@@ -153,23 +153,12 @@ func (f *fedSeq) at(i int, back bool) (local int) {
 	return local
 }
 
-// enter makes the part holding element i current, its cursor kept or spawned.
+// enter makes the part holding element i current, spawning its cursor when
+// the read moves into it.
 func (f *fedSeq) enter(i int) (local int) {
 	pi := f.pi
 	if local = f.locate(i); f.cur == nil || f.pi != pi {
-		byPart := func(k keptCursor, pi int) int { return k.pi - pi }
-		if k, ok := slices.BinarySearchFunc(f.kept, pi, byPart); f.cur != nil && f.p.s != nil && !ok {
-			f.kept = slices.Insert(f.kept, k, keptCursor{pi, f.cur})
-		}
-		f.p = f.parts.at(f.pi)
-		if k, ok := slices.BinarySearchFunc(f.kept, f.pi, byPart); ok {
-			f.cur = f.kept[k].cur
-		} else if f.p.s != nil {
-			f.cur = f.p.s.NewCursor()
-		} else {
-			f.ramp = rampSeq{ramp: f.p.ramp, n: f.n}
-			f.cur = &f.ramp
-		}
+		f.cur, f.add = f.spawn()
 	}
 	return local
 }
@@ -188,10 +177,10 @@ func Ceil(s Seq, t uint32, lo int, ts uint32) int {
 			s.pos = s.first + Ceil(s.cur, t, local, ts)
 		}
 		return s.pos
+	case RandomAccess: // before stream.Cursor, whose methods every Seq has
+		lo += sort.Search(hi-lo, func(i int) bool { return s.At(lo+i) >= t })
 	case stream.Cursor:
 		return stream.Ceil(s, t, lo, hi)
-	case RandomAccess:
-		lo += sort.Search(hi-lo, func(i int) bool { return s.At(lo+i) >= t })
 	}
 	s.Seek(lo)
 	return lo
@@ -203,7 +192,7 @@ func (f *fedSeq) Next() uint32 {
 	}
 	f.at(f.pos, false)
 	f.pos++
-	return f.cur.Next() + f.p.add
+	return f.cur.Next() + f.add
 }
 
 func (f *fedSeq) Prev() uint32 {
@@ -212,7 +201,7 @@ func (f *fedSeq) Prev() uint32 {
 	}
 	f.pos--
 	f.at(f.pos, true)
-	return f.cur.Prev() + f.p.add
+	return f.cur.Prev() + f.add
 }
 
 // NextN batches a forward run across segment boundaries: one part lookup
@@ -223,7 +212,7 @@ func (f *fedSeq) NextN(dst []uint32) int {
 		local := f.at(f.pos, false)
 		out := dst[done:min(total, done+f.n-local)]
 		f.cur.NextN(out)
-		rebase(out, f.p.add)
+		rebase(out, f.add)
 		done += len(out)
 		f.pos += len(out)
 	}
@@ -238,7 +227,7 @@ func (f *fedSeq) PrevN(dst []uint32) int {
 		local := f.at(f.pos-1, true) // the part's elements below f.pos number local+1
 		out := dst[done:min(total, done+local+1)]
 		f.cur.PrevN(out)
-		rebase(out, f.p.add)
+		rebase(out, f.add)
 		done += len(out)
 		f.pos -= len(out)
 	}

@@ -218,9 +218,10 @@ func rampProgram() *ir.Program {
 
 // TestFederatedCursorRandomWalk drives federated cursors — node timestamps
 // and both label sides of edges with stored, shared and ramp segments — through random Next, Prev, Seek, NextN and PrevN steps against
-// the sequence's own forward drain. A cursor resolves a segment when a read
-// enters it and keeps the cursors of segments it has left, so the walk
-// crosses, leaves and re-enters segments in every direction.
+// the sequence's own forward drain. A cursor resolves a segment and spawns
+// its cursor when a read enters it, and keeps none of a segment it has
+// left, so the walk crosses, leaves and re-enters segments in every
+// direction.
 func TestFederatedCursorRandomWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	walk := func(what string, fresh func() core.Seq) {

@@ -88,13 +88,8 @@ func (win *Window) enter(ts uint32) bool {
 
 // open spawns the cursor of segment pi, with an empty run.
 func (win *Window) open() {
-	p := win.parts.at(win.pi)
-	win.add, win.v, win.base = p.add, win.v[:0], 0
-	if p.s != nil {
-		win.seq = p.s.NewCursor()
-	} else {
-		win.seq = &rampSeq{ramp: p.ramp, n: win.n}
-	}
+	win.seq, win.add = win.spawn()
+	win.v, win.base = win.v[:0], 0
 }
 
 // Find returns the global index of value t in the strictly increasing

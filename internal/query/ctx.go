@@ -26,9 +26,9 @@ type qctx struct {
 	ctx     context.Context // the query's caller's; mergeSamples polls it
 	w       *core.WET
 	tier    core.Tier
-	nodes   winTable[core.Window]    // node timestamps: a walker's read by epoch by node, a sweep's whole
+	nodes   winTable[core.Window]    // node timestamps, read by epoch: a walker's by node, a sweep's per share
 	edges   winTable[[2]core.Window] // (dst, src) labels: srcOrd's by edge index, an address trace's
-	set     instSet                  // a backward slice's instances
+	set     instSet                  // a slice's instances
 	sweep   sweep
 	vals    map[uint64]*valReader
 	readers []*valReader           // released readers, with their buffers

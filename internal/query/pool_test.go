@@ -13,10 +13,11 @@ import (
 )
 
 // TestReleaseDropsCursors: after every kind of pooled query — run to the
-// end, capped, cancelled mid-merge, or failing a deferred decode — every
-// qctx the pool made holds buffers only: no window, reader or occurrence
-// source keeps a cursor, a sequence or the WET, every slot is empty and
-// every page zeroed. Queries run over li's lazily reopened 256-timestamp
+// end, capped, cancelled mid-merge, or failing a deferred decode, forward
+// walks included — every qctx the pool made holds buffers only: no window,
+// reader or occurrence source keeps a cursor, a sequence or the WET, no
+// share keeps a walk's edge readers or position bits, every slot is empty
+// and every page zeroed. Queries run over li's lazily reopened 256-timestamp
 // epochs (evictable segments) and its single-epoch build.
 func TestReleaseDropsCursors(t *testing.T) {
 	made := trackPool(t)
@@ -32,6 +33,9 @@ func TestReleaseDropsCursors(t *testing.T) {
 		for i, c := range sliceCriteria(t, w, 4) {
 			for _, max := range []int{0, 128} {
 				if _, err := BackwardSlice(w, v.tier, c, max); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ForwardSlice(w, v.tier, c, max); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -144,7 +148,7 @@ func checkReleasedCtx(t *testing.T, name string, q *qctx) {
 	checkTable(t, name, &q.nodes, func(w *core.Window) { windowEmpty(t, name, w) })
 	checkTable(t, name, &q.edges, func(p *[2]core.Window) { windowEmpty(t, name, &p[0]); windowEmpty(t, name, &p[1]) })
 	s := &q.set
-	if s.w != nil || s.used != 0 || s.n != 0 {
+	if s.w != nil || s.used != 0 || s.n != 0 || s.walk {
 		fail("instance set members")
 	}
 	for _, f := range s.nodes[:cap(s.nodes)] {
@@ -155,6 +159,9 @@ func checkReleasedCtx(t *testing.T, name string, q *qctx) {
 	for _, f := range s.shares {
 		if len(f.held) != 0 {
 			fail("a share's pages")
+		}
+		if f.in != nil || f.bits != nil {
+			fail("a walk's readers or position bits")
 		}
 		for _, pg := range f.pages[:cap(f.pages)] {
 			if pg != nil {

@@ -86,8 +86,9 @@ func BackwardSliceOpts(w *core.WET, tier core.Tier, from Instance, opts SliceOpt
 // documents; capped, the criterion and the maxInstances-1 members that executed
 // first, by (timestamp, position). Decode failures surface as *stream.DecodeError.
 func ForwardSlice(w *core.WET, tier core.Tier, from Instance, maxInstances int) (*SliceResult, error) {
-	res, _, err := runWalk(w, tier, from, maxInstances)
-	return res, err
+	q := acquire(w, tier)
+	defer q.release()
+	return runWalk(q, from, maxInstances)
 }
 
 // sweep is one backward slice traversal. Reached instances wait as pending
@@ -162,7 +163,7 @@ func (s *sweep) pick() (best *nodeSet) {
 		if ord != f.topOrd {
 			if f.ts == nil {
 				f.ts = s.q.nodes.take()
-				f.ts.Reuse(core.NewWindow(s.q.w.TSSeq(s.q.w.Nodes[f.id], s.q.tier)))
+				f.ts.Reuse(s.q.w.TSWindow(s.q.w.Nodes[f.id], s.q.tier))
 			}
 			f.topTS = f.ts.At(ord, true)
 		}
@@ -218,7 +219,7 @@ func (s *sweep) reach(node, pos, ord int) {
 // before destinations, so members are found in (timestamp, position) order and
 // nothing is inverted. It ends at the cap, the trace's end, or no labels left.
 type fwalk struct {
-	wk        *Walker
+	wk        Walker
 	set       *instSet
 	res       *SliceResult
 	max, live int // the cap; the readers that may have labels left
@@ -233,16 +234,16 @@ type reader struct {
 	at, src, k, next int // next is label k's destination: -1 before placing
 }
 
-// runWalk slices forward from one criterion and returns the slice and its set.
-func runWalk(w *core.WET, tier core.Tier, from Instance, maxInstances int) (res *SliceResult, set *instSet, err error) {
+// runWalk slices forward from one criterion into q's instance set.
+func runWalk(q *qctx, from Instance, maxInstances int) (res *SliceResult, err error) {
 	defer core.RecoverTyped(&err)
-	if err := checkInstance(w, from); err != nil {
-		return nil, nil, err
+	if err := checkInstance(q.w, from); err != nil {
+		return nil, err
 	}
-	s := &fwalk{wk: NewWalker(w, tier), max: maxInstances, res: &SliceResult{Criterion: from}, set: &instSet{walk: true}}
-	s.set.bind(w)
+	s := &fwalk{wk: q.walker(), max: maxInstances, res: &SliceResult{Criterion: from}, set: &q.set}
+	s.set.walk = true
 	ts := s.wk.wins.put(from.Node)
-	ts.Reuse(w.TSWindow(w.Nodes[from.Node], tier))
+	ts.Reuse(q.w.TSWindow(q.w.Nodes[from.Node], q.tier))
 	s.wk.Node, s.wk.Ord, s.wk.ts = from.Node, from.Ord, ts.At(from.Ord, false)
 	s.set.node(from.Node).bits[from.Pos/64] |= 1 << (from.Pos % 64)
 	for s.visit(s.set.nodes[from.Node]); s.live > 0 && !s.full() && s.wk.Forward(); {
@@ -250,7 +251,7 @@ func runWalk(w *core.WET, tier core.Tier, from Instance, maxInstances int) (res 
 			s.visit(f)
 		}
 	}
-	return s.set.result(s.res), s.set, nil
+	return s.set.result(s.res), nil
 }
 
 func (s *fwalk) full() bool { return s.max > 0 && s.set.n >= s.max }
@@ -406,7 +407,9 @@ func InstanceOfTS(w *core.WET, tier core.Tier, stmtID int, ts uint32) (in Instan
 // document: the instances through which `from` influenced `to`, the classic
 // "how did THIS value reach THAT one?" from dependence labels alone.
 func Chop(w *core.WET, tier core.Tier, from, to Instance, maxInstances int) (*SliceResult, error) {
-	fwd, inFwd, err := runWalk(w, tier, from, maxInstances)
+	q := acquire(w, tier)
+	defer q.release()
+	fwd, err := runWalk(q, from, maxInstances)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +419,7 @@ func Chop(w *core.WET, tier core.Tier, from, to Instance, maxInstances int) (*Sl
 	}
 	res := &SliceResult{Criterion: to, Edges: fwd.Edges + bwd.Edges}
 	for _, in := range bwd.Instances {
-		if inFwd.has(in) {
+		if q.set.has(in) {
 			res.Instances = append(res.Instances, in)
 		}
 	}
@@ -466,7 +469,7 @@ func DependenceChain(w *core.WET, tier core.Tier, from Instance, opIdx, maxLen i
 // instances — close together in time, as a sweep reaches them — costs a few
 // pages however long the trace. A pooled set (a qctx's) keeps its shares
 // and pages between queries: release zeroes the pages the query touched and
-// files them by width for the next.
+// files them by width for the next, and drops a walk's readers.
 type instSet struct {
 	w      *core.WET
 	nodes  []*nodeSet // by node id
@@ -516,7 +519,7 @@ func (s *instSet) bind(w *core.WET) {
 // release empties the set, keeping its shares and its pages, zeroed.
 func (s *instSet) release() {
 	for _, f := range s.shares[:s.used] {
-		s.nodes[f.id] = nil
+		s.nodes[f.id], f.in, f.bits = nil, nil, nil
 		for _, i := range f.held {
 			pg := f.pages[i]
 			clear(pg.rows)
@@ -525,7 +528,7 @@ func (s *instSet) release() {
 		}
 		f.held = f.held[:0]
 	}
-	s.w, s.used, s.n = nil, 0, 0
+	s.w, s.used, s.n, s.walk = nil, 0, 0, false
 }
 
 // node returns the share of node id, handing it out on first touch.

@@ -423,14 +423,6 @@ type fcmCursor struct {
 func (c *fcmCursor) Len() int { return c.s.m }
 func (c *fcmCursor) Pos() int { return c.pos }
 
-func (c *fcmCursor) Clone() Cursor {
-	cp := *c
-	cp.frtb = append([]uint32(nil), c.frtb...)
-	cp.bltb = append([]uint32(nil), c.bltb...)
-	cp.win = append([]uint32(nil), c.win...)
-	return &cp
-}
-
 func (c *fcmCursor) Next() uint32 {
 	if c.pos >= c.s.m {
 		panic("stream: Next past end")

@@ -417,12 +417,6 @@ type lastNCursor struct {
 func (c *lastNCursor) Len() int { return c.s.m }
 func (c *lastNCursor) Pos() int { return c.pos }
 
-func (c *lastNCursor) Clone() Cursor {
-	cp := *c
-	cp.tb = append([]uint32(nil), c.tb...)
-	return &cp
-}
-
 func (c *lastNCursor) Next() uint32 {
 	if c.pos >= c.s.m {
 		panic("stream: Next past end")
@@ -671,11 +665,6 @@ type verbatimCursor struct {
 
 func (c *verbatimCursor) Len() int { return len(c.v.vals) }
 func (c *verbatimCursor) Pos() int { return c.pos }
-
-func (c *verbatimCursor) Clone() Cursor {
-	cp := *c
-	return &cp
-}
 
 func (c *verbatimCursor) Next() uint32 {
 	if c.pos >= len(c.v.vals) {

@@ -81,11 +81,6 @@ type packedCursor struct {
 func (c *packedCursor) Len() int { return c.p.m }
 func (c *packedCursor) Pos() int { return c.pos }
 
-func (c *packedCursor) Clone() Cursor {
-	cp := *c
-	return &cp
-}
-
 func (c *packedCursor) Next() uint32 {
 	if c.pos >= c.p.m {
 		panic("stream: Next past end")

@@ -91,9 +91,6 @@ type Cursor interface {
 	// returns the count decoded — min(len(dst), Pos()) — and retreats the
 	// cursor past them.
 	PrevN(dst []uint32) int
-	// Clone returns an independent copy of this cursor at the same
-	// position.
-	Clone() Cursor
 }
 
 // HeaderBits is the fixed per-stream metadata charge (method id + length).

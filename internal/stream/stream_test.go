@@ -491,36 +491,6 @@ func BenchmarkSeekCheckpointed(b *testing.B) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	for name, vals := range datasets() {
-		if len(vals) < 10 {
-			continue
-		}
-		for _, spec := range allSpecs() {
-			s := Compress(vals, spec)
-			cur := s.NewCursor()
-			SeekTo(cur, 5)
-			c := cur.Clone()
-			if c.Pos() != 5 || c.Len() != cur.Len() {
-				t.Fatalf("%s/%s: clone pos/len mismatch", name, spec)
-			}
-			// Walk the clone to the end and back; the original must not move.
-			SeekEnd(c)
-			SeekStart(c)
-			if cur.Pos() != 5 {
-				t.Fatalf("%s/%s: original cursor moved to %d", name, spec, cur.Pos())
-			}
-			// Both must continue to decode correctly.
-			if got := cur.Next(); got != vals[5] {
-				t.Fatalf("%s/%s: original decodes %d, want %d", name, spec, got, vals[5])
-			}
-			if got := c.Next(); got != vals[0] {
-				t.Fatalf("%s/%s: clone decodes %d, want %d", name, spec, got, vals[0])
-			}
-		}
-	}
-}
-
 // drain returns all values of s in order, through one whole-stream NextN.
 func drain(s Stream) []uint32 {
 	out := make([]uint32, s.Len())

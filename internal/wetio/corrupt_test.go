@@ -19,6 +19,7 @@ import (
 	"wet/internal/core"
 	"wet/internal/interp"
 	"wet/internal/query"
+	"wet/internal/stream"
 	"wet/internal/workload"
 )
 
@@ -450,6 +451,69 @@ func TestCorruptVerifyLocatesDamage(t *testing.T) {
 		}
 		if bad == nil || bad.Offset != s.offset {
 			t.Fatalf("Verify blamed offset %v, damage is at %d", bad, s.offset)
+		}
+	}
+}
+
+// TestCorruptSalvageDecodesEagerly: salvage finds damage by decoding, so a salvage
+// load ignores Lazy and Segments. A damaged v3 and a damaged v4 file opened
+// with Salvage+Lazy or Salvage+Segments come back with every stream
+// materialized, nothing registered in the segment source, and queries —
+// control flow, value and address traces, backward and forward slices —
+// answering as with Salvage alone.
+func TestCorruptSalvageDecodesEagerly(t *testing.T) {
+	for _, fx := range []struct {
+		name string
+		data []byte
+	}{{"v3", savedWET(t, "li")}, {"v4", savedStreamedWET(t, "li")}} {
+		secs, _, _, err := scanSections(fx.data, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, s := range secs {
+			if s.tag == secEdge {
+				n++
+			}
+		}
+		mut := bytes.Clone(fx.data)
+		mut[secs[edgeSection(secs, n/2)].offset+7] ^= 0xFF // a payload byte of a middle edge section
+		digest := func(w *core.WET) string {
+			crit := query.Instance{Node: w.FirstNode}
+			fwd, err := query.ForwardSlice(w, core.Tier2, crit, 1000)
+			if err == nil {
+				return fmt.Sprintf("%s fslice=%d/%d/%v", tierDigest(w, core.Tier2), len(fwd.Instances), fwd.Edges, fwd.Instances[len(fwd.Instances)-1])
+			}
+			return fmt.Sprintf("%s fslice=%v", tierDigest(w, core.Tier2), err)
+		}
+		alone, rep, err := loadNoPanic(t, mut, LoadOptions{Salvage: true}, fx.name)
+		if err != nil {
+			t.Fatalf("%s: salvage: %v", fx.name, err)
+		}
+		if rep.EdgesDropped == 0 {
+			t.Fatalf("%s: the damaged file salvaged whole: %s", fx.name, rep)
+		}
+		want := digest(alone)
+		for _, mode := range []string{"lazy", "segments"} {
+			opts, ss := LoadOptions{Salvage: true, Lazy: mode == "lazy"}, NewSegmentSource()
+			if mode == "segments" {
+				opts.Segments = ss
+			}
+			w, _, err := loadNoPanic(t, mut, opts, fx.name+" "+mode)
+			if err != nil {
+				t.Fatalf("%s %s: salvage: %v", fx.name, mode, err)
+			}
+			for _, s := range wetStreams(w) {
+				if !stream.Materialized(s) {
+					t.Fatalf("%s %s: a salvaged stream was left to decode on first touch", fx.name, mode)
+				}
+			}
+			if ss.Len() != 0 {
+				t.Fatalf("%s %s: salvage registered %d segments", fx.name, mode, ss.Len())
+			}
+			if got := digest(w); got != want {
+				t.Errorf("%s %s: queries disagree with Salvage alone:\n got  %s\n want %s", fx.name, mode, got, want)
+			}
 		}
 	}
 }

@@ -188,7 +188,7 @@ type LoadOptions struct {
 	// the framing and always load strictly.
 	Salvage bool
 	// VerifyStreams additionally walks every deserialized stream over its
-	// full length (both directions, on a clone) so that a stream whose
+	// full length (both directions, on a fresh cursor) so that a stream whose
 	// entry stores are inconsistent despite a valid checksum is rejected at
 	// load instead of panicking in a later query. VerifyStreams overrides
 	// Lazy: certification requires the decode.
